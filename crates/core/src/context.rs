@@ -8,8 +8,8 @@
 //! Locally, vertices are renumbered into `[0, n_local)` for local vertices
 //! followed by `[n_local, n_local + n_remote)` for the cached remote
 //! dependencies, so a layer's aggregation is a single SpMM over the
-//! concatenated matrix `[H_local ; H_remote]` (Alg. 1 line 7's
-//! `concatenate`).
+//! split operand `[H_local ; H_remote]` (Alg. 1 line 7's `concatenate`,
+//! which `parallel::spmm_split` reads without materializing).
 //!
 //! Topology is per layer: full-batch EC-Graph uses one topology for every
 //! layer, while the sampling mode (EC-Graph-S) trains on a different
@@ -33,6 +33,13 @@ pub struct LayerTopology {
     pub deps_by_owner: Vec<Vec<usize>>,
     /// Global id → position in `remote_deps`.
     pub remote_index: HashMap<usize, usize>,
+    /// Responder-side gather plan of each link: `gather_rows[w][k]` is the
+    /// row of `deps_by_owner[w][k]` in owner `w`'s local matrices.
+    pub gather_rows: Vec<Vec<usize>>,
+    /// Requester-side scatter plan of each link: `scatter_rows[w][k]` is
+    /// the row of `deps_by_owner[w][k]` in this worker's remote matrices
+    /// (its position in `remote_deps`).
+    pub scatter_rows: Vec<Vec<usize>>,
 }
 
 /// Everything one worker knows about the partitioned graph.
@@ -60,21 +67,23 @@ impl WorkerContext {
 pub fn build_layer_topologies(adj: &CsrMatrix, partition: &Partition) -> Vec<Arc<LayerTopology>> {
     let num_parts = partition.num_parts();
     let mut locals: Vec<Vec<usize>> = vec![Vec::new(); num_parts];
+    // Row of every vertex in its owner's local matrices.
+    let mut local_row = vec![0usize; partition.num_vertices()];
     for v in 0..partition.num_vertices() {
-        locals[partition.part_of(v)].push(v);
+        let part = &mut locals[partition.part_of(v)];
+        local_row[v] = part.len();
+        part.push(v);
     }
     (0..num_parts)
         .map(|w| {
             let local = &locals[w];
-            let local_index: HashMap<usize, usize> =
-                local.iter().enumerate().map(|(i, &v)| (v, i)).collect();
             // Collect remote columns referenced by the local rows.
             let rows = adj.select_rows(local);
             let mut remote_set: std::collections::BTreeSet<usize> =
                 std::collections::BTreeSet::new();
             for r in 0..rows.rows() {
                 for (c, _) in rows.row_entries(r) {
-                    if !local_index.contains_key(&c) {
+                    if partition.part_of(c) != w {
                         remote_set.insert(c);
                     }
                 }
@@ -85,18 +94,31 @@ pub fn build_layer_topologies(adj: &CsrMatrix, partition: &Partition) -> Vec<Arc
             let n_local = local.len();
             let adj_local = rows.remap_columns(
                 &|c| {
-                    local_index
-                        .get(&c)
-                        .copied()
-                        .or_else(|| remote_index.get(&c).map(|&i| n_local + i))
+                    Some(if partition.part_of(c) == w {
+                        local_row[c]
+                    } else {
+                        n_local + remote_index[&c]
+                    })
                 },
                 n_local + remote_deps.len(),
             );
             let mut deps_by_owner: Vec<Vec<usize>> = vec![Vec::new(); num_parts];
-            for &v in &remote_deps {
-                deps_by_owner[partition.part_of(v)].push(v);
+            let mut gather_rows: Vec<Vec<usize>> = vec![Vec::new(); num_parts];
+            let mut scatter_rows: Vec<Vec<usize>> = vec![Vec::new(); num_parts];
+            for (pos, &v) in remote_deps.iter().enumerate() {
+                let owner = partition.part_of(v);
+                deps_by_owner[owner].push(v);
+                gather_rows[owner].push(local_row[v]);
+                scatter_rows[owner].push(pos);
             }
-            Arc::new(LayerTopology { adj_local, remote_deps, deps_by_owner, remote_index })
+            Arc::new(LayerTopology {
+                adj_local,
+                remote_deps,
+                deps_by_owner,
+                remote_index,
+                gather_rows,
+                scatter_rows,
+            })
         })
         .collect()
 }
@@ -163,6 +185,17 @@ mod tests {
         assert_eq!(ctxs[0].layers[0].remote_deps, vec![2, 3]);
         assert_eq!(ctxs[0].layers[0].deps_by_owner[1], vec![2, 3]);
         assert!(ctxs[0].layers[0].deps_by_owner[0].is_empty());
+        // Link plans agree with the id maps they replace on the hot path.
+        for ctx in &ctxs {
+            let topo = &ctx.layers[0];
+            for (owner, deps) in topo.deps_by_owner.iter().enumerate() {
+                let gather: Vec<usize> =
+                    deps.iter().map(|v| ctxs[owner].global_to_local[v]).collect();
+                let scatter: Vec<usize> = deps.iter().map(|v| topo.remote_index[v]).collect();
+                assert_eq!(topo.gather_rows[owner], gather);
+                assert_eq!(topo.scatter_rows[owner], scatter);
+            }
+        }
     }
 
     #[test]

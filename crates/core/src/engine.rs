@@ -7,9 +7,16 @@
 //! FP  (per layer l = 1..L):   pull W   | exchange H^{l-1} (l ≥ 2) | compute Z^l, H^l
 //! loss:                       local masked softmax-CE → G^L
 //! BP  (per layer l = L..2):   exchange G^l | compute Y^{l-1}, b-grad, G^{l-1}
-//! BP  (l = 1):                compute Y^0, b-grad locally (Â·H⁰ is cached)
+//! BP  (l = 1):                compute Y^0 = P_wᵀ·G¹, b-grad locally
 //! update:                     push gradients | servers apply Adam
 //! ```
+//!
+//! The forward pass is aggregate-first on every layer:
+//! `Z^l = (Â_w·[H_local | H_remote])·W^{l-1} + b`, so a worker transforms
+//! only its `n_local` aggregated rows. For layer 1 both factors of the
+//! aggregate are epoch-invariant, so `P_w = Â_w·[X_local ; X_remote]` is
+//! computed once at build time from the first-hop feature cache (the raw
+//! remote features are not kept) and read by FP layer 1 and BP layer 1.
 //!
 //! Every worker's compute block is wall-clock measured; every message is
 //! byte-counted through [`ec_comm::SimNetwork`]. The simulated epoch time
@@ -35,7 +42,7 @@ use ec_partition::Partition;
 use ec_tensor::{activations, ops, parallel, CsrMatrix, Matrix};
 use ec_trace::registry::labels;
 use ec_trace::{MetricId, SpanEvent, TelemetryLevel, TelemetryReport, TelemetrySink};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Size we charge for a `get`/`pull` request envelope (ids are exchanged
@@ -118,9 +125,9 @@ pub struct DistributedEngine {
     h_local: Vec<Vec<Matrix>>,
     /// `z_local[w][l-1]` = local rows of the pre-activation `Z^l`.
     z_local: Vec<Vec<Matrix>>,
-    /// Features concatenated with the cached remote features (layer-0
-    /// topology) — built once, per the paper's first-hop cache.
-    h0_cat: Vec<Matrix>,
+    /// `P_w = Â_w·[X_local ; X_remote]` over the layer-1 topology — built
+    /// once from the paper's first-hop feature cache, never mutated.
+    p0: Vec<Matrix>,
 
     labels_local: Vec<Vec<u32>>,
     train_local: Vec<Vec<usize>>,
@@ -235,9 +242,13 @@ impl DistributedEngine {
         }
         let ps = ParameterServerGroup::new(&shapes, config.num_servers, config.adam, config.seed);
 
-        // Preprocessing: each worker caches the features of its layer-1
-        // remote dependencies (the paper's first-hop cache).
-        let mut h0_cat = Vec::with_capacity(num_workers);
+        // Preprocessing: each worker fetches the features of its layer-1
+        // remote dependencies (the paper's first-hop cache) and folds them
+        // into its rows of Â·X.
+        let mut p0 = Vec::with_capacity(num_workers);
+        // Outside the worker fan-out, so the kernel may take the whole
+        // machine budget (`kernel_threads = 0` → auto).
+        let kt = config.compute.kernel_threads;
         let mut h_local = Vec::with_capacity(num_workers);
         let mut labels_local = Vec::with_capacity(num_workers);
         let mut train_local = Vec::with_capacity(num_workers);
@@ -255,7 +266,7 @@ impl DistributedEngine {
                 let bytes = (8 + deps.len() * (4 + data.feature_dim() * 4)) as u64;
                 network.send(owner, ctx.worker_id, Channel::Forward, bytes);
             }
-            h0_cat.push(feats.vstack(&remote_feats));
+            p0.push(parallel::spmm_split(&topo0.adj_local, &feats, &remote_feats, kt));
             h_local.push(vec![feats]);
             labels_local.push(ctx.local_vertices.iter().map(|&v| data.labels[v]).collect());
             train_local.push(
@@ -324,7 +335,7 @@ impl DistributedEngine {
             kernel_threads,
             h_local,
             z_local,
-            h0_cat,
+            p0,
             labels_local,
             train_local,
             total_train,
@@ -588,10 +599,10 @@ impl DistributedEngine {
 
             // Exchange H^{l-1} (layer-0 features are cached).
             let (pack_before, unpack_before) = (self.pack_s, self.unpack_s);
-            let remotes: Vec<Option<Matrix>> = if l >= 2 {
-                (0..num_workers).map(|i| Some(self.exchange_fp(i, l, t))).collect()
+            let remotes: Vec<Matrix> = if l >= 2 {
+                (0..num_workers).map(|i| self.exchange_fp(i, l, t)).collect()
             } else {
-                (0..num_workers).map(|_| None).collect()
+                Vec::new()
             };
             self.span_codec_delta(t, ss, pack_before, unpack_before);
             let step_comm = self.network.flush_superstep();
@@ -610,37 +621,40 @@ impl DistributedEngine {
             }
             self.sim_now += step_comm;
 
-            // Compute Z^l, H^l.
-            let (w_l, b_l) = {
-                let (w, b) = self.ps.pull(l - 1);
-                (w.clone(), b.to_vec())
-            };
-            let w_self = sage.then(|| self.ps.pull(num_layers + l - 1).0.clone());
+            // Compute Z^l = (Â_w·[H_local | H_remote])·W^{l-1} + b and H^l.
             let mut step_max = 0.0f64;
             let mut scaled_times = Vec::with_capacity(num_workers);
             let (results, fanout_s) = {
+                let (w_l, b_l) = self.ps.pull(l - 1);
+                let w_self = sage.then(|| self.ps.pull(num_layers + l - 1).0);
                 let h_local = &self.h_local;
-                let h0_cat = &self.h0_cat;
+                let p0 = &self.p0;
                 let contexts = &self.contexts;
                 exec::run_workers_timed(&self.pool, num_workers, |w| {
                     let start = HostTimer::start();
-                    let h_cat = match &remotes[w] {
-                        None => h0_cat[w].clone(),
-                        Some(remote) => h_local[w][l - 1].vstack(remote),
-                    };
-                    let xw = parallel::matmul(&h_cat, &w_l, kt);
-                    let mut z = parallel::spmm(&contexts[w].layers[l - 1].adj_local, &xw, kt);
-                    if let Some(ws) = &w_self {
+                    // Layer 1 has no exchange: its aggregate is the cached P_w.
+                    let fresh = (l >= 2).then(|| {
+                        let adj = &contexts[w].layers[l - 1].adj_local;
+                        parallel::spmm_split(adj, &h_local[w][l - 1], &remotes[w], kt)
+                    });
+                    let mut z = parallel::matmul(fresh.as_ref().unwrap_or(&p0[w]), w_l, kt);
+                    if let Some(ws) = w_self {
                         ops::add_assign(&mut z, &parallel::matmul(&h_local[w][l - 1], ws, kt));
                     }
-                    z = ops::add_bias(&z, &b_l);
-                    let h = if l < num_layers { activations::relu(&z) } else { z.clone() };
+                    z = ops::add_bias(&z, b_l);
+                    // The output layer has no activation: Z^L is H^L.
+                    let h = (l < num_layers).then(|| activations::relu(&z));
                     (h, z, start.elapsed_s())
                 })
             };
             for (w, (h, z, secs)) in results.into_iter().enumerate() {
-                self.h_local[w][l] = h;
-                self.z_local[w][l - 1] = z;
+                match h {
+                    Some(h) => {
+                        self.h_local[w][l] = h;
+                        self.z_local[w][l - 1] = z;
+                    }
+                    None => self.h_local[w][l] = z,
+                }
                 let scaled = secs * factors[w];
                 scaled_times.push(scaled);
                 step_max = step_max.max(scaled);
@@ -727,30 +741,34 @@ impl DistributedEngine {
         // ---------------- Backward propagation ----------------
         let num_slots = if sage { 2 * num_layers } else { num_layers };
         let mut grads: Vec<Option<(Matrix, Vec<f32>)>> = vec![None; num_slots];
-        for l in (2..=num_layers).rev() {
-            // Exchange G^l.
-            let (pack_before, unpack_before) = (self.pack_s, self.unpack_s);
-            let g_remote: Vec<Matrix> =
-                (0..num_workers).map(|i| self.exchange_bp(i, l, &g_cur)).collect();
-            self.span_codec_delta(t, ss, pack_before, unpack_before);
-            let step_comm = self.network.flush_superstep();
-            comm_s += step_comm;
-            if trace {
-                let track = self.telemetry.layout().network();
-                self.telemetry.span(
-                    SpanEvent::new("bp:exchange", "bp", track, self.sim_now, step_comm)
-                        .at_epoch(t)
-                        .at_layer(l)
-                        .at_superstep(ss),
-                );
+        for l in (1..=num_layers).rev() {
+            // Exchange G^l. Layer 1 needs none: Y⁰ = (Â·H⁰)ᵀ·G¹ is local —
+            // Â·H⁰ is the cached P_w — and there is no G⁰ to produce.
+            let mut g_remote: Vec<Matrix> = Vec::new();
+            if l >= 2 {
+                let (pack_before, unpack_before) = (self.pack_s, self.unpack_s);
+                g_remote = (0..num_workers).map(|i| self.exchange_bp(i, l, &g_cur)).collect();
+                self.span_codec_delta(t, ss, pack_before, unpack_before);
+                let step_comm = self.network.flush_superstep();
+                comm_s += step_comm;
+                if trace {
+                    let track = self.telemetry.layout().network();
+                    self.telemetry.span(
+                        SpanEvent::new("bp:exchange", "bp", track, self.sim_now, step_comm)
+                            .at_epoch(t)
+                            .at_layer(l)
+                            .at_superstep(ss),
+                    );
+                }
+                if ss_level {
+                    let lbl = labels(&[t as u32, ss]);
+                    self.telemetry.set(MetricId::SuperstepCommS, lbl, step_comm);
+                }
+                self.sim_now += step_comm;
             }
-            if ss_level {
-                self.telemetry.set(MetricId::SuperstepCommS, labels(&[t as u32, ss]), step_comm);
-            }
-            self.sim_now += step_comm;
 
-            let w_lm1 = self.ps.pull(l - 1).0.clone();
-            let ws_lm1 = sage.then(|| self.ps.pull(num_layers + l - 1).0.clone());
+            let w_lm1 = self.ps.pull(l - 1).0;
+            let ws_lm1 = sage.then(|| self.ps.pull(num_layers + l - 1).0);
             let mut step_max = 0.0f64;
             let mut scaled_times = Vec::with_capacity(num_workers);
             let mut y_sum = Matrix::zeros(self.config.dims[l - 1], self.config.dims[l]);
@@ -759,27 +777,31 @@ impl DistributedEngine {
             let (results, fanout_s) = {
                 let h_local = &self.h_local;
                 let z_local = &self.z_local;
+                let p0 = &self.p0;
                 let contexts = &self.contexts;
                 let g_cur = &g_cur;
                 exec::run_workers_timed(&self.pool, num_workers, |w| {
                     let start = HostTimer::start();
-                    let topo = &contexts[w].layers[l - 1];
-                    let g_cat = g_cur[w].vstack(&g_remote[w]);
-                    let ag = parallel::spmm(&topo.adj_local, &g_cat, kt);
-                    // Y^{l-1} = (H^{l-1})ᵀ (Â G^l), summed over workers.
-                    let y_part = parallel::matmul_at_b(&h_local[w][l - 1], &ag, kt);
                     let b_part = ops::column_sums(&g_cur[w]);
                     // Self path: Y_s^{l-1} = (H^{l-1})ᵀ G^l — purely local.
                     let ys_part =
                         sage.then(|| parallel::matmul_at_b(&h_local[w][l - 1], &g_cur[w], kt));
+                    if l == 1 {
+                        let y_part = parallel::matmul_at_b(&p0[w], &g_cur[w], kt);
+                        return (y_part, ys_part, b_part, None, start.elapsed_s());
+                    }
+                    let adj = &contexts[w].layers[l - 1].adj_local;
+                    let ag = parallel::spmm_split(adj, &g_cur[w], &g_remote[w], kt);
+                    // Y^{l-1} = (H^{l-1})ᵀ (Â G^l), summed over workers.
+                    let y_part = parallel::matmul_at_b(&h_local[w][l - 1], &ag, kt);
                     // G^{l-1} = [(Â G^l)(W^{l-1})ᵀ (+ G^l W_sᵀ)] ⊙ σ'(Z^{l-1}).
                     let mask = activations::relu_grad(&z_local[w][l - 2]);
-                    let mut flow = parallel::matmul_a_bt(&ag, &w_lm1, kt);
-                    if let Some(ws) = &ws_lm1 {
+                    let mut flow = parallel::matmul_a_bt(&ag, w_lm1, kt);
+                    if let Some(ws) = ws_lm1 {
                         ops::add_assign(&mut flow, &parallel::matmul_a_bt(&g_cur[w], ws, kt));
                     }
                     let g_new = ops::hadamard(&flow, &mask);
-                    (y_part, ys_part, b_part, g_new, start.elapsed_s())
+                    (y_part, ys_part, b_part, Some(g_new), start.elapsed_s())
                 })
             };
             for (w, (y_part, ys_part, b_part, g_new, secs)) in results.into_iter().enumerate() {
@@ -790,7 +812,9 @@ impl DistributedEngine {
                 if let Some(ys_part) = ys_part {
                     ops::add_assign(&mut ys_sum, &ys_part);
                 }
-                g_cur[w] = g_new;
+                if let Some(g_new) = g_new {
+                    g_cur[w] = g_new;
+                }
                 let scaled = secs * factors[w];
                 scaled_times.push(scaled);
                 step_max = step_max.max(scaled);
@@ -824,73 +848,6 @@ impl DistributedEngine {
             grads[l - 1] = Some((y_sum, b_sum));
             if sage {
                 grads[num_layers + l - 1] = Some((ys_sum, vec![0.0; self.config.dims[l]]));
-            }
-        }
-
-        // Layer 1: Â·H⁰ is computable locally from the feature cache.
-        {
-            let mut step_max = 0.0f64;
-            let mut scaled_times = Vec::with_capacity(num_workers);
-            let mut y_sum = Matrix::zeros(self.config.dims[0], self.config.dims[1]);
-            let mut ys_sum = Matrix::zeros(self.config.dims[0], self.config.dims[1]);
-            let mut b_sum = vec![0.0f32; self.config.dims[1]];
-            let (results, fanout_s) = {
-                let h_local = &self.h_local;
-                let h0_cat = &self.h0_cat;
-                let contexts = &self.contexts;
-                let g_cur = &g_cur;
-                exec::run_workers_timed(&self.pool, num_workers, |w| {
-                    let start = HostTimer::start();
-                    let topo = &contexts[w].layers[0];
-                    let ah0 = parallel::spmm(&topo.adj_local, &h0_cat[w], kt);
-                    let y_part = parallel::matmul_at_b(&ah0, &g_cur[w], kt);
-                    let ys_part =
-                        sage.then(|| parallel::matmul_at_b(&h_local[w][0], &g_cur[w], kt));
-                    let b_part = ops::column_sums(&g_cur[w]);
-                    (y_part, ys_part, b_part, start.elapsed_s())
-                })
-            };
-            for (w, (y_part, ys_part, b_part, secs)) in results.into_iter().enumerate() {
-                ops::add_assign(&mut y_sum, &y_part);
-                if let Some(ys_part) = ys_part {
-                    ops::add_assign(&mut ys_sum, &ys_part);
-                }
-                for (acc, g) in b_sum.iter_mut().zip(b_part) {
-                    *acc += g;
-                }
-                let scaled = secs * factors[w];
-                scaled_times.push(scaled);
-                step_max = step_max.max(scaled);
-                if trace {
-                    let track = self.telemetry.layout().worker(w);
-                    self.telemetry.span(
-                        SpanEvent::new("bp:compute", "bp", track, self.sim_now, scaled)
-                            .at_epoch(t)
-                            .at_layer(1)
-                            .at_superstep(ss)
-                            .at_worker(w),
-                    );
-                }
-            }
-            if trace && fanout_s > 0.0 {
-                let track = self.telemetry.layout().engine();
-                self.telemetry.span(
-                    SpanEvent::new("exec:fanout", "exec", track, self.sim_now, fanout_s)
-                        .at_epoch(t)
-                        .at_layer(1)
-                        .at_superstep(ss),
-                );
-            }
-            self.record_superstep_idle(t, Some(ss), &scaled_times, step_max);
-            compute_s += step_max;
-            if ss_level {
-                self.telemetry.set(MetricId::SuperstepComputeS, labels(&[t as u32, ss]), step_max);
-            }
-            self.sim_now += step_max;
-            ss += 1;
-            grads[0] = Some((y_sum, b_sum));
-            if sage {
-                grads[num_layers] = Some((ys_sum, vec![0.0; self.config.dims[1]]));
             }
         }
 
@@ -1041,9 +998,7 @@ impl DistributedEngine {
             }
             // Responder j gathers the requested rows of its local H^{l-1}.
             let pack_timer = measure.then(HostTimer::start);
-            let local_idx: Vec<usize> =
-                deps.iter().map(|v| self.contexts[j].global_to_local[v]).collect();
-            let h_rows = self.h_local[j][l - 1].gather_rows(&local_idx);
+            let h_rows = self.h_local[j][l - 1].gather_rows(&topo.gather_rows[j]);
 
             let (reconstructed, wire, degrade_pdt) = match self.config.fp_mode {
                 FpMode::Exact => {
@@ -1072,7 +1027,7 @@ impl DistributedEngine {
                     // Record the proportion for the Bit-Tuner when this is
                     // the last FP exchange (Alg. 3 line 13: l == L).
                     if l == self.config.num_layers() && !out.exact_sent {
-                        self.fp_bits_feedback(i, j, out.proportion);
+                        self.fp_prop.insert((i, j), out.proportion);
                     }
                     (out.reconstructed, out.wire, pdt)
                 }
@@ -1124,8 +1079,8 @@ impl DistributedEngine {
                 .iter()
                 .sum::<f32>() as f64;
             let unpack_timer = measure.then(HostTimer::start);
-            for (row, v) in local_rows(&topo.remote_index, deps) {
-                remote.set_row(row, reconstructed.row(v));
+            for (k, &row) in topo.scatter_rows[j].iter().enumerate() {
+                remote.set_row(row, reconstructed.row(k));
             }
             if let Some(tm) = &unpack_timer {
                 self.unpack_s += tm.elapsed_s();
@@ -1153,9 +1108,7 @@ impl DistributedEngine {
                 continue;
             }
             let pack_timer = measure.then(HostTimer::start);
-            let local_idx: Vec<usize> =
-                deps.iter().map(|v| self.contexts[j].global_to_local[v]).collect();
-            let g_rows = g_cur[j].gather_rows(&local_idx);
+            let g_rows = g_cur[j].gather_rows(&topo.gather_rows[j]);
             let (reconstructed, wire) = match self.config.bp_mode {
                 BpMode::Exact => bp::respond_exact(&g_rows),
                 BpMode::Compressed { bits } => bp::respond_compressed(&g_rows, bits),
@@ -1175,21 +1128,14 @@ impl DistributedEngine {
             self.network.send(j, i, Channel::Backward, wire);
             self.telemetry.observe(MetricId::BpWireBytes, labels(&[e]), wire as f64);
             let unpack_timer = measure.then(HostTimer::start);
-            for (row, v) in local_rows(&topo.remote_index, deps) {
-                remote.set_row(row, reconstructed.row(v));
+            for (k, &row) in topo.scatter_rows[j].iter().enumerate() {
+                remote.set_row(row, reconstructed.row(k));
             }
             if let Some(tm) = &unpack_timer {
                 self.unpack_s += tm.elapsed_s();
             }
         }
         remote
-    }
-
-    /// Records a proportion observation; the tuner consumes it at epoch end.
-    fn fp_bits_feedback(&mut self, i: usize, j: usize, proportion: f32) {
-        // Stash the proportion in the (i, j) slot using the epoch-end pass;
-        // we store it via a dedicated map keyed the same way as fp_bits.
-        self.fp_prop.insert((i, j), proportion);
     }
 
     fn apply_bit_tuner(&mut self, t: usize) {
@@ -1264,15 +1210,6 @@ fn probe_alpha(bits: u8) -> f64 {
     alpha as f64
 }
 
-/// Pairs each dep's position in the per-owner list with its row in the
-/// requester's remote matrix.
-fn local_rows<'a>(
-    remote_index: &'a HashMap<usize, usize>,
-    deps: &'a [usize],
-) -> impl Iterator<Item = (usize, usize)> + 'a {
-    deps.iter().enumerate().map(move |(k, v)| (remote_index[v], k))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1301,6 +1238,40 @@ mod tests {
         let pre = e.preprocessing();
         assert!(pre.feature_cache_bytes > 0, "remote features must be shipped once");
         assert!(pre.feature_cache_s > 0.0);
+    }
+
+    /// The cached `P_w` is worker `w`'s rows of the global `Â·X`: on a
+    /// hash partition, on a worker without remote dependencies, and on the
+    /// single-worker engine (whose remote half is empty).
+    #[test]
+    fn cached_aggregate_is_the_local_rows_of_the_global_product() {
+        let check = |e: &DistributedEngine| {
+            let global = e.adjs[0].spmm(&e.data.features);
+            for (ctx, p) in e.contexts.iter().zip(&e.p0) {
+                let want = global.gather_rows(&ctx.local_vertices);
+                assert!(p.approx_eq(&want, 1e-6), "worker {} of {}", ctx.worker_id, e.p0.len());
+            }
+        };
+        check(&engine_with(FpMode::Exact, BpMode::Exact, 3));
+        check(&engine_with(FpMode::Exact, BpMode::Exact, 1));
+
+        // Vertex v lives on worker v % 3; the ring v — v+3 stays inside a
+        // part and only parts 0 and 1 are linked, so worker 2 fetches nothing.
+        let data = Arc::new(DatasetSpec::cora().instantiate_with(150, 12, 5));
+        let mut edges: Vec<(u32, u32)> = (0..150).map(|v| (v, (v + 3) % 150)).collect();
+        edges.extend((0..150).step_by(3).map(|v| (v, v + 1)));
+        let graph = ec_graph_data::Graph::from_edges(150, &edges);
+        let adj = Arc::new(normalize::gcn_normalized_adjacency(&graph));
+        let partition = Partition::new((0..150).map(|v| v % 3).collect(), 3);
+        let config = TrainingConfig {
+            dims: vec![12, 8, data.num_classes],
+            num_workers: 3,
+            ..TrainingConfig::defaults(12, data.num_classes)
+        };
+        let e = DistributedEngine::new(data, vec![adj; 2], partition, config);
+        assert!(e.contexts[2].layers[0].remote_deps.is_empty());
+        assert!(!e.contexts[0].layers[0].remote_deps.is_empty());
+        check(&e);
     }
 
     #[test]

@@ -104,16 +104,41 @@ pub fn matmul(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
 /// Panics if `s.cols() != b.rows()`.
 pub fn spmm(s: &CsrMatrix, b: &Matrix, threads: usize) -> Matrix {
     assert_eq!(s.cols(), b.rows(), "spmm shape mismatch");
+    spmm_banded(s, b.cols(), threads, &|row0, band| s.spmm_into(b, row0, band))
+}
+
+/// Parallel `S · [local ; remote]` without building the stacked operand:
+/// the worker-side aggregation over `[H_local | H_remote]`. Bit-identical
+/// to `spmm(s, &local.vstack(remote), threads)`.
+///
+/// # Panics
+/// Panics if `s.cols() != local.rows() + remote.rows()` or the two
+/// operands differ in width.
+pub fn spmm_split(s: &CsrMatrix, local: &Matrix, remote: &Matrix, threads: usize) -> Matrix {
+    assert_eq!(s.cols(), local.rows() + remote.rows(), "spmm_split shape mismatch");
+    assert_eq!(local.cols(), remote.cols(), "spmm_split operand width mismatch");
+    spmm_banded(s, local.cols(), threads, &|row0, band| {
+        s.spmm_split_into(local, remote, row0, band)
+    })
+}
+
+/// Band dispatch shared by [`spmm`] and [`spmm_split`]: `body(row0, band)`
+/// fills output rows `row0..` of the `s.rows() × n` product.
+fn spmm_banded(
+    s: &CsrMatrix,
+    n: usize,
+    threads: usize,
+    body: &(impl Fn(usize, &mut [f32]) + Sync),
+) -> Matrix {
     let m = s.rows();
-    let n = b.cols();
     let work = s.nnz().saturating_mul(n);
     let bands = band_count(effective_threads(threads), m, work);
     let mut c = Matrix::zeros(m, n);
     if bands <= 1 {
-        s.spmm_into(b, 0, c.as_mut_slice());
+        body(0, c.as_mut_slice());
         return c;
     }
-    run_bands(c.as_mut_slice(), m, n, bands, &|row0, band| s.spmm_into(b, row0, band));
+    run_bands(c.as_mut_slice(), m, n, bands, body);
     c
 }
 
@@ -199,6 +224,26 @@ mod tests {
         let seq = s.spmm(&b);
         for threads in [2usize, 4, 7] {
             assert_eq!(spmm(&s, &b, threads), seq, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn spmm_split_equals_spmm_over_the_stack() {
+        let s = CsrMatrix::from_triples(
+            50,
+            40,
+            &(0..200)
+                .map(|i| ((i * 7) % 50, (i * 13) % 40, (i as f32 * 0.3).sin()))
+                .collect::<Vec<_>>(),
+        );
+        let b = init::uniform(40, 8, -1.0, 1.0, 3);
+        // Every split point, including an empty local and an empty remote.
+        for n_local in [0usize, 1, 17, 40] {
+            let local = b.gather_rows(&(0..n_local).collect::<Vec<_>>());
+            let remote = b.gather_rows(&(n_local..40).collect::<Vec<_>>());
+            for threads in [1usize, 2, 7] {
+                assert_eq!(spmm_split(&s, &local, &remote, threads), s.spmm(&b), "{n_local}");
+            }
         }
     }
 

@@ -145,7 +145,32 @@ impl CsrMatrix {
     /// order per row and the inner AXPY is element-wise independent, so
     /// bits match the naive `ops::reference::spmm` loop exactly.
     pub fn spmm_into(&self, b: &Matrix, row0: usize, out: &mut [f32]) {
-        let n = b.cols();
+        self.spmm_rows_into(b.cols(), |c| b.row(c), row0, out);
+    }
+
+    /// [`CsrMatrix::spmm_into`] over the split operand `[local ; remote]`
+    /// without materializing the stack: column `c < local.rows()` reads
+    /// row `c` of `local`, any other column row `c - local.rows()` of
+    /// `remote`. Same nonzero order as `spmm_into` over
+    /// `local.vstack(remote)`, so the bits are identical.
+    ///
+    /// Callers check `self.cols() == local.rows() + remote.rows()` and
+    /// `local.cols() == remote.cols()` (see `parallel::spmm_split`).
+    pub fn spmm_split_into(&self, local: &Matrix, remote: &Matrix, row0: usize, out: &mut [f32]) {
+        let n_local = local.rows();
+        let row_of = |c: usize| if c < n_local { local.row(c) } else { remote.row(c - n_local) };
+        self.spmm_rows_into(local.cols(), row_of, row0, out);
+    }
+
+    /// The one SpMM body: `out[i] += v · row_of(c)` for every nonzero
+    /// `(c, v)` of row `row0 + i`, in CSR order; `n` is the operand width.
+    fn spmm_rows_into<'a>(
+        &self,
+        n: usize,
+        row_of: impl Fn(usize) -> &'a [f32],
+        row0: usize,
+        out: &mut [f32],
+    ) {
         if n == 0 {
             return;
         }
@@ -155,7 +180,7 @@ impl CsrMatrix {
             let orow = &mut out[i * n..(i + 1) * n];
             for idx in self.indptr[row0 + i]..self.indptr[row0 + i + 1] {
                 let c = self.indices[idx] as usize;
-                crate::ops::axpy_slice(orow, b.row(c), self.values[idx]);
+                crate::ops::axpy_slice(orow, row_of(c), self.values[idx]);
             }
         }
     }

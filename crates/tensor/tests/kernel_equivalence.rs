@@ -47,6 +47,11 @@ fn csr(rows: usize, cols: usize, nnz: usize, seed: u64) -> CsrMatrix {
     CsrMatrix::from_triples(rows, cols, &triples)
 }
 
+/// Raw bit patterns, for comparisons that must survive NaN outputs.
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 /// Dimension strategy: degenerate (0, 1), sub-tile, tile-straddling
 /// (around ops::LANES = 8 and ops::TILE_J = 64), and beyond-one-tile
 /// sizes, all non-multiples of the tile widths. The 200 arm makes
@@ -120,6 +125,36 @@ proptest! {
         }
     }
 
+    /// The split-operand SpMM must be the stacked one bit for bit: ragged
+    /// shapes, an empty local or remote half (`dim()` yields 0), and — on a
+    /// quarter of the cases — planted ±inf/NaN rows on either side of the
+    /// split, so `inf·0` and `inf − inf` arise in the same places.
+    #[test]
+    fn split_spmm_equals_spmm_over_the_stack(
+        m in dim(), n_local in dim(), n_remote in dim(), n in dim(),
+        nnz in 0usize..300, seed in 1u64..1_000_000,
+    ) {
+        let s = csr(m, n_local + n_remote, nnz, seed);
+        let mut local = matrix(n_local, n, seed ^ 0x7777);
+        let mut remote = matrix(n_remote, n, seed ^ 0x3333);
+        if seed % 4 == 0 && n > 0 {
+            for (half, v) in [(&mut local, f32::INFINITY), (&mut remote, f32::NAN)] {
+                if half.rows() > 0 {
+                    let r = seed as usize % half.rows();
+                    half.set(r, 0, v);
+                    half.set(r, n - 1, f32::NEG_INFINITY);
+                }
+            }
+        }
+        let stacked = local.vstack(&remote);
+        for threads in [1usize, 2, 3, 5] {
+            prop_assert_eq!(
+                bits(&parallel::spmm_split(&s, &local, &remote, threads)),
+                bits(&parallel::spmm(&s, &stacked, threads))
+            );
+        }
+    }
+
     #[test]
     fn blocked_transpose_is_a_permutation(
         m in dim(), n in dim(), seed in 1u64..1_000_000,
@@ -141,9 +176,6 @@ proptest! {
 /// raw bit patterns rather than float equality.
 #[test]
 fn non_finite_values_propagate_identically() {
-    fn bits(m: &Matrix) -> Vec<u32> {
-        m.as_slice().iter().map(|v| v.to_bits()).collect()
-    }
     let mut a = matrix(19, 13, 77);
     a.set(0, 0, f32::INFINITY);
     a.set(5, 7, f32::NEG_INFINITY);

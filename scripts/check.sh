@@ -9,17 +9,23 @@
 # (which must report all-unchanged).
 # Pass --serve-smoke to also drive `ecgraph serve` end-to-end (fast path)
 # and validate the emitted serve report.
+# Pass --perf-smoke to also build the benchmark package (perfbench/, a
+# package of its own that the workspace build never compiles), run its
+# unit tests and `perf --smoke` — so a product-crate signature change
+# that breaks the benchmark fails here, not in the next benchmark run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RUN_BENCH=0
 RUN_TRACE_SMOKE=0
 RUN_SERVE_SMOKE=0
+RUN_PERF_SMOKE=0
 for arg in "$@"; do
   case "$arg" in
     --bench) RUN_BENCH=1 ;;
     --trace-smoke) RUN_TRACE_SMOKE=1 ;;
     --serve-smoke) RUN_SERVE_SMOKE=1 ;;
+    --perf-smoke) RUN_PERF_SMOKE=1 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
 done
@@ -140,6 +146,12 @@ if [[ "$RUN_SERVE_SMOKE" == "1" ]]; then
     grep -q "$needle" "$SERVE_DIR/serve_metrics.json" \
       || { echo "serve_metrics.json is missing $needle" >&2; exit 1; }
   done
+fi
+
+if [[ "$RUN_PERF_SMOKE" == "1" ]]; then
+  echo "== perf smoke (perfbench builds against the product crates) =="
+  cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+  cargo run --release --offline -q --manifest-path perfbench/Cargo.toml --bin perf -- --smoke
 fi
 
 echo "All checks passed."

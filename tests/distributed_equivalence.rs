@@ -81,6 +81,76 @@ fn three_layer_engine_matches_autodiff_trajectory() {
     }
 }
 
+/// `L = 1`: there is no exchange at all, so FP (`Z¹ = P_w·W⁰ + b`) and BP
+/// (`Y⁰ = P_wᵀ·G¹`) both run purely off the cached first-hop aggregate.
+#[test]
+fn one_layer_engine_matches_autodiff_trajectory() {
+    let data = Arc::new(DatasetSpec::cora().instantiate_with(100, 12, 7));
+    let dims = vec![12, data.num_classes];
+    let mut engine = build_engine(&data, dims.clone(), 4, &HashPartitioner::default(), 42);
+    for _ in 0..5 {
+        let stats = engine.run_epoch();
+        assert_eq!(stats.traffic.fp_bytes + stats.traffic.bp_bytes, 0, "L = 1 exchanges nothing");
+    }
+    let reference = local_reference(&data, &dims, 42, 5);
+    let (w, b) = &engine.weights()[0];
+    assert!(w.approx_eq(&reference.weights()[0], 2e-3), "weights diverged after 5 epochs");
+    for (x, y) in b.iter().zip(reference.biases()[0].row(0)) {
+        assert!((x - y).abs() < 2e-3, "bias diverged");
+    }
+}
+
+/// EC-Graph-S trains on a different sampled adjacency per layer, so the
+/// cached `P_w` must be built from the layer-1 topology only: the first
+/// loss equals a tape forward over the per-layer adjacencies, and the
+/// 6-worker trajectory follows the 1-worker one.
+#[test]
+fn sampled_engine_is_independent_of_worker_count() {
+    use ec_graph_repro::ecgraph::sampling::sample_layer_graphs;
+    use ec_graph_repro::nn::loss::masked_softmax_cross_entropy;
+    use ec_graph_repro::nn::Tape;
+    use ec_graph_repro::tensor::{init, Matrix};
+
+    let data = Arc::new(DatasetSpec::products().instantiate_with(150, 10, 9));
+    let dims = vec![10usize, 8, data.num_classes];
+    let seed = 17u64;
+    let (adjs, _) = sample_layer_graphs(&data.graph, &[4, 2], 4);
+    assert_ne!(adjs[0], adjs[1], "the fan-outs must give the layers different graphs");
+
+    let mut tape = Tape::new();
+    let mut h = tape.constant(data.features.clone());
+    for l in 0..2 {
+        let w = tape.parameter(init::xavier_uniform(dims[l], dims[l + 1], seed + l as u64));
+        let b = tape.parameter(Matrix::zeros(1, dims[l + 1]));
+        let hw = tape.matmul(h, w);
+        let z = tape.spmm(Arc::clone(&adjs[l]), hw);
+        let z = tape.add_bias(z, b);
+        h = if l == 0 { tape.relu(z) } else { z };
+    }
+    let (loss, _) = masked_softmax_cross_entropy(tape.value(h), &data.labels, &data.split.train);
+
+    let mut weights = Vec::new();
+    for workers in [1usize, 6] {
+        let config = TrainingConfig {
+            dims: dims.clone(),
+            num_workers: workers,
+            seed,
+            ..TrainingConfig::defaults(10, data.num_classes)
+        };
+        let partition = HashPartitioner::default().partition(&data.graph, workers);
+        let mut engine = DistributedEngine::new(Arc::clone(&data), adjs.clone(), partition, config);
+        let first = engine.run_epoch().loss;
+        assert!((first - loss).abs() < 1e-4, "{workers} workers: loss {first} vs tape {loss}");
+        for _ in 0..3 {
+            engine.run_epoch();
+        }
+        weights.push(engine.weights());
+    }
+    for (l, ((wa, _), (wb, _))) in weights[0].iter().zip(&weights[1]).enumerate() {
+        assert!(wa.approx_eq(wb, 2e-3), "worker-count dependence at layer {l}");
+    }
+}
+
 #[test]
 fn trajectory_is_independent_of_worker_count() {
     let data = Arc::new(DatasetSpec::cora().instantiate_with(80, 8, 3));

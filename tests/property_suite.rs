@@ -170,6 +170,43 @@ proptest! {
     }
 }
 
+/// Tier-1 anchor for the engine's aggregation kernel (`cargo test -q` does
+/// not run `crates/tensor/tests/kernel_equivalence.rs`): over real worker
+/// topologies — including a single worker, whose remote half is empty —
+/// the split-operand SpMM equals SpMM over the stacked operand bit for
+/// bit at every thread count, non-finite rows included.
+#[test]
+fn split_spmm_is_the_stacked_spmm_bit_for_bit() {
+    use ec_graph_repro::ecgraph::context::build_worker_contexts;
+    use ec_graph_repro::tensor::parallel;
+    use std::sync::Arc;
+    let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    // Small ragged cases, then two big enough that the kernel really
+    // splits into row bands (`parallel::MIN_BAND_WORK` per band).
+    let small = (0u64..12).map(|seed| (seed, 30 + 7 * seed as usize, 3, 9));
+    for (seed, n, degree, cols) in small.chain([(12, 900, 16, 48), (15, 900, 16, 48)]) {
+        let g = generators::erdos_renyi(n, degree * n, seed);
+        let adj = Arc::new(normalize::gcn_normalized_adjacency(&g));
+        let partition = HashPartitioner::new(seed).partition(&g, 1 + seed as usize % 5);
+        let mut h =
+            Matrix::from_fn(n, cols, |r, c| ((seed as usize + r * cols + c) % 23) as f32 - 11.0);
+        if seed % 3 == 0 {
+            h.set(seed as usize, 0, f32::INFINITY);
+            h.set(n - 1, cols - 1, f32::NAN);
+        }
+        for ctx in &build_worker_contexts(&[adj], &partition) {
+            let topo = &ctx.layers[0];
+            let local = h.gather_rows(&ctx.local_vertices);
+            let remote = h.gather_rows(&topo.remote_deps);
+            let want = bits(&topo.adj_local.spmm(&local.vstack(&remote)));
+            for threads in [1usize, 2, 3, 5] {
+                let got = parallel::spmm_split(&topo.adj_local, &local, &remote, threads);
+                assert_eq!(bits(&got), want, "seed {seed} worker {}", ctx.worker_id);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

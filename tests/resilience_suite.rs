@@ -89,6 +89,14 @@ fn checkpoint_restore_resumes_identically() {
     assert_eq!(restored.epochs_run(), 6);
     let replayed: Vec<f32> = (0..8).map(|_| restored.run_epoch().loss).collect();
     assert_eq!(tail, replayed, "restored engine must replay the exact loss curve");
+    assert_eq!(original.weights(), restored.weights(), "and end on the same bits");
+
+    // Rolling the original back in place replays the curve as well: what a
+    // restore does not rewrite (topology, the cached Â·X rows) never changes.
+    original.restore(&snapshot).expect("an engine accepts its own snapshot");
+    let rolled_back: Vec<f32> = (0..8).map(|_| original.run_epoch().loss).collect();
+    assert_eq!(tail, rolled_back, "in-place rollback must replay the exact loss curve");
+    assert_eq!(original.weights(), restored.weights());
 }
 
 /// A crash mid-run rolls back to the latest checkpoint and replays; the
