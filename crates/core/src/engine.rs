@@ -18,6 +18,15 @@
 //! computed once at build time from the first-hop feature cache (the raw
 //! remote features are not kept) and read by FP layer 1 and BP layer 1.
 //!
+//! Each `|` above is a network barrier and each `compute` a compute
+//! superstep of `exec::SuperstepDriver`, which owns the worker
+//! pool, the telemetry sink, the simulated clock and the epoch totals:
+//! [`DistributedEngine::run_epoch`] states only what is exchanged, what each
+//! worker computes and how the results are stored or summed. A stage's
+//! worker block reads the engine's matrices and the pulled weights and
+//! returns its results; it cannot send, record telemetry or read the
+//! clock (see the [`crate::exec`] header), and it is timed by the driver.
+//!
 //! Every worker's compute block is wall-clock measured; every message is
 //! byte-counted through [`ec_comm::SimNetwork`]. The simulated epoch time
 //! is `Σ supersteps (max-worker compute + network time)` — the quantity the
@@ -32,7 +41,7 @@
 use crate::bp::{self, ResidualState};
 use crate::config::{BpMode, FpMode, ModelKind, ResiliencePolicy, TrainingConfig};
 use crate::context::{build_worker_contexts, WorkerContext};
-use crate::exec;
+use crate::exec::{self, EpochTotals, Stage, SuperstepDriver};
 use crate::fp::{self, TrendState};
 use ec_comm::ps::CheckpointError;
 use ec_comm::stats::Channel;
@@ -41,7 +50,7 @@ use ec_graph_data::AttributedGraph;
 use ec_partition::Partition;
 use ec_tensor::{activations, ops, parallel, CsrMatrix, Matrix};
 use ec_trace::registry::labels;
-use ec_trace::{MetricId, SpanEvent, TelemetryLevel, TelemetryReport, TelemetrySink};
+use ec_trace::{MetricId, TelemetryLevel, TelemetryReport, TelemetrySink};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -114,10 +123,9 @@ pub struct DistributedEngine {
     network: SimNetwork,
     preprocessing: PreprocessingStats,
 
-    /// Persistent worker-block thread pool, built once from
-    /// `config.compute` — superstep fan-outs reuse its lanes instead of
-    /// spawning scoped threads per call.
-    pool: exec::WorkerPool,
+    /// The superstep driver: worker pool, telemetry sink, simulated clock
+    /// and all per-superstep accounting.
+    steps: SuperstepDriver,
     /// Kernel-level thread budget resolved once alongside the pool.
     kernel_threads: usize,
 
@@ -133,6 +141,20 @@ pub struct DistributedEngine {
     train_local: Vec<Vec<usize>>,
     total_train: usize,
 
+    comp: CompensationState,
+    counters: EpochCounters,
+    epoch: usize,
+
+    /// Empirical compression error `α` of the configured BP codec, probed
+    /// once on synthetic matrices at build time (Theorem 1 gauge).
+    alpha_probe: Option<f64>,
+}
+
+/// Every piece of error-compensation memory the two ends of a link keep
+/// in step. The engine and [`EngineSnapshot`] hold the same struct, so a
+/// field added here is captured and restored without a list to extend.
+#[derive(Clone, Default)]
+struct CompensationState {
     /// ReqEC-FP trend state per (requester, exchange layer, owner).
     /// `BTreeMap` keeps every walk over compensation state in key order, so
     /// identical runs touch identical state in an identical sequence.
@@ -146,36 +168,22 @@ pub struct DistributedEngine {
     fp_prop: BTreeMap<(usize, usize), f32>,
     /// ResEC-BP residual state per (requester, exchange layer, owner).
     bp_residual: BTreeMap<(usize, usize, usize), ResidualState>,
+}
 
-    /// Total L1 reconstruction error of all FP messages in the last epoch
-    /// (diagnostics; exact modes report 0).
+/// Diagnostics of the current epoch only; reset by assignment when an
+/// epoch starts and when a snapshot is restored.
+#[derive(Default)]
+struct EpochCounters {
+    /// Total L1 reconstruction error of all FP messages (exact modes
+    /// report 0).
     fp_recon_err: f64,
-    /// FP messages degraded to the prediction in the current epoch.
+    /// FP messages degraded to the prediction.
     fp_degraded: u64,
     /// Degraded FP messages split by the failure of their final attempt.
     fp_degraded_drop: u64,
     fp_degraded_corrupt: u64,
-
-    epoch: usize,
-
-    /// Observability sink. Recording is observation only: no training
-    /// decision reads telemetry state back.
-    telemetry: TelemetrySink,
-    /// Simulated-seconds cursor trace spans are laid out on; advances by
-    /// the same superstep times the run report sums.
-    sim_now: f64,
-    /// Empirical compression error `α` of the configured BP codec, probed
-    /// once on synthetic matrices at build time (Theorem 1 gauge).
-    alpha_probe: Option<f64>,
-    /// Selector decision counts per exchange layer, current epoch only.
+    /// Selector decision counts per exchange layer.
     fp_selected: BTreeMap<usize, [u64; 3]>,
-    /// Host-measured codec pack/unpack seconds, current epoch only.
-    pack_s: f64,
-    unpack_s: f64,
-    /// Summed worker barrier idle-wait seconds, current epoch only — the
-    /// overlap headroom an async engine could reclaim. Observation only:
-    /// derived from the same measured/scaled times the run report uses.
-    epoch_idle_s: f64,
 }
 
 /// A complete in-memory image of the mutable training state: model
@@ -190,11 +198,7 @@ pub struct EngineSnapshot {
     epoch: usize,
     sim_now: f64,
     ps_state: Vec<u8>,
-    fp_trend: BTreeMap<(usize, usize, usize), TrendState>,
-    fp_cache: BTreeMap<(usize, usize, usize), Option<Matrix>>,
-    fp_bits: Vec<Vec<u8>>,
-    fp_prop: BTreeMap<(usize, usize), f32>,
-    bp_residual: BTreeMap<(usize, usize, usize), ResidualState>,
+    comp: CompensationState,
 }
 
 impl EngineSnapshot {
@@ -322,6 +326,9 @@ impl DistributedEngine {
         // persistent worker pool; every superstep fan-out reuses it.
         let (worker_threads, kernel_threads) = config.compute.resolve(num_workers);
         let pool = exec::WorkerPool::new(worker_threads);
+        let factors = (0..num_workers)
+            .map(|w| network.faults().map_or(1.0, |f| f.straggler_factor(w)))
+            .collect();
 
         Self {
             config,
@@ -331,7 +338,7 @@ impl DistributedEngine {
             ps,
             network,
             preprocessing,
-            pool,
+            steps: SuperstepDriver::new(pool, telemetry, factors),
             kernel_threads,
             h_local,
             z_local,
@@ -339,23 +346,10 @@ impl DistributedEngine {
             labels_local,
             train_local,
             total_train,
-            fp_trend: BTreeMap::new(),
-            fp_cache: BTreeMap::new(),
-            fp_bits,
-            fp_prop: BTreeMap::new(),
-            fp_recon_err: 0.0,
-            fp_degraded: 0,
-            fp_degraded_drop: 0,
-            fp_degraded_corrupt: 0,
-            bp_residual: BTreeMap::new(),
+            comp: CompensationState { fp_bits, ..CompensationState::default() },
+            counters: EpochCounters::default(),
             epoch: 0,
-            telemetry,
-            sim_now: 0.0,
             alpha_probe,
-            fp_selected: BTreeMap::new(),
-            pack_s: 0.0,
-            unpack_s: 0.0,
-            epoch_idle_s: 0.0,
         }
     }
 
@@ -420,13 +414,9 @@ impl DistributedEngine {
     pub fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
             epoch: self.epoch,
-            sim_now: self.sim_now,
+            sim_now: self.steps.sim_now(),
             ps_state: self.ps.state_bytes(),
-            fp_trend: self.fp_trend.clone(),
-            fp_cache: self.fp_cache.clone(),
-            fp_bits: self.fp_bits.clone(),
-            fp_prop: self.fp_prop.clone(),
-            bp_residual: self.bp_residual.clone(),
+            comp: self.comp.clone(),
         }
     }
 
@@ -440,38 +430,31 @@ impl DistributedEngine {
     pub fn restore(&mut self, snapshot: &EngineSnapshot) -> Result<(), CheckpointError> {
         self.ps.restore_state(&snapshot.ps_state)?;
         self.epoch = snapshot.epoch;
-        self.fp_trend = snapshot.fp_trend.clone();
-        self.fp_cache = snapshot.fp_cache.clone();
-        self.fp_bits = snapshot.fp_bits.clone();
-        self.fp_prop = snapshot.fp_prop.clone();
-        self.bp_residual = snapshot.bp_residual.clone();
-        self.fp_degraded = 0;
-        self.fp_degraded_drop = 0;
-        self.fp_degraded_corrupt = 0;
-        self.fp_recon_err = 0.0;
-        self.fp_selected.clear();
-        self.sim_now = snapshot.sim_now;
-        // The restored engine replays the rolled-back epochs and re-records
-        // them; without the rewind every replayed row would double-count.
-        self.telemetry.rewind_to_epoch(snapshot.epoch as u32);
+        self.comp = snapshot.comp.clone();
+        self.counters = EpochCounters::default();
+        self.steps.rewind(snapshot.epoch, snapshot.sim_now);
         Ok(())
     }
 
     /// Current adaptive bit widths, `[requester][owner]`.
     pub fn fp_bits(&self) -> &[Vec<u8>] {
-        &self.fp_bits
+        &self.comp.fp_bits
     }
 
     /// Squared L2 norms of all live ResEC-BP residuals, keyed by exchange
     /// layer (Theorem-1 instrumentation).
     pub fn bp_residual_norms(&self) -> Vec<(usize, f32)> {
-        self.bp_residual.iter().map(|(&(_, layer, _), st)| (layer, st.residual_norm_sq())).collect()
+        self.comp
+            .bp_residual
+            .iter()
+            .map(|(&(_, layer, _), st)| (layer, st.residual_norm_sq()))
+            .collect()
     }
 
     /// Telemetry snapshot for the run report (`None` when the level is
     /// [`TelemetryLevel::Off`]).
     pub fn take_telemetry(&self) -> Option<TelemetryReport> {
-        (self.telemetry.level() > TelemetryLevel::Off).then(|| self.telemetry.report())
+        (self.steps.telemetry.level() > TelemetryLevel::Off).then(|| self.steps.telemetry.report())
     }
 
     /// Marks a crash rolled back at `epoch` on the telemetry timeline.
@@ -479,159 +462,63 @@ impl DistributedEngine {
     /// replayed epochs re-record everything else, but the crash itself
     /// happens only once.
     pub fn telemetry_note_crash(&mut self, epoch: usize) {
-        self.telemetry.note_crash(epoch as u32);
+        self.steps.telemetry.note_crash(epoch as u32);
     }
 
     fn server_node(&self, s: usize) -> usize {
         self.config.num_workers + s
     }
 
-    /// Straggler slowdown applied to worker `w`'s measured compute time
-    /// (1.0 without fault injection).
-    fn compute_factor(&self, w: usize) -> f64 {
-        self.network.faults().map_or(1.0, |f| f.straggler_factor(w))
-    }
-
-    /// Records barrier idle-wait attribution for one superstep's replay
-    /// pass: worker `w` waits `step_max - scaled[w]` simulated seconds
-    /// at the superstep barrier. The epoch total accumulates
-    /// unconditionally (it feeds the overlap-headroom gauge); the
-    /// per-superstep gauge and `idle:wait` spans are gated on the
-    /// telemetry level. `ss` is `None` for the loss step, which shares
-    /// its superstep index with the first BP superstep — a per-superstep
-    /// gauge row there would collide with that superstep's own row.
-    fn record_superstep_idle(&mut self, t: usize, ss: Option<u32>, scaled: &[f64], step_max: f64) {
-        let ss_level = self.telemetry.enabled(TelemetryLevel::Superstep);
-        let trace = self.telemetry.enabled(TelemetryLevel::Trace);
-        for (w, &s) in scaled.iter().enumerate() {
-            let idle = step_max - s;
-            if idle <= 0.0 {
-                continue;
-            }
-            self.epoch_idle_s += idle;
-            if let (Some(ss), true) = (ss, ss_level) {
-                self.telemetry.set(
-                    MetricId::TimelineIdleS,
-                    labels(&[t as u32, ss, w as u32]),
-                    idle,
-                );
-            }
-            if trace {
-                let track = self.telemetry.layout().worker(w);
-                let mut ev = SpanEvent::new("idle:wait", "idle", track, self.sim_now + s, idle)
-                    .at_epoch(t)
-                    .at_worker(w);
-                if let Some(ss) = ss {
-                    ev = ev.at_superstep(ss);
+    /// Charges every worker's pull of `W^{l-1}`, `b^{l-1}` (and `W_self`
+    /// for Sage) from the servers.
+    fn charge_pull(&mut self, l: usize) {
+        let mut slots = vec![l - 1];
+        if self.config.model == ModelKind::Sage {
+            slots.push(self.config.num_layers() + l - 1);
+        }
+        for w in 0..self.config.num_workers {
+            for &slot in &slots {
+                for (s, &bytes) in self.ps.pull_wire_sizes(slot).iter().enumerate() {
+                    self.network.send(w, self.server_node(s), Channel::Control, REQUEST_BYTES);
+                    self.network.send(self.server_node(s), w, Channel::Parameter, bytes);
                 }
-                self.telemetry.span(ev);
             }
         }
     }
 
-    /// Emits `comm:pack` / `comm:unpack` spans covering the host-measured
-    /// codec time this superstep added to the epoch accumulators.
-    fn span_codec_delta(&mut self, t: usize, ss: u32, pack_before: f64, unpack_before: f64) {
-        if !self.telemetry.enabled(TelemetryLevel::Trace) {
-            return;
-        }
-        let track = self.telemetry.layout().network();
-        for (name, dur) in [
-            ("comm:pack", self.pack_s - pack_before),
-            ("comm:unpack", self.unpack_s - unpack_before),
-        ] {
-            if dur > 0.0 {
-                self.telemetry.span(
-                    SpanEvent::new(name, "pack", track, self.sim_now, dur)
-                        .at_epoch(t)
-                        .at_superstep(ss),
-                );
-            }
-        }
-    }
-
-    /// Runs one full training epoch (Algorithms 1 + 2).
+    /// Runs one full training epoch (Algorithms 1 + 2). Every compute
+    /// block below is pure: it returns its results, and the loop after it
+    /// stores or accumulates them in ascending worker order, so the epoch
+    /// is bit-identical to the sequential engine at any thread count.
     pub fn run_epoch(&mut self) -> EpochStats {
         let num_layers = self.config.num_layers();
         let num_workers = self.config.num_workers;
         let t = self.epoch;
-        let mut compute_s = 0.0f64;
-        let mut comm_s = 0.0f64;
-        self.fp_recon_err = 0.0;
-        self.fp_degraded = 0;
-        self.fp_degraded_drop = 0;
-        self.fp_degraded_corrupt = 0;
-        self.fp_selected.clear();
-        self.pack_s = 0.0;
-        self.unpack_s = 0.0;
-        self.epoch_idle_s = 0.0;
-
-        let ss_level = self.telemetry.enabled(TelemetryLevel::Superstep);
-        let trace = self.telemetry.enabled(TelemetryLevel::Trace);
-        let epoch_start_sim = self.sim_now;
-        // Within-epoch superstep index (FP layers, BP layers, the update).
-        let mut ss: u32 = 0;
-
-        // Intra-superstep parallelism: worker compute blocks fan out on the
-        // engine's persistent pool, each using `kt`-way kernels. All
-        // exchanges and accumulations are replayed in ascending worker
-        // order afterwards, so results are bit-identical to the sequential
-        // engine.
+        self.counters = EpochCounters::default();
+        self.steps.begin_epoch(t);
         let kt = self.kernel_threads;
-        let factors: Vec<f64> = (0..num_workers).map(|w| self.compute_factor(w)).collect();
+        let sage = self.config.model == ModelKind::Sage;
 
         // ---------------- Forward propagation ----------------
-        let sage = self.config.model == ModelKind::Sage;
         for l in 1..=num_layers {
-            // Workers pull W^{l-1}, b^{l-1} (and W_self for Sage).
-            for w in 0..num_workers {
-                let mut slots = vec![l - 1];
-                if sage {
-                    slots.push(num_layers + l - 1);
-                }
-                for slot in slots {
-                    for (s, &bytes) in self.ps.pull_wire_sizes(slot).iter().enumerate() {
-                        self.network.send(w, self.server_node(s), Channel::Control, REQUEST_BYTES);
-                        self.network.send(self.server_node(s), w, Channel::Parameter, bytes);
-                    }
-                }
-            }
+            self.charge_pull(l);
 
             // Exchange H^{l-1} (layer-0 features are cached).
-            let (pack_before, unpack_before) = (self.pack_s, self.unpack_s);
             let remotes: Vec<Matrix> = if l >= 2 {
                 (0..num_workers).map(|i| self.exchange_fp(i, l, t)).collect()
             } else {
                 Vec::new()
             };
-            self.span_codec_delta(t, ss, pack_before, unpack_before);
-            let step_comm = self.network.flush_superstep();
-            comm_s += step_comm;
-            if trace {
-                let track = self.telemetry.layout().network();
-                self.telemetry.span(
-                    SpanEvent::new("fp:exchange", "fp", track, self.sim_now, step_comm)
-                        .at_epoch(t)
-                        .at_layer(l)
-                        .at_superstep(ss),
-                );
-            }
-            if ss_level {
-                self.telemetry.set(MetricId::SuperstepCommS, labels(&[t as u32, ss]), step_comm);
-            }
-            self.sim_now += step_comm;
+            self.steps.barrier(&mut self.network, Stage::new("fp:exchange", "fp").at_layer(l));
 
             // Compute Z^l = (Â_w·[H_local | H_remote])·W^{l-1} + b and H^l.
-            let mut step_max = 0.0f64;
-            let mut scaled_times = Vec::with_capacity(num_workers);
-            let (results, fanout_s) = {
+            let results = {
                 let (w_l, b_l) = self.ps.pull(l - 1);
                 let w_self = sage.then(|| self.ps.pull(num_layers + l - 1).0);
                 let h_local = &self.h_local;
                 let p0 = &self.p0;
                 let contexts = &self.contexts;
-                exec::run_workers_timed(&self.pool, num_workers, |w| {
-                    let start = HostTimer::start();
+                self.steps.compute_superstep(Stage::new("fp:compute", "fp").at_layer(l), |w| {
                     // Layer 1 has no exchange: its aggregate is the cached P_w.
                     let fresh = (l >= 2).then(|| {
                         let adj = &contexts[w].layers[l - 1].adj_local;
@@ -644,10 +531,10 @@ impl DistributedEngine {
                     z = ops::add_bias(&z, b_l);
                     // The output layer has no activation: Z^L is H^L.
                     let h = (l < num_layers).then(|| activations::relu(&z));
-                    (h, z, start.elapsed_s())
+                    (h, z)
                 })
             };
-            for (w, (h, z, secs)) in results.into_iter().enumerate() {
+            for (w, (h, z)) in results.into_iter().enumerate() {
                 match h {
                     Some(h) => {
                         self.h_local[w][l] = h;
@@ -655,81 +542,34 @@ impl DistributedEngine {
                     }
                     None => self.h_local[w][l] = z,
                 }
-                let scaled = secs * factors[w];
-                scaled_times.push(scaled);
-                step_max = step_max.max(scaled);
-                if trace {
-                    let track = self.telemetry.layout().worker(w);
-                    self.telemetry.span(
-                        SpanEvent::new("fp:compute", "fp", track, self.sim_now, scaled)
-                            .at_epoch(t)
-                            .at_layer(l)
-                            .at_superstep(ss)
-                            .at_worker(w),
-                    );
-                }
             }
-            if trace && fanout_s > 0.0 {
-                let track = self.telemetry.layout().engine();
-                self.telemetry.span(
-                    SpanEvent::new("exec:fanout", "exec", track, self.sim_now, fanout_s)
-                        .at_epoch(t)
-                        .at_layer(l)
-                        .at_superstep(ss),
-                );
-            }
-            self.record_superstep_idle(t, Some(ss), &scaled_times, step_max);
-            compute_s += step_max;
-            if ss_level {
-                self.telemetry.set(MetricId::SuperstepComputeS, labels(&[t as u32, ss]), step_max);
-            }
-            self.sim_now += step_max;
-            ss += 1;
         }
 
         // ---------------- Loss and G^L ----------------
-        let mut loss_sum = 0.0f32;
-        let mut g_cur: Vec<Matrix> = Vec::with_capacity(num_workers);
-        let mut step_max = 0.0f64;
         let results = {
             let h_local = &self.h_local;
             let labels_local = &self.labels_local;
             let train_local = &self.train_local;
             let total_train = self.total_train;
-            exec::run_workers(&self.pool, num_workers, |w| {
-                let start = HostTimer::start();
-                let (loss, g) = local_loss_grad(
+            self.steps.compute_superstep(Stage::new("loss:compute", "loss").unindexed(), |w| {
+                local_loss_grad(
                     &h_local[w][num_layers],
                     &labels_local[w],
                     &train_local[w],
                     total_train,
-                );
-                (loss, g, start.elapsed_s())
+                )
             })
         };
-        let mut scaled_times = Vec::with_capacity(num_workers);
-        for (w, (loss, g, secs)) in results.into_iter().enumerate() {
+        let mut loss_sum = 0.0f32;
+        let mut g_cur: Vec<Matrix> = Vec::with_capacity(num_workers);
+        for (loss, g) in results {
             loss_sum += loss;
             g_cur.push(g);
-            let scaled = secs * factors[w];
-            scaled_times.push(scaled);
-            step_max = step_max.max(scaled);
-            if trace {
-                let track = self.telemetry.layout().worker(w);
-                self.telemetry.span(
-                    SpanEvent::new("loss:compute", "loss", track, self.sim_now, scaled)
-                        .at_epoch(t)
-                        .at_worker(w),
-                );
-            }
         }
-        self.record_superstep_idle(t, None, &scaled_times, step_max);
-        compute_s += step_max;
-        self.sim_now += step_max;
 
         // Reference gradient magnitude for the Theorem 1 bound gauge
         // (‖G^L‖² summed over workers; observation only).
-        let g_norm_sq: f64 = if self.telemetry.enabled(TelemetryLevel::Epoch) {
+        let g_norm_sq: f64 = if self.steps.telemetry.enabled(TelemetryLevel::Epoch) {
             g_cur
                 .iter()
                 .map(|g| g.as_slice().iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>())
@@ -746,49 +586,26 @@ impl DistributedEngine {
             // Â·H⁰ is the cached P_w — and there is no G⁰ to produce.
             let mut g_remote: Vec<Matrix> = Vec::new();
             if l >= 2 {
-                let (pack_before, unpack_before) = (self.pack_s, self.unpack_s);
                 g_remote = (0..num_workers).map(|i| self.exchange_bp(i, l, &g_cur)).collect();
-                self.span_codec_delta(t, ss, pack_before, unpack_before);
-                let step_comm = self.network.flush_superstep();
-                comm_s += step_comm;
-                if trace {
-                    let track = self.telemetry.layout().network();
-                    self.telemetry.span(
-                        SpanEvent::new("bp:exchange", "bp", track, self.sim_now, step_comm)
-                            .at_epoch(t)
-                            .at_layer(l)
-                            .at_superstep(ss),
-                    );
-                }
-                if ss_level {
-                    let lbl = labels(&[t as u32, ss]);
-                    self.telemetry.set(MetricId::SuperstepCommS, lbl, step_comm);
-                }
-                self.sim_now += step_comm;
+                self.steps.barrier(&mut self.network, Stage::new("bp:exchange", "bp").at_layer(l));
             }
 
-            let w_lm1 = self.ps.pull(l - 1).0;
-            let ws_lm1 = sage.then(|| self.ps.pull(num_layers + l - 1).0);
-            let mut step_max = 0.0f64;
-            let mut scaled_times = Vec::with_capacity(num_workers);
-            let mut y_sum = Matrix::zeros(self.config.dims[l - 1], self.config.dims[l]);
-            let mut ys_sum = Matrix::zeros(self.config.dims[l - 1], self.config.dims[l]);
-            let mut b_sum = vec![0.0f32; self.config.dims[l]];
-            let (results, fanout_s) = {
+            let results = {
+                let w_lm1 = self.ps.pull(l - 1).0;
+                let ws_lm1 = sage.then(|| self.ps.pull(num_layers + l - 1).0);
                 let h_local = &self.h_local;
                 let z_local = &self.z_local;
                 let p0 = &self.p0;
                 let contexts = &self.contexts;
                 let g_cur = &g_cur;
-                exec::run_workers_timed(&self.pool, num_workers, |w| {
-                    let start = HostTimer::start();
+                self.steps.compute_superstep(Stage::new("bp:compute", "bp").at_layer(l), |w| {
                     let b_part = ops::column_sums(&g_cur[w]);
                     // Self path: Y_s^{l-1} = (H^{l-1})ᵀ G^l — purely local.
                     let ys_part =
                         sage.then(|| parallel::matmul_at_b(&h_local[w][l - 1], &g_cur[w], kt));
                     if l == 1 {
                         let y_part = parallel::matmul_at_b(&p0[w], &g_cur[w], kt);
-                        return (y_part, ys_part, b_part, None, start.elapsed_s());
+                        return (y_part, ys_part, b_part, None);
                     }
                     let adj = &contexts[w].layers[l - 1].adj_local;
                     let ag = parallel::spmm_split(adj, &g_cur[w], &g_remote[w], kt);
@@ -800,11 +617,13 @@ impl DistributedEngine {
                     if let Some(ws) = ws_lm1 {
                         ops::add_assign(&mut flow, &parallel::matmul_a_bt(&g_cur[w], ws, kt));
                     }
-                    let g_new = ops::hadamard(&flow, &mask);
-                    (y_part, ys_part, b_part, Some(g_new), start.elapsed_s())
+                    (y_part, ys_part, b_part, Some(ops::hadamard(&flow, &mask)))
                 })
             };
-            for (w, (y_part, ys_part, b_part, g_new, secs)) in results.into_iter().enumerate() {
+            let mut y_sum = Matrix::zeros(self.config.dims[l - 1], self.config.dims[l]);
+            let mut ys_sum = Matrix::zeros(self.config.dims[l - 1], self.config.dims[l]);
+            let mut b_sum = vec![0.0f32; self.config.dims[l]];
+            for (w, (y_part, ys_part, b_part, g_new)) in results.into_iter().enumerate() {
                 ops::add_assign(&mut y_sum, &y_part);
                 for (acc, g) in b_sum.iter_mut().zip(b_part) {
                     *acc += g;
@@ -815,36 +634,7 @@ impl DistributedEngine {
                 if let Some(g_new) = g_new {
                     g_cur[w] = g_new;
                 }
-                let scaled = secs * factors[w];
-                scaled_times.push(scaled);
-                step_max = step_max.max(scaled);
-                if trace {
-                    let track = self.telemetry.layout().worker(w);
-                    self.telemetry.span(
-                        SpanEvent::new("bp:compute", "bp", track, self.sim_now, scaled)
-                            .at_epoch(t)
-                            .at_layer(l)
-                            .at_superstep(ss)
-                            .at_worker(w),
-                    );
-                }
             }
-            if trace && fanout_s > 0.0 {
-                let track = self.telemetry.layout().engine();
-                self.telemetry.span(
-                    SpanEvent::new("exec:fanout", "exec", track, self.sim_now, fanout_s)
-                        .at_epoch(t)
-                        .at_layer(l)
-                        .at_superstep(ss),
-                );
-            }
-            self.record_superstep_idle(t, Some(ss), &scaled_times, step_max);
-            compute_s += step_max;
-            if ss_level {
-                self.telemetry.set(MetricId::SuperstepComputeS, labels(&[t as u32, ss]), step_max);
-            }
-            self.sim_now += step_max;
-            ss += 1;
             grads[l - 1] = Some((y_sum, b_sum));
             if sage {
                 grads[num_layers + l - 1] = Some((ys_sum, vec![0.0; self.config.dims[l]]));
@@ -864,47 +654,28 @@ impl DistributedEngine {
         assert_eq!(grads.len(), num_slots, "every gradient slot must be filled before the push");
         self.ps.push(&grads);
         self.ps.apply_update();
-        let step_comm = self.network.flush_superstep();
-        comm_s += step_comm;
-        if trace {
-            let track = self.telemetry.layout().network();
-            self.telemetry.span(
-                SpanEvent::new("update:push", "update", track, self.sim_now, step_comm)
-                    .at_epoch(t)
-                    .at_superstep(ss),
-            );
-        }
-        if ss_level {
-            self.telemetry.set(MetricId::SuperstepCommS, labels(&[t as u32, ss]), step_comm);
-        }
-        self.sim_now += step_comm;
+        self.steps.barrier(&mut self.network, Stage::new("update:push", "update"));
 
         // Adaptive Bit-Tuner (after the last FP exchange of the epoch).
         if let FpMode::ReqEc { adaptive: true, .. } = self.config.fp_mode {
             self.apply_bit_tuner(t);
         }
 
-        if trace {
-            let track = self.telemetry.layout().engine();
-            let dur = self.sim_now - epoch_start_sim;
-            self.telemetry
-                .span(SpanEvent::new("epoch", "epoch", track, epoch_start_sim, dur).at_epoch(t));
-        }
-
+        let totals = self.steps.end_epoch();
         self.epoch += 1;
         let (traffic, _) = self.network.end_epoch();
-        if self.telemetry.enabled(TelemetryLevel::Epoch) {
-            self.record_epoch_metrics(t, &traffic, compute_s, comm_s, g_norm_sq);
+        if self.steps.telemetry.enabled(TelemetryLevel::Epoch) {
+            self.record_epoch_metrics(t, &traffic, &totals, g_norm_sq);
         }
         EpochStats {
             epoch: t,
             loss: loss_sum,
-            compute_s,
-            comm_s,
+            compute_s: totals.compute_s,
+            comm_s: totals.comm_s,
             traffic,
-            degraded: self.fp_degraded,
-            degraded_drop: self.fp_degraded_drop,
-            degraded_corrupt: self.fp_degraded_corrupt,
+            degraded: self.counters.fp_degraded,
+            degraded_drop: self.counters.fp_degraded_drop,
+            degraded_corrupt: self.counters.fp_degraded_corrupt,
         }
     }
 
@@ -915,50 +686,49 @@ impl DistributedEngine {
         &mut self,
         t: usize,
         traffic: &TrafficStats,
-        compute_s: f64,
-        comm_s: f64,
+        totals: &EpochTotals,
         g_norm_sq: f64,
     ) {
         let e = t as u32;
-        for (&layer, counts) in &self.fp_selected {
+        let sink = &mut self.steps.telemetry;
+        for (&layer, counts) in &self.counters.fp_selected {
             let lbl = labels(&[e, layer as u32]);
-            self.telemetry.add(MetricId::SelectorCps, lbl, counts[fp::SELECT_CPS as usize]);
-            self.telemetry.add(MetricId::SelectorPdt, lbl, counts[fp::SELECT_PDT as usize]);
-            self.telemetry.add(MetricId::SelectorAvg, lbl, counts[fp::SELECT_AVG as usize]);
+            sink.add(MetricId::SelectorCps, lbl, counts[fp::SELECT_CPS as usize]);
+            sink.add(MetricId::SelectorPdt, lbl, counts[fp::SELECT_PDT as usize]);
+            sink.add(MetricId::SelectorAvg, lbl, counts[fp::SELECT_AVG as usize]);
         }
         for (from, to, bytes) in traffic.links.iter_nonzero() {
             let lbl = labels(&[e, from as u32, to as u32]);
-            self.telemetry.set(MetricId::LinkBytes, lbl, bytes as f64);
+            sink.set(MetricId::LinkBytes, lbl, bytes as f64);
         }
         for (id, v) in [
             (MetricId::FaultDropped, traffic.dropped_msgs),
             (MetricId::FaultCorrupted, traffic.corrupted_msgs),
             (MetricId::FaultDuplicated, traffic.duplicated_msgs),
-            (MetricId::FaultDegradedDrop, self.fp_degraded_drop),
-            (MetricId::FaultDegradedCorrupt, self.fp_degraded_corrupt),
+            (MetricId::FaultDegradedDrop, self.counters.fp_degraded_drop),
+            (MetricId::FaultDegradedCorrupt, self.counters.fp_degraded_corrupt),
         ] {
             if v > 0 {
-                self.telemetry.add(id, labels(&[e]), v);
+                sink.add(id, labels(&[e]), v);
             }
         }
-        for w in 0..self.config.num_workers {
-            let f = self.compute_factor(w);
+        for (w, &f) in self.steps.factors.iter().enumerate() {
             if f != 1.0 {
-                self.telemetry.set(MetricId::FaultStragglerFactor, labels(&[e, w as u32]), f);
+                sink.set(MetricId::FaultStragglerFactor, labels(&[e, w as u32]), f);
             }
         }
-        self.telemetry.set(MetricId::PhaseComputeS, labels(&[e]), compute_s);
-        self.telemetry.set(MetricId::PhaseCommS, labels(&[e]), comm_s);
-        self.telemetry.set(MetricId::TimelineHeadroomS, labels(&[e]), self.epoch_idle_s);
-        if self.telemetry.enabled(TelemetryLevel::Superstep) {
-            self.telemetry.set(MetricId::PhasePackS, labels(&[e]), self.pack_s);
-            self.telemetry.set(MetricId::PhaseUnpackS, labels(&[e]), self.unpack_s);
+        sink.set(MetricId::PhaseComputeS, labels(&[e]), totals.compute_s);
+        sink.set(MetricId::PhaseCommS, labels(&[e]), totals.comm_s);
+        sink.set(MetricId::TimelineHeadroomS, labels(&[e]), totals.idle_s);
+        if sink.enabled(TelemetryLevel::Superstep) {
+            sink.set(MetricId::PhasePackS, labels(&[e]), totals.pack_s);
+            sink.set(MetricId::PhaseUnpackS, labels(&[e]), totals.unpack_s);
         }
-        self.telemetry.set(MetricId::FpReconErrL1, labels(&[e]), self.fp_recon_err);
+        sink.set(MetricId::FpReconErrL1, labels(&[e]), self.counters.fp_recon_err);
 
         if matches!(self.config.bp_mode, BpMode::ResEc { .. } | BpMode::TopkEc { .. }) {
             let mut by_layer: BTreeMap<usize, f64> = BTreeMap::new();
-            for (&(_, layer, _), st) in &self.bp_residual {
+            for (&(_, layer, _), st) in &self.comp.bp_residual {
                 *by_layer.entry(layer).or_insert(0.0) += st.residual_norm_sq() as f64;
             }
             let num_layers = self.config.num_layers();
@@ -968,7 +738,7 @@ impl DistributedEngine {
             let g_ref = 4.0 * g_norm_sq;
             for (layer, norm_sq) in by_layer {
                 let lbl = labels(&[e, layer as u32]);
-                self.telemetry.set(MetricId::ResecResidualSq, lbl, norm_sq);
+                sink.set(MetricId::ResecResidualSq, lbl, norm_sq);
                 if let Some(alpha) = self.alpha_probe {
                     let bound = ec_compress::error::theorem1_bound(
                         alpha,
@@ -978,7 +748,7 @@ impl DistributedEngine {
                         layer,
                     );
                     if let Some(bound) = bound {
-                        self.telemetry.set(MetricId::ResecT1Bound, lbl, bound);
+                        sink.set(MetricId::ResecT1Bound, lbl, bound);
                     }
                 }
             }
@@ -990,7 +760,7 @@ impl DistributedEngine {
     fn exchange_fp(&mut self, i: usize, l: usize, t: usize) -> Matrix {
         let topo = Arc::clone(&self.contexts[i].layers[l - 1]);
         let cols = self.config.dims[l - 1];
-        let measure = self.telemetry.enabled(TelemetryLevel::Superstep);
+        let measure = self.steps.telemetry.enabled(TelemetryLevel::Superstep);
         let mut remote = Matrix::zeros(topo.remote_deps.len(), cols);
         for (j, deps) in topo.deps_by_owner.iter().enumerate() {
             if deps.is_empty() || j == i {
@@ -1010,38 +780,38 @@ impl DistributedEngine {
                     (m, w, None)
                 }
                 FpMode::ReqEc { t_tr, .. } => {
-                    let bits = self.fp_bits[i][j];
+                    let bits = self.comp.fp_bits[i][j];
                     let granularity = self.config.reqec_granularity;
                     let ec_degrade = self.config.resilience.policy == ResiliencePolicy::EcDegrade
                         && self.network.faults().is_some();
-                    let state = self.fp_trend.entry((i, l, j)).or_default();
+                    let state = self.comp.fp_trend.entry((i, l, j)).or_default();
                     let out = fp::reqec_step_with(state, &h_rows, bits, t_tr, t, granularity);
                     // Degrading is only safe for non-boundary messages:
                     // boundaries mutate the shared trend state, so losing
                     // one would desynchronize requester and responder.
                     let pdt = if ec_degrade && !out.exact_sent { state.predict(t) } else { None };
-                    let sel = self.fp_selected.entry(l).or_default();
+                    let sel = self.counters.fp_selected.entry(l).or_default();
                     for (acc, &c) in sel.iter_mut().zip(out.selected.iter()) {
                         *acc += c as u64;
                     }
                     // Record the proportion for the Bit-Tuner when this is
                     // the last FP exchange (Alg. 3 line 13: l == L).
                     if l == self.config.num_layers() && !out.exact_sent {
-                        self.fp_prop.insert((i, j), out.proportion);
+                        self.comp.fp_prop.insert((i, j), out.proportion);
                     }
                     (out.reconstructed, out.wire, pdt)
                 }
                 FpMode::Delayed { r } => {
-                    let cache = self.fp_cache.entry((i, l, j)).or_default();
+                    let cache = self.comp.fp_cache.entry((i, l, j)).or_default();
                     let (m, w) = fp::delayed_step(cache, &h_rows, r, t);
                     (m, w, None)
                 }
             };
             if let Some(tm) = &pack_timer {
-                self.pack_s += tm.elapsed_s();
+                self.steps.pack_s += tm.elapsed_s();
             }
             self.network.send(i, j, Channel::Control, REQUEST_BYTES);
-            self.telemetry.observe(MetricId::FpWireBytes, labels(&[t as u32]), wire as f64);
+            self.steps.telemetry.observe(MetricId::FpWireBytes, labels(&[t as u32]), wire as f64);
             let reconstructed = match degrade_pdt {
                 // EC-degrade: give the transfer a bounded number of
                 // attempts, then fall back to the zero-payload prediction
@@ -1062,10 +832,10 @@ impl DistributedEngine {
                     if delivered {
                         reconstructed
                     } else {
-                        self.fp_degraded += 1;
+                        self.counters.fp_degraded += 1;
                         match last_err {
-                            Some(SendError::Corrupted) => self.fp_degraded_corrupt += 1,
-                            _ => self.fp_degraded_drop += 1,
+                            Some(SendError::Corrupted) => self.counters.fp_degraded_corrupt += 1,
+                            _ => self.counters.fp_degraded_drop += 1,
                         }
                         pdt
                     }
@@ -1075,15 +845,15 @@ impl DistributedEngine {
                     reconstructed
                 }
             };
-            self.fp_recon_err += ec_tensor::stats::rowwise_l1_distance(&reconstructed, &h_rows)
-                .iter()
-                .sum::<f32>() as f64;
+            self.counters.fp_recon_err +=
+                ec_tensor::stats::rowwise_l1_distance(&reconstructed, &h_rows).iter().sum::<f32>()
+                    as f64;
             let unpack_timer = measure.then(HostTimer::start);
             for (k, &row) in topo.scatter_rows[j].iter().enumerate() {
                 remote.set_row(row, reconstructed.row(k));
             }
             if let Some(tm) = &unpack_timer {
-                self.unpack_s += tm.elapsed_s();
+                self.steps.unpack_s += tm.elapsed_s();
             }
         }
         remote
@@ -1092,7 +862,7 @@ impl DistributedEngine {
     /// Total L1 reconstruction error of the forward messages in the most
     /// recent epoch.
     pub fn fp_reconstruction_error(&self) -> f64 {
-        self.fp_recon_err
+        self.counters.fp_recon_err
     }
 
     /// Fetches the remote rows of `G^l` for requester `i` (BP exchange for
@@ -1100,7 +870,7 @@ impl DistributedEngine {
     fn exchange_bp(&mut self, i: usize, l: usize, g_cur: &[Matrix]) -> Matrix {
         let topo = Arc::clone(&self.contexts[i].layers[l - 1]);
         let cols = self.config.dims[l];
-        let measure = self.telemetry.enabled(TelemetryLevel::Superstep);
+        let measure = self.steps.telemetry.enabled(TelemetryLevel::Superstep);
         let e = self.epoch as u32;
         let mut remote = Matrix::zeros(topo.remote_deps.len(), cols);
         for (j, deps) in topo.deps_by_owner.iter().enumerate() {
@@ -1113,38 +883,38 @@ impl DistributedEngine {
                 BpMode::Exact => bp::respond_exact(&g_rows),
                 BpMode::Compressed { bits } => bp::respond_compressed(&g_rows, bits),
                 BpMode::ResEc { bits } => {
-                    let state = self.bp_residual.entry((i, l, j)).or_default();
+                    let state = self.comp.bp_residual.entry((i, l, j)).or_default();
                     bp::resec_step(state, &g_rows, bits)
                 }
                 BpMode::TopkEc { ratio } => {
-                    let state = self.bp_residual.entry((i, l, j)).or_default();
+                    let state = self.comp.bp_residual.entry((i, l, j)).or_default();
                     bp::topk_ec_step(state, &g_rows, ratio)
                 }
             };
             if let Some(tm) = &pack_timer {
-                self.pack_s += tm.elapsed_s();
+                self.steps.pack_s += tm.elapsed_s();
             }
             self.network.send(i, j, Channel::Control, REQUEST_BYTES);
             self.network.send(j, i, Channel::Backward, wire);
-            self.telemetry.observe(MetricId::BpWireBytes, labels(&[e]), wire as f64);
+            self.steps.telemetry.observe(MetricId::BpWireBytes, labels(&[e]), wire as f64);
             let unpack_timer = measure.then(HostTimer::start);
             for (k, &row) in topo.scatter_rows[j].iter().enumerate() {
                 remote.set_row(row, reconstructed.row(k));
             }
             if let Some(tm) = &unpack_timer {
-                self.unpack_s += tm.elapsed_s();
+                self.steps.unpack_s += tm.elapsed_s();
             }
         }
         remote
     }
 
     fn apply_bit_tuner(&mut self, t: usize) {
-        let updates = std::mem::take(&mut self.fp_prop);
+        let updates = std::mem::take(&mut self.comp.fp_prop);
         for ((i, j), p) in updates {
-            let bits = fp::tune_bits(self.fp_bits[i][j], p);
-            self.fp_bits[i][j] = bits;
+            let bits = fp::tune_bits(self.comp.fp_bits[i][j], p);
+            self.comp.fp_bits[i][j] = bits;
             let lbl = labels(&[t as u32, i as u32, j as u32]);
-            self.telemetry.set(MetricId::BitTunerBits, lbl, bits as f64);
+            self.steps.telemetry.set(MetricId::BitTunerBits, lbl, bits as f64);
         }
     }
 

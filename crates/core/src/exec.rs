@@ -1,20 +1,35 @@
-//! Intra-superstep worker fan-out.
+//! The superstep driver and its intra-superstep worker fan-out.
 //!
-//! Between two superstep barriers the simulated workers are independent by
-//! construction: each compute block reads only its own partition's state
-//! (plus shared read-only weights) and writes only its own slots. This
-//! module runs those blocks on a persistent [`WorkerPool`] (owned by the
-//! engine, built once per `ComputeConfig` — not spawned per superstep like
-//! the old scoped threads) and hands the results back **in ascending
-//! worker order**, so the caller can replay every order-sensitive effect —
-//! message emission, gradient accumulation, `max`-compute reduction —
-//! exactly as the sequential engine did. Each closure times itself with
-//! [`ec_comm::HostTimer`]; the caller applies straggler factors and the
-//! per-superstep `max` on the replay pass.
+//! An epoch is a BSP sequence of supersteps, and every superstep has the
+//! same shape whatever the stage computes: exchanges charge the network,
+//! a **barrier** turns the pending traffic into simulated seconds, then a
+//! **compute superstep** fans one block per simulated worker out on the
+//! pool and the slowest (straggler-scaled) worker sets the step time.
+//! `SuperstepDriver` writes that shape once. It owns the
+//! [`TelemetrySink`], the simulated clock and the per-epoch accumulators,
+//! so the clock advances, the `superstep.*`/`timeline.idle_s` gauges are
+//! set and the exchange/compute/`exec:fanout`/`idle:wait`/`comm:pack`
+//! spans are emitted at exactly one call site each.
+//!
+//! What a stage may touch: between two barriers the simulated workers are
+//! independent by construction, so the block handed to
+//! `SuperstepDriver::compute_superstep` reads its own partition's state
+//! plus shared read-only weights and **returns** what it computed. Results
+//! come back in ascending worker order and the stage replays every
+//! order-sensitive effect — storing activations, gradient accumulation —
+//! on the engine thread, exactly as the sequential engine did. The block
+//! is `Fn + Sync` and the driver is `&mut`-borrowed for the whole call, so
+//! it cannot name the sink or the clock, and `SimNetwork::send` needs a
+//! `&mut` an `Fn` closure cannot hold: the ordered-replay rule is a
+//! borrow-checker fact, not a convention. Blocks are timed by the driver
+//! (never by the stage) through [`ec_comm::HostTimer`], so deterministic
+//! timing zeroes every compute second in one place.
 
-use ec_comm::HostTimer;
+use ec_comm::{HostTimer, SimNetwork};
 use ec_tensor::pool::Task;
 pub use ec_tensor::pool::WorkerPool;
+use ec_trace::registry::labels;
+use ec_trace::{MetricId, SpanEvent, TelemetryLevel, TelemetrySink};
 
 /// Runs `f(0), …, f(n - 1)` across the pool's lanes and returns the
 /// results indexed by worker.
@@ -58,25 +73,237 @@ pub fn run_workers<R: Send>(pool: &WorkerPool, n: usize, f: impl Fn(usize) -> R 
     slots.into_iter().flatten().collect()
 }
 
-/// [`run_workers`] plus the host-measured wall time of the whole fan-out
-/// (dispatch → barrier), via the sanctioned [`HostTimer`]. The engine
-/// emits this as an `exec:fanout` span so the timeline attribution can
-/// compare barrier wall time against the per-worker compute sum — the
-/// gap is pool overhead plus the serialization the replay pass pays.
-/// Zero under deterministic timing, like every host measurement.
-pub fn run_workers_timed<R: Send>(
-    pool: &WorkerPool,
-    n: usize,
-    f: impl Fn(usize) -> R + Sync,
-) -> (Vec<R>, f64) {
-    let timer = HostTimer::start();
-    let out = run_workers(pool, n, f);
-    (out, timer.elapsed_s())
+/// How one superstep is labelled in telemetry: span name and category, the
+/// model layer it belongs to, and whether it takes a within-epoch
+/// superstep index.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Stage {
+    name: &'static str,
+    cat: &'static str,
+    layer: Option<usize>,
+    indexed: bool,
+}
+
+impl Stage {
+    /// An indexed stage with no layer dimension.
+    pub(crate) fn new(name: &'static str, cat: &'static str) -> Self {
+        Self { name, cat, layer: None, indexed: true }
+    }
+
+    /// Sets the layer dimension.
+    pub(crate) fn at_layer(mut self, layer: usize) -> Self {
+        self.layer = Some(layer);
+        self
+    }
+
+    /// The loss step: it sits on the clock like any compute superstep but
+    /// shares its index with the first BP superstep, so it writes no
+    /// per-superstep gauge row (which would collide with that superstep's
+    /// own), carries no `exec:fanout` span and does not advance the index.
+    pub(crate) fn unindexed(mut self) -> Self {
+        self.indexed = false;
+        self
+    }
+}
+
+/// What the supersteps of one epoch added up to.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct EpochTotals {
+    /// Max-worker (straggler-scaled) compute seconds, summed over steps.
+    pub compute_s: f64,
+    /// Simulated network seconds, summed over barriers.
+    pub comm_s: f64,
+    /// Barrier idle-wait seconds summed over workers and steps — what an
+    /// engine without barriers could reclaim.
+    pub idle_s: f64,
+    /// Host-measured codec pack seconds.
+    pub pack_s: f64,
+    /// Host-measured codec unpack seconds.
+    pub unpack_s: f64,
+    /// Indexed supersteps completed — the index of the next one.
+    pub supersteps: u32,
+}
+
+/// Runs the supersteps of an epoch and does all of their accounting: see
+/// the module header for the contract.
+pub(crate) struct SuperstepDriver {
+    /// Persistent worker-block thread pool — every fan-out reuses its
+    /// lanes instead of spawning scoped threads per superstep.
+    pool: WorkerPool,
+    /// Observability sink. Recording is observation only: no training
+    /// decision reads telemetry state back.
+    pub(crate) telemetry: TelemetrySink,
+    /// Straggler slowdown of each worker's measured compute time (1.0
+    /// without fault injection); its length is the worker count.
+    pub(crate) factors: Vec<f64>,
+    /// Simulated-seconds cursor spans are laid out on; advances by the
+    /// same superstep times the epoch totals sum.
+    sim_now: f64,
+    epoch: usize,
+    epoch_start_s: f64,
+    totals: EpochTotals,
+    /// Host codec seconds the exchanges charged since the last barrier.
+    pub(crate) pack_s: f64,
+    pub(crate) unpack_s: f64,
+}
+
+impl SuperstepDriver {
+    pub(crate) fn new(pool: WorkerPool, telemetry: TelemetrySink, factors: Vec<f64>) -> Self {
+        Self {
+            pool,
+            telemetry,
+            factors,
+            sim_now: 0.0,
+            epoch: 0,
+            epoch_start_s: 0.0,
+            totals: EpochTotals::default(),
+            pack_s: 0.0,
+            unpack_s: 0.0,
+        }
+    }
+
+    /// The simulated clock.
+    pub(crate) fn sim_now(&self) -> f64 {
+        self.sim_now
+    }
+
+    /// Crash-restore: puts the clock back to `sim_now` and discards what
+    /// was recorded for `epoch` and later — the restored engine replays
+    /// those epochs and re-records them; without the rewind every replayed
+    /// row would double-count.
+    pub(crate) fn rewind(&mut self, epoch: usize, sim_now: f64) {
+        self.sim_now = sim_now;
+        self.telemetry.rewind_to_epoch(epoch as u32);
+    }
+
+    /// Starts epoch `epoch` at the current clock with zeroed totals.
+    pub(crate) fn begin_epoch(&mut self, epoch: usize) {
+        self.epoch = epoch;
+        self.epoch_start_s = self.sim_now;
+        self.totals = EpochTotals::default();
+    }
+
+    /// Closes the epoch with its umbrella span and hands back its totals.
+    pub(crate) fn end_epoch(&mut self) -> EpochTotals {
+        let track = self.telemetry.layout().engine();
+        let dur = self.sim_now - self.epoch_start_s;
+        self.telemetry.span(
+            SpanEvent::new("epoch", "epoch", track, self.epoch_start_s, dur).at_epoch(self.epoch),
+        );
+        self.totals
+    }
+
+    /// A span of the current epoch carrying `stage`'s layer and superstep.
+    fn event(&self, stage: Stage, track: u32, start_s: f64, dur_s: f64) -> SpanEvent {
+        let mut ev =
+            SpanEvent::new(stage.name, stage.cat, track, start_s, dur_s).at_epoch(self.epoch);
+        if let Some(layer) = stage.layer {
+            ev = ev.at_layer(layer);
+        }
+        if stage.indexed {
+            ev = ev.at_superstep(self.totals.supersteps);
+        }
+        ev
+    }
+
+    /// Labels of a per-superstep gauge row, when `stage` writes one.
+    fn superstep_row(&self, stage: Stage) -> Option<[u32; 2]> {
+        (stage.indexed && self.telemetry.enabled(TelemetryLevel::Superstep))
+            .then_some([self.epoch as u32, self.totals.supersteps])
+    }
+
+    /// Network barrier: everything sent since the last barrier becomes
+    /// simulated seconds on the clock, after the host codec time the
+    /// exchanges measured is laid out as `comm:pack`/`comm:unpack`.
+    pub(crate) fn barrier(&mut self, network: &mut SimNetwork, stage: Stage) {
+        let track = self.telemetry.layout().network();
+        let pack = std::mem::take(&mut self.pack_s);
+        let unpack = std::mem::take(&mut self.unpack_s);
+        self.totals.pack_s += pack;
+        self.totals.unpack_s += unpack;
+        for (name, dur) in [("comm:pack", pack), ("comm:unpack", unpack)] {
+            if dur > 0.0 {
+                let codec = Stage { name, cat: "pack", layer: None, ..stage };
+                self.telemetry.span(self.event(codec, track, self.sim_now, dur));
+            }
+        }
+        let step_comm = network.flush_superstep();
+        self.telemetry.span(self.event(stage, track, self.sim_now, step_comm));
+        if let Some([e, ss]) = self.superstep_row(stage) {
+            self.telemetry.set(MetricId::SuperstepCommS, labels(&[e, ss]), step_comm);
+        }
+        self.totals.comm_s += step_comm;
+        self.sim_now += step_comm;
+    }
+
+    /// Compute superstep: runs `block(w)` for every worker on the pool,
+    /// timing each, accounts the step and returns the results in ascending
+    /// worker order for the stage's own replay.
+    pub(crate) fn compute_superstep<R: Send>(
+        &mut self,
+        stage: Stage,
+        block: impl Fn(usize) -> R + Sync,
+    ) -> Vec<R> {
+        let fanout = HostTimer::start();
+        let timed = run_workers(&self.pool, self.factors.len(), |w| {
+            let timer = HostTimer::start();
+            let out = block(w);
+            (out, timer.elapsed_s())
+        });
+        let fanout_s = fanout.elapsed_s();
+        let (results, secs): (Vec<R>, Vec<f64>) = timed.into_iter().unzip();
+        self.account_compute(stage, &secs, fanout_s);
+        results
+    }
+
+    /// Accounts one compute superstep from its per-worker host seconds and
+    /// the wall time `fanout_s` of the whole fan-out (dispatch → join; its
+    /// gap to the per-worker times is pool overhead).
+    fn account_compute(&mut self, stage: Stage, secs: &[f64], fanout_s: f64) {
+        let layout = self.telemetry.layout();
+        let row = self.superstep_row(stage);
+        // A straggler is a slow worker, not a slow superstep: each time is
+        // scaled before the max, so a scaled worker can become the longest.
+        let scaled: Vec<f64> = secs.iter().zip(&self.factors).map(|(s, f)| s * f).collect();
+        let step_max = scaled.iter().copied().fold(0.0, f64::max);
+        for (w, &own) in scaled.iter().enumerate() {
+            self.telemetry
+                .span(self.event(stage, layout.worker(w), self.sim_now, own).at_worker(w));
+        }
+        if stage.indexed && fanout_s > 0.0 {
+            let fanout = Stage { name: "exec:fanout", cat: "exec", ..stage };
+            self.telemetry.span(self.event(fanout, layout.engine(), self.sim_now, fanout_s));
+        }
+        // Worker `w` waits `step_max - own` at the barrier. The epoch total
+        // accumulates at every level (it feeds the headroom gauge).
+        let wait = Stage { name: "idle:wait", cat: "idle", layer: None, ..stage };
+        for (w, &own) in scaled.iter().enumerate() {
+            let idle = step_max - own;
+            if idle <= 0.0 {
+                continue;
+            }
+            self.totals.idle_s += idle;
+            if let Some([e, ss]) = row {
+                self.telemetry.set(MetricId::TimelineIdleS, labels(&[e, ss, w as u32]), idle);
+            }
+            let start_s = self.sim_now + own;
+            self.telemetry.span(self.event(wait, layout.worker(w), start_s, idle).at_worker(w));
+        }
+        self.totals.compute_s += step_max;
+        if let Some([e, ss]) = row {
+            self.telemetry.set(MetricId::SuperstepComputeS, labels(&[e, ss]), step_max);
+        }
+        self.sim_now += step_max;
+        if stage.indexed {
+            self.totals.supersteps += 1;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ec_trace::NO_INDEX;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -111,12 +338,105 @@ mod tests {
         }
     }
 
+    fn driver(factors: &[f64]) -> SuperstepDriver {
+        let config = ec_trace::TelemetryConfig::at(TelemetryLevel::Trace);
+        let sink = TelemetrySink::new(&config, factors.len());
+        let mut d = SuperstepDriver::new(WorkerPool::new(1), sink, factors.to_vec());
+        d.sim_now = 10.0;
+        d.begin_epoch(0);
+        d
+    }
+
+    /// Deterministic timing zeroes every measured second, so the goldens
+    /// never see the scale/max/idle arithmetic on values; this does.
     #[test]
-    fn timed_variant_returns_same_results_and_a_finite_time() {
-        let pool = WorkerPool::new(2);
-        let (out, secs) = run_workers_timed(&pool, 5, |w| w * 2);
-        assert_eq!(out, vec![0, 2, 4, 6, 8]);
-        assert!(secs.is_finite() && secs >= 0.0);
+    fn compute_accounting_scales_before_the_max_and_lays_idle_after_own_time() {
+        let mut d = driver(&[2.0, 1.0, 1.0]);
+        let fp = Stage::new("fp:compute", "fp").at_layer(1);
+        d.account_compute(fp, &[2.0, 3.0, 1.0], 0.5);
+        // Worker 0 measured the least but is the straggler: 2·2 = 4 > 3.
+        assert_eq!(d.totals.compute_s, 4.0);
+        assert_eq!(d.totals.idle_s, 1.0 + 3.0);
+        assert_eq!(d.sim_now(), 14.0);
+        assert_eq!(d.totals.supersteps, 1);
+
+        // The loss step advances the clock and the totals but neither the
+        // index nor any per-superstep row.
+        d.account_compute(Stage::new("loss:compute", "loss").unindexed(), &[1.0, 1.0, 1.0], 0.5);
+        assert_eq!(d.totals.compute_s, 6.0);
+        assert_eq!(d.totals.idle_s, 4.0 + 1.0 + 1.0);
+        assert_eq!(d.totals.supersteps, 1);
+        let totals = d.end_epoch();
+        assert_eq!(totals.compute_s + totals.comm_s, d.sim_now() - 10.0);
+
+        let rep = d.telemetry.report();
+        assert_eq!(rep.gauge("superstep.compute", &[0, 0]), Some(4.0));
+        assert_eq!(rep.rows_named("superstep.compute").count(), 1);
+        let idle: Vec<_> = rep.rows_named("timeline.idle_s").map(|r| r.labels[2]).collect();
+        assert_eq!(idle, [1, 2], "only the fp step's two waiting workers get a row");
+        assert_eq!(rep.gauge("timeline.idle_s", &[0, 0, 1]), Some(1.0));
+        assert_eq!(rep.gauge("timeline.idle_s", &[0, 0, 2]), Some(3.0));
+
+        let spans = |name: &str| -> Vec<(i64, i64, f64, f64)> {
+            let of = rep.spans.iter().filter(|s| s.name == name);
+            of.map(|s| (s.worker, s.superstep, s.start_s, s.dur_s)).collect()
+        };
+        assert_eq!(spans("fp:compute"), [(0, 0, 10.0, 4.0), (1, 0, 10.0, 3.0), (2, 0, 10.0, 1.0)]);
+        // Idle starts where the worker's own (scaled) compute ends.
+        assert_eq!(
+            spans("idle:wait"),
+            [
+                (1, 0, 13.0, 1.0),
+                (1, NO_INDEX, 15.0, 1.0),
+                (2, 0, 11.0, 3.0),
+                (2, NO_INDEX, 15.0, 1.0)
+            ]
+        );
+        assert_eq!(spans("loss:compute")[0], (0, NO_INDEX, 14.0, 2.0));
+        assert_eq!(spans("exec:fanout"), [(NO_INDEX, 0, 10.0, 0.5)], "indexed steps only");
+        assert_eq!(spans("epoch"), [(NO_INDEX, NO_INDEX, 10.0, 6.0)]);
+    }
+
+    #[test]
+    fn barrier_charges_the_flush_and_spans_only_measured_codec_time() {
+        let mut d = driver(&[1.0, 1.0]);
+        let mut net = SimNetwork::new(2, ec_comm::NetworkModel { bandwidth: 100.0, latency: 0.0 });
+        let exchange = Stage::new("fp:exchange", "fp").at_layer(2);
+        net.send(0, 1, ec_comm::stats::Channel::Forward, 200);
+        d.barrier(&mut net, exchange);
+        assert_eq!((d.totals.comm_s, d.sim_now()), (2.0, 12.0));
+        assert_eq!(d.totals.supersteps, 0, "only a compute superstep advances the index");
+
+        d.pack_s = 0.25;
+        net.send(1, 0, ec_comm::stats::Channel::Forward, 100);
+        d.barrier(&mut net, exchange);
+        assert_eq!((d.pack_s, d.totals.pack_s, d.totals.unpack_s), (0.0, 0.25, 0.0));
+
+        let rep = d.telemetry.report();
+        assert_eq!(rep.gauge("superstep.comm", &[0, 0]), Some(1.0), "last barrier of index 0");
+        let on_network: Vec<_> = rep
+            .spans
+            .iter()
+            .filter(|s| s.track == d.telemetry.layout().network())
+            .map(|s| (s.name, s.layer, s.start_s, s.dur_s))
+            .collect();
+        assert_eq!(
+            on_network,
+            [
+                ("fp:exchange", 2, 10.0, 2.0),
+                ("comm:pack", NO_INDEX, 12.0, 0.25),
+                ("fp:exchange", 2, 12.0, 1.0)
+            ]
+        );
+    }
+
+    #[test]
+    fn compute_superstep_returns_results_in_worker_order() {
+        let mut d = driver(&[1.0; 5]);
+        d.pool = WorkerPool::new(3);
+        let out = d.compute_superstep(Stage::new("bp:compute", "bp").at_layer(2), |w| w * 10);
+        assert_eq!(out, [0, 10, 20, 30, 40]);
+        assert_eq!(d.totals.supersteps, 1);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! sets and the PR 7 call graph:
 //!
 //! * `disjoint-band-writes` — a closure handed to the pool
-//!   (`WorkerPool::run` / `exec::run_workers` / `parallel::run_bands`)
+//!   (`WorkerPool::run` / `exec::run_workers` / the superstep driver's
+//!   `compute_superstep` / `parallel::run_bands`)
 //!   may only write through its own parameters, its locals, and
 //!   band-local `&mut` slices produced by `split_at_mut` and friends.
 //!   A write to any other captured binding is a data race the moment two
@@ -37,7 +38,7 @@ use std::path::Path;
 /// lanes. `WorkerPool::run` itself takes an already-built `Vec<Task>`, so
 /// the closures are caught at their `Box::new(move || …)` construction
 /// sites instead (see [`task_box_sites`]).
-const DISPATCH_FNS: &[&str] = &["run_workers", "run_bands"];
+const DISPATCH_FNS: &[&str] = &["run_workers", "compute_superstep", "run_bands"];
 
 /// `disjoint-band-writes`: finds every closure that will execute on a pool
 /// lane and checks its write set against the capture lattice. Returns one

@@ -353,8 +353,10 @@ fn place_root(toks: &[Tok], mut j: usize, lo: usize) -> Option<usize> {
     }
 }
 
-/// Whether the place rooted at `root` is being declared (directly preceded
-/// by `let` / `mut` / `ref`, modulo `*`/`&` sigils).
+/// Whether the place rooted at `root` is being declared: directly preceded
+/// by `let` / `mut` / `ref` (modulo `*`/`&` sigils), or by the lone `:` of
+/// a typed `let x: T = …`, where the "place" is the annotation `T` itself
+/// (`place_root` has already walked through any `::` path).
 fn is_declaration(toks: &[Tok], root: usize, lo: usize) -> bool {
     let mut k = root;
     while k > lo {
@@ -363,7 +365,8 @@ fn is_declaration(toks: &[Tok], root: usize, lo: usize) -> bool {
             k = before;
             continue;
         }
-        return matches!(ident_at(toks, before), Some("let" | "mut" | "ref"));
+        return is_punct(toks, before, ":")
+            || matches!(ident_at(toks, before), Some("let" | "mut" | "ref"));
     }
     false
 }
@@ -505,7 +508,8 @@ mod tests {
 
     #[test]
     fn write_sites_skip_declarations_and_comparisons() {
-        let f = lex("let mut acc = 0.0; acc += x; if acc >= cap { acc = cap; }");
+        let f = lex("let mut acc = 0.0; acc += x; if acc >= cap { acc = cap; }\n\
+             let job: Job = build(); let n: std::num::Wrapping = w;");
         let got = write_sites(&f.tokens, (0, f.tokens.len()));
         assert_eq!(got.len(), 2, "{got:?}");
         assert!(got.iter().all(|w| w.root == "acc"));

@@ -29,14 +29,19 @@ const REDUCERS: &[&str] = &["sum", "product", "fold", "reduce"];
 const INT_TYPES: &[&str] =
     &["u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize"];
 
-/// `thread-scope-hygiene`: inside the closures handed to
-/// `exec::run_workers`, `scope.spawn`, or `thread::scope`, worker code must
+/// The `exec` fan-out entry points: `run_workers` and the superstep
+/// driver's `compute_superstep`, through which every engine stage passes
+/// its worker block.
+const EXEC_FANOUT_FNS: &[&str] = &["run_workers", "compute_superstep"];
+
+/// `thread-scope-hygiene`: inside the closures handed to an
+/// [`EXEC_FANOUT_FNS`] call, `scope.spawn`, or `thread::scope`, worker code must
 /// be pure compute — it returns results, and the engine thread replays them
 /// in ascending worker order. Any mutation of shared replay-ordered state
 /// from inside such a closure (`self`, a `SimNetwork` send, a telemetry
 /// sink/registry/ring write, a `record_*` helper) would make the run's
 /// bytes depend on thread interleaving. The symbol table is used to skip
-/// `run_workers` calls that resolve to an unrelated function.
+/// calls whose name resolves to an unrelated function.
 pub fn thread_scope_hygiene(
     rc: &RuleConfig,
     path: &str,
@@ -53,12 +58,12 @@ pub fn thread_scope_hygiene(
         }
         let name = toks[i].text.as_str();
         let spawn_site = match name {
-            "run_workers" if is_punct(toks, i + 1, "(") => {
+            _ if EXEC_FANOUT_FNS.contains(&name) && is_punct(toks, i + 1, "(") => {
                 // Skip if the name resolves to something that is not the
                 // exec fan-out helper (an unresolved name stays in scope:
-                // qualified `exec::run_workers(…)` calls resolve the
-                // module, not the function).
-                !matches!(ws.resolve(path, "run_workers"),
+                // qualified `exec::run_workers(…)` and method calls on the
+                // driver resolve the module or nothing, not the function).
+                !matches!(ws.resolve(path, name),
                     Some(fq) if !fq.split("::").any(|seg| seg == "exec"))
             }
             "spawn" if is_punct(toks, i + 1, "(") && is_punct(toks, i.wrapping_sub(1), ".") => true,

@@ -41,3 +41,11 @@ pub fn chained_fanout(pool: &Pool, bands: usize) {
     }
     pool.run(tasks);
 }
+
+/// A stage block handed to the superstep driver runs on pool lanes too:
+/// accumulating into the captured sum instead of returning the part races.
+pub fn racy_stage_block(steps: &mut SuperstepDriver, parts: &[f32], grad_sum: &mut Vec<f32>) {
+    let _out = steps.compute_superstep(Stage::new("bp:compute", "bp"), |w| {
+        grad_sum[0] += parts[w];
+    });
+}

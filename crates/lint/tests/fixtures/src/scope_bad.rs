@@ -53,3 +53,12 @@ pub fn bad_scope_spawn(sink: &mut Sink) {
         });
     });
 }
+
+/// Positive: a stage block handed to the superstep driver is a worker
+/// closure like any other — the send belongs to the ordered replay.
+pub fn bad_stage_block(steps: &mut SuperstepDriver, network: &SimNetwork) {
+    let _out = steps.compute_superstep(Stage::new("fp:compute", "fp"), |w| {
+        network.send(w, w as u64);
+        w
+    });
+}

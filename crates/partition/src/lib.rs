@@ -15,16 +15,13 @@
 //! * [`ldg`] — the streaming Linear Deterministic Greedy partitioner the
 //!   paper cites as future work,
 //! * [`metrics`] — edge-cut, balance and the remote-neighbour statistics
-//!   (`ḡ_rmt`) that drive EC-Graph's communication cost model,
-//! * [`vertex_cut`] — PowerGraph's greedy vertex-cut (edge partitioning),
-//!   the contrasting family from the paper's related work.
+//!   (`ḡ_rmt`) that drive EC-Graph's communication cost model.
 
 pub mod hash;
 pub mod ldg;
 pub mod metis;
 pub mod metrics;
 pub mod range;
-pub mod vertex_cut;
 
 use ec_graph_data::Graph;
 

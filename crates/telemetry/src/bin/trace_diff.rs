@@ -1,5 +1,5 @@
 //! `trace_diff`: structural regression diff of two metrics/bench JSON
-//! documents (`BENCH_hotpath.json`, `BENCH_serving.json`, metrics
+//! documents (`BENCH_serving.json`, `BENCH_timeline.json`, metrics
 //! exports — anything the exporters or bench bins write).
 //!
 //! Usage:

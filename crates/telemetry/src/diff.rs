@@ -1,6 +1,6 @@
 //! Cross-run regression diffing of metrics / bench JSON documents.
 //!
-//! `BENCH_hotpath.json`, `BENCH_serving.json` and the exporters' metrics
+//! `BENCH_serving.json`, `BENCH_timeline.json` and the exporters' metrics
 //! documents are point-in-time snapshots; this module compares two of
 //! them structurally. Every numeric leaf becomes a dotted series path
 //! (`epoch[1].compute_s_per_epoch`) and is classified as **unchanged**

@@ -220,8 +220,7 @@ pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
 /// to, bit for bit.
 ///
 /// These are the original (pre-pool) loops, kept as the ground truth for
-/// the `kernel_equivalence` proptests and as the `speedup_vs_naive`
-/// baseline in `hotpath_bench`. Do not "optimize" them.
+/// the `kernel_equivalence` proptests. Do not "optimize" them.
 pub mod reference {
     use crate::dense::Matrix;
     use crate::sparse::CsrMatrix;

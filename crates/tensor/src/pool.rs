@@ -18,8 +18,8 @@
 //!
 //! Sizing: a pool never holds more lanes than [`physical_parallelism`],
 //! sampled once per process — oversubscribing a host turns "parallel" into
-//! time-slicing and roughly doubles self-timed wall clock (the exact
-//! pathology the pre-pool BENCH_hotpath.json recorded on a 1-core host).
+//! time-slicing and roughly doubles self-timed wall clock (the pathology
+//! the pre-pool scoped-thread engine showed on a 1-core host).
 //! A 1-thread pool owns zero OS threads and runs everything inline on the
 //! caller, so sequential configurations pay nothing.
 //!

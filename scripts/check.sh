@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, lints (warnings are errors), and the whole
 # workspace test suite. CI runs exactly this script.
-# Pass --bench to also run the hot-path and serving benchmarks (writes
-# BENCH_hotpath.json and BENCH_serving.json at the repo root).
+# Pass --bench to also run the serving benchmark (writes BENCH_serving.json
+# at the repo root). Host performance is measured by perfbench/ (see
+# BENCHMARK.json), not here.
 # Pass --trace-smoke to also drive the CLI end-to-end with the telemetry
 # exporters on and validate the emitted trace/metrics/timeline files, the
 # serving request-trace path, and an `ecgraph compare` self-vs-self run
@@ -49,17 +50,6 @@ echo "== cargo test =="
 cargo test --workspace -q
 
 if [[ "$RUN_BENCH" == "1" ]]; then
-  echo "== hot-path benchmark (BENCH_hotpath.json) =="
-  # hotpath_bench enforces a speedup gate (2-thread epoch rows >= 1.0x vs
-  # sequential, best kernel >= 1.3x vs the naive reference). On a 1-core
-  # runner thread requests resolve to 1 and the threading comparison is
-  # pure noise, so the gate is waived there; the JSON still records
-  # host_threads so the waiver is auditable.
-  if [[ "$(nproc 2>/dev/null || echo 1)" -lt 2 ]]; then
-    export EC_BENCH_SKIP_SPEEDUP_GATE=1
-    echo "(single-core host: EC_BENCH_SKIP_SPEEDUP_GATE=1)"
-  fi
-  cargo run -q --release -p ec-bench --bin hotpath_bench
   echo "== serving benchmark (BENCH_serving.json) =="
   cargo run -q --release -p ec-bench --bin serve_bench
 fi

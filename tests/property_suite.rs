@@ -274,24 +274,4 @@ proptest! {
             );
         }
     }
-
-    /// Vertex-cut partitioning covers every edge and never replicates a
-    /// vertex onto more parts than exist.
-    #[test]
-    fn vertex_cut_invariants(
-        n in 2usize..80,
-        m_frac in 0.2f64..2.5,
-        parts in 1usize..6,
-        seed in any::<u64>(),
-    ) {
-        use ec_graph_repro::partition::vertex_cut::greedy_vertex_cut;
-        let m = ((n as f64 * m_frac) as usize).min(n * (n - 1) / 2);
-        let g = generators::erdos_renyi(n, m, seed);
-        let ep = greedy_vertex_cut(&g, parts);
-        prop_assert_eq!(ep.part_sizes().iter().sum::<usize>(), g.num_edges());
-        for v in 0..n {
-            prop_assert!(ep.replicas_of(v).len() <= parts);
-        }
-        prop_assert!(ep.replication_factor() <= parts as f64);
-    }
 }

@@ -1,0 +1,76 @@
+//! Superstep accounting on measured (non-zero) compute seconds.
+//!
+//! Every other suite that looks at telemetry runs under
+//! `set_deterministic_timing(true)`, where each compute second is 0 and the
+//! scale / max / idle arithmetic is never checked on values. That flag is
+//! process-wide, so this binary must never set it: the one test here runs
+//! with the real host clock and asserts only relations between numbers the
+//! public report carries, never the numbers themselves.
+
+use ec_graph_repro::data::DatasetSpec;
+use ec_graph_repro::ecgraph::config::{BpMode, FpMode, TrainingConfig};
+use ec_graph_repro::ecgraph::DistributedEngine;
+use ec_graph_repro::faults::FaultPlan;
+use ec_graph_repro::partition::hash::HashPartitioner;
+use ec_graph_repro::partition::Partitioner;
+use ec_graph_repro::trace::{SpanEvent, TelemetryConfig, TelemetryLevel, NO_INDEX};
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+#[test]
+fn superstep_gauges_spans_and_epoch_stats_agree_on_measured_time() {
+    let data = Arc::new(DatasetSpec::cora().instantiate_with(300, 16, 3));
+    let config = TrainingConfig {
+        dims: vec![16, 12, 8, data.num_classes],
+        num_workers: 3,
+        fp_mode: FpMode::ReqEc { bits: 4, t_tr: 10, adaptive: false },
+        bp_mode: BpMode::ResEc { bits: 4 },
+        faults: FaultPlan::none().with_straggler(0, 2.0),
+        telemetry: TelemetryConfig::at(TelemetryLevel::Trace),
+        seed: 2,
+        ..TrainingConfig::defaults(16, data.num_classes)
+    };
+    let adj = Arc::new(ec_graph_repro::data::normalize::gcn_normalized_adjacency(&data.graph));
+    let partition = HashPartitioner::default().partition(&data.graph, config.num_workers);
+    let mut engine = DistributedEngine::new(data, vec![adj; 3], partition, config);
+    let stats: Vec<_> = (0..2).map(|_| engine.run_epoch()).collect();
+    let rep = engine.take_telemetry().expect("Trace level yields a report");
+
+    let end = |s: &SpanEvent| s.start_s + s.dur_s;
+    for (e, st) in stats.iter().enumerate() {
+        assert!(st.compute_s > 0.0, "real timing must measure something");
+        let spans: Vec<&SpanEvent> = rep.spans.iter().filter(|s| s.epoch == e as i64).collect();
+        let compute = || spans.iter().filter(|s| s.name.ends_with(":compute"));
+        // Steps are keyed by superstep index; the un-indexed loss step is
+        // the one at `NO_INDEX`.
+        let steps: BTreeSet<i64> = compute().map(|s| s.superstep).collect();
+        assert_eq!(steps.len(), 3 + 1 + 3, "three FP, the loss and three BP steps");
+        let mut step_sum = 0.0;
+        for ss in steps {
+            let longest = compute()
+                .filter(|s| s.superstep == ss)
+                .max_by(|a, b| a.dur_s.total_cmp(&b.dur_s))
+                .expect("the key came from a span");
+            step_sum += longest.dur_s;
+            if ss != NO_INDEX {
+                let gauge = rep.gauge("superstep.compute", &[e as u32, ss as u32]);
+                assert_eq!(gauge, Some(longest.dur_s), "epoch {e} superstep {ss}");
+            }
+            // Everyone else waits exactly until the longest worker is done.
+            for wait in spans.iter().filter(|s| s.name == "idle:wait" && s.superstep == ss) {
+                assert!((end(wait) - end(longest)).abs() < 1e-12, "{wait:?} vs {longest:?}");
+                assert_ne!(wait.worker, longest.worker);
+            }
+        }
+        let phase = rep.gauge("phase.compute", &[e as u32]).expect("epoch-level gauge");
+        assert!((phase - step_sum).abs() < 1e-12, "epoch {e}: {phase} vs {step_sum}");
+        assert_eq!(phase, st.compute_s);
+
+        let epoch_span = spans.iter().find(|s| s.name == "epoch").expect("one per epoch");
+        let (dur, sim) = (epoch_span.dur_s, st.sim_time());
+        assert!((dur - sim).abs() < 1e-12, "epoch {e}: span {dur} vs stats {sim}");
+    }
+    assert_eq!(rep.rows_named("superstep.compute").count(), 2 * 6, "the loss step has no row");
+    assert!(rep.spans.iter().any(|s| s.name == "idle:wait"), "three workers never tie throughout");
+    assert_eq!(rep.gauge("faults.straggler_factor", &[0, 0]), Some(2.0));
+}
