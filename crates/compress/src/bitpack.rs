@@ -5,15 +5,20 @@
 //! equivalent of the paper's Fig. 3 step that concatenates 2-bit codes into
 //! 32-bit unsigned integers.
 //!
-//! The codecs stream through a `u64` accumulator in whole-word lanes
-//! rather than shuffling individual bits or bytes. Widths that divide 64
-//! (1, 2, 4, 8, 16, 32 — every width the Bit-Tuner actually picks) pack
-//! `64/bits` codes per `u64` and emit/refill eight little-endian bytes at
-//! a time; other widths flush four bytes per drain. Both paths produce
-//! byte-for-byte the layout of the original byte-at-a-time loops (LSB-first
-//! emission of the accumulator *is* little-endian order), and the streaming
-//! entry points [`pack_iter`] / [`unpack_iter`] let quantization fuse
-//! bucketing with packing so no intermediate code vector is ever allocated.
+//! The unit of work is a block of 64 codes: at any width `B` a full
+//! block is exactly `B` little-endian `u64` words (`8·B` bytes), so blocks
+//! start and end on word boundaries and can be packed independently from a
+//! stack array the quantizer has just filled. The widths the Bit-Tuner
+//! picks (1, 2, 4, 8, 16) go through a const-generic kernel whose shifts
+//! are compile-time constants and whose word loop unrolls fully; every
+//! other width and the ragged final block go through one generic
+//! accumulator loop. All paths produce byte for byte the layout of the
+//! bit-at-a-time reference kept in the tests (LSB-first emission of an
+//! accumulator *is* little-endian byte order).
+
+/// Codes per packing block: the smallest count that fills whole `u64`
+/// words at every width.
+pub(crate) const BLOCK: usize = 64;
 
 /// Packs `codes` (each `< 2^bits`) into a byte buffer, LSB-first.
 ///
@@ -21,71 +26,14 @@
 /// Panics if `bits` is 0 or greater than 32, or if any code needs more than
 /// `bits` bits.
 pub fn pack(codes: &[u32], bits: u8) -> Vec<u8> {
-    let mask = code_mask(bits);
-    pack_iter(
-        codes.iter().map(|&code| {
-            assert!(code <= mask, "code {code} does not fit in {bits} bits");
-            code
-        }),
-        codes.len(),
-        bits,
-    )
-}
-
-/// Packs exactly `count` codes produced by `codes`, LSB-first.
-///
-/// The caller guarantees every yielded code fits in `bits` bits; oversized
-/// codes would bleed into their neighbours. [`pack`] is the checked wrapper
-/// for untrusted input.
-///
-/// # Panics
-/// Panics if `bits ∉ 1..=32` or the iterator yields fewer than `count`
-/// codes (excess codes are ignored).
-pub fn pack_iter(codes: impl IntoIterator<Item = u32>, count: usize, bits: u8) -> Vec<u8> {
     assert!((1..=32).contains(&bits), "bit width {bits} out of range");
-    let mut out = Vec::with_capacity(packed_len(count, bits));
-    let mut iter = codes.into_iter();
-    let mut taken = 0usize;
-    if 64 % bits as u32 == 0 {
-        // Whole-word lane: `per_word` codes fill a u64 exactly, and
-        // LSB-first emission of a full accumulator is its little-endian
-        // byte order, so the layout matches the byte-at-a-time path.
-        let per_word = (64 / bits as u32) as usize;
-        'words: for _ in 0..count / per_word {
-            let mut word = 0u64;
-            let mut shift = 0u32;
-            for _ in 0..per_word {
-                // A short iterator falls through to the final count check.
-                let Some(code) = iter.next() else { break 'words };
-                word |= (code as u64) << shift;
-                shift += bits as u32;
-                taken += 1;
-            }
-            out.extend_from_slice(&word.to_le_bytes());
-        }
+    let mask = code_mask(bits);
+    for &code in codes {
+        assert!(code <= mask, "code {code} does not fit in {bits} bits");
     }
-    // Generic path and the sub-word tail: drain four bytes per flush (the
-    // accumulator peaks at 31 + 32 bits in flight, so it cannot overflow).
-    let mut acc = 0u64;
-    let mut nbits = 0u32;
-    for code in iter.take(count - taken) {
-        acc |= (code as u64) << nbits;
-        nbits += bits as u32;
-        if nbits >= 32 {
-            out.extend_from_slice(&(acc as u32).to_le_bytes());
-            acc >>= 32;
-            nbits -= 32;
-        }
-        taken += 1;
-    }
-    assert_eq!(taken, count, "iterator yielded {taken} codes, expected {count}");
-    while nbits >= 8 {
-        out.push(acc as u8);
-        acc >>= 8;
-        nbits -= 8;
-    }
-    if nbits > 0 {
-        out.push(acc as u8);
+    let mut out = vec![0u8; packed_len(codes.len(), bits)];
+    for (block, dst) in codes.chunks(BLOCK).zip(out.chunks_mut(block_bytes(bits))) {
+        pack_block(block, bits, dst);
     }
     out
 }
@@ -93,85 +41,118 @@ pub fn pack_iter(codes: impl IntoIterator<Item = u32>, count: usize, bits: u8) -
 /// Unpacks `count` codes of width `bits` from a buffer produced by [`pack`].
 ///
 /// # Panics
-/// Panics if the buffer is too short for `count` codes.
-pub fn unpack(bytes: &[u8], bits: u8, count: usize) -> Vec<u32> {
-    unpack_iter(bytes, bits, count).collect()
-}
-
-/// Streaming variant of [`unpack`]: yields the `count` codes without
-/// allocating, so reconstruction can map codes straight into its output.
-///
-/// # Panics
 /// Panics if `bits ∉ 1..=32` or the buffer is too short for `count` codes.
-pub fn unpack_iter(bytes: &[u8], bits: u8, count: usize) -> Unpacker<'_> {
+pub fn unpack(bytes: &[u8], bits: u8, count: usize) -> Vec<u32> {
     assert!((1..=32).contains(&bits), "bit width {bits} out of range");
-    let total_bits = count * bits as usize;
+    let need = packed_len(count, bits);
     assert!(
-        bytes.len() * 8 >= total_bits,
+        bytes.len() >= need,
         "buffer of {} bytes too short for {count} codes of {bits} bits",
         bytes.len()
     );
-    Unpacker {
-        bytes,
-        pos: 0,
-        acc: 0,
-        nbits: 0,
-        bits: bits as u32,
-        mask: code_mask(bits),
-        remaining: count,
+    let mut codes = vec![0u32; count];
+    for (block, src) in codes.chunks_mut(BLOCK).zip(bytes[..need].chunks(block_bytes(bits))) {
+        unpack_block(src, bits, block);
     }
+    codes
 }
-
-/// Iterator over the codes of a packed buffer; see [`unpack_iter`].
-pub struct Unpacker<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    acc: u64,
-    nbits: u32,
-    bits: u32,
-    mask: u32,
-    remaining: usize,
-}
-
-impl Iterator for Unpacker<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        if self.nbits == 0 && self.pos + 8 <= self.bytes.len() {
-            // Whole-word refill. The accumulator holds exactly `nbits`
-            // valid bits at all times, so at zero it is empty and absorbs a
-            // full little-endian u64 — one load instead of eight shifts.
-            let b = &self.bytes[self.pos..self.pos + 8];
-            self.acc = u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
-            self.pos += 8;
-            self.nbits = 64;
-        }
-        while self.nbits < self.bits {
-            // In-bounds by the `unpack_iter` length check.
-            self.acc |= (self.bytes[self.pos] as u64) << self.nbits;
-            self.pos += 1;
-            self.nbits += 8;
-        }
-        let code = (self.acc as u32) & self.mask;
-        self.acc >>= self.bits;
-        self.nbits -= self.bits;
-        Some(code)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl ExactSizeIterator for Unpacker<'_> {}
 
 /// Number of bytes [`pack`] produces for `count` codes of width `bits`.
 pub fn packed_len(count: usize, bits: u8) -> usize {
     (count * bits as usize).div_ceil(8)
+}
+
+/// Bytes one full [`BLOCK`] occupies at width `bits`.
+pub(crate) fn block_bytes(bits: u8) -> usize {
+    BLOCK / 8 * bits as usize
+}
+
+/// Packs one block — at most [`BLOCK`] codes — into `out`, which must be
+/// exactly `packed_len(codes.len(), bits)` bytes. The caller guarantees
+/// every code fits in `bits` bits; an oversized code would bleed into its
+/// neighbours ([`pack`] is the checked entry point).
+pub(crate) fn pack_block(codes: &[u32], bits: u8, out: &mut [u8]) {
+    debug_assert_eq!(out.len(), packed_len(codes.len(), bits));
+    if let Ok(full) = <&[u32; BLOCK]>::try_from(codes) {
+        match bits {
+            1 => return pack_words::<1>(full, out),
+            2 => return pack_words::<2>(full, out),
+            4 => return pack_words::<4>(full, out),
+            8 => return pack_words::<8>(full, out),
+            16 => return pack_words::<16>(full, out),
+            _ => {}
+        }
+    }
+    // Any width, any length: drain four bytes per flush (the accumulator
+    // peaks at 31 + 32 bits in flight, so it cannot overflow).
+    let (mut acc, mut nbits, mut pos) = (0u64, 0u32, 0usize);
+    for &code in codes {
+        acc |= (code as u64) << nbits;
+        nbits += bits as u32;
+        if nbits >= 32 {
+            out[pos..pos + 4].copy_from_slice(&(acc as u32).to_le_bytes());
+            acc >>= 32;
+            nbits -= 32;
+            pos += 4;
+        }
+    }
+    for byte in &mut out[pos..] {
+        *byte = acc as u8;
+        acc >>= 8;
+    }
+}
+
+/// A full block at a width that divides 64: `64 / BITS` codes per word.
+fn pack_words<const BITS: u32>(codes: &[u32; BLOCK], out: &mut [u8]) {
+    let per_word = (64 / BITS) as usize;
+    for (lane, dst) in codes.chunks_exact(per_word).zip(out.chunks_exact_mut(8)) {
+        let mut word = 0u64;
+        for (i, &code) in lane.iter().enumerate() {
+            word |= (code as u64) << (i as u32 * BITS);
+        }
+        dst.copy_from_slice(&word.to_le_bytes());
+    }
+}
+
+/// Mirror image of [`pack_block`]: fills `codes` (at most [`BLOCK`]) from
+/// `bytes`, which must hold at least `packed_len(codes.len(), bits)` bytes.
+pub(crate) fn unpack_block(bytes: &[u8], bits: u8, codes: &mut [u32]) {
+    debug_assert!(bytes.len() >= packed_len(codes.len(), bits));
+    if let Ok(full) = <&mut [u32; BLOCK]>::try_from(&mut *codes) {
+        match bits {
+            1 => return unpack_words::<1>(bytes, full),
+            2 => return unpack_words::<2>(bytes, full),
+            4 => return unpack_words::<4>(bytes, full),
+            8 => return unpack_words::<8>(bytes, full),
+            16 => return unpack_words::<16>(bytes, full),
+            _ => {}
+        }
+    }
+    let mask = code_mask(bits) as u64;
+    let (mut acc, mut nbits, mut pos) = (0u64, 0u32, 0usize);
+    for code in codes {
+        while nbits < bits as u32 {
+            // In-bounds by the length precondition.
+            acc |= (bytes[pos] as u64) << nbits;
+            pos += 1;
+            nbits += 8;
+        }
+        *code = (acc & mask) as u32;
+        acc >>= bits;
+        nbits -= bits as u32;
+    }
+}
+
+fn unpack_words<const BITS: u32>(bytes: &[u8], codes: &mut [u32; BLOCK]) {
+    let per_word = (64 / BITS) as usize;
+    let mask = (1u64 << BITS) - 1;
+    for (lane, src) in codes.chunks_exact_mut(per_word).zip(bytes.chunks_exact(8)) {
+        let word =
+            u64::from_le_bytes([src[0], src[1], src[2], src[3], src[4], src[5], src[6], src[7]]);
+        for (i, code) in lane.iter_mut().enumerate() {
+            *code = ((word >> (i as u32 * BITS)) & mask) as u32;
+        }
+    }
 }
 
 fn code_mask(bits: u8) -> u32 {
@@ -182,14 +163,12 @@ fn code_mask(bits: u8) -> u32 {
     }
 }
 
+/// The original bit-at-a-time codecs, kept as the references the block
+/// kernels (here and in [`crate::quantize`]) must match byte for byte.
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// The original bit-by-bit packer, kept as the reference the
-    /// word-at-a-time implementation must match byte for byte.
-    fn pack_reference(codes: &[u32], bits: u8) -> Vec<u8> {
+pub(crate) mod reference {
+    /// Packs `codes` one bit-run at a time.
+    pub fn pack_reference(codes: &[u32], bits: u8) -> Vec<u8> {
         let total_bits = codes.len() * bits as usize;
         let mut out = vec![0u8; total_bits.div_ceil(8)];
         let mut bitpos = 0usize;
@@ -209,8 +188,8 @@ mod tests {
         out
     }
 
-    /// The original bit-by-bit unpacker (reference).
-    fn unpack_reference(bytes: &[u8], bits: u8, count: usize) -> Vec<u32> {
+    /// Unpacks `count` codes one bit-run at a time.
+    pub fn unpack_reference(bytes: &[u8], bits: u8, count: usize) -> Vec<u32> {
         let mut out = Vec::with_capacity(count);
         let mut bitpos = 0usize;
         for _ in 0..count {
@@ -229,6 +208,13 @@ mod tests {
         }
         out
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::reference::{pack_reference, unpack_reference};
+    use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pack_two_bit_example_from_paper() {
@@ -284,11 +270,12 @@ mod tests {
 
     #[test]
     fn matches_reference_on_ragged_lengths() {
-        // Every bucket width the Bit-Tuner can pick, at lengths that leave
-        // 0–7 trailing bits in the final byte.
-        for bits in [1u8, 2, 4, 8, 16] {
+        // Every width the quantizer accepts (plus the 32-bit ceiling), at
+        // every length from empty through two blocks: 0–63 trailing codes,
+        // a ragged final word and 0–7 trailing bits in the final byte.
+        for bits in (1u8..=16).chain([32]) {
             let mask = code_mask(bits);
-            for len in 0..=17usize {
+            for len in 0..=2 * BLOCK + 1 {
                 let codes: Vec<u32> =
                     (0..len).map(|i| (i as u32).wrapping_mul(2_654_435_761) & mask).collect();
                 let new = pack(&codes, bits);
@@ -311,12 +298,6 @@ mod tests {
         let _ = unpack(&[0u8], 8, 2);
     }
 
-    #[test]
-    #[should_panic(expected = "yielded")]
-    fn pack_iter_rejects_short_iterator() {
-        let _ = pack_iter([1u32, 2], 3, 4);
-    }
-
     proptest! {
         #[test]
         fn pack_unpack_round_trip(
@@ -330,16 +311,15 @@ mod tests {
             prop_assert_eq!(unpack(&packed, bits, codes.len()), codes);
         }
 
-        /// The word-at-a-time codecs must be byte-for-byte and
-        /// code-for-code interchangeable with the old bit-by-bit loops —
+        /// The block codecs must be byte-for-byte and code-for-code
+        /// interchangeable with the bit-by-bit reference loops —
         /// packed buffers are on the (simulated) wire, so a format drift
         /// would silently change every traffic ledger.
         #[test]
         fn word_at_a_time_matches_bit_by_bit_reference(
-            bits_idx in 0usize..5,
+            bits in 1u8..=16,
             raw in proptest::collection::vec(any::<u32>(), 0..200),
         ) {
-            let bits = [1u8, 2, 4, 8, 16][bits_idx];
             let mask = code_mask(bits);
             let codes: Vec<u32> = raw.iter().map(|&x| x & mask).collect();
             let new = pack(&codes, bits);

@@ -7,8 +7,19 @@
 //! uses it for both directions, see DESIGN.md);
 //! [`Quantized::compress_with_range`] supports an externally fixed domain
 //! such as the paper's `[0, 1]` feature cube.
+//!
+//! ## Non-finite input
+//!
+//! [`Quantized::compress`] and [`Quantized::decompress`] are total. The
+//! range is taken over the *finite* entries only, so one stray infinity
+//! cannot stretch the buckets of its finite neighbours: `+Inf` lands in the
+//! top bucket, `−Inf` and NaN in bucket 0, and each reconstructs as that
+//! bucket's midpoint. A message with no finite entry gets the range
+//! `[0, 0]` and reconstructs as all zeros. (Finite entries more than
+//! `f32::MAX` apart make the range itself overflow; such a message
+//! reconstructs as `+Inf`, without panicking.)
 
-use crate::bitpack;
+use crate::bitpack::{self, BLOCK};
 use ec_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -41,57 +52,80 @@ impl Quantized {
     /// Compresses `m` with `bits` bits per coordinate, computing the value
     /// range from the matrix itself (the backward-pass mode).
     ///
-    /// This is the per-message hot path (every FP/BP exchange runs it), so
-    /// it makes exactly two passes over the data — one fused min/max scan
-    /// and one fused quantize-and-pack pass that writes codes straight into
-    /// the packed buffer — with no intermediate code vector.
+    /// This is the per-message hot path (every FP/BP exchange runs it): one
+    /// lane-wise min/max scan, then one pass that quantizes a block of 64
+    /// floats into a stack array of codes and packs it with the kernel for
+    /// this width — each `f32` is read twice and each packed byte written
+    /// once, with no heap allocation besides the packed buffer.
+    ///
+    /// # Panics
+    /// Panics if `bits ∉ 1..=16`; never on the values (see the module
+    /// header for non-finite input).
     pub fn compress(m: &Matrix, bits: u8) -> Self {
-        let (min, max) = ec_tensor::stats::min_max(m);
-        Self::compress_with_range(m, bits, min, max)
+        Self::from_slice(m.as_slice(), m.rows(), m.cols(), bits)
+    }
+
+    /// [`Self::compress`] for one row held as a slice (a `1 × n` message),
+    /// so a caller shipping single rows need not build a [`Matrix`] first.
+    pub fn compress_row(row: &[f32], bits: u8) -> Self {
+        Self::from_slice(row, 1, row.len(), bits)
+    }
+
+    fn from_slice(xs: &[f32], rows: usize, cols: usize, bits: u8) -> Self {
+        let (min, max) = ec_tensor::stats::min_max(xs);
+        Self { rows, cols, bits, min, max, packed: quantize_pack(xs, bits, min, max) }
     }
 
     /// Compresses `m` against an externally fixed range, clamping values
     /// that fall outside (the forward-pass mode with domain `[0, 1]`).
     ///
     /// # Panics
-    /// Panics if `bits ∉ 1..=16` or `min > max`.
+    /// Panics if `bits ∉ 1..=16` or not `min <= max` (a NaN bound
+    /// included): the range is the caller's to get right.
     pub fn compress_with_range(m: &Matrix, bits: u8, min: f32, max: f32) -> Self {
-        assert!((1..=MAX_BITS).contains(&bits), "bits {bits} out of range 1..=16");
         assert!(min <= max, "invalid range [{min}, {max}]");
-        let buckets = 1u32 << bits;
-        let range = max - min;
-        let packed = if range <= 0.0 {
-            // Every code is 0 → every packed byte is 0.
-            vec![0u8; bitpack::packed_len(m.len(), bits)]
-        } else {
-            let scale = buckets as f32 / range;
-            let top = (buckets - 1) as i64;
-            bitpack::pack_iter(
-                m.as_slice().iter().map(|&x| {
-                    let t = ((x - min) * scale) as i64;
-                    t.clamp(0, top) as u32
-                }),
-                m.len(),
-                bits,
-            )
-        };
+        let packed = quantize_pack(m.as_slice(), bits, min, max);
         Self { rows: m.rows(), cols: m.cols(), bits, min, max, packed }
     }
 
     /// Reconstructs the matrix, each coordinate becoming the midpoint of its
-    /// bucket. Codes stream out of the packed buffer straight into the
-    /// output — no intermediate code vector.
+    /// bucket.
     pub fn decompress(&self) -> Matrix {
-        let count = self.rows * self.cols;
+        let mut out = Matrix::zeros(self.rows, self.cols);
+        self.decompress_into(out.as_mut_slice());
+        out
+    }
+
+    /// [`Self::decompress`] into a caller-provided buffer of
+    /// `rows × cols` floats, row-major: one pass that unpacks a block of
+    /// codes word by word and maps it to midpoints.
+    ///
+    /// # Panics
+    /// Panics if `out` is not exactly `rows × cols` long.
+    pub fn decompress_into(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.rows * self.cols, "output buffer length mismatch");
+        assert_eq!(
+            self.packed.len(),
+            bitpack::packed_len(out.len(), self.bits),
+            "packed buffer does not hold rows × cols codes"
+        );
         let range = self.max - self.min;
         if range <= 0.0 {
-            return Matrix::filled(self.rows, self.cols, self.min);
+            out.fill(self.min);
+            return;
         }
-        let width = range / (1u32 << self.bits) as f32;
-        let data: Vec<f32> = bitpack::unpack_iter(&self.packed, self.bits, count)
-            .map(|c| self.min + (c as f32 + 0.5) * width)
-            .collect();
-        Matrix::from_vec(self.rows, self.cols, data)
+        let (min, width) = (self.min, range / (1u32 << self.bits) as f32);
+        let mut codes = [0u32; BLOCK];
+        let blocks = self.packed.chunks(bitpack::block_bytes(self.bits));
+        for (dst, src) in out.chunks_mut(BLOCK).zip(blocks) {
+            let codes = &mut codes[..dst.len()];
+            bitpack::unpack_block(src, self.bits, codes);
+            for (x, &code) in dst.iter_mut().zip(codes.iter()) {
+                // Codes are below 2^16, so the signed conversion (one
+                // instruction, unlike the unsigned one) is exact.
+                *x = min + (code as i32 as f32 + 0.5) * width;
+            }
+        }
     }
 
     /// `(rows, cols)` of the original matrix.
@@ -176,9 +210,63 @@ impl Quantized {
     }
 }
 
+/// Quantizes `xs` against `[min, max]` and packs the codes: the one pass
+/// behind both compress entry points.
+///
+/// `(x − min)·scale` is clamped to `[0, top]` as a float (two selects that
+/// lower to `maxps`/`minps` and send NaN to 0) and then truncated by
+/// [`truncate_small`]. That equals truncating to `i64` first and clamping
+/// the integer (the original formulation, kept as the test reference):
+/// inside `[0, top]` both truncate the same value, below 0 both give 0
+/// (truncation of `(−1, 0)` is 0 too), and above `top` — exactly
+/// representable, at most 65 535 — both give `top`, because truncation is
+/// monotone.
+fn quantize_pack(xs: &[f32], bits: u8, min: f32, max: f32) -> Vec<u8> {
+    assert!((1..=MAX_BITS).contains(&bits), "bits {bits} out of range 1..=16");
+    // Zero-initialised, which is already the answer for a degenerate range
+    // (every code 0).
+    let mut packed = vec![0u8; bitpack::packed_len(xs.len(), bits)];
+    let range = max - min;
+    if range <= 0.0 {
+        return packed;
+    }
+    let buckets = 1u32 << bits;
+    let scale = buckets as f32 / range;
+    let top = (buckets - 1) as f32;
+    let mut codes = [0u32; BLOCK];
+    for (block, dst) in xs.chunks(BLOCK).zip(packed.chunks_mut(bitpack::block_bytes(bits))) {
+        let codes = &mut codes[..block.len()];
+        for (code, &x) in codes.iter_mut().zip(block) {
+            let t = (x - min) * scale;
+            let t = if t > 0.0 { t } else { 0.0 };
+            *code = truncate_small(if t < top { t } else { top });
+        }
+        bitpack::pack_block(codes, bits, dst);
+    }
+    packed
+}
+
+/// `t as u32` for `0 ≤ t < 2^22`, in operations that vectorise on every
+/// target: Rust's float→int `as` saturates, which baseline x86-64 can only
+/// do one lane at a time behind two branches, and that conversion was the
+/// quantizer's bottleneck.
+///
+/// Adding `2^23` leaves no fraction bits, so the sum is `2^23 + n` with
+/// `n` the nearest integer to `t` (ties to even) sitting verbatim in the
+/// mantissa field; subtracting `2^23` back is exact and tells whether the
+/// rounding went up, in which case the truncation is `n − 1`.
+#[inline]
+fn truncate_small(t: f32) -> u32 {
+    const TWO_23: f32 = 8_388_608.0;
+    let rounded = t + TWO_23;
+    let nearest = rounded.to_bits() & 0x007F_FFFF;
+    nearest - u32::from(rounded - TWO_23 > t)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitpack::reference::{pack_reference, unpack_reference};
     use proptest::prelude::*;
 
     #[test]
@@ -270,49 +358,177 @@ mod tests {
         let _ = Quantized::compress(&Matrix::zeros(1, 1), 0);
     }
 
-    /// The old `compress_with_range`: bucket into an intermediate
-    /// `Vec<u32>`, then pack. Kept as the semantic reference for the fused
-    /// implementation.
-    fn compress_reference(m: &Matrix, bits: u8, min: f32, max: f32) -> Vec<u8> {
+    /// The original `compress_with_range`: bucket every entry through an
+    /// `i64` truncation and an integer clamp into a code vector, then pack
+    /// it bit by bit. The semantic reference for the block kernels.
+    fn compress_reference(xs: &[f32], bits: u8, min: f32, max: f32) -> Vec<u8> {
         let buckets = 1u32 << bits;
         let range = max - min;
         let codes: Vec<u32> = if range <= 0.0 {
-            vec![0; m.len()]
+            vec![0; xs.len()]
         } else {
             let scale = buckets as f32 / range;
-            m.as_slice()
-                .iter()
+            xs.iter()
                 .map(|&x| {
                     let t = ((x - min) * scale) as i64;
                     t.clamp(0, (buckets - 1) as i64) as u32
                 })
                 .collect()
         };
-        bitpack::pack(&codes, bits)
+        pack_reference(&codes, bits)
+    }
+
+    /// The original `decompress`: unpack bit by bit, map each code to its
+    /// bucket midpoint through the unsigned conversion.
+    fn decompress_reference(q: &Quantized) -> Vec<f32> {
+        let count = q.rows * q.cols;
+        let range = q.max - q.min;
+        if range <= 0.0 {
+            return vec![q.min; count];
+        }
+        let width = range / (1u32 << q.bits) as f32;
+        unpack_reference(&q.packed, q.bits, count)
+            .into_iter()
+            .map(|c| q.min + (c as f32 + 0.5) * width)
+            .collect()
+    }
+
+    fn bit_patterns(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Asserts packed bytes and reconstruction of `compress(m, bits)`
+    /// against the two references; returns the message for further checks.
+    fn assert_matches_references(m: &Matrix, bits: u8) -> Quantized {
+        let q = Quantized::compress(m, bits);
+        let (min, max) = q.range();
+        assert_eq!(q.packed, compress_reference(m.as_slice(), bits, min, max), "bits={bits}");
+        let d = q.decompress();
+        assert_eq!(d.shape(), m.shape());
+        assert_eq!(
+            bit_patterns(d.as_slice()),
+            bit_patterns(&decompress_reference(&q)),
+            "bits={bits}"
+        );
+        assert_eq!(Quantized::from_bytes(&q.to_bytes()).unwrap(), q);
+        q
     }
 
     #[test]
-    fn fused_compress_matches_unfused_reference() {
-        let m = Matrix::from_fn(13, 9, |r, c| ((r * 9 + c) as f32 * 0.37).sin() * 3.0);
-        for bits in [1u8, 2, 4, 8, 16] {
-            let q = Quantized::compress(&m, bits);
-            let (min, max) = q.range();
-            let mut expected = Vec::new();
-            expected.extend_from_slice(&(m.rows() as u32).to_le_bytes());
-            expected.extend_from_slice(&(m.cols() as u32).to_le_bytes());
-            expected.push(bits);
-            expected.extend_from_slice(&min.to_le_bytes());
-            expected.extend_from_slice(&max.to_le_bytes());
-            expected.extend_from_slice(&compress_reference(&m, bits, min, max));
-            assert_eq!(q.to_bytes(), expected, "bits={bits}");
+    fn block_kernels_match_the_references_at_every_width_and_tail() {
+        // 0–63 trailing codes after 0, 1 and 2 full blocks, every width.
+        for bits in 1u8..=MAX_BITS {
+            for len in (0..=BLOCK).chain([2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 5]) {
+                let m = Matrix::from_fn(1, len, |_, c| ((c * 37 + 11) as f32 * 0.37).sin() * 3.0);
+                assert_matches_references(&m, bits);
+            }
         }
-        // Degenerate range: all codes must pack to zero bytes.
-        let flat = Matrix::filled(4, 5, 1.25);
-        let q = Quantized::compress(&flat, 3);
-        assert_eq!(q.to_bytes()[17..], compress_reference(&flat, 3, 1.25, 1.25)[..]);
+    }
+
+    #[test]
+    fn truncate_small_is_the_float_to_int_cast() {
+        // Every integer and both neighbours of every integer and half
+        // integer up to the 16-bit ceiling the quantizer clamps to.
+        for n in 0..=65_535u32 {
+            for base in [n as f32, n as f32 + 0.5] {
+                let ulp = f32::from_bits(base.to_bits() + 1) - base;
+                for t in [base - ulp, base, base + ulp] {
+                    if t >= 0.0 {
+                        assert_eq!(truncate_small(t), t as u32, "t={t}");
+                    }
+                }
+            }
+        }
+        assert_eq!(truncate_small(f32::MIN_POSITIVE), 0);
+        assert_eq!(truncate_small(0.99999994), 0);
+    }
+
+    #[test]
+    fn compress_row_is_compress_of_a_one_row_matrix() {
+        let row: Vec<f32> = (0..77).map(|i| (i as f32 * 0.61).cos()).collect();
+        let q = Quantized::compress_row(&row, 8);
+        assert_eq!(q, Quantized::compress(&Matrix::from_vec(1, 77, row.clone()), 8));
+        let mut out = vec![0.0f32; 77];
+        q.decompress_into(&mut out);
+        assert_eq!(out, q.decompress().into_vec());
+    }
+
+    /// ROADMAP totality item (b): degenerate shapes and values through the
+    /// codec, each with its documented result.
+    #[test]
+    fn degenerate_shapes_and_values_have_documented_results() {
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        for bits in [1u8, 2, 4, 8, 16] {
+            // Empty, in both orientations.
+            for m in [Matrix::zeros(0, 0), Matrix::zeros(0, 5), Matrix::zeros(3, 0)] {
+                let q = assert_matches_references(&m, bits);
+                assert_eq!(q.wire_size(), 17);
+                assert_eq!(q.range(), (0.0, 0.0));
+            }
+            // 1 × 1 and an all-equal column: min == max, reconstructed exactly.
+            for m in [Matrix::filled(1, 1, -2.5), Matrix::filled(9, 1, 0.75)] {
+                let q = assert_matches_references(&m, bits);
+                assert_eq!(q.decompress(), m);
+            }
+            // Columns that are not a multiple of the 64-code block or the
+            // 16-float min/max lane.
+            assert_matches_references(&Matrix::from_fn(5, 13, |r, c| (r * 13 + c) as f32), bits);
+            assert_matches_references(&Matrix::from_fn(3, 67, |r, c| (r + c) as f32 * -0.1), bits);
+
+            // No finite entry: range [0, 0], reconstructs as zeros.
+            for row in [vec![nan; 5], vec![inf, -inf, nan], vec![-inf; 70]] {
+                let m = Matrix::from_vec(1, row.len(), row);
+                let q = assert_matches_references(&m, bits);
+                assert_eq!(q.range(), (0.0, 0.0));
+                assert!(q.decompress().as_slice().iter().all(|&x| x == 0.0));
+            }
+            // Non-finite entries among finite ones: the range is the finite
+            // one, +Inf takes the top bucket, −Inf and NaN bucket 0, and the
+            // finite neighbours decode exactly as they would without them.
+            let mut row: Vec<f32> = (0..70).map(|i| i as f32 / 69.0).collect();
+            let clean = Quantized::compress_row(&row, bits);
+            (row[3], row[40], row[68]) = (inf, nan, -inf);
+            let q = assert_matches_references(&Matrix::from_vec(1, 70, row), bits);
+            assert_eq!(q.range(), (0.0, 1.0));
+            let (d, want) = (q.decompress(), clean.decompress());
+            let top = want.get(0, 69);
+            let bottom = want.get(0, 0);
+            for c in 0..70 {
+                let expect = match c {
+                    3 => top,
+                    40 | 68 => bottom,
+                    _ => want.get(0, c),
+                };
+                assert_eq!(d.get(0, c), expect, "bits={bits} col={c}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid range")]
+    fn caller_supplied_range_is_still_checked() {
+        let _ = Quantized::compress_with_range(&Matrix::zeros(1, 1), 2, f32::INFINITY, -1.0);
     }
 
     proptest! {
+        /// Packed bytes and reconstruction equal the references bit for
+        /// bit on arbitrary finite data, including values that repeat, hit
+        /// bucket edges and straddle the block boundary.
+        #[test]
+        fn block_kernels_match_the_references(
+            bits in 1u8..=16,
+            rows in 1usize..5,
+            vals in proptest::collection::vec(-50.0f32..50.0, 1..150),
+            coarse in any::<bool>(),
+        ) {
+            let cols = vals.len() / rows;
+            let data: Vec<f32> = vals[..rows * cols]
+                .iter()
+                .map(|&v| if coarse { (v / 6.25).round() * 6.25 } else { v })
+                .collect();
+            assert_matches_references(&Matrix::from_vec(rows, cols, data), bits);
+        }
+
         #[test]
         fn quantization_error_bound_holds(
             bits in 1u8..=8,

@@ -34,7 +34,8 @@ impl ResidualState {
     }
 }
 
-/// Uncompressed gradient response.
+/// Uncompressed gradient response. (The engine owns the rows it has just
+/// gathered and ships those without this copy.)
 pub fn respond_exact(g_rows: &Matrix) -> (Matrix, u64) {
     (g_rows.clone(), codec::matrix_wire_size(g_rows) as u64)
 }
@@ -60,17 +61,28 @@ pub fn respond_compressed(g_rows: &Matrix, bits: u8) -> (Matrix, u64) {
 /// ```
 ///
 /// Returns the matrix the requester decompresses and the wire bytes.
+///
+/// `G_cpt` is formed in the residual buffer the link already owns and is
+/// turned into `δ^{l,t}` in place once `M` has been decoded, so a
+/// steady-state exchange allocates only the message and the matrix it
+/// returns. Per element this is the same sum (addition commutes) and the
+/// same `G_cpt − M` as building both as fresh matrices, which the test
+/// reference does.
 pub fn resec_step(state: &mut ResidualState, g_rows: &Matrix, bits: u8) -> (Matrix, u64) {
     if g_rows.rows() == 0 {
         return (g_rows.clone(), 0);
     }
-    let compensated = match &state.residual {
-        Some(delta) => ops::add(g_rows, delta),
+    let mut carried = match state.residual.take() {
+        Some(mut delta) => {
+            ops::add_assign(&mut delta, g_rows);
+            delta
+        }
         None => g_rows.clone(),
     };
-    let q = Quantized::compress(&compensated, bits);
+    let q = Quantized::compress(&carried, bits);
     let decompressed = q.decompress();
-    state.residual = Some(ops::sub(&compensated, &decompressed));
+    ops::sub_assign(&mut carried, &decompressed);
+    state.residual = Some(carried);
     (decompressed, q.wire_size() as u64)
 }
 
@@ -96,6 +108,7 @@ pub fn topk_ec_step(state: &mut ResidualState, g_rows: &Matrix, ratio: f32) -> (
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fp::tests::bit_patterns;
     use ec_tensor::stats;
 
     #[test]
@@ -216,5 +229,73 @@ mod tests {
         let (_, w2) = resec_step(&mut st2, &g, 2);
         let (_, w8) = resec_step(&mut st8, &g, 8);
         assert!(w8 > 3 * w2);
+    }
+
+    /// The multi-pass formulation of [`resec_step`] the in-place one
+    /// replaced, verbatim: `G_cpt` and the new `δ` as fresh matrices.
+    fn resec_step_reference(state: &mut ResidualState, g_rows: &Matrix, bits: u8) -> (Matrix, u64) {
+        if g_rows.rows() == 0 {
+            return (g_rows.clone(), 0);
+        }
+        let compensated = match &state.residual {
+            Some(delta) => ops::add(g_rows, delta),
+            None => g_rows.clone(),
+        };
+        let q = Quantized::compress(&compensated, bits);
+        let decompressed = q.decompress();
+        state.residual = Some(ops::sub(&compensated, &decompressed));
+        (decompressed, q.wire_size() as u64)
+    }
+
+    fn assert_in_place_equals_reference(grads: &[Matrix], bits: u8) {
+        let (mut fused, mut reference) = (ResidualState::default(), ResidualState::default());
+        for (t, g) in grads.iter().enumerate() {
+            let (got, got_wire) = resec_step(&mut fused, g, bits);
+            let (want, want_wire) = resec_step_reference(&mut reference, g, bits);
+            assert_eq!(got.shape(), want.shape());
+            assert_eq!(bit_patterns(&got), bit_patterns(&want), "t={t}");
+            assert_eq!(got_wire, want_wire, "t={t}");
+            assert_eq!(
+                fused.residual().map(bit_patterns),
+                reference.residual().map(bit_patterns),
+                "t={t}"
+            );
+        }
+    }
+
+    #[test]
+    fn in_place_resec_equals_the_multi_pass_reference() {
+        let grads = |rows, cols, steps: u64, seed: u64| -> Vec<Matrix> {
+            (0..steps).map(|t| ec_tensor::init::normal(rows, cols, 0.01, seed * 100 + t)).collect()
+        };
+        for bits in [1u8, 2, 4, 8, 16] {
+            assert_in_place_equals_reference(&grads(17, 13, 12, bits as u64), bits);
+        }
+        assert_in_place_equals_reference(&grads(1, 1, 5, 7), 1);
+        assert_in_place_equals_reference(&grads(0, 4, 3, 8), 4);
+        assert_in_place_equals_reference(&vec![Matrix::zeros(3, 5); 4], 2);
+        // A diverged step: the residual absorbs the non-finite entries and
+        // both formulations carry them forward identically.
+        let mut hostile = grads(4, 6, 6, 9);
+        hostile[2].row_mut(1).fill(f32::NAN);
+        hostile[3].set(0, 0, f32::INFINITY);
+        assert_in_place_equals_reference(&hostile, 4);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn in_place_resec_equals_the_reference_on_drawn_sequences(
+            rows in 1usize..12,
+            cols in 1usize..70,
+            bits in 1u8..=16,
+            steps in 1u64..14,
+            seed in proptest::prelude::any::<u64>(),
+            sigma in 0.0001f32..2.0,
+        ) {
+            let grads: Vec<Matrix> = (0..steps)
+                .map(|t| ec_tensor::init::normal(rows, cols, sigma, seed.wrapping_add(t)))
+                .collect();
+            assert_in_place_equals_reference(&grads, bits);
+        }
     }
 }

@@ -45,7 +45,7 @@ use crate::exec::{self, EpochTotals, Stage, SuperstepDriver};
 use crate::fp::{self, TrendState};
 use ec_comm::ps::CheckpointError;
 use ec_comm::stats::Channel;
-use ec_comm::{HostTimer, ParameterServerGroup, SendError, SimNetwork, TrafficStats};
+use ec_comm::{codec, HostTimer, ParameterServerGroup, SendError, SimNetwork, TrafficStats};
 use ec_graph_data::AttributedGraph;
 use ec_partition::Partition;
 use ec_tensor::{activations, ops, parallel, CsrMatrix, Matrix};
@@ -770,14 +770,19 @@ impl DistributedEngine {
             let pack_timer = measure.then(HostTimer::start);
             let h_rows = self.h_local[j][l - 1].gather_rows(&topo.gather_rows[j]);
 
-            let (reconstructed, wire, degrade_pdt) = match self.config.fp_mode {
+            // Each arm yields what the requester reconstructs, the bytes on
+            // the wire and the L1 distance of the reconstruction from the
+            // exact rows.
+            let (reconstructed, wire, recon_l1, degrade) = match self.config.fp_mode {
+                // The gathered rows are the message: nothing to copy.
                 FpMode::Exact => {
-                    let (m, w) = fp::respond_exact(&h_rows);
-                    (m, w, None)
+                    let wire = codec::matrix_wire_size(&h_rows) as u64;
+                    (h_rows, wire, 0.0, None)
                 }
                 FpMode::Compressed { bits } => {
                     let (m, w) = fp::respond_compressed(&h_rows, bits);
-                    (m, w, None)
+                    let err = fp::rowwise_l1_total(&m, &h_rows);
+                    (m, w, err, None)
                 }
                 FpMode::ReqEc { t_tr, .. } => {
                     let bits = self.comp.fp_bits[i][j];
@@ -790,6 +795,10 @@ impl DistributedEngine {
                     // boundaries mutate the shared trend state, so losing
                     // one would desynchronize requester and responder.
                     let pdt = if ec_degrade && !out.exact_sent { state.predict(t) } else { None };
+                    let fallback = pdt.map(|pdt| {
+                        let err = fp::rowwise_l1_total(&pdt, &h_rows);
+                        (pdt, err)
+                    });
                     let sel = self.counters.fp_selected.entry(l).or_default();
                     for (acc, &c) in sel.iter_mut().zip(out.selected.iter()) {
                         *acc += c as u64;
@@ -799,12 +808,13 @@ impl DistributedEngine {
                     if l == self.config.num_layers() && !out.exact_sent {
                         self.comp.fp_prop.insert((i, j), out.proportion);
                     }
-                    (out.reconstructed, out.wire, pdt)
+                    (out.reconstructed, out.wire, out.recon_l1, fallback)
                 }
                 FpMode::Delayed { r } => {
                     let cache = self.comp.fp_cache.entry((i, l, j)).or_default();
                     let (m, w) = fp::delayed_step(cache, &h_rows, r, t);
-                    (m, w, None)
+                    let err = fp::rowwise_l1_total(&m, &h_rows);
+                    (m, w, err, None)
                 }
             };
             if let Some(tm) = &pack_timer {
@@ -812,11 +822,11 @@ impl DistributedEngine {
             }
             self.network.send(i, j, Channel::Control, REQUEST_BYTES);
             self.steps.telemetry.observe(MetricId::FpWireBytes, labels(&[t as u32]), wire as f64);
-            let reconstructed = match degrade_pdt {
+            let (reconstructed, recon_l1) = match degrade {
                 // EC-degrade: give the transfer a bounded number of
                 // attempts, then fall back to the zero-payload prediction
                 // `Ĥ_pdt = H_base + M_cr·k` instead of waiting further.
-                Some(pdt) => {
+                Some(fallback) => {
                     let attempts = self.config.resilience.max_attempts;
                     let mut delivered = false;
                     let mut last_err = None;
@@ -830,24 +840,22 @@ impl DistributedEngine {
                         }
                     }
                     if delivered {
-                        reconstructed
+                        (reconstructed, recon_l1)
                     } else {
                         self.counters.fp_degraded += 1;
                         match last_err {
                             Some(SendError::Corrupted) => self.counters.fp_degraded_corrupt += 1,
                             _ => self.counters.fp_degraded_drop += 1,
                         }
-                        pdt
+                        fallback
                     }
                 }
                 None => {
                     self.network.send(j, i, Channel::Forward, wire);
-                    reconstructed
+                    (reconstructed, recon_l1)
                 }
             };
-            self.counters.fp_recon_err +=
-                ec_tensor::stats::rowwise_l1_distance(&reconstructed, &h_rows).iter().sum::<f32>()
-                    as f64;
+            self.counters.fp_recon_err += recon_l1 as f64;
             let unpack_timer = measure.then(HostTimer::start);
             for (k, &row) in topo.scatter_rows[j].iter().enumerate() {
                 remote.set_row(row, reconstructed.row(k));
@@ -880,7 +888,11 @@ impl DistributedEngine {
             let pack_timer = measure.then(HostTimer::start);
             let g_rows = g_cur[j].gather_rows(&topo.gather_rows[j]);
             let (reconstructed, wire) = match self.config.bp_mode {
-                BpMode::Exact => bp::respond_exact(&g_rows),
+                // The gathered rows are the message: nothing to copy.
+                BpMode::Exact => {
+                    let wire = codec::matrix_wire_size(&g_rows) as u64;
+                    (g_rows, wire)
+                }
                 BpMode::Compressed { bits } => bp::respond_compressed(&g_rows, bits),
                 BpMode::ResEc { bits } => {
                     let state = self.comp.bp_residual.entry((i, l, j)).or_default();

@@ -95,9 +95,15 @@ pub struct ReqEcOutcome {
     /// / [`SELECT_AVG`] (telemetry; all zero for boundary messages, which
     /// make no selection).
     pub selected: [u32; 3],
+    /// L1 distance between [`Self::reconstructed`] and the exact rows,
+    /// summed per row and then over rows in row order — the quantity the
+    /// engine's `fp.recon_err_l1` gauge accumulates, carried out of the
+    /// Selector pass that computes it anyway (0 for boundary messages).
+    pub recon_l1: f32,
 }
 
-/// Uncompressed response (`Non-cp`): ships raw `f32` rows.
+/// Uncompressed response (`Non-cp`): ships raw `f32` rows. (The engine owns
+/// the rows it has just gathered and ships those without this copy.)
 pub fn respond_exact(h_rows: &Matrix) -> (Matrix, u64) {
     (h_rows.clone(), codec::matrix_wire_size(h_rows) as u64)
 }
@@ -156,6 +162,7 @@ pub fn reqec_step_with(
             wire: 0,
             exact_sent: false,
             selected: [0; 3],
+            recon_l1: 0.0,
         };
     }
     // Non-boundary steps read the live trend group; when the group has not
@@ -163,19 +170,28 @@ pub fn reqec_step_with(
     // boundary path below, which creates it.
     if !(t + 1).is_multiple_of(t_tr) {
         if let (Some(base), Some(m_cr)) = (&state.base, &state.m_cr) {
-            return reqec_nonboundary(base, m_cr, state.base_t, h_rows, bits, t, granularity);
+            let k = (t - state.base_t) as f32;
+            return match granularity {
+                Granularity::Vertex => reqec_vertex(base, m_cr, k, h_rows, bits),
+                _ => reqec_whole_matrix(base, m_cr, k, h_rows, bits, granularity),
+            };
         }
     }
 
     // Trend boundary (or bootstrap): ship the exact embeddings plus the
     // changing-rate matrix and reset the group.
-    let m_cr = match &state.base {
-        // Per-step changing rate over the actual elapsed interval
-        // (equal to T_tr between regular boundaries; shorter only for
-        // the bootstrap group).
-        Some(base) => {
-            let elapsed = (t - state.base_t).max(1) as f32;
-            ops::scale(&ops::sub(h_rows, base), 1.0 / elapsed)
+    let m_cr = match state.base.take() {
+        // Per-step changing rate over the actual elapsed interval (equal
+        // to T_tr between regular boundaries; shorter only for the
+        // bootstrap group): `M_cr = (H_now − H_base) / elapsed`, formed in
+        // one pass in the buffer the outgoing `H_base` leaves behind.
+        Some(mut base) => {
+            assert_eq!(base.shape(), h_rows.shape(), "trend group shape changed");
+            let inv = 1.0 / (t - state.base_t).max(1) as f32;
+            for (b, &h) in base.as_mut_slice().iter_mut().zip(h_rows.as_slice()) {
+                *b = (h - *b) * inv;
+            }
+            base
         }
         None => Matrix::zeros(rows, cols),
     };
@@ -189,119 +205,143 @@ pub fn reqec_step_with(
         wire,
         exact_sent: true,
         selected: [0; 3],
+        recon_l1: 0.0,
     }
 }
 
-/// The non-boundary arm of [`reqec_step_with`]: candidate construction and
-/// Selector choice against an established trend group.
-fn reqec_nonboundary(
+/// The vertex-wise non-boundary exchange — the paper's choice and the
+/// per-message hot path — as one sweep over the rows.
+///
+/// `Ĥ_cps` is decoded straight into the output matrix. Each row then forms
+/// `Ĥ_pdt = H_base + M_cr·k` and `Ĥ_avg = (Ĥ_pdt + Ĥ_cps)/2` element by
+/// element while accumulating the three L1 distances of Eq. 10, and the
+/// row is overwritten only if the Selector prefers another candidate. No
+/// candidate matrix is materialised. The arithmetic per element and the
+/// left-to-right order of every distance sum are those of the multi-pass
+/// formulation (kept as the test reference), so the reconstructed rows,
+/// the decisions and the distances are bit-identical to it.
+fn reqec_vertex(base: &Matrix, m_cr: &Matrix, k: f32, h_rows: &Matrix, bits: u8) -> ReqEcOutcome {
+    let (rows, cols) = h_rows.shape();
+    assert_eq!(base.shape(), h_rows.shape(), "trend group shape changed");
+    assert_eq!(m_cr.shape(), h_rows.shape(), "trend group shape changed");
+    let mut reconstructed = Quantized::compress(h_rows, bits).decompress();
+    let mut selected = [0u32; 3];
+    let mut recon_l1 = 0.0f32;
+    for v in 0..rows {
+        let (h, b, m) = (h_rows.row(v), base.row(v), m_cr.row(v));
+        let out = reconstructed.row_mut(v);
+        let (mut d_cps, mut d_pdt, mut d_avg) = (0.0f32, 0.0f32, 0.0f32);
+        for i in 0..cols {
+            let pdt = b[i] + m[i] * k;
+            let avg = (pdt + out[i]) * 0.5;
+            d_cps += (out[i] - h[i]).abs();
+            d_pdt += (pdt - h[i]).abs();
+            d_avg += (avg - h[i]).abs();
+        }
+        // Selector: argmin over the candidates (Eq. 10), first wins ties.
+        let distances = [d_cps, d_pdt, d_avg];
+        let sid = stats::argmin(&distances);
+        selected[sid] += 1;
+        recon_l1 += distances[sid];
+        match sid as u8 {
+            SELECT_CPS => {}
+            SELECT_PDT => {
+                for i in 0..cols {
+                    out[i] = b[i] + m[i] * k;
+                }
+            }
+            _ => {
+                for i in 0..cols {
+                    out[i] = (b[i] + m[i] * k + out[i]) * 0.5;
+                }
+            }
+        }
+    }
+    let predicted = selected[SELECT_PDT as usize] as usize;
+    // Wire cost: 2-bit selector per vertex, compressed codes only for the
+    // non-predicted vertices, one f32 proportion, quantization header.
+    let non_pdt = rows - predicted;
+    let selector_bytes = 4 + (rows * 2).div_ceil(8);
+    let payload_bytes =
+        if non_pdt > 0 { 17 + ec_compress::bitpack::packed_len(non_pdt * cols, bits) } else { 0 };
+    let wire = (selector_bytes + payload_bytes + 4) as u64;
+    let proportion = predicted as f32 / rows as f32;
+    ReqEcOutcome { reconstructed, proportion, wire, exact_sent: false, selected, recon_l1 }
+}
+
+/// The element-wise and matrix-wise non-boundary exchanges (the
+/// `selector_granularity` comparison; not on the default path): all three
+/// candidates are built as whole matrices (Eqs. 7–9) and the Selector
+/// chooses per coordinate or once per message.
+fn reqec_whole_matrix(
     base: &Matrix,
     m_cr: &Matrix,
-    base_t: usize,
+    k: f32,
     h_rows: &Matrix,
     bits: u8,
-    t: usize,
     granularity: Granularity,
 ) -> ReqEcOutcome {
     let rows = h_rows.rows();
     let cols = h_rows.cols();
-    let k = (t - base_t) as f32;
-
-    // The three candidates (Eqs. 7–9).
     let mut pdt = base.clone();
     ops::axpy(&mut pdt, m_cr, k);
     let q = Quantized::compress(h_rows, bits);
     let cps = q.decompress();
     let avg = ops::scale(&ops::add(&pdt, &cps), 0.5);
 
-    match granularity {
-        Granularity::Vertex => {
-            // Selector: per-vertex L1 distances, pick the argmin (Eq. 10).
-            let d_cps = stats::rowwise_l1_distance(&cps, h_rows);
-            let d_pdt = stats::rowwise_l1_distance(&pdt, h_rows);
-            let d_avg = stats::rowwise_l1_distance(&avg, h_rows);
-            let mut reconstructed = Matrix::zeros(rows, cols);
-            let mut selected = [0u32; 3];
-            for v in 0..rows {
-                let sid = stats::argmin(&[d_cps[v], d_pdt[v], d_avg[v]]) as u8;
-                selected[sid as usize] += 1;
-                let row = match sid {
-                    SELECT_CPS => cps.row(v),
-                    SELECT_PDT => pdt.row(v),
-                    _ => avg.row(v),
-                };
-                reconstructed.set_row(v, row);
-            }
-            let predicted = selected[SELECT_PDT as usize] as usize;
-            // Wire cost: 2-bit selector per vertex, compressed codes only
-            // for the non-predicted vertices, one f32 proportion,
-            // quantization header.
-            let non_pdt = rows - predicted;
-            let selector_bytes = 4 + (rows * 2).div_ceil(8);
-            let payload_bytes = if non_pdt > 0 {
-                17 + ec_compress::bitpack::packed_len(non_pdt * cols, bits)
+    let mut selected = [0u32; 3];
+    let (reconstructed, proportion, wire) = if granularity == Granularity::Element {
+        // Per-coordinate selection: most accurate reconstruction, but
+        // the selector array costs 2 bits per element and the payload
+        // still packs codes for every non-predicted element.
+        let (h, c, p, a) = (h_rows.as_slice(), cps.as_slice(), pdt.as_slice(), avg.as_slice());
+        let mut data = Vec::with_capacity(h.len());
+        for i in 0..h.len() {
+            let dc = (c[i] - h[i]).abs();
+            let dp = (p[i] - h[i]).abs();
+            let da = (a[i] - h[i]).abs();
+            data.push(if dp <= dc && dp <= da {
+                selected[SELECT_PDT as usize] += 1;
+                p[i]
+            } else if dc <= da {
+                selected[SELECT_CPS as usize] += 1;
+                c[i]
             } else {
-                0
-            };
-            let wire = (selector_bytes + payload_bytes + 4) as u64;
-            let proportion = predicted as f32 / rows as f32;
-            ReqEcOutcome { reconstructed, proportion, wire, exact_sent: false, selected }
+                selected[SELECT_AVG as usize] += 1;
+                a[i]
+            });
         }
-        Granularity::Element => {
-            // Per-coordinate selection: most accurate reconstruction, but
-            // the selector array costs 2 bits per element and the payload
-            // still packs codes for every non-predicted element.
-            let (h, c, p, a) = (h_rows.as_slice(), cps.as_slice(), pdt.as_slice(), avg.as_slice());
-            let mut data = Vec::with_capacity(h.len());
-            let mut selected = [0u32; 3];
-            for i in 0..h.len() {
-                let dc = (c[i] - h[i]).abs();
-                let dp = (p[i] - h[i]).abs();
-                let da = (a[i] - h[i]).abs();
-                data.push(if dp <= dc && dp <= da {
-                    selected[SELECT_PDT as usize] += 1;
-                    p[i]
-                } else if dc <= da {
-                    selected[SELECT_CPS as usize] += 1;
-                    c[i]
-                } else {
-                    selected[SELECT_AVG as usize] += 1;
-                    a[i]
-                });
-            }
-            let predicted = selected[SELECT_PDT as usize] as usize;
-            let non_pdt = h.len() - predicted;
-            let selector_bytes = 4 + (h.len() * 2).div_ceil(8);
-            let payload_bytes =
-                if non_pdt > 0 { 17 + ec_compress::bitpack::packed_len(non_pdt, bits) } else { 0 };
-            let wire = (selector_bytes + payload_bytes + 4) as u64;
-            let proportion = predicted as f32 / h.len() as f32;
-            ReqEcOutcome {
-                reconstructed: Matrix::from_vec(rows, cols, data),
-                proportion,
-                wire,
-                exact_sent: false,
-                selected,
-            }
+        let predicted = selected[SELECT_PDT as usize] as usize;
+        let non_pdt = h.len() - predicted;
+        let selector_bytes = 4 + (h.len() * 2).div_ceil(8);
+        let payload_bytes =
+            if non_pdt > 0 { 17 + ec_compress::bitpack::packed_len(non_pdt, bits) } else { 0 };
+        let wire = (selector_bytes + payload_bytes + 4) as u64;
+        (Matrix::from_vec(rows, cols, data), predicted as f32 / h.len() as f32, wire)
+    } else {
+        // One selection for the whole message.
+        let d_cps = stats::l1_norm(&ops::sub(&cps, h_rows));
+        let d_pdt = stats::l1_norm(&ops::sub(&pdt, h_rows));
+        let d_avg = stats::l1_norm(&ops::sub(&avg, h_rows));
+        let sid = stats::argmin(&[d_cps, d_pdt, d_avg]) as u8;
+        selected[sid as usize] = 1;
+        let payload_bytes = if sid == SELECT_PDT { 0 } else { q.wire_size() };
+        let wire = (1 + payload_bytes + 4) as u64;
+        match sid {
+            SELECT_CPS => (cps, 0.0f32, wire),
+            SELECT_PDT => (pdt, 1.0, wire),
+            _ => (avg, 0.0, wire),
         }
-        Granularity::Matrix => {
-            // One selection for the whole message.
-            let d_cps = stats::l1_norm(&ops::sub(&cps, h_rows));
-            let d_pdt = stats::l1_norm(&ops::sub(&pdt, h_rows));
-            let d_avg = stats::l1_norm(&ops::sub(&avg, h_rows));
-            let sid = stats::argmin(&[d_cps, d_pdt, d_avg]) as u8;
-            let (reconstructed, proportion) = match sid {
-                SELECT_CPS => (cps, 0.0f32),
-                SELECT_PDT => (pdt, 1.0),
-                _ => (avg, 0.0),
-            };
-            let payload_bytes = if sid == SELECT_PDT { 0 } else { q.wire_size() };
-            let wire = (1 + payload_bytes + 4) as u64;
-            let mut selected = [0u32; 3];
-            selected[sid as usize] = 1;
-            ReqEcOutcome { reconstructed, proportion, wire, exact_sent: false, selected }
-        }
-    }
+    };
+    let recon_l1 = rowwise_l1_total(&reconstructed, h_rows);
+    ReqEcOutcome { reconstructed, proportion, wire, exact_sent: false, selected, recon_l1 }
+}
+
+/// `Σ_v Σ_i |a[v,i] − b[v,i]|`, summed per row and then over rows — the
+/// reconstruction-error figure of a message whose preparation did not
+/// already produce it.
+pub fn rowwise_l1_total(a: &Matrix, b: &Matrix) -> f32 {
+    stats::rowwise_l1_distance(a, b).iter().sum()
 }
 
 /// DistGNN-style delayed partial aggregation: each epoch only the rows with
@@ -351,7 +391,7 @@ pub fn tune_bits(bits: u8, proportion: f32) -> u8 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn rows(vals: &[[f32; 2]]) -> Matrix {
@@ -601,5 +641,187 @@ mod tests {
         assert_eq!(out.wire, 0);
         let (_, wire) = respond_compressed(&h, 2);
         assert_eq!(wire, 0);
+    }
+
+    /// The multi-pass formulation of [`reqec_step`] the fused passes
+    /// replaced, verbatim: every candidate a fresh matrix (clone + `axpy`,
+    /// `compress`/`decompress`, `add` + `scale`), three `rowwise_l1_distance`
+    /// sweeps, a `set_row` copy per vertex, `scale(&sub(..))` at boundaries
+    /// and a separate distance sweep for the reconstruction error.
+    fn reqec_step_reference(
+        state: &mut TrendState,
+        h_rows: &Matrix,
+        bits: u8,
+        t_tr: usize,
+        t: usize,
+    ) -> ReqEcOutcome {
+        let (rows, cols) = h_rows.shape();
+        if !(t + 1).is_multiple_of(t_tr) {
+            if let (Some(base), Some(m_cr)) = (&state.base, &state.m_cr) {
+                let k = (t - state.base_t) as f32;
+                let mut pdt = base.clone();
+                ops::axpy(&mut pdt, m_cr, k);
+                let cps = Quantized::compress(h_rows, bits).decompress();
+                let avg = ops::scale(&ops::add(&pdt, &cps), 0.5);
+                let d_cps = stats::rowwise_l1_distance(&cps, h_rows);
+                let d_pdt = stats::rowwise_l1_distance(&pdt, h_rows);
+                let d_avg = stats::rowwise_l1_distance(&avg, h_rows);
+                let mut reconstructed = Matrix::zeros(rows, cols);
+                let mut selected = [0u32; 3];
+                for v in 0..rows {
+                    let sid = stats::argmin(&[d_cps[v], d_pdt[v], d_avg[v]]) as u8;
+                    selected[sid as usize] += 1;
+                    let row = match sid {
+                        SELECT_CPS => cps.row(v),
+                        SELECT_PDT => pdt.row(v),
+                        _ => avg.row(v),
+                    };
+                    reconstructed.set_row(v, row);
+                }
+                let predicted = selected[SELECT_PDT as usize] as usize;
+                let non_pdt = rows - predicted;
+                let selector_bytes = 4 + (rows * 2).div_ceil(8);
+                let payload_bytes = if non_pdt > 0 {
+                    17 + ec_compress::bitpack::packed_len(non_pdt * cols, bits)
+                } else {
+                    0
+                };
+                let recon_l1 = stats::rowwise_l1_distance(&reconstructed, h_rows).iter().sum();
+                return ReqEcOutcome {
+                    reconstructed,
+                    proportion: predicted as f32 / rows as f32,
+                    wire: (selector_bytes + payload_bytes + 4) as u64,
+                    exact_sent: false,
+                    selected,
+                    recon_l1,
+                };
+            }
+        }
+        let m_cr = match &state.base {
+            Some(base) => {
+                let elapsed = (t - state.base_t).max(1) as f32;
+                ops::scale(&ops::sub(h_rows, base), 1.0 / elapsed)
+            }
+            None => Matrix::zeros(rows, cols),
+        };
+        let wire = (codec::matrix_wire_size(h_rows) + codec::matrix_wire_size(&m_cr)) as u64;
+        state.base = Some(h_rows.clone());
+        state.m_cr = Some(m_cr);
+        state.base_t = t;
+        ReqEcOutcome {
+            reconstructed: h_rows.clone(),
+            proportion: 0.0,
+            wire,
+            exact_sent: true,
+            selected: [0; 3],
+            recon_l1: 0.0,
+        }
+    }
+
+    /// Bit pattern with every NaN folded to one value: which payload a
+    /// NaN-with-NaN addition keeps is the compiler's choice of operand
+    /// order, not part of the contract.
+    pub(crate) fn canonical_bits(x: f32) -> u32 {
+        if x.is_nan() {
+            f32::NAN.to_bits()
+        } else {
+            x.to_bits()
+        }
+    }
+
+    pub(crate) fn bit_patterns(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|&x| canonical_bits(x)).collect()
+    }
+
+    /// Runs the fused step and the reference side by side over `steps` and
+    /// asserts every output and both trend states equal bit for bit;
+    /// returns the Selector totals so callers can check coverage.
+    fn assert_fused_equals_reference(steps: &[Matrix], bits: u8, t_tr: usize) -> [u32; 3] {
+        let (mut fused, mut reference) = (TrendState::default(), TrendState::default());
+        let mut totals = [0u32; 3];
+        for (t, h) in steps.iter().enumerate() {
+            let got = reqec_step(&mut fused, h, bits, t_tr, t);
+            let want = reqec_step_reference(&mut reference, h, bits, t_tr, t);
+            assert_eq!(
+                bit_patterns(&got.reconstructed),
+                bit_patterns(&want.reconstructed),
+                "t={t}"
+            );
+            assert_eq!(got.selected, want.selected, "t={t}");
+            assert_eq!(got.proportion.to_bits(), want.proportion.to_bits(), "t={t}");
+            assert_eq!(got.wire, want.wire, "t={t}");
+            assert_eq!(got.exact_sent, want.exact_sent, "t={t}");
+            assert_eq!(canonical_bits(got.recon_l1), canonical_bits(want.recon_l1), "t={t}");
+            for (a, b) in [(&fused.base, &reference.base), (&fused.m_cr, &reference.m_cr)] {
+                assert_eq!(a.as_ref().map(bit_patterns), b.as_ref().map(bit_patterns), "t={t}");
+            }
+            assert_eq!(fused.base_t, reference.base_t);
+            for (acc, c) in totals.iter_mut().zip(got.selected) {
+                *acc += c;
+            }
+        }
+        totals
+    }
+
+    /// Embeddings that drift linearly per row at a row-specific rate, plus
+    /// row-specific noise: quiet rows are predicted, noisy rows compress,
+    /// the ones in between average.
+    fn drifting_rows(rows: usize, cols: usize, steps: usize, seed: u64, noise: f32) -> Vec<Matrix> {
+        let start = ec_tensor::init::uniform(rows, cols, 0.0, 1.0, seed);
+        let rate = ec_tensor::init::uniform(rows, cols, -0.05, 0.05, seed ^ 0xA5A5);
+        (0..steps)
+            .map(|t| {
+                let jitter =
+                    ec_tensor::init::uniform(rows, cols, -1.0, 1.0, seed + 7 * t as u64 + 1);
+                Matrix::from_fn(rows, cols, |r, c| {
+                    let amp = noise * (r % 4) as f32 / 3.0;
+                    (start.get(r, c) + rate.get(r, c) * t as f32 + amp * jitter.get(r, c)).max(0.0)
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fused_vertex_pass_equals_the_multi_pass_reference() {
+        // Three trend groups at every Bit-Tuner width; all three candidates
+        // must actually be chosen somewhere or the comparison is hollow.
+        let mut totals = [0u32; 3];
+        for bits in [1u8, 2, 4, 8, 16] {
+            let steps = drifting_rows(24, 19, 13, bits as u64, 0.08);
+            for (acc, c) in totals.iter_mut().zip(assert_fused_equals_reference(&steps, bits, 4)) {
+                *acc += c;
+            }
+        }
+        assert!(totals.iter().all(|&c| c > 0), "Selector coverage {totals:?}");
+
+        // Degenerate inputs: one vertex, one column, T_tr = 1 (all
+        // boundaries), an all-equal message, and rows with no finite entry
+        // or a stray infinity (distances go NaN / Inf; CPS wins NaN ties).
+        assert_fused_equals_reference(&drifting_rows(1, 1, 6, 3, 0.1), 1, 3);
+        assert_fused_equals_reference(&drifting_rows(5, 1, 6, 4, 0.1), 16, 2);
+        assert_fused_equals_reference(&drifting_rows(3, 7, 4, 5, 0.1), 4, 1);
+        assert_fused_equals_reference(&vec![Matrix::filled(4, 5, 0.25); 5], 2, 3);
+        let mut hostile = drifting_rows(6, 9, 7, 6, 0.05);
+        for h in hostile.iter_mut().skip(2) {
+            h.row_mut(1).fill(f32::NAN);
+            h.set(3, 4, f32::INFINITY);
+            h.set(4, 0, f32::NEG_INFINITY);
+        }
+        assert_fused_equals_reference(&hostile, 4, 5);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn fused_vertex_pass_equals_the_reference_on_drawn_sequences(
+            rows in 1usize..14,
+            cols in 1usize..70,
+            bits in 1u8..=16,
+            t_tr in 1usize..7,
+            steps in 2usize..16,
+            seed in proptest::prelude::any::<u64>(),
+            noise in 0.0f32..0.3,
+        ) {
+            assert_fused_equals_reference(&drifting_rows(rows, cols, steps, seed, noise), bits, t_tr);
+        }
     }
 }

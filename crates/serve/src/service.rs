@@ -364,10 +364,7 @@ impl InferenceService {
                 version,
                 rows: ids
                     .iter()
-                    .map(|&v| {
-                        let row = self.store.row(v as usize);
-                        Quantized::compress(&Matrix::from_vec(1, row.len(), row.to_vec()), bits)
-                    })
+                    .map(|&v| Quantized::compress_row(self.store.row(v as usize), bits))
                     .collect(),
             },
         };
@@ -382,9 +379,14 @@ impl InferenceService {
             ServeReply::Exact { rows, .. } => {
                 (0..rows.rows()).map(|r| rows.row(r).to_vec()).collect()
             }
-            ServeReply::RowQuantized { rows, .. } => {
-                rows.iter().map(|q| q.decompress().into_vec()).collect()
-            }
+            ServeReply::RowQuantized { rows, .. } => rows
+                .iter()
+                .map(|q| {
+                    let mut row = vec![0.0f32; q.shape().1];
+                    q.decompress_into(&mut row);
+                    row
+                })
+                .collect(),
         };
         (rows, wire)
     }

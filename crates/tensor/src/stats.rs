@@ -32,18 +32,53 @@ pub fn rowwise_l1_distance(a: &Matrix, b: &Matrix) -> Vec<f32> {
         .collect()
 }
 
-/// Minimum and maximum entry. Returns `(0.0, 0.0)` for an empty matrix.
-pub fn min_max(m: &Matrix) -> (f32, f32) {
-    if m.is_empty() {
-        return (0.0, 0.0);
+/// Lanes of the [`min_max`] scan: sixteen independent running bounds, so
+/// the loop is four (SSE) or two (AVX) `minps`/`maxps` pairs per sixteen
+/// entries instead of one serial dependency chain.
+const MIN_MAX_LANES: usize = 16;
+
+/// Minimum and maximum over the *finite* entries of `xs` — the bucket range
+/// of a quantized message. NaN and ±Inf entries are skipped; `(0.0, 0.0)`
+/// when no entry is finite (including the empty slice). A zero bound is
+/// always `+0.0`, whichever signed zeros the data holds: the minimum's bit
+/// pattern goes on the wire, so it must not depend on scan order.
+///
+/// The minimum of a set of finite floats is exact and, up to the sign of
+/// zero, unique, so the lane-wise scan returns bit for bit what a
+/// left-to-right scan returns.
+pub fn min_max(xs: &[f32]) -> (f32, f32) {
+    // `a < b` selects are NaN-skipping (a NaN never compares below or above
+    // the running bound) and lower to a single min/max instruction.
+    let mut lo = [f32::INFINITY; MIN_MAX_LANES];
+    let mut hi = [f32::NEG_INFINITY; MIN_MAX_LANES];
+    let mut chunks = xs.chunks_exact(MIN_MAX_LANES);
+    for chunk in &mut chunks {
+        for u in 0..MIN_MAX_LANES {
+            lo[u] = if chunk[u] < lo[u] { chunk[u] } else { lo[u] };
+            hi[u] = if chunk[u] > hi[u] { chunk[u] } else { hi[u] };
+        }
     }
-    let mut lo = f32::INFINITY;
-    let mut hi = f32::NEG_INFINITY;
-    for &x in m.as_slice() {
-        lo = lo.min(x);
-        hi = hi.max(x);
+    let (mut min, mut max) = (f32::INFINITY, f32::NEG_INFINITY);
+    for &x in lo.iter().chain(chunks.remainder()) {
+        min = if x < min { x } else { min };
     }
-    (lo, hi)
+    for &x in hi.iter().chain(chunks.remainder()) {
+        max = if x > max { x } else { max };
+    }
+    if !(min.is_finite() && max.is_finite()) {
+        // An infinity (or nothing finite at all) reached a bound: rescan,
+        // skipping the infinities too. Cold — healthy messages are finite.
+        (min, max) = (f32::INFINITY, f32::NEG_INFINITY);
+        for &x in xs.iter().filter(|x| x.is_finite()) {
+            min = min.min(x);
+            max = max.max(x);
+        }
+        if min > max {
+            return (0.0, 0.0);
+        }
+    }
+    // `-0.0 + 0.0 == +0.0`; every other value is unchanged.
+    (min + 0.0, max + 0.0)
 }
 
 /// Mean entry value. Returns `0.0` for an empty matrix.
@@ -77,6 +112,7 @@ pub fn argmin(values: &[f32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn norms_of_simple_matrix() {
@@ -96,13 +132,94 @@ mod tests {
     #[test]
     fn min_max_and_mean() {
         let m = Matrix::from_vec(1, 4, vec![-1., 2., 0.5, 2.5]);
-        assert_eq!(min_max(&m), (-1.0, 2.5));
+        assert_eq!(min_max(m.as_slice()), (-1.0, 2.5));
         assert_eq!(mean(&m), 1.0);
     }
 
+    /// The left-to-right scan the lane-wise [`min_max`] must equal bit for
+    /// bit, zero signs and non-finite entries included.
+    fn min_max_reference(xs: &[f32]) -> (f32, f32) {
+        let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+        for &x in xs.iter().filter(|x| x.is_finite()) {
+            if x < lo {
+                lo = x;
+            }
+            if x > hi {
+                hi = x;
+            }
+        }
+        if lo > hi {
+            return (0.0, 0.0);
+        }
+        let plus_zero = |x: f32| if x == 0.0 { 0.0 } else { x };
+        (plus_zero(lo), plus_zero(hi))
+    }
+
+    fn bits(pair: (f32, f32)) -> (u32, u32) {
+        (pair.0.to_bits(), pair.1.to_bits())
+    }
+
     #[test]
-    fn min_max_of_empty_matrix_is_zero() {
-        assert_eq!(min_max(&Matrix::zeros(0, 0)), (0.0, 0.0));
+    fn min_max_skips_non_finite_entries_and_reports_plus_zero() {
+        let nan = f32::NAN;
+        let inf = f32::INFINITY;
+        let cases: [&[f32]; 9] = [
+            &[],
+            &[nan],
+            &[nan, inf, -inf],
+            &[-0.0],
+            &[-0.0, 0.0, -0.0],
+            &[3.0, inf, -2.0, nan],
+            &[-inf, 5.0],
+            &[nan, 7.5, nan],
+            &[-1.0, -0.0],
+        ];
+        let want = [
+            (0.0, 0.0),
+            (0.0, 0.0),
+            (0.0, 0.0),
+            (0.0, 0.0),
+            (0.0, 0.0),
+            (-2.0, 3.0),
+            (5.0, 5.0),
+            (7.5, 7.5),
+            (-1.0, 0.0),
+        ];
+        for (xs, want) in cases.iter().zip(want) {
+            assert_eq!(bits(min_max(xs)), bits(want), "{xs:?}");
+            // The same entries past the lane width, so the lanes see them.
+            let long: Vec<f32> = xs.iter().cycle().take(xs.len() * 23).copied().collect();
+            assert_eq!(bits(min_max(&long)), bits(want), "{xs:?} × 23");
+        }
+    }
+
+    proptest! {
+        /// Lane-wise equals sequential at every length around the lane
+        /// width, with signed zeros, NaNs and infinities at drawn positions.
+        #[test]
+        fn lane_wise_min_max_equals_the_sequential_scan(
+            vals in proptest::collection::vec(-4.0f32..4.0, 0..80),
+            marks in proptest::collection::vec(0u8..12, 80..81),
+        ) {
+            let xs: Vec<f32> = vals
+                .iter()
+                .zip(&marks)
+                .map(|(&v, &m)| match m {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f32::NAN,
+                    3 => f32::INFINITY,
+                    4 => f32::NEG_INFINITY,
+                    5 => v.trunc(), // repeated values and exact zeros
+                    _ => v,
+                })
+                .collect();
+            prop_assert_eq!(bits(min_max(&xs)), bits(min_max_reference(&xs)), "{:?}", xs);
+            // Zeros only: the sign of the reported bound must not depend on
+            // which zero a lane happened to see first.
+            let zeros: Vec<f32> = marks.iter().map(|&m| if m % 2 == 0 { 0.0 } else { -0.0 }).collect();
+            prop_assert_eq!(bits(min_max(&zeros[..vals.len()])), bits((0.0, 0.0)));
+        }
     }
 
     #[test]

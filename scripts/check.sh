@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full local gate: formatting, lints (warnings are errors), and the whole
-# workspace test suite. CI runs exactly this script.
+# Full local gate: formatting, lints (warnings are errors), the whole
+# workspace test suite, and the kernel crates' tests again in release.
+# CI runs exactly this script.
 # Pass --bench to also run the serving benchmark (writes BENCH_serving.json
 # at the repo root). Host performance is measured by perfbench/ (see
 # BENCHMARK.json), not here.
@@ -48,6 +49,12 @@ cargo run -q -p ec-lint -- --check --cache --sarif target/ec-lint-report.sarif \
 
 echo "== cargo test =="
 cargo test --workspace -q
+
+echo "== cargo test --release (codec, reduction and exchange kernels) =="
+# The dev profile builds these crates at opt-level 1-2, where the casts and
+# lane reductions of the codec kernels are not vectorised; their
+# bit-identity tests must also hold on the code the benchmark runs.
+cargo test --release -q -p ec-compress -p ec-tensor -p ec-graph
 
 if [[ "$RUN_BENCH" == "1" ]]; then
   echo "== serving benchmark (BENCH_serving.json) =="

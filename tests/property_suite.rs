@@ -207,6 +207,152 @@ fn split_spmm_is_the_stacked_spmm_bit_for_bit() {
     }
 }
 
+/// Tier-1 anchors for the single-pass exchange kernels (`cargo test -q` does
+/// not run the crates' own proptests): one deterministic case per kernel,
+/// each against a reference written here from scratch — scalar `i64`
+/// quantizer, bit-at-a-time packer, left-to-right min/max.
+#[test]
+fn codec_kernels_match_scalar_references_bit_for_bit() {
+    use ec_graph_repro::tensor::stats;
+    let bits_of = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+
+    // min_max: finite entries only, zero bounds reported as +0.0.
+    let mut xs: Vec<f32> = (0..83).map(|i| ((i * 29 % 31) as f32 - 9.0) * 0.25).collect();
+    (xs[5], xs[17], xs[40], xs[64]) = (f32::NAN, f32::INFINITY, -0.0, f32::NEG_INFINITY);
+    let finite = xs.iter().copied().filter(|x| x.is_finite());
+    let want = finite.fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), x| {
+        (if x < lo { x } else { lo }, if x > hi { x } else { hi })
+    });
+    assert_eq!(
+        bits_of(&[stats::min_max(&xs).0, stats::min_max(&xs).1]),
+        bits_of(&[want.0, want.1])
+    );
+    assert_eq!(bits_of(&[stats::min_max(&[-0.0, 0.0, -0.0]).0]), bits_of(&[0.0]));
+    assert_eq!(stats::min_max(&[f32::NAN, f32::INFINITY]), (0.0, 0.0));
+
+    // compress / decompress at every width, over lengths that leave a
+    // ragged final block, word and byte.
+    for bits in 1u8..=16 {
+        for len in [1usize, 7, 63, 64, 65, 131, 200] {
+            let m = Matrix::from_fn(1, len, |_, c| ((c * 37 + 11) as f32 * 0.37).sin() * 3.0);
+            let q = Quantized::compress(&m, bits);
+            let (min, max) = q.range();
+            let (scale, top) = ((1u32 << bits) as f32 / (max - min), (1i64 << bits) - 1);
+            let codes: Vec<u32> = m
+                .as_slice()
+                .iter()
+                .map(|&x| (((x - min) * scale) as i64).clamp(0, top) as u32)
+                .collect();
+            let mut packed = vec![0u8; (len * bits as usize).div_ceil(8)];
+            for (i, &code) in codes.iter().enumerate() {
+                for b in 0..bits as usize {
+                    let pos = i * bits as usize + b;
+                    packed[pos / 8] |= ((code >> b & 1) as u8) << (pos % 8);
+                }
+            }
+            assert_eq!(q.to_bytes()[17..], packed[..], "bits={bits} len={len}");
+            let width = (max - min) / (1u32 << bits) as f32;
+            let midpoints: Vec<f32> =
+                codes.iter().map(|&c| min + (c as f32 + 0.5) * width).collect();
+            assert_eq!(bits_of(q.decompress().as_slice()), bits_of(&midpoints), "bits={bits}");
+            let mut row = vec![0.0f32; len];
+            Quantized::compress_row(m.as_slice(), bits).decompress_into(&mut row);
+            assert_eq!(bits_of(&row), bits_of(&midpoints));
+        }
+    }
+
+    // Non-finite input neither panics nor moves the finite entries' buckets.
+    let mut hostile = Matrix::from_fn(2, 40, |r, c| (r * 40 + c) as f32 / 79.0);
+    let clean = Quantized::compress(&hostile, 4).decompress();
+    hostile.set(0, 3, f32::INFINITY);
+    hostile.set(1, 9, f32::NAN);
+    let d = Quantized::compress(&hostile, 4).decompress();
+    assert_eq!(d.get(0, 3), clean.get(1, 39));
+    assert_eq!(d.get(1, 9), clean.get(0, 0));
+    assert_eq!(d.get(0, 4), clean.get(0, 4));
+    let none = Quantized::compress(&Matrix::filled(3, 3, f32::NAN), 2);
+    assert!(none.decompress().as_slice().iter().all(|&x| x == 0.0));
+}
+
+/// Same anchor for the fused ReqEC-Selector pass and the in-place ResEC
+/// step: over three trend groups each must equal the multi-pass
+/// formulation assembled here from the public matrix ops.
+#[test]
+fn fused_exchange_steps_match_the_multi_pass_formulation() {
+    use ec_graph_repro::ecgraph::bp::{resec_step, ResidualState};
+    use ec_graph_repro::ecgraph::fp::{reqec_step, TrendState, SELECT_PDT};
+    use ec_graph_repro::tensor::{init, stats};
+    let bits_of = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let (rows, cols, t_tr, bits) = (21usize, 19usize, 4usize, 4u8);
+    let start = init::uniform(rows, cols, 0.0, 1.0, 1);
+    let rate = init::uniform(rows, cols, -0.05, 0.05, 2);
+
+    let mut trend = TrendState::default();
+    let mut residual = ResidualState::default();
+    let mut decisions = [0u32; 3];
+    for t in 0..3 * t_tr {
+        let jitter = init::uniform(rows, cols, -0.03, 0.03, 10 + t as u64);
+        let h = Matrix::from_fn(rows, cols, |r, c| {
+            let noise = (r % 4) as f32 * jitter.get(r, c);
+            (start.get(r, c) + rate.get(r, c) * t as f32 + noise).max(0.0)
+        });
+        let (base, m_cr, base_t) = trend.to_parts();
+        let before = base.cloned().zip(m_cr.cloned()).map(|(b, m)| (b, m, base_t));
+        let out = reqec_step(&mut trend, &h, bits, t_tr, t);
+        match before {
+            Some((base, m_cr, base_t)) if !out.exact_sent => {
+                let mut pdt = base;
+                ops::axpy(&mut pdt, &m_cr, (t - base_t) as f32);
+                let cps = Quantized::compress(&h, bits).decompress();
+                let avg = ops::scale(&ops::add(&pdt, &cps), 0.5);
+                let candidates = [&cps, &pdt, &avg];
+                let d = candidates.map(|m| stats::rowwise_l1_distance(m, &h));
+                let mut want = Matrix::zeros(rows, cols);
+                let mut selected = [0u32; 3];
+                for v in 0..rows {
+                    let sid = stats::argmin(&d.each_ref().map(|per_row| per_row[v]));
+                    selected[sid] += 1;
+                    want.set_row(v, candidates[sid].row(v));
+                }
+                assert_eq!(bits_of(&out.reconstructed), bits_of(&want), "t={t}");
+                assert_eq!(out.selected, selected, "t={t}");
+                let err: f32 = stats::rowwise_l1_distance(&want, &h).iter().sum();
+                assert_eq!(out.recon_l1.to_bits(), err.to_bits(), "t={t}");
+                assert_eq!(out.proportion, selected[SELECT_PDT as usize] as f32 / rows as f32);
+                for (acc, c) in decisions.iter_mut().zip(selected) {
+                    *acc += c;
+                }
+            }
+            before => {
+                assert!(out.exact_sent && out.reconstructed == h, "t={t}");
+                let (base, m_cr, base_t) = trend.to_parts();
+                assert_eq!(base, Some(&h));
+                assert_eq!(base_t, t);
+                let want = match before {
+                    Some((old, _, old_t)) => {
+                        ops::scale(&ops::sub(&h, &old), 1.0 / (t - old_t).max(1) as f32)
+                    }
+                    None => Matrix::zeros(rows, cols),
+                };
+                assert_eq!(m_cr.map(bits_of), Some(bits_of(&want)), "t={t}");
+            }
+        }
+
+        let g = init::normal(rows, cols, 0.01, 100 + t as u64);
+        let compensated = match residual.residual() {
+            Some(delta) => ops::add(&g, delta),
+            None => g.clone(),
+        };
+        let q = Quantized::compress(&compensated, bits);
+        let (sent, wire) = resec_step(&mut residual, &g, bits);
+        assert_eq!(bits_of(&sent), bits_of(&q.decompress()), "t={t}");
+        assert_eq!(wire, q.wire_size() as u64);
+        let delta = ops::sub(&compensated, &q.decompress());
+        assert_eq!(residual.residual().map(bits_of), Some(bits_of(&delta)), "t={t}");
+    }
+    assert!(decisions.iter().all(|&c| c > 0), "Selector coverage {decisions:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
