@@ -528,7 +528,7 @@ impl DistributedEngine {
                     if let Some(ws) = w_self {
                         ops::add_assign(&mut z, &parallel::matmul(&h_local[w][l - 1], ws, kt));
                     }
-                    z = ops::add_bias(&z, b_l);
+                    ops::add_bias_assign(&mut z, b_l);
                     // The output layer has no activation: Z^L is H^L.
                     let h = (l < num_layers).then(|| activations::relu(&z));
                     (h, z)
@@ -612,12 +612,12 @@ impl DistributedEngine {
                     // Y^{l-1} = (H^{l-1})ᵀ (Â G^l), summed over workers.
                     let y_part = parallel::matmul_at_b(&h_local[w][l - 1], &ag, kt);
                     // G^{l-1} = [(Â G^l)(W^{l-1})ᵀ (+ G^l W_sᵀ)] ⊙ σ'(Z^{l-1}).
-                    let mask = activations::relu_grad(&z_local[w][l - 2]);
                     let mut flow = parallel::matmul_a_bt(&ag, w_lm1, kt);
                     if let Some(ws) = ws_lm1 {
                         ops::add_assign(&mut flow, &parallel::matmul_a_bt(&g_cur[w], ws, kt));
                     }
-                    (y_part, ys_part, b_part, Some(ops::hadamard(&flow, &mask)))
+                    activations::relu_backward_assign(&mut flow, &z_local[w][l - 2]);
+                    (y_part, ys_part, b_part, Some(flow))
                 })
             };
             let mut y_sum = Matrix::zeros(self.config.dims[l - 1], self.config.dims[l]);

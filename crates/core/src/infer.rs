@@ -157,7 +157,7 @@ impl ModelWeights {
             if let Some(ws) = self.self_weight(l) {
                 ops::add_assign(&mut z, &parallel::matmul(&h, ws, kt));
             }
-            z = ops::add_bias(&z, b);
+            ops::add_bias_assign(&mut z, b);
             h = if l + 1 < num_layers { activations::relu(&z) } else { z };
         }
         h

@@ -17,6 +17,20 @@ pub fn relu_grad(z: &Matrix) -> Matrix {
     z.map(|x| if x > 0.0 { 1.0 } else { 0.0 })
 }
 
+/// In-place ReLU backward step `flow ⊙= σ'(z)`: the product of `flow` with
+/// [`relu_grad`]`(z)`, without materializing the mask. It multiplies by
+/// `1.0`/`0.0` rather than selecting, so `-x · 0 = -0.0` and `NaN · 0 = NaN`
+/// come out exactly as the mask-and-[`crate::ops::hadamard`] pair gives them.
+///
+/// # Panics
+/// Panics if the shapes differ.
+pub fn relu_backward_assign(flow: &mut Matrix, z: &Matrix) {
+    assert_eq!(flow.shape(), z.shape(), "relu_backward_assign shape mismatch");
+    for (f, &x) in flow.as_mut_slice().iter_mut().zip(z.as_slice()) {
+        *f *= if x > 0.0 { 1.0 } else { 0.0 };
+    }
+}
+
 /// Elementwise leaky ReLU with slope `alpha` for negative inputs.
 pub fn leaky_relu(m: &Matrix, alpha: f32) -> Matrix {
     m.map(|x| if x > 0.0 { x } else { alpha * x })
@@ -75,6 +89,20 @@ mod tests {
     fn relu_clamps_negatives() {
         let m = Matrix::from_vec(1, 4, vec![-2., -0.5, 0., 3.]);
         assert_eq!(relu(&m).as_slice(), &[0., 0., 0., 3.]);
+    }
+
+    #[test]
+    fn relu_backward_assign_is_mask_times_flow_bit_for_bit() {
+        let z = Matrix::from_vec(2, 3, vec![-1., 0., 2., -0.0, f32::NAN, 1e-30]);
+        let flow = Matrix::from_vec(2, 3, vec![-3., f32::NAN, -0.0, -5., 7., f32::INFINITY]);
+        let want = crate::ops::hadamard(&flow, &relu_grad(&z));
+        let mut got = flow.clone();
+        relu_backward_assign(&mut got, &z);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+        // The sign of a masked negative and the NaN survive.
+        assert_eq!(got.get(0, 0).to_bits(), (-0.0f32).to_bits());
+        assert!(got.get(0, 1).is_nan());
     }
 
     #[test]

@@ -192,11 +192,11 @@ impl Matrix {
     /// This is the `gather` used when a worker assembles the embeddings of a
     /// requested remote-vertex set.
     pub fn gather_rows(&self, indices: &[usize]) -> Self {
-        let mut out = Self::zeros(indices.len(), self.cols);
-        for (dst, &src) in indices.iter().enumerate() {
-            out.row_mut(dst).copy_from_slice(self.row(src));
+        let mut data = Vec::with_capacity(indices.len() * self.cols);
+        for &src in indices {
+            data.extend_from_slice(self.row(src));
         }
-        out
+        Self { rows: indices.len(), cols: self.cols, data }
     }
 
     /// Adds the rows of `src` into the rows of `self` listed in `indices`

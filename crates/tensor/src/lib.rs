@@ -20,7 +20,7 @@
 //! module offers thread-parallel variants of the hot kernels whose output
 //! is bit-identical to the sequential ones (rows are partitioned across
 //! the lanes of a persistent [`pool::WorkerPool`], each band computed in
-//! the same order by the same blocked kernel body).
+//! the same order by the same tiled kernel body).
 
 pub mod activations;
 pub mod dense;

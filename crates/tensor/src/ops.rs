@@ -1,95 +1,244 @@
 //! Dense matrix kernels: multiplication, elementwise arithmetic, reductions.
 //!
-//! The multiply kernels are cache-blocked and written around 8-wide inner
-//! loops the compiler can vectorize, but their floating-point semantics are
-//! pinned to the naive loops in [`reference`]: every output element
-//! accumulates its terms in exactly the same order (ascending `k`, with the
-//! same `== 0.0` skips), so results are **bit-identical** — blocking only
-//! reorders *which element* is advanced next, never the additions within
-//! one element. `tests/kernel_equivalence.rs` proptests that equivalence on
-//! ragged shapes; the determinism suite depends on it.
+//! `A·B` and `Aᵀ·B` are register-tiled: an `MR × NR` block of `C` lives in
+//! fixed-size local arrays (SSE registers once the constant-bound loops
+//! unroll), the shared dimension runs innermost, and `C` is loaded and
+//! stored once per tile and [`KB`]-deep block of the shared dimension. A
+//! row-AXPY loop instead loads and stores the output row once per
+//! multiply-add, which binds a 16-wide output to store-to-load forwarding
+//! rather than to the multiplier. Floating-point semantics stay pinned to
+//! the naive loops in [`reference`]: every output element accumulates its
+//! terms in exactly the same order (ascending `k`, with the same `== 0.0`
+//! skips), so results are **bit-identical** — tiling only changes *which
+//! element* is advanced next, never the additions within one element.
+//! `tests/kernel_equivalence.rs` proptests that on shapes around every tile
+//! edge; the determinism suite depends on it.
 //!
-//! Blocking layout (see DESIGN.md §4): `matmul` tiles the output columns
-//! (`TILE_J`) and the shared dimension (`TILE_K`) so the active `B` tile
-//! (`TILE_K × TILE_J` floats = 32 KiB) stays L1-resident while a whole row
-//! band of `A` streams past — without tiling, each output row re-reads all
-//! of `B` through L2. Tiling engages only when `B` exceeds
-//! [`TILE_BUDGET`]: below it `B` is cache-resident anyway and tiling would
-//! just re-stream `A` and `C` per tile pass, so the loops collapse to a
-//! single full-width pass (GNN weight matrices are small; the tiled path
-//! serves wide layers and the benches). Visiting `k`-tiles in ascending
-//! order keeps the per-element accumulation order identical to the untiled
-//! loop, which is why the switch is shape-only and bit-invisible.
-//! `matmul_at_b` keeps the reference's rank-1-update orientation (output
-//! stays cache-resident while `A` and `B` stream past once) with the
-//! chunked inner loop; `matmul_a_bt` packs `B` into k-major panels of
+//! Tile scheme (see DESIGN.md §4). Two micro-kernels do all the arithmetic:
+//!
+//! * [`dense_tile`] — `MR` rows of `A` share each `NR`-wide load of a `B`
+//!   row; no zero test, because it only ever sees row groups without an
+//!   exact zero;
+//! * [`listed_tile`] — one output row accumulates `v · row(c)` over an
+//!   explicit `(c, v)` list. This is SpMM's inner loop
+//!   (`CsrMatrix::spmm_rows_into`), and it is also how a dense product
+//!   honours the zero-skip: a row group holding an exact zero (ReLU
+//!   activations are about half zeros) has each row's nonzeros compacted
+//!   into such a list — branch-free, once per `KB` block — and replayed per
+//!   column tile. The skip is therefore a property of the list, not a
+//!   data-dependent branch per `(row, k)` inside the tile, which would
+//!   mispredict on every other element of a ReLU-sparse operand and cost
+//!   more than the 16-wide multiply-add it guards.
+//!
+//! Both visit `k` in ascending order and the compaction preserves it, so
+//! per-element order is untouched whichever one a row takes. Widths and
+//! row counts that do not divide the tile run the same kernels at a
+//! narrower instantiation (an output narrower than `NR` is one tile of
+//! exactly its width; a single leftover row runs at `MR = 1`), and a ragged
+//! last column tile is shifted left to end at the last column — it
+//! recomputes a few columns the previous tile already finished and stores
+//! only the new ones. `Aᵀ·B` transposes a `KB`-row × [`AT_COLS`]-column
+//! block of `A` into a stack buffer and feeds its rows to the very same
+//! row-group kernel, so `A` and `B` stream past exactly once however long
+//! and thin they are. `matmul_a_bt` packs `B` into k-major panels of
 //! [`LANES`] rows so each output segment is a bundle of independent dot
 //! products over contiguous memory.
 
 use crate::dense::Matrix;
 
-/// Output-column tile width of the blocked [`matmul`].
-pub const TILE_J: usize = 64;
-/// Shared-dimension tile depth of the blocked [`matmul`].
-pub const TILE_K: usize = 128;
-/// `B` footprint (in floats, 128 KiB) above which [`matmul`] tiles; below
-/// it a single full-width pass wins because `B` is cache-resident anyway.
-pub const TILE_BUDGET: usize = 32 * 1024;
+/// Rows of `A` that share each load of a `B` row in [`dense_tile`].
+pub const MR: usize = 2;
+/// Widest output-column tile; `MR × NR` floats of `C` stay in registers.
+pub const NR: usize = 16;
+/// Depth of one block of the shared dimension: `C` tiles are loaded and
+/// stored once per block, a row's compacted nonzero list holds at most
+/// this many entries, and `Aᵀ·B` transposes this many rows of `A` at once.
+pub const KB: usize = 256;
+/// Columns of `A` (output rows) transposed per block by `Aᵀ·B` — one cache
+/// line of each `A` row.
+pub const AT_COLS: usize = 16;
 /// Panel width (output columns per packed panel) of [`matmul_a_bt`].
 pub const LANES: usize = 8;
 
-/// In-place `acc[j] += s * src[j]` over two equal-length slices, written as
-/// explicit 8-wide chunks so the autovectorizer emits full-width FMAs with
-/// no runtime-length checks in the hot loop. Element-wise independent, so
-/// bit-identical to the plain `zip` loop.
-#[inline]
-pub(crate) fn axpy_slice(acc: &mut [f32], src: &[f32], s: f32) {
-    let mut acc8 = acc.chunks_exact_mut(8);
-    let mut src8 = src.chunks_exact(8);
-    for (a, b) in (&mut acc8).zip(&mut src8) {
-        for u in 0..8 {
-            a[u] += s * b[u];
+/// Expands to `$f::<N>($args)` with `N` the column-tile width for `$n`
+/// output columns: `$n` itself up to [`NR`] — the whole row is one tile,
+/// whatever its width — and [`NR`] beyond (nothing for `$n == 0`).
+macro_rules! with_tile_width {
+    ($n:expr, $f:ident $args:tt) => {
+        with_tile_width!(@arms $n, $f $args; 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)
+    };
+    (@arms $n:expr, $f:ident $args:tt; $($w:literal)*) => {
+        match $n {
+            0 => {}
+            $($w => $f::<$w> $args,)*
+            _ => $f::<{ $crate::ops::NR }> $args,
         }
+    };
+}
+pub(crate) use with_tile_width;
+
+/// Calls `f(j, skip)` for every `N`-wide column tile covering `0..n`
+/// (`n >= N`): tiles start at multiples of `N`, except that a ragged last
+/// one is shifted left to end at `n` and must not store its first `skip`
+/// columns — the previous tile already did.
+#[inline(always)]
+fn col_tiles<const N: usize>(n: usize, mut f: impl FnMut(usize, usize)) {
+    let mut j = 0;
+    while j + N <= n {
+        f(j, 0);
+        j += N;
     }
-    for (a, &b) in acc8.into_remainder().iter_mut().zip(src8.remainder()) {
-        *a += s * b;
+    if j < n {
+        f(n - N, j + N - n);
     }
 }
 
-/// Computes the row band `[row0, row0 + out.len() / n)` of `C = A · B`
-/// into `out` (row-major, `n = b.cols()` columns per row).
+/// `acc[r] + Σ_p arows[r][p] · bblk[p][j..j + N]` over the rows `p` of the
+/// block, ascending. No zero test: callers send row groups that hold an
+/// exact zero through [`listed_tile`] instead.
+#[inline(always)]
+fn dense_tile<const M: usize, const N: usize>(
+    arows: &[&[f32]; M],
+    bblk: &[f32],
+    n: usize,
+    j: usize,
+    mut acc: [[f32; N]; M],
+) -> [[f32; N]; M] {
+    for (p, brow) in bblk.chunks_exact(n).enumerate() {
+        let Some((bv, _)) = brow[j..].split_first_chunk::<N>() else { break };
+        for r in 0..M {
+            let av = arows[r][p];
+            for u in 0..N {
+                acc[r][u] += av * bv[u];
+            }
+        }
+    }
+    acc
+}
+
+/// `acc + Σ_t vals[t] · row_of(cols[t])[j..j + N]` over the list, in order
+/// — the inner loop of SpMM, and of a dense product's rows that hold zeros.
+#[inline(always)]
+fn listed_tile<'a, const N: usize>(
+    cols: &[u32],
+    vals: &[f32],
+    row_of: impl Fn(usize) -> &'a [f32],
+    j: usize,
+    mut acc: [f32; N],
+) -> [f32; N] {
+    for (&c, &v) in cols.iter().zip(vals) {
+        let Some((bv, _)) = row_of(c as usize)[j..].split_first_chunk::<N>() else { break };
+        for u in 0..N {
+            acc[u] += v * bv[u];
+        }
+    }
+    acc
+}
+
+/// The `N` floats of `row` from column `j` (`j + N <= row.len()`).
+#[inline(always)]
+fn load_tile<const N: usize>(row: &[f32], j: usize) -> [f32; N] {
+    let mut tile = [0.0f32; N];
+    tile.copy_from_slice(&row[j..j + N]);
+    tile
+}
+
+/// `crow += Σ_t vals[t] · row_of(cols[t])`, terms added in list order: one
+/// register-resident `N`-wide chunk of the output row at a time
+/// (`crow.len() >= N`).
+#[inline(always)]
+pub(crate) fn listed_row<'a, const N: usize>(
+    cols: &[u32],
+    vals: &[f32],
+    row_of: impl Fn(usize) -> &'a [f32],
+    crow: &mut [f32],
+) {
+    col_tiles::<N>(crow.len(), |j, skip| {
+        let acc = listed_tile::<N>(cols, vals, &row_of, j, load_tile(crow, j));
+        crow[j + skip..j + N].copy_from_slice(&acc[skip..]);
+    });
+}
+
+/// Whether `row` holds an exact (positive or negative) zero.
+fn has_zero(row: &[f32]) -> bool {
+    // A count, not `any`: no early exit, so the scan vectorises.
+    row.iter().map(|&v| u32::from(v == 0.0)).sum::<u32>() != 0
+}
+
+/// `c += arows · bblk` for `M` output rows (`c`: `M × n`, row-major) and
+/// one block of the shared dimension (`arows[r].len() <= KB` rows of
+/// `bblk`, `n` columns each), skipping every `arows[r][p] == 0.0` term.
+fn row_group<const M: usize, const N: usize>(
+    arows: [&[f32]; M],
+    bblk: &[f32],
+    n: usize,
+    c: &mut [f32],
+) {
+    if arows.iter().any(|row| has_zero(row)) {
+        for (arow, crow) in arows.iter().zip(c.chunks_exact_mut(n)) {
+            // Branch-free compaction: always write, advance past nonzeros.
+            let (mut cols, mut vals, mut len) = ([0u32; KB], [0.0f32; KB], 0);
+            for (p, &av) in arow.iter().enumerate() {
+                cols[len] = p as u32;
+                vals[len] = av;
+                len += usize::from(av != 0.0);
+            }
+            let row_of = |p: usize| &bblk[p * n..(p + 1) * n];
+            listed_row::<N>(&cols[..len], &vals[..len], row_of, crow);
+        }
+    } else {
+        col_tiles::<N>(n, |j, skip| {
+            let acc: [[f32; N]; M] = std::array::from_fn(|r| load_tile(&c[r * n..], j));
+            let acc = dense_tile::<M, N>(&arows, bblk, n, j, acc);
+            for (r, tile) in acc.iter().enumerate() {
+                c[r * n + j + skip..r * n + j + N].copy_from_slice(&tile[skip..]);
+            }
+        });
+    }
+}
+
+/// [`row_group`] over every row of `c` (`n` columns each): [`MR`] rows at a
+/// time, a leftover row on its own. `arow(i)` is the block's `A` row for
+/// row `i` of `c`.
+fn row_groups<'a, const N: usize>(
+    arow: impl Fn(usize) -> &'a [f32],
+    bblk: &[f32],
+    n: usize,
+    c: &mut [f32],
+) {
+    let mut groups = c.chunks_exact_mut(MR * n);
+    let mut i = 0;
+    for group in &mut groups {
+        row_group::<MR, N>(std::array::from_fn(|r| arow(i + r)), bblk, n, group);
+        i += MR;
+    }
+    for row in groups.into_remainder().chunks_exact_mut(n) {
+        row_group::<1, N>([arow(i)], bblk, n, row);
+        i += 1;
+    }
+}
+
+/// [`matmul_into`] at tile width `N`: [`KB`] rows of `B` at a time (they
+/// stay cache-resident while the band's row groups pass over them).
+fn matmul_band<const N: usize>(a: &Matrix, b: &Matrix, row0: usize, out: &mut [f32]) {
+    let (k, n) = (a.cols(), b.cols());
+    for k0 in (0..k).step_by(KB) {
+        let k1 = (k0 + KB).min(k);
+        let bblk = &b.as_slice()[k0 * n..k1 * n];
+        row_groups::<N>(|i| &a.row(row0 + i)[k0..k1], bblk, n, out);
+    }
+}
+
+/// Accumulates the row band `[row0, row0 + out.len() / n)` of `C = A · B`
+/// into `out` (row-major, `n = b.cols()` columns per row; callers pass
+/// zeros).
 ///
 /// This is the shared body of the sequential [`matmul`] and the
 /// band-parallel `parallel::matmul` — one implementation, so sequential
 /// and threaded results agree by construction.
 pub fn matmul_into(a: &Matrix, b: &Matrix, row0: usize, out: &mut [f32]) {
-    let k = a.cols();
-    let n = b.cols();
-    if n == 0 {
-        return;
-    }
-    debug_assert_eq!(out.len() % n, 0, "band must hold whole rows");
-    let rows = out.len() / n;
-    // Shape-only switch (identical for every band and thread count): tile
-    // only when B outgrows the cache budget.
-    let (tile_j, tile_k) =
-        if k.saturating_mul(n) <= TILE_BUDGET { (n.max(1), k.max(1)) } else { (TILE_J, TILE_K) };
-    for j0 in (0..n).step_by(tile_j) {
-        let jw = tile_j.min(n - j0);
-        for p0 in (0..k).step_by(tile_k) {
-            let pw = tile_k.min(k - p0);
-            for i in 0..rows {
-                let aseg = &a.row(row0 + i)[p0..p0 + pw];
-                let cseg = &mut out[i * n + j0..i * n + j0 + jw];
-                for (dp, &av) in aseg.iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    axpy_slice(cseg, &b.row(p0 + dp)[j0..j0 + jw], av);
-                }
-            }
-        }
-    }
+    debug_assert_eq!(out.len() % b.cols().max(1), 0, "band must hold whole rows");
+    with_tile_width!(b.cols(), matmul_band(a, b, row0, out));
 }
 
 /// `C = A · B`.
@@ -103,33 +252,39 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// Computes the row band `[row0, row0 + out.len() / n)` of `C = Aᵀ · B`
-/// into `out` (band rows index the *columns* of `A`).
-///
-/// Keeps the reference's rank-1-update orientation — `A` and `B` stream
-/// past exactly once while the output band stays cache-resident (it is
-/// `a.cols() × b.cols()`, a weight-gradient shape, small by construction) —
-/// but runs the chunked [`axpy_slice`] inner loop on the band's slice of
-/// each `A` row. Per output element `(i, j)` the accumulation is still
-/// `Σ_r a[r][i]·b[r][j]` in ascending `r` with the same `== 0.0` skip, so
-/// bits match [`reference::matmul_at_b`] exactly.
-pub fn matmul_at_b_into(a: &Matrix, b: &Matrix, row0: usize, out: &mut [f32]) {
+/// [`matmul_at_b_into`] at tile width `N`: [`KB`]-row blocks of `A`/`B`
+/// outermost, so both stream past once; inside, [`AT_COLS`] columns of the
+/// `A` block at a time are transposed into `at`, whose rows are then
+/// exactly the `arows` [`row_group`] wants.
+fn matmul_at_b_band<const N: usize>(a: &Matrix, b: &Matrix, row0: usize, out: &mut [f32]) {
     let n = b.cols();
-    if n == 0 {
-        return;
-    }
-    debug_assert_eq!(out.len() % n, 0, "band must hold whole rows");
-    let rows = out.len() / n;
-    for r in 0..a.rows() {
-        let aseg = &a.row(r)[row0..row0 + rows];
-        let brow = b.row(r);
-        for (di, &av) in aseg.iter().enumerate() {
-            if av == 0.0 {
-                continue;
+    let mut at = [[0.0f32; KB]; AT_COLS];
+    for r0 in (0..a.rows()).step_by(KB) {
+        let kb = KB.min(a.rows() - r0);
+        let bblk = &b.as_slice()[r0 * n..(r0 + kb) * n];
+        for (chunk, cblk) in out.chunks_mut(AT_COLS * n).enumerate() {
+            let i0 = row0 + chunk * AT_COLS;
+            let width = cblk.len() / n;
+            for rr in 0..kb {
+                for (col, &v) in at.iter_mut().zip(&a.row(r0 + rr)[i0..i0 + width]) {
+                    col[rr] = v;
+                }
             }
-            axpy_slice(&mut out[di * n..(di + 1) * n], brow, av);
+            row_groups::<N>(|ii| &at[ii][..kb], bblk, n, cblk);
         }
     }
+}
+
+/// Accumulates the row band `[row0, row0 + out.len() / n)` of
+/// `C = Aᵀ · B` into `out` (band rows index the *columns* of `A`; callers
+/// pass zeros).
+///
+/// Per output element `(i, j)` the accumulation is `Σ_r a[r][i]·b[r][j]`
+/// in ascending `r` with the `== 0.0` skip, so bits match
+/// [`reference::matmul_at_b`] exactly.
+pub fn matmul_at_b_into(a: &Matrix, b: &Matrix, row0: usize, out: &mut [f32]) {
+    debug_assert_eq!(out.len() % b.cols().max(1), 0, "band must hold whole rows");
+    with_tile_width!(b.cols(), matmul_at_b_band(a, b, row0, out));
 }
 
 /// `C = Aᵀ · B` without materializing the transpose.
@@ -373,14 +528,22 @@ pub fn axpy(a: &mut Matrix, b: &Matrix, s: f32) {
 
 /// Adds a row vector `bias` (length = `a.cols()`) to every row of `a`.
 pub fn add_bias(a: &Matrix, bias: &[f32]) -> Matrix {
-    assert_eq!(a.cols(), bias.len(), "bias length mismatch");
     let mut out = a.clone();
-    for r in 0..out.rows() {
-        for (x, &b) in out.row_mut(r).iter_mut().zip(bias) {
+    add_bias_assign(&mut out, bias);
+    out
+}
+
+/// In-place [`add_bias`]: `a[r] += bias` for every row `r`.
+pub fn add_bias_assign(a: &mut Matrix, bias: &[f32]) {
+    assert_eq!(a.cols(), bias.len(), "bias length mismatch");
+    if bias.is_empty() {
+        return;
+    }
+    for row in a.as_mut_slice().chunks_exact_mut(bias.len()) {
+        for (x, &b) in row.iter_mut().zip(bias) {
             *x += b;
         }
     }
-    out
 }
 
 /// Column-wise sum, producing a vector of length `a.cols()`.
@@ -456,13 +619,11 @@ mod tests {
     }
 
     #[test]
-    fn blocked_kernels_match_reference_beyond_one_tile() {
-        // `k·n > TILE_BUDGET` so the tiled path (not the full-width
-        // collapse) actually runs, with shapes past TILE_J/TILE_K that are
-        // not tile multiples, sign structure, and planted zeros so the
-        // skip path is exercised.
+    fn tiled_kernels_match_reference_beyond_one_block() {
+        // Past KB in the shared dimension and past NR in width, neither a
+        // tile multiple, with sign structure and planted zeros so both the
+        // dense and the listed tile run.
         let (k, n) = (260usize, 140usize);
-        assert!(k * n > TILE_BUDGET, "shapes must force the tiled path");
         let a = Matrix::from_fn(40, k, |r, c| {
             if (r + c) % 7 == 0 {
                 0.0
@@ -521,8 +682,10 @@ mod tests {
     #[test]
     fn bias_and_column_sums() {
         let a = a23();
-        let biased = add_bias(&a, &[1., 1., 1.]);
+        let mut biased = add_bias(&a, &[1., 1., 1.]);
         assert_eq!(biased.row(0), &[2., 3., 4.]);
+        add_bias_assign(&mut biased, &[-1., 0., 1.]);
+        assert_eq!(biased.row(1), &[4., 6., 8.]);
         assert_eq!(column_sums(&a), vec![5., 7., 9.]);
     }
 

@@ -3,7 +3,7 @@
 //!
 //! Output rows are partitioned into contiguous bands, band `i` runs on
 //! pool lane `i % threads`, and each band is computed by the **same**
-//! blocked kernel body ([`crate::ops::matmul_into`] and friends) the
+//! tiled kernel body ([`crate::ops::matmul_into`] and friends) the
 //! sequential entry points use — so results are bit-identical to
 //! [`crate::ops::matmul`] / [`CsrMatrix::spmm`] by construction, and all
 //! determinism guarantees of the simulation carry over. The paper's

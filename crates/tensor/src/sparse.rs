@@ -12,6 +12,7 @@
 //! directed-graph support.
 
 use crate::dense::Matrix;
+use crate::ops::{listed_row, with_tile_width};
 use serde::{Deserialize, Serialize};
 
 /// A sparse matrix in compressed-sparse-row format.
@@ -171,18 +172,8 @@ impl CsrMatrix {
         row0: usize,
         out: &mut [f32],
     ) {
-        if n == 0 {
-            return;
-        }
-        debug_assert_eq!(out.len() % n, 0, "band must hold whole rows");
-        let rows = out.len() / n;
-        for i in 0..rows {
-            let orow = &mut out[i * n..(i + 1) * n];
-            for idx in self.indptr[row0 + i]..self.indptr[row0 + i + 1] {
-                let c = self.indices[idx] as usize;
-                crate::ops::axpy_slice(orow, row_of(c), self.values[idx]);
-            }
-        }
+        debug_assert_eq!(out.len() % n.max(1), 0, "band must hold whole rows");
+        with_tile_width!(n, spmm_band(self, n, row_of, row0, out));
     }
 
     /// Transposed sparse × dense product `selfᵀ · B` without materializing
@@ -273,6 +264,22 @@ impl CsrMatrix {
             indptr.push(indices.len());
         }
         CsrMatrix { rows: self.rows, cols: new_cols, indptr, indices, values }
+    }
+}
+
+/// [`CsrMatrix::spmm_rows_into`] at tile width `N`: each output row is
+/// accumulated an `N`-wide chunk at a time, the chunk held in registers
+/// across the row's nonzeros ([`crate::ops::listed_row`]).
+fn spmm_band<'a, const N: usize>(
+    s: &CsrMatrix,
+    n: usize,
+    row_of: impl Fn(usize) -> &'a [f32],
+    row0: usize,
+    out: &mut [f32],
+) {
+    for (orow, span) in out.chunks_exact_mut(n).zip(s.indptr[row0..].windows(2)) {
+        let span = span[0]..span[1];
+        listed_row::<N>(&s.indices[span.clone()], &s.values[span], &row_of, orow);
     }
 }
 

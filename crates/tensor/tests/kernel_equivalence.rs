@@ -1,101 +1,186 @@
-//! Bit-identity of the blocked/SIMD kernels against the naive reference.
+//! Bit-identity of the tiled kernels against the naive reference.
 //!
 //! The engine's determinism guarantees (byte-identical RunResult JSON for
 //! any thread count — `tests/determinism_suite.rs`) rest on the claim that
-//! cache blocking, panel packing, and band-parallel dispatch never change
-//! a single accumulation: per output element the terms are added in the
-//! same order, with the same `== 0.0` skips. These proptests check that
-//! claim on ragged shapes — empty dimensions, shapes below/straddling/
-//! beyond one tile, planted zeros and denormal-ish magnitudes — for both
-//! the sequential entry points and the pool-dispatched `parallel` ones.
+//! register tiling, nonzero compaction, block transposition, panel packing
+//! and band-parallel dispatch never change a single accumulation: per
+//! output element the terms are added in the same order, with the same
+//! `== 0.0` skips. These tests check that claim on shapes drawn around
+//! every tile edge (`ops::MR`, `ops::NR`, `ops::KB`, `ops::AT_COLS`, each
+//! ± 1, plus 0, 1 and the engine's own widths), on dense, mixed and
+//! ReLU-sparse operands, with signed zeros and non-finite values, for the
+//! sequential entry points, the pool-dispatched `parallel` ones, and bands
+//! that start at rows no tile boundary falls on.
 //!
-//! `assert_eq!` on `Matrix` compares `f32` bit patterns via `==`; NaN
-//! inputs are excluded (NaN != NaN) but ±0.0 and infinities are fair game.
+//! Comparisons are on raw `f32` bit patterns, with one concession: every
+//! NaN counts as the same value. When *both* operands of an addition are
+//! NaN, IEEE 754 leaves the surviving payload to the implementation and
+//! the compiler may commute the operands, so which NaN comes out is not a
+//! property of the source. Where a NaN appears is, and that is checked.
 
-use ec_tensor::ops::{self, reference};
+use ec_tensor::ops::{self, reference, AT_COLS, KB, MR, NR};
 use ec_tensor::{parallel, CsrMatrix, Matrix};
 use proptest::prelude::*;
 
-/// A matrix with interesting structure: mixed magnitudes, planted exact
-/// zeros (they drive the skip paths), negative zeros.
-fn matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+    *state >> 33
+}
+
+/// What a generated operand looks like.
+#[derive(Clone, Copy, Debug)]
+enum Kind {
+    /// Mixed magnitudes with a quarter exact zeros of either sign.
+    Mixed,
+    /// No zeros at all (the dense tile's case).
+    Dense,
+    /// ReLU output: at least half exact zeros, one whole zero row and one
+    /// whole zero column (the listed tile's case).
+    ReluSparse,
+}
+
+fn kind() -> impl Strategy<Value = Kind> {
+    prop_oneof![Just(Kind::Mixed), Just(Kind::Dense), Just(Kind::ReluSparse)]
+}
+
+fn matrix(rows: usize, cols: usize, seed: u64, kind: Kind) -> Matrix {
     let mut state = seed.wrapping_mul(2) | 1;
-    Matrix::from_fn(rows, cols, |_, _| {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let draw = (state >> 33) as u32;
-        match draw % 8 {
-            0 => 0.0,
-            1 => -0.0,
-            2 => (draw as f32 / u32::MAX as f32) * 1e-4,
-            3 => -(draw as f32 / u32::MAX as f32) * 1e4,
-            _ => (draw as f32 / u32::MAX as f32) - 0.5,
+    let (zero_row, zero_col) = (seed as usize % rows.max(1), (seed >> 8) as usize % cols.max(1));
+    Matrix::from_fn(rows, cols, |r, c| {
+        let draw = next(&mut state) as u32;
+        let unit = draw as f32 / u32::MAX as f32;
+        match kind {
+            Kind::Mixed => match draw % 8 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => unit * 1e-4,
+                3 => -unit * 1e4,
+                _ => unit - 0.5,
+            },
+            Kind::Dense => unit + 0.25,
+            Kind::ReluSparse if r == zero_row || c == zero_col || draw % 16 < 9 => 0.0,
+            Kind::ReluSparse => unit,
         }
     })
 }
 
+/// Plants `±Inf` and `NaN` at seed-chosen cells (a no-op on empty input).
+fn plant_non_finite(m: &mut Matrix, seed: u64) {
+    if m.rows() == 0 || m.cols() == 0 {
+        return;
+    }
+    let mut state = seed | 1;
+    for v in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+        let (r, c) = (next(&mut state) as usize % m.rows(), next(&mut state) as usize % m.cols());
+        m.set(r, c, v);
+    }
+}
+
+/// A CSR matrix with repeated draws (so rows of every length, including
+/// empty ones) and, among the stored values, explicit zeros — SpMM has no
+/// zero-skip, so `0 · Inf` must surface exactly where the reference has it.
 fn csr(rows: usize, cols: usize, nnz: usize, seed: u64) -> CsrMatrix {
     let mut state = seed.wrapping_mul(2) | 1;
     let mut triples = Vec::with_capacity(nnz);
     if rows > 0 && cols > 0 {
         for _ in 0..nnz {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let r = (state >> 33) as usize % rows;
-            let c = (state >> 12) as usize % cols;
-            triples.push((r, c, ((state as f32) * 1e-9).sin()));
+            let r = next(&mut state) as usize % rows;
+            let c = next(&mut state) as usize % cols;
+            let draw = next(&mut state);
+            let v = if draw.is_multiple_of(8) { 0.0 } else { ((draw as f32) * 1e-9).sin() };
+            triples.push((r, c, v));
         }
     }
     CsrMatrix::from_triples(rows, cols, &triples)
 }
 
-/// Raw bit patterns, for comparisons that must survive NaN outputs.
-fn bits(m: &Matrix) -> Vec<u32> {
-    m.as_slice().iter().map(|v| v.to_bits()).collect()
+/// Raw bit patterns with every NaN folded onto one (see the module docs).
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() }).collect()
 }
 
-/// Dimension strategy: degenerate (0, 1), sub-tile, tile-straddling
-/// (around ops::LANES = 8 and ops::TILE_J = 64), and beyond-one-tile
-/// sizes, all non-multiples of the tile widths. The 200 arm makes
-/// `k·n > ops::TILE_BUDGET` reachable, so some cases run the genuinely
-/// tiled matmul path instead of the small-B full-width collapse.
+fn mbits(m: &Matrix) -> Vec<u32> {
+    bits(m.as_slice())
+}
+
+/// Dimension strategy: degenerate (0, 1), every tile constant ± 1 (the
+/// row-group height, the column-tile width, the transposed chunk, the
+/// shared-dimension block and two of them plus one), the engine's layer
+/// widths, and ragged values in between. 602 (Reddit's feature width) is
+/// covered by `engine_shapes_match_reference`, not drawn here: three such
+/// dims at once would make a case cost seconds.
 fn dim() -> impl Strategy<Value = usize> {
     prop_oneof![
         Just(0usize),
         Just(1usize),
-        2usize..8,
-        8usize..20,
-        Just(63usize),
-        64usize..80,
-        Just(129usize),
-        Just(200usize),
+        MR - 1..=MR + 1,
+        NR - 1..=NR + 1,
+        AT_COLS - 1..=AT_COLS + 1,
+        KB - 1..=KB + 1,
+        Just(2 * KB + 1),
+        Just(2 * NR),
+        Just(3usize),
+        Just(7usize),
+        Just(41usize),
+        Just(47usize),
+        Just(64usize),
+        Just(100usize),
+        2usize..40,
     ]
 }
 
+/// Band starts and lengths that straddle row groups and transposed chunks.
+fn bands(rows: usize) -> Vec<(usize, usize)> {
+    [(1, rows.saturating_sub(1)), (MR + 1, 3), (AT_COLS - 1, AT_COLS + 2), (rows / 2, rows / 3)]
+        .into_iter()
+        .filter(|&(row0, len)| len > 0 && row0 + len <= rows)
+        .collect()
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn blocked_matmul_is_bit_identical(
-        m in dim(), k in dim(), n in dim(), seed in 1u64..1_000_000,
+    fn tiled_matmul_is_bit_identical(
+        m in dim(), k in dim(), n in dim(), a_kind in kind(), seed in 1u64..1_000_000,
     ) {
-        let a = matrix(m, k, seed);
-        let b = matrix(k, n, seed ^ 0xABCD);
+        let mut a = matrix(m, k, seed, a_kind);
+        let mut b = matrix(k, n, seed ^ 0xABCD, Kind::Mixed);
+        if seed.is_multiple_of(4) {
+            plant_non_finite(&mut a, seed);
+            plant_non_finite(&mut b, seed ^ 0x77);
+        }
         let want = reference::matmul(&a, &b);
-        prop_assert_eq!(&ops::matmul(&a, &b), &want);
+        prop_assert_eq!(mbits(&ops::matmul(&a, &b)), mbits(&want));
         for threads in [2usize, 3, 5] {
-            prop_assert_eq!(&parallel::matmul(&a, &b, threads), &want);
+            prop_assert_eq!(mbits(&parallel::matmul(&a, &b, threads)), mbits(&want));
+        }
+        for (row0, len) in bands(m) {
+            let mut band = vec![0.0f32; len * n];
+            ops::matmul_into(&a, &b, row0, &mut band);
+            prop_assert_eq!(bits(&band), bits(&want.as_slice()[row0 * n..(row0 + len) * n]));
         }
     }
 
     #[test]
-    fn blocked_matmul_at_b_is_bit_identical(
-        r in dim(), m in dim(), n in dim(), seed in 1u64..1_000_000,
+    fn tiled_matmul_at_b_is_bit_identical(
+        r in dim(), m in dim(), n in dim(), a_kind in kind(), seed in 1u64..1_000_000,
     ) {
-        let a = matrix(r, m, seed);
-        let b = matrix(r, n, seed ^ 0x1234);
+        let mut a = matrix(r, m, seed, a_kind);
+        let mut b = matrix(r, n, seed ^ 0x1234, Kind::Mixed);
+        if seed.is_multiple_of(4) {
+            plant_non_finite(&mut a, seed);
+            plant_non_finite(&mut b, seed ^ 0x77);
+        }
         let want = reference::matmul_at_b(&a, &b);
-        prop_assert_eq!(&ops::matmul_at_b(&a, &b), &want);
+        prop_assert_eq!(mbits(&ops::matmul_at_b(&a, &b)), mbits(&want));
         for threads in [2usize, 3, 5] {
-            prop_assert_eq!(&parallel::matmul_at_b(&a, &b, threads), &want);
+            prop_assert_eq!(mbits(&parallel::matmul_at_b(&a, &b, threads)), mbits(&want));
+        }
+        for (row0, len) in bands(m) {
+            let mut band = vec![0.0f32; len * n];
+            ops::matmul_at_b_into(&a, &b, row0, &mut band);
+            prop_assert_eq!(bits(&band), bits(&want.as_slice()[row0 * n..(row0 + len) * n]));
         }
     }
 
@@ -103,8 +188,8 @@ proptest! {
     fn packed_matmul_a_bt_is_bit_identical(
         m in dim(), n in dim(), k in dim(), seed in 1u64..1_000_000,
     ) {
-        let a = matrix(m, k, seed);
-        let b = matrix(n, k, seed ^ 0x5555);
+        let a = matrix(m, k, seed, Kind::Mixed);
+        let b = matrix(n, k, seed ^ 0x5555, Kind::Mixed);
         let want = reference::matmul_a_bt(&a, &b);
         prop_assert_eq!(&ops::matmul_a_bt(&a, &b), &want);
         for threads in [2usize, 3, 5] {
@@ -113,15 +198,23 @@ proptest! {
     }
 
     #[test]
-    fn chunked_spmm_is_bit_identical(
-        m in dim(), k in dim(), n in dim(), nnz in 0usize..300, seed in 1u64..1_000_000,
+    fn tiled_spmm_is_bit_identical(
+        m in dim(), k in dim(), n in dim(), nnz in 0usize..600, seed in 1u64..1_000_000,
     ) {
         let s = csr(m, k, nnz, seed);
-        let b = matrix(k, n, seed ^ 0x9999);
+        let mut b = matrix(k, n, seed ^ 0x9999, Kind::Mixed);
+        if seed.is_multiple_of(4) {
+            plant_non_finite(&mut b, seed);
+        }
         let want = reference::spmm(&s, &b);
-        prop_assert_eq!(&s.spmm(&b), &want);
+        prop_assert_eq!(mbits(&s.spmm(&b)), mbits(&want));
         for threads in [2usize, 3, 5] {
-            prop_assert_eq!(&parallel::spmm(&s, &b, threads), &want);
+            prop_assert_eq!(mbits(&parallel::spmm(&s, &b, threads)), mbits(&want));
+        }
+        for (row0, len) in bands(m) {
+            let mut band = vec![0.0f32; len * n];
+            s.spmm_into(&b, row0, &mut band);
+            prop_assert_eq!(bits(&band), bits(&want.as_slice()[row0 * n..(row0 + len) * n]));
         }
     }
 
@@ -135,23 +228,15 @@ proptest! {
         nnz in 0usize..300, seed in 1u64..1_000_000,
     ) {
         let s = csr(m, n_local + n_remote, nnz, seed);
-        let mut local = matrix(n_local, n, seed ^ 0x7777);
-        let mut remote = matrix(n_remote, n, seed ^ 0x3333);
-        if seed % 4 == 0 && n > 0 {
-            for (half, v) in [(&mut local, f32::INFINITY), (&mut remote, f32::NAN)] {
-                if half.rows() > 0 {
-                    let r = seed as usize % half.rows();
-                    half.set(r, 0, v);
-                    half.set(r, n - 1, f32::NEG_INFINITY);
-                }
-            }
+        let mut local = matrix(n_local, n, seed ^ 0x7777, Kind::Mixed);
+        let mut remote = matrix(n_remote, n, seed ^ 0x3333, Kind::Mixed);
+        if seed.is_multiple_of(4) {
+            plant_non_finite(&mut local, seed);
+            plant_non_finite(&mut remote, seed ^ 0x77);
         }
-        let stacked = local.vstack(&remote);
+        let want = reference::spmm(&s, &local.vstack(&remote));
         for threads in [1usize, 2, 3, 5] {
-            prop_assert_eq!(
-                bits(&parallel::spmm_split(&s, &local, &remote, threads)),
-                bits(&parallel::spmm(&s, &stacked, threads))
-            );
+            prop_assert_eq!(mbits(&parallel::spmm_split(&s, &local, &remote, threads)), mbits(&want));
         }
     }
 
@@ -159,7 +244,7 @@ proptest! {
     fn blocked_transpose_is_a_permutation(
         m in dim(), n in dim(), seed in 1u64..1_000_000,
     ) {
-        let a = matrix(m, n, seed);
+        let a = matrix(m, n, seed, Kind::Mixed);
         let t = a.transpose();
         prop_assert_eq!(t.shape(), (n, m));
         for r in 0..m {
@@ -170,20 +255,79 @@ proptest! {
     }
 }
 
+/// The products the benchmark workloads actually run, at their own shapes
+/// (`P_w·W⁰` and `P_wᵀ·G¹` of each replica; the 64- and 47-wide hidden
+/// layers of `products` with a ReLU-sparse `H`), which the proptests' `dim()`
+/// cannot reach all at once.
+#[test]
+fn engine_shapes_match_reference() {
+    // (rows of the worker block, inner width, output width, kind of A)
+    let shapes = [
+        (341, 602, 16, Kind::Dense),
+        (451, 256, 16, Kind::Dense),
+        (1233, 128, 16, Kind::Mixed),
+        (341, 100, 64, Kind::Dense),
+        (341, 64, 47, Kind::ReluSparse),
+        (341, 64, 64, Kind::ReluSparse),
+        (341, 16, 41, Kind::ReluSparse),
+        (451, 16, 7, Kind::ReluSparse),
+        (1233, 16, 3, Kind::ReluSparse),
+    ];
+    for (i, &(rows, k, n, a_kind)) in shapes.iter().enumerate() {
+        let seed = 1000 + i as u64;
+        let a = matrix(rows, k, seed, a_kind);
+        let w = matrix(k, n, seed ^ 0xABCD, Kind::Mixed);
+        assert_eq!(mbits(&ops::matmul(&a, &w)), mbits(&reference::matmul(&a, &w)), "A·B {i}");
+        let g = matrix(rows, n, seed ^ 0x1234, Kind::Mixed);
+        let want = reference::matmul_at_b(&a, &g);
+        assert_eq!(mbits(&ops::matmul_at_b(&a, &g)), mbits(&want), "AᵀB {i}");
+        assert_eq!(mbits(&parallel::matmul_at_b(&a, &g, 3)), mbits(&want), "AᵀB {i} x3");
+    }
+}
+
 /// Infinities and huge values must flow through the skip/accumulate logic
 /// exactly like the reference (order changes would turn `inf + -inf` NaNs
-/// on or off). `inf * 0.0` makes the outputs contain NaN, so this compares
-/// raw bit patterns rather than float equality.
+/// on or off), and a zero in `A` must keep shielding an `Inf`/`NaN` in the
+/// matching row of `B` — in the dense tile's rows and the listed tile's
+/// rows alike.
 #[test]
 fn non_finite_values_propagate_identically() {
-    let mut a = matrix(19, 13, 77);
+    let mut a = matrix(19, 13, 77, Kind::Mixed);
     a.set(0, 0, f32::INFINITY);
     a.set(5, 7, f32::NEG_INFINITY);
     a.set(18, 12, f32::MAX);
-    let b = matrix(13, 9, 78);
-    assert_eq!(bits(&ops::matmul(&a, &b)), bits(&reference::matmul(&a, &b)));
-    let bt = matrix(9, 13, 79);
-    assert_eq!(bits(&ops::matmul_a_bt(&a, &bt)), bits(&reference::matmul_a_bt(&a, &bt)));
-    let l = matrix(19, 6, 80);
-    assert_eq!(bits(&ops::matmul_at_b(&a, &l)), bits(&reference::matmul_at_b(&a, &l)));
+    let b = matrix(13, 9, 78, Kind::Mixed);
+    assert_eq!(mbits(&ops::matmul(&a, &b)), mbits(&reference::matmul(&a, &b)));
+    let bt = matrix(9, 13, 79, Kind::Mixed);
+    assert_eq!(mbits(&ops::matmul_a_bt(&a, &bt)), mbits(&reference::matmul_a_bt(&a, &bt)));
+    let l = matrix(19, 6, 80, Kind::Mixed);
+    assert_eq!(mbits(&ops::matmul_at_b(&a, &l)), mbits(&reference::matmul_at_b(&a, &l)));
+
+    // One zero per row of an otherwise dense A, opposite a row of B that is
+    // all Inf/NaN: the skip is the only thing keeping the output finite.
+    let poison = |m: &mut Matrix, row: usize| {
+        for c in 0..m.cols() {
+            m.set(row, c, if c % 2 == 0 { f32::INFINITY } else { f32::NAN });
+        }
+    };
+    let mut a = matrix(2 * MR + 1, KB + 3, 81, Kind::Dense);
+    let mut b = matrix(KB + 3, NR + 1, 82, Kind::Dense);
+    poison(&mut b, KB + 1);
+    for r in 0..a.rows() {
+        a.set(r, KB + 1, if r % 2 == 0 { 0.0 } else { -0.0 });
+    }
+    let got = ops::matmul(&a, &b);
+    assert!(got.as_slice().iter().all(|v| v.is_finite()), "the zero-skip must shield Inf/NaN");
+    assert_eq!(mbits(&got), mbits(&reference::matmul(&a, &b)));
+
+    // The same for Aᵀ·B: a zero row of A opposite the poisoned row of G.
+    let mut a = matrix(KB + 3, AT_COLS + 1, 83, Kind::Dense);
+    let mut g = matrix(KB + 3, NR + 1, 84, Kind::Dense);
+    poison(&mut g, KB + 1);
+    for c in 0..a.cols() {
+        a.set(KB + 1, c, if c % 2 == 0 { 0.0 } else { -0.0 });
+    }
+    let got = ops::matmul_at_b(&a, &g);
+    assert!(got.as_slice().iter().all(|v| v.is_finite()), "the zero-skip must shield Inf/NaN");
+    assert_eq!(mbits(&got), mbits(&reference::matmul_at_b(&a, &g)));
 }

@@ -14,7 +14,9 @@
 # Pass --perf-smoke to also build the benchmark package (perfbench/, a
 # package of its own that the workspace build never compiles), run its
 # unit tests and `perf --smoke` — so a product-crate signature change
-# that breaks the benchmark fails here, not in the next benchmark run.
+# that breaks the benchmark fails here, not in the next benchmark run. It
+# first re-runs the compute kernels' Tier-1 anchor in release, the build
+# the benchmark measures.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -146,6 +148,12 @@ if [[ "$RUN_SERVE_SMOKE" == "1" ]]; then
 fi
 
 if [[ "$RUN_PERF_SMOKE" == "1" ]]; then
+  echo "== perf smoke prerequisite (tiled kernels vs reference, release build) =="
+  # The benchmark times the release build of the compute kernels; their
+  # Tier-1 anchor must hold on exactly that code before any number is read.
+  cargo test --release -q --test property_suite \
+    compute_kernels_match_the_reference_on_worker_shapes
+
   echo "== perf smoke (perfbench builds against the product crates) =="
   cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
   cargo run --release --offline -q --manifest-path perfbench/Cargo.toml --bin perf -- --smoke

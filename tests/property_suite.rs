@@ -207,6 +207,89 @@ fn split_spmm_is_the_stacked_spmm_bit_for_bit() {
     }
 }
 
+/// Tier-1 anchor for the tiled compute kernels (`cargo test -q` does not
+/// run `crates/tensor/tests/kernel_equivalence.rs`): the four products of
+/// one forward and backward pass of a 3-layer model, on the per-worker
+/// operands `build_worker_contexts` yields — dense features, ReLU-sparse
+/// hidden activations, widths that are no multiple of the column tile —
+/// against `ops::reference`, bit for bit, sequential and on 3 threads. And
+/// the serving path's one-row product, `ModelWeights::project_row`, against
+/// the matching row of the batched kernel.
+#[test]
+fn compute_kernels_match_the_reference_on_worker_shapes() {
+    use ec_graph_repro::ecgraph::config::ModelKind;
+    use ec_graph_repro::ecgraph::context::build_worker_contexts;
+    use ec_graph_repro::ecgraph::infer::ModelWeights;
+    use ec_graph_repro::tensor::ops::reference;
+    use ec_graph_repro::tensor::{activations, parallel};
+    use std::sync::Arc;
+    let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    let wave = |rows: usize, cols: usize, salt: usize| {
+        Matrix::from_fn(rows, cols, |r, c| ((r * 31 + c * 17 + salt) as f32 * 0.37).sin())
+    };
+
+    let dims = [70usize, 24, 19, 5];
+    let n = 1200;
+    let g = generators::erdos_renyi(n, 8 * n, 7);
+    let adj = Arc::new(normalize::gcn_normalized_adjacency(&g));
+    let partition = HashPartitioner::new(7).partition(&g, 3);
+    let weights: Vec<Matrix> = (0..3).map(|l| wave(dims[l], dims[l + 1], 100 + l)).collect();
+    // Global activations per layer (every worker block is a gather of
+    // them): dense features, then ReLU outputs — about half exact zeros.
+    let h: Vec<Matrix> = (0..3)
+        .map(|l| if l == 0 { wave(n, dims[0], 1) } else { activations::relu(&wave(n, dims[l], l)) })
+        .collect();
+    let zeros = h[1].as_slice().iter().filter(|&&v| v == 0.0).count();
+    assert!((n * dims[1] / 3..n * dims[1] * 2 / 3).contains(&zeros), "H¹ must be ReLU-sparse");
+
+    for ctx in &build_worker_contexts(&[Arc::clone(&adj)], &partition) {
+        let topo = &ctx.layers[0];
+        for threads in [1usize, 3] {
+            for l in 0..3 {
+                let local = h[l].gather_rows(&ctx.local_vertices);
+                let remote = h[l].gather_rows(&topo.remote_deps);
+                let tag = format!("worker {} layer {l} threads {threads}", ctx.worker_id);
+                // Â_w·[H_local | H_remote], then ·W.
+                let agg = parallel::spmm_split(&topo.adj_local, &local, &remote, threads);
+                assert_eq!(
+                    bits(&agg),
+                    bits(&reference::spmm(&topo.adj_local, &local.vstack(&remote))),
+                    "spmm {tag}"
+                );
+                let z = parallel::matmul(&agg, &weights[l], threads);
+                assert_eq!(bits(&z), bits(&reference::matmul(&agg, &weights[l])), "A·B {tag}");
+                // Hᵀ·G (H is ReLU-sparse past layer 0) and G·Wᵀ.
+                let grad = wave(local.rows(), dims[l + 1], 200 + l);
+                assert_eq!(
+                    bits(&parallel::matmul_at_b(&local, &grad, threads)),
+                    bits(&reference::matmul_at_b(&local, &grad)),
+                    "AᵀB {tag}"
+                );
+                assert_eq!(
+                    bits(&parallel::matmul_a_bt(&grad, &weights[l], threads)),
+                    bits(&reference::matmul_a_bt(&grad, &weights[l])),
+                    "A·Bᵀ {tag}"
+                );
+            }
+        }
+    }
+
+    // Serving multiplies one embedding row at a time; its accumulation
+    // order is the batched kernel's. A 2-layer prefix of the model makes
+    // the projected width 19: one full column tile and a shifted one.
+    let slots = weights[..2].iter().map(|w| (w.clone(), vec![0.0; w.cols()])).collect();
+    let model = ModelWeights::from_parts(ModelKind::Gcn, slots);
+    let batched = ops::matmul(&h[1], &weights[1]);
+    for r in (0..n).step_by(97) {
+        let row = model.project_row(h[1].row(r));
+        assert_eq!(
+            row.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            batched.row(r).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "project_row {r}"
+        );
+    }
+}
+
 /// Tier-1 anchors for the single-pass exchange kernels (`cargo test -q` does
 /// not run the crates' own proptests): one deterministic case per kernel,
 /// each against a reference written here from scratch — scalar `i64`
