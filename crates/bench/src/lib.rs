@@ -12,6 +12,9 @@
 //! * [`emit`] — human-readable table rows plus machine-readable JSON lines
 //!   (prefixed `#json`), so results can be diffed across runs.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
+
 use ec_graph_data::{AttributedGraph, DatasetSpec};
 use std::collections::HashMap;
 

@@ -19,6 +19,9 @@
 //!   Manager);
 //! * [`stats`] — per-epoch traffic summaries used by every experiment.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
+
 pub mod clock;
 pub mod codec;
 pub mod network;

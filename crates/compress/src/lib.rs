@@ -27,6 +27,9 @@
 //! the paper fixes the data domain to `[0, 1]`; for the backward pass it
 //! computes min/max per message (Alg. 6 line 4). Both modes are supported.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
+
 pub mod bitpack;
 pub mod error;
 pub mod quantize;

@@ -512,28 +512,24 @@ impl DistributedEngine {
             self.steps.barrier(&mut self.network, Stage::new("fp:exchange", "fp").at_layer(l));
 
             // Compute Z^l = (Â_w·[H_local | H_remote])·W^{l-1} + b and H^l.
-            let results = {
-                let (w_l, b_l) = self.ps.pull(l - 1);
-                let w_self = sage.then(|| self.ps.pull(num_layers + l - 1).0);
-                let h_local = &self.h_local;
-                let p0 = &self.p0;
-                let contexts = &self.contexts;
+            let (w_l, b_l) = self.ps.pull(l - 1);
+            let w_self = sage.then(|| self.ps.pull(num_layers + l - 1).0);
+            let results =
                 self.steps.compute_superstep(Stage::new("fp:compute", "fp").at_layer(l), |w| {
                     // Layer 1 has no exchange: its aggregate is the cached P_w.
                     let fresh = (l >= 2).then(|| {
-                        let adj = &contexts[w].layers[l - 1].adj_local;
-                        parallel::spmm_split(adj, &h_local[w][l - 1], &remotes[w], kt)
+                        let adj = &self.contexts[w].layers[l - 1].adj_local;
+                        parallel::spmm_split(adj, &self.h_local[w][l - 1], &remotes[w], kt)
                     });
-                    let mut z = parallel::matmul(fresh.as_ref().unwrap_or(&p0[w]), w_l, kt);
+                    let mut z = parallel::matmul(fresh.as_ref().unwrap_or(&self.p0[w]), w_l, kt);
                     if let Some(ws) = w_self {
-                        ops::add_assign(&mut z, &parallel::matmul(&h_local[w][l - 1], ws, kt));
+                        ops::add_assign(&mut z, &parallel::matmul(&self.h_local[w][l - 1], ws, kt));
                     }
                     ops::add_bias_assign(&mut z, b_l);
                     // The output layer has no activation: Z^L is H^L.
                     let h = (l < num_layers).then(|| activations::relu(&z));
                     (h, z)
-                })
-            };
+                });
             for (w, (h, z)) in results.into_iter().enumerate() {
                 match h {
                     Some(h) => {
@@ -546,20 +542,15 @@ impl DistributedEngine {
         }
 
         // ---------------- Loss and G^L ----------------
-        let results = {
-            let h_local = &self.h_local;
-            let labels_local = &self.labels_local;
-            let train_local = &self.train_local;
-            let total_train = self.total_train;
+        let results =
             self.steps.compute_superstep(Stage::new("loss:compute", "loss").unindexed(), |w| {
                 local_loss_grad(
-                    &h_local[w][num_layers],
-                    &labels_local[w],
-                    &train_local[w],
-                    total_train,
+                    &self.h_local[w][num_layers],
+                    &self.labels_local[w],
+                    &self.train_local[w],
+                    self.total_train,
                 )
-            })
-        };
+            });
         let mut loss_sum = 0.0f32;
         let mut g_cur: Vec<Matrix> = Vec::with_capacity(num_workers);
         for (loss, g) in results {
@@ -590,36 +581,30 @@ impl DistributedEngine {
                 self.steps.barrier(&mut self.network, Stage::new("bp:exchange", "bp").at_layer(l));
             }
 
-            let results = {
-                let w_lm1 = self.ps.pull(l - 1).0;
-                let ws_lm1 = sage.then(|| self.ps.pull(num_layers + l - 1).0);
-                let h_local = &self.h_local;
-                let z_local = &self.z_local;
-                let p0 = &self.p0;
-                let contexts = &self.contexts;
-                let g_cur = &g_cur;
+            let w_lm1 = self.ps.pull(l - 1).0;
+            let ws_lm1 = sage.then(|| self.ps.pull(num_layers + l - 1).0);
+            let results =
                 self.steps.compute_superstep(Stage::new("bp:compute", "bp").at_layer(l), |w| {
-                    let b_part = ops::column_sums(&g_cur[w]);
+                    let (h_prev, g) = (&self.h_local[w][l - 1], &g_cur[w]);
+                    let b_part = ops::column_sums(g);
                     // Self path: Y_s^{l-1} = (H^{l-1})ᵀ G^l — purely local.
-                    let ys_part =
-                        sage.then(|| parallel::matmul_at_b(&h_local[w][l - 1], &g_cur[w], kt));
+                    let ys_part = sage.then(|| parallel::matmul_at_b(h_prev, g, kt));
                     if l == 1 {
-                        let y_part = parallel::matmul_at_b(&p0[w], &g_cur[w], kt);
+                        let y_part = parallel::matmul_at_b(&self.p0[w], g, kt);
                         return (y_part, ys_part, b_part, None);
                     }
-                    let adj = &contexts[w].layers[l - 1].adj_local;
-                    let ag = parallel::spmm_split(adj, &g_cur[w], &g_remote[w], kt);
+                    let adj = &self.contexts[w].layers[l - 1].adj_local;
+                    let ag = parallel::spmm_split(adj, g, &g_remote[w], kt);
                     // Y^{l-1} = (H^{l-1})ᵀ (Â G^l), summed over workers.
-                    let y_part = parallel::matmul_at_b(&h_local[w][l - 1], &ag, kt);
+                    let y_part = parallel::matmul_at_b(h_prev, &ag, kt);
                     // G^{l-1} = [(Â G^l)(W^{l-1})ᵀ (+ G^l W_sᵀ)] ⊙ σ'(Z^{l-1}).
                     let mut flow = parallel::matmul_a_bt(&ag, w_lm1, kt);
                     if let Some(ws) = ws_lm1 {
-                        ops::add_assign(&mut flow, &parallel::matmul_a_bt(&g_cur[w], ws, kt));
+                        ops::add_assign(&mut flow, &parallel::matmul_a_bt(g, ws, kt));
                     }
-                    activations::relu_backward_assign(&mut flow, &z_local[w][l - 2]);
+                    activations::relu_backward_assign(&mut flow, &self.z_local[w][l - 2]);
                     (y_part, ys_part, b_part, Some(flow))
-                })
-            };
+                });
             let mut y_sum = Matrix::zeros(self.config.dims[l - 1], self.config.dims[l]);
             let mut ys_sum = Matrix::zeros(self.config.dims[l - 1], self.config.dims[l]);
             let mut b_sum = vec![0.0f32; self.config.dims[l]];

@@ -41,6 +41,45 @@ use ec_trace::{MetricId, SpanEvent, TelemetryLevel, TelemetrySink};
 /// the result vector that belongs to its workers — no locks, no
 /// reordering. A panicking closure propagates after the whole batch
 /// completes, and the pool survives it.
+///
+/// `f` is `Fn + Sync`: it may read what it captures and must **return**
+/// what it computes. `SimNetwork::send`, `TelemetrySink::add` and
+/// `ParameterServerGroup::push` take `&mut self`, which an `Fn` closure
+/// cannot hold, so a worker block that sends, records telemetry or
+/// accumulates into a captured sum is a compile error rather than a race
+/// (`clippy.toml` bans the interior-mutability types that could get around
+/// it). `SuperstepDriver::compute_superstep` passes its block through
+/// here under the same bound.
+///
+/// ```compile_fail
+/// use ec_comm::{stats::Channel, NetworkModel, SimNetwork};
+/// use ec_graph::exec::{run_workers, WorkerPool};
+/// let mut network = SimNetwork::new(2, NetworkModel::default());
+/// run_workers(&WorkerPool::new(2), 2, |w| {
+///     network.send(w, 1 - w, Channel::Forward, 8); // E0596: `send` needs `&mut`
+/// });
+/// ```
+///
+/// ```compile_fail
+/// use ec_graph::exec::{run_workers, WorkerPool};
+/// let (parts, mut grad_sum) = ([1.0f32, 2.0], [0.0f32]);
+/// run_workers(&WorkerPool::new(2), 2, |w| grad_sum[0] += parts[w]); // E0594
+/// ```
+///
+/// What compiles is the ordered replay: workers return, the caller folds
+/// and sends in ascending worker order after the join.
+///
+/// ```
+/// use ec_comm::{stats::Channel, NetworkModel, SimNetwork};
+/// use ec_graph::exec::{run_workers, WorkerPool};
+/// let mut network = SimNetwork::new(2, NetworkModel::default());
+/// let (parts, mut grad_sum) = ([1.0f32, 2.0], [0.0f32]);
+/// for (w, part) in run_workers(&WorkerPool::new(2), 2, |w| parts[w]).into_iter().enumerate() {
+///     grad_sum[0] += part;
+///     network.send(w, 1 - w, Channel::Forward, 8);
+/// }
+/// assert_eq!(grad_sum, [3.0]);
+/// ```
 pub fn run_workers<R: Send>(pool: &WorkerPool, n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
     let threads = pool.threads().clamp(1, n.max(1));
     if threads == 1 || n <= 1 {
@@ -304,7 +343,6 @@ impl SuperstepDriver {
 mod tests {
     use super::*;
     use ec_trace::NO_INDEX;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn results_come_back_in_worker_order() {
@@ -316,7 +354,12 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_types,
+        reason = "counts calls across lanes; asserts nothing on order"
+    )]
     fn every_worker_runs_exactly_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let pool = WorkerPool::new(4);
         let counter = AtomicUsize::new(0);
         let out = run_workers(&pool, 11, |w| {

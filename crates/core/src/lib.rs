@@ -38,6 +38,23 @@
 //! * [`wire`] — concrete serialization for every vertex message (the
 //!   gRPC/protobuf stand-in), with tests proving the engine's analytic
 //!   byte charges equal real serialized sizes.
+//!
+//! ## No `unsafe`
+//!
+//! Like every crate of the workspace except `ec-tensor` (whose worker pool
+//! holds the one audited block), this crate is `#![forbid(unsafe_code)]`,
+//! so an `unsafe` block anywhere in it is a compile error — and `forbid`,
+//! unlike `deny`, cannot be lowered again further down.
+//!
+//! ```compile_fail
+//! #![forbid(unsafe_code)]
+//! fn first(buf: &[f32]) -> f32 {
+//!     unsafe { *buf.get_unchecked(0) } // error: usage of an `unsafe` block
+//! }
+//! ```
+
+#![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
 
 pub mod baselines;
 pub mod bp;

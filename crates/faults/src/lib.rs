@@ -17,6 +17,9 @@
 //! message". Retry accounting lives in `ec-comm` and recovery policy
 //! (retry, EC-degrade, checkpoint/restore) in `ec-graph`.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
+
 use serde::{Deserialize, Serialize};
 
 /// What the network does with one transmitted message.

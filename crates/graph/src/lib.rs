@@ -19,6 +19,9 @@
 //!   scale is recorded per replica), and
 //! * [`io`] — plain-text edge-list and label persistence.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
+
 pub mod attributed;
 pub mod csr;
 pub mod datasets;

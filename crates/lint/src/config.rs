@@ -5,25 +5,27 @@
 //! `key = ["a", "b"]` single-line string arrays. Comments start with `#`.
 //!
 //! ```toml
-//! [no-wall-clock]
+//! [unused-suppression]
 //! severity = "error"
-//! include = ["crates"]
-//! exclude = ["crates/bench", "crates/comm/src/clock.rs"]
+//! include = ["crates", "tests"]
+//! exclude = ["crates/lint/src", "crates/lint/tests/fixtures"]
 //! ```
 //!
 //! `include`/`exclude` entries are workspace-relative path prefixes,
 //! matched at component boundaries (`crates/core` matches
 //! `crates/core/src/engine.rs`, not `crates/core2`). A rule only runs on
-//! files under some `include` prefix and under no `exclude` prefix.
+//! files under some `include` prefix and under no `exclude` prefix; a
+//! prefix that matches no file at all is reported by [`crate::run`] (a
+//! scope that silently rots is how a rule stops guarding anything).
 
 use crate::diag::Severity;
 use std::collections::BTreeMap;
 
 /// Keys a rule section may set.
-const KNOWN_KEYS: &[&str] = &["severity", "include", "exclude", "lock", "entry_points", "sinks"];
+const KNOWN_KEYS: &[&str] = &["severity", "include", "exclude", "lock", "entry_points"];
 
 /// Where one rule applies, and how hard it fails.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RuleConfig {
     /// Diagnostics from this rule carry this severity.
     pub severity: Severity,
@@ -36,9 +38,8 @@ pub struct RuleConfig {
     /// Function patterns (fully-qualified or `::`-suffixes) the
     /// reachability analysis starts from (`no-panic-hot-path`).
     pub entry_points: Vec<String>,
-    /// Function patterns whose transitive inputs must stay ordered
-    /// (`determinism-taint`).
-    pub sinks: Vec<String>,
+    /// 1-based `lint.toml` line each key of this section was set on.
+    pub lines: BTreeMap<String, usize>,
 }
 
 impl RuleConfig {
@@ -52,6 +53,22 @@ impl RuleConfig {
     /// not the `include` list (which stays as the token-scan fallback).
     pub fn excludes(&self, rel_path: &str) -> bool {
         self.exclude.iter().any(|p| prefix_match(p, rel_path))
+    }
+
+    /// The `lint.toml` line `key` was set on (1 for hand-built configs).
+    pub fn line_of(&self, key: &str) -> usize {
+        self.lines.get(key).copied().unwrap_or(1)
+    }
+
+    /// `(key, prefix)` for every `include`/`exclude` prefix under which
+    /// `files` has nothing — a typo or a moved directory, either of which
+    /// would silently shrink (or fail to carve) the rule's scope.
+    pub fn dead_prefixes(&self, files: &[String]) -> Vec<(&'static str, &str)> {
+        [("include", &self.include), ("exclude", &self.exclude)]
+            .into_iter()
+            .flat_map(|(key, prefixes)| prefixes.iter().map(move |p| (key, p.as_str())))
+            .filter(|(_, p)| !files.iter().any(|f| prefix_match(p, f)))
+            .collect()
     }
 }
 
@@ -106,14 +123,7 @@ impl LintConfig {
                         did_you_mean(name, crate::KNOWN_RULES)
                     )));
                 }
-                rules.entry(name.to_string()).or_insert(RuleConfig {
-                    severity: Severity::Error,
-                    include: Vec::new(),
-                    exclude: Vec::new(),
-                    lock: None,
-                    entry_points: Vec::new(),
-                    sinks: Vec::new(),
-                });
+                rules.entry(name.to_string()).or_default();
                 current = Some(name.to_string());
                 continue;
             }
@@ -122,7 +132,9 @@ impl LintConfig {
             };
             let section = current.as_ref().ok_or_else(|| err("key before any [section]".into()))?;
             let rule = rules.get_mut(section).ok_or_else(|| err("unknown section".into()))?;
-            match key.trim() {
+            let key = key.trim();
+            rule.lines.insert(key.to_string(), idx + 1);
+            match key {
                 "severity" => {
                     rule.severity = Severity::parse(&parse_string(value.trim()).map_err(&err)?)
                         .map_err(&err)?;
@@ -133,7 +145,6 @@ impl LintConfig {
                 "entry_points" => {
                     rule.entry_points = parse_string_array(value.trim()).map_err(&err)?;
                 }
-                "sinks" => rule.sinks = parse_string_array(value.trim()).map_err(&err)?,
                 other => {
                     return Err(err(format!(
                         "unknown key {other:?}{}",
@@ -143,9 +154,7 @@ impl LintConfig {
             }
         }
         for (name, rule) in &rules {
-            // Graph-scoped rules are rooted at `sinks` patterns rather than
-            // path prefixes; everything else needs an include list.
-            if rule.include.is_empty() && rule.sinks.is_empty() {
+            if rule.include.is_empty() {
                 return Err(format!("rule [{name}] has no include paths"));
             }
         }
@@ -230,29 +239,30 @@ mod tests {
         let cfg = LintConfig::parse(
             r#"
 # top comment
-[no-wall-clock]
+[wire-hygiene]
 severity = "error"
 include = ["crates"]           # trailing comment
 exclude = ["crates/bench", "crates/comm/src/clock.rs"]
 
-[no-unseeded-rng]
+[unused-suppression]
 severity = "warn"
 include = ["crates", "tests"]
 "#,
         )
         .unwrap();
         assert_eq!(cfg.rules.len(), 2);
-        let wc = &cfg.rules["no-wall-clock"];
-        assert_eq!(wc.severity, Severity::Error);
-        assert_eq!(wc.exclude.len(), 2);
-        assert_eq!(cfg.rules["no-unseeded-rng"].severity, Severity::Warn);
+        let wh = &cfg.rules["wire-hygiene"];
+        assert_eq!(wh.severity, Severity::Error);
+        assert_eq!(wh.exclude.len(), 2);
+        assert_eq!((wh.line_of("include"), wh.line_of("exclude")), (5, 6));
+        assert_eq!(cfg.rules["unused-suppression"].severity, Severity::Warn);
     }
 
     #[test]
     fn parses_multi_line_arrays_with_trailing_commas() {
         let cfg = LintConfig::parse(
             r#"
-[no-unordered-iteration]
+[wire-hygiene]
 severity = "error"
 include = [
     "crates/core",   # comment on an entry
@@ -261,19 +271,16 @@ include = [
 "#,
         )
         .unwrap();
-        let rule = &cfg.rules["no-unordered-iteration"];
+        let rule = &cfg.rules["wire-hygiene"];
         assert_eq!(rule.include, vec!["crates/core".to_string(), "crates/comm".to_string()]);
     }
 
     #[test]
     fn prefix_matching_respects_component_boundaries() {
         let rule = RuleConfig {
-            severity: Severity::Error,
             include: vec!["crates/core".into()],
             exclude: vec!["crates/core/src/bin".into()],
-            lock: None,
-            entry_points: Vec::new(),
-            sinks: Vec::new(),
+            ..RuleConfig::default()
         };
         assert!(rule.applies_to("crates/core/src/engine.rs"));
         assert!(!rule.applies_to("crates/core2/src/engine.rs"));
@@ -282,57 +289,64 @@ include = [
 
     #[test]
     fn exact_file_includes_work() {
-        let rule = RuleConfig {
-            severity: Severity::Error,
-            include: vec!["crates/comm/src/ps.rs".into()],
-            exclude: vec![],
-            lock: None,
-            entry_points: Vec::new(),
-            sinks: Vec::new(),
-        };
+        let rule =
+            RuleConfig { include: vec!["crates/comm/src/ps.rs".into()], ..RuleConfig::default() };
         assert!(rule.applies_to("crates/comm/src/ps.rs"));
         assert!(!rule.applies_to("crates/comm/src/network.rs"));
     }
 
     #[test]
+    fn prefixes_that_match_no_file_are_dead() {
+        let rule = RuleConfig {
+            include: vec!["crates/core".into(), "crates/nope".into()],
+            exclude: vec!["crates/core/src/gone.rs".into()],
+            ..RuleConfig::default()
+        };
+        let files = ["crates/core/src/engine.rs".to_string()];
+        assert_eq!(
+            rule.dead_prefixes(&files),
+            [("include", "crates/nope"), ("exclude", "crates/core/src/gone.rs")]
+        );
+    }
+
+    #[test]
     fn rejects_malformed_lines() {
         assert!(LintConfig::parse("severity = \"error\"").is_err(), "key before section");
-        assert!(LintConfig::parse("[no-wall-clock]\nseverity error").is_err(), "missing =");
-        assert!(LintConfig::parse("[no-wall-clock]\nseverity = \"loud\"").is_err(), "bad severity");
-        assert!(LintConfig::parse("[no-wall-clock]\nseverity = \"warn\"").is_err(), "no includes");
+        assert!(LintConfig::parse("[wire-hygiene]\nseverity error").is_err(), "missing =");
+        assert!(LintConfig::parse("[wire-hygiene]\nseverity = \"loud\"").is_err(), "bad severity");
+        assert!(LintConfig::parse("[wire-hygiene]\nseverity = \"warn\"").is_err(), "no includes");
     }
 
     #[test]
     fn unknown_sections_are_hard_errors_with_suggestions() {
-        let err = LintConfig::parse("[no-wall-clok]\ninclude = [\"crates\"]").unwrap_err();
-        assert!(err.contains("unknown rule [no-wall-clok]"), "{err}");
-        assert!(err.contains("did you mean \"no-wall-clock\"?"), "{err}");
-        // Far from every known rule: no suggestion, still an error.
+        let err = LintConfig::parse("[wire-hygeine]\ninclude = [\"crates\"]").unwrap_err();
+        assert!(err.contains("unknown rule [wire-hygeine]"), "{err}");
+        assert!(err.contains("did you mean \"wire-hygiene\"?"), "{err}");
+        // Far from every known rule: no suggestion, still an error. A rule
+        // that moved to clippy.toml is unknown like any other.
         let err = LintConfig::parse("[totally-made-up-pass-name-xyz]").unwrap_err();
         assert!(err.contains("unknown rule"), "{err}");
         assert!(!err.contains("did you mean"), "{err}");
+        assert!(LintConfig::parse("[determinism-taint]\ninclude = [\"crates\"]").is_err());
     }
 
     #[test]
     fn unknown_keys_are_hard_errors_with_suggestions() {
-        let err = LintConfig::parse("[no-wall-clock]\nincldue = [\"crates\"]").unwrap_err();
+        let err = LintConfig::parse("[wire-hygiene]\nincldue = [\"crates\"]").unwrap_err();
         assert!(err.contains("unknown key \"incldue\""), "{err}");
         assert!(err.contains("did you mean \"include\"?"), "{err}");
+        assert!(LintConfig::parse("[wire-hygiene]\nsinks = [\"f\"]").is_err(), "retired key");
     }
 
     #[test]
-    fn entry_points_and_sinks_parse() {
+    fn entry_points_parse() {
         let cfg = LintConfig::parse(
             "[no-panic-hot-path]\ninclude = [\"crates\"]\n\
-             entry_points = [\"DistributedEngine::run_epoch\"]\n\
-             [determinism-taint]\ninclude = [\"crates\"]\n\
-             sinks = [\"RunResult::to_json\", \"put_matrix\"]",
+             entry_points = [\"DistributedEngine::run_epoch\"]",
         )
         .unwrap();
-        assert_eq!(
-            cfg.rules["no-panic-hot-path"].entry_points,
-            vec!["DistributedEngine::run_epoch".to_string()]
-        );
-        assert_eq!(cfg.rules["determinism-taint"].sinks.len(), 2);
+        let rule = &cfg.rules["no-panic-hot-path"];
+        assert_eq!(rule.entry_points, vec!["DistributedEngine::run_epoch".to_string()]);
+        assert_eq!(rule.line_of("entry_points"), 3);
     }
 }

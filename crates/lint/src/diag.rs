@@ -3,11 +3,13 @@
 use std::fmt;
 
 /// How serious a finding is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Informational: printed, never fails the build.
     Warn,
-    /// Hard failure under `--check`.
+    /// Hard failure under `--check` (what a section without a `severity`
+    /// key gets).
+    #[default]
     Error,
 }
 
@@ -66,25 +68,6 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-impl Diagnostic {
-    /// Machine-readable form for `--json`. The `note` key appears only
-    /// when the finding carries one, so note-less reports keep their
-    /// pre-existing byte shape.
-    pub fn to_json(&self) -> serde_json::Value {
-        let mut obj = serde_json::json!({
-            "rule": self.rule,
-            "severity": self.severity.as_str(),
-            "path": self.path,
-            "line": self.line,
-            "message": self.message,
-        });
-        if let Some(note) = &self.note {
-            obj["note"] = serde_json::Value::String(note.clone());
-        }
-        obj
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,37 +75,21 @@ mod tests {
     #[test]
     fn display_is_file_line_rule() {
         let d = Diagnostic {
-            rule: "no-wall-clock".into(),
+            rule: "wire-hygiene".into(),
             severity: Severity::Error,
             path: "crates/core/src/engine.rs".into(),
             line: 42,
-            message: "std::time::Instant used".into(),
+            message: "`P` is one-way".into(),
             note: None,
         };
         assert_eq!(
             d.to_string(),
-            "crates/core/src/engine.rs:42: error [no-wall-clock] std::time::Instant used"
+            "crates/core/src/engine.rs:42: error [wire-hygiene] `P` is one-way"
         );
     }
 
     #[test]
-    fn json_shape_is_stable() {
-        let d = Diagnostic {
-            rule: "r".into(),
-            severity: Severity::Warn,
-            path: "p.rs".into(),
-            line: 1,
-            message: "m".into(),
-            note: None,
-        };
-        assert_eq!(
-            d.to_json().to_string(),
-            r#"{"rule":"r","severity":"warn","path":"p.rs","line":1,"message":"m"}"#
-        );
-    }
-
-    #[test]
-    fn notes_render_indented_and_serialize() {
+    fn notes_render_indented() {
         let d = Diagnostic {
             rule: "no-panic-hot-path".into(),
             severity: Severity::Error,
@@ -132,6 +99,5 @@ mod tests {
             note: Some("call chain: a → b".into()),
         };
         assert_eq!(d.to_string(), "p.rs:3: error [no-panic-hot-path] m\n  note: call chain: a → b");
-        assert_eq!(d.to_json()["note"].as_str(), Some("call chain: a → b"));
     }
 }

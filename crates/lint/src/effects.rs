@@ -1,437 +1,84 @@
-//! The effect lattice and the fixpoint inference pass.
+//! The one effect the call graph still propagates: *may panic*.
 //!
-//! Every transitive rule asks the same shape of question: *does anything
-//! this function can reach do X*, where X is one of a small, closed set of
-//! determinism-relevant behaviors. This module names that set
-//! ([`Effect`]), detects the behaviors syntactically per function body
-//! ([`scan_direct`] — the same token detectors the per-file rules use),
-//! and propagates them over the call graph to a least fixpoint
-//! ([`infer`]). The lattice is a finite powerset (six bits), so monotone
-//! propagation terminates unconditionally — cycles in the call graph just
-//! mean the members of a strongly connected component share one effect
-//! set. The fixpoint is unique, hence independent of visit order; the
-//! proptest in `tests/callgraph_effects.rs` checks both properties against
-//! a brute-force reachability oracle on randomized cyclic graphs.
+//! `no-panic-hot-path` asks whether anything reachable from a
+//! superstep/serve entry point can abort the simulated cluster. This module
+//! finds the direct sites syntactically ([`panic_sites`]); reachability over
+//! the call graph ([`crate::callgraph::Analysis::reachable_from`]) does the
+//! rest. The other determinism-relevant behaviours this module once tracked
+//! (sends, telemetry writes, wall-clock reads, hash iteration, unseeded RNG)
+//! are compile errors or type-resolved clippy bans now — see `clippy.toml`
+//! and DESIGN.md §8.
 
 use crate::lexer::{Tok, TokKind};
-use crate::rules::{ident_at, is_punct};
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use crate::rules::is_punct;
 
-/// Methods that emit simulated network traffic.
-pub(crate) const SEND_METHODS: &[&str] = &["send", "try_send", "broadcast"];
-
-/// [`TelemetrySink`]-shaped recording methods (checked together with the
-/// receiver-name heuristic below, so `points.push(x)` stays clean while
-/// `ring.push(ev)` is flagged).
-pub(crate) const TELEMETRY_METHODS: &[&str] =
-    &["add", "set", "observe", "span", "push", "push_host_span", "note_crash", "rewind_to_epoch"];
-
-/// Receiver-name fragments that mark a binding as replay-ordered shared
-/// state (the sink, the registry, a span ring, the simulated network).
-pub(crate) const SHARED_STATE_FRAGMENTS: &[&str] =
-    &["telemetry", "sink", "registry", "ring", "network", "net"];
-
-/// Methods whose call on a `HashMap`/`HashSet` walks it in arbitrary order.
-pub(crate) const UNORDERED_ITER_METHODS: &[&str] =
-    &["iter", "iter_mut", "keys", "values", "values_mut", "drain", "into_keys", "into_values"];
-
-pub(crate) fn receiver_is_shared_state(name: &str) -> bool {
-    let lower = name.to_ascii_lowercase();
-    SHARED_STATE_FRAGMENTS.iter().any(|frag| lower.contains(frag))
-}
-
-/// One determinism-relevant behavior a function may (transitively) have.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Effect {
-    /// Emits simulated network traffic (`send`/`try_send`/`broadcast`).
-    Sends,
-    /// Writes replay-ordered telemetry (sink/registry/ring methods,
-    /// `record_*` helpers).
-    Telemetry,
-    /// Reads the host clock (`Instant`/`SystemTime`).
-    WallClock,
-    /// Can panic (`unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`).
-    MayPanic,
-    /// Iterates a hash container in process-random order.
-    UnorderedIter,
-    /// Draws OS entropy (`thread_rng`/`from_entropy`).
-    UnseededRng,
-}
-
-impl Effect {
-    /// Every effect, in bit order.
-    pub const ALL: [Effect; 6] = [
-        Effect::Sends,
-        Effect::Telemetry,
-        Effect::WallClock,
-        Effect::MayPanic,
-        Effect::UnorderedIter,
-        Effect::UnseededRng,
-    ];
-
-    /// The effect's bit in an [`EffectSet`].
-    pub fn bit(self) -> u8 {
-        match self {
-            Effect::Sends => 1 << 0,
-            Effect::Telemetry => 1 << 1,
-            Effect::WallClock => 1 << 2,
-            Effect::MayPanic => 1 << 3,
-            Effect::UnorderedIter => 1 << 4,
-            Effect::UnseededRng => 1 << 5,
-        }
-    }
-
-    /// Stable display name (used in diagnostics and the cache format).
-    pub fn name(self) -> &'static str {
-        match self {
-            Effect::Sends => "Sends",
-            Effect::Telemetry => "Telemetry",
-            Effect::WallClock => "WallClock",
-            Effect::MayPanic => "MayPanic",
-            Effect::UnorderedIter => "UnorderedIter",
-            Effect::UnseededRng => "UnseededRng",
-        }
-    }
-}
-
-impl fmt::Display for Effect {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// A subset of the six effects, as a bitset. The partial order is set
-/// inclusion; `union` is the lattice join.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub struct EffectSet(pub u8);
-
-impl EffectSet {
-    /// The empty set (lattice bottom).
-    pub const EMPTY: EffectSet = EffectSet(0);
-
-    /// Builds a set from the given effects.
-    pub fn of(effects: &[Effect]) -> Self {
-        let mut s = Self::EMPTY;
-        for &e in effects {
-            s.insert(e);
-        }
-        s
-    }
-
-    /// Adds one effect.
-    pub fn insert(&mut self, e: Effect) {
-        self.0 |= e.bit();
-    }
-
-    /// Set union (the lattice join), in place. Returns true if `self` grew.
-    pub fn join(&mut self, other: EffectSet) -> bool {
-        let before = self.0;
-        self.0 |= other.0;
-        self.0 != before
-    }
-
-    /// Whether `e` is in the set.
-    pub fn contains(self, e: Effect) -> bool {
-        self.0 & e.bit() != 0
-    }
-
-    /// Whether any of `others` is in the set.
-    pub fn intersects(self, others: EffectSet) -> bool {
-        self.0 & others.0 != 0
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// The members, in [`Effect::ALL`] order.
-    pub fn iter(self) -> impl Iterator<Item = Effect> {
-        Effect::ALL.into_iter().filter(move |e| self.contains(*e))
-    }
-}
-
-impl fmt::Display for EffectSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let names: Vec<&str> = self.iter().map(Effect::name).collect();
-        write!(f, "{{{}}}", names.join(", "))
-    }
-}
-
-/// One syntactic occurrence of a direct effect inside a function body.
+/// One syntactic panic site inside a function body.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EffectSite {
-    /// Which effect the site exhibits.
-    pub effect: Effect,
+pub struct PanicSite {
     /// 1-based source line.
     pub line: usize,
-    /// Short rendering of the offending code (`` `net.send()` ``).
+    /// Rendering of the offending call (`` `unwrap` ``) or macro
+    /// (`` `panic!` ``).
     pub what: String,
 }
 
-/// Scans `[range.0, range.1)` of `toks` for direct effect sites, skipping
-/// tokens under `mask` (test regions). `unordered_names` is the file-level
-/// set of bindings declared with a hash-container type or initializer —
-/// iteration rooted at one of them is an [`Effect::UnorderedIter`] site.
-pub(crate) fn scan_direct(
-    toks: &[Tok],
-    mask: &[bool],
-    range: (usize, usize),
-    unordered_names: &BTreeSet<String>,
-) -> (EffectSet, Vec<EffectSite>) {
-    let (start, end) = (range.0, range.1.min(toks.len()));
-    let mut set = EffectSet::EMPTY;
+/// Scans `[range.0, range.1)` of `toks` for `.unwrap()` / `.expect()` /
+/// `panic!` / `todo!` / `unimplemented!`, skipping tokens under `mask`
+/// (test regions). `assert!` stays allowed: invariant checks on entry are
+/// not recovery paths.
+pub(crate) fn panic_sites(toks: &[Tok], mask: &[bool], range: (usize, usize)) -> Vec<PanicSite> {
     let mut sites = Vec::new();
-    let push = |sites: &mut Vec<EffectSite>, effect: Effect, line: usize, what: String| {
-        sites.push(EffectSite { effect, line, what });
-    };
-    for i in start..end {
+    for i in range.0..range.1.min(toks.len()) {
         if mask.get(i).copied().unwrap_or(false) || toks[i].kind != TokKind::Ident {
             continue;
         }
         let name = toks[i].text.as_str();
-        let line = toks[i].line;
-        match name {
-            "Instant" | "SystemTime" => {
-                set.insert(Effect::WallClock);
-                push(&mut sites, Effect::WallClock, line, format!("`{name}`"));
-                continue;
-            }
-            "thread_rng" | "from_entropy" => {
-                set.insert(Effect::UnseededRng);
-                push(&mut sites, Effect::UnseededRng, line, format!("`{name}`"));
-                continue;
-            }
-            _ => {}
-        }
         let after_dot = i >= 1 && is_punct(toks, i - 1, ".");
         let after_path = i >= 2 && is_punct(toks, i - 1, ":") && is_punct(toks, i - 2, ":");
-        let called = is_punct(toks, i + 1, "(");
-        if (name == "unwrap" || name == "expect") && (after_dot || after_path) {
-            set.insert(Effect::MayPanic);
-            push(&mut sites, Effect::MayPanic, line, format!("`{name}`"));
+        let what = if matches!(name, "unwrap" | "expect") && (after_dot || after_path) {
+            format!("`{name}`")
+        } else if matches!(name, "panic" | "todo" | "unimplemented") && is_punct(toks, i + 1, "!") {
+            format!("`{name}!`")
+        } else {
             continue;
-        }
-        if (name == "panic" || name == "todo" || name == "unimplemented")
-            && is_punct(toks, i + 1, "!")
-            && !called
-        {
-            set.insert(Effect::MayPanic);
-            push(&mut sites, Effect::MayPanic, line, format!("`{name}!`"));
-            continue;
-        }
-        if after_dot && called {
-            let receiver = if i >= 2 { ident_at(toks, i - 2) } else { None };
-            if SEND_METHODS.contains(&name) {
-                set.insert(Effect::Sends);
-                let recv = receiver.unwrap_or("<expr>");
-                push(&mut sites, Effect::Sends, line, format!("`{recv}.{name}()`"));
-                continue;
-            }
-            if TELEMETRY_METHODS.contains(&name) && receiver.is_some_and(receiver_is_shared_state) {
-                set.insert(Effect::Telemetry);
-                let recv = receiver.unwrap_or_default();
-                push(&mut sites, Effect::Telemetry, line, format!("`{recv}.{name}()`"));
-                continue;
-            }
-            if UNORDERED_ITER_METHODS.contains(&name)
-                && receiver.is_some_and(|r| unordered_names.contains(r))
-            {
-                set.insert(Effect::UnorderedIter);
-                let recv = receiver.unwrap_or_default();
-                push(&mut sites, Effect::UnorderedIter, line, format!("`{recv}.{name}()`"));
-                continue;
-            }
-        }
-        if name.starts_with("record_") && called && !after_dot {
-            set.insert(Effect::Telemetry);
-            push(&mut sites, Effect::Telemetry, line, format!("`{name}()`"));
-            continue;
-        }
-        // `for pat in [&]binding {` over a hash container.
-        if name == "for" {
-            let limit = (i + 16).min(end);
-            let mut j = i + 1;
-            while j < limit && ident_at(toks, j) != Some("in") && !is_punct(toks, j, "{") {
-                j += 1;
-            }
-            if j < limit && ident_at(toks, j) == Some("in") {
-                let mut k = j + 1;
-                while k < end && (is_punct(toks, k, "&") || ident_at(toks, k) == Some("mut")) {
-                    k += 1;
-                }
-                if let Some(target) = ident_at(toks, k) {
-                    if unordered_names.contains(target) && is_punct(toks, k + 1, "{") {
-                        set.insert(Effect::UnorderedIter);
-                        push(
-                            &mut sites,
-                            Effect::UnorderedIter,
-                            toks[k].line,
-                            format!("`for … in {target}`"),
-                        );
-                    }
-                }
-            }
-        }
+        };
+        sites.push(PanicSite { line: toks[i].line, what });
     }
-    (set, sites)
-}
-
-/// Propagates direct effects over `edges` (caller → sorted callee names)
-/// to the least fixpoint: `all(f) = direct(f) ∪ ⋃ all(callee)`.
-///
-/// Termination does not depend on the graph being acyclic: each sweep
-/// either grows at least one 6-bit set or stops, so the loop runs at most
-/// `6 · |nodes| + 1` sweeps — the bound doubles as a widening guard, and
-/// the `debug_assert` documents that it is never reached in practice.
-pub fn infer(
-    edges: &BTreeMap<String, Vec<String>>,
-    direct: &BTreeMap<String, EffectSet>,
-) -> BTreeMap<String, EffectSet> {
-    let mut all: BTreeMap<String, EffectSet> = direct.clone();
-    for callees in edges.values() {
-        for c in callees {
-            all.entry(c.clone()).or_insert(EffectSet::EMPTY);
-        }
-    }
-    for caller in edges.keys() {
-        all.entry(caller.clone()).or_insert(EffectSet::EMPTY);
-    }
-    let max_sweeps = 6 * all.len() + 1;
-    let mut sweeps = 0usize;
-    loop {
-        let mut changed = false;
-        for (caller, callees) in edges {
-            let mut joined = all.get(caller).copied().unwrap_or(EffectSet::EMPTY);
-            for callee in callees {
-                if let Some(ce) = all.get(callee) {
-                    joined.0 |= ce.0;
-                }
-            }
-            let entry = all.entry(caller.clone()).or_insert(EffectSet::EMPTY);
-            if entry.join(joined) {
-                changed = true;
-            }
-        }
-        sweeps += 1;
-        if !changed {
-            return all;
-        }
-        if sweeps > max_sweeps {
-            debug_assert!(false, "effect inference exceeded the widening bound");
-            return all;
-        }
-    }
-}
-
-/// Shortest call chain (BFS, lexicographic tie-break via sorted adjacency)
-/// from `from` to any function whose *direct* effects include `effect`.
-/// Returns the chain as fully-qualified names, `from` first. A function
-/// that exhibits the effect directly yields a one-element chain.
-pub fn chain_to_effect(
-    edges: &BTreeMap<String, Vec<String>>,
-    direct: &BTreeMap<String, EffectSet>,
-    from: &str,
-    effect: Effect,
-) -> Option<Vec<String>> {
-    let has_direct = |f: &str| direct.get(f).is_some_and(|s| s.contains(effect));
-    if has_direct(from) {
-        return Some(vec![from.to_string()]);
-    }
-    let mut parent: BTreeMap<String, String> = BTreeMap::new();
-    let mut queue: std::collections::VecDeque<String> = std::collections::VecDeque::new();
-    queue.push_back(from.to_string());
-    parent.insert(from.to_string(), String::new());
-    while let Some(cur) = queue.pop_front() {
-        let Some(callees) = edges.get(&cur) else { continue };
-        for callee in callees {
-            if parent.contains_key(callee) {
-                continue;
-            }
-            parent.insert(callee.clone(), cur.clone());
-            if has_direct(callee) {
-                let mut chain = vec![callee.clone()];
-                let mut at = cur;
-                while !at.is_empty() {
-                    chain.push(at.clone());
-                    at = parent[&at].clone();
-                }
-                chain.reverse();
-                return Some(chain);
-            }
-            queue.push_back(callee.clone());
-        }
-    }
-    None
+    sites
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::rules::{test_mask, typed_names};
+    use crate::rules::test_mask;
 
-    fn scan_src(src: &str) -> (EffectSet, Vec<EffectSite>) {
+    fn scan_src(src: &str) -> Vec<PanicSite> {
         let file = lex(src);
         let mask = test_mask(&file.tokens);
-        let unordered = typed_names(&file.tokens, &mask, &["HashMap", "HashSet", "Receiver"]);
-        scan_direct(&file.tokens, &mask, (0, file.tokens.len()), &unordered)
+        panic_sites(&file.tokens, &mask, (0, file.tokens.len()))
     }
 
     #[test]
-    fn detects_every_effect_kind() {
-        let (set, sites) = scan_src(
-            "fn f(m: HashMap<u32, f64>) {\n\
-             let t = Instant::now();\n\
-             let r = thread_rng();\n\
-             let x = opt.unwrap();\n\
-             net.send(0, b);\n\
-             sink.observe(id, l, 1.0);\n\
-             for k in &m { use_it(k); }\n\
+    fn detects_calls_paths_and_macros() {
+        let sites = scan_src(
+            "fn f(x: Option<u32>) {\n\
+             let a = x.unwrap();\n\
+             let b = Option::expect(x, \"set\");\n\
+             todo!();\n\
              }",
         );
-        for e in Effect::ALL {
-            assert!(set.contains(e), "missing {e} in {set}: {sites:?}");
-        }
-        assert_eq!(sites.len(), 6, "{sites:?}");
+        let got: Vec<_> = sites.iter().map(|s| (s.line, s.what.as_str())).collect();
+        assert_eq!(got, [(2, "`unwrap`"), (3, "`expect`"), (4, "`todo!`")]);
     }
 
     #[test]
-    fn test_regions_and_plain_receivers_are_clean() {
-        let (set, _) = scan_src(
+    fn test_regions_asserts_and_lookalikes_are_clean() {
+        let sites = scan_src(
             "#[cfg(test)] mod t { fn g() { x.unwrap(); } }\n\
-             fn f(points: &mut Vec<u32>) { points.push(1); }",
+             fn f(v: Option<u32>) -> u32 { assert!(true); v.unwrap_or(0) }\n\
+             fn panic() {}",
         );
-        assert!(set.is_empty(), "{set}");
-    }
-
-    #[test]
-    fn fixpoint_propagates_through_cycles() {
-        let mut edges: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        edges.insert("a".into(), vec!["b".into()]);
-        edges.insert("b".into(), vec!["c".into(), "a".into()]); // cycle a↔b
-        let mut direct = BTreeMap::new();
-        direct.insert("c".into(), EffectSet::of(&[Effect::MayPanic]));
-        direct.insert("a".into(), EffectSet::of(&[Effect::Sends]));
-        let all = infer(&edges, &direct);
-        assert!(all["a"].contains(Effect::MayPanic));
-        assert!(all["b"].contains(Effect::MayPanic));
-        assert!(all["b"].contains(Effect::Sends), "cycle feeds a's Sends back into b");
-        assert!(!all["c"].contains(Effect::Sends));
-    }
-
-    #[test]
-    fn chains_are_shortest_and_deterministic() {
-        let mut edges: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        edges.insert("entry".into(), vec!["long".into(), "short".into()]);
-        edges.insert("long".into(), vec!["mid".into()]);
-        edges.insert("mid".into(), vec!["sink".into()]);
-        edges.insert("short".into(), vec!["sink".into()]);
-        let mut direct = BTreeMap::new();
-        direct.insert("sink".into(), EffectSet::of(&[Effect::UnorderedIter]));
-        let chain = chain_to_effect(&edges, &direct, "entry", Effect::UnorderedIter).unwrap();
-        assert_eq!(chain, vec!["entry", "short", "sink"]);
-        assert!(chain_to_effect(&edges, &direct, "entry", Effect::Sends).is_none());
+        assert!(sites.is_empty(), "{sites:?}");
     }
 }

@@ -46,17 +46,6 @@ pub struct Suppression {
     pub rule: String,
 }
 
-/// An `// ec-lint: sound(reason)` justification found in a comment: the
-/// structured escape hatch the `atomics-ordering-audit` rule requires next
-/// to every `Ordering::Relaxed` access and `unsafe` block.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SoundMarker {
-    /// 1-based line of the comment.
-    pub line: usize,
-    /// The free-text justification between the parentheses.
-    pub reason: String,
-}
-
 /// The lexed form of one source file.
 #[derive(Clone, Debug, Default)]
 pub struct LexedFile {
@@ -64,12 +53,9 @@ pub struct LexedFile {
     pub tokens: Vec<Tok>,
     /// Inline suppressions collected from comments.
     pub suppressions: Vec<Suppression>,
-    /// Inline soundness justifications collected from comments.
-    pub sound_markers: Vec<SoundMarker>,
 }
 
 const ALLOW_MARKER: &str = "ec-lint: allow(";
-const SOUND_MARKER: &str = "ec-lint: sound(";
 
 fn is_ident_start(c: char) -> bool {
     c.is_alphabetic() || c == '_'
@@ -95,35 +81,6 @@ fn scan_comment(text: &str, line: usize, out: &mut Vec<Suppression>) {
         if well_formed {
             out.push(Suppression { line, rule: rule.to_string() });
         }
-    }
-}
-
-/// Extracts an `ec-lint: sound(reason)` justification from a comment's
-/// text. The reason is free prose; it ends at the parenthesis matching the
-/// marker's open paren (nested parens inside the reason are balanced), and
-/// an empty reason does not register — a justification must say something.
-fn scan_sound(text: &str, line: usize, out: &mut Vec<SoundMarker>) {
-    let Some(pos) = text.find(SOUND_MARKER) else { return };
-    let rest = &text[pos + SOUND_MARKER.len()..];
-    let mut depth = 1usize;
-    let mut end = None;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '(' => depth += 1,
-            ')' => {
-                depth -= 1;
-                if depth == 0 {
-                    end = Some(i);
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let Some(end) = end else { return };
-    let reason = rest[..end].trim();
-    if !reason.is_empty() {
-        out.push(SoundMarker { line, reason: reason.to_string() });
     }
 }
 
@@ -161,7 +118,6 @@ pub fn lex(src: &str) -> LexedFile {
             }
             let text: String = b[start..i].iter().collect();
             scan_comment(&text, line, &mut out.suppressions);
-            scan_sound(&text, line, &mut out.sound_markers);
             continue; // the `\n` is consumed by the whitespace arm
         }
         // Block comment, possibly nested.
@@ -185,7 +141,6 @@ pub fn lex(src: &str) -> LexedFile {
             }
             let text: String = b[start..i.min(n)].iter().collect();
             scan_comment(&text, start_line, &mut out.suppressions);
-            scan_sound(&text, start_line, &mut out.sound_markers);
             continue;
         }
         // Raw strings: r"..."  r#"..."#  br##"..."## — any hash count.
@@ -484,26 +439,14 @@ mod tests {
 
     #[test]
     fn suppression_comments_are_collected() {
-        let src = "let a = 1; // ec-lint: allow(no-wall-clock, no-unseeded-rng)\nlet b = 2;";
+        let src = "let a = 1; // ec-lint: allow(wire-hygiene, no-panic-hot-path)\nlet b = 2;";
         let f = lex(src);
         assert_eq!(
             f.suppressions,
             vec![
-                Suppression { line: 1, rule: "no-wall-clock".into() },
-                Suppression { line: 1, rule: "no-unseeded-rng".into() },
+                Suppression { line: 1, rule: "wire-hygiene".into() },
+                Suppression { line: 1, rule: "no-panic-hot-path".into() },
             ]
-        );
-    }
-
-    #[test]
-    fn sound_markers_are_collected_with_balanced_parens() {
-        let src = "// ec-lint: sound(monotonic token (id) allocation)\nlet t = next();\n\
-                   // ec-lint: sound()\nlet u = 0;";
-        let f = lex(src);
-        assert_eq!(
-            f.sound_markers,
-            vec![SoundMarker { line: 1, reason: "monotonic token (id) allocation".into() }],
-            "empty reasons must not register"
         );
     }
 

@@ -1,35 +1,35 @@
-//! # `ec-lint` — workspace static analysis for determinism invariants
+//! # `ec-lint` — the workspace invariants neither rustc nor clippy can state
 //!
 //! The reproduction's claims rest on the simulated cluster being a
 //! *measurement instrument*: two runs of one config must produce identical
-//! traffic, losses, and reports. Nothing in rustc or clippy stops a
-//! contributor from iterating a `HashMap` in the engine, reading the wall
-//! clock in a baseline, or `unwrap()`ing in a superstep — the exact bug
-//! classes that silently break that property. `ec-lint` is a self-contained
-//! analyzer (the offline build has no `syn`/`dylint`) that enforces them.
+//! traffic, losses, and reports. Most of what protects that property is the
+//! compiler's job and lives elsewhere — wall-clock reads, hash-container
+//! iteration, `Condvar::wait` and every interior-mutability type are
+//! type-resolved bans in the root `clippy.toml`; worker blocks are
+//! `Fn + Sync` while sends and telemetry writes need `&mut`, so a block that
+//! touches replay-ordered state does not borrow-check; `unsafe` is
+//! `forbid`den outside `ec-tensor`. DESIGN.md §8 has the full table. What is
+//! left here are the six checks with no compiler equivalent, on a
+//! self-contained analyzer (the offline build has no `syn`/`dylint`).
 //!
 //! Token-pattern rules ([`rules`]):
 //!
-//! * [`rules::no_unordered_iteration`] — no `HashMap`/`HashSet` iteration
-//!   in deterministic paths;
-//! * [`rules::no_wall_clock`] — `std::time::{Instant, SystemTime}` only in
-//!   the sanctioned clock module;
-//! * [`rules::no_unseeded_rng`] — no `thread_rng`/`from_entropy` anywhere;
 //! * [`rules::no_panic_hot_path`] — no `unwrap`/`expect`/`panic!` in the
 //!   superstep hot paths;
 //! * [`rules::wire_hygiene`] — wire types derive both serde directions and
-//!   have round-trip tests.
+//!   have round-trip tests;
+//! * [`rules::lock_then_wait_hygiene`] — no second mutex is taken while a
+//!   pool guard is held.
 //!
 //! Semantic rules ([`sem`]), built on a recursive-descent parser
-//! ([`parser`]) and a workspace symbol table ([`symbols`]):
+//! ([`parser`]), a workspace symbol table ([`symbols`]) and the call graph
+//! ([`callgraph`]):
 //!
-//! * [`sem::thread_scope_hygiene`] — scoped worker closures stay pure
-//!   compute; shared replay-ordered state is touched only on the engine
-//!   thread's ordered replay;
-//! * [`sem::no_float_unordered_reduce`] — no float `sum`/`fold`/`reduce`
-//!   chains rooted at unordered sources;
-//! * [`sem::metric_catalog_sync`] — `metric_catalog!` ids and their record
-//!   sites stay in sync, both directions;
+//! * `no-panic-hot-path` with `entry_points` configured flags any
+//!   panicking function reachable from a superstep/serve entry
+//!   ([`sem::no_panic_reachable`]), with the call chain as a note;
+//! * [`sem::metric_catalog_sync`] — every `metric_catalog!` id is recorded
+//!   somewhere;
 //! * [`sem::wire_schema_lock`] — `Serialize` wire types match the
 //!   checked-in `wire.lock` fingerprints;
 //! * `unused-suppression` (in [`run`]) — every inline allow comment must
@@ -37,82 +37,43 @@
 //!   are reported after suppression filtering, so they cannot themselves
 //!   be suppressed.
 //!
-//! Interprocedural rules, built on a workspace call graph ([`callgraph`])
-//! with fixpoint effect inference ([`effects`]):
-//!
-//! * `no-panic-hot-path` with `entry_points` configured flags any
-//!   panicking function reachable from a superstep/serve entry;
-//! * [`sem::thread_scope_hygiene`] follows helper calls out of worker
-//!   closures to sends/telemetry any number of hops away;
-//! * [`sem::determinism_taint`] — serialization sinks must not
-//!   transitively depend on unordered iteration, unseeded RNG, or the
-//!   wall clock.
-//!
-//! Concurrency-soundness rules ([`conc`]), built on per-closure capture
-//! and write sets ([`dataflow`]):
-//!
-//! * [`conc::disjoint_band_writes`] — pool-dispatched closures write only
-//!   through band-local `&mut` slices, directly or via any call chain;
-//! * [`conc::atomics_ordering_audit`] — every `Ordering::Relaxed` access
-//!   and `unsafe` block carries a `// ec-lint: sound(<reason>)`
-//!   justification, inventoried into the checked-in `unsafe.lock`
-//!   (regenerate with `UPDATE_UNSAFE_LOCK=1`);
-//! * [`conc::lock_then_wait_hygiene`] — `Condvar::wait` sits in a
-//!   predicate-rechecking loop, and no second mutex is taken while a pool
-//!   guard is held.
-//!
-//! Findings from these rules carry the offending call chain as a note.
-//! Per-file analysis summaries can be cached ([`cache`], `--cache` on the
-//! CLI) keyed by content hash; resolution and the fixpoint re-run from
-//! summaries each time, so warm runs are byte-identical to cold ones.
-//! Diagnostics export as SARIF 2.1.0 ([`sarif`], `--sarif <path>`).
-//!
-//! Scopes live in `lint.toml` ([`config::LintConfig`]); inline escapes are
+//! Scopes live in `lint.toml` ([`config::LintConfig`]); a scope prefix or
+//! entry point that matches nothing is itself a finding. Inline escapes are
 //! `// ec-lint: allow(<rule>)` on or directly above the flagged line.
 
-pub mod cache;
+#![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
+
 pub mod callgraph;
-pub mod conc;
 pub mod config;
-pub mod dataflow;
 pub mod diag;
 pub mod effects;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
-pub mod sarif;
 pub mod sem;
 pub mod symbols;
 
 use callgraph::Analysis;
-use config::{LintConfig, RuleConfig};
+use config::LintConfig;
 use diag::Diagnostic;
 use lexer::LexedFile;
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use symbols::Workspace;
 
 /// Every rule this binary implements, in the order they are documented.
 pub const KNOWN_RULES: &[&str] = &[
-    "no-wall-clock",
-    "no-unseeded-rng",
     "no-panic-hot-path",
-    "no-unordered-iteration",
     "wire-hygiene",
-    "thread-scope-hygiene",
-    "no-float-unordered-reduce",
+    "lock-then-wait-hygiene",
     "metric-catalog-sync",
     "wire-schema-lock",
-    "determinism-taint",
     "unused-suppression",
-    "disjoint-band-writes",
-    "atomics-ordering-audit",
-    "lock-then-wait-hygiene",
 ];
 
 /// Rules that need the parsed workspace symbol table.
-const SEMANTIC_RULES: &[&str] =
-    &["thread-scope-hygiene", "metric-catalog-sync", "wire-schema-lock", "determinism-taint"];
+const SEMANTIC_RULES: &[&str] = &["metric-catalog-sync", "wire-schema-lock"];
 
 /// Directories never worth descending into.
 const SKIP_DIRS: &[&str] = &["target", ".git", ".claude", "node_modules"];
@@ -148,31 +109,6 @@ pub fn collect_rust_files(root: &Path) -> std::io::Result<Vec<String>> {
     Ok(out)
 }
 
-/// Options for [`run_with`] beyond the config file.
-#[derive(Clone, Debug, Default)]
-pub struct RunOptions {
-    /// Directory for the incremental analysis cache; `None` runs cold.
-    pub cache_dir: Option<PathBuf>,
-}
-
-/// Whether `rel` is part of the lint fixture corpus. Fixture bait must not
-/// enter the *workspace* call graph — a fixture `fn` named like a real
-/// helper would hijack unique-suffix resolution. (Linting the fixture tree
-/// itself is unaffected: there the corpus files are `src/…`, not under a
-/// `tests/fixtures` prefix.)
-fn is_fixture_corpus(rel: &str) -> bool {
-    rel.starts_with("tests/fixtures/") || rel.contains("/tests/fixtures/")
-}
-
-/// Runs every configured rule over the workspace at `root` with default
-/// options (no cache). See [`run_with`].
-///
-/// # Errors
-/// See [`run_with`].
-pub fn run(root: &Path, config: &LintConfig) -> Result<Vec<Diagnostic>, String> {
-    run_with(root, config, &RunOptions::default())
-}
-
 /// Runs every configured rule over the workspace at `root`.
 ///
 /// Returns unsuppressed diagnostics sorted by `(path, line, rule)`.
@@ -181,11 +117,7 @@ pub fn run(root: &Path, config: &LintConfig) -> Result<Vec<Diagnostic>, String> 
 /// An unknown rule name in the config, an unreadable file, or (when a
 /// semantic rule is configured) a file whose item structure cannot be
 /// parsed.
-pub fn run_with(
-    root: &Path,
-    config: &LintConfig,
-    opts: &RunOptions,
-) -> Result<Vec<Diagnostic>, String> {
+pub fn run(root: &Path, config: &LintConfig) -> Result<Vec<Diagnostic>, String> {
     for name in config.rules.keys() {
         if !KNOWN_RULES.contains(&name.as_str()) {
             return Err(format!("lint.toml: unknown rule [{name}]"));
@@ -193,65 +125,44 @@ pub fn run_with(
     }
     let files = collect_rust_files(root).map_err(|e| format!("walking {root:?}: {e}"))?;
     let mut lexed: BTreeMap<String, LexedFile> = BTreeMap::new();
-    let mut src_of: BTreeMap<String, String> = BTreeMap::new();
     for rel in &files {
         let src =
             std::fs::read_to_string(root.join(rel)).map_err(|e| format!("reading {rel}: {e}"))?;
         lexed.insert(rel.clone(), lexer::lex(&src));
-        src_of.insert(rel.clone(), src);
     }
-    let needs_analysis = config.rules.contains_key("thread-scope-hygiene")
-        || config.rules.contains_key("determinism-taint")
-        || config.rules.contains_key("disjoint-band-writes")
-        || config.rules.get("no-panic-hot-path").is_some_and(|rc| !rc.entry_points.is_empty());
+    let needs_analysis =
+        config.rules.get("no-panic-hot-path").is_some_and(|rc| !rc.entry_points.is_empty());
     let needs_ws =
         needs_analysis || config.rules.keys().any(|r| SEMANTIC_RULES.contains(&r.as_str()));
     let ws: Option<Workspace> = if needs_ws { Some(Workspace::build(root, &lexed)?) } else { None };
-    let analysis: Option<Analysis> = if needs_analysis {
-        let ws = ws.as_ref().expect("analysis implies workspace");
-        let cache = opts.cache_dir.as_deref().and_then(cache::Cache::open);
-        let mut summaries = Vec::new();
-        for rel in &files {
-            if is_fixture_corpus(rel) {
-                continue;
-            }
-            let module = ws.module_of(rel).unwrap_or("").to_string();
-            let key = cache::summary_key(rel, &src_of[rel], &module);
-            if let Some(hit) = cache.as_ref().and_then(|c| c.load(key)) {
-                summaries.push(hit);
-                continue;
-            }
-            let summary = callgraph::summarize_file(rel, &module, &lexed[rel], &ws.parsed[rel]);
-            if let Some(c) = &cache {
-                c.store(key, &summary);
-            }
-            summaries.push(summary);
-        }
-        Some(Analysis::build(ws, &summaries))
-    } else {
-        None
+    let analysis: Option<Analysis> = match &ws {
+        Some(ws) if needs_analysis => Some(Analysis::from_files(ws, &lexed)),
+        _ => None,
     };
 
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
     for (rule_name, rc) in &config.rules {
+        for (key, prefix) in rc.dead_prefixes(&files) {
+            diagnostics.push(rules::diag(
+                rc,
+                rule_name,
+                "lint.toml",
+                rc.line_of(key),
+                format!(
+                    "{key} prefix {prefix:?} matches no file in the workspace; fix or remove \
+                     it — a dead scope guards nothing"
+                ),
+            ));
+        }
         let scoped: Vec<String> = files.iter().filter(|f| rc.applies_to(f)).cloned().collect();
         match rule_name.as_str() {
-            "no-wall-clock"
-            | "no-unseeded-rng"
-            | "no-unordered-iteration"
-            | "no-float-unordered-reduce" => {
-                for rel in &scoped {
-                    diagnostics.extend(run_file_rule(rule_name, rc, rel, &lexed[rel]));
-                }
-            }
             "no-panic-hot-path" => {
                 // The token scan over the `include` scope always runs; with
                 // `entry_points` configured, reachability findings join it.
                 // Where both flag one line, the reachability finding wins —
                 // it carries the call chain.
                 let mut merged: BTreeMap<(String, usize), Diagnostic> = BTreeMap::new();
-                if !rc.entry_points.is_empty() {
-                    let analysis = analysis.as_ref().expect("entry points imply analysis");
+                if let Some(analysis) = &analysis {
                     for d in sem::no_panic_reachable(rc, analysis) {
                         if d.path == "lint.toml" {
                             diagnostics.push(d); // dead-pattern errors never merge
@@ -261,29 +172,21 @@ pub fn run_with(
                     }
                 }
                 for rel in &scoped {
-                    for d in run_file_rule(rule_name, rc, rel, &lexed[rel]) {
+                    for d in rules::no_panic_hot_path(rc, rel, &lexed[rel]) {
                         merged.entry((d.path.clone(), d.line)).or_insert(d);
                     }
                 }
                 diagnostics.extend(merged.into_values());
             }
-            "thread-scope-hygiene" => {
-                let ws = ws.as_ref().expect("semantic rule implies workspace");
-                let analysis = analysis.as_ref().expect("scope hygiene implies analysis");
-                for rel in &scoped {
-                    diagnostics.extend(sem::thread_scope_hygiene(
-                        rc,
-                        rel,
-                        &lexed[rel],
-                        ws,
-                        analysis,
-                    ));
-                }
-            }
             "wire-hygiene" => {
                 let set: Vec<(String, LexedFile)> =
                     scoped.iter().map(|rel| (rel.clone(), lexed[rel].clone())).collect();
                 diagnostics.extend(rules::wire_hygiene(rc, &set));
+            }
+            "lock-then-wait-hygiene" => {
+                for rel in &scoped {
+                    diagnostics.extend(rules::lock_then_wait_hygiene(rc, rel, &lexed[rel]));
+                }
             }
             "metric-catalog-sync" => {
                 let ws = ws.as_ref().expect("semantic rule implies workspace");
@@ -292,22 +195,6 @@ pub fn run_with(
             "wire-schema-lock" => {
                 let ws = ws.as_ref().expect("semantic rule implies workspace");
                 diagnostics.extend(sem::wire_schema_lock(rc, root, &scoped, ws));
-            }
-            "determinism-taint" => {
-                let analysis = analysis.as_ref().expect("taint rule implies analysis");
-                diagnostics.extend(sem::determinism_taint(rc, analysis));
-            }
-            "disjoint-band-writes" => {
-                let analysis = analysis.as_ref().expect("band-writes rule implies analysis");
-                diagnostics.extend(conc::disjoint_band_writes(rc, &scoped, &lexed, analysis));
-            }
-            "atomics-ordering-audit" => {
-                diagnostics.extend(conc::atomics_ordering_audit(rc, root, &scoped, &lexed));
-            }
-            "lock-then-wait-hygiene" => {
-                for rel in &scoped {
-                    diagnostics.extend(conc::lock_then_wait_hygiene(rc, rel, &lexed[rel]));
-                }
             }
             "unused-suppression" => {} // runs after suppression matching below
             other => return Err(format!("lint.toml: unknown rule [{other}]")),
@@ -369,17 +256,6 @@ pub fn run_with(
     Ok(diagnostics)
 }
 
-fn run_file_rule(name: &str, rc: &RuleConfig, path: &str, file: &LexedFile) -> Vec<Diagnostic> {
-    match name {
-        "no-wall-clock" => rules::no_wall_clock(rc, path, file),
-        "no-unseeded-rng" => rules::no_unseeded_rng(rc, path, file),
-        "no-panic-hot-path" => rules::no_panic_hot_path(rc, path, file),
-        "no-unordered-iteration" => rules::no_unordered_iteration(rc, path, file),
-        "no-float-unordered-reduce" => sem::no_float_unordered_reduce(rc, path, file),
-        _ => Vec::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,7 +267,7 @@ mod tests {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let toml = std::fs::read_to_string(root.join("lint.toml")).expect("lint.toml at repo root");
         let config = LintConfig::parse(&toml).expect("lint.toml parses");
-        assert_eq!(config.rules.len(), 14, "all fourteen rules configured");
+        assert_eq!(config.rules.len(), KNOWN_RULES.len(), "every rule configured");
         let diags = run(&root, &config).expect("lint run succeeds");
         assert!(
             diags.is_empty(),
@@ -400,50 +276,61 @@ mod tests {
         );
     }
 
+    /// Runs `toml` over a scratch workspace holding `src/a.rs`.
+    fn run_on(tag: &str, source: &str, toml: &str) -> Vec<Diagnostic> {
+        let dir = std::env::temp_dir().join(format!("ec-lint-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("src")).unwrap();
+        std::fs::write(dir.join("src/a.rs"), source).unwrap();
+        let diags = run(&dir, &LintConfig::parse(toml).unwrap()).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        diags
+    }
+
     #[test]
     fn suppressions_silence_a_finding() {
-        let dir = std::env::temp_dir().join(format!("ec-lint-suppr-{}", std::process::id()));
-        std::fs::create_dir_all(dir.join("src")).unwrap();
-        std::fs::write(
-            dir.join("src/a.rs"),
-            "// ec-lint: allow(no-wall-clock)\nuse std::time::Instant;\nuse std::time::SystemTime;\n",
-        )
-        .unwrap();
-        let config =
-            LintConfig::parse("[no-wall-clock]\nseverity = \"error\"\ninclude = [\"src\"]")
-                .unwrap();
-        let diags = run(&dir, &config).unwrap();
+        let diags = run_on(
+            "suppr",
+            "// ec-lint: allow(no-panic-hot-path)\nfn f() { a.unwrap(); }\nfn g() { b.unwrap(); }\n",
+            "[no-panic-hot-path]\nseverity = \"error\"\ninclude = [\"src\"]",
+        );
         // Line 2 is covered by the line-1 comment; line 3 is not.
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].line, 3);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn unused_suppressions_are_flagged_and_used_ones_are_not() {
-        let dir = std::env::temp_dir().join(format!("ec-lint-stale-{}", std::process::id()));
-        std::fs::create_dir_all(dir.join("src")).unwrap();
-        std::fs::write(
-            dir.join("src/a.rs"),
-            "// ec-lint: allow(no-wall-clock)\n\
-             use std::time::Instant;\n\
-             // ec-lint: allow(no-wall-clock)\n\
+        let diags = run_on(
+            "stale",
+            "// ec-lint: allow(no-panic-hot-path)\n\
+             fn f() { a.unwrap(); }\n\
+             // ec-lint: allow(no-panic-hot-path)\n\
              fn nothing_to_allow() {}\n\
              // ec-lint: allow(no-such-rule)\n\
              fn bad_name() {}\n",
-        )
-        .unwrap();
-        let config = LintConfig::parse(
-            "[no-wall-clock]\nseverity = \"error\"\ninclude = [\"src\"]\n\
+            "[no-panic-hot-path]\nseverity = \"error\"\ninclude = [\"src\"]\n\
              [unused-suppression]\nseverity = \"error\"\ninclude = [\"src\"]",
-        )
-        .unwrap();
-        let diags = run(&dir, &config).unwrap();
+        );
         assert_eq!(diags.len(), 2, "{diags:?}");
         assert_eq!(diags[0].line, 3);
         assert!(diags[0].message.contains("matches no finding"));
         assert_eq!(diags[1].line, 5);
         assert!(diags[1].message.contains("does not exist"));
-        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A scope that rots silently is how a rule stops guarding anything:
+    /// an `include`/`exclude` prefix under which the workspace has no file
+    /// is a finding on the `lint.toml` line that set it.
+    #[test]
+    fn scope_prefixes_that_match_no_file_are_findings() {
+        let diags = run_on(
+            "scope",
+            "fn f() {}\n",
+            "[wire-hygiene]\ninclude = [\"src\", \"crates/nope\"]\nexclude = [\"src/gone.rs\"]",
+        );
+        let got: Vec<_> = diags.iter().map(|d| (d.path.as_str(), d.line, &*d.rule)).collect();
+        assert_eq!(got, [("lint.toml", 2, "wire-hygiene"), ("lint.toml", 3, "wire-hygiene")]);
+        assert!(diags[0].message.contains("include prefix \"crates/nope\""), "{diags:?}");
+        assert!(diags[1].message.contains("exclude prefix \"src/gone.rs\""), "{diags:?}");
     }
 }

@@ -1,54 +1,31 @@
 //! `ec-lint` CLI.
 //!
 //! ```sh
-//! cargo run -p ec-lint -- --check            # human-readable, exit 1 on errors
-//! cargo run -p ec-lint -- --check --json     # machine-readable diagnostics
-//! cargo run -p ec-lint -- --check --sarif out.sarif   # SARIF 2.1.0 log
-//! cargo run -p ec-lint -- --check --cache    # warm the incremental cache
+//! cargo run -p ec-lint -- --check            # exit 1 on errors
 //! ```
 //!
-//! Flags: `--check` (required mode), `--json`, `--sarif <path>` (write a
-//! SARIF 2.1.0 log alongside the normal output), `--cache` (per-file
-//! summary cache under `<root>/target/ec-lint-cache`), `--cache-dir <dir>`
-//! (cache in an explicit directory), `--root <dir>` (default `.`),
+//! Flags: `--check` (required mode), `--root <dir>` (default `.`),
 //! `--config <file>` (default `<root>/lint.toml`).
 //!
 //! With `UPDATE_WIRE_LOCK=1` in the environment, the `wire-schema-lock`
 //! rule rewrites its lockfile from the current sources instead of
 //! checking against it; commit the regenerated lock with the schema
-//! change that motivated it. `UPDATE_UNSAFE_LOCK=1` does the same for
-//! `atomics-ordering-audit`'s inventory of justified `Relaxed`/`unsafe`
-//! sites (`unsafe.lock`).
+//! change that motivated it.
 
 use ec_lint::config::LintConfig;
 use ec_lint::diag::Severity;
-use ec_lint::RunOptions;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut check = false;
-    let mut json = false;
-    let mut sarif_path: Option<PathBuf> = None;
-    let mut use_cache = false;
-    let mut cache_dir: Option<PathBuf> = None;
     let mut root = PathBuf::from(".");
     let mut config_path: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--check" => check = true,
-            "--json" => json = true,
-            "--sarif" => match it.next() {
-                Some(v) => sarif_path = Some(PathBuf::from(v)),
-                None => return usage("--sarif needs a value"),
-            },
-            "--cache" => use_cache = true,
-            "--cache-dir" => match it.next() {
-                Some(v) => cache_dir = Some(PathBuf::from(v)),
-                None => return usage("--cache-dir needs a value"),
-            },
             "--root" => match it.next() {
                 Some(v) => root = PathBuf::from(v),
                 None => return usage("--root needs a value"),
@@ -73,53 +50,24 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let config = match LintConfig::parse(&toml) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("ec-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let opts = RunOptions {
-        cache_dir: cache_dir
-            .or_else(|| use_cache.then(|| root.join("target").join("ec-lint-cache"))),
-    };
-    let diags = match ec_lint::run_with(&root, &config, &opts) {
-        Ok(d) => d,
+    let result = LintConfig::parse(&toml)
+        .and_then(|config| Ok((config.rules.len(), ec_lint::run(&root, &config)?)));
+    let (rules, diags) = match result {
+        Ok(ok) => ok,
         Err(e) => {
             eprintln!("ec-lint: {e}");
             return ExitCode::from(2);
         }
     };
 
-    if let Some(path) = &sarif_path {
-        let log = ec_lint::sarif::to_sarif(&diags);
-        if let Err(e) = std::fs::write(path, format!("{log}\n")) {
-            eprintln!("ec-lint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
+    for d in &diags {
+        println!("{d}");
     }
-
     let errors = diags.iter().filter(|d| d.severity == Severity::Error).count();
-    if json {
-        let items: Vec<serde_json::Value> = diags.iter().map(|d| d.to_json()).collect();
-        println!(
-            "{}",
-            serde_json::json!({
-                "diagnostics": items,
-                "errors": errors,
-                "warnings": diags.len() - errors,
-            })
-        );
+    if diags.is_empty() {
+        println!("ec-lint: clean ({rules} rules)");
     } else {
-        for d in &diags {
-            println!("{d}");
-        }
-        if diags.is_empty() {
-            println!("ec-lint: clean ({} rules)", config.rules.len());
-        } else {
-            println!("ec-lint: {} finding(s), {errors} error(s)", diags.len());
-        }
+        println!("ec-lint: {} finding(s), {errors} error(s)", diags.len());
     }
     if errors > 0 {
         ExitCode::FAILURE
@@ -133,13 +81,9 @@ fn usage(err: &str) -> ExitCode {
         eprintln!("ec-lint: {err}");
     }
     eprintln!(
-        "usage: ec-lint --check [--json] [--sarif <path>] [--cache | --cache-dir <dir>]\n\
-         \x20               [--root <dir>] [--config <lint.toml>]\n\
-         Runs the workspace determinism lints; exits non-zero on errors.\n\
-         --sarif writes a SARIF 2.1.0 log for code-scanning upload.\n\
-         --cache keeps per-file analysis summaries under target/ec-lint-cache.\n\
-         UPDATE_WIRE_LOCK=1 regenerates the wire-schema lockfile in place.\n\
-         UPDATE_UNSAFE_LOCK=1 regenerates the justified Relaxed/unsafe inventory (unsafe.lock)."
+        "usage: ec-lint --check [--root <dir>] [--config <lint.toml>]\n\
+         Runs the workspace invariant lints; exits non-zero on errors.\n\
+         UPDATE_WIRE_LOCK=1 regenerates the wire-schema lockfile in place."
     );
     if err.is_empty() {
         ExitCode::SUCCESS

@@ -6,8 +6,8 @@
 //! use declarations, macro invocations), struct/enum field lists with
 //! rendered type text, expanded use-trees, and `#[derive(...)]` /
 //! test-region attributes. Function bodies are kept as token ranges — the
-//! rules that look inside them (closure hygiene, reduce chains) scan
-//! tokens directly, which is all the fidelity they need.
+//! passes that look inside them (panic sites, call sites) scan tokens
+//! directly, which is all the fidelity they need.
 //!
 //! The parser is tolerant: unknown constructs become [`ItemKind::Other`]
 //! items one token wide, so item spans always tile the file (the

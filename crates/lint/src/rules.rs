@@ -1,4 +1,4 @@
-//! The domain rules, as token-pattern passes over [`LexedFile`]s.
+//! The token-pattern rules, as passes over [`LexedFile`]s.
 //!
 //! Each rule is a heuristic, not a type checker: it trades soundness for
 //! zero dependencies. The escape hatch for a deliberate false positive is
@@ -6,7 +6,7 @@
 
 use crate::config::RuleConfig;
 use crate::diag::Diagnostic;
-use crate::effects::UNORDERED_ITER_METHODS;
+use crate::effects::panic_sites;
 use crate::lexer::{LexedFile, Tok, TokKind};
 use std::collections::BTreeSet;
 
@@ -14,7 +14,7 @@ pub(crate) fn ident_at(toks: &[Tok], i: usize) -> Option<&str> {
     toks.get(i).filter(|t| t.kind == TokKind::Ident).map(|t| t.text.as_str())
 }
 
-pub(crate) fn punct_at(toks: &[Tok], i: usize) -> Option<&str> {
+fn punct_at(toks: &[Tok], i: usize) -> Option<&str> {
     toks.get(i).filter(|t| t.kind == TokKind::Punct).map(|t| t.text.as_str())
 }
 
@@ -24,19 +24,13 @@ pub(crate) fn is_punct(toks: &[Tok], i: usize, p: &str) -> bool {
 
 /// Index of the token matching the `{` at `open` (which must be a `{`),
 /// or `toks.len()` when unbalanced.
-pub(crate) fn matching_brace(toks: &[Tok], open: usize) -> usize {
-    matching_delim(toks, open, "{", "}")
-}
-
-/// Index of the token matching the `open_p` delimiter at `open`, or
-/// `toks.len()` when unbalanced. Only the given pair is depth-tracked.
-pub(crate) fn matching_delim(toks: &[Tok], open: usize, open_p: &str, close_p: &str) -> usize {
+fn matching_brace(toks: &[Tok], open: usize) -> usize {
     let mut depth = 0usize;
     for (i, t) in toks.iter().enumerate().skip(open) {
         if t.kind == TokKind::Punct {
-            if t.text == open_p {
+            if t.text == "{" {
                 depth += 1;
-            } else if t.text == close_p {
+            } else if t.text == "}" {
                 depth -= 1;
                 if depth == 0 {
                     return i;
@@ -116,52 +110,6 @@ pub(crate) fn diag(
     }
 }
 
-/// `no-wall-clock`: `std::time::{Instant, SystemTime}` are banned outside
-/// the sanctioned clock module — deterministic code must not branch on (or
-/// report) host time except through `ec_comm::clock::HostTimer`.
-pub fn no_wall_clock(rc: &RuleConfig, path: &str, file: &LexedFile) -> Vec<Diagnostic> {
-    file.tokens
-        .iter()
-        .filter(|t| t.kind == TokKind::Ident && (t.text == "Instant" || t.text == "SystemTime"))
-        .map(|t| {
-            diag(
-                rc,
-                "no-wall-clock",
-                path,
-                t.line,
-                format!(
-                    "`{}` reads the host clock; measure through \
-                     `ec_comm::clock::HostTimer` instead",
-                    t.text
-                ),
-            )
-        })
-        .collect()
-}
-
-/// `no-unseeded-rng`: `thread_rng()` / `from_entropy()` draw from OS
-/// entropy, so two runs of the same config would diverge.
-pub fn no_unseeded_rng(rc: &RuleConfig, path: &str, file: &LexedFile) -> Vec<Diagnostic> {
-    file.tokens
-        .iter()
-        .filter(|t| {
-            t.kind == TokKind::Ident && (t.text == "thread_rng" || t.text == "from_entropy")
-        })
-        .map(|t| {
-            diag(
-                rc,
-                "no-unseeded-rng",
-                path,
-                t.line,
-                format!(
-                    "`{}` is unseeded; use `SmallRng::seed_from_u64` with a config seed",
-                    t.text
-                ),
-            )
-        })
-        .collect()
-}
-
 /// `no-panic-hot-path`: `.unwrap()` / `.expect()` / `panic!` / `todo!` in
 /// the per-superstep code paths. A crash mid-superstep would tear down the
 /// whole simulated cluster; these paths must surface `Result`s instead.
@@ -169,160 +117,111 @@ pub fn no_unseeded_rng(rc: &RuleConfig, path: &str, file: &LexedFile) -> Vec<Dia
 /// paths.) Test modules are exempt.
 pub fn no_panic_hot_path(rc: &RuleConfig, path: &str, file: &LexedFile) -> Vec<Diagnostic> {
     let toks = &file.tokens;
-    let mask = test_mask(toks);
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if mask[i] || toks[i].kind != TokKind::Ident {
-            continue;
-        }
-        let name = toks[i].text.as_str();
-        let called = is_punct(toks, i + 1, "(");
-        let after_dot = i >= 1 && is_punct(toks, i - 1, ".");
-        let after_path = i >= 2 && is_punct(toks, i - 1, ":") && is_punct(toks, i - 2, ":");
-        if (name == "unwrap" || name == "expect") && (after_dot || after_path) {
-            out.push(diag(
-                rc,
-                "no-panic-hot-path",
-                path,
-                toks[i].line,
-                format!("`{name}` can panic mid-superstep; propagate a typed error instead"),
-            ));
-        }
-        if (name == "panic" || name == "todo" || name == "unimplemented")
-            && is_punct(toks, i + 1, "!")
-            && !called
-        {
-            out.push(diag(
-                rc,
-                "no-panic-hot-path",
-                path,
-                toks[i].line,
-                format!("`{name}!` aborts the simulated cluster; return an error"),
-            ));
-        }
-    }
-    out
+    panic_sites(toks, &test_mask(toks), (0, toks.len()))
+        .into_iter()
+        .map(|site| {
+            let message =
+                format!("{} can panic mid-superstep; propagate a typed error instead", site.what);
+            diag(rc, "no-panic-hot-path", path, site.line, message)
+        })
+        .collect()
 }
 
-/// `no-unordered-iteration`: iterating a `HashMap`/`HashSet` visits entries
-/// in `RandomState` order — different in every process — so any iteration
-/// in a deterministic path makes runs irreproducible. Bindings are tracked
-/// by their declared type or initializer; iteration is any of the unordered
-/// visiting methods or a `for … in [&]binding` loop. Test modules are
-/// exempt (assertions on sets don't feed the simulation).
-pub fn no_unordered_iteration(rc: &RuleConfig, path: &str, file: &LexedFile) -> Vec<Diagnostic> {
+/// `lock-then-wait-hygiene`: while a `lock(…)` guard binding is live (from
+/// its `let` to `drop(guard)` or block end) no second `lock(` may run — the
+/// static lock-order discipline that keeps the pool's `JobQueue`/`Latch`
+/// pair deadlock-free. (The rule's other half, "`Condvar::wait` sits in a
+/// predicate loop", is a `clippy.toml` ban on `Condvar::wait` in favour of
+/// `wait_while`.)
+pub fn lock_then_wait_hygiene(rc: &RuleConfig, path: &str, file: &LexedFile) -> Vec<Diagnostic> {
     let toks = &file.tokens;
     let mask = test_mask(toks);
-    let names = hash_typed_names(toks, &mask);
-    if names.is_empty() {
-        return Vec::new();
-    }
     let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if mask[i] || toks[i].kind != TokKind::Ident {
-            continue;
-        }
-        let name = toks[i].text.as_str();
-        // `binding.iter()` and friends.
-        if names.contains(name) && is_punct(toks, i + 1, ".") {
-            if let Some(method) = ident_at(toks, i + 2) {
-                if UNORDERED_ITER_METHODS.contains(&method) && is_punct(toks, i + 3, "(") {
-                    out.push(diag(
-                        rc,
-                        "no-unordered-iteration",
-                        path,
-                        toks[i + 2].line,
-                        format!(
-                            "`{name}.{method}()` walks a hash container in process-random \
-                             order; use a `BTreeMap`/`BTreeSet` or sort the keys first"
-                        ),
-                    ));
-                }
-            }
-        }
-        // `for pat in [&]binding {` — consuming or borrowing, both unordered.
-        if name == "for" {
-            let limit = (i + 16).min(toks.len());
-            let mut j = i + 1;
-            while j < limit && ident_at(toks, j) != Some("in") && !is_punct(toks, j, "{") {
-                j += 1;
-            }
-            if j < limit && ident_at(toks, j) == Some("in") {
-                let mut k = j + 1;
-                while k < toks.len() && (is_punct(toks, k, "&") || ident_at(toks, k) == Some("mut"))
-                {
-                    k += 1;
-                }
-                if let Some(target) = ident_at(toks, k) {
-                    if names.contains(target) && is_punct(toks, k + 1, "{") {
-                        out.push(diag(
-                            rc,
-                            "no-unordered-iteration",
-                            path,
-                            toks[k].line,
-                            format!(
-                                "`for … in {target}` visits a hash container in \
-                                 process-random order; collect and sort, or use a BTree \
-                                 container"
-                            ),
-                        ));
-                    }
-                }
+    for (guard, decl_end, region_end) in guard_regions(toks) {
+        for j in decl_end..region_end {
+            if !mask[j] && ident_at(toks, j) == Some("lock") && is_punct(toks, j + 1, "(") {
+                out.push(diag(
+                    rc,
+                    "lock-then-wait-hygiene",
+                    path,
+                    toks[j].line,
+                    format!(
+                        "second `lock()` acquired while guard `{guard}` is still held; \
+                         drop the first guard before taking another mutex (lock-order \
+                         inversion deadlocks under contention)"
+                    ),
+                ));
             }
         }
     }
     out
 }
 
-/// Binding names declared with a `HashMap`/`HashSet` type or initializer:
-/// `let [mut] NAME = HashMap::new()`, `NAME: HashMap<…>` (let, field, or
-/// parameter), through arbitrary `std::collections::` paths and wrapping
-/// generics.
-fn hash_typed_names(toks: &[Tok], mask: &[bool]) -> BTreeSet<String> {
-    typed_names(toks, mask, &["HashMap", "HashSet"])
-}
-
-/// Binding names declared with any of `types` as their type or initializer
-/// (same backwalk heuristic as [`hash_typed_names`]).
-pub(crate) fn typed_names(toks: &[Tok], mask: &[bool], types: &[&str]) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
+/// Live regions of `lock(…)` guard bindings: for each
+/// `let [mut] <g> = … lock(…) …;` statement, yields
+/// `(name, stmt_end, region_end)` where the region closes at `drop(g)` or
+/// at the end of the enclosing block, whichever comes first.
+fn guard_regions(toks: &[Tok]) -> Vec<(String, usize, usize)> {
+    let mut out = Vec::new();
     for i in 0..toks.len() {
-        if mask[i] || toks[i].kind != TokKind::Ident || !types.contains(&toks[i].text.as_str()) {
+        if ident_at(toks, i) != Some("let") {
             continue;
         }
-        // Walk back over the type/path context to the `=` or `:` that ties
-        // this type to a binding name.
-        let mut k = i;
-        let mut steps = 0;
-        while k > 0 && steps < 24 {
-            k -= 1;
-            steps += 1;
-            match (toks[k].kind, toks[k].text.as_str()) {
-                (TokKind::Punct, ":") if k > 0 && is_punct(toks, k - 1, ":") => k -= 1, // `::`
-                (TokKind::Punct, ":") => {
-                    // Type annotation: `NAME: …HashMap…`.
-                    if let Some(name) = ident_at(toks, k - 1) {
-                        names.insert(name.to_string());
+        let mut k = i + 1;
+        if ident_at(toks, k) == Some("mut") {
+            k += 1;
+        }
+        let Some(name) = ident_at(toks, k) else { continue };
+        if !is_punct(toks, k + 1, "=") || is_punct(toks, k + 2, "=") {
+            continue;
+        }
+        // Statement end: `;` at zero delimiter depth.
+        let mut depth = 0i32;
+        let mut j = k + 2;
+        let mut takes_lock = false;
+        while j < toks.len() {
+            match punct_at(toks, j) {
+                Some("(" | "[" | "{") => depth += 1,
+                Some(")" | "]" | "}") => depth -= 1,
+                Some(";") if depth == 0 => break,
+                _ => {}
+            }
+            if ident_at(toks, j) == Some("lock") && is_punct(toks, j + 1, "(") {
+                takes_lock = true;
+            }
+            j += 1;
+        }
+        if !takes_lock || j >= toks.len() {
+            continue;
+        }
+        let stmt_end = j + 1;
+        // Region end: `drop(name)` or the `}` closing the enclosing block.
+        let mut end = toks.len();
+        let mut d = 0i32;
+        for m in stmt_end..toks.len() {
+            match punct_at(toks, m) {
+                Some("{") => d += 1,
+                Some("}") => {
+                    d -= 1;
+                    if d < 0 {
+                        end = m;
+                        break;
                     }
-                    break;
                 }
-                (TokKind::Punct, "=") => {
-                    // Initializer: `let [mut] NAME = …HashMap…`.
-                    if let Some(name) = ident_at(toks, k - 1) {
-                        names.insert(name.to_string());
-                    }
-                    break;
-                }
-                (TokKind::Ident, _)
-                | (TokKind::Lifetime, _)
-                | (TokKind::Punct, "<")
-                | (TokKind::Punct, ">")
-                | (TokKind::Punct, "&") => {}
-                _ => break,
+                _ => {}
+            }
+            if ident_at(toks, m) == Some("drop")
+                && is_punct(toks, m + 1, "(")
+                && ident_at(toks, m + 2) == Some(name)
+                && is_punct(toks, m + 3, ")")
+            {
+                end = m;
+                break;
             }
         }
+        out.push((name.to_string(), stmt_end, end));
     }
-    names
+    out
 }
 
 /// `wire-hygiene`: every type in the wire-format files that derives
@@ -450,56 +349,10 @@ pub fn wire_hygiene(rc: &RuleConfig, files: &[(String, LexedFile)]) -> Vec<Diagn
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diag::Severity;
     use crate::lexer::lex;
 
     fn rc() -> RuleConfig {
-        RuleConfig {
-            severity: Severity::Error,
-            include: vec!["".into()],
-            exclude: vec![],
-            lock: None,
-            entry_points: Vec::new(),
-            sinks: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn wall_clock_flags_instant_and_systemtime() {
-        let f = lex("let t = std::time::Instant::now();\nlet s = SystemTime::now();");
-        let d = no_wall_clock(&rc(), "x.rs", &f);
-        assert_eq!(d.len(), 2);
-        assert_eq!(d[0].line, 1);
-        assert_eq!(d[1].line, 2);
-    }
-
-    #[test]
-    fn unordered_iteration_tracks_let_bindings() {
-        let f =
-            lex("fn f() { let mut m = std::collections::HashMap::new(); for (k, v) in &m { } }");
-        let d = no_unordered_iteration(&rc(), "x.rs", &f);
-        assert_eq!(d.len(), 1, "{d:?}");
-    }
-
-    #[test]
-    fn unordered_iteration_tracks_typed_fields() {
-        let src = "struct S { cache: HashMap<u32, f64> }\n\
-                   impl S { fn go(&self) { let _: Vec<_> = self.cache.keys().collect(); } }";
-        let d = no_unordered_iteration(&rc(), "x.rs", &lex(src));
-        assert_eq!(d.len(), 1, "{d:?}");
-    }
-
-    #[test]
-    fn unordered_iteration_ignores_lookups_and_sorted_reads() {
-        let src = "fn f(m: &HashMap<u32, u32>) -> Option<&u32> { m.get(&1) }";
-        assert!(no_unordered_iteration(&rc(), "x.rs", &lex(src)).is_empty());
-    }
-
-    #[test]
-    fn unordered_iteration_skips_tests_and_other_types() {
-        let src = "#[cfg(test)] mod tests { fn f() { let m = HashMap::new(); for k in &m {} } }\n\
-                   fn g() { let v = Vec::new(); for x in &v {} }";
-        assert!(no_unordered_iteration(&rc(), "x.rs", &lex(src)).is_empty());
+        RuleConfig { include: vec!["".into()], ..RuleConfig::default() }
     }
 
     #[test]
@@ -531,5 +384,19 @@ mod tests {
     fn cfg_not_test_is_not_a_test_region() {
         let f = lex("#[cfg(not(test))] fn prod() { x.unwrap(); }");
         assert_eq!(no_panic_hot_path(&rc(), "x.rs", &f).len(), 1);
+    }
+
+    #[test]
+    fn second_lock_under_a_live_guard_is_flagged() {
+        let bad = lex("fn f(&self) { let mut state = lock(&self.state); state.n += 1; \
+             let other = lock(&self.other); }");
+        let out = lock_then_wait_hygiene(&rc(), "src/a.rs", &bad);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].message.contains("lock-order"));
+
+        let ok =
+            lex("fn f(&self) { let mut state = lock(&self.state); state.n += 1; drop(state); \
+             let other = lock(&self.other); }");
+        assert!(lock_then_wait_hygiene(&rc(), "src/a.rs", &ok).is_empty(), "drop ends the region");
     }
 }

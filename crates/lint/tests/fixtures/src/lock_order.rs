@@ -1,12 +1,11 @@
-//! Clean counterpart to `condvar_bad.rs`: predicate-rechecking waits and
-//! sequential (drop-then-lock) mutex use.
+//! Bait for `lock-then-wait-hygiene`: a lock-order inversion under a live
+//! guard, next to the sequential (drop-then-lock) shape that stays clean.
 
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 pub struct Channel {
     pub state: Mutex<Vec<u32>>,
     pub other: Mutex<u32>,
-    pub ready: Condvar,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -14,15 +13,13 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl Channel {
-    /// The sanctioned wait shape: loop until the predicate really holds.
-    pub fn take(&self) -> u32 {
+    /// Acquires the second mutex while the first guard is still live:
+    /// lock-order inversion against any path taking them the other way.
+    pub fn drain_and_count(&self) -> u32 {
         let mut state = lock(&self.state);
-        loop {
-            if let Some(v) = state.pop() {
-                return v;
-            }
-            state = self.ready.wait(state).unwrap_or_else(|p| p.into_inner());
-        }
+        state.clear();
+        let other = lock(&self.other);
+        *other
     }
 
     /// Sequential locking: the first guard is dropped before the second

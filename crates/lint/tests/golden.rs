@@ -47,28 +47,14 @@ fn fixture_diagnostics_match_the_snapshot() {
 #[test]
 fn every_rule_fires_on_the_fixtures() {
     let diags = fixture_diags();
-    for rule in [
-        "no-unordered-iteration",
-        "no-wall-clock",
-        "no-unseeded-rng",
-        "no-panic-hot-path",
-        "wire-hygiene",
-        "thread-scope-hygiene",
-        "no-float-unordered-reduce",
-        "metric-catalog-sync",
-        "wire-schema-lock",
-        "determinism-taint",
-        "unused-suppression",
-        "disjoint-band-writes",
-        "atomics-ordering-audit",
-        "lock-then-wait-hygiene",
-    ] {
+    for rule in ec_lint::KNOWN_RULES {
         assert!(
-            diags.iter().any(|d| d.rule == rule),
+            diags.iter().any(|d| d.rule == *rule),
             "rule {rule} produced no fixture findings — is it still wired up?"
         );
     }
-    // rng is configured warn-severity in the fixture config; the rest error.
+    // The catalog rule is configured warn-severity in the fixture config;
+    // the rest error.
     assert!(diags.iter().any(|d| d.severity == Severity::Warn));
     assert!(diags.iter().any(|d| d.severity == Severity::Error));
 }
@@ -76,18 +62,10 @@ fn every_rule_fires_on_the_fixtures() {
 #[test]
 fn exempt_fixture_lines_stay_clean() {
     let diags = fixture_diags();
-    // unordered.rs: the suppressed `sorted_keys` read (line 38), the
-    // lookup, and the `#[cfg(test)]` module must not appear.
-    assert!(!diags.iter().any(|d| d.path == "src/unordered.rs" && d.line > 30), "{diags:?}");
     // hot_path.rs: `assert!` and the test module are allowed.
     assert!(!diags.iter().any(|d| d.path == "src/hot_path.rs" && d.line > 17), "{diags:?}");
     // wire_bad.rs: `CoveredPayload` derives both directions and round-trips.
     assert!(!diags.iter().any(|d| d.message.contains("CoveredPayload")), "{diags:?}");
-    // scope_ok.rs: `run_workers` resolves to a non-exec module, so the
-    // closure is never scanned.
-    assert!(!diags.iter().any(|d| d.path == "src/scope_ok.rs"), "{diags:?}");
-    // float_reduce.rs: integer turbofish sums and ordered Vec sums pass.
-    assert!(!diags.iter().any(|d| d.path == "src/float_reduce.rs" && d.line > 22), "{diags:?}");
     // metrics.rs: `Tolerated` is suppressed, `Alive` is recorded.
     assert!(!diags.iter().any(|d| d.message.contains("Tolerated")), "{diags:?}");
     assert!(!diags.iter().any(|d| d.message.contains("`Alive`")), "{diags:?}");
@@ -95,19 +73,10 @@ fn exempt_fixture_lines_stay_clean() {
     // a wire type at all.
     assert!(!diags.iter().any(|d| d.message.contains("StableHeader")), "{diags:?}");
     assert!(!diags.iter().any(|d| d.message.contains("ScratchState")), "{diags:?}");
-    // stale_allow.rs: the suppression that covers a real Instant is used.
+    // stale_allow.rs: the suppression that covers a real unwrap is used.
     assert!(!diags.iter().any(|d| d.path == "src/stale_allow.rs" && d.line < 10), "{diags:?}");
-    // pool_clean.rs: band-disciplined closures write only through their
-    // split_at_mut bands, parameters, and locals.
-    assert!(!diags.iter().any(|d| d.path == "src/pool_clean.rs"), "{diags:?}");
-    // atomics_ok.rs: both justified sites pass the marker check; the only
-    // findings there come from the deliberately drifted lock fingerprint.
-    assert!(
-        !diags.iter().any(|d| d.path == "src/atomics_ok.rs" && !d.message.contains("drifted")),
-        "{diags:?}"
-    );
-    // condvar_ok.rs: the looped wait and drop-then-lock sequence are clean.
-    assert!(!diags.iter().any(|d| d.path == "src/condvar_ok.rs"), "{diags:?}");
+    // lock_order.rs: the drop-then-lock sequence is clean.
+    assert!(!diags.iter().any(|d| d.path == "src/lock_order.rs" && d.line > 24), "{diags:?}");
 }
 
 #[test]
@@ -127,28 +96,8 @@ fn cli_exits_nonzero_on_fixtures_and_zero_on_the_workspace() {
     );
 }
 
-#[test]
-fn json_output_lists_every_diagnostic() {
-    let bin = env!("CARGO_BIN_EXE_ec-lint");
-    let out = Command::new(bin)
-        .args(["--check", "--json", "--root"])
-        .arg(fixtures_root())
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    let text = String::from_utf8(out.stdout).unwrap();
-    let diags = fixture_diags();
-    let errors = diags.iter().filter(|d| d.severity == Severity::Error).count();
-    assert_eq!(text.matches("\"rule\"").count(), diags.len());
-    assert!(
-        text.contains(&format!("\"errors\":{errors}"))
-            || text.contains(&format!("\"errors\": {errors}")),
-        "{text}"
-    );
-}
-
-/// Builds the interprocedural analysis over a workspace root the same way
-/// `run_with` does, so tests can inspect the graph directly.
+/// Builds the call graph over a workspace root the same way `run` does,
+/// so tests can inspect it directly.
 fn analysis_over(root: &Path) -> (Vec<String>, ec_lint::callgraph::Analysis) {
     let files = ec_lint::collect_rust_files(root).unwrap();
     let mut lexed = std::collections::BTreeMap::new();
@@ -157,20 +106,7 @@ fn analysis_over(root: &Path) -> (Vec<String>, ec_lint::callgraph::Analysis) {
         lexed.insert(rel.clone(), ec_lint::lexer::lex(&src));
     }
     let ws = ec_lint::symbols::Workspace::build(root, &lexed).unwrap();
-    let mut summaries = Vec::new();
-    for rel in &files {
-        if rel.starts_with("tests/fixtures/") || rel.contains("/tests/fixtures/") {
-            continue;
-        }
-        let module = ws.module_of(rel).unwrap_or("").to_string();
-        summaries.push(ec_lint::callgraph::summarize_file(
-            rel,
-            &module,
-            &lexed[rel],
-            &ws.parsed[rel],
-        ));
-    }
-    (files, ec_lint::callgraph::Analysis::build(&ws, &summaries))
+    (files, ec_lint::callgraph::Analysis::from_files(&ws, &lexed))
 }
 
 #[test]
@@ -178,15 +114,10 @@ fn fixture_call_graph_matches_the_snapshot() {
     let (_, analysis) = analysis_over(&fixtures_root());
     let mut dump = String::new();
     for (fq, node) in &analysis.nodes {
-        let all = analysis.effects_of(fq);
-        dump.push_str(&format!("fn {fq} direct={} all={}\n", node.direct, all));
-        if let Some(sites) = analysis.edges.get(fq) {
-            let mut callees: Vec<&str> = sites.iter().map(|s| s.callee.as_str()).collect();
-            callees.sort_unstable();
-            callees.dedup();
-            for c in callees {
-                dump.push_str(&format!("  -> {c}\n"));
-            }
+        let sites: Vec<&str> = node.panics.iter().map(|s| s.what.as_str()).collect();
+        dump.push_str(&format!("fn {fq} panics=[{}]\n", sites.join(", ")));
+        for callee in &analysis.adjacency[fq] {
+            dump.push_str(&format!("  -> {callee}\n"));
         }
     }
     let snapshot = fixtures_root().join("callgraph.txt");
@@ -231,47 +162,4 @@ fn call_graph_covers_every_workspace_file() {
         }
     }
     assert!(analysis.nodes.len() > 1000, "workspace graph suspiciously small");
-}
-
-/// Acceptance: a cold run and a warm (fully cached) run over the fixture
-/// corpus produce byte-identical JSON and SARIF.
-#[test]
-fn cold_and_warm_cache_runs_are_byte_identical() {
-    let bin = env!("CARGO_BIN_EXE_ec-lint");
-    let scratch = std::env::temp_dir().join(format!("ec-lint-coldwarm-{}", std::process::id()));
-    std::fs::create_dir_all(&scratch).unwrap();
-    let cache = scratch.join("cache");
-    let run = |sarif: &Path| {
-        let out = Command::new(bin)
-            .args(["--check", "--json", "--root"])
-            .arg(fixtures_root())
-            .arg("--cache-dir")
-            .arg(&cache)
-            .arg("--sarif")
-            .arg(sarif)
-            .output()
-            .unwrap();
-        assert_eq!(out.status.code(), Some(1), "fixtures fail the check either way");
-        out.stdout
-    };
-    let cold_sarif = scratch.join("cold.sarif");
-    let warm_sarif = scratch.join("warm.sarif");
-    let cold_json = run(&cold_sarif);
-    assert!(cache.read_dir().unwrap().next().is_some(), "cold run populated the cache");
-    let warm_json = run(&warm_sarif);
-    assert_eq!(cold_json, warm_json, "warm cache changed the JSON bytes");
-    assert_eq!(
-        std::fs::read(&cold_sarif).unwrap(),
-        std::fs::read(&warm_sarif).unwrap(),
-        "warm cache changed the SARIF bytes"
-    );
-    std::fs::remove_dir_all(&scratch).ok();
-}
-
-#[test]
-fn sarif_export_covers_every_fixture_diagnostic() {
-    let diags = fixture_diags();
-    let log = ec_lint::sarif::to_sarif(&diags);
-    let results = log["runs"][0]["results"].as_array().expect("results").len();
-    assert_eq!(results, diags.len());
 }

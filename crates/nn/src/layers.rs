@@ -4,11 +4,7 @@
 //!   paper evaluates throughout Section V;
 //! * [`sage`] — GraphSAGE with mean aggregation, which the paper reports
 //!   "enjoys similar performance improvements" (results omitted there for
-//!   conciseness, included here for completeness);
-//! * [`gat`] — graph attention, the third model the paper names as
-//!   EC-Graph-compatible, with hand-derived (finite-difference-checked)
-//!   gradients.
+//!   conciseness, included here for completeness).
 
-pub mod gat;
 pub mod gcn;
 pub mod sage;

@@ -16,13 +16,15 @@
 //! * [`optim`] — Adam (the paper's optimizer) and SGD over parameter sets;
 //! * [`metrics`] — accuracy and macro-F1 for Table V.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
+
 pub mod layers;
 pub mod loss;
 pub mod metrics;
 pub mod optim;
 pub mod tape;
 
-pub use layers::gat::GatNetwork;
 pub use layers::gcn::GcnNetwork;
 pub use layers::sage::SageNetwork;
 pub use tape::{Tape, VarId};

@@ -17,6 +17,9 @@
 //! * [`metrics`] — edge-cut, balance and the remote-neighbour statistics
 //!   (`ḡ_rmt`) that drive EC-Graph's communication cost model.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
+
 pub mod hash;
 pub mod ldg;
 pub mod metis;

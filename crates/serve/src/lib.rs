@@ -23,12 +23,15 @@
 //!   bursty think times) driving the service through a deterministic
 //!   discrete-event loop;
 //! * [`report`] — the [`report::ServeReport`] with p50/p99 latency and
-//!   QPS per worker, emitted as canonical JSON by `serve_bench`.
+//!   QPS per worker, emitted as canonical JSON by `ecgraph serve`.
 //!
 //! Everything is deterministic under `ec_comm::set_deterministic_timing`:
 //! request latencies are *simulated* quantities (modeled network time +
 //! modeled compute), so two runs of one config produce byte-identical
 //! reports — the same discipline the training engine follows.
+
+#![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
 
 pub mod cache;
 pub mod loadgen;

@@ -1,5 +1,5 @@
 //! The serving run's result record: latency percentiles, throughput, cache
-//! and traffic accounting, emitted as canonical JSON by `serve_bench`.
+//! and traffic accounting, emitted as canonical JSON by `ecgraph serve`.
 //!
 //! Like [`ec_graph::report::RunResult`], the canonical JSON deliberately
 //! excludes the attached telemetry: recording level must never change the

@@ -9,10 +9,10 @@ use std::process::ExitCode;
 fn check_file(path: &str) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read failed: {e}"))?;
     if path.ends_with(".jsonl") {
-        let lines = ec_trace::jsonck::validate_jsonl(&text)?;
+        let lines = ec_trace::export::parse_jsonl(&text)?.len();
         Ok(format!("{lines} JSONL lines"))
     } else {
-        ec_trace::jsonck::validate_json(&text)?;
+        serde_json::from_str(&text).map_err(|e| e.to_string())?;
         Ok(format!("{} bytes of JSON", text.len()))
     }
 }

@@ -1,6 +1,6 @@
 //! `trace_diff`: structural regression diff of two metrics/bench JSON
-//! documents (`BENCH_serving.json`, `BENCH_timeline.json`, metrics
-//! exports — anything the exporters or bench bins write).
+//! documents (metrics exports, serve reports, benchmark result sets —
+//! anything the exporters or bench bins write).
 //!
 //! Usage:
 //! `trace_diff <before.json> <after.json> [rel=0.05] [abs=1e-9]

@@ -1,8 +1,8 @@
 //! Cross-run regression diffing of metrics / bench JSON documents.
 //!
-//! `BENCH_serving.json`, `BENCH_timeline.json` and the exporters' metrics
-//! documents are point-in-time snapshots; this module compares two of
-//! them structurally. Every numeric leaf becomes a dotted series path
+//! The exporters' metrics documents, `ecgraph serve --report-out` reports
+//! and the benchmark's result sets are point-in-time snapshots; this module
+//! compares two of them structurally. Every numeric leaf becomes a dotted series path
 //! (`epoch[1].compute_s_per_epoch`) and is classified as **unchanged**
 //! (within a configurable relative threshold), **improved** or
 //! **regressed** (when the path's name tells us which direction is
@@ -482,7 +482,6 @@ fn cli_inner(tool: &str, args: &[String]) -> Result<u8, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jsonck;
 
     const BEFORE: &str = r#"{"experiment":"x","compute_s_per_epoch":1.0,
         "speedup_vs_seq":2.0,"note":"a","epoch":[{"total_bytes":100}]}"#;
@@ -590,7 +589,7 @@ mod tests {
             "speedup_vs_seq":2.0,"note":"a","epoch":[{"total_bytes":100}]}"#;
         let r = diff_texts(BEFORE, after, &cfg).expect("parse");
         let text = r.to_json(&cfg).to_string();
-        jsonck::validate_json(&text).expect("valid JSON");
+        serde_json::from_str(&text).expect("valid JSON");
         assert!(text.starts_with(r#"{"verdict":"regressed""#));
         assert!(text.contains(r#""path":"compute_s_per_epoch","verdict":"regressed""#));
     }

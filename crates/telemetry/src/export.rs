@@ -146,6 +146,16 @@ pub fn jsonl(report: &TelemetryReport) -> String {
     out
 }
 
+/// Reads a JSONL event log back: every non-empty line is one JSON value,
+/// and the first malformed line is reported by number.
+pub fn parse_jsonl(text: &str) -> Result<Vec<Value>, String> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| serde_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 1)))
+        .collect()
+}
+
 /// Renders the metric rows (plus run-level context) as a standalone
 /// metrics JSON document.
 pub fn metrics_json(report: &TelemetryReport) -> String {
@@ -162,7 +172,6 @@ pub fn metrics_json(report: &TelemetryReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jsonck;
     use crate::registry::{labels, MetricId};
     use crate::sink::TelemetrySink;
     use crate::{TelemetryConfig, TelemetryLevel};
@@ -185,7 +194,7 @@ mod tests {
     fn chrome_trace_has_metadata_then_spans_and_validates() {
         let rep = sample_report();
         let text = chrome_trace_json(&rep);
-        jsonck::validate_json(&text).expect("valid JSON");
+        serde_json::from_str(&text).expect("valid JSON");
         assert!(text.starts_with(r#"{"traceEvents":[{"ph":"M","name":"process_name""#));
         assert!(text.contains(r#""name":"worker 0""#));
         assert!(text.contains(r#""name":"network""#));
@@ -198,7 +207,7 @@ mod tests {
     fn jsonl_emits_spans_then_metrics_one_per_line() {
         let rep = sample_report();
         let text = jsonl(&rep);
-        let lines = jsonck::validate_jsonl(&text).expect("valid JSONL");
+        let lines = parse_jsonl(&text).expect("valid JSONL").len();
         assert_eq!(lines, 2 + rep.rows.len());
         let first = text.lines().next().expect("nonempty");
         assert!(first.starts_with(r#"{"type":"span","name":"fp:compute""#));
@@ -207,10 +216,17 @@ mod tests {
     }
 
     #[test]
+    fn parse_jsonl_skips_blank_lines_and_reports_the_bad_one() {
+        assert_eq!(parse_jsonl("{\"a\":1}\n\n[2]\n").map(|v| v.len()), Ok(2));
+        let err = parse_jsonl("{}\nnope\n").expect_err("bad line");
+        assert!(err.starts_with("line 2:"), "{err}");
+    }
+
+    #[test]
     fn metrics_json_is_standalone_and_valid() {
         let rep = sample_report();
         let text = metrics_json(&rep);
-        jsonck::validate_json(&text).expect("valid JSON");
+        serde_json::from_str(&text).expect("valid JSON");
         assert!(text.starts_with(r#"{"level":"trace","tracks":["worker 0","worker 1","network","engine","host"],"dropped_spans":0,"metrics":["#));
         assert!(text.contains(r#""name":"phase.comm","kind":"gauge","unit":"seconds","labels":{"epoch":0},"value":0.5"#));
     }
@@ -218,8 +234,8 @@ mod tests {
     #[test]
     fn empty_report_still_exports_valid_documents() {
         let rep = TelemetrySink::new(&TelemetryConfig::default(), 1).report();
-        jsonck::validate_json(&chrome_trace_json(&rep)).expect("valid trace");
-        jsonck::validate_json(&metrics_json(&rep)).expect("valid metrics");
-        assert_eq!(jsonck::validate_jsonl(&jsonl(&rep)), Ok(0));
+        serde_json::from_str(&chrome_trace_json(&rep)).expect("valid trace");
+        serde_json::from_str(&metrics_json(&rep)).expect("valid metrics");
+        assert_eq!(parse_jsonl(&jsonl(&rep)), Ok(Vec::new()));
     }
 }

@@ -27,10 +27,7 @@
 //!   engine refactor must beat;
 //! * [`diff`] — structural cross-run diffing of metrics/bench JSON with
 //!   improved/regressed/unchanged classification (the `trace_diff` bin
-//!   and `ecgraph compare`);
-//! * [`jsonck`] — a dependency-free JSON *syntax* validator that checks
-//!   exported documents without building a value tree, used by the
-//!   `trace_check` bin and the exporter tests.
+//!   and `ecgraph compare`).
 //!
 //! ## Determinism contract
 //!
@@ -44,11 +41,13 @@
 //! `tests/determinism_suite.rs` proves the run report is byte-identical
 //! with telemetry [`TelemetryLevel::Off`] vs [`TelemetryLevel::Trace`].
 
+#![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
+
 use serde::{Deserialize, Serialize};
 
 pub mod diff;
 pub mod export;
-pub mod jsonck;
 pub mod registry;
 pub mod report;
 pub mod ring;

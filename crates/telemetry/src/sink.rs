@@ -3,10 +3,12 @@
 //! Every instrumentation site goes through the sink, and every recording
 //! method is gated on the configured [`TelemetryLevel`] — at
 //! [`TelemetryLevel::Off`] each call reduces to one enum compare. The
-//! sink is deliberately not `Sync`: spans are recorded on the engine
-//! thread during its deterministic ordered replay of worker results, so
-//! no locks sit on (or perturb) the hot path. This file is inside
-//! `ec-lint`'s `no-panic-hot-path` scope.
+//! sink is deliberately lock-free and every recording method takes
+//! `&mut self`: the `Fn + Sync` worker blocks of a superstep cannot hold a
+//! `&mut`, so spans can only be recorded on the engine thread during its
+//! deterministic ordered replay of worker results — the borrow checker,
+//! not a convention, keeps telemetry off the lanes. This file is inside
+//! `ec-lint`'s `no-panic-hot-path` scope (`lint.toml`).
 
 use crate::registry::{labels, Labels, MetricId, MetricsRegistry};
 use crate::report::{MetricRow, TelemetryReport};

@@ -265,7 +265,6 @@ pub fn timeline_json(report: &TelemetryReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jsonck;
     use crate::registry::{labels, MetricId};
     use crate::sink::TelemetrySink;
     use crate::{TelemetryConfig, TelemetryLevel};
@@ -332,7 +331,7 @@ mod tests {
     #[test]
     fn timeline_json_validates_and_carries_headroom() {
         let text = timeline_json(&sample_report());
-        jsonck::validate_json(&text).expect("valid JSON");
+        serde_json::from_str(&text).expect("valid JSON");
         assert!(text.starts_with(r#"{"level":"trace","overlap_headroom_s":0.15"#));
         assert!(text.contains(r#""name":"worker 1""#));
         assert!(text.contains(r#""cat":"idle","name":"idle:wait","count":1"#));
@@ -342,7 +341,7 @@ mod tests {
     fn empty_report_exports_cleanly() {
         let rep = TelemetrySink::new(&TelemetryConfig::default(), 1).report();
         assert!(folded_stacks(&rep).is_empty());
-        jsonck::validate_json(&timeline_json(&rep)).expect("valid JSON");
+        serde_json::from_str(&timeline_json(&rep)).expect("valid JSON");
         let t = attribute(&rep);
         assert_eq!(t.total, TimeBuckets::default());
         assert_eq!(t.overlap_headroom_s, 0.0);

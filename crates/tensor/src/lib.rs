@@ -22,6 +22,9 @@
 //! the lanes of a persistent [`pool::WorkerPool`], each band computed in
 //! the same order by the same tiled kernel body).
 
+#![deny(unsafe_code, clippy::undocumented_unsafe_blocks, clippy::unnecessary_safety_comment)]
+#![deny(clippy::iter_over_hash_type)]
+
 pub mod activations;
 pub mod dense;
 pub mod init;

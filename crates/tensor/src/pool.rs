@@ -29,6 +29,19 @@
 //! pool **from one of its own lanes** runs the tasks inline on that lane
 //! (tracked by a thread-local membership token) — re-entry can therefore
 //! never deadlock on a full queue.
+//!
+//! This is the one module that may spawn and synchronise: `clippy.toml`
+//! bans thread creation and the `Mutex`/`Condvar`/atomic/`Cell` types
+//! workspace-wide so that nothing else can share mutable state across
+//! lanes, and this file opts back in.
+//! It also holds the workspace's only `unsafe` block (in
+//! [`WorkerPool::run`]); Miri and the interleaving explorer in
+//! `tests/interleave.rs` are the evidence for both.
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the worker pool is the sanctioned home of threads, locks, condvars and atomics"
+)]
 
 use std::any::Any;
 use std::cell::Cell;
@@ -114,16 +127,11 @@ impl JobQueue {
 
     /// Blocks for the next job; `None` once closed and drained.
     fn dequeue(&self) -> Option<Job> {
-        let mut state = lock(&self.state);
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                return Some(job);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.ready.wait(state).unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
+        let mut state = self
+            .ready
+            .wait_while(lock(&self.state), |state| state.jobs.is_empty() && !state.closed)
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        state.jobs.pop_front()
     }
 
     fn close(&self) {
@@ -163,10 +171,10 @@ impl Latch {
     }
 
     fn wait(&self) -> Option<PanicPayload> {
-        let mut state = lock(&self.state);
-        while state.pending > 0 {
-            state = self.done.wait(state).unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
+        let mut state = self
+            .done
+            .wait_while(lock(&self.state), |state| state.pending > 0)
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
         state.panic.take()
     }
 }
@@ -190,7 +198,8 @@ impl WorkerPool {
     pub fn new(threads: usize) -> Self {
         let phys = physical_parallelism();
         let want = if threads == 0 { phys } else { threads.min(phys) }.max(1);
-        // ec-lint: sound(token only needs uniqueness for thread names; no other memory is ordered by it)
+        // Relaxed: the token only needs uniqueness (thread names, lane
+        // membership); no other memory is ordered by it.
         let token = NEXT_TOKEN.fetch_add(1, Ordering::Relaxed);
         let mut lanes = Vec::with_capacity(want - 1);
         let mut handles = Vec::with_capacity(want - 1);
@@ -224,6 +233,36 @@ impl WorkerPool {
     /// any panicked, the first payload is resumed on the caller — after
     /// the full batch completed, so output buffers are never left with a
     /// band still being written. Lanes survive task panics.
+    ///
+    /// A task is `FnOnce() + Send` and the batch is built before any task
+    /// runs, so two tasks cannot both hold a `&mut` to one output — the
+    /// "lanes write only their own band" rule is a borrow-checker fact
+    /// (and `clippy.toml` bans the interior-mutability types that could
+    /// get around it):
+    ///
+    /// ```compile_fail
+    /// use ec_tensor::pool::{Task, WorkerPool};
+    /// let mut shared_log: Vec<usize> = Vec::new();
+    /// let log = &mut shared_log;
+    /// let first: Task<'_> = Box::new(|| log.push(0));
+    /// let second: Task<'_> = Box::new(|| log.push(1)); // E0524: second unique borrow
+    /// WorkerPool::new(2).run(vec![first, second]);
+    /// ```
+    ///
+    /// Each task owning a disjoint band of the output is what does compile:
+    ///
+    /// ```
+    /// use ec_tensor::pool::{Task, WorkerPool};
+    /// let mut out = vec![0usize; 4];
+    /// let tasks: Vec<Task<'_>> = out
+    ///     .chunks_mut(1)
+    ///     .enumerate()
+    ///     .map(|(b, band)| Box::new(move || band[0] = b) as Task<'_>)
+    ///     .collect();
+    /// WorkerPool::new(2).run(tasks);
+    /// assert_eq!(out, [0, 1, 2, 3]);
+    /// ```
+    #[expect(unsafe_code, reason = "the lifetime-erasing transmute below; see its SAFETY comment")]
     pub fn run<'scope>(&self, tasks: Vec<Task<'scope>>) {
         let member = POOL_MEMBERSHIP.with(|token| token.get()) == self.token;
         if self.lanes.is_empty() || tasks.len() <= 1 || member {
@@ -265,7 +304,6 @@ impl WorkerPool {
             // the wait). Every borrow captured by the job therefore
             // outlives its execution, which is all the 'static bound is
             // standing in for.
-            // ec-lint: sound(lifetime-only transmute; latch.wait() below outlives every captured borrow)
             let job: Job = unsafe { std::mem::transmute::<Task<'scope>, Job>(job) };
             if let Err(job) = self.lanes[lane - 1].enqueue(job) {
                 // Lane unavailable (spawn failed at construction): do its

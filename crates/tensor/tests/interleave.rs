@@ -44,7 +44,7 @@ use std::hash::Hash;
 enum Lane {
     /// Will acquire the queue lock and act on what it finds.
     Running,
-    /// Parked in `Condvar::wait`; runnable only once woken.
+    /// Parked inside `Condvar::wait_while`; runnable only once woken.
     Waiting,
     /// Returned from the dequeue loop (closed and drained).
     Done,
@@ -166,7 +166,8 @@ impl QueueModel {
             out.push(n);
         }
 
-        // Lane steps: one dequeue-loop iteration per critical section.
+        // Lane steps: one `dequeue` critical section each — the predicate
+        // check `wait_while` makes on entry and again after every wakeup.
         for (i, l) in self.lanes.iter().enumerate() {
             if *l != Lane::Running {
                 continue;
@@ -303,7 +304,7 @@ impl LatchModel {
             }
         }
         if self.waiter == Lane::Running {
-            // wait(): check the predicate under the lock.
+            // wait(): `wait_while` checks the predicate under the lock.
             let mut n = self.clone();
             if n.pending == 0 {
                 n.observed = Some(n.panic_slot);

@@ -1,10 +1,9 @@
-//! The three GNN models the paper names — GCN, GraphSAGE and GAT — trained
-//! on the same replica by the single-machine reference stack.
+//! The two GNN models the engine trains — GCN and GraphSAGE — on the same
+//! replica by the single-machine reference stack.
 //!
-//! The paper evaluates GCN, states that GraphSAGE "enjoys similar
-//! performance improvements", and sketches how GAT fits EC-Graph's message
-//! pattern. This example shows all three learning the same task, which is
-//! what makes the engine's model-pluggability claim concrete.
+//! The paper evaluates GCN and states that GraphSAGE "enjoys similar
+//! performance improvements". This example shows both learning the same
+//! task, which is what makes the engine's model-pluggability claim concrete.
 //!
 //! ```sh
 //! cargo run --release --example models_comparison
@@ -12,7 +11,7 @@
 
 use ec_comm::HostTimer;
 use ec_graph_repro::data::{normalize, DatasetSpec};
-use ec_graph_repro::nn::{metrics, GatNetwork, GcnNetwork, SageNetwork};
+use ec_graph_repro::nn::{metrics, GcnNetwork, SageNetwork};
 use std::sync::Arc;
 
 fn main() {
@@ -62,25 +61,8 @@ fn main() {
         let params: usize = dims.windows(2).map(|w| 2 * w[0] * w[1] + w[1]).sum();
         println!("{:<10} {:>10.4} {:>12.4} {:>12}", "sage", acc, per_epoch, params);
     }
-    // GAT (manual gradients, single head).
-    {
-        let mut net = GatNetwork::new(&dims, 0.02, 5);
-        let start = HostTimer::start();
-        for _ in 0..epochs {
-            net.train_epoch(&data.graph, &data.features, &data.labels, &data.split.train);
-        }
-        let per_epoch = start.elapsed_s() / epochs as f64;
-        let acc = metrics::accuracy(
-            &net.forward(&data.graph, &data.features),
-            &data.labels,
-            &data.split.test,
-        );
-        let params: usize = dims.windows(2).map(|w| w[0] * w[1] + 3 * w[1]).sum();
-        println!("{:<10} {:>10.4} {:>12.4} {:>12}", "gat", acc, per_epoch, params);
-    }
-    println!("\nAll three exchange the same message types under distribution —");
+    println!("\nBoth exchange the same message types under distribution —");
     println!("neighbour embeddings forward, embedding gradients backward — which");
-    println!("is the property EC-Graph's compression pipeline keys on. GCN and");
-    println!("SAGE run distributed today (`ModelKind`); GAT ships here as the");
-    println!("gradient-checked single-machine reference.");
+    println!("is the property EC-Graph's compression pipeline keys on, and both");
+    println!("run distributed (`ModelKind`).");
 }

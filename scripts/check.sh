@@ -1,10 +1,8 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, lints (warnings are errors), the whole
 # workspace test suite, and the kernel crates' tests again in release.
-# CI runs exactly this script.
-# Pass --bench to also run the serving benchmark (writes BENCH_serving.json
-# at the repo root). Host performance is measured by perfbench/ (see
-# BENCHMARK.json), not here.
+# CI runs exactly this script. Host performance is measured by perfbench/
+# (see BENCHMARK.json), not here.
 # Pass --trace-smoke to also drive the CLI end-to-end with the telemetry
 # exporters on and validate the emitted trace/metrics/timeline files, the
 # serving request-trace path, and an `ecgraph compare` self-vs-self run
@@ -20,13 +18,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-RUN_BENCH=0
 RUN_TRACE_SMOKE=0
 RUN_SERVE_SMOKE=0
 RUN_PERF_SMOKE=0
 for arg in "$@"; do
   case "$arg" in
-    --bench) RUN_BENCH=1 ;;
     --trace-smoke) RUN_TRACE_SMOKE=1 ;;
     --serve-smoke) RUN_SERVE_SMOKE=1 ;;
     --perf-smoke) RUN_PERF_SMOKE=1 ;;
@@ -37,17 +33,11 @@ done
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
-echo "== cargo clippy (deny warnings) =="
+echo "== cargo clippy (deny warnings; clippy.toml carries the determinism and concurrency bans) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== ec-lint (determinism / panic / wire-schema / concurrency invariants) =="
-# --cache keeps per-file analysis summaries under target/ec-lint-cache so
-# repeated local runs only re-analyze edited files; the JSON and SARIF
-# reports live under target/ (never the repo root) and are what CI uploads
-# as artifacts.
-mkdir -p target
-cargo run -q -p ec-lint -- --check --cache --sarif target/ec-lint-report.sarif \
-  | tee target/ec-lint-report.txt
+echo "== ec-lint (hot-path panics / wire schema / metric catalog / lock order) =="
+cargo run -q -p ec-lint -- --check
 
 echo "== cargo test =="
 cargo test --workspace -q
@@ -57,11 +47,6 @@ echo "== cargo test --release (codec, reduction and exchange kernels) =="
 # lane reductions of the codec kernels are not vectorised; their
 # bit-identity tests must also hold on the code the benchmark runs.
 cargo test --release -q -p ec-compress -p ec-tensor -p ec-graph
-
-if [[ "$RUN_BENCH" == "1" ]]; then
-  echo "== serving benchmark (BENCH_serving.json) =="
-  cargo run -q --release -p ec-bench --bin serve_bench
-fi
 
 if [[ "$RUN_TRACE_SMOKE" == "1" ]]; then
   echo "== trace smoke (CLI exporters end-to-end) =="

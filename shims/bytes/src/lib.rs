@@ -1,6 +1,9 @@
 //! Offline stand-in for the `bytes` crate: the [`Buf`] / [`BufMut`] subset
 //! this workspace's wire codec uses, implemented for `&[u8]` and `Vec<u8>`.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
+
 /// Read cursor over a byte buffer.
 pub trait Buf {
     /// Bytes left to read.

@@ -8,6 +8,9 @@
 //! run explores the same cases (failures are always reproducible; there is
 //! no shrinking).
 
+#![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
+
 /// Per-test configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ProptestConfig {

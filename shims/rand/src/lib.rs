@@ -9,6 +9,9 @@
 //! workspace only requires determinism for a fixed seed, which this
 //! implementation provides.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
+
 /// Low-level entropy source.
 pub trait RngCore {
     /// Next 64 uniformly random bits.

@@ -5,6 +5,9 @@
 //! markers: no in-tree code drives the serde data model — persistent state
 //! goes through the explicit binary codec in `ec-comm` instead.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
+
 pub use serde_derive::{Deserialize, Serialize};
 
 /// Marker trait standing in for `serde::Serialize`.

@@ -6,6 +6,9 @@
 //! codec in `ec-comm`). These derives therefore accept the annotation —
 //! including `#[serde(...)]` attributes — and expand to nothing.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
+
 use proc_macro::TokenStream;
 
 /// No-op `#[derive(Serialize)]`.

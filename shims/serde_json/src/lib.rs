@@ -1,8 +1,13 @@
 //! Offline stand-in for `serde_json`: a [`Value`] tree, the [`json!`]
 //! constructor macro, RFC 8259 text output via `Display`/`to_string`, and
 //! a matching [`from_str`] parser with the upstream accessor surface
-//! (`get`, `as_*`, `Index`/`IndexMut`) — enough for round-tripping the
-//! ec-lint analysis cache and other tool state through disk.
+//! (`get`, `as_*`, `Index`/`IndexMut`) — the one JSON reader behind
+//! `ecgraph compare`, `trace_diff`, `trace_check` and the benchmark's
+//! `--agree`. The parser is total over hostile text: nesting deeper than
+//! [`MAX_DEPTH`] is a typed [`Error`], not a stack overflow.
+
+#![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -148,13 +153,19 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
+/// Deepest array/object nesting [`from_str`] accepts. The parser recurses
+/// once per level, so without a bound hostile text (`"[".repeat(200_000)`)
+/// overflows the stack and aborts the process.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses RFC 8259 text into a [`Value`].
 ///
 /// # Errors
-/// Malformed input, or trailing non-whitespace after the top-level value.
+/// Malformed input, nesting deeper than [`MAX_DEPTH`], or trailing
+/// non-whitespace after the top-level value.
 pub fn from_str(text: &str) -> Result<Value, Error> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { bytes, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -167,6 +178,8 @@ pub fn from_str(text: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -204,11 +217,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.expect_word("true", Value::Bool(true)),
             Some(b'f') => self.expect_word("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Runs a container parser one level down, refusing past [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than 128 levels"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -331,18 +355,32 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// One or more digits.
+    fn digits(&mut self) -> Result<(), Error> {
+        if !matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
+            return Err(self.err("expected a digit"));
+        }
+        while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        Ok(())
+    }
+
+    /// `-? (0 | [1-9][0-9]*) (\. [0-9]+)? ([eE] [+-]? [0-9]+)?`
     fn number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
         self.eat(b'-');
-        while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        if self.eat(b'0') {
+            if matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
+                return Err(self.err("leading zero in number"));
+            }
+        } else {
+            self.digits()?;
         }
         let mut is_float = false;
         if self.eat(b'.') {
             is_float = true;
-            while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         if matches!(self.bytes.get(self.pos), Some(b'e' | b'E')) {
             is_float = true;
@@ -350,9 +388,7 @@ impl<'a> Parser<'a> {
             if !self.eat(b'+') {
                 self.eat(b'-');
             }
-            while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("bad number"))?;
@@ -588,12 +624,61 @@ mod tests {
     }
 
     #[test]
+    fn parse_accepts_well_formed_documents() {
+        for ok in [
+            "null",
+            "true",
+            "0",
+            "-0.5e+3",
+            "\"a\\u00e9\\n\"",
+            "[]",
+            "[1,2,[3]]",
+            "{}",
+            r#"{"a":1,"b":[{"c":null}],"d":"x"}"#,
+            "  { \"k\" : 1.0 }  ",
+        ] {
+            assert!(crate::from_str(ok).is_ok(), "{ok}");
+        }
+    }
+
+    #[test]
     fn parse_rejects_malformed_input() {
-        assert!(crate::from_str("{").is_err());
-        assert!(crate::from_str("[1,]").is_err());
-        assert!(crate::from_str(r#"{"a" 1}"#).is_err());
-        assert!(crate::from_str("1 2").is_err(), "trailing tokens");
-        assert!(crate::from_str("\"unterminated").is_err());
+        for bad in [
+            "",
+            "tru",
+            "01",
+            "-01",
+            "1.",
+            "1e",
+            "-",
+            "{",
+            "[1,]",
+            "{\"a\":}",
+            "{\"a\" 1}",
+            "{a:1}",
+            "\"unterminated",
+            "\"bad\\q\"",
+            "\"\\ud800\"", // a lone surrogate is not a scalar value
+            "[1] trailing",
+            "1 2",
+            "{},",
+        ] {
+            assert!(crate::from_str(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    /// Hostile nesting is a typed error, not a stack overflow: the limit
+    /// holds exactly, and far past it the parser still returns.
+    #[test]
+    fn depth_limit_blocks_stack_abuse() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(crate::from_str(&nested(crate::MAX_DEPTH)).is_ok());
+        let err = crate::from_str(&nested(crate::MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert_eq!((err.offset, err.message.as_str()), (128, "nesting deeper than 128 levels"));
+        assert!(crate::from_str(&"[".repeat(200_000)).is_err());
+        assert!(crate::from_str(&"{\"a\":".repeat(200_000)).is_err());
+        // Siblings do not accumulate depth.
+        assert!(crate::from_str(&format!("[{}[]]", "[[]],".repeat(1000))).is_ok());
     }
 
     #[test]

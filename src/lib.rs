@@ -21,6 +21,9 @@
 //! * [`trace`] — deterministic span tracing and the EC-metrics registry,
 //!   with Chrome-trace / JSONL / metrics-JSON exporters.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
+
 pub use ec_comm as comm;
 pub use ec_compress as compress;
 pub use ec_faults as faults;

@@ -1,9 +1,10 @@
 //! Run-to-run determinism: the simulated cluster is a measurement
 //! instrument, so two runs of the same config must be *byte-identical* —
 //! same losses, same traffic, same report. This is the regression net under
-//! `ec-lint`'s `no-unordered-iteration` / `no-wall-clock` rules: a stray
-//! `HashMap` walk or wall-clock read in a deterministic path shows up here
-//! as a diff between two otherwise identical runs.
+//! the root `clippy.toml` bans (hash-container iteration, `Instant::now`,
+//! interior mutability outside the pool): whatever slips past them — a
+//! `HashSet` collected without the sort, say — shows up here as a diff
+//! between two otherwise identical runs.
 //!
 //! Compute seconds are *measured* in normal operation and therefore differ
 //! between runs; [`ec_comm::set_deterministic_timing`] zeroes them so the

@@ -14,6 +14,7 @@ use ec_graph_repro::data::DatasetSpec;
 use ec_graph_repro::ecgraph::config::{ModelKind, TrainingConfig};
 use ec_graph_repro::ecgraph::engine::DistributedEngine;
 use ec_graph_repro::ecgraph::infer::ModelWeights;
+use ec_graph_repro::faults::FaultPlan;
 use ec_graph_repro::partition::hash::HashPartitioner;
 use ec_graph_repro::partition::{Partition, Partitioner};
 use ec_graph_repro::serve::service::ServeError;
@@ -229,18 +230,26 @@ fn closed_loop_reports_are_seed_deterministic() {
     let engine = trained_engine(&fx, 2);
     let weights = engine.inference_model();
     let (data, adjs, partition, _) = &fx;
-    let run = |seed: u64| {
+    let run = |config: &ServeConfig, seed: u64| {
         let mut svc = InferenceService::new(
             weights.clone(),
             Arc::clone(data),
             adjs.clone(),
             Arc::clone(partition),
-            ServeConfig::defaults(WORKERS),
+            config.clone(),
         );
         let workload = WorkloadConfig { total_requests: 400, seed, ..WorkloadConfig::defaults() };
         run_closed_loop(&mut svc, &workload).to_json().to_string()
     };
-    let a = run(17);
-    assert_eq!(a, run(17), "identical serving runs diverged");
-    assert_ne!(a, run(18), "the workload seed must influence the run");
+    // The default cell, and the opposite corner of the old serving grid:
+    // no cache, one 2× straggler.
+    let mut uncached_straggler = ServeConfig::defaults(WORKERS);
+    uncached_straggler.cache_rows = 0;
+    uncached_straggler.pinned_rows = 0;
+    uncached_straggler.faults = FaultPlan::none().with_straggler(0, 2.0);
+    for config in [ServeConfig::defaults(WORKERS), uncached_straggler] {
+        let a = run(&config, 17);
+        assert_eq!(a, run(&config, 17), "identical serving runs diverged");
+        assert_ne!(a, run(&config, 18), "the workload seed must influence the run");
+    }
 }
