@@ -1,0 +1,11 @@
+//! `reproduce <name|all> [key=value…]` — regenerates a table or figure of
+//! the paper (see `ec_bench::experiments::EXPERIMENTS`). Exits 2, naming
+//! the accepted keys, on anything it does not understand.
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(usage) = ec_bench::reproduce(&args, &mut std::io::stdout().lock()) {
+        eprintln!("{usage}");
+        std::process::exit(2);
+    }
+}

@@ -1,55 +1,253 @@
 //! # `ec-bench` — the experiment harness
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), plus shared
-//! plumbing in this library:
+//! One executable, `reproduce <name|all> [key=value…]`, regenerates every
+//! table and figure of the paper plus the repo's own ablations
+//! (`scripts/reproduce.sh` wraps it to write `results/<name>.txt` with the
+//! git revision in the first line). This library writes once what every
+//! experiment shares:
 //!
-//! * [`Args`] — tiny `key=value` CLI parsing so every experiment accepts
-//!   `scale=`, `epochs=`, `workers=` overrides;
-//! * [`bench_dataset`] — bench-scale replica instantiation (smaller than
-//!   the library defaults so the full suite regenerates in minutes; the
-//!   exact sizes are printed with every run and recorded in
-//!   `EXPERIMENTS.md`);
-//! * [`emit`] — human-readable table rows plus machine-readable JSON lines
-//!   (prefixed `#json`), so results can be diffed across runs.
+//! * [`Experiment`] / [`Key`] — the table in [`experiments::EXPERIMENTS`]:
+//!   name, title, default datasets, accepted `key=value` overrides with
+//!   typed defaults, and the function that produces the rows;
+//! * [`reproduce`] — strict argument parsing (an unknown experiment or key,
+//!   an unparsable value or an unknown dataset is a usage error, exit
+//!   code 2 — never a silent default), dataset filtering, [`bench_dataset`]
+//!   instantiation (bench scale: the suite regenerates in minutes; sizes
+//!   are printed with every run), the replica banner and row emission;
+//! * [`systems`] — the paper's eight systems behind one [`systems::run`],
+//!   all on the one simulated cluster of `ec-graph`.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::iter_over_hash_type)]
 
-use ec_graph_data::{AttributedGraph, DatasetSpec};
-use std::collections::HashMap;
+pub mod experiments;
+pub mod systems;
 
-/// Parsed `key=value` command-line arguments.
-#[derive(Clone, Debug, Default)]
-pub struct Args {
-    map: HashMap<String, String>,
+use ec_graph_data::{AttributedGraph, DatasetSpec};
+use std::io::Write;
+use std::str::FromStr;
+use std::sync::Arc;
+
+/// One accepted `key=value` override of an experiment.
+#[derive(Clone, Copy)]
+pub struct Key {
+    /// The key as typed on the command line.
+    pub name: &'static str,
+    /// The value used when the key is not given.
+    pub default: &'static str,
+    /// Whether a value parses as the key's type.
+    valid: fn(&str) -> bool,
 }
 
-impl Args {
-    /// Parses `std::env::args` (skipping the binary name).
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
+impl Key {
+    /// A key whose values must parse as `T`.
+    pub const fn new<T: FromStr>(name: &'static str, default: &'static str) -> Self {
+        Self { name, default, valid: |v| v.parse::<T>().is_ok() }
     }
+}
 
-    /// Parses an explicit iterator of `key=value` strings.
-    pub fn parse(it: impl IntoIterator<Item = String>) -> Self {
-        let mut map = HashMap::new();
-        for arg in it {
-            if let Some((k, v)) = arg.split_once('=') {
-                map.insert(k.trim_start_matches('-').to_string(), v.to_string());
+/// A comma-separated list of `T`, e.g. `layers=2,3,4`.
+pub struct List<T>(pub Vec<T>);
+
+impl<T: FromStr> FromStr for List<T> {
+    type Err = T::Err;
+    fn from_str(s: &str) -> Result<Self, T::Err> {
+        s.split(',').map(str::parse).collect::<Result<_, _>>().map(List)
+    }
+}
+
+/// A comma-separated list of dataset names, each one a known replica.
+pub struct Datasets(pub Vec<DatasetSpec>);
+
+impl FromStr for Datasets {
+    type Err = String;
+    fn from_str(s: &str) -> Result<Self, String> {
+        let all = DatasetSpec::all();
+        s.split(',')
+            .map(|name| {
+                all.iter()
+                    .find(|spec| spec.name == name)
+                    .cloned()
+                    .ok_or_else(|| format!("unknown dataset `{name}`"))
+            })
+            .collect::<Result<_, _>>()
+            .map(Datasets)
+    }
+}
+
+/// Runs once per dataset replica.
+pub type PerDataset = fn(&mut Run, &DatasetSpec, &Arc<AttributedGraph>);
+
+/// What an experiment's row-producing function runs over.
+#[derive(Clone, Copy)]
+pub enum Body {
+    /// The replicas named by the experiment's `datasets=` / `dataset=` key.
+    Selected(PerDataset),
+    /// A fixed (comma-separated) list of replicas.
+    Fixed(&'static str, PerDataset),
+    /// Once; the experiment builds its own input.
+    Once(fn(&mut Run)),
+}
+
+/// One row of the experiment table.
+#[derive(Clone, Copy)]
+pub struct Experiment {
+    /// Command-line name and the `"experiment"` tag of its `#json` rows.
+    pub name: &'static str,
+    /// Stem of its `results/` file — the name of the executable that
+    /// produced it before the harness was one table; accepted as an alias.
+    pub file: &'static str,
+    /// Header line.
+    pub title: &'static str,
+    /// Accepted keys with their defaults.
+    pub keys: &'static [Key],
+    /// The function that makes the rows.
+    pub body: Body,
+}
+
+impl Experiment {
+    /// Validates `args` against the declared keys: `(key, value)` as given.
+    fn parse(&self, args: &[String]) -> Result<Vec<(&'static str, String)>, String> {
+        let usage = |problem: String| {
+            let keys: Vec<String> =
+                self.keys.iter().map(|k| format!("{}={}", k.name, k.default)).collect();
+            format!("{problem}\n{} accepts: {}", self.name, keys.join(" "))
+        };
+        let mut values = Vec::new();
+        for arg in args {
+            let Some((name, value)) = arg.split_once('=') else {
+                return Err(usage(format!("`{arg}` is not key=value")));
+            };
+            let Some(key) = self.keys.iter().find(|k| k.name == name) else {
+                return Err(usage(format!("unknown key `{name}`")));
+            };
+            if !(key.valid)(value) {
+                return Err(usage(format!("`{value}` is not a valid value for `{name}`")));
             }
+            values.push((key.name, value.to_string()));
         }
-        Self { map }
+        Ok(values)
+    }
+}
+
+/// One experiment invocation: its validated arguments and its output.
+pub struct Run<'a> {
+    experiment: &'a Experiment,
+    values: Vec<(&'static str, String)>,
+    out: &'a mut dyn Write,
+}
+
+impl Run<'_> {
+    /// The value of a declared key (the last one given, else its default).
+    ///
+    /// # Panics
+    /// Panics when the experiment does not declare `name` as a `T` — a bug
+    /// in the experiment table, which the in-process smoke test catches.
+    pub fn get<T: FromStr>(&self, name: &str) -> T {
+        let given = self.values.iter().rev().find(|(k, _)| *k == name).map(|(_, v)| v.as_str());
+        let declared = self.experiment.keys.iter().find(|k| k.name == name).map(|k| k.default);
+        given.or(declared).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+            panic!("experiment `{}` does not declare `{name}` with this type", self.experiment.name)
+        })
     }
 
-    /// Typed lookup with a default.
-    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.map.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+    /// Writes one human-readable line.
+    pub fn line(&mut self, text: &str) {
+        writeln!(self.out, "{text}").expect("results stream is writable");
     }
 
-    /// String lookup with a default.
-    pub fn get_str(&self, key: &str, default: &str) -> String {
-        self.map.get(key).cloned().unwrap_or_else(|| default.to_string())
+    /// Emits one result row — a JSON object — twice from the same fields: a
+    /// human-readable `key=value` line and its machine-readable `#json` line
+    /// tagged with the experiment's name.
+    ///
+    /// # Panics
+    /// Panics when `row` is not an object (a bug in the experiment).
+    pub fn emit(&mut self, row: serde_json::Value) {
+        use serde_json::Value;
+        let Value::Object(fields) = &row else { panic!("a result row is a JSON object: {row}") };
+        let cells: Vec<String> = fields
+            .iter()
+            .map(|(key, value)| match value {
+                Value::String(text) => format!("{key}={text}"),
+                Value::Float(x) if *x != 0.0 && x.abs() < 1e-3 => format!("{key}={x:.3e}"),
+                Value::Float(x) => format!("{key}={x:.4}"),
+                other => format!("{key}={other}"),
+            })
+            .collect();
+        self.line(&format!("  {}", cells.join("  ")));
+        let fields = row.to_string();
+        self.line(&format!("#json {{\"experiment\":\"{}\",{}", self.experiment.name, &fields[1..]));
     }
+
+    fn execute(&mut self) {
+        self.line(&format!("== {} ==", self.experiment.title));
+        let keys = self.experiment.keys;
+        let (wanted, body) = match self.experiment.body {
+            Body::Once(body) => return body(self),
+            Body::Fixed(list, body) => (list.parse::<Datasets>().map_or(Vec::new(), |d| d.0), body),
+            Body::Selected(body) => {
+                let key =
+                    keys.iter().find(|k| k.name.starts_with("dataset")).map_or("", |k| k.name);
+                (self.get::<Datasets>(key).0, body)
+            }
+        };
+        let selected = |spec: &DatasetSpec| wanted.iter().any(|w| w.name == spec.name);
+        for spec in DatasetSpec::all().into_iter().filter(selected) {
+            let data = Arc::new(bench_dataset(&spec, self.get("scale"), 7));
+            self.line(&format!(
+                "-- {} replica: |V|={} |E|={} d0={} C={} --",
+                spec.name,
+                data.num_vertices(),
+                data.graph.num_edges(),
+                data.feature_dim(),
+                data.num_classes
+            ));
+            body(self, &spec, &data);
+        }
+    }
+}
+
+/// Runs `reproduce <name|all> [key=value…]` (`args` excludes the program
+/// name), writing every row to `out`.
+///
+/// # Errors
+/// A usage message naming the problem and the accepted keys when the
+/// experiment is unknown, a key is not one it declares, a value does not
+/// parse as the key's type or a dataset name is unknown — before anything
+/// runs. With `all`, every key must be declared by at least one experiment
+/// and applies to those that declare it.
+pub fn reproduce(args: &[String], out: &mut dyn Write) -> Result<(), String> {
+    let table = experiments::EXPERIMENTS;
+    let usage = |problem: String| {
+        let names: Vec<&str> = table.iter().map(|e| e.name).collect();
+        let synopsis = "usage: reproduce <name|all> [key=value…]";
+        format!("{problem}\n{synopsis}\nexperiments: {}", names.join(" "))
+    };
+    let Some((name, keys)) = args.split_first() else {
+        return Err(usage("no experiment named".to_string()));
+    };
+    // The experiments to run, each with the arguments meant for it.
+    let selected: Vec<(&Experiment, Vec<String>)> = if name == "all" {
+        let declares = |e: &Experiment, arg: &String| {
+            e.keys.iter().any(|k| arg.strip_prefix(k.name).is_some_and(|v| v.starts_with('=')))
+        };
+        if let Some(stray) = keys.iter().find(|&arg| !table.iter().any(|e| declares(e, arg))) {
+            return Err(usage(format!("no experiment accepts `{stray}`")));
+        }
+        let own = |e| keys.iter().filter(|&arg| declares(e, arg)).cloned().collect();
+        table.iter().map(|e| (e, own(e))).collect()
+    } else {
+        let Some(experiment) = table.iter().find(|e| e.name == name || e.file == name) else {
+            return Err(usage(format!("unknown experiment `{name}`")));
+        };
+        vec![(experiment, keys.to_vec())]
+    };
+    let parsed: Vec<_> =
+        selected.iter().map(|(e, args)| e.parse(args)).collect::<Result<_, _>>()?;
+    for ((experiment, _), values) in selected.into_iter().zip(parsed) {
+        Run { experiment, values, out: &mut *out }.execute();
+    }
+    Ok(())
 }
 
 /// Bench-scale vertex counts per dataset: small enough that the entire
@@ -98,37 +296,55 @@ pub fn paper_dims(data: &AttributedGraph, hidden: usize, layers: usize) -> Vec<u
     dims
 }
 
-/// Emits a human table row to stdout and a `#json` machine line.
-pub fn emit(experiment: &str, human: &str, json: serde_json::Value) {
-    println!("{human}");
-    println!(
-        "#json {{\"experiment\":\"{experiment}\",{}}}",
-        json.to_string().trim_start_matches('{').trim_end_matches('}')
-    );
-}
-
-/// Formats seconds with adaptive precision.
-pub fn fmt_secs(s: f64) -> String {
-    if s >= 100.0 {
-        format!("{s:.1}")
-    } else if s >= 1.0 {
-        format!("{s:.2}")
-    } else {
-        format!("{:.2}ms", s * 1000.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn rejected(args: &[&str]) -> String {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        let mut out = Vec::new();
+        let usage = reproduce(&args, &mut out).expect_err("must be rejected");
+        assert!(out.is_empty(), "a rejected command line must not run anything");
+        usage
+    }
+
+    /// The four ways a typo used to run the wrong experiment silently.
     #[test]
-    fn args_parse_key_values() {
-        let a = Args::parse(["scale=0.5".into(), "--epochs=20".into(), "flag".into()]);
-        assert_eq!(a.get("scale", 1.0f64), 0.5);
-        assert_eq!(a.get("epochs", 5usize), 20);
-        assert_eq!(a.get("missing", 7usize), 7);
-        assert_eq!(a.get_str("mode", "full"), "full");
+    fn typos_are_usage_errors_that_name_the_accepted_keys() {
+        assert!(rejected(&["figX"]).contains("unknown experiment `figX`"));
+        assert!(rejected(&["figX"]).contains("experiments: table2 table4"));
+        let unknown_key = rejected(&["fig6", "epoch=5"]);
+        assert!(unknown_key.contains("unknown key `epoch`"), "{unknown_key}");
+        assert!(unknown_key.contains("fig6 accepts: datasets=cora,reddit epochs=100"));
+        assert!(rejected(&["fig6", "epochs=5O"]).contains("`5O` is not a valid value for `epochs`"));
+        assert!(rejected(&["fig6", "datasets=nope"]).contains("not a valid value for `datasets`"));
+        assert!(
+            rejected(&["ttr_sweep", "dataset=nope"]).contains("not a valid value for `dataset`")
+        );
+        // What `Args::parse` used to drop without a word.
+        assert!(rejected(&["fig6", "flag"]).contains("`flag` is not key=value"));
+        assert!(rejected(&[]).contains("usage: reproduce"));
+        assert!(
+            rejected(&["all", "workers=2,4"]).contains("table2 accepts"),
+            "valid for fig11 only"
+        );
+        assert!(rejected(&["all", "n0pe=1"]).contains("no experiment accepts `n0pe=1`"));
+        // `table2` declares no `epochs`; out-of-range values fail the type.
+        assert!(rejected(&["table2", "epochs=5"]).contains("unknown key `epochs`"));
+        assert!(rejected(&["ttr_sweep", "bits=300"]).contains("not a valid value for `bits`"));
+    }
+
+    #[test]
+    fn given_values_override_declared_defaults() {
+        let experiment = experiments::EXPERIMENTS.iter().find(|e| e.name == "table4").unwrap();
+        let mut out = Vec::new();
+        let args = ["epochs=7".to_string(), "layers=2,4".to_string(), "epochs=9".to_string()];
+        let run = Run { experiment, values: experiment.parse(&args).unwrap(), out: &mut out };
+        assert_eq!(run.get::<usize>("epochs"), 9, "the last occurrence wins");
+        assert_eq!(run.get::<List<usize>>("layers").0, [2, 4]);
+        assert_eq!(run.get::<f64>("scale"), 1.0);
+        let names: Vec<_> = run.get::<Datasets>("datasets").0.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["cora", "pubmed", "reddit", "products", "papers"]);
     }
 
     #[test]
@@ -145,10 +361,15 @@ mod tests {
     }
 
     #[test]
-    fn fmt_secs_ranges() {
-        assert!(fmt_secs(0.001).ends_with("ms"));
-        assert_eq!(fmt_secs(2.5), "2.50");
-        assert_eq!(fmt_secs(123.45), "123.5");
+    fn a_row_is_emitted_twice_from_the_same_fields() {
+        let experiment = &experiments::EXPERIMENTS[0];
+        let mut out = Vec::new();
+        let mut run = Run { experiment, values: Vec::new(), out: &mut out };
+        run.emit(serde_json::json!({"system": "ec-graph", "epoch_s": 0.0125f64, "tiny": 2.5e-6f64, "n": 3u64}));
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "  system=ec-graph  epoch_s=0.0125  tiny=2.500e-6  n=3\n\
+             #json {\"experiment\":\"table2\",\"system\":\"ec-graph\",\"epoch_s\":0.0125,\"tiny\":0.0000025,\"n\":3}\n"
+        );
     }
 }
-pub mod systems;

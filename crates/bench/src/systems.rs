@@ -1,17 +1,17 @@
 //! Unified runner for every system in the paper's evaluation.
 //!
-//! Each bench binary picks systems from [`System`] and calls [`run`];
-//! configuration differences between the paper's systems (sampling
-//! fan-outs, compression bits, staleness) are centralized here, including
-//! the paper's own Table IV fan-out settings per dataset and layer count.
+//! Experiments pick systems from [`System`] and call [`run`] with one
+//! [`TrainingConfig`] (see [`paper_config`]): every system — engine or
+//! comparator — is built from it and runs on the same simulated cluster.
+//! What differs between the paper's systems (sampling fan-outs,
+//! compression bits, staleness) is centralized here, including the paper's
+//! own Table IV fan-out settings per dataset and layer count.
 
-use ec_comm::ps::AdamParams;
 use ec_comm::HostTimer;
-use ec_comm::NetworkModel;
-use ec_graph::baselines::distdgl::{train_minibatch, MiniBatchConfig};
+use ec_graph::baselines::distdgl::{train_minibatch, MiniBatchConfig, Sampling};
 use ec_graph::baselines::local::{train_local, LocalConfig, LocalKind};
-use ec_graph::baselines::ml_centered::{train_ml_centered, MlCenteredConfig};
-use ec_graph::config::{BpMode, ComputeConfig, FpMode, TrainingConfig};
+use ec_graph::baselines::ml_centered::train_ml_centered;
+use ec_graph::config::{BpMode, FpMode, TrainingConfig};
 use ec_graph::report::RunResult;
 use ec_graph::sampling::sample_layer_graphs;
 use ec_graph::trainer;
@@ -75,53 +75,25 @@ impl System {
     }
 }
 
-/// Shared experiment parameters.
-#[derive(Clone, Debug)]
-pub struct RunParams {
-    /// Number of GCN layers.
-    pub layers: usize,
-    /// Hidden width.
-    pub hidden: usize,
-    /// Worker count for the distributed systems.
-    pub workers: usize,
-    /// Epoch budget.
-    pub epochs: usize,
-    /// Early-stop patience (`None` = run the full budget).
-    pub patience: Option<usize>,
-    /// Learning rate.
-    pub lr: f32,
-    /// Seed.
-    pub seed: u64,
-    /// Network model for the simulated cluster.
-    pub network: NetworkModel,
-    /// EC-Graph compression bits (fp, bp); `None` resolves the paper's
-    /// per-dataset Fig. 8 settings via [`paper_ec_bits`].
-    pub ec_bits: Option<(u8, u8)>,
-    /// Host-thread budget (worker fan-out × kernel threads); results are
-    /// bit-identical for any setting, only wall-clock changes.
-    pub compute: ComputeConfig,
+/// The paper's training setup for `data`: a `layers`-deep GCN of width
+/// `hidden` trained for `epochs` epochs on six workers over Gigabit
+/// Ethernet. Experiments override fields with struct-update syntax.
+pub fn paper_config(
+    data: &AttributedGraph,
+    layers: usize,
+    hidden: usize,
+    epochs: usize,
+) -> TrainingConfig {
+    TrainingConfig {
+        dims: crate::paper_dims(data, hidden, layers),
+        max_epochs: epochs,
+        ..TrainingConfig::defaults(data.feature_dim(), data.num_classes)
+    }
 }
 
-impl RunParams {
-    /// Paper-style defaults for a given depth.
-    pub fn new(layers: usize, hidden: usize, epochs: usize) -> Self {
-        Self {
-            layers,
-            hidden,
-            workers: 6,
-            epochs,
-            patience: None,
-            lr: 0.01,
-            seed: 1,
-            network: NetworkModel::gigabit_ethernet(),
-            ec_bits: None,
-            compute: ComputeConfig::default(),
-        }
-    }
-
-    fn dims(&self, data: &AttributedGraph) -> Vec<usize> {
-        crate::paper_dims(data, self.hidden, self.layers)
-    }
+/// Trains the engine under the paper's default hash partition.
+pub fn train_hash(data: &Arc<AttributedGraph>, config: TrainingConfig, label: &str) -> RunResult {
+    trainer::train(Arc::clone(data), &HashPartitioner::default(), config, label)
 }
 
 /// The paper's Fig. 8 ReqEC/ResEC bit settings per dataset.
@@ -160,161 +132,72 @@ pub fn paper_fanouts(dataset: &str, layers: usize) -> Option<Vec<usize>> {
     Some(f.to_vec())
 }
 
-/// Runs `system` on `data` and returns its [`RunResult`].
+/// Runs `system` on `data` under `config` and returns its [`RunResult`].
+/// The system decides its own message treatment (`fp_mode` / `bp_mode`);
+/// everything else — shape, cluster, optimizer, budget, threads — is
+/// `config`'s.
 pub fn run(
     system: System,
     data: &Arc<AttributedGraph>,
-    p: &RunParams,
+    config: &TrainingConfig,
 ) -> Result<RunResult, String> {
-    let dims = p.dims(data);
-    let adam = AdamParams { lr: p.lr, ..Default::default() };
-    let ec_bits = p.ec_bits.unwrap_or_else(|| paper_ec_bits(&data.name));
-    match system {
+    let label = system.label();
+    let layers = config.num_layers();
+    let with = |fp_mode, bp_mode| TrainingConfig { fp_mode, bp_mode, ..config.clone() };
+    let ec_graph = || {
+        let (fp, bp) = paper_ec_bits(&data.name);
+        with(FpMode::ReqEc { bits: fp, t_tr: 10, adaptive: true }, BpMode::ResEc { bits: bp })
+    };
+    Ok(match system {
         System::DglLike | System::PygLike => {
             let kind =
                 if system == System::DglLike { LocalKind::DglLike } else { LocalKind::PygLike };
-            let cfg = LocalConfig {
-                dims,
-                lr: p.lr,
-                seed: p.seed,
-                max_epochs: p.epochs,
-                patience: p.patience,
-                // 32 GB machines in the paper's small cluster.
-                memory_limit: 32u64 << 30,
-                kernel_threads: p.compute.kernel_threads,
-            };
-            train_local(Arc::clone(data), kind, &cfg)
+            // 32 GB machines in the paper's small cluster.
+            let local = LocalConfig { base: config, kind, memory_limit: 32u64 << 30 };
+            return train_local(Arc::clone(data), &local);
         }
-        System::EcGraph | System::NonCp | System::DistGnn => {
-            let (fp_mode, bp_mode) = match system {
-                System::EcGraph => (
-                    FpMode::ReqEc { bits: ec_bits.0, t_tr: 10, adaptive: true },
-                    BpMode::ResEc { bits: ec_bits.1 },
-                ),
-                System::DistGnn => (FpMode::Delayed { r: 5 }, BpMode::Exact),
-                _ => (FpMode::Exact, BpMode::Exact),
-            };
-            let config = TrainingConfig {
-                dims,
-                model: ec_graph::config::ModelKind::Gcn,
-                reqec_granularity: ec_graph::fp::Granularity::Vertex,
-                num_workers: p.workers,
-                num_servers: 1,
-                fp_mode,
-                bp_mode,
-                adam,
-                network: p.network,
-                faults: ec_faults::FaultPlan::none(),
-                resilience: Default::default(),
-                seed: p.seed,
-                max_epochs: p.epochs,
-                patience: p.patience,
-                eval_every: 1,
-                compute: p.compute,
-                telemetry: Default::default(),
-            };
-            Ok(trainer::train(
-                Arc::clone(data),
-                &HashPartitioner::default(),
-                config,
-                system.label(),
-            ))
-        }
-        System::EcGraphS => {
-            let config = TrainingConfig {
-                dims,
-                model: ec_graph::config::ModelKind::Gcn,
-                reqec_granularity: ec_graph::fp::Granularity::Vertex,
-                num_workers: p.workers,
-                num_servers: 1,
-                fp_mode: FpMode::ReqEc { bits: ec_bits.0, t_tr: 10, adaptive: true },
-                bp_mode: BpMode::ResEc { bits: ec_bits.1 },
-                adam,
-                network: p.network,
-                faults: ec_faults::FaultPlan::none(),
-                resilience: Default::default(),
-                seed: p.seed,
-                max_epochs: p.epochs,
-                patience: p.patience,
-                eval_every: 1,
-                compute: p.compute,
-                telemetry: Default::default(),
-            };
-            match paper_fanouts(&data.name, p.layers) {
-                None => Ok(trainer::train(
+        System::NonCp => train_hash(data, with(FpMode::Exact, BpMode::Exact), label),
+        System::DistGnn => train_hash(data, with(FpMode::Delayed { r: 5 }, BpMode::Exact), label),
+        System::EcGraph => train_hash(data, ec_graph(), label),
+        System::EcGraphS => match paper_fanouts(&data.name, layers) {
+            None => train_hash(data, ec_graph(), label),
+            Some(fanouts) => {
+                // Offline sampling is preprocessing (measured).
+                let sample_start = HostTimer::start();
+                let (adjs, _) = sample_layer_graphs(&data.graph, &fanouts, config.seed ^ 0x5);
+                let partition =
+                    HashPartitioner::default().partition(&data.graph, config.num_workers);
+                let sampling_s = sample_start.elapsed_s();
+                trainer::train_prepartitioned(
                     Arc::clone(data),
-                    &HashPartitioner::default(),
-                    config,
-                    system.label(),
-                )),
-                Some(fanouts) => {
-                    // Offline sampling is preprocessing (measured).
-                    let sample_start = HostTimer::start();
-                    let (adjs, _) = sample_layer_graphs(&data.graph, &fanouts, p.seed ^ 0x5);
-                    let partition = HashPartitioner::default().partition(&data.graph, p.workers);
-                    let sampling_s = sample_start.elapsed_s();
-                    Ok(trainer::train_prepartitioned(
-                        Arc::clone(data),
-                        adjs,
-                        partition,
-                        config,
-                        system.label(),
-                        sampling_s,
-                    ))
-                }
+                    adjs,
+                    partition,
+                    ec_graph(),
+                    label,
+                    sampling_s,
+                )
             }
-        }
+        },
         System::DistDgl | System::Agl => {
-            let fanouts = paper_fanouts(&data.name, p.layers).unwrap_or_else(|| vec![10; p.layers]);
-            let cfg = MiniBatchConfig {
-                dims,
-                fanouts,
+            let minibatch = MiniBatchConfig {
+                base: config,
+                fanouts: paper_fanouts(&data.name, layers).unwrap_or_else(|| vec![10; layers]),
                 batch_size: 64,
-                num_workers: p.workers,
-                num_servers: 1,
-                adam,
-                network: p.network,
-                seed: p.seed,
-                max_epochs: p.epochs,
-                patience: p.patience,
-                online_sampling: system == System::DistDgl,
-                prefetch_features: system == System::Agl,
-                kernel_threads: p.compute.kernel_threads,
+                sampling: if system == System::DistDgl {
+                    Sampling::Online
+                } else {
+                    Sampling::Prefetched
+                },
             };
-            Ok(train_minibatch(Arc::clone(data), &cfg, system.label()))
+            train_minibatch(Arc::clone(data), &minibatch, label)
         }
-        System::AliGraphFg => {
-            let cfg = MlCenteredConfig {
-                dims,
-                num_workers: p.workers,
-                num_servers: 1,
-                adam,
-                network: p.network,
-                seed: p.seed,
-                max_epochs: p.epochs,
-                patience: p.patience,
-                kernel_threads: p.compute.kernel_threads,
-            };
-            Ok(train_ml_centered(Arc::clone(data), &cfg, system.label()))
-        }
-    }
+        System::AliGraphFg => train_ml_centered(Arc::clone(data), config, label),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ec_graph_data::DatasetSpec;
-
-    #[test]
-    fn every_system_runs_on_a_tiny_replica() {
-        let data = Arc::new(DatasetSpec::cora().instantiate_with(120, 16, 2));
-        let p = RunParams { workers: 2, ..RunParams::new(2, 8, 2) };
-        for system in System::all() {
-            let r = run(system, &data, &p).unwrap_or_else(|e| panic!("{system:?}: {e}"));
-            assert_eq!(r.epochs.len(), 2, "{system:?} epoch count");
-            assert_eq!(r.system, system.label());
-        }
-    }
 
     #[test]
     fn paper_ec_bits_cover_all_datasets() {

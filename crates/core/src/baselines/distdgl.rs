@@ -1,343 +1,260 @@
 //! Distributed mini-batch sampling trainers.
 //!
-//! One engine covers two of the paper's sampling-based systems:
+//! One stage program covers two of the paper's sampling-based systems:
 //!
-//! * **DistDGL-like** (`online_sampling = true`): graph-centered storage
-//!   with *online* sampling — every iteration draws fresh layered blocks
+//! * **DistDGL-like** ([`Sampling::Online`]): graph-centered storage with
+//!   *online* sampling — every iteration draws fresh layered blocks
 //!   (paying the sampling RPCs and compute each time) and fetches the
 //!   features of the sampled frontier from their owners;
-//! * **AGL-like** (`online_sampling = false, prefetch_features = true`):
-//!   ML-centered — blocks are sampled once in preprocessing (GraphFlat),
-//!   features of every block are shipped to the worker up front, and each
-//!   epoch re-vectorizes (re-gathers) the flattened sample before
-//!   computing, the overhead the paper found AGL could not hide.
+//! * **AGL-like** ([`Sampling::Prefetched`]): ML-centered — blocks are
+//!   sampled once in preprocessing (GraphFlat), features of every block are
+//!   shipped to the worker up front, and each epoch re-vectorizes
+//!   (re-gathers) the flattened sample before computing, the overhead the
+//!   paper found AGL could not hide.
 //!
 //! Both train through the autodiff tape on the sampled blocks, push
 //! gradients to the parameter servers once per iteration, and evaluate
 //! against the full graph.
 
-#![allow(clippy::needless_range_loop)] // vertex/worker ids are semantic, not positions
-
-use crate::report::{EpochRecord, RunResult};
+use super::train_comparator;
+use crate::config::TrainingConfig;
+use crate::exec::{Cluster, Stage};
+use crate::report::RunResult;
 use crate::sampling::{make_batches, sample_blocks, Block};
-use ec_comm::ps::AdamParams;
 use ec_comm::stats::Channel;
-use ec_comm::HostTimer;
-use ec_comm::{NetworkModel, ParameterServerGroup, SimNetwork};
+use ec_comm::{HostTimer, ParameterServerGroup};
 use ec_graph_data::{normalize, AttributedGraph};
 use ec_nn::loss::masked_softmax_cross_entropy;
-use ec_nn::Tape;
+use ec_nn::{Tape, VarId};
+use ec_partition::hash::HashPartitioner;
+use ec_partition::Partitioner;
 use ec_tensor::Matrix;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Configuration of a distributed mini-batch run.
+/// When blocks are sampled and when their input features travel.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Sampling {
+    /// DistDGL: fresh blocks every iteration, frontier features fetched
+    /// from their owners each time (graph-centered).
+    Online,
+    /// AGL: blocks sampled once at preprocessing and their features shipped
+    /// up front (ML-centered).
+    Prefetched,
+}
+
+/// What makes a mini-batch run itself, on top of the shared training
+/// configuration.
 #[derive(Clone, Debug)]
-pub struct MiniBatchConfig {
-    /// Layer dimensions `[d₀, …, C]`.
-    pub dims: Vec<usize>,
+pub struct MiniBatchConfig<'a> {
+    /// Model shape, cluster, optimizer, seed, epoch budget and threads.
+    pub base: &'a TrainingConfig,
     /// Fan-out per layer (forward order), e.g. the paper's `(20, 5)`.
     pub fanouts: Vec<usize>,
     /// Mini-batch size per worker.
     pub batch_size: usize,
-    /// Number of workers.
-    pub num_workers: usize,
-    /// Number of parameter servers.
-    pub num_servers: usize,
-    /// Server-side Adam hyper-parameters.
-    pub adam: AdamParams,
-    /// Network model.
-    pub network: NetworkModel,
-    /// Seed.
-    pub seed: u64,
-    /// Maximum epochs.
-    pub max_epochs: usize,
-    /// Early-stop patience.
-    pub patience: Option<usize>,
-    /// Fresh blocks every iteration (DistDGL) or once at preprocessing
-    /// (AGL / offline).
-    pub online_sampling: bool,
-    /// Ship features during preprocessing (ML-centered) instead of per
-    /// iteration (graph-centered).
-    pub prefetch_features: bool,
-    /// Dense-kernel thread budget for the autodiff tape and full-graph
-    /// evaluation (`0` = auto, `1` = sequential); bit-identical across
-    /// any value.
-    pub kernel_threads: usize,
+    /// The system being reproduced.
+    pub sampling: Sampling,
+}
+
+/// A mini-batch: its seed (training) vertices and their layered blocks.
+type Batch = (Vec<usize>, Vec<Block>);
+
+/// The sampling stream of `(epoch, stage, worker)`: every draw is keyed by
+/// where it happens, so workers sample independently inside their timed
+/// blocks and a replayed epoch redraws the same blocks. Stage 0 shuffles
+/// the epoch's batches, stage `it + 1` samples iteration `it`.
+fn stream(seed: u64, epoch: usize, stage: usize, worker: usize) -> SmallRng {
+    let key = ((epoch as u64) << 40) ^ ((stage as u64) << 20) ^ worker as u64;
+    SmallRng::seed_from_u64(seed ^ 0x0815 ^ key.wrapping_mul(0xD6E8_FEB8_6659_FD93))
+}
+
+/// Forward and backward pass over one batch on the tape: the batch-mean
+/// loss and the gradient of every layer's `(W, b)`, scaled by `scale`.
+fn train_batch(
+    data: &AttributedGraph,
+    ps: &ParameterServerGroup,
+    (seeds, blocks): &Batch,
+    scale: f32,
+    kernel_threads: usize,
+) -> (f32, Vec<(Matrix, Vec<f32>)>) {
+    let mut tape = Tape::with_threads(kernel_threads);
+    let mut h = tape.constant(data.features.gather_rows(&blocks[0].src));
+    let params: Vec<(VarId, VarId)> = (0..blocks.len())
+        .map(|l| {
+            let (w, b) = ps.pull(l);
+            let bias = Matrix::from_vec(1, b.len(), b.to_vec());
+            (tape.parameter(w.clone()), tape.parameter(bias))
+        })
+        .collect();
+    for (l, (block, &(w, b))) in blocks.iter().zip(&params).enumerate() {
+        let xw = tape.matmul(h, w);
+        let agg = tape.spmm(Arc::new(block.adj.clone()), xw);
+        let z = tape.add_bias(agg, b);
+        h = if l + 1 < blocks.len() { tape.relu(z) } else { z };
+    }
+    let labels: Vec<u32> = seeds.iter().map(|&v| data.labels[v]).collect();
+    let mask: Vec<usize> = (0..seeds.len()).collect();
+    let (loss, mut grad) = masked_softmax_cross_entropy(tape.value(h), &labels, &mask);
+    grad.map_inplace(|x| x * scale);
+    tape.backward(h, grad);
+    // A parameter the backward sweep never reached has a zero gradient.
+    let grad_of = |id: VarId| {
+        let (rows, cols) = tape.value(id).shape();
+        tape.grad(id).cloned().unwrap_or_else(|| Matrix::zeros(rows, cols))
+    };
+    (loss, params.iter().map(|&(w, b)| (grad_of(w), grad_of(b).into_vec())).collect())
 }
 
 /// Trains with distributed mini-batch sampling; see the module docs for
-/// the system each flag combination reproduces.
+/// the system each [`Sampling`] reproduces.
 pub fn train_minibatch(
     data: Arc<AttributedGraph>,
     config: &MiniBatchConfig,
     system: &str,
 ) -> RunResult {
-    assert_eq!(config.fanouts.len() + 1, config.dims.len(), "need one fan-out per layer");
-    let num_workers = config.num_workers;
-    let num_layers = config.fanouts.len();
-    let mut network = SimNetwork::new(num_workers + config.num_servers, config.network);
-    let mut ps = ParameterServerGroup::new(
-        &config.dims.windows(2).map(|w| (w[0], w[1])).collect::<Vec<_>>(),
-        config.num_servers,
-        config.adam,
-        config.seed,
-    );
-    let server_node = |s: usize| num_workers + s;
+    let base = config.base;
+    assert_eq!(config.fanouts.len(), base.num_layers(), "need one fan-out per layer");
+    let num_workers = base.num_workers;
+    let mut cluster = Cluster::new(base);
 
-    // Vertex ownership (hash partition, like the engine's default).
-    let owner = |v: usize| -> usize {
-        ((v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31) % num_workers as u64)
-            as usize
-    };
+    // Vertex ownership: the engine's default hash partition.
+    let partition = HashPartitioner::default().partition(&data.graph, num_workers);
+    let remote_to =
+        |w: usize, vs: &[usize]| vs.iter().filter(|&&v| partition.part_of(v) != w).count();
     let mut train_by_worker: Vec<Vec<usize>> = vec![Vec::new(); num_workers];
     for &v in &data.split.train {
-        train_by_worker[owner(v)].push(v);
+        train_by_worker[partition.part_of(v)].push(v);
     }
-    let d0 = data.feature_dim();
+    let row_bytes = 4 + data.feature_dim() * 4;
 
-    // Preprocessing: offline sampling (and feature prefetch for the
-    // ML-centered variant).
+    // Preprocessing: offline sampling and feature prefetch for the
+    // ML-centered variant.
     let pre_start = HostTimer::start();
-    let mut offline_blocks: Vec<Vec<(Vec<usize>, Vec<Block>)>> = Vec::new();
-    if !config.online_sampling {
-        let mut rng = SmallRng::seed_from_u64(config.seed ^ 0xB10C);
-        for w in 0..num_workers {
-            let batches = make_batches(&train_by_worker[w], config.batch_size, &mut rng);
-            let per_batch: Vec<(Vec<usize>, Vec<Block>)> = batches
+    let mut offline: Vec<Vec<Batch>> = Vec::new();
+    if config.sampling == Sampling::Prefetched {
+        let mut rng = SmallRng::seed_from_u64(base.seed ^ 0xB10C);
+        for (w, train) in train_by_worker.iter().enumerate() {
+            let per_batch: Vec<Batch> = make_batches(train, config.batch_size, &mut rng)
                 .into_iter()
                 .map(|seeds| {
                     let blocks = sample_blocks(&data.graph, &seeds, &config.fanouts, &mut rng);
                     (seeds, blocks)
                 })
                 .collect();
-            if config.prefetch_features {
-                for (_, blocks) in &per_batch {
-                    let remote = blocks[0].src.iter().filter(|&&v| owner(v) != w).count();
-                    for j in 0..num_workers {
-                        if j == w {
-                            continue;
-                        }
-                        let share = remote / (num_workers - 1).max(1);
-                        network.send(j, w, Channel::Forward, (8 + share * (4 + d0 * 4)) as u64);
-                    }
+            for (_, blocks) in &per_batch {
+                let share = remote_to(w, &blocks[0].src) / (num_workers - 1).max(1);
+                for j in (0..num_workers).filter(|&j| j != w) {
+                    cluster.network.send(j, w, Channel::Forward, (8 + share * row_bytes) as u64);
                 }
             }
-            offline_blocks.push(per_batch);
+            offline.push(per_batch);
         }
     }
-    let (_, prefetch_s) = network.end_epoch();
+    let (_, prefetch_s) = cluster.network.end_epoch();
     let preprocessing_s = pre_start.elapsed_s() + prefetch_s;
 
-    let mut result = RunResult {
-        system: system.to_string(),
-        dataset: data.name.clone(),
-        num_layers,
-        num_workers,
-        preprocessing_s,
-        ..Default::default()
-    };
-
     let adj = Arc::new(normalize::gcn_normalized_adjacency(&data.graph));
-    let max_batches = train_by_worker
-        .iter()
-        .map(|t| t.len().div_ceil(config.batch_size))
-        .max()
-        .unwrap_or(0)
-        .max(1);
+    let batches_of = |train: &Vec<usize>| train.len().div_ceil(config.batch_size);
+    let max_batches = train_by_worker.iter().map(batches_of).max().unwrap_or(0).max(1);
     let total_train = data.split.train.len().max(1);
 
-    let mut best_val = f64::MIN;
-    let mut since_best = 0usize;
-    let mut rng = SmallRng::seed_from_u64(config.seed ^ 0x0815);
-    for epoch in 0..config.max_epochs {
-        let mut compute_s = 0.0f64;
-        let mut comm_s = 0.0f64;
-        let mut loss_sum = 0.0f32;
-        let mut loss_count = 0usize;
-
-        // Per-worker fresh batches when sampling online.
-        let online_batches: Vec<Vec<Vec<usize>>> = if config.online_sampling {
-            (0..num_workers)
-                .map(|w| make_batches(&train_by_worker[w], config.batch_size, &mut rng))
-                .collect()
-        } else {
-            Vec::new()
+    let online = config.sampling == Sampling::Online;
+    let program = |cluster: &mut Cluster, epoch: usize| {
+        let kt = cluster.kernel_threads;
+        // DistDGL reshuffles every worker's seed batches each epoch.
+        let reshuffle = |w: usize| {
+            make_batches(
+                &train_by_worker[w],
+                config.batch_size,
+                &mut stream(base.seed, epoch, 0, w),
+            )
         };
-
+        let order: Vec<_> = (0..num_workers).filter(|_| online).map(reshuffle).collect();
+        let (mut loss_sum, mut loss_count) = (0.0f32, 0usize);
         for it in 0..max_batches {
-            let mut step_max = 0.0f64;
-            for w in 0..num_workers {
-                // Parameter pull.
-                for l in 0..num_layers {
-                    for (s, &bytes) in ps.pull_wire_sizes(l).iter().enumerate() {
-                        network.send(server_node(s), w, Channel::Parameter, bytes);
-                    }
+            // DistDGL samples this iteration's blocks; AGL re-vectorizes
+            // its flattened sample every epoch.
+            let load = Stage::new("sample:compute", "sample");
+            let batches: Vec<Option<Batch>> = cluster.steps.compute_superstep(load, |w| {
+                if !online {
+                    return offline[w].get(it).cloned();
                 }
-                let start = HostTimer::start();
-                let batch: Option<(Vec<usize>, Vec<Block>)> = if config.online_sampling {
-                    online_batches[w].get(it).map(|seeds| {
-                        let blocks = sample_blocks(&data.graph, seeds, &config.fanouts, &mut rng);
-                        // Sampling RPCs for remote frontier vertices.
-                        for block in &blocks {
-                            let remote = block.dst.iter().filter(|&&v| owner(v) != w).count();
-                            if remote > 0 {
-                                network.send(
-                                    w,
-                                    (w + 1) % num_workers,
-                                    Channel::Control,
-                                    (remote * 16) as u64,
-                                );
-                            }
-                        }
-                        (seeds.clone(), blocks)
-                    })
-                } else {
-                    offline_blocks[w].get(it).cloned()
-                };
-                let Some((seeds, blocks)) = batch else {
-                    continue;
-                };
-                // Feature fetch for the input frontier (graph-centered).
-                if !config.prefetch_features {
-                    let remote = blocks[0].src.iter().filter(|&&v| owner(v) != w).count();
-                    if remote > 0 {
-                        let bytes = (8 + remote * (4 + d0 * 4)) as u64;
-                        network.send((w + 1) % num_workers, w, Channel::Forward, bytes);
-                    }
+                let seeds = order[w].get(it)?;
+                let mut rng = stream(base.seed, epoch, it + 1, w);
+                let blocks = sample_blocks(&data.graph, seeds, &config.fanouts, &mut rng);
+                Some((seeds.clone(), blocks))
+            });
+            // DistDGL then pays the sampling RPCs for remote frontier
+            // vertices and fetches the input frontier's remote features
+            // before it can compute.
+            for (w, batch) in batches.iter().enumerate().filter(|_| online) {
+                let Some((_, blocks)) = batch else { continue };
+                let next = (w + 1) % num_workers;
+                for remote in blocks.iter().map(|b| remote_to(w, &b.dst)).filter(|&r| r > 0) {
+                    cluster.network.send(w, next, Channel::Control, (remote * 16) as u64);
                 }
-                // Forward/backward on the blocks via the tape.
-                let mut tape = Tape::with_threads(config.kernel_threads);
-                let feats = data.features.gather_rows(&blocks[0].src);
-                let mut h = tape.constant(feats);
-                let w_ids: Vec<_> =
-                    (0..num_layers).map(|l| tape.parameter(ps.pull(l).0.clone())).collect();
-                let b_ids: Vec<_> = (0..num_layers)
-                    .map(|l| {
-                        let b = ps.pull(l).1.to_vec();
-                        let len = b.len();
-                        tape.parameter(Matrix::from_vec(1, len, b))
-                    })
-                    .collect();
-                for (l, block) in blocks.iter().enumerate() {
-                    let xw = tape.matmul(h, w_ids[l]);
-                    let agg = tape.spmm(Arc::new(block.adj.clone()), xw);
-                    let z = tape.add_bias(agg, b_ids[l]);
-                    h = if l + 1 < num_layers { tape.relu(z) } else { z };
+                let remote = remote_to(w, &blocks[0].src);
+                if remote > 0 {
+                    let bytes = (8 + remote * row_bytes) as u64;
+                    cluster.network.send(next, w, Channel::Forward, bytes);
                 }
-                let labels: Vec<u32> = seeds.iter().map(|&v| data.labels[v]).collect();
-                let mask: Vec<usize> = (0..seeds.len()).collect();
-                let (loss, mut grad) = masked_softmax_cross_entropy(tape.value(h), &labels, &mask);
+            }
+            cluster.pull_all_layers();
+
+            let ps = &cluster.ps;
+            let train = Stage::new("train:compute", "train");
+            let results = cluster.steps.compute_superstep(train, |w| {
+                let batch = batches[w].as_ref()?;
                 // Rescale from batch-mean to global-batch-mean so worker
                 // contributions sum correctly at the servers.
-                let scale = seeds.len() as f32 / total_train as f32 * max_batches as f32;
-                grad.map_inplace(|x| x * scale);
-                tape.backward(h, grad);
-                let grads: Vec<(Matrix, Vec<f32>)> = (0..num_layers)
-                    .map(|l| {
-                        (
-                            tape.grad(w_ids[l]).unwrap().clone(),
-                            tape.grad(b_ids[l]).unwrap().clone().into_vec(),
-                        )
-                    })
-                    .collect();
-                ps.push(&grads);
-                for (s, &bytes) in ps.push_wire_sizes().iter().enumerate() {
-                    network.send(w, server_node(s), Channel::Parameter, bytes);
-                }
+                let scale = batch.0.len() as f32 / total_train as f32 * max_batches as f32;
+                Some(train_batch(&data, ps, batch, scale, kt))
+            });
+            for (w, result) in results.into_iter().enumerate() {
+                let Some((loss, grads)) = result else { continue };
                 loss_sum += loss;
                 loss_count += 1;
-                step_max = step_max.max(start.elapsed_s());
+                cluster.charge_push(w);
+                cluster.ps.push(&grads);
             }
-            ps.apply_update();
-            compute_s += step_max;
-            comm_s += network.flush_superstep();
+            cluster.apply_update();
         }
-
-        // Full-graph evaluation with the current parameters.
-        let logits = full_forward(&ps, &adj, &data.features, num_layers, config.kernel_threads);
-        let val_acc = ec_nn::metrics::accuracy(&logits, &data.labels, &data.split.val);
-        let test_acc = ec_nn::metrics::accuracy(&logits, &data.labels, &data.split.test);
-        let (traffic, _) = network.end_epoch();
-        result.epochs.push(EpochRecord {
-            epoch,
-            loss: loss_sum / loss_count.max(1) as f32,
-            val_acc,
-            test_acc,
-            compute_s,
-            comm_s,
-            fp_bytes: traffic.fp_bytes,
-            bp_bytes: traffic.bp_bytes,
-            param_bytes: traffic.param_bytes,
-            total_bytes: traffic.total_bytes(),
-            ..Default::default()
-        });
-        if val_acc > best_val {
-            best_val = val_acc;
-            since_best = 0;
-        } else {
-            since_best += 1;
-        }
-        if let Some(p) = config.patience {
-            if since_best >= p {
-                break;
-            }
-        }
-    }
-    result.finalize();
-    result
-}
-
-fn full_forward(
-    ps: &ParameterServerGroup,
-    adj: &ec_tensor::CsrMatrix,
-    features: &Matrix,
-    num_layers: usize,
-    kernel_threads: usize,
-) -> Matrix {
-    let mut h = features.clone();
-    for l in 0..num_layers {
-        let (w, b) = ps.pull(l);
-        let xw = ec_tensor::parallel::matmul(&h, w, kernel_threads);
-        let mut z = ec_tensor::parallel::spmm(adj, &xw, kernel_threads);
-        z = ec_tensor::ops::add_bias(&z, b);
-        h = if l + 1 < num_layers { ec_tensor::activations::relu(&z) } else { z };
-    }
-    h
+        loss_sum / loss_count.max(1) as f32
+    };
+    train_comparator(cluster, program, &data, adj, base, system, preprocessing_s)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ec_comm::ps::AdamParams;
     use ec_graph_data::DatasetSpec;
 
     fn data() -> Arc<AttributedGraph> {
         Arc::new(DatasetSpec::cora().instantiate_with(150, 16, 5))
     }
 
-    fn config(data: &AttributedGraph) -> MiniBatchConfig {
-        MiniBatchConfig {
-            dims: vec![data.feature_dim(), 16, data.num_classes],
-            fanouts: vec![5, 5],
-            batch_size: 16,
+    fn base(data: &AttributedGraph) -> TrainingConfig {
+        TrainingConfig {
             num_workers: 3,
-            num_servers: 1,
             adam: AdamParams { lr: 0.02, ..Default::default() },
-            network: NetworkModel::gigabit_ethernet(),
             seed: 2,
             max_epochs: 30,
-            patience: None,
-            online_sampling: true,
-            prefetch_features: false,
-            kernel_threads: 1,
+            ..TrainingConfig::defaults(data.feature_dim(), data.num_classes)
         }
+    }
+
+    fn config(base: &TrainingConfig, sampling: Sampling) -> MiniBatchConfig<'_> {
+        MiniBatchConfig { base, fanouts: vec![5, 5], batch_size: 16, sampling }
     }
 
     #[test]
     fn distdgl_like_learns() {
         let d = data();
-        let r = train_minibatch(Arc::clone(&d), &config(&d), "distdgl-like");
+        let r =
+            train_minibatch(Arc::clone(&d), &config(&base(&d), Sampling::Online), "distdgl-like");
         assert!(r.best_val_acc > 0.5, "val {}", r.best_val_acc);
         let first = r.epochs.first().unwrap().loss;
         let last = r.epochs.last().unwrap().loss;
@@ -347,8 +264,8 @@ mod tests {
     #[test]
     fn agl_like_prefetches_and_learns() {
         let d = data();
-        let cfg = MiniBatchConfig { online_sampling: false, prefetch_features: true, ..config(&d) };
-        let r = train_minibatch(Arc::clone(&d), &cfg, "agl-like");
+        let r =
+            train_minibatch(Arc::clone(&d), &config(&base(&d), Sampling::Prefetched), "agl-like");
         assert!(r.best_val_acc > 0.5, "val {}", r.best_val_acc);
         // ML-centered: no per-epoch forward feature traffic.
         assert_eq!(r.epochs[0].fp_bytes, 0);
@@ -358,7 +275,8 @@ mod tests {
     #[test]
     fn online_sampling_fetches_features_each_epoch() {
         let d = data();
-        let r = train_minibatch(Arc::clone(&d), &config(&d), "distdgl-like");
+        let r =
+            train_minibatch(Arc::clone(&d), &config(&base(&d), Sampling::Online), "distdgl-like");
         assert!(r.epochs[0].fp_bytes > 0, "expected per-epoch feature traffic");
     }
 }

@@ -13,12 +13,14 @@
 //!   with `nnz × d`, which is why PyG shows `-` (out of memory) on Reddit
 //!   in the paper's Table IV. The same cutoff is modelled here.
 
-use crate::report::{EpochRecord, RunResult};
+use super::ml_centered::{full_batch_epoch, Closure};
+use super::train_comparator;
+use crate::config::TrainingConfig;
+use crate::exec::Cluster;
+use crate::report::RunResult;
 use ec_comm::HostTimer;
 use ec_graph_data::{normalize, AttributedGraph};
-use ec_nn::loss::masked_softmax_cross_entropy;
-use ec_nn::optim::Adam;
-use ec_tensor::{activations, init, ops, parallel, CsrMatrix, Matrix};
+use ec_tensor::{parallel, CsrMatrix, Matrix};
 use std::sync::Arc;
 
 /// Which single-machine toolkit to emulate.
@@ -40,28 +42,22 @@ impl LocalKind {
     }
 }
 
-/// Configuration of a local run.
-#[derive(Clone, Debug)]
-pub struct LocalConfig {
-    /// Layer dimensions `[d₀, …, C]`.
-    pub dims: Vec<usize>,
-    /// Adam learning rate.
-    pub lr: f32,
-    /// Weight-init seed.
-    pub seed: u64,
-    /// Maximum epochs.
-    pub max_epochs: usize,
-    /// Early-stop patience on validation accuracy.
-    pub patience: Option<usize>,
+/// What makes a local run itself, on top of the shared training
+/// configuration (`num_workers`, `num_servers`, `network` and the
+/// compression modes of `base` do not apply to one machine).
+#[derive(Clone, Copy, Debug)]
+pub struct LocalConfig<'a> {
+    /// Model shape, optimizer, seed, epoch budget, patience and thread
+    /// budget. The PyG-like per-edge gather/scatter path intentionally
+    /// stays sequential whatever `compute.kernel_threads` says — the
+    /// scatter order *is* the toolkit behavior being modelled.
+    pub base: &'a TrainingConfig,
+    /// The toolkit whose aggregation kernel is emulated.
+    pub kind: LocalKind,
     /// Memory budget in bytes (the paper's small-cluster machines have
     /// 32 GB); runs whose estimated peak exceeds it fail like the paper's
     /// `-` entries.
     pub memory_limit: u64,
-    /// Dense-kernel thread budget (`0` = auto, `1` = sequential). Results
-    /// are bit-identical across any value. The PyG-like per-edge
-    /// gather/scatter path intentionally stays sequential — the scatter
-    /// order *is* the toolkit behavior being modelled.
-    pub kernel_threads: usize,
 }
 
 /// Estimated peak transient memory of one training epoch, in bytes.
@@ -104,17 +100,17 @@ fn edgewise_spmm(adj: &CsrMatrix, x: &Matrix) -> Matrix {
     out
 }
 
-/// Trains a full-batch GCN on one machine. Returns `Err` when the
-/// estimated peak memory exceeds the configured budget (the paper's `-`
-/// cells).
-pub fn train_local(
-    data: Arc<AttributedGraph>,
-    kind: LocalKind,
-    config: &LocalConfig,
-) -> Result<RunResult, String> {
+/// Trains a full-batch GCN on one machine: the ML-centered full-batch pass
+/// with one worker whose closure is the whole graph, on a cluster whose
+/// worker and parameter store share a node, so nothing is charged. Returns
+/// `Err` when the estimated peak memory exceeds the configured budget (the
+/// paper's `-` cells).
+pub fn train_local(data: Arc<AttributedGraph>, config: &LocalConfig) -> Result<RunResult, String> {
+    let kind = config.kind;
+    let base = TrainingConfig { num_workers: 1, num_servers: 1, ..config.base.clone() };
     let pre_start = HostTimer::start();
     let adj = normalize::gcn_normalized_adjacency(&data.graph);
-    let peak = estimated_peak_bytes(kind, &adj, &config.dims);
+    let peak = estimated_peak_bytes(kind, &adj, &base.dims);
     if peak > config.memory_limit {
         return Err(format!(
             "{}: estimated peak {peak} bytes exceeds the {} byte budget",
@@ -122,125 +118,51 @@ pub fn train_local(
             config.memory_limit
         ));
     }
-    let num_layers = config.dims.len() - 1;
-    let mut weights: Vec<Matrix> = config
-        .dims
-        .windows(2)
-        .enumerate()
-        .map(|(l, w)| init::xavier_uniform(w[0], w[1], config.seed.wrapping_add(l as u64)))
-        .collect();
-    let mut biases: Vec<Matrix> = config.dims[1..].iter().map(|&d| Matrix::zeros(1, d)).collect();
-    let mut shapes: Vec<(usize, usize)> = weights.iter().map(Matrix::shape).collect();
-    shapes.extend(biases.iter().map(Matrix::shape));
-    let mut adam = Adam::new(&shapes, config.lr);
+    let cluster = Cluster::single_machine(&base);
+    let adj = Arc::new(adj);
+    let whole_graph = [Closure {
+        adj: Arc::clone(&adj),
+        features: data.features.clone(),
+        labels: data.labels.clone(),
+        train_local: data.split.train.clone(),
+    }];
     let preprocessing_s = pre_start.elapsed_s();
 
-    let kt = config.kernel_threads;
-    let aggregate = |m: &Matrix| -> Matrix {
-        match kind {
-            LocalKind::DglLike => parallel::spmm(&adj, m, kt),
-            LocalKind::PygLike => edgewise_spmm(&adj, m),
-        }
+    let aggregate: fn(&CsrMatrix, &Matrix, usize) -> Matrix = match kind {
+        LocalKind::DglLike => parallel::spmm,
+        LocalKind::PygLike => |adj, m, _threads| edgewise_spmm(adj, m),
     };
-
-    let mut result = RunResult {
-        system: kind.label().to_string(),
-        dataset: data.name.clone(),
-        num_layers,
-        num_workers: 1,
-        preprocessing_s,
-        ..Default::default()
-    };
-    let mut best_val = f64::MIN;
-    let mut since_best = 0usize;
-    for epoch in 0..config.max_epochs {
-        let start = HostTimer::start();
-        // Forward.
-        let mut hs: Vec<Matrix> = vec![data.features.clone()];
-        let mut zs: Vec<Matrix> = Vec::with_capacity(num_layers);
-        for l in 0..num_layers {
-            let xw = parallel::matmul(&hs[l], &weights[l], kt);
-            let mut z = aggregate(&xw);
-            z = ops::add_bias(&z, biases[l].row(0));
-            hs.push(if l + 1 < num_layers { activations::relu(&z) } else { z.clone() });
-            zs.push(z);
-        }
-        // Loss and manual backward (Eqs. 4–6 on a single machine).
-        let (loss, mut g) =
-            masked_softmax_cross_entropy(&hs[num_layers], &data.labels, &data.split.train);
-        let mut w_grads: Vec<Matrix> = vec![Matrix::zeros(0, 0); num_layers];
-        let mut b_grads: Vec<Matrix> = vec![Matrix::zeros(0, 0); num_layers];
-        for l in (0..num_layers).rev() {
-            let ag = aggregate(&g);
-            w_grads[l] = parallel::matmul_at_b(&hs[l], &ag, kt);
-            let cols = ops::column_sums(&g);
-            b_grads[l] = Matrix::from_vec(1, cols.len(), cols);
-            if l > 0 {
-                let mask = activations::relu_grad(&zs[l - 1]);
-                g = ops::hadamard(&parallel::matmul_a_bt(&ag, &weights[l], kt), &mask);
-            }
-        }
-        let mut params: Vec<Matrix> =
-            weights.iter().cloned().chain(biases.iter().cloned()).collect();
-        let grads: Vec<Matrix> = w_grads.into_iter().chain(b_grads).collect();
-        adam.step(&mut params, &grads);
-        weights = params[..num_layers].to_vec();
-        biases = params[num_layers..].to_vec();
-        let compute_s = start.elapsed_s();
-
-        // Evaluate (out-of-band, like the engine).
-        let logits = &hs[num_layers];
-        let val_acc = ec_nn::metrics::accuracy(logits, &data.labels, &data.split.val);
-        let test_acc = ec_nn::metrics::accuracy(logits, &data.labels, &data.split.test);
-        result.epochs.push(EpochRecord {
-            epoch,
-            loss,
-            val_acc,
-            test_acc,
-            compute_s,
-            ..Default::default()
-        });
-        if val_acc > best_val {
-            best_val = val_acc;
-            since_best = 0;
-        } else {
-            since_best += 1;
-        }
-        if let Some(p) = config.patience {
-            if since_best >= p {
-                break;
-            }
-        }
-    }
-    result.finalize();
-    Ok(result)
+    let program =
+        |cluster: &mut Cluster, _epoch: usize| full_batch_epoch(cluster, &whole_graph, aggregate);
+    Ok(train_comparator(cluster, program, &data, adj, &base, kind.label(), preprocessing_s))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ec_comm::ps::AdamParams;
     use ec_graph_data::DatasetSpec;
 
     fn data() -> Arc<AttributedGraph> {
         Arc::new(DatasetSpec::cora().instantiate_with(150, 16, 4))
     }
 
-    fn config(data: &AttributedGraph) -> LocalConfig {
-        LocalConfig {
-            dims: vec![data.feature_dim(), 16, data.num_classes],
-            lr: 0.02,
-            seed: 1,
-            max_epochs: 60,
-            patience: None,
-            memory_limit: 32 << 30,
-            kernel_threads: 1,
+    fn base(data: &AttributedGraph, max_epochs: usize) -> TrainingConfig {
+        TrainingConfig {
+            adam: AdamParams { lr: 0.02, ..Default::default() },
+            max_epochs,
+            ..TrainingConfig::defaults(data.feature_dim(), data.num_classes)
         }
+    }
+
+    fn config(base: &TrainingConfig, kind: LocalKind) -> LocalConfig<'_> {
+        LocalConfig { base, kind, memory_limit: 32 << 30 }
     }
 
     #[test]
     fn dgl_like_learns() {
         let d = data();
-        let r = train_local(Arc::clone(&d), LocalKind::DglLike, &config(&d)).unwrap();
+        let r = train_local(Arc::clone(&d), &config(&base(&d, 60), LocalKind::DglLike)).unwrap();
         assert!(r.best_val_acc > 0.6, "val {}", r.best_val_acc);
     }
 
@@ -248,9 +170,9 @@ mod tests {
     fn pyg_like_reaches_the_same_optimum_as_dgl_like() {
         // Same math, same seed → identical trajectories.
         let d = data();
-        let cfg = LocalConfig { max_epochs: 10, ..config(&d) };
-        let a = train_local(Arc::clone(&d), LocalKind::DglLike, &cfg).unwrap();
-        let b = train_local(Arc::clone(&d), LocalKind::PygLike, &cfg).unwrap();
+        let cfg = base(&d, 10);
+        let a = train_local(Arc::clone(&d), &config(&cfg, LocalKind::DglLike)).unwrap();
+        let b = train_local(Arc::clone(&d), &config(&cfg, LocalKind::PygLike)).unwrap();
         for (ea, eb) in a.epochs.iter().zip(&b.epochs) {
             assert!((ea.loss - eb.loss).abs() < 1e-4, "losses diverge: {} vs {}", ea.loss, eb.loss);
         }
@@ -280,8 +202,9 @@ mod tests {
     #[test]
     fn memory_budget_enforced() {
         let d = data();
-        let cfg = LocalConfig { memory_limit: 1024, ..config(&d) };
-        let err = train_local(Arc::clone(&d), LocalKind::PygLike, &cfg).unwrap_err();
+        let base = base(&d, 60);
+        let cfg = LocalConfig { memory_limit: 1024, ..config(&base, LocalKind::PygLike) };
+        let err = train_local(Arc::clone(&d), &cfg).unwrap_err();
         assert!(err.contains("exceeds"), "unexpected error: {err}");
     }
 }

@@ -1,4 +1,5 @@
-//! AliGraph-FG: the ML-centered full-graph baseline.
+//! AliGraph-FG: the ML-centered full-graph baseline, and the full-batch GCN
+//! pass it shares with the single-machine baselines.
 //!
 //! ML-centered systems cache each worker's **L-hop neighbourhood** so that
 //! training needs no worker-to-worker traffic — at the price of redundant
@@ -10,70 +11,59 @@
 //! of the closure's features and adjacency from the parameter servers
 //! (`O(ḡ^L · d₀)` in Table II).
 
-use crate::report::{EpochRecord, RunResult};
-use ec_comm::ps::AdamParams;
+use super::train_comparator;
+use crate::config::TrainingConfig;
+use crate::engine::local_loss_grad;
+use crate::exec::{Cluster, Stage};
+use crate::report::RunResult;
 use ec_comm::stats::Channel;
 use ec_comm::HostTimer;
-use ec_comm::{NetworkModel, ParameterServerGroup, SimNetwork};
 use ec_graph_data::{normalize, AttributedGraph};
+use ec_partition::hash::HashPartitioner;
+use ec_partition::Partitioner;
 use ec_tensor::{activations, ops, parallel, CsrMatrix, Matrix};
 use std::sync::Arc;
 
-/// Configuration for the AliGraph-FG-style run.
-#[derive(Clone, Debug)]
-pub struct MlCenteredConfig {
-    /// Layer dimensions `[d₀, …, C]`.
-    pub dims: Vec<usize>,
-    /// Number of workers.
-    pub num_workers: usize,
-    /// Number of parameter servers.
-    pub num_servers: usize,
-    /// Server-side Adam hyper-parameters.
-    pub adam: AdamParams,
-    /// Network model.
-    pub network: NetworkModel,
-    /// Seed.
-    pub seed: u64,
-    /// Maximum epochs.
-    pub max_epochs: usize,
-    /// Early-stop patience.
-    pub patience: Option<usize>,
-    /// Dense-kernel thread budget (`0` = auto, `1` = sequential);
-    /// bit-identical across any value.
-    pub kernel_threads: usize,
-}
-
-/// One worker's cached L-hop world.
-struct Closure {
-    /// Global ids in the closure (locals first).
-    vertices: Vec<usize>,
-    /// Rows of the normalized adjacency for the closure, columns remapped
-    /// into closure coordinates (out-of-closure entries only exist for the
-    /// outermost ring, whose embeddings are never consumed).
-    adj: CsrMatrix,
+/// One worker's cached world: the subgraph it runs a full GCN pass over.
+pub(super) struct Closure {
+    /// Rows of the normalized adjacency for the closure (locals first),
+    /// columns remapped into closure coordinates (out-of-closure entries
+    /// only exist for the outermost ring, whose embeddings are never
+    /// consumed). Symmetric, like the global adjacency it is induced from.
+    pub(super) adj: Arc<CsrMatrix>,
     /// Features of the closure vertices.
-    features: Matrix,
+    pub(super) features: Matrix,
     /// Labels of the closure vertices.
-    labels: Vec<u32>,
+    pub(super) labels: Vec<u32>,
     /// Closure-local indices of this worker's training vertices.
-    train_local: Vec<usize>,
+    pub(super) train_local: Vec<usize>,
 }
 
-/// Computes each worker's L-hop closure and reports its redundancy.
+impl Closure {
+    /// The input of layer `l` given the layer outputs `hs` so far: the
+    /// features, or `H^l` (`l = L` is the logits).
+    fn input<'a>(&'a self, hs: &'a [Matrix], l: usize) -> &'a Matrix {
+        if l == 0 {
+            &self.features
+        } else {
+            &hs[l - 1]
+        }
+    }
+}
+
+/// Computes each worker's L-hop closure under the engine's default hash
+/// partition.
 fn build_closures(
     data: &AttributedGraph,
     adj: &CsrMatrix,
     num_workers: usize,
     num_layers: usize,
 ) -> Vec<Closure> {
-    let owner = |v: usize| -> usize {
-        ((v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31) % num_workers as u64)
-            as usize
-    };
+    let partition = HashPartitioner::default().partition(&data.graph, num_workers);
     let train_set: std::collections::HashSet<usize> = data.split.train.iter().copied().collect();
     (0..num_workers)
         .map(|w| {
-            let locals: Vec<usize> = (0..data.num_vertices()).filter(|&v| owner(v) == w).collect();
+            let locals = partition.members(w);
             // BFS out to L hops.
             let mut in_closure: Vec<bool> = vec![false; data.num_vertices()];
             let mut vertices = locals.clone();
@@ -103,154 +93,87 @@ fn build_closures(
             let labels = vertices.iter().map(|&v| data.labels[v]).collect();
             let train_local =
                 locals.iter().filter(|v| train_set.contains(v)).map(|v| index[v]).collect();
-            Closure { vertices, adj: sub, features, labels, train_local }
+            Closure { adj: Arc::new(sub), features, labels, train_local }
         })
         .collect()
+}
+
+/// One full-batch GCN epoch as a stage program: every worker pulls the
+/// weights layer by layer, runs a complete transform-first forward and
+/// backward pass over its own [`Closure`] (no worker-to-worker traffic),
+/// and pushes its gradient share. `aggregate` is the sparse product `Â·M`
+/// — the one kernel the DGL-like and PyG-like toolkits disagree on.
+/// Returns the global training loss.
+pub(super) fn full_batch_epoch(
+    cluster: &mut Cluster,
+    closures: &[Closure],
+    aggregate: impl Fn(&CsrMatrix, &Matrix, usize) -> Matrix + Sync,
+) -> f32 {
+    cluster.pull_all_layers();
+    // Every training vertex is local to exactly one worker.
+    let total_train = closures.iter().map(|c| c.train_local.len()).sum::<usize>().max(1);
+    let (ps, kt) = (&cluster.ps, cluster.kernel_threads);
+    let num_layers = ps.num_layers();
+    let results = cluster.steps.compute_superstep(Stage::new("train:compute", "train"), |w| {
+        let c = &closures[w];
+        // Forward: H^l = σ(Â·(H^{l-1}·W) + b); the last entry is the logits.
+        let mut hs: Vec<Matrix> = Vec::with_capacity(num_layers);
+        for l in 0..num_layers {
+            let (w_l, b_l) = ps.pull(l);
+            let mut z = aggregate(&c.adj, &parallel::matmul(c.input(&hs, l), w_l, kt), kt);
+            ops::add_bias_assign(&mut z, b_l);
+            hs.push(if l + 1 < num_layers { activations::relu(&z) } else { z });
+        }
+        // Loss over this worker's own training vertices, globally scaled.
+        let logits = c.input(&hs, num_layers);
+        let (loss, mut g) = local_loss_grad(logits, &c.labels, &c.train_local, total_train);
+        // Backward (Eqs. 4–6 over the closure; Â is symmetric).
+        let mut grads: Vec<(Matrix, Vec<f32>)> = Vec::with_capacity(num_layers);
+        for l in (0..num_layers).rev() {
+            let ag = aggregate(&c.adj, &g, kt);
+            grads.push((parallel::matmul_at_b(c.input(&hs, l), &ag, kt), ops::column_sums(&g)));
+            if l > 0 {
+                g = parallel::matmul_a_bt(&ag, ps.pull(l).0, kt);
+                // `H = ReLU(Z)` is positive exactly where `Z` is.
+                activations::relu_backward_assign(&mut g, &hs[l - 1]);
+            }
+        }
+        grads.reverse();
+        (loss, grads)
+    });
+    let mut loss_sum = 0.0f32;
+    for (w, (loss, grads)) in results.into_iter().enumerate() {
+        loss_sum += loss;
+        cluster.charge_push(w);
+        cluster.ps.push(&grads);
+    }
+    cluster.apply_update();
+    loss_sum
 }
 
 /// Trains the AliGraph-FG-style ML-centered system.
 pub fn train_ml_centered(
     data: Arc<AttributedGraph>,
-    config: &MlCenteredConfig,
+    config: &TrainingConfig,
     system: &str,
 ) -> RunResult {
-    let num_workers = config.num_workers;
-    let num_layers = config.dims.len() - 1;
-    let mut network = SimNetwork::new(num_workers + config.num_servers, config.network);
-    let mut ps = ParameterServerGroup::new(
-        &config.dims.windows(2).map(|w| (w[0], w[1])).collect::<Vec<_>>(),
-        config.num_servers,
-        config.adam,
-        config.seed,
-    );
-    let server_node = |s: usize| num_workers + s;
+    let mut cluster = Cluster::new(config);
 
     // Preprocessing: build + ship each closure (features and adjacency
     // pulled once from the parameter servers / graph store).
     let pre_start = HostTimer::start();
     let adj = normalize::gcn_normalized_adjacency(&data.graph);
-    let closures = build_closures(&data, &adj, num_workers, num_layers);
+    let closures = build_closures(&data, &adj, config.num_workers, config.num_layers());
     for (w, c) in closures.iter().enumerate() {
-        let bytes = (c.vertices.len() * (4 + data.feature_dim() * 4) + c.adj.nnz() * 8) as u64;
-        network.send(server_node(0), w, Channel::Forward, bytes);
+        let bytes = (c.labels.len() * (4 + data.feature_dim() * 4) + c.adj.nnz() * 8) as u64;
+        cluster.network.send(cluster.server_node(0), w, Channel::Forward, bytes);
     }
-    let (_, transfer_s) = network.end_epoch();
+    let (_, transfer_s) = cluster.network.end_epoch();
     let preprocessing_s = pre_start.elapsed_s() + transfer_s;
 
-    let total_train = data.split.train.len().max(1);
-    let kt = config.kernel_threads;
-    let full_adj = Arc::new(adj);
-    let mut result = RunResult {
-        system: system.to_string(),
-        dataset: data.name.clone(),
-        num_layers,
-        num_workers,
-        preprocessing_s,
-        ..Default::default()
-    };
-    let mut best_val = f64::MIN;
-    let mut since_best = 0usize;
-    for epoch in 0..config.max_epochs {
-        let mut step_max = 0.0f64;
-        let mut loss_sum = 0.0f32;
-        for (w, c) in closures.iter().enumerate() {
-            for l in 0..num_layers {
-                for (s, &bytes) in ps.pull_wire_sizes(l).iter().enumerate() {
-                    network.send(server_node(s), w, Channel::Parameter, bytes);
-                }
-            }
-            let start = HostTimer::start();
-            if c.train_local.is_empty() {
-                continue;
-            }
-            // Full manual GCN pass over the closure (the redundant work).
-            let mut hs: Vec<Matrix> = vec![c.features.clone()];
-            let mut zs: Vec<Matrix> = Vec::with_capacity(num_layers);
-            for l in 0..num_layers {
-                let (wl, bl) = ps.pull(l);
-                let xw = parallel::matmul(&hs[l], wl, kt);
-                let mut z = parallel::spmm(&c.adj, &xw, kt);
-                z = ops::add_bias(&z, bl);
-                hs.push(if l + 1 < num_layers { activations::relu(&z) } else { z.clone() });
-                zs.push(z);
-            }
-            // Loss over this worker's own training vertices, globally
-            // scaled.
-            let probs = activations::softmax_rows(&hs[num_layers]);
-            let mut g = Matrix::zeros(probs.rows(), probs.cols());
-            let inv = 1.0 / total_train as f32;
-            for &v in &c.train_local {
-                let y = c.labels[v] as usize;
-                loss_sum -= probs.get(v, y).max(1e-12).ln() * inv;
-                let row = g.row_mut(v);
-                for (cc, gv) in row.iter_mut().enumerate() {
-                    let ind = if cc == y { 1.0 } else { 0.0 };
-                    *gv = (probs.get(v, cc) - ind) * inv;
-                }
-            }
-            // Manual backward over the closure.
-            let mut grads: Vec<(Matrix, Vec<f32>)> = Vec::with_capacity(num_layers);
-            for l in (0..num_layers).rev() {
-                let ag = parallel::spmm(&c.adj, &g, kt);
-                let y = parallel::matmul_at_b(&hs[l], &ag, kt);
-                let b = ops::column_sums(&g);
-                grads.push((y, b));
-                if l > 0 {
-                    let mask = activations::relu_grad(&zs[l - 1]);
-                    g = ops::hadamard(&parallel::matmul_a_bt(&ag, ps.pull(l).0, kt), &mask);
-                }
-            }
-            grads.reverse();
-            ps.push(&grads);
-            for (s, &bytes) in ps.push_wire_sizes().iter().enumerate() {
-                network.send(w, server_node(s), Channel::Parameter, bytes);
-            }
-            step_max = step_max.max(start.elapsed_s());
-        }
-        ps.apply_update();
-        let comm_s = network.flush_superstep();
-
-        let logits = {
-            let mut h = data.features.clone();
-            for l in 0..num_layers {
-                let (wl, bl) = ps.pull(l);
-                let xw = parallel::matmul(&h, wl, kt);
-                let mut z = parallel::spmm(&full_adj, &xw, kt);
-                z = ops::add_bias(&z, bl);
-                h = if l + 1 < num_layers { activations::relu(&z) } else { z };
-            }
-            h
-        };
-        let val_acc = ec_nn::metrics::accuracy(&logits, &data.labels, &data.split.val);
-        let test_acc = ec_nn::metrics::accuracy(&logits, &data.labels, &data.split.test);
-        let (traffic, _) = network.end_epoch();
-        result.epochs.push(EpochRecord {
-            epoch,
-            loss: loss_sum,
-            val_acc,
-            test_acc,
-            compute_s: step_max,
-            comm_s,
-            fp_bytes: traffic.fp_bytes,
-            bp_bytes: traffic.bp_bytes,
-            param_bytes: traffic.param_bytes,
-            total_bytes: traffic.total_bytes(),
-            ..Default::default()
-        });
-        if val_acc > best_val {
-            best_val = val_acc;
-            since_best = 0;
-        } else {
-            since_best += 1;
-        }
-        if let Some(p) = config.patience {
-            if since_best >= p {
-                break;
-            }
-        }
-    }
-    result.finalize();
-    result
+    let program =
+        |cluster: &mut Cluster, _epoch: usize| full_batch_epoch(cluster, &closures, parallel::spmm);
+    train_comparator(cluster, program, &data, Arc::new(adj), config, system, preprocessing_s)
 }
 
 /// Redundancy factor: total closure vertices across workers divided by the
@@ -259,30 +182,27 @@ pub fn train_ml_centered(
 pub fn redundancy_factor(data: &AttributedGraph, num_workers: usize, num_layers: usize) -> f64 {
     let adj = normalize::gcn_normalized_adjacency(&data.graph);
     let closures = build_closures(data, &adj, num_workers, num_layers);
-    let total: usize = closures.iter().map(|c| c.vertices.len()).sum();
+    let total: usize = closures.iter().map(|c| c.labels.len()).sum();
     total as f64 / data.num_vertices().max(1) as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ec_comm::ps::AdamParams;
     use ec_graph_data::DatasetSpec;
 
     fn data() -> Arc<AttributedGraph> {
         Arc::new(DatasetSpec::cora().instantiate_with(150, 16, 6))
     }
 
-    fn config(data: &AttributedGraph) -> MlCenteredConfig {
-        MlCenteredConfig {
-            dims: vec![data.feature_dim(), 16, data.num_classes],
+    fn config(data: &AttributedGraph) -> TrainingConfig {
+        TrainingConfig {
             num_workers: 3,
-            num_servers: 1,
             adam: AdamParams { lr: 0.02, ..Default::default() },
-            network: NetworkModel::gigabit_ethernet(),
             seed: 3,
             max_epochs: 40,
-            patience: None,
-            kernel_threads: 1,
+            ..TrainingConfig::defaults(data.feature_dim(), data.num_classes)
         }
     }
 

@@ -19,8 +19,10 @@
 //! remote features are not kept) and read by FP layer 1 and BP layer 1.
 //!
 //! Each `|` above is a network barrier and each `compute` a compute
-//! superstep of `exec::SuperstepDriver`, which owns the worker
-//! pool, the telemetry sink, the simulated clock and the epoch totals:
+//! superstep of the [`crate::exec`] cluster's `SuperstepDriver`, which owns
+//! the worker pool, the telemetry sink, the simulated clock and the epoch
+//! totals; pulls and pushes are charged by the same cluster every
+//! comparator system runs on:
 //! [`DistributedEngine::run_epoch`] states only what is exchanged, what each
 //! worker computes and how the results are stored or summed. A stage's
 //! worker block reads the engine's matrices and the pulled weights and
@@ -41,22 +43,18 @@
 use crate::bp::{self, ResidualState};
 use crate::config::{BpMode, FpMode, ModelKind, ResiliencePolicy, TrainingConfig};
 use crate::context::{build_worker_contexts, WorkerContext};
-use crate::exec::{self, EpochTotals, Stage, SuperstepDriver};
+use crate::exec::{Cluster, ClusterSnapshot, EpochTotals, Stage, REQUEST_BYTES};
 use crate::fp::{self, TrendState};
 use ec_comm::ps::CheckpointError;
 use ec_comm::stats::Channel;
-use ec_comm::{codec, HostTimer, ParameterServerGroup, SendError, SimNetwork, TrafficStats};
+use ec_comm::{codec, HostTimer, SendError, TrafficStats};
 use ec_graph_data::AttributedGraph;
 use ec_partition::Partition;
 use ec_tensor::{activations, ops, parallel, CsrMatrix, Matrix};
 use ec_trace::registry::labels;
-use ec_trace::{MetricId, TelemetryLevel, TelemetryReport, TelemetrySink};
+use ec_trace::{MetricId, TelemetryLevel, TelemetryReport};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Size we charge for a `get`/`pull` request envelope (ids are exchanged
-/// once during preprocessing; steady-state requests are tiny).
-const REQUEST_BYTES: u64 = 16;
 
 /// Compensation-strength constant `ρ` used when evaluating the Theorem 1
 /// residual bound for telemetry (observation only).
@@ -102,6 +100,18 @@ pub struct Evaluation {
     pub test: f64,
 }
 
+impl Evaluation {
+    /// Accuracy of full-graph `logits` over `data`'s three splits.
+    pub fn of(logits: &Matrix, data: &AttributedGraph) -> Self {
+        let accuracy = |split| ec_nn::metrics::accuracy(logits, &data.labels, split);
+        Self {
+            train: accuracy(&data.split.train),
+            val: accuracy(&data.split.val),
+            test: accuracy(&data.split.test),
+        }
+    }
+}
+
 /// Preprocessing outcome (partition + feature caching).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PreprocessingStats {
@@ -119,15 +129,9 @@ pub struct DistributedEngine {
     data: Arc<AttributedGraph>,
     adjs: Vec<Arc<CsrMatrix>>,
     contexts: Vec<WorkerContext>,
-    ps: ParameterServerGroup,
-    network: SimNetwork,
+    /// Network, parameter servers, superstep driver and epoch counter.
+    cluster: Cluster,
     preprocessing: PreprocessingStats,
-
-    /// The superstep driver: worker pool, telemetry sink, simulated clock
-    /// and all per-superstep accounting.
-    steps: SuperstepDriver,
-    /// Kernel-level thread budget resolved once alongside the pool.
-    kernel_threads: usize,
 
     /// `h_local[w][l]` = local rows of `H^l` (`l = 0` is the features).
     h_local: Vec<Vec<Matrix>>,
@@ -143,7 +147,6 @@ pub struct DistributedEngine {
 
     comp: CompensationState,
     counters: EpochCounters,
-    epoch: usize,
 
     /// Empirical compression error `α` of the configured BP codec, probed
     /// once on synthetic matrices at build time (Theorem 1 gauge).
@@ -195,16 +198,14 @@ struct EpochCounters {
 /// gradients are recomputed each epoch and need no snapshotting.
 #[derive(Clone)]
 pub struct EngineSnapshot {
-    epoch: usize,
-    sim_now: f64,
-    ps_state: Vec<u8>,
+    cluster: ClusterSnapshot,
     comp: CompensationState,
 }
 
 impl EngineSnapshot {
     /// The epoch count at capture time (number of completed epochs).
     pub fn epoch(&self) -> usize {
-        self.epoch
+        self.cluster.epoch
     }
 }
 
@@ -219,8 +220,8 @@ impl DistributedEngine {
         partition: Partition,
         config: TrainingConfig,
     ) -> Self {
-        let validated = config.validate();
-        assert!(validated.is_ok(), "invalid training config: {validated:?}");
+        // Validates the config before anything is built from it.
+        let mut cluster = Cluster::new(&config);
         let num_layers = config.num_layers();
         assert_eq!(adjs.len(), num_layers, "need one adjacency per layer");
         assert_eq!(config.dims[0], data.feature_dim(), "dims[0] must equal the feature dim");
@@ -236,15 +237,6 @@ impl DistributedEngine {
         let build_s = build_start.elapsed_s();
 
         let num_workers = config.num_workers;
-        let num_nodes = num_workers + config.num_servers;
-        let mut network = SimNetwork::with_faults(num_nodes, config.network, config.faults.clone());
-        // Sage carries a second (root/self) weight matrix per layer; the
-        // servers store it at slot `L + l`.
-        let mut shapes = config.layer_shapes();
-        if config.model == ModelKind::Sage {
-            shapes.extend(config.layer_shapes());
-        }
-        let ps = ParameterServerGroup::new(&shapes, config.num_servers, config.adam, config.seed);
 
         // Preprocessing: each worker fetches the features of its layer-1
         // remote dependencies (the paper's first-hop cache) and folds them
@@ -268,7 +260,7 @@ impl DistributedEngine {
                     continue;
                 }
                 let bytes = (8 + deps.len() * (4 + data.feature_dim() * 4)) as u64;
-                network.send(owner, ctx.worker_id, Channel::Forward, bytes);
+                cluster.network.send(owner, ctx.worker_id, Channel::Forward, bytes);
             }
             p0.push(parallel::spmm_split(&topo0.adj_local, &feats, &remote_feats, kt));
             h_local.push(vec![feats]);
@@ -282,7 +274,7 @@ impl DistributedEngine {
                     .collect(),
             );
         }
-        let (pre_traffic, feature_cache_s) = network.end_epoch();
+        let (pre_traffic, feature_cache_s) = cluster.network.end_epoch();
         let preprocessing = PreprocessingStats {
             build_s,
             feature_cache_s,
@@ -320,26 +312,14 @@ impl DistributedEngine {
             (true, BpMode::ResEc { bits } | BpMode::Compressed { bits }) => Some(probe_alpha(bits)),
             _ => None,
         };
-        let telemetry = TelemetrySink::new(&config.telemetry, num_workers);
-
-        // Resolve the two-level thread budget once and stand up the
-        // persistent worker pool; every superstep fan-out reuses it.
-        let (worker_threads, kernel_threads) = config.compute.resolve(num_workers);
-        let pool = exec::WorkerPool::new(worker_threads);
-        let factors = (0..num_workers)
-            .map(|w| network.faults().map_or(1.0, |f| f.straggler_factor(w)))
-            .collect();
 
         Self {
             config,
             data,
             adjs,
             contexts,
-            ps,
-            network,
+            cluster,
             preprocessing,
-            steps: SuperstepDriver::new(pool, telemetry, factors),
-            kernel_threads,
             h_local,
             z_local,
             p0,
@@ -348,7 +328,6 @@ impl DistributedEngine {
             total_train,
             comp: CompensationState { fp_bits, ..CompensationState::default() },
             counters: EpochCounters::default(),
-            epoch: 0,
             alpha_probe,
         }
     }
@@ -378,32 +357,32 @@ impl DistributedEngine {
     /// [`Self::evaluate`] and the `ec-serve` serving layer. Pure forward
     /// queries never need a (mutable) training engine.
     pub fn inference_model(&self) -> crate::infer::ModelWeights {
-        crate::infer::ModelWeights::from_parts(self.config.model, self.ps.weights())
+        crate::infer::ModelWeights::from_parts(self.config.model, self.cluster.ps.weights())
     }
 
     /// Current epoch counter (number of completed epochs).
     pub fn epochs_run(&self) -> usize {
-        self.epoch
+        self.cluster.epoch
     }
 
     /// Snapshot of the current model parameters.
     pub fn weights(&self) -> Vec<(Matrix, Vec<f32>)> {
-        self.ps.weights()
+        self.cluster.ps.weights()
     }
 
     /// Overwrites the model parameters (identical-start comparisons).
     pub fn set_weights(&mut self, weights: &[(Matrix, Vec<f32>)]) {
-        self.ps.set_weights(weights);
+        self.cluster.ps.set_weights(weights);
     }
 
     /// Persists the current model weights to `path` (wire-codec format).
     pub fn save_checkpoint(&self, path: &std::path::Path) -> Result<(), CheckpointError> {
-        self.ps.save_weights(path)
+        self.cluster.ps.save_weights(path)
     }
 
     /// Restores model weights saved by [`Self::save_checkpoint`].
     pub fn load_checkpoint(&mut self, path: &std::path::Path) -> Result<(), CheckpointError> {
-        self.ps.load_weights(path)
+        self.cluster.ps.load_weights(path)
     }
 
     /// Captures the complete mutable training state — see
@@ -412,12 +391,7 @@ impl DistributedEngine {
     /// and all error-compensation state, so the resumed loss curve matches
     /// the uninterrupted one exactly.
     pub fn snapshot(&self) -> EngineSnapshot {
-        EngineSnapshot {
-            epoch: self.epoch,
-            sim_now: self.steps.sim_now(),
-            ps_state: self.ps.state_bytes(),
-            comp: self.comp.clone(),
-        }
+        EngineSnapshot { cluster: self.cluster.snapshot(), comp: self.comp.clone() }
     }
 
     /// Restores a state captured by [`Self::snapshot`]. The engine must
@@ -428,11 +402,9 @@ impl DistributedEngine {
     /// Returns a [`CheckpointError`] when the snapshot's parameter state
     /// does not match this engine's layer shapes.
     pub fn restore(&mut self, snapshot: &EngineSnapshot) -> Result<(), CheckpointError> {
-        self.ps.restore_state(&snapshot.ps_state)?;
-        self.epoch = snapshot.epoch;
+        self.cluster.restore(&snapshot.cluster)?;
         self.comp = snapshot.comp.clone();
         self.counters = EpochCounters::default();
-        self.steps.rewind(snapshot.epoch, snapshot.sim_now);
         Ok(())
     }
 
@@ -454,7 +426,7 @@ impl DistributedEngine {
     /// Telemetry snapshot for the run report (`None` when the level is
     /// [`TelemetryLevel::Off`]).
     pub fn take_telemetry(&self) -> Option<TelemetryReport> {
-        (self.steps.telemetry.level() > TelemetryLevel::Off).then(|| self.steps.telemetry.report())
+        self.cluster.take_telemetry()
     }
 
     /// Marks a crash rolled back at `epoch` on the telemetry timeline.
@@ -462,28 +434,7 @@ impl DistributedEngine {
     /// replayed epochs re-record everything else, but the crash itself
     /// happens only once.
     pub fn telemetry_note_crash(&mut self, epoch: usize) {
-        self.steps.telemetry.note_crash(epoch as u32);
-    }
-
-    fn server_node(&self, s: usize) -> usize {
-        self.config.num_workers + s
-    }
-
-    /// Charges every worker's pull of `W^{l-1}`, `b^{l-1}` (and `W_self`
-    /// for Sage) from the servers.
-    fn charge_pull(&mut self, l: usize) {
-        let mut slots = vec![l - 1];
-        if self.config.model == ModelKind::Sage {
-            slots.push(self.config.num_layers() + l - 1);
-        }
-        for w in 0..self.config.num_workers {
-            for &slot in &slots {
-                for (s, &bytes) in self.ps.pull_wire_sizes(slot).iter().enumerate() {
-                    self.network.send(w, self.server_node(s), Channel::Control, REQUEST_BYTES);
-                    self.network.send(self.server_node(s), w, Channel::Parameter, bytes);
-                }
-            }
-        }
+        self.cluster.steps.telemetry.note_crash(epoch as u32);
     }
 
     /// Runs one full training epoch (Algorithms 1 + 2). Every compute
@@ -493,15 +444,19 @@ impl DistributedEngine {
     pub fn run_epoch(&mut self) -> EpochStats {
         let num_layers = self.config.num_layers();
         let num_workers = self.config.num_workers;
-        let t = self.epoch;
         self.counters = EpochCounters::default();
-        self.steps.begin_epoch(t);
-        let kt = self.kernel_threads;
+        let t = self.cluster.begin_epoch();
+        let kt = self.cluster.kernel_threads;
         let sage = self.config.model == ModelKind::Sage;
 
         // ---------------- Forward propagation ----------------
         for l in 1..=num_layers {
-            self.charge_pull(l);
+            // Every worker pulls `W^{l-1}`, `b^{l-1}` (and `W_self` for Sage).
+            let mut slots = vec![l - 1];
+            if sage {
+                slots.push(num_layers + l - 1);
+            }
+            self.cluster.charge_pull(&slots);
 
             // Exchange H^{l-1} (layer-0 features are cached).
             let remotes: Vec<Matrix> = if l >= 2 {
@@ -509,13 +464,14 @@ impl DistributedEngine {
             } else {
                 Vec::new()
             };
-            self.steps.barrier(&mut self.network, Stage::new("fp:exchange", "fp").at_layer(l));
+            self.cluster.barrier(Stage::new("fp:exchange", "fp").at_layer(l));
 
             // Compute Z^l = (Â_w·[H_local | H_remote])·W^{l-1} + b and H^l.
-            let (w_l, b_l) = self.ps.pull(l - 1);
-            let w_self = sage.then(|| self.ps.pull(num_layers + l - 1).0);
-            let results =
-                self.steps.compute_superstep(Stage::new("fp:compute", "fp").at_layer(l), |w| {
+            let (w_l, b_l) = self.cluster.ps.pull(l - 1);
+            let w_self = sage.then(|| self.cluster.ps.pull(num_layers + l - 1).0);
+            let results = self.cluster.steps.compute_superstep(
+                Stage::new("fp:compute", "fp").at_layer(l),
+                |w| {
                     // Layer 1 has no exchange: its aggregate is the cached P_w.
                     let fresh = (l >= 2).then(|| {
                         let adj = &self.contexts[w].layers[l - 1].adj_local;
@@ -529,7 +485,8 @@ impl DistributedEngine {
                     // The output layer has no activation: Z^L is H^L.
                     let h = (l < num_layers).then(|| activations::relu(&z));
                     (h, z)
-                });
+                },
+            );
             for (w, (h, z)) in results.into_iter().enumerate() {
                 match h {
                     Some(h) => {
@@ -542,15 +499,17 @@ impl DistributedEngine {
         }
 
         // ---------------- Loss and G^L ----------------
-        let results =
-            self.steps.compute_superstep(Stage::new("loss:compute", "loss").unindexed(), |w| {
+        let results = self.cluster.steps.compute_superstep(
+            Stage::new("loss:compute", "loss").unindexed(),
+            |w| {
                 local_loss_grad(
                     &self.h_local[w][num_layers],
                     &self.labels_local[w],
                     &self.train_local[w],
                     self.total_train,
                 )
-            });
+            },
+        );
         let mut loss_sum = 0.0f32;
         let mut g_cur: Vec<Matrix> = Vec::with_capacity(num_workers);
         for (loss, g) in results {
@@ -560,7 +519,7 @@ impl DistributedEngine {
 
         // Reference gradient magnitude for the Theorem 1 bound gauge
         // (‖G^L‖² summed over workers; observation only).
-        let g_norm_sq: f64 = if self.steps.telemetry.enabled(TelemetryLevel::Epoch) {
+        let g_norm_sq: f64 = if self.cluster.steps.telemetry.enabled(TelemetryLevel::Epoch) {
             g_cur
                 .iter()
                 .map(|g| g.as_slice().iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>())
@@ -578,13 +537,14 @@ impl DistributedEngine {
             let mut g_remote: Vec<Matrix> = Vec::new();
             if l >= 2 {
                 g_remote = (0..num_workers).map(|i| self.exchange_bp(i, l, &g_cur)).collect();
-                self.steps.barrier(&mut self.network, Stage::new("bp:exchange", "bp").at_layer(l));
+                self.cluster.barrier(Stage::new("bp:exchange", "bp").at_layer(l));
             }
 
-            let w_lm1 = self.ps.pull(l - 1).0;
-            let ws_lm1 = sage.then(|| self.ps.pull(num_layers + l - 1).0);
-            let results =
-                self.steps.compute_superstep(Stage::new("bp:compute", "bp").at_layer(l), |w| {
+            let w_lm1 = self.cluster.ps.pull(l - 1).0;
+            let ws_lm1 = sage.then(|| self.cluster.ps.pull(num_layers + l - 1).0);
+            let results = self.cluster.steps.compute_superstep(
+                Stage::new("bp:compute", "bp").at_layer(l),
+                |w| {
                     let (h_prev, g) = (&self.h_local[w][l - 1], &g_cur[w]);
                     let b_part = ops::column_sums(g);
                     // Self path: Y_s^{l-1} = (H^{l-1})ᵀ G^l — purely local.
@@ -604,7 +564,8 @@ impl DistributedEngine {
                     }
                     activations::relu_backward_assign(&mut flow, &self.z_local[w][l - 2]);
                     (y_part, ys_part, b_part, Some(flow))
-                });
+                },
+            );
             let mut y_sum = Matrix::zeros(self.config.dims[l - 1], self.config.dims[l]);
             let mut ys_sum = Matrix::zeros(self.config.dims[l - 1], self.config.dims[l]);
             let mut b_sum = vec![0.0f32; self.config.dims[l]];
@@ -631,25 +592,20 @@ impl DistributedEngine {
         // gradient, so we push the summed gradient once and charge each
         // worker's wire cost.
         for w in 0..num_workers {
-            for (s, &bytes) in self.ps.push_wire_sizes().iter().enumerate() {
-                self.network.send(w, self.server_node(s), Channel::Parameter, bytes);
-            }
+            self.cluster.charge_push(w);
         }
         let grads: Vec<(Matrix, Vec<f32>)> = grads.into_iter().flatten().collect();
         assert_eq!(grads.len(), num_slots, "every gradient slot must be filled before the push");
-        self.ps.push(&grads);
-        self.ps.apply_update();
-        self.steps.barrier(&mut self.network, Stage::new("update:push", "update"));
+        self.cluster.ps.push(&grads);
+        self.cluster.apply_update();
 
         // Adaptive Bit-Tuner (after the last FP exchange of the epoch).
         if let FpMode::ReqEc { adaptive: true, .. } = self.config.fp_mode {
             self.apply_bit_tuner(t);
         }
 
-        let totals = self.steps.end_epoch();
-        self.epoch += 1;
-        let (traffic, _) = self.network.end_epoch();
-        if self.steps.telemetry.enabled(TelemetryLevel::Epoch) {
+        let (totals, traffic) = self.cluster.end_epoch();
+        if self.cluster.steps.telemetry.enabled(TelemetryLevel::Epoch) {
             self.record_epoch_metrics(t, &traffic, &totals, g_norm_sq);
         }
         EpochStats {
@@ -675,7 +631,7 @@ impl DistributedEngine {
         g_norm_sq: f64,
     ) {
         let e = t as u32;
-        let sink = &mut self.steps.telemetry;
+        let sink = &mut self.cluster.steps.telemetry;
         for (&layer, counts) in &self.counters.fp_selected {
             let lbl = labels(&[e, layer as u32]);
             sink.add(MetricId::SelectorCps, lbl, counts[fp::SELECT_CPS as usize]);
@@ -697,7 +653,7 @@ impl DistributedEngine {
                 sink.add(id, labels(&[e]), v);
             }
         }
-        for (w, &f) in self.steps.factors.iter().enumerate() {
+        for (w, &f) in self.cluster.steps.factors.iter().enumerate() {
             if f != 1.0 {
                 sink.set(MetricId::FaultStragglerFactor, labels(&[e, w as u32]), f);
             }
@@ -745,7 +701,7 @@ impl DistributedEngine {
     fn exchange_fp(&mut self, i: usize, l: usize, t: usize) -> Matrix {
         let topo = Arc::clone(&self.contexts[i].layers[l - 1]);
         let cols = self.config.dims[l - 1];
-        let measure = self.steps.telemetry.enabled(TelemetryLevel::Superstep);
+        let measure = self.cluster.steps.telemetry.enabled(TelemetryLevel::Superstep);
         let mut remote = Matrix::zeros(topo.remote_deps.len(), cols);
         for (j, deps) in topo.deps_by_owner.iter().enumerate() {
             if deps.is_empty() || j == i {
@@ -773,7 +729,7 @@ impl DistributedEngine {
                     let bits = self.comp.fp_bits[i][j];
                     let granularity = self.config.reqec_granularity;
                     let ec_degrade = self.config.resilience.policy == ResiliencePolicy::EcDegrade
-                        && self.network.faults().is_some();
+                        && self.cluster.network.faults().is_some();
                     let state = self.comp.fp_trend.entry((i, l, j)).or_default();
                     let out = fp::reqec_step_with(state, &h_rows, bits, t_tr, t, granularity);
                     // Degrading is only safe for non-boundary messages:
@@ -803,10 +759,14 @@ impl DistributedEngine {
                 }
             };
             if let Some(tm) = &pack_timer {
-                self.steps.pack_s += tm.elapsed_s();
+                self.cluster.steps.pack_s += tm.elapsed_s();
             }
-            self.network.send(i, j, Channel::Control, REQUEST_BYTES);
-            self.steps.telemetry.observe(MetricId::FpWireBytes, labels(&[t as u32]), wire as f64);
+            self.cluster.network.send(i, j, Channel::Control, REQUEST_BYTES);
+            self.cluster.steps.telemetry.observe(
+                MetricId::FpWireBytes,
+                labels(&[t as u32]),
+                wire as f64,
+            );
             let (reconstructed, recon_l1) = match degrade {
                 // EC-degrade: give the transfer a bounded number of
                 // attempts, then fall back to the zero-payload prediction
@@ -816,7 +776,7 @@ impl DistributedEngine {
                     let mut delivered = false;
                     let mut last_err = None;
                     for _ in 0..attempts {
-                        match self.network.try_send(j, i, Channel::Forward, wire) {
+                        match self.cluster.network.try_send(j, i, Channel::Forward, wire) {
                             Ok(()) => {
                                 delivered = true;
                                 break;
@@ -836,7 +796,7 @@ impl DistributedEngine {
                     }
                 }
                 None => {
-                    self.network.send(j, i, Channel::Forward, wire);
+                    self.cluster.network.send(j, i, Channel::Forward, wire);
                     (reconstructed, recon_l1)
                 }
             };
@@ -846,7 +806,7 @@ impl DistributedEngine {
                 remote.set_row(row, reconstructed.row(k));
             }
             if let Some(tm) = &unpack_timer {
-                self.steps.unpack_s += tm.elapsed_s();
+                self.cluster.steps.unpack_s += tm.elapsed_s();
             }
         }
         remote
@@ -863,8 +823,8 @@ impl DistributedEngine {
     fn exchange_bp(&mut self, i: usize, l: usize, g_cur: &[Matrix]) -> Matrix {
         let topo = Arc::clone(&self.contexts[i].layers[l - 1]);
         let cols = self.config.dims[l];
-        let measure = self.steps.telemetry.enabled(TelemetryLevel::Superstep);
-        let e = self.epoch as u32;
+        let measure = self.cluster.steps.telemetry.enabled(TelemetryLevel::Superstep);
+        let e = self.cluster.epoch as u32;
         let mut remote = Matrix::zeros(topo.remote_deps.len(), cols);
         for (j, deps) in topo.deps_by_owner.iter().enumerate() {
             if deps.is_empty() || j == i {
@@ -889,17 +849,17 @@ impl DistributedEngine {
                 }
             };
             if let Some(tm) = &pack_timer {
-                self.steps.pack_s += tm.elapsed_s();
+                self.cluster.steps.pack_s += tm.elapsed_s();
             }
-            self.network.send(i, j, Channel::Control, REQUEST_BYTES);
-            self.network.send(j, i, Channel::Backward, wire);
-            self.steps.telemetry.observe(MetricId::BpWireBytes, labels(&[e]), wire as f64);
+            self.cluster.network.send(i, j, Channel::Control, REQUEST_BYTES);
+            self.cluster.network.send(j, i, Channel::Backward, wire);
+            self.cluster.steps.telemetry.observe(MetricId::BpWireBytes, labels(&[e]), wire as f64);
             let unpack_timer = measure.then(HostTimer::start);
             for (k, &row) in topo.scatter_rows[j].iter().enumerate() {
                 remote.set_row(row, reconstructed.row(k));
             }
             if let Some(tm) = &unpack_timer {
-                self.steps.unpack_s += tm.elapsed_s();
+                self.cluster.steps.unpack_s += tm.elapsed_s();
             }
         }
         remote
@@ -911,19 +871,13 @@ impl DistributedEngine {
             let bits = fp::tune_bits(self.comp.fp_bits[i][j], p);
             self.comp.fp_bits[i][j] = bits;
             let lbl = labels(&[t as u32, i as u32, j as u32]);
-            self.steps.telemetry.set(MetricId::BitTunerBits, lbl, bits as f64);
+            self.cluster.steps.telemetry.set(MetricId::BitTunerBits, lbl, bits as f64);
         }
     }
 
     /// Evaluates the current model exactly over the full graph.
     pub fn evaluate(&self) -> Evaluation {
-        let logits = self.forward_global();
-        let d = &self.data;
-        Evaluation {
-            train: ec_nn::metrics::accuracy(&logits, &d.labels, &d.split.train),
-            val: ec_nn::metrics::accuracy(&logits, &d.labels, &d.split.val),
-            test: ec_nn::metrics::accuracy(&logits, &d.labels, &d.split.test),
-        }
+        Evaluation::of(&self.forward_global(), &self.data)
     }
 
     /// Full-graph forward pass with the current weights (exact, no
@@ -943,7 +897,7 @@ impl DistributedEngine {
 /// cross-entropy over the local training vertices, scaled by the *global*
 /// training-set size so that the summed worker gradients equal the global
 /// mean-loss gradient.
-fn local_loss_grad(
+pub(crate) fn local_loss_grad(
     logits: &Matrix,
     labels: &[u32],
     train_local: &[usize],

@@ -1,4 +1,10 @@
-//! The superstep driver and its intra-superstep worker fan-out.
+//! The simulated cluster, its superstep driver and the intra-superstep
+//! worker fan-out.
+//!
+//! Every system of the evaluation — the EC-Graph engine and each comparator
+//! under [`crate::baselines`] — runs on one `Cluster` built from a
+//! [`TrainingConfig`], so systems differ in *what they send* between
+//! barriers, never in how a barrier, a compute step or a pull is costed.
 //!
 //! An epoch is a BSP sequence of supersteps, and every superstep has the
 //! same shape whatever the stage computes: exchanges charge the network,
@@ -25,11 +31,18 @@
 //! (never by the stage) through [`ec_comm::HostTimer`], so deterministic
 //! timing zeroes every compute second in one place.
 
-use ec_comm::{HostTimer, SimNetwork};
+use crate::config::{ModelKind, TrainingConfig};
+use ec_comm::ps::CheckpointError;
+use ec_comm::stats::Channel;
+use ec_comm::{HostTimer, ParameterServerGroup, SimNetwork, TrafficStats};
 use ec_tensor::pool::Task;
 pub use ec_tensor::pool::WorkerPool;
 use ec_trace::registry::labels;
-use ec_trace::{MetricId, SpanEvent, TelemetryLevel, TelemetrySink};
+use ec_trace::{MetricId, SpanEvent, TelemetryLevel, TelemetryReport, TelemetrySink};
+
+/// Size we charge for a `get`/`pull` request envelope (ids are exchanged
+/// once during preprocessing; steady-state requests are tiny).
+pub(crate) const REQUEST_BYTES: u64 = 16;
 
 /// Runs `f(0), …, f(n - 1)` across the pool's lanes and returns the
 /// results indexed by worker.
@@ -336,6 +349,160 @@ impl SuperstepDriver {
         if stage.indexed {
             self.totals.supersteps += 1;
         }
+    }
+}
+
+/// The simulated cluster every trainer runs on: workers and parameter
+/// servers joined by one network (with its fault plan), stepped by one
+/// driver. Fields are reached directly, so a compute block can borrow
+/// `cluster.ps` while `cluster.steps` runs it and the borrow checker keeps
+/// it away from the network and the driver by field.
+pub(crate) struct Cluster {
+    pub(crate) network: SimNetwork,
+    pub(crate) ps: ParameterServerGroup,
+    pub(crate) steps: SuperstepDriver,
+    /// Kernel-level thread budget resolved once alongside the pool.
+    pub(crate) kernel_threads: usize,
+    /// Completed epochs.
+    pub(crate) epoch: usize,
+    /// Node id of server 0: `num_workers`, or 0 on a single machine.
+    server_base: usize,
+}
+
+/// The cluster's share of a training checkpoint: the servers' parameters
+/// with their Adam moments, the epoch counter and the simulated clock.
+#[derive(Clone)]
+pub(crate) struct ClusterSnapshot {
+    pub(crate) epoch: usize,
+    sim_now: f64,
+    ps_state: Vec<u8>,
+}
+
+impl Cluster {
+    /// `config.num_workers` workers and `config.num_servers` parameter
+    /// servers on separate nodes of a network subjected to `config.faults`.
+    pub(crate) fn new(config: &TrainingConfig) -> Self {
+        Self::build(config, config.num_workers)
+    }
+
+    /// One machine (the DGL/PyG columns): worker and parameter store share
+    /// node 0, and same-node transfers are free, so nothing below is charged.
+    pub(crate) fn single_machine(config: &TrainingConfig) -> Self {
+        assert_eq!(config.num_workers, 1, "a single machine is one worker");
+        Self::build(config, 0)
+    }
+
+    fn build(config: &TrainingConfig, server_base: usize) -> Self {
+        let validated = config.validate();
+        assert!(validated.is_ok(), "invalid training config: {validated:?}");
+        let num_workers = config.num_workers;
+        let num_nodes = server_base + config.num_servers;
+        let network = SimNetwork::with_faults(num_nodes, config.network, config.faults.clone());
+        // Sage carries a second (root/self) weight matrix per layer; the
+        // servers store it at slot `L + l`.
+        let mut shapes = config.layer_shapes();
+        if config.model == ModelKind::Sage {
+            shapes.extend(config.layer_shapes());
+        }
+        let ps = ParameterServerGroup::new(&shapes, config.num_servers, config.adam, config.seed);
+        let telemetry = TelemetrySink::new(&config.telemetry, num_workers);
+        // The persistent worker pool every superstep fan-out reuses.
+        let (worker_threads, kernel_threads) = config.compute.resolve(num_workers);
+        let factors = (0..num_workers)
+            .map(|w| network.faults().map_or(1.0, |f| f.straggler_factor(w)))
+            .collect();
+        Self {
+            network,
+            ps,
+            steps: SuperstepDriver::new(WorkerPool::new(worker_threads), telemetry, factors),
+            kernel_threads,
+            epoch: 0,
+            server_base,
+        }
+    }
+
+    /// Network node of parameter server `s`.
+    pub(crate) fn server_node(&self, s: usize) -> usize {
+        self.server_base + s
+    }
+
+    /// Charges every worker's pull of the parameter `slots` from the
+    /// servers: a request envelope up, the range-split parameters down.
+    pub(crate) fn charge_pull(&mut self, slots: &[usize]) {
+        for w in 0..self.steps.factors.len() {
+            for &slot in slots {
+                for (s, &bytes) in self.ps.pull_wire_sizes(slot).iter().enumerate() {
+                    let server = self.server_node(s);
+                    self.network.send(w, server, Channel::Control, REQUEST_BYTES);
+                    self.network.send(server, w, Channel::Parameter, bytes);
+                }
+            }
+        }
+    }
+
+    /// Pulls every layer the way the engine's forward pass does — a charged
+    /// pull and a barrier per layer — for systems whose compute block spans
+    /// all layers; earlier unflushed sends go with the first layer.
+    pub(crate) fn pull_all_layers(&mut self) {
+        for l in 1..=self.ps.num_layers() {
+            self.charge_pull(&[l - 1]);
+            self.barrier(Stage::new("fp:exchange", "fp").at_layer(l));
+        }
+    }
+
+    /// Charges worker `w`'s gradient push to every server.
+    pub(crate) fn charge_push(&mut self, w: usize) {
+        for (s, &bytes) in self.ps.push_wire_sizes().iter().enumerate() {
+            self.network.send(w, self.server_node(s), Channel::Parameter, bytes);
+        }
+    }
+
+    /// The servers apply the pushed gradients; the push barrier closes.
+    pub(crate) fn apply_update(&mut self) {
+        self.ps.apply_update();
+        self.barrier(Stage::new("update:push", "update"));
+    }
+
+    /// Network barrier over everything sent since the last one.
+    pub(crate) fn barrier(&mut self, stage: Stage) {
+        self.steps.barrier(&mut self.network, stage);
+    }
+
+    /// Starts the next epoch on the driver and returns its index.
+    pub(crate) fn begin_epoch(&mut self) -> usize {
+        self.steps.begin_epoch(self.epoch);
+        self.epoch
+    }
+
+    /// Closes the epoch: the driver's totals and the network's ledger.
+    pub(crate) fn end_epoch(&mut self) -> (EpochTotals, TrafficStats) {
+        let totals = self.steps.end_epoch();
+        self.epoch += 1;
+        let (traffic, _) = self.network.end_epoch();
+        (totals, traffic)
+    }
+
+    pub(crate) fn snapshot(&self) -> ClusterSnapshot {
+        ClusterSnapshot {
+            epoch: self.epoch,
+            sim_now: self.steps.sim_now(),
+            ps_state: self.ps.state_bytes(),
+        }
+    }
+
+    /// # Errors
+    /// A [`CheckpointError`] when the snapshot's parameter state does not
+    /// match this cluster's layer shapes.
+    pub(crate) fn restore(&mut self, snapshot: &ClusterSnapshot) -> Result<(), CheckpointError> {
+        self.ps.restore_state(&snapshot.ps_state)?;
+        self.epoch = snapshot.epoch;
+        self.steps.rewind(snapshot.epoch, snapshot.sim_now);
+        Ok(())
+    }
+
+    /// Telemetry for the run report (`None` at [`TelemetryLevel::Off`]).
+    pub(crate) fn take_telemetry(&self) -> Option<TelemetryReport> {
+        (self.steps.telemetry.level() > TelemetryLevel::Off).then(|| self.steps.telemetry.report())
     }
 }
 

@@ -1,15 +1,66 @@
-//! The epoch loop: trains a [`DistributedEngine`] to convergence and emits
-//! a [`RunResult`].
+//! The epoch loop: trains any system of the evaluation to convergence and
+//! emits a [`RunResult`].
+//!
+//! [`run_epoch_loop`] is the one definition of early stopping, `eval_every`,
+//! crash rollback and the [`EpochStats`] → [`EpochRecord`] conversion. The
+//! EC-Graph engine and every comparator under [`crate::baselines`] go
+//! through it as an [`EpochSystem`].
 
 use crate::config::TrainingConfig;
-use crate::engine::DistributedEngine;
+use crate::engine::{DistributedEngine, EngineSnapshot, EpochStats, Evaluation};
 use crate::report::{EpochRecord, RunResult};
 use ec_comm::ps::CheckpointError;
 use ec_comm::HostTimer;
 use ec_graph_data::{normalize, AttributedGraph};
 use ec_partition::{Partition, Partitioner};
 use ec_tensor::CsrMatrix;
+use ec_trace::TelemetryReport;
 use std::sync::Arc;
+
+/// What the epoch loop needs from a system it trains.
+pub trait EpochSystem {
+    /// The complete mutable training state, as captured for crash recovery.
+    type Snapshot;
+    /// Number of completed epochs.
+    fn epochs_run(&self) -> usize;
+    /// Runs one training epoch.
+    fn run_epoch(&mut self) -> EpochStats;
+    /// Evaluates the current model exactly over the full graph.
+    fn evaluate(&self) -> Evaluation;
+    /// Captures the state a later [`Self::recover`] resumes from.
+    fn snapshot(&self) -> Self::Snapshot;
+    /// Marks the crash at `epoch` on the telemetry timeline and rolls back
+    /// to `snapshot`; replaying from it must be deterministic.
+    ///
+    /// # Errors
+    /// A [`CheckpointError`] when the snapshot does not fit this system.
+    fn recover(&mut self, epoch: usize, snapshot: &Self::Snapshot) -> Result<(), CheckpointError>;
+    /// Telemetry snapshot for the run report (`None` when recording is off).
+    fn take_telemetry(&self) -> Option<TelemetryReport>;
+}
+
+impl EpochSystem for DistributedEngine {
+    type Snapshot = EngineSnapshot;
+    fn epochs_run(&self) -> usize {
+        DistributedEngine::epochs_run(self)
+    }
+    fn run_epoch(&mut self) -> EpochStats {
+        DistributedEngine::run_epoch(self)
+    }
+    fn evaluate(&self) -> Evaluation {
+        DistributedEngine::evaluate(self)
+    }
+    fn snapshot(&self) -> EngineSnapshot {
+        DistributedEngine::snapshot(self)
+    }
+    fn recover(&mut self, epoch: usize, snapshot: &EngineSnapshot) -> Result<(), CheckpointError> {
+        self.telemetry_note_crash(epoch);
+        self.restore(snapshot)
+    }
+    fn take_telemetry(&self) -> Option<TelemetryReport> {
+        DistributedEngine::take_telemetry(self)
+    }
+}
 
 /// Trains EC-Graph (or any mode expressible in [`TrainingConfig`]) on
 /// `data` partitioned by `partitioner`, using the standard GCN-normalized
@@ -43,24 +94,36 @@ pub fn train_prepartitioned(
     extra_preprocessing_s: f64,
 ) -> RunResult {
     let mut engine = DistributedEngine::new(Arc::clone(&data), adjs, partition, config.clone());
+    let pre = engine.preprocessing();
+    let preprocessing_s = extra_preprocessing_s + pre.build_s + pre.feature_cache_s;
+    run_to_convergence(&mut engine, &data.name, &config, system, preprocessing_s)
+}
+
+/// Trains `system` under `config`'s epoch budget, patience and fault plan
+/// and reports the run under the label `name`.
+pub fn run_to_convergence<S: EpochSystem>(
+    system: &mut S,
+    dataset: &str,
+    config: &TrainingConfig,
+    name: &str,
+    preprocessing_s: f64,
+) -> RunResult {
     let mut result = RunResult {
-        system: system.to_string(),
-        dataset: data.name.clone(),
+        system: name.to_string(),
+        dataset: dataset.to_string(),
         num_layers: config.num_layers(),
         num_workers: config.num_workers,
-        preprocessing_s: extra_preprocessing_s
-            + engine.preprocessing().build_s
-            + engine.preprocessing().feature_cache_s,
+        preprocessing_s,
         ..Default::default()
     };
-    if let Err(e) = run_epoch_loop(&mut engine, &config, &mut result) {
-        // An in-memory restore can only fail when the snapshot and engine
+    if let Err(e) = run_epoch_loop(system, config, &mut result) {
+        // An in-memory restore can only fail when the snapshot and system
         // diverged structurally — a bug, not a runtime condition. The loop
         // reports it as a typed error (it sits on the fault-recovery hot
         // path); this orchestration boundary is where aborting is allowed.
         panic!("crash recovery failed: {e}");
     }
-    result.telemetry = engine.take_telemetry();
+    result.telemetry = system.take_telemetry();
     result
 }
 
@@ -72,16 +135,16 @@ pub fn train_prepartitioned(
 /// epochs), and a crash at epoch `E` discards all work since that
 /// checkpoint — the discarded epochs' simulated time is charged to
 /// [`RunResult::recovery_s`] — before restoring and replaying. Because a
-/// restored engine replays deterministically, the post-recovery loss curve
+/// restored system replays deterministically, the post-recovery loss curve
 /// matches the uninterrupted one.
 ///
 /// # Errors
 /// [`CheckpointError::Missing`] when a scheduled crash fires with no
 /// checkpoint to roll back to, and any [`CheckpointError`] from
-/// [`DistributedEngine::restore`] when the snapshot does not match the
-/// engine — both indicate a caller bug, never a recoverable fault.
-pub fn run_epoch_loop(
-    engine: &mut DistributedEngine,
+/// [`EpochSystem::recover`] when the snapshot does not match the system —
+/// both indicate a caller bug, never a recoverable fault.
+pub fn run_epoch_loop<S: EpochSystem>(
+    system: &mut S,
     config: &TrainingConfig,
     result: &mut RunResult,
 ) -> Result<(), CheckpointError> {
@@ -94,26 +157,27 @@ pub fn run_epoch_loop(
     crash_epochs.sort_unstable();
     let mut next_crash = 0usize;
     let ckpt_every = config.resilience.checkpoint_every;
-    // Only pay for snapshots when they can ever be consumed.
-    let mut checkpoint = (!crash_epochs.is_empty()).then(|| engine.snapshot());
+    // Only pay for snapshots when they can ever be consumed. A checkpoint
+    // is the snapshot and the epoch count it was taken at.
+    let mut checkpoint =
+        (!crash_epochs.is_empty()).then(|| (system.epochs_run(), system.snapshot()));
     // Records that predate this loop (normally none) survive any rollback.
     let base_records = result.epochs.len();
 
-    while engine.epochs_run() < config.max_epochs {
-        let t = engine.epochs_run();
+    while system.epochs_run() < config.max_epochs {
+        let t = system.epochs_run();
         if next_crash < crash_epochs.len() && crash_epochs[next_crash] == t {
             // A worker dies during epoch `t`: its in-memory state is gone,
             // so the cluster rolls back to the latest checkpoint. Each
             // scheduled crash fires once (the restarted worker stays up).
             next_crash += 1;
-            let Some(ckpt) = checkpoint.as_ref() else {
+            let Some((ckpt_epoch, ckpt)) = checkpoint.as_ref() else {
                 return Err(CheckpointError::Missing("crash recovery checkpoint"));
             };
-            let keep = (base_records + ckpt.epoch()).min(result.epochs.len());
+            let keep = (base_records + ckpt_epoch).min(result.epochs.len());
             result.recovery_s += result.epochs.drain(keep..).map(|e| e.sim_time()).sum::<f64>();
             result.crashes_recovered += 1;
-            engine.telemetry_note_crash(t);
-            engine.restore(ckpt)?;
+            system.recover(t, ckpt)?;
             // Rebuild the early-stopping trackers from the surviving
             // history so the replay is indistinguishable from a run that
             // never went past the checkpoint.
@@ -134,12 +198,12 @@ pub fn run_epoch_loop(
             continue;
         }
         if checkpoint.is_some() && ckpt_every > 0 && t > 0 && t.is_multiple_of(ckpt_every) {
-            checkpoint = Some(engine.snapshot());
+            checkpoint = Some((t, system.snapshot()));
         }
 
-        let stats = engine.run_epoch();
+        let stats = system.run_epoch();
         if stats.epoch.is_multiple_of(config.eval_every) {
-            let eval = engine.evaluate();
+            let eval = system.evaluate();
             last_val = eval.val;
             last_test = eval.test;
             if eval.val > best_val {

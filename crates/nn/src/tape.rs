@@ -162,10 +162,10 @@ impl Tape {
         }
         self.nodes[root.0].grad = Some(seed);
         for i in (0..=root.0).rev() {
-            if self.nodes[i].grad.is_none() || !self.nodes[i].needs_grad {
+            if !self.nodes[i].needs_grad {
                 continue;
             }
-            let g = self.nodes[i].grad.as_ref().unwrap().clone();
+            let Some(g) = self.nodes[i].grad.clone() else { continue };
             match &self.nodes[i].op {
                 Op::Leaf => {}
                 Op::MatMul(a, b) => {

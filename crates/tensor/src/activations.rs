@@ -31,21 +31,6 @@ pub fn relu_backward_assign(flow: &mut Matrix, z: &Matrix) {
     }
 }
 
-/// Elementwise leaky ReLU with slope `alpha` for negative inputs.
-pub fn leaky_relu(m: &Matrix, alpha: f32) -> Matrix {
-    m.map(|x| if x > 0.0 { x } else { alpha * x })
-}
-
-/// Derivative of leaky ReLU at the pre-activation.
-pub fn leaky_relu_grad(z: &Matrix, alpha: f32) -> Matrix {
-    z.map(|x| if x > 0.0 { 1.0 } else { alpha })
-}
-
-/// Elementwise logistic sigmoid.
-pub fn sigmoid(m: &Matrix) -> Matrix {
-    m.map(|x| 1.0 / (1.0 + (-x).exp()))
-}
-
 /// Row-wise softmax with the standard max-subtraction for numerical
 /// stability.
 pub fn softmax_rows(m: &Matrix) -> Matrix {
@@ -109,19 +94,6 @@ mod tests {
     fn relu_grad_is_indicator() {
         let z = Matrix::from_vec(1, 3, vec![-1., 0., 2.]);
         assert_eq!(relu_grad(&z).as_slice(), &[0., 0., 1.]);
-    }
-
-    #[test]
-    fn leaky_relu_scales_negatives() {
-        let m = Matrix::from_vec(1, 2, vec![-10., 10.]);
-        assert_eq!(leaky_relu(&m, 0.1).as_slice(), &[-1., 10.]);
-        assert_eq!(leaky_relu_grad(&m, 0.1).as_slice(), &[0.1, 1.0]);
-    }
-
-    #[test]
-    fn sigmoid_midpoint() {
-        let m = Matrix::from_vec(1, 1, vec![0.0]);
-        assert!((sigmoid(&m).get(0, 0) - 0.5).abs() < 1e-6);
     }
 
     #[test]

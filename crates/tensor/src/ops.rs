@@ -559,12 +559,6 @@ pub fn column_sums(a: &Matrix) -> Vec<f32> {
     sums
 }
 
-/// Row-wise mean, producing a vector of length `a.rows()`.
-pub fn row_means(a: &Matrix) -> Vec<f32> {
-    let denom = a.cols().max(1) as f32;
-    a.rows_iter().map(|row| row.iter().sum::<f32>() / denom).collect()
-}
-
 fn zip_with(a: &Matrix, b: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
     assert_eq!(
         a.shape(),
@@ -687,11 +681,6 @@ mod tests {
         add_bias_assign(&mut biased, &[-1., 0., 1.]);
         assert_eq!(biased.row(1), &[4., 6., 8.]);
         assert_eq!(column_sums(&a), vec![5., 7., 9.]);
-    }
-
-    #[test]
-    fn row_means_computed() {
-        assert_eq!(row_means(&a23()), vec![2.0, 5.0]);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, lints (warnings are errors), the whole
-# workspace test suite, and the kernel crates' tests again in release.
+# workspace test suite, the kernel crates' tests again in release, and a
+# one-experiment drive of scripts/reproduce.sh.
 # CI runs exactly this script. Host performance is measured by perfbench/
 # (see BENCHMARK.json), not here.
 # Pass --trace-smoke to also drive the CLI end-to-end with the telemetry
@@ -48,10 +49,24 @@ echo "== cargo test --release (codec, reduction and exchange kernels) =="
 # bit-identity tests must also hold on the code the benchmark runs.
 cargo test --release -q -p ec-compress -p ec-tensor -p ec-graph
 
+echo "== reproduce smoke (scripts/reproduce.sh writes a revision header) =="
+# Table II is analytic and instant; the script writes under the cwd.
+REPRO_DIR=$(mktemp -d)
+trap 'rm -rf "$REPRO_DIR"' EXIT
+(cd "$REPRO_DIR" && "$OLDPWD/scripts/reproduce.sh" table2 scale=0.05 > /dev/null)
+head -1 "$REPRO_DIR/results/table2.txt" | grep -Eq '^# rev [0-9a-f]+(-dirty)? table2 scale=0\.05$' \
+  || { echo "results/table2.txt lacks the '# rev <rev> <name> <args>' header" >&2; exit 1; }
+grep -q '^#json {"experiment":"table2"' "$REPRO_DIR/results/table2.txt" \
+  || { echo "results/table2.txt has no table2 rows" >&2; exit 1; }
+repro_rc=0
+target/release/reproduce fig6 epoch=5 > /dev/null 2>&1 || repro_rc=$?
+[[ "$repro_rc" -eq 2 ]] \
+  || { echo "a mistyped key must exit 2, not run the default (got $repro_rc)" >&2; exit 1; }
+
 if [[ "$RUN_TRACE_SMOKE" == "1" ]]; then
   echo "== trace smoke (CLI exporters end-to-end) =="
   SMOKE_DIR=$(mktemp -d)
-  trap 'rm -rf "$SMOKE_DIR"' EXIT
+  trap 'rm -rf "$SMOKE_DIR" "$REPRO_DIR"' EXIT
   cargo run -q -p ec-graph-repro --bin ecgraph -- train \
     dataset=cora vertices=150 workers=4 epochs=6 fp=reqec:2 bp=resec:4 \
     --quiet --trace-out "$SMOKE_DIR/trace.json" --metrics-out "$SMOKE_DIR/metrics.json" \
@@ -117,8 +132,8 @@ fi
 if [[ "$RUN_SERVE_SMOKE" == "1" ]]; then
   echo "== serve smoke (ecgraph serve end-to-end) =="
   SERVE_DIR=$(mktemp -d)
-  # Re-arming EXIT replaces any --trace-smoke trap; clean both dirs.
-  trap 'rm -rf "$SERVE_DIR" "${SMOKE_DIR:-}"' EXIT
+  # Re-arming EXIT replaces the earlier traps; clean every dir.
+  trap 'rm -rf "$SERVE_DIR" "${SMOKE_DIR:-}" "$REPRO_DIR"' EXIT
   cargo run -q -p ec-graph-repro --bin ecgraph -- serve \
     dataset=cora vertices=150 workers=4 epochs=3 requests=300 \
     --quiet --report-out "$SERVE_DIR/serve.json" --metrics-out "$SERVE_DIR/serve_metrics.json"

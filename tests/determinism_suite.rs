@@ -126,6 +126,55 @@ fn fault_injected_runs_are_thread_count_invariant() {
     assert_ne!(seq, clean, "fault plan had no observable effect");
 }
 
+/// Every system of the evaluation runs on the engine's cluster, so the
+/// comparators fan out on the same pool: each must repeat byte for byte and
+/// ignore the worker-thread count, sampled ones included (their draws are
+/// keyed by epoch, iteration and worker, not by execution order).
+#[test]
+fn every_system_is_repeatable_at_any_worker_thread_count() {
+    use ec_bench::systems::{paper_config, run, System};
+
+    ec_comm::set_deterministic_timing(true);
+    let data = Arc::new(DatasetSpec::products().instantiate_with(200, 12, 5));
+    let report = |system: System, worker_threads: usize| {
+        let config = TrainingConfig {
+            num_workers: 4,
+            compute: ComputeConfig { worker_threads, ..ComputeConfig::sequential() },
+            ..paper_config(&data, 2, 8, 4)
+        };
+        run(system, &data, &config).expect("fits the memory budget").to_json().to_string()
+    };
+    for system in System::all() {
+        let base = report(system, 1);
+        assert_eq!(report(system, 1), base, "{system:?}: two identical runs diverged");
+        assert_eq!(report(system, 4), base, "{system:?}: diverged at worker_threads=4");
+    }
+}
+
+/// A comparator's whole mutable training state is the cluster's (parameters
+/// with their Adam moments, epoch counter, clock), so the shared epoch loop
+/// can roll it back after a crash and the replay lands on the uninterrupted
+/// loss curve — sampled draws included.
+#[test]
+fn comparators_replay_identically_after_a_crash() {
+    use ec_bench::systems::{paper_config, run, System};
+
+    ec_comm::set_deterministic_timing(true);
+    let data = Arc::new(DatasetSpec::products().instantiate_with(200, 12, 5));
+    for system in [System::DistDgl, System::AliGraphFg, System::DglLike] {
+        let losses = |faults: FaultPlan| {
+            let mut config =
+                TrainingConfig { num_workers: 4, faults, ..paper_config(&data, 2, 8, 8) };
+            config.resilience.checkpoint_every = 2;
+            let r = run(system, &data, &config).expect("fits the memory budget");
+            (r.crashes_recovered, r.epochs.iter().map(|e| e.loss.to_bits()).collect::<Vec<_>>())
+        };
+        let (crashes, crashed) = losses(FaultPlan::none().with_crash(0, 5));
+        assert_eq!(crashes, 1, "{system:?}: crash plan must fire");
+        assert_eq!(crashed, losses(FaultPlan::none()).1, "{system:?}: replay left the curve");
+    }
+}
+
 /// Telemetry is a read-only observer: turning recording up to any level
 /// must leave the canonical report byte-identical to the `Off` run. A
 /// telemetry hook that perturbed an RNG draw, an iteration order, or a
