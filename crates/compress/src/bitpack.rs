@@ -67,24 +67,57 @@ pub(crate) fn block_bytes(bits: u8) -> usize {
     BLOCK / 8 * bits as usize
 }
 
+/// Whether full blocks at width `bits` go through the const-generic word
+/// kernels (the widths the Bit-Tuner picks) rather than the serial loop.
+pub(crate) fn has_word_kernel(bits: u8) -> bool {
+    matches!(bits, 1 | 2 | 4 | 8 | 16)
+}
+
+/// Expands to `$f::<W>($args)` with `W` the width `$bits` if full blocks at
+/// that width have a word kernel (the widths the Bit-Tuner picks) and `0`
+/// if they go through the serial loop — so that a block loop selects its
+/// kernel once, outside the loop.
+macro_rules! with_word_width {
+    ($bits:expr, $f:ident $args:tt) => {
+        match $bits {
+            1 => $f::<1> $args,
+            2 => $f::<2> $args,
+            4 => $f::<4> $args,
+            8 => $f::<8> $args,
+            16 => $f::<16> $args,
+            _ => $f::<0> $args,
+        }
+    };
+}
+pub(crate) use with_word_width;
+
 /// Packs one block — at most [`BLOCK`] codes — into `out`, which must be
 /// exactly `packed_len(codes.len(), bits)` bytes. The caller guarantees
 /// every code fits in `bits` bits; an oversized code would bleed into its
 /// neighbours ([`pack`] is the checked entry point).
 pub(crate) fn pack_block(codes: &[u32], bits: u8, out: &mut [u8]) {
     debug_assert_eq!(out.len(), packed_len(codes.len(), bits));
-    if let Ok(full) = <&[u32; BLOCK]>::try_from(codes) {
-        match bits {
-            1 => return pack_words::<1>(full, out),
-            2 => return pack_words::<2>(full, out),
-            4 => return pack_words::<4>(full, out),
-            8 => return pack_words::<8>(full, out),
-            16 => return pack_words::<16>(full, out),
-            _ => {}
+    with_word_width!(bits, pack_block_at(codes, bits, out));
+}
+
+/// [`pack_block`] with the width chosen by [`with_word_width`] (`BITS == 0`:
+/// no word kernel).
+#[inline(always)]
+pub(crate) fn pack_block_at<const BITS: u32>(codes: &[u32], bits: u8, out: &mut [u8]) {
+    if BITS != 0 {
+        if let Ok(full) = <&[u32; BLOCK]>::try_from(codes) {
+            return pack_words::<BITS>(full, out);
         }
     }
-    // Any width, any length: drain four bytes per flush (the accumulator
-    // peaks at 31 + 32 bits in flight, so it cannot overflow).
+    pack_any(codes, bits, out);
+}
+
+/// Any width, any length, one code at a time: a serial accumulator no
+/// vector width helps, so it is left out of line (one baseline copy, as
+/// before the tiers) rather than inlined into every tier's block loop.
+fn pack_any(codes: &[u32], bits: u8, out: &mut [u8]) {
+    // Drain four bytes per flush (the accumulator peaks at 31 + 32 bits in
+    // flight, so it cannot overflow).
     let (mut acc, mut nbits, mut pos) = (0u64, 0u32, 0usize);
     for &code in codes {
         acc |= (code as u64) << nbits;
@@ -103,6 +136,7 @@ pub(crate) fn pack_block(codes: &[u32], bits: u8, out: &mut [u8]) {
 }
 
 /// A full block at a width that divides 64: `64 / BITS` codes per word.
+#[inline(always)]
 fn pack_words<const BITS: u32>(codes: &[u32; BLOCK], out: &mut [u8]) {
     let per_word = (64 / BITS) as usize;
     for (lane, dst) in codes.chunks_exact(per_word).zip(out.chunks_exact_mut(8)) {
@@ -118,16 +152,22 @@ fn pack_words<const BITS: u32>(codes: &[u32; BLOCK], out: &mut [u8]) {
 /// `bytes`, which must hold at least `packed_len(codes.len(), bits)` bytes.
 pub(crate) fn unpack_block(bytes: &[u8], bits: u8, codes: &mut [u32]) {
     debug_assert!(bytes.len() >= packed_len(codes.len(), bits));
-    if let Ok(full) = <&mut [u32; BLOCK]>::try_from(&mut *codes) {
-        match bits {
-            1 => return unpack_words::<1>(bytes, full),
-            2 => return unpack_words::<2>(bytes, full),
-            4 => return unpack_words::<4>(bytes, full),
-            8 => return unpack_words::<8>(bytes, full),
-            16 => return unpack_words::<16>(bytes, full),
-            _ => {}
+    with_word_width!(bits, unpack_block_at(bytes, bits, codes));
+}
+
+/// Mirror image of [`pack_block_at`].
+#[inline(always)]
+pub(crate) fn unpack_block_at<const BITS: u32>(bytes: &[u8], bits: u8, codes: &mut [u32]) {
+    if BITS != 0 {
+        if let Ok(full) = <&mut [u32; BLOCK]>::try_from(&mut *codes) {
+            return unpack_words::<BITS>(bytes, full);
         }
     }
+    unpack_any(bytes, bits, codes);
+}
+
+/// Mirror image of [`pack_any`].
+fn unpack_any(bytes: &[u8], bits: u8, codes: &mut [u32]) {
     let mask = code_mask(bits) as u64;
     let (mut acc, mut nbits, mut pos) = (0u64, 0u32, 0usize);
     for code in codes {
@@ -143,6 +183,7 @@ pub(crate) fn unpack_block(bytes: &[u8], bits: u8, codes: &mut [u32]) {
     }
 }
 
+#[inline(always)]
 fn unpack_words<const BITS: u32>(bytes: &[u8], codes: &mut [u32; BLOCK]) {
     let per_word = (64 / BITS) as usize;
     let mask = (1u64 << BITS) - 1;

@@ -8,6 +8,22 @@
 //! [`Quantized::compress_with_range`] supports an externally fixed domain
 //! such as the paper's `[0, 1]` feature cube.
 //!
+//! ## Instruction-set tiers
+//!
+//! The quantize and decode passes are plain safe loops compiled once per
+//! instruction-set tier by `ec_tensor::isa::dispatch_on` — this crate stays
+//! `#![forbid(unsafe_code)]` and only calls that safe function — and the
+//! public entry points run the widest tier the CPU has. Every operation in
+//! them is elementwise (`(x − min)·scale`, two selects, the `2^23` trick,
+//! shifts and ORs into a word; `min + (c + 0.5)·width` on the way back), no
+//! tier enables FMA, and the range scan is an exact min/max, so a wider
+//! vector changes how many coordinates advance per instruction and nothing
+//! about any of them: the packed bytes and the reconstruction are
+//! bit-identical at every tier ([`Quantized::compress_at`] /
+//! [`Quantized::decompress_into_at`] exist so the tests can hold each tier
+//! to the references). Only full 64-code blocks at a Bit-Tuner width run
+//! wide; see [`wide_prefix`] for why the rest stays on the baseline.
+//!
 //! ## Non-finite input
 //!
 //! [`Quantized::compress`] and [`Quantized::decompress`] are total. The
@@ -20,6 +36,7 @@
 //! reconstructs as `+Inf`, without panicking.)
 
 use crate::bitpack::{self, BLOCK};
+use ec_tensor::isa::{self, Tier};
 use ec_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -62,18 +79,26 @@ impl Quantized {
     /// Panics if `bits ∉ 1..=16`; never on the values (see the module
     /// header for non-finite input).
     pub fn compress(m: &Matrix, bits: u8) -> Self {
-        Self::from_slice(m.as_slice(), m.rows(), m.cols(), bits)
+        Self::compress_at(Tier::best(), m, bits)
+    }
+
+    /// [`Self::compress`] with the quantize-and-pack pass compiled for
+    /// `tier` instead of the best one the CPU has — the same message bit
+    /// for bit, which is what the per-tier tests call this to check. (The
+    /// range scan picks its own tier; `ec-tensor` tests that one.)
+    pub fn compress_at(tier: Tier, m: &Matrix, bits: u8) -> Self {
+        Self::from_slice(tier, m.as_slice(), m.rows(), m.cols(), bits)
     }
 
     /// [`Self::compress`] for one row held as a slice (a `1 × n` message),
     /// so a caller shipping single rows need not build a [`Matrix`] first.
     pub fn compress_row(row: &[f32], bits: u8) -> Self {
-        Self::from_slice(row, 1, row.len(), bits)
+        Self::from_slice(Tier::best(), row, 1, row.len(), bits)
     }
 
-    fn from_slice(xs: &[f32], rows: usize, cols: usize, bits: u8) -> Self {
+    fn from_slice(tier: Tier, xs: &[f32], rows: usize, cols: usize, bits: u8) -> Self {
         let (min, max) = ec_tensor::stats::min_max(xs);
-        Self { rows, cols, bits, min, max, packed: quantize_pack(xs, bits, min, max) }
+        Self { rows, cols, bits, min, max, packed: quantize_pack(tier, xs, bits, min, max) }
     }
 
     /// Compresses `m` against an externally fixed range, clamping values
@@ -84,7 +109,7 @@ impl Quantized {
     /// included): the range is the caller's to get right.
     pub fn compress_with_range(m: &Matrix, bits: u8, min: f32, max: f32) -> Self {
         assert!(min <= max, "invalid range [{min}, {max}]");
-        let packed = quantize_pack(m.as_slice(), bits, min, max);
+        let packed = quantize_pack(Tier::best(), m.as_slice(), bits, min, max);
         Self { rows: m.rows(), cols: m.cols(), bits, min, max, packed }
     }
 
@@ -103,6 +128,12 @@ impl Quantized {
     /// # Panics
     /// Panics if `out` is not exactly `rows × cols` long.
     pub fn decompress_into(&self, out: &mut [f32]) {
+        self.decompress_into_at(Tier::best(), out);
+    }
+
+    /// [`Self::decompress_into`] compiled for `tier` (see
+    /// [`Self::compress_at`]).
+    pub fn decompress_into_at(&self, tier: Tier, out: &mut [f32]) {
         assert_eq!(out.len(), self.rows * self.cols, "output buffer length mismatch");
         assert_eq!(
             self.packed.len(),
@@ -115,17 +146,17 @@ impl Quantized {
             return;
         }
         let (min, width) = (self.min, range / (1u32 << self.bits) as f32);
-        let mut codes = [0u32; BLOCK];
-        let blocks = self.packed.chunks(bitpack::block_bytes(self.bits));
-        for (dst, src) in out.chunks_mut(BLOCK).zip(blocks) {
-            let codes = &mut codes[..dst.len()];
-            bitpack::unpack_block(src, self.bits, codes);
-            for (x, &code) in dst.iter_mut().zip(codes.iter()) {
-                // Codes are below 2^16, so the signed conversion (one
-                // instruction, unlike the unsigned one) is exact.
-                *x = min + (code as i32 as f32 + 0.5) * width;
-            }
+        let wide = wide_prefix(out.len(), self.bits);
+        let (src_wide, src_rest) = self.packed.split_at(bitpack::packed_len(wide, self.bits));
+        let (out_wide, out_rest) = out.split_at_mut(wide);
+        if wide > 0 {
+            isa::dispatch_on(
+                tier,
+                #[inline(always)]
+                || dequantize_blocks(src_wide, self.bits, min, width, out_wide),
+            );
         }
+        dequantize_blocks(src_rest, self.bits, min, width, out_rest);
     }
 
     /// `(rows, cols)` of the original matrix.
@@ -221,7 +252,7 @@ impl Quantized {
 /// (truncation of `(−1, 0)` is 0 too), and above `top` — exactly
 /// representable, at most 65 535 — both give `top`, because truncation is
 /// monotone.
-fn quantize_pack(xs: &[f32], bits: u8, min: f32, max: f32) -> Vec<u8> {
+fn quantize_pack(tier: Tier, xs: &[f32], bits: u8, min: f32, max: f32) -> Vec<u8> {
     assert!((1..=MAX_BITS).contains(&bits), "bits {bits} out of range 1..=16");
     // Zero-initialised, which is already the answer for a degenerate range
     // (every code 0).
@@ -233,6 +264,56 @@ fn quantize_pack(xs: &[f32], bits: u8, min: f32, max: f32) -> Vec<u8> {
     let buckets = 1u32 << bits;
     let scale = buckets as f32 / range;
     let top = (buckets - 1) as f32;
+    let wide = wide_prefix(xs.len(), bits);
+    let (xs_wide, xs_rest) = xs.split_at(wide);
+    let (out_wide, out_rest) = packed.split_at_mut(bitpack::packed_len(wide, bits));
+    if wide > 0 {
+        isa::dispatch_on(
+            tier,
+            #[inline(always)]
+            || quantize_blocks(xs_wide, bits, min, scale, top, out_wide),
+        );
+    }
+    quantize_blocks(xs_rest, bits, min, scale, top, out_rest);
+    packed
+}
+
+/// How many leading elements of a `len`-element message run at the
+/// caller's instruction-set tier: the full blocks, at a width that has a
+/// word kernel. Every other block — any block of another width, the ragged
+/// last one — hands its codes to or takes them from the serial packer one
+/// scalar at a time, and wide vector loads and stores on the other side of
+/// that exchange stall on store forwarding (3-bit decode: 1.0 Gelem/s at
+/// 128 bits, 0.7 at 256 and 512; a 47-float row: 190 ns against 250). Those
+/// blocks run the baseline instantiation, as every block did before the
+/// tiers — which also means a message shorter than one block never pays
+/// for a dispatch.
+fn wide_prefix(len: usize, bits: u8) -> usize {
+    if bitpack::has_word_kernel(bits) {
+        len / BLOCK * BLOCK
+    } else {
+        0
+    }
+}
+
+/// The quantize pass: a block of floats becomes a stack array of codes
+/// (see [`quantize_pack`] for the arithmetic) and is packed at once, by the
+/// kernel for the width — selected here, once, not per block (inside the
+/// loop the five-way choice cost every tier 5–20 %).
+#[inline(always)]
+fn quantize_blocks(xs: &[f32], bits: u8, min: f32, scale: f32, top: f32, packed: &mut [u8]) {
+    bitpack::with_word_width!(bits, quantize_blocks_at(xs, bits, min, scale, top, packed));
+}
+
+#[inline(always)]
+fn quantize_blocks_at<const BITS: u32>(
+    xs: &[f32],
+    bits: u8,
+    min: f32,
+    scale: f32,
+    top: f32,
+    packed: &mut [u8],
+) {
     let mut codes = [0u32; BLOCK];
     for (block, dst) in xs.chunks(BLOCK).zip(packed.chunks_mut(bitpack::block_bytes(bits))) {
         let codes = &mut codes[..block.len()];
@@ -241,9 +322,35 @@ fn quantize_pack(xs: &[f32], bits: u8, min: f32, max: f32) -> Vec<u8> {
             let t = if t > 0.0 { t } else { 0.0 };
             *code = truncate_small(if t < top { t } else { top });
         }
-        bitpack::pack_block(codes, bits, dst);
+        bitpack::pack_block_at::<BITS>(codes, bits, dst);
     }
-    packed
+}
+
+/// The decode pass: a block of codes is unpacked into a stack array and
+/// mapped to bucket midpoints.
+#[inline(always)]
+fn dequantize_blocks(packed: &[u8], bits: u8, min: f32, width: f32, out: &mut [f32]) {
+    bitpack::with_word_width!(bits, dequantize_blocks_at(packed, bits, min, width, out));
+}
+
+#[inline(always)]
+fn dequantize_blocks_at<const BITS: u32>(
+    packed: &[u8],
+    bits: u8,
+    min: f32,
+    width: f32,
+    out: &mut [f32],
+) {
+    let mut codes = [0u32; BLOCK];
+    for (dst, src) in out.chunks_mut(BLOCK).zip(packed.chunks(bitpack::block_bytes(bits))) {
+        let codes = &mut codes[..dst.len()];
+        bitpack::unpack_block_at::<BITS>(src, bits, codes);
+        for (x, &code) in dst.iter_mut().zip(codes.iter()) {
+            // Codes are below 2^16, so the signed conversion (one
+            // instruction, unlike the unsigned one) is exact.
+            *x = min + (code as i32 as f32 + 0.5) * width;
+        }
+    }
 }
 
 /// `t as u32` for `0 ≤ t < 2^22`, in operations that vectorise on every
@@ -255,7 +362,7 @@ fn quantize_pack(xs: &[f32], bits: u8, min: f32, max: f32) -> Vec<u8> {
 /// `n` the nearest integer to `t` (ties to even) sitting verbatim in the
 /// mantissa field; subtracting `2^23` back is exact and tells whether the
 /// rounding went up, in which case the truncation is `n − 1`.
-#[inline]
+#[inline(always)]
 fn truncate_small(t: f32) -> u32 {
     const TWO_23: f32 = 8_388_608.0;
     let rounded = t + TWO_23;
@@ -398,18 +505,22 @@ mod tests {
     }
 
     /// Asserts packed bytes and reconstruction of `compress(m, bits)`
-    /// against the two references; returns the message for further checks.
+    /// against the two references, at every instruction-set tier the host
+    /// supports; returns the message for further checks.
     fn assert_matches_references(m: &Matrix, bits: u8) -> Quantized {
         let q = Quantized::compress(m, bits);
         let (min, max) = q.range();
-        assert_eq!(q.packed, compress_reference(m.as_slice(), bits, min, max), "bits={bits}");
-        let d = q.decompress();
-        assert_eq!(d.shape(), m.shape());
-        assert_eq!(
-            bit_patterns(d.as_slice()),
-            bit_patterns(&decompress_reference(&q)),
-            "bits={bits}"
-        );
+        let want_packed = compress_reference(m.as_slice(), bits, min, max);
+        let want = bit_patterns(&decompress_reference(&q));
+        for tier in Tier::supported() {
+            let at_tier = Quantized::compress_at(tier, m, bits);
+            assert_eq!(at_tier.packed, want_packed, "bits={bits} {tier}");
+            assert_eq!(at_tier, q, "bits={bits} {tier}");
+            let mut d = vec![f32::NAN; m.len()];
+            q.decompress_into_at(tier, &mut d);
+            assert_eq!(bit_patterns(&d), want, "bits={bits} {tier}");
+        }
+        assert_eq!(q.decompress().shape(), m.shape());
         assert_eq!(Quantized::from_bytes(&q.to_bytes()).unwrap(), q);
         q
     }
@@ -428,19 +539,32 @@ mod tests {
     #[test]
     fn truncate_small_is_the_float_to_int_cast() {
         // Every integer and both neighbours of every integer and half
-        // integer up to the 16-bit ceiling the quantizer clamps to.
+        // integer up to the 16-bit ceiling the quantizer clamps to, plus
+        // the two smallest-fraction cases — as one slice, so that each
+        // tier's vectorised form of the function is what gets compared.
+        let mut ts = vec![f32::MIN_POSITIVE, 0.99999994];
         for n in 0..=65_535u32 {
             for base in [n as f32, n as f32 + 0.5] {
                 let ulp = f32::from_bits(base.to_bits() + 1) - base;
-                for t in [base - ulp, base, base + ulp] {
-                    if t >= 0.0 {
-                        assert_eq!(truncate_small(t), t as u32, "t={t}");
-                    }
-                }
+                ts.extend([base - ulp, base, base + ulp].into_iter().filter(|&t| t >= 0.0));
             }
         }
-        assert_eq!(truncate_small(f32::MIN_POSITIVE), 0);
-        assert_eq!(truncate_small(0.99999994), 0);
+        let want: Vec<u32> = ts.iter().map(|&t| t as u32).collect();
+        assert_eq!(want[..2], [0, 0]);
+        for tier in Tier::supported() {
+            let mut got = vec![0u32; ts.len()];
+            isa::dispatch_on(
+                tier,
+                #[inline(always)]
+                || {
+                    for (code, &t) in got.iter_mut().zip(&ts) {
+                        *code = truncate_small(t);
+                    }
+                },
+            );
+            let diff = got.iter().zip(&want).position(|(g, w)| g != w);
+            assert_eq!(diff, None, "{tier}: t={:?}", diff.map(|i| ts[i]));
+        }
     }
 
     #[test]

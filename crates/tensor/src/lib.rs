@@ -20,7 +20,11 @@
 //! module offers thread-parallel variants of the hot kernels whose output
 //! is bit-identical to the sequential ones (rows are partitioned across
 //! the lanes of a persistent [`pool::WorkerPool`], each band computed in
-//! the same order by the same tiled kernel body).
+//! the same order by the same tiled kernel body). The [`isa`] module
+//! compiles each hot kernel body once per x86-64 instruction-set tier
+//! (SSE2, AVX2, AVX-512) and picks the widest the CPU reports at run time
+//! — also bit-identical: no tier uses FMA, so width only changes how many
+//! output elements advance per instruction.
 
 #![deny(unsafe_code, clippy::undocumented_unsafe_blocks, clippy::unnecessary_safety_comment)]
 #![deny(clippy::iter_over_hash_type)]
@@ -28,6 +32,7 @@
 pub mod activations;
 pub mod dense;
 pub mod init;
+pub mod isa;
 pub mod ops;
 pub mod parallel;
 pub mod pool;

@@ -1,89 +1,108 @@
 //! Dense matrix kernels: multiplication, elementwise arithmetic, reductions.
 //!
-//! `A·B` and `Aᵀ·B` are register-tiled: an `MR × NR` block of `C` lives in
-//! fixed-size local arrays (SSE registers once the constant-bound loops
-//! unroll), the shared dimension runs innermost, and `C` is loaded and
-//! stored once per tile and [`KB`]-deep block of the shared dimension. A
-//! row-AXPY loop instead loads and stores the output row once per
-//! multiply-add, which binds a 16-wide output to store-to-load forwarding
-//! rather than to the multiplier. Floating-point semantics stay pinned to
-//! the naive loops in [`reference`]: every output element accumulates its
-//! terms in exactly the same order (ascending `k`, with the same `== 0.0`
-//! skips), so results are **bit-identical** — tiling only changes *which
-//! element* is advanced next, never the additions within one element.
-//! `tests/kernel_equivalence.rs` proptests that on shapes around every tile
-//! edge; the determinism suite depends on it.
+//! The three products (`A·B`, `Aᵀ·B`, `A·Bᵀ`) are register-tiled: an
+//! `MR × NR` block of `C` lives in fixed-size local arrays (vector registers
+//! once the constant-bound loops unroll), the shared dimension runs
+//! innermost, and `C` is loaded and stored once per tile and [`KB`]-deep
+//! block of the shared dimension. A row-AXPY loop instead loads and stores
+//! the output row once per multiply-add, which binds a 16-wide output to
+//! store-to-load forwarding rather than to the multiplier. Floating-point
+//! semantics stay pinned to the naive loops in [`reference`]: every output
+//! element accumulates its terms in exactly the same order (ascending `k`,
+//! with the same `== 0.0` skips), so results are **bit-identical** — tiling
+//! only changes *which element* is advanced next, never the additions
+//! within one element. `tests/kernel_equivalence.rs` proptests that on
+//! shapes around every tile edge; the determinism suite depends on it.
+//!
+//! **One source, three instruction-set tiers** ([`crate::isa`]). Every
+//! kernel here is one generic body, compiled once each for baseline x86-64
+//! (SSE2), AVX2 and AVX-512 and selected at run time from what the CPU
+//! reports; the `*_into` entry points dispatch, so `parallel::*`, the pool
+//! lanes and serving inherit it. Only two numbers change with the tier:
+//! [`Isa::MR`], the rows of a register tile (2 / 4 / 8 — what the tier's
+//! register file holds next to the operands), and [`Isa::LIST_NR`], the
+//! chunk a list pass accumulates (16 / 32 / 64 columns — four accumulator
+//! registers at the tier's width). `NR` stays 16, so the shifted ragged
+//! tile is the same at every tier, and an output narrower than `NR` — one
+//! tile of exactly its width, which no wider register helps — runs the
+//! baseline instantiation whatever the tier: the wide entry points carry
+//! the full-width tile only, not fifteen narrow copies each. No tier enables `fma`
+//! and nothing here calls `f32`'s fused multiply-add: it rounds once where
+//! the reference rounds twice. Without it a wider vector only changes which
+//! lanes advance together — each lane is still one output element, taking
+//! its `k`-terms in ascending order through the same multiply and the same
+//! add — so every tier produces the baseline's bits. Everything between a
+//! tier's entry point and the arithmetic is `#[inline(always)]`, closures
+//! included; anything that is not would silently compile as baseline code.
 //!
 //! Tile scheme (see DESIGN.md §4). Two micro-kernels do all the arithmetic:
 //!
-//! * [`dense_tile`] — `MR` rows of `A` share each `NR`-wide load of a `B`
-//!   row; no zero test, because it only ever sees row groups without an
-//!   exact zero;
+//! * [`dense_tile`] — `MR` rows of the left operand share each `NR`-wide
+//!   load of a `B` row; no zero test, because it only ever sees row groups
+//!   without an exact zero (or a product that has no zero-skip);
 //! * [`listed_tile`] — one output row accumulates `v · row(c)` over an
 //!   explicit `(c, v)` list. This is SpMM's inner loop
-//!   (`CsrMatrix::spmm_rows_into`), and it is also how a dense product
-//!   honours the zero-skip: a row group holding an exact zero (ReLU
-//!   activations are about half zeros) has each row's nonzeros compacted
-//!   into such a list — branch-free, once per `KB` block — and replayed per
-//!   column tile. The skip is therefore a property of the list, not a
-//!   data-dependent branch per `(row, k)` inside the tile, which would
-//!   mispredict on every other element of a ReLU-sparse operand and cost
-//!   more than the 16-wide multiply-add it guards.
+//!   (`CsrMatrix::spmm_into`), and it is also how a dense product honours
+//!   the zero-skip: a row group holding an exact zero (ReLU activations are
+//!   about half zeros) has each row's nonzeros compacted into such a list —
+//!   branch-free, once per `KB` block — and replayed per column chunk. The
+//!   skip is therefore a property of the list, not a data-dependent branch
+//!   per `(row, k)` inside the tile, which would mispredict on every other
+//!   element of a ReLU-sparse operand and cost more than the 16-wide
+//!   multiply-add it guards.
 //!
 //! Both visit `k` in ascending order and the compaction preserves it, so
 //! per-element order is untouched whichever one a row takes. Widths and
 //! row counts that do not divide the tile run the same kernels at a
 //! narrower instantiation (an output narrower than `NR` is one tile of
-//! exactly its width; a single leftover row runs at `MR = 1`), and a ragged
-//! last column tile is shifted left to end at the last column — it
-//! recomputes a few columns the previous tile already finished and stores
-//! only the new ones. `Aᵀ·B` transposes a `KB`-row × [`AT_COLS`]-column
-//! block of `A` into a stack buffer and feeds its rows to the very same
-//! row-group kernel, so `A` and `B` stream past exactly once however long
-//! and thin they are. `matmul_a_bt` packs `B` into k-major panels of
-//! [`LANES`] rows so each output segment is a bundle of independent dot
-//! products over contiguous memory.
+//! exactly its width; leftover rows run in groups of `MR/2`, `MR/4`, … 1),
+//! and a ragged last column tile is shifted left to end at the last column
+//! — it recomputes a few columns an earlier tile already finished and
+//! stores only the new ones. All three products are one band loop
+//! ([`product_band`]) over one view of the left operand ([`Left`]): `Aᵀ·B`
+//! reads `A` transposed *in place* — a tile broadcasts one scalar per
+//! `(row, k)` whichever way `A` is stored, so nothing is copied — and
+//! `A·Bᵀ` is `A · bt` on the dense tile with `B` transposed once up front
+//! and the zero-skip (which a dot product does not have) switched off.
 
 use crate::dense::Matrix;
+use crate::isa::{self, Baseline, Isa, Kernel, Tier};
 
-/// Rows of `A` that share each load of a `B` row in [`dense_tile`].
-pub const MR: usize = 2;
-/// Widest output-column tile; `MR × NR` floats of `C` stay in registers.
+/// Widest output-column tile; `MR × NR` floats of `C` stay in registers
+/// (`MR` is per tier: [`Isa::MR`]).
 pub const NR: usize = 16;
 /// Depth of one block of the shared dimension: `C` tiles are loaded and
-/// stored once per block, a row's compacted nonzero list holds at most
-/// this many entries, and `Aᵀ·B` transposes this many rows of `A` at once.
+/// stored once per block, and a row's compacted nonzero list holds at most
+/// this many entries.
 pub const KB: usize = 256;
-/// Columns of `A` (output rows) transposed per block by `Aᵀ·B` — one cache
-/// line of each `A` row.
-pub const AT_COLS: usize = 16;
-/// Panel width (output columns per packed panel) of [`matmul_a_bt`].
-pub const LANES: usize = 8;
 
-/// Expands to `$f::<N>($args)` with `N` the column-tile width for `$n`
-/// output columns: `$n` itself up to [`NR`] — the whole row is one tile,
-/// whatever its width — and [`NR`] beyond (nothing for `$n == 0`).
+/// Expands to `$f::<$g.., N>($args)` with `N` the column-tile width for
+/// `$n` output columns: `$n` itself up to [`NR`] — the whole row is one
+/// tile, whatever its width — and [`NR`] beyond (nothing for `$n == 0`).
 macro_rules! with_tile_width {
-    ($n:expr, $f:ident $args:tt) => {
-        with_tile_width!(@arms $n, $f $args; 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)
+    ($n:expr, $f:ident::<$($g:ident),*> $args:tt) => {
+        with_tile_width!(@arms $n, $f [$($g),*] $args; 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)
     };
-    (@arms $n:expr, $f:ident $args:tt; $($w:literal)*) => {
+    (@arms $n:expr, $f:ident $g:tt $args:tt; $($w:literal)*) => {
         match $n {
             0 => {}
-            $($w => $f::<$w> $args,)*
-            _ => $f::<{ $crate::ops::NR }> $args,
+            $($w => with_tile_width!(@call $f $g $w, $args),)*
+            _ => with_tile_width!(@call $f $g { $crate::ops::NR }, $args),
         }
+    };
+    (@call $f:ident [$($g:ident),*] $w:tt, $args:tt) => {
+        $f::<$($g,)* $w> $args
     };
 }
 pub(crate) use with_tile_width;
 
-/// Calls `f(j, skip)` for every `N`-wide column tile covering `0..n`
-/// (`n >= N`): tiles start at multiples of `N`, except that a ragged last
+/// Calls `f(j, skip)` for every `N`-wide column tile covering `j0..n`
+/// (`n >= N`): tiles start at `j0`, `j0 + N`, …, except that a ragged last
 /// one is shifted left to end at `n` and must not store its first `skip`
-/// columns — the previous tile already did.
+/// columns — an earlier tile already did.
 #[inline(always)]
-fn col_tiles<const N: usize>(n: usize, mut f: impl FnMut(usize, usize)) {
-    let mut j = 0;
+fn col_tiles<const N: usize>(j0: usize, n: usize, mut f: impl FnMut(usize, usize)) {
+    let mut j = j0;
     while j + N <= n {
         f(j, 0);
         j += N;
@@ -93,42 +112,141 @@ fn col_tiles<const N: usize>(n: usize, mut f: impl FnMut(usize, usize)) {
     }
 }
 
-/// `acc[r] + Σ_p arows[r][p] · bblk[p][j..j + N]` over the rows `p` of the
-/// block, ascending. No zero test: callers send row groups that hold an
-/// exact zero through [`listed_tile`] instead.
+/// The block of the left operand one [`row_groups`] call multiplies into
+/// its output rows: element `(r, p)` scales row `p` of the right-hand
+/// block into output row `r`. For `A·B` that is `a[row0 + r][k0 + p]`; for
+/// `Aᵀ·B` (`T`) it is `a[k0 + p][row0 + r]`, read in place — a tile
+/// broadcasts one scalar per `(r, p)` either way, so the transpose never
+/// has to exist in memory.
+#[derive(Clone, Copy)]
+struct Left<'a, const T: bool> {
+    /// The whole operand, row-major, `ld` floats per row.
+    a: &'a [f32],
+    ld: usize,
+    /// First output row of the block (a row of `a`; a column if `T`).
+    row0: usize,
+    /// First step of the shared dimension, and how many the block spans.
+    k0: usize,
+    depth: usize,
+}
+
+impl<'a, const T: bool> Left<'a, T> {
+    /// Position in `a` of element `(r, p)`.
+    #[inline(always)]
+    fn index(self, r: usize, p: usize) -> usize {
+        if T {
+            (self.k0 + p) * self.ld + self.row0 + r
+        } else {
+            (self.row0 + r) * self.ld + self.k0 + p
+        }
+    }
+
+    #[inline(always)]
+    fn at(self, r: usize, p: usize) -> f32 {
+        self.a[self.index(r, p)]
+    }
+
+    /// The `len` elements that lie along memory from `(r, p)` on: the steps
+    /// `p..` of row `r` — or, if transposed, the rows `r..` at step `p`.
+    #[inline(always)]
+    fn run(self, r: usize, p: usize, len: usize) -> &'a [f32] {
+        let start = self.index(r, p);
+        &self.a[start..start + len]
+    }
+
+    /// The same block, `r` output rows further down.
+    #[inline(always)]
+    fn skip_rows(self, r: usize) -> Self {
+        Self { row0: self.row0 + r, ..self }
+    }
+
+    /// Adds to `zeros[r]` the number of exact (positive or negative)
+    /// zeros in output row `r` of the block, for the first `zeros.len()`
+    /// rows.
+    #[inline(always)]
+    fn count_zeros(self, zeros: &mut [u32]) {
+        // Along memory either way, and counts rather than `any`: no early
+        // exit, so the scan vectorises.
+        if T {
+            let rows = zeros.len();
+            for p in 0..self.depth {
+                for (count, &v) in zeros.iter_mut().zip(self.run(0, p, rows)) {
+                    *count += u32::from(v == 0.0);
+                }
+            }
+        } else {
+            for (r, count) in zeros.iter_mut().enumerate() {
+                for &v in self.run(r, 0, self.depth) {
+                    *count += u32::from(v == 0.0);
+                }
+            }
+        }
+    }
+}
+
+/// `for r in 0..$m $body`, unrolled in the source (`$m <= 8`, the tallest
+/// row group). Left as a loop, the compiler is free to vectorise *across
+/// the rows of the tile* — it did, for `Aᵀ·B` at eight rows, turning the
+/// register-resident accumulators into gathers and scatters at a tenth of
+/// the speed — instead of along each row, which is the whole design.
+macro_rules! for_each_row {
+    ($r:ident < $m:ident, $body:block) => {
+        for_each_row!(@rows $r, $m, $body; 0 1 2 3 4 5 6 7)
+    };
+    (@rows $r:ident, $m:ident, $body:block; $($i:literal)*) => {$(
+        if $i < $m {
+            let $r = $i;
+            $body
+        }
+    )*};
+}
+
+/// `acc[r] + Σ_p left(r, p) · bblk[p][j..j + N]` over the rows `p` of the
+/// block, ascending. No zero test: callers send row groups that must skip
+/// an exact zero through [`listed_tile`] instead.
 #[inline(always)]
-fn dense_tile<const M: usize, const N: usize>(
-    arows: &[&[f32]; M],
+fn dense_tile<const T: bool, const M: usize, const N: usize>(
+    left: Left<T>,
     bblk: &[f32],
     n: usize,
     j: usize,
     mut acc: [[f32; N]; M],
 ) -> [[f32; N]; M] {
-    for (p, brow) in bblk.chunks_exact(n).enumerate() {
-        let Some((bv, _)) = brow[j..].split_first_chunk::<N>() else { break };
-        for r in 0..M {
-            let av = arows[r][p];
+    // Slices of exactly the length the loops below index them to, so the
+    // compiler drops the bounds checks: `M` rows of `depth` steps each, or
+    // — transposed — per step the `M` neighbours in one row of `a`.
+    let mut rows: [&[f32]; M] = [&[]; M];
+    if !T {
+        for (r, row) in rows.iter_mut().enumerate() {
+            *row = left.run(r, 0, left.depth);
+        }
+    }
+    for p in 0..left.depth {
+        let Some(bv) = bblk[p * n + j..].first_chunk::<N>() else { break };
+        let step = if T { left.run(0, p, M) } else { &[] };
+        for_each_row!(r < M, {
+            let av = if T { step[r] } else { rows[r][p] };
             for u in 0..N {
                 acc[r][u] += av * bv[u];
             }
-        }
+        });
     }
     acc
 }
 
-/// `acc + Σ_t vals[t] · row_of(cols[t])[j..j + N]` over the list, in order
+/// `acc + Σ_t vals[t] · row_of(cols[t])[j..j + W]` over the list, in order
 /// — the inner loop of SpMM, and of a dense product's rows that hold zeros.
 #[inline(always)]
-fn listed_tile<'a, const N: usize>(
+fn listed_tile<'a, const W: usize>(
     cols: &[u32],
     vals: &[f32],
-    row_of: impl Fn(usize) -> &'a [f32],
+    row_of: &impl Fn(usize) -> &'a [f32],
     j: usize,
-    mut acc: [f32; N],
-) -> [f32; N] {
+    mut acc: [f32; W],
+) -> [f32; W] {
     for (&c, &v) in cols.iter().zip(vals) {
-        let Some((bv, _)) = row_of(c as usize)[j..].split_first_chunk::<N>() else { break };
-        for u in 0..N {
+        let Some((bv, _)) = row_of(c as usize)[j..].split_first_chunk::<W>() else { break };
+        for u in 0..W {
             acc[u] += v * bv[u];
         }
     }
@@ -143,90 +261,208 @@ fn load_tile<const N: usize>(row: &[f32], j: usize) -> [f32; N] {
     tile
 }
 
-/// `crow += Σ_t vals[t] · row_of(cols[t])`, terms added in list order: one
-/// register-resident `N`-wide chunk of the output row at a time
-/// (`crow.len() >= N`).
+/// [`listed_tile`] over columns `j..j + W` of `crow`, storing all but the
+/// first `skip` of them.
 #[inline(always)]
-pub(crate) fn listed_row<'a, const N: usize>(
+fn listed_chunk<'a, const W: usize>(
+    cols: &[u32],
+    vals: &[f32],
+    row_of: &impl Fn(usize) -> &'a [f32],
+    crow: &mut [f32],
+    j: usize,
+    skip: usize,
+) {
+    let acc = listed_tile::<W>(cols, vals, row_of, j, load_tile(crow, j));
+    crow[j + skip..j + W].copy_from_slice(&acc[skip..]);
+}
+
+/// `crow += Σ_t vals[t] · row_of(cols[t])`, terms added in list order: one
+/// register-resident chunk of the output row at a time (`crow.len() >= N`)
+/// — as wide as [`Isa::LIST_NR`] while the row lasts (a tier whose
+/// `LIST_NR` exceeds [`NR`] only gets here at `N == NR`), `N`-wide tiles
+/// for what is left.
+#[inline(always)]
+pub(crate) fn listed_row<'a, I: Isa, const N: usize>(
     cols: &[u32],
     vals: &[f32],
     row_of: impl Fn(usize) -> &'a [f32],
     crow: &mut [f32],
 ) {
-    col_tiles::<N>(crow.len(), |j, skip| {
-        let acc = listed_tile::<N>(cols, vals, &row_of, j, load_tile(crow, j));
-        crow[j + skip..j + N].copy_from_slice(&acc[skip..]);
-    });
+    let n = crow.len();
+    let mut j = 0;
+    macro_rules! wide_chunks {
+        ($($w:literal)*) => {$(
+            if $w <= I::LIST_NR {
+                while j + $w <= n {
+                    listed_chunk::<$w>(cols, vals, &row_of, crow, j, 0);
+                    j += $w;
+                }
+            }
+        )*};
+    }
+    wide_chunks!(64 32);
+    col_tiles::<N>(
+        j,
+        n,
+        #[inline(always)]
+        |j, skip| listed_chunk::<N>(cols, vals, &row_of, crow, j, skip),
+    );
 }
 
-/// Whether `row` holds an exact (positive or negative) zero.
-fn has_zero(row: &[f32]) -> bool {
-    // A count, not `any`: no early exit, so the scan vectorises.
-    row.iter().map(|&v| u32::from(v == 0.0)).sum::<u32>() != 0
-}
+/// Scratch for one row's compacted nonzeros, `(step, value)` by position.
+type NonzeroList = ([u32; KB], [f32; KB]);
 
-/// `c += arows · bblk` for `M` output rows (`c`: `M × n`, row-major) and
-/// one block of the shared dimension (`arows[r].len() <= KB` rows of
-/// `bblk`, `n` columns each), skipping every `arows[r][p] == 0.0` term.
-fn row_group<const M: usize, const N: usize>(
-    arows: [&[f32]; M],
+/// `c += left · bblk` for `M` output rows (`c`: `M × n`, row-major) and
+/// one block of the shared dimension (`left.depth <= KB` rows of `bblk`,
+/// `n` columns each); if `listed`, without the terms whose `left(r, p)` is
+/// an exact zero.
+#[inline(always)]
+fn row_group<I: Isa, const T: bool, const M: usize, const N: usize>(
+    left: Left<T>,
     bblk: &[f32],
     n: usize,
     c: &mut [f32],
+    listed: bool,
+    (cols, vals): &mut NonzeroList,
 ) {
-    if arows.iter().any(|row| has_zero(row)) {
-        for (arow, crow) in arows.iter().zip(c.chunks_exact_mut(n)) {
+    if listed {
+        for (r, crow) in c.chunks_exact_mut(n).enumerate() {
             // Branch-free compaction: always write, advance past nonzeros.
-            let (mut cols, mut vals, mut len) = ([0u32; KB], [0.0f32; KB], 0);
-            for (p, &av) in arow.iter().enumerate() {
+            let mut len = 0;
+            for p in 0..left.depth {
+                let av = left.at(r, p);
                 cols[len] = p as u32;
                 vals[len] = av;
                 len += usize::from(av != 0.0);
             }
-            let row_of = |p: usize| &bblk[p * n..(p + 1) * n];
-            listed_row::<N>(&cols[..len], &vals[..len], row_of, crow);
+            listed_row::<I, N>(
+                &cols[..len],
+                &vals[..len],
+                #[inline(always)]
+                |p| &bblk[p * n..(p + 1) * n],
+                crow,
+            );
         }
     } else {
-        col_tiles::<N>(n, |j, skip| {
-            let acc: [[f32; N]; M] = std::array::from_fn(|r| load_tile(&c[r * n..], j));
-            let acc = dense_tile::<M, N>(&arows, bblk, n, j, acc);
-            for (r, tile) in acc.iter().enumerate() {
-                c[r * n + j + skip..r * n + j + N].copy_from_slice(&tile[skip..]);
-            }
-        });
+        col_tiles::<N>(
+            0,
+            n,
+            #[inline(always)]
+            |j, skip| {
+                let mut acc = [[0.0f32; N]; M];
+                for r in 0..M {
+                    acc[r] = load_tile(&c[r * n..], j);
+                }
+                let acc = dense_tile::<T, M, N>(left, bblk, n, j, acc);
+                for r in 0..M {
+                    c[r * n + j + skip..r * n + j + N].copy_from_slice(&acc[r][skip..]);
+                }
+            },
+        );
     }
 }
 
-/// [`row_group`] over every row of `c` (`n` columns each): [`MR`] rows at a
-/// time, a leftover row on its own. `arow(i)` is the block's `A` row for
-/// row `i` of `c`.
-fn row_groups<'a, const N: usize>(
-    arow: impl Fn(usize) -> &'a [f32],
+/// Output rows whose zeros are counted in one go ([`Left::count_zeros`]): a
+/// multiple of every tier's `MR`, so only a band's last chunk has leftover
+/// rows.
+const ZERO_SCAN_ROWS: usize = 64;
+
+/// [`row_group`] over every row of `c` (`n` columns each), tallest groups
+/// first: [`Isa::MR`] rows at a time, then the leftover rows in groups of
+/// half that, a quarter, … one (every tier's `MR` is a power of two). If
+/// `SKIP`, a group in which any row of `left` holds an exact zero takes
+/// the listed path. (The wide tiers only ever get here at `N == NR`; see
+/// [`Product`]'s `run`.)
+#[inline(always)]
+fn row_groups<I: Isa, const T: bool, const SKIP: bool, const N: usize>(
+    left: Left<T>,
     bblk: &[f32],
     n: usize,
     c: &mut [f32],
+    list: &mut NonzeroList,
 ) {
-    let mut groups = c.chunks_exact_mut(MR * n);
-    let mut i = 0;
-    for group in &mut groups {
-        row_group::<MR, N>(std::array::from_fn(|r| arow(i + r)), bblk, n, group);
-        i += MR;
-    }
-    for row in groups.into_remainder().chunks_exact_mut(n) {
-        row_group::<1, N>([arow(i)], bblk, n, row);
-        i += 1;
+    for (chunk, c) in c.chunks_mut(ZERO_SCAN_ROWS * n).enumerate() {
+        let left = left.skip_rows(chunk * ZERO_SCAN_ROWS);
+        let rows = c.len() / n;
+        let mut zeros = [0u32; ZERO_SCAN_ROWS];
+        if SKIP {
+            left.count_zeros(&mut zeros[..rows]);
+        }
+        let mut i = 0;
+        macro_rules! groups_of {
+            ($($m:literal)*) => {$(
+                if $m <= I::MR {
+                    while rows - i >= $m {
+                        let listed = SKIP && zeros[i..i + $m].iter().any(|&count| count != 0);
+                        let group = &mut c[i * n..(i + $m) * n];
+                        row_group::<I, T, $m, N>(left.skip_rows(i), bblk, n, group, listed, list);
+                        i += $m;
+                    }
+                }
+            )*};
+        }
+        groups_of!(8 4 2 1);
     }
 }
 
-/// [`matmul_into`] at tile width `N`: [`KB`] rows of `B` at a time (they
-/// stay cache-resident while the band's row groups pass over them).
-fn matmul_band<const N: usize>(a: &Matrix, b: &Matrix, row0: usize, out: &mut [f32]) {
-    let (k, n) = (a.cols(), b.cols());
-    for k0 in (0..k).step_by(KB) {
-        let k1 = (k0 + KB).min(k);
-        let bblk = &b.as_slice()[k0 * n..k1 * n];
-        row_groups::<N>(|i| &a.row(row0 + i)[k0..k1], bblk, n, out);
+/// The band `[row0, row0 + out.len() / n)` of a dense product at tile
+/// width `N`: [`KB`] rows of `B` at a time (they stay cache-resident while
+/// the band's row groups pass over them).
+#[inline(always)]
+fn product_band<I: Isa, const T: bool, const SKIP: bool, const N: usize>(
+    a: &Matrix,
+    b: &Matrix,
+    row0: usize,
+    out: &mut [f32],
+) {
+    let (depth, n) = b.shape();
+    let mut list = ([0u32; KB], [0.0f32; KB]);
+    for k0 in (0..depth).step_by(KB) {
+        let kb = KB.min(depth - k0);
+        let left = Left::<T> { a: a.as_slice(), ld: a.cols(), row0, k0, depth: kb };
+        let bblk = &b.as_slice()[k0 * n..(k0 + kb) * n];
+        row_groups::<I, T, SKIP, N>(left, bblk, n, out, &mut list);
     }
+}
+
+/// One band of a dense product as a [`Kernel`]: `out += left · b`, where
+/// the left operand is `a`, or `aᵀ` if `T`, and terms with an exactly zero
+/// left factor are skipped if `SKIP`.
+struct Product<'a, const T: bool, const SKIP: bool> {
+    a: &'a Matrix,
+    b: &'a Matrix,
+    row0: usize,
+    out: &'a mut [f32],
+}
+
+impl<const T: bool, const SKIP: bool> Kernel for Product<'_, T, SKIP> {
+    type Output = ();
+    #[inline(always)]
+    fn run<I: Isa>(self) {
+        debug_assert_eq!(self.out.len() % self.b.cols().max(1), 0, "band must hold whole rows");
+        let n = self.b.cols();
+        if I::MR == Baseline::MR {
+            with_tile_width!(n, product_band::<I, T, SKIP>(self.a, self.b, self.row0, self.out));
+        } else if n >= NR {
+            product_band::<I, T, SKIP, NR>(self.a, self.b, self.row0, self.out);
+        } else {
+            // A narrower output is the same two-row tile at every tier (no
+            // row of the per-shape table gains from a wider one), so only
+            // the baseline carries the fifteen narrow instantiations.
+            isa::dispatch_on(Tier::BASELINE, self);
+        }
+    }
+}
+
+/// [`matmul_into`] as a [`Kernel`], for [`isa::dispatch_on`] at an
+/// explicit tier.
+pub fn matmul_kernel<'a>(
+    a: &'a Matrix,
+    b: &'a Matrix,
+    row0: usize,
+    out: &'a mut [f32],
+) -> impl Kernel<Output = ()> + 'a {
+    Product::<false, true> { a, b, row0, out }
 }
 
 /// Accumulates the row band `[row0, row0 + out.len() / n)` of `C = A · B`
@@ -237,8 +473,7 @@ fn matmul_band<const N: usize>(a: &Matrix, b: &Matrix, row0: usize, out: &mut [f
 /// band-parallel `parallel::matmul` — one implementation, so sequential
 /// and threaded results agree by construction.
 pub fn matmul_into(a: &Matrix, b: &Matrix, row0: usize, out: &mut [f32]) {
-    debug_assert_eq!(out.len() % b.cols().max(1), 0, "band must hold whole rows");
-    with_tile_width!(b.cols(), matmul_band(a, b, row0, out));
+    isa::dispatch(matmul_kernel(a, b, row0, out));
 }
 
 /// `C = A · B`.
@@ -252,27 +487,15 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// [`matmul_at_b_into`] at tile width `N`: [`KB`]-row blocks of `A`/`B`
-/// outermost, so both stream past once; inside, [`AT_COLS`] columns of the
-/// `A` block at a time are transposed into `at`, whose rows are then
-/// exactly the `arows` [`row_group`] wants.
-fn matmul_at_b_band<const N: usize>(a: &Matrix, b: &Matrix, row0: usize, out: &mut [f32]) {
-    let n = b.cols();
-    let mut at = [[0.0f32; KB]; AT_COLS];
-    for r0 in (0..a.rows()).step_by(KB) {
-        let kb = KB.min(a.rows() - r0);
-        let bblk = &b.as_slice()[r0 * n..(r0 + kb) * n];
-        for (chunk, cblk) in out.chunks_mut(AT_COLS * n).enumerate() {
-            let i0 = row0 + chunk * AT_COLS;
-            let width = cblk.len() / n;
-            for rr in 0..kb {
-                for (col, &v) in at.iter_mut().zip(&a.row(r0 + rr)[i0..i0 + width]) {
-                    col[rr] = v;
-                }
-            }
-            row_groups::<N>(|ii| &at[ii][..kb], bblk, n, cblk);
-        }
-    }
+/// [`matmul_at_b_into`] as a [`Kernel`], for [`isa::dispatch_on`] at an
+/// explicit tier.
+pub fn matmul_at_b_kernel<'a>(
+    a: &'a Matrix,
+    b: &'a Matrix,
+    row0: usize,
+    out: &'a mut [f32],
+) -> impl Kernel<Output = ()> + 'a {
+    Product::<true, true> { a, b, row0, out }
 }
 
 /// Accumulates the row band `[row0, row0 + out.len() / n)` of
@@ -283,8 +506,7 @@ fn matmul_at_b_band<const N: usize>(a: &Matrix, b: &Matrix, row0: usize, out: &m
 /// in ascending `r` with the `== 0.0` skip, so bits match
 /// [`reference::matmul_at_b`] exactly.
 pub fn matmul_at_b_into(a: &Matrix, b: &Matrix, row0: usize, out: &mut [f32]) {
-    debug_assert_eq!(out.len() % b.cols().max(1), 0, "band must hold whole rows");
-    with_tile_width!(b.cols(), matmul_at_b_band(a, b, row0, out));
+    isa::dispatch(matmul_at_b_kernel(a, b, row0, out));
 }
 
 /// `C = Aᵀ · B` without materializing the transpose.
@@ -298,76 +520,35 @@ pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// Packs the rows of `B` into k-major panels of [`LANES`] rows:
-/// `panels[panel][p * LANES + u] = b[panel * LANES + u][p]`.
-///
-/// Only the `n / LANES` full panels are packed; [`matmul_a_bt_into`] reads
-/// the `n % LANES` tail rows straight from `b`.
-pub fn pack_bt_panels(b: &Matrix) -> Vec<f32> {
-    let n = b.rows();
-    let k = b.cols();
-    let panels = n / LANES;
-    let mut out = vec![0.0f32; panels * k * LANES];
-    for panel in 0..panels {
-        let base = panel * k * LANES;
-        for u in 0..LANES {
-            for (p, &v) in b.row(panel * LANES + u).iter().enumerate() {
-                out[base + p * LANES + u] = v;
-            }
-        }
-    }
-    out
+/// [`matmul_a_bt_into`] as a [`Kernel`], for [`isa::dispatch_on`] at an
+/// explicit tier.
+pub fn matmul_a_bt_kernel<'a>(
+    a: &'a Matrix,
+    bt: &'a Matrix,
+    row0: usize,
+    out: &'a mut [f32],
+) -> impl Kernel<Output = ()> + 'a {
+    Product::<false, false> { a, b: bt, row0, out }
 }
 
-/// Computes the row band `[row0, row0 + out.len() / n)` of `C = A · Bᵀ`
-/// into `out`, reading `B` through `panels` (from [`pack_bt_panels`]).
+/// Accumulates the row band `[row0, row0 + out.len() / n)` of
+/// `C = A · Bᵀ` into `out`, given `bt = Bᵀ` (callers pass zeros).
 ///
-/// Each [`LANES`]-wide output segment keeps an accumulator per lane and
-/// sweeps `p` once over the contiguous panel — [`LANES`] independent dot
-/// products, each summing `a[i][p]·b[j][p]` in ascending `p` exactly like
-/// the scalar loop, so bits match [`reference::matmul_a_bt`].
-pub fn matmul_a_bt_into(a: &Matrix, b: &Matrix, panels: &[f32], row0: usize, out: &mut [f32]) {
-    let n = b.rows();
-    let k = a.cols();
-    if n == 0 {
-        return;
-    }
-    debug_assert_eq!(out.len() % n, 0, "band must hold whole rows");
-    let rows = out.len() / n;
-    let full = n / LANES * LANES;
-    for i in 0..rows {
-        let arow = a.row(row0 + i);
-        let crow = &mut out[i * n..(i + 1) * n];
-        for (panel_idx, cseg) in crow[..full].chunks_exact_mut(LANES).enumerate() {
-            let panel = &panels[panel_idx * k * LANES..(panel_idx + 1) * k * LANES];
-            let mut acc = [0.0f32; LANES];
-            for (p, &av) in arow.iter().enumerate() {
-                let lanes = &panel[p * LANES..p * LANES + LANES];
-                for u in 0..LANES {
-                    acc[u] += av * lanes[u];
-                }
-            }
-            cseg.copy_from_slice(&acc);
-        }
-        for (j, cell) in crow.iter_mut().enumerate().skip(full) {
-            let brow = b.row(j);
-            let mut acc = 0.0f32;
-            for p in 0..k {
-                acc += arow[p] * brow[p];
-            }
-            *cell = acc;
-        }
-    }
+/// With `B` transposed once up front this is `A · bt` on the dense tile —
+/// minus the zero-skip, which a dot product does not have: each output
+/// element sums `a[i][p]·b[j][p]` in ascending `p` from `+0.0`, exactly
+/// like the scalar loop, so bits match [`reference::matmul_a_bt`].
+pub fn matmul_a_bt_into(a: &Matrix, bt: &Matrix, row0: usize, out: &mut [f32]) {
+    isa::dispatch(matmul_a_bt_kernel(a, bt, row0, out));
 }
 
-/// `C = A · Bᵀ` without materializing the transpose.
+/// `C = A · Bᵀ`.
 ///
 /// Used for the gradient flow `G^l ∝ G^{l+1} (W^{l+1})ᵀ` (paper Eq. 5).
 pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.cols(), "matmul_a_bt shape mismatch: {:?} x {:?}", a.shape(), b.shape());
-    let panels = pack_bt_panels(b);
     let mut c = Matrix::zeros(a.rows(), b.rows());
-    matmul_a_bt_into(a, b, &panels, 0, c.as_mut_slice());
+    matmul_a_bt_into(a, &b.transpose(), 0, c.as_mut_slice());
     c
 }
 

@@ -170,10 +170,9 @@ pub fn matmul_at_b(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
 
 /// Parallel `C = A · Bᵀ` over row bands of `A`.
 ///
-/// `B` is packed once into k-major panels on the calling thread; every
-/// output element remains an independent dot product with the same
-/// ascending-`p` inner loop as [`crate::ops::matmul_a_bt`], so results
-/// are bit-identical.
+/// `B` is transposed once on the calling thread; every output element
+/// remains an independent dot product with the same ascending-`p` inner
+/// loop as [`crate::ops::matmul_a_bt`], so results are bit-identical.
 ///
 /// # Panics
 /// Panics if `a.cols() != b.cols()`.
@@ -184,14 +183,14 @@ pub fn matmul_a_bt(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
     let k = a.cols();
     let work = m.saturating_mul(n).saturating_mul(k);
     let bands = band_count(effective_threads(threads), m, work);
-    let panels = ops::pack_bt_panels(b);
+    let bt = b.transpose();
     let mut c = Matrix::zeros(m, n);
     if bands <= 1 {
-        ops::matmul_a_bt_into(a, b, &panels, 0, c.as_mut_slice());
+        ops::matmul_a_bt_into(a, &bt, 0, c.as_mut_slice());
         return c;
     }
     run_bands(c.as_mut_slice(), m, n, bands, &|row0, band| {
-        ops::matmul_a_bt_into(a, b, &panels, row0, band)
+        ops::matmul_a_bt_into(a, &bt, row0, band)
     });
     c
 }

@@ -34,8 +34,9 @@
 //! bans thread creation and the `Mutex`/`Condvar`/atomic/`Cell` types
 //! workspace-wide so that nothing else can share mutable state across
 //! lanes, and this file opts back in.
-//! It also holds the workspace's only `unsafe` block (in
-//! [`WorkerPool::run`]); Miri and the interleaving explorer in
+//! It also holds one of the workspace's two `unsafe` sites (in
+//! [`WorkerPool::run`]; the other enters the per-tier kernel code in
+//! [`crate::isa::dispatch_on`]); Miri and the interleaving explorer in
 //! `tests/interleave.rs` are the evidence for both.
 #![allow(
     clippy::disallowed_types,

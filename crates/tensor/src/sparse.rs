@@ -10,9 +10,21 @@
 //! Because `Â` is symmetric for undirected graphs the engine mostly needs
 //! `spmm`; `spmm_t` is provided (and tested against the dense reference) for
 //! directed-graph support.
+//!
+//! SpMM is one body ([`SpmmBand`]) compiled per instruction-set tier and
+//! selected at run time ([`crate::isa`]): each output row is accumulated a
+//! register-resident chunk at a time over the row's nonzeros
+//! (`ops::listed_row`), and the chunk is what grows with the tier — 16, 32
+//! or 64 columns ([`Isa::LIST_NR`]), four accumulator registers each time.
+//! A lane is one output element and takes its terms in CSR order through
+//! one multiply and one add (no tier enables FMA), so the bits are the
+//! reference's at any width. What the tiers do not change is that the rows
+//! of the dense operand are gathered: at 16 columns SpMM stays bound by
+//! that, and gains little.
 
 use crate::dense::Matrix;
-use crate::ops::{listed_row, with_tile_width};
+use crate::isa::{self, Isa, Kernel, Tier};
+use crate::ops::{listed_row, with_tile_width, NR};
 use serde::{Deserialize, Serialize};
 
 /// A sparse matrix in compressed-sparse-row format.
@@ -146,7 +158,25 @@ impl CsrMatrix {
     /// order per row and the inner AXPY is element-wise independent, so
     /// bits match the naive `ops::reference::spmm` loop exactly.
     pub fn spmm_into(&self, b: &Matrix, row0: usize, out: &mut [f32]) {
-        self.spmm_rows_into(b.cols(), |c| b.row(c), row0, out);
+        isa::dispatch(self.spmm_kernel(b, row0, out));
+    }
+
+    /// [`CsrMatrix::spmm_into`] as a [`Kernel`], for [`isa::dispatch_on`]
+    /// at an explicit tier.
+    pub fn spmm_kernel<'a>(
+        &'a self,
+        b: &'a Matrix,
+        row0: usize,
+        out: &'a mut [f32],
+    ) -> impl Kernel<Output = ()> + 'a {
+        SpmmBand::new(
+            self,
+            b.cols(),
+            #[inline(always)]
+            |c| b.row(c),
+            row0,
+            out,
+        )
     }
 
     /// [`CsrMatrix::spmm_into`] over the split operand `[local ; remote]`
@@ -158,22 +188,27 @@ impl CsrMatrix {
     /// Callers check `self.cols() == local.rows() + remote.rows()` and
     /// `local.cols() == remote.cols()` (see `parallel::spmm_split`).
     pub fn spmm_split_into(&self, local: &Matrix, remote: &Matrix, row0: usize, out: &mut [f32]) {
-        let n_local = local.rows();
-        let row_of = |c: usize| if c < n_local { local.row(c) } else { remote.row(c - n_local) };
-        self.spmm_rows_into(local.cols(), row_of, row0, out);
+        isa::dispatch(self.spmm_split_kernel(local, remote, row0, out));
     }
 
-    /// The one SpMM body: `out[i] += v · row_of(c)` for every nonzero
-    /// `(c, v)` of row `row0 + i`, in CSR order; `n` is the operand width.
-    fn spmm_rows_into<'a>(
-        &self,
-        n: usize,
-        row_of: impl Fn(usize) -> &'a [f32],
+    /// [`CsrMatrix::spmm_split_into`] as a [`Kernel`], for
+    /// [`isa::dispatch_on`] at an explicit tier.
+    pub fn spmm_split_kernel<'a>(
+        &'a self,
+        local: &'a Matrix,
+        remote: &'a Matrix,
         row0: usize,
-        out: &mut [f32],
-    ) {
-        debug_assert_eq!(out.len() % n.max(1), 0, "band must hold whole rows");
-        with_tile_width!(n, spmm_band(self, n, row_of, row0, out));
+        out: &'a mut [f32],
+    ) -> impl Kernel<Output = ()> + 'a {
+        let n_local = local.rows();
+        SpmmBand::new(
+            self,
+            local.cols(),
+            #[inline(always)]
+            move |c| if c < n_local { local.row(c) } else { remote.row(c - n_local) },
+            row0,
+            out,
+        )
     }
 
     /// Transposed sparse × dense product `selfᵀ · B` without materializing
@@ -267,19 +302,59 @@ impl CsrMatrix {
     }
 }
 
-/// [`CsrMatrix::spmm_rows_into`] at tile width `N`: each output row is
-/// accumulated an `N`-wide chunk at a time, the chunk held in registers
-/// across the row's nonzeros ([`crate::ops::listed_row`]).
-fn spmm_band<'a, const N: usize>(
+/// The one SpMM body as a [`Kernel`]: `out[i] += v · row_of(c)` for every
+/// nonzero `(c, v)` of row `row0 + i`, in CSR order; `n` is the operand
+/// width.
+struct SpmmBand<'a, F> {
+    s: &'a CsrMatrix,
+    n: usize,
+    row_of: F,
+    row0: usize,
+    out: &'a mut [f32],
+}
+
+impl<'a, 'b, F: Fn(usize) -> &'b [f32]> SpmmBand<'a, F> {
+    /// (A function so that the `row_of` closure can sit in argument
+    /// position, the one place a closure takes `#[inline(always)]`.)
+    fn new(s: &'a CsrMatrix, n: usize, row_of: F, row0: usize, out: &'a mut [f32]) -> Self {
+        Self { s, n, row_of, row0, out }
+    }
+}
+
+impl<'b, F: Fn(usize) -> &'b [f32]> Kernel for SpmmBand<'_, F> {
+    type Output = ();
+    #[inline(always)]
+    fn run<I: Isa>(self) {
+        debug_assert_eq!(self.out.len() % self.n.max(1), 0, "band must hold whole rows");
+        if I::LIST_NR == NR {
+            with_tile_width!(
+                self.n,
+                spmm_band::<I>(self.s, self.n, &self.row_of, self.row0, self.out)
+            );
+        } else if self.n >= NR {
+            spmm_band::<I, NR>(self.s, self.n, &self.row_of, self.row0, self.out);
+        } else {
+            // Narrower operands take one tile of exactly their width at
+            // every tier; only the baseline carries those instantiations.
+            isa::dispatch_on(Tier::BASELINE, self);
+        }
+    }
+}
+
+/// [`SpmmBand`] at tile width `N`: each output row is accumulated a chunk
+/// at a time, the chunk held in registers across the row's nonzeros
+/// ([`crate::ops::listed_row`]).
+#[inline(always)]
+fn spmm_band<'a, I: Isa, const N: usize>(
     s: &CsrMatrix,
     n: usize,
-    row_of: impl Fn(usize) -> &'a [f32],
+    row_of: &impl Fn(usize) -> &'a [f32],
     row0: usize,
     out: &mut [f32],
 ) {
     for (orow, span) in out.chunks_exact_mut(n).zip(s.indptr[row0..].windows(2)) {
         let span = span[0]..span[1];
-        listed_row::<N>(&s.indices[span.clone()], &s.values[span], &row_of, orow);
+        listed_row::<I, N>(&s.indices[span.clone()], &s.values[span], row_of, orow);
     }
 }
 

@@ -18,9 +18,50 @@
 //! the compiler may commute the operands, so which NaN comes out is not a
 //! property of the source. Where a NaN appears is, and that is checked.
 
-use ec_tensor::ops::{self, reference, AT_COLS, KB, MR, NR};
+use ec_tensor::isa::{self, Avx2, Avx512, Baseline, Isa, Tier};
+use ec_tensor::ops::{self, reference, KB, NR};
 use ec_tensor::{parallel, CsrMatrix, Matrix};
 use proptest::prelude::*;
+
+/// Tallest row group of any tier.
+const MR_MAX: usize = Avx512::MR;
+
+/// Output rows `row0..row0 + len` (`n` columns each, starting from zeros)
+/// of the kernel the last argument builds from `(row0, out)`, run at
+/// `tier`.
+macro_rules! band_at {
+    ($tier:expr, $row0:expr, $len:expr, $n:expr, |$r0:ident, $out:ident| $kernel:expr) => {{
+        let mut band = vec![0.0f32; $len * $n];
+        let ($r0, $out) = ($row0, &mut band[..]);
+        isa::dispatch_on($tier, $kernel);
+        band
+    }};
+}
+
+/// Inside a proptest: the kernel built from `(row0, out)` must reproduce
+/// the matrix `$want` bit for bit at every tier the host supports, over the
+/// whole output and over every band of [`bands`].
+macro_rules! prop_assert_kernel_matches {
+    ($want:expr, |$r0:ident, $out:ident| $kernel:expr) => {
+        let (rows, n) = $want.shape();
+        for tier in Tier::supported() {
+            for (row0, len) in bands(rows).into_iter().chain([(0, rows)]) {
+                let band = band_at!(tier, row0, len, n, |$r0, $out| $kernel);
+                let expect = &$want.as_slice()[row0 * n..(row0 + len) * n];
+                prop_assert_eq!(bits(&band), bits(expect), "{} rows {}+{}", tier, row0, len);
+            }
+        }
+    };
+}
+
+/// Printed on CI's release run of this suite, so a runner that silently
+/// tested only the baseline is visible in the log.
+#[test]
+fn tiers_covered() {
+    let tiers: Vec<&str> = Tier::supported().map(Tier::name).collect();
+    println!("kernel_equivalence: tiers covered = {}", tiers.join(", "));
+    assert_eq!(tiers[0], "sse2");
+}
 
 fn next(state: &mut u64) -> u64 {
     *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -103,19 +144,24 @@ fn mbits(m: &Matrix) -> Vec<u32> {
     bits(m.as_slice())
 }
 
-/// Dimension strategy: degenerate (0, 1), every tile constant ± 1 (the
-/// row-group height, the column-tile width, the transposed chunk, the
-/// shared-dimension block and two of them plus one), the engine's layer
-/// widths, and ragged values in between. 602 (Reddit's feature width) is
+/// Dimension strategy: degenerate (0, 1), every tile constant ± 1 (each
+/// tier's row-group height and list-chunk width, the column-tile width,
+/// the shared-dimension block and two of them plus one), row counts that
+/// leave every possible number of leftover rows under the tallest group,
+/// the engine's layer widths, and ragged values in between. 602 (Reddit's feature width) is
 /// covered by `engine_shapes_match_reference`, not drawn here: three such
 /// dims at once would make a case cost seconds.
 fn dim() -> impl Strategy<Value = usize> {
     prop_oneof![
         Just(0usize),
         Just(1usize),
-        MR - 1..=MR + 1,
+        Baseline::MR - 1..=Baseline::MR + 1,
+        Avx2::MR - 1..=Avx2::MR + 1,
+        Avx512::MR - 1..=Avx512::MR + 1,
         NR - 1..=NR + 1,
-        AT_COLS - 1..=AT_COLS + 1,
+        Avx2::LIST_NR - 1..=Avx2::LIST_NR + 1,
+        Avx512::LIST_NR - 1..=Avx512::LIST_NR + 1,
+        3 * MR_MAX + 1..4 * MR_MAX,
         KB - 1..=KB + 1,
         Just(2 * KB + 1),
         Just(2 * NR),
@@ -129,9 +175,9 @@ fn dim() -> impl Strategy<Value = usize> {
     ]
 }
 
-/// Band starts and lengths that straddle row groups and transposed chunks.
+/// Band starts and lengths that straddle every tier's row groups.
 fn bands(rows: usize) -> Vec<(usize, usize)> {
-    [(1, rows.saturating_sub(1)), (MR + 1, 3), (AT_COLS - 1, AT_COLS + 2), (rows / 2, rows / 3)]
+    [(1, rows.saturating_sub(1)), (3, 3), (MR_MAX - 1, 2 * MR_MAX + 3), (rows / 2, rows / 3)]
         .into_iter()
         .filter(|&(row0, len)| len > 0 && row0 + len <= rows)
         .collect()
@@ -155,11 +201,7 @@ proptest! {
         for threads in [2usize, 3, 5] {
             prop_assert_eq!(mbits(&parallel::matmul(&a, &b, threads)), mbits(&want));
         }
-        for (row0, len) in bands(m) {
-            let mut band = vec![0.0f32; len * n];
-            ops::matmul_into(&a, &b, row0, &mut band);
-            prop_assert_eq!(bits(&band), bits(&want.as_slice()[row0 * n..(row0 + len) * n]));
-        }
+        prop_assert_kernel_matches!(want, |r0, out| ops::matmul_kernel(&a, &b, r0, out));
     }
 
     #[test]
@@ -177,24 +219,27 @@ proptest! {
         for threads in [2usize, 3, 5] {
             prop_assert_eq!(mbits(&parallel::matmul_at_b(&a, &b, threads)), mbits(&want));
         }
-        for (row0, len) in bands(m) {
-            let mut band = vec![0.0f32; len * n];
-            ops::matmul_at_b_into(&a, &b, row0, &mut band);
-            prop_assert_eq!(bits(&band), bits(&want.as_slice()[row0 * n..(row0 + len) * n]));
-        }
+        prop_assert_kernel_matches!(want, |r0, out| ops::matmul_at_b_kernel(&a, &b, r0, out));
     }
 
     #[test]
     fn packed_matmul_a_bt_is_bit_identical(
         m in dim(), n in dim(), k in dim(), seed in 1u64..1_000_000,
     ) {
-        let a = matrix(m, k, seed, Kind::Mixed);
-        let b = matrix(n, k, seed ^ 0x5555, Kind::Mixed);
-        let want = reference::matmul_a_bt(&a, &b);
-        prop_assert_eq!(&ops::matmul_a_bt(&a, &b), &want);
-        for threads in [2usize, 3, 5] {
-            prop_assert_eq!(&parallel::matmul_a_bt(&a, &b, threads), &want);
+        let mut a = matrix(m, k, seed, Kind::Mixed);
+        let mut b = matrix(n, k, seed ^ 0x5555, Kind::Mixed);
+        if seed.is_multiple_of(4) {
+            // No zero-skip here: a zero opposite an infinity must give NaN.
+            plant_non_finite(&mut a, seed);
+            plant_non_finite(&mut b, seed ^ 0x77);
         }
+        let want = reference::matmul_a_bt(&a, &b);
+        prop_assert_eq!(mbits(&ops::matmul_a_bt(&a, &b)), mbits(&want));
+        for threads in [2usize, 3, 5] {
+            prop_assert_eq!(mbits(&parallel::matmul_a_bt(&a, &b, threads)), mbits(&want));
+        }
+        let bt = b.transpose();
+        prop_assert_kernel_matches!(want, |r0, out| ops::matmul_a_bt_kernel(&a, &bt, r0, out));
     }
 
     #[test]
@@ -211,11 +256,7 @@ proptest! {
         for threads in [2usize, 3, 5] {
             prop_assert_eq!(mbits(&parallel::spmm(&s, &b, threads)), mbits(&want));
         }
-        for (row0, len) in bands(m) {
-            let mut band = vec![0.0f32; len * n];
-            s.spmm_into(&b, row0, &mut band);
-            prop_assert_eq!(bits(&band), bits(&want.as_slice()[row0 * n..(row0 + len) * n]));
-        }
+        prop_assert_kernel_matches!(want, |r0, out| s.spmm_kernel(&b, r0, out));
     }
 
     /// The split-operand SpMM must be the stacked one bit for bit: ragged
@@ -237,6 +278,11 @@ proptest! {
         let want = reference::spmm(&s, &local.vstack(&remote));
         for threads in [1usize, 2, 3, 5] {
             prop_assert_eq!(mbits(&parallel::spmm_split(&s, &local, &remote, threads)), mbits(&want));
+        }
+        for tier in Tier::supported() {
+            let got =
+                band_at!(tier, 0, m, n, |r0, out| s.spmm_split_kernel(&local, &remote, r0, out));
+            prop_assert_eq!(bits(&got), mbits(&want), "{}", tier);
         }
     }
 
@@ -277,11 +323,20 @@ fn engine_shapes_match_reference() {
         let seed = 1000 + i as u64;
         let a = matrix(rows, k, seed, a_kind);
         let w = matrix(k, n, seed ^ 0xABCD, Kind::Mixed);
-        assert_eq!(mbits(&ops::matmul(&a, &w)), mbits(&reference::matmul(&a, &w)), "A·B {i}");
         let g = matrix(rows, n, seed ^ 0x1234, Kind::Mixed);
-        let want = reference::matmul_at_b(&a, &g);
-        assert_eq!(mbits(&ops::matmul_at_b(&a, &g)), mbits(&want), "AᵀB {i}");
-        assert_eq!(mbits(&parallel::matmul_at_b(&a, &g, 3)), mbits(&want), "AᵀB {i} x3");
+        let (want, want_at_b) = (reference::matmul(&a, &w), reference::matmul_at_b(&a, &g));
+        // The gradient flow `G · Wᵀ` back to the layer's input width.
+        let (want_a_bt, wt) = (reference::matmul_a_bt(&g, &w), w.transpose());
+        for tier in Tier::supported() {
+            let got = band_at!(tier, 0, rows, n, |r0, out| ops::matmul_kernel(&a, &w, r0, out));
+            assert_eq!(bits(&got), mbits(&want), "A·B {i} {tier}");
+            let got = band_at!(tier, 0, k, n, |r0, out| ops::matmul_at_b_kernel(&a, &g, r0, out));
+            assert_eq!(bits(&got), mbits(&want_at_b), "AᵀB {i} {tier}");
+            let got =
+                band_at!(tier, 0, rows, k, |r0, out| ops::matmul_a_bt_kernel(&g, &wt, r0, out));
+            assert_eq!(bits(&got), mbits(&want_a_bt), "A·Bᵀ {i} {tier}");
+        }
+        assert_eq!(mbits(&parallel::matmul_at_b(&a, &g, 3)), mbits(&want_at_b), "AᵀB {i} x3");
     }
 }
 
@@ -297,11 +352,8 @@ fn non_finite_values_propagate_identically() {
     a.set(5, 7, f32::NEG_INFINITY);
     a.set(18, 12, f32::MAX);
     let b = matrix(13, 9, 78, Kind::Mixed);
-    assert_eq!(mbits(&ops::matmul(&a, &b)), mbits(&reference::matmul(&a, &b)));
     let bt = matrix(9, 13, 79, Kind::Mixed);
-    assert_eq!(mbits(&ops::matmul_a_bt(&a, &bt)), mbits(&reference::matmul_a_bt(&a, &bt)));
     let l = matrix(19, 6, 80, Kind::Mixed);
-    assert_eq!(mbits(&ops::matmul_at_b(&a, &l)), mbits(&reference::matmul_at_b(&a, &l)));
 
     // One zero per row of an otherwise dense A, opposite a row of B that is
     // all Inf/NaN: the skip is the only thing keeping the output finite.
@@ -310,24 +362,40 @@ fn non_finite_values_propagate_identically() {
             m.set(row, c, if c % 2 == 0 { f32::INFINITY } else { f32::NAN });
         }
     };
-    let mut a = matrix(2 * MR + 1, KB + 3, 81, Kind::Dense);
-    let mut b = matrix(KB + 3, NR + 1, 82, Kind::Dense);
-    poison(&mut b, KB + 1);
-    for r in 0..a.rows() {
-        a.set(r, KB + 1, if r % 2 == 0 { 0.0 } else { -0.0 });
+    let mut shielded = matrix(2 * MR_MAX + 1, KB + 3, 81, Kind::Dense);
+    let mut poisoned = matrix(KB + 3, NR + 1, 82, Kind::Dense);
+    poison(&mut poisoned, KB + 1);
+    for r in 0..shielded.rows() {
+        shielded.set(r, KB + 1, if r % 2 == 0 { 0.0 } else { -0.0 });
     }
-    let got = ops::matmul(&a, &b);
-    assert!(got.as_slice().iter().all(|v| v.is_finite()), "the zero-skip must shield Inf/NaN");
-    assert_eq!(mbits(&got), mbits(&reference::matmul(&a, &b)));
-
     // The same for Aᵀ·B: a zero row of A opposite the poisoned row of G.
-    let mut a = matrix(KB + 3, AT_COLS + 1, 83, Kind::Dense);
-    let mut g = matrix(KB + 3, NR + 1, 84, Kind::Dense);
-    poison(&mut g, KB + 1);
-    for c in 0..a.cols() {
-        a.set(KB + 1, c, if c % 2 == 0 { 0.0 } else { -0.0 });
+    let mut shielded_t = matrix(KB + 3, 2 * MR_MAX + 1, 83, Kind::Dense);
+    let mut poisoned_g = matrix(KB + 3, NR + 1, 84, Kind::Dense);
+    poison(&mut poisoned_g, KB + 1);
+    for c in 0..shielded_t.cols() {
+        shielded_t.set(KB + 1, c, if c % 2 == 0 { 0.0 } else { -0.0 });
     }
-    let got = ops::matmul_at_b(&a, &g);
-    assert!(got.as_slice().iter().all(|v| v.is_finite()), "the zero-skip must shield Inf/NaN");
-    assert_eq!(mbits(&got), mbits(&reference::matmul_at_b(&a, &g)));
+
+    for tier in Tier::supported() {
+        let got = band_at!(tier, 0, 19, 9, |r0, out| ops::matmul_kernel(&a, &b, r0, out));
+        assert_eq!(bits(&got), mbits(&reference::matmul(&a, &b)), "{tier}");
+        let btt = bt.transpose();
+        let got = band_at!(tier, 0, 19, 9, |r0, out| ops::matmul_a_bt_kernel(&a, &btt, r0, out));
+        assert_eq!(bits(&got), mbits(&reference::matmul_a_bt(&a, &bt)), "{tier}");
+        let got = band_at!(tier, 0, 13, 6, |r0, out| ops::matmul_at_b_kernel(&a, &l, r0, out));
+        assert_eq!(bits(&got), mbits(&reference::matmul_at_b(&a, &l)), "{tier}");
+
+        let (rows, n) = (shielded.rows(), poisoned.cols());
+        let got =
+            band_at!(tier, 0, rows, n, |r0, out| ops::matmul_kernel(&shielded, &poisoned, r0, out));
+        assert!(got.iter().all(|v| v.is_finite()), "{tier}: the zero-skip must shield Inf/NaN");
+        assert_eq!(bits(&got), mbits(&reference::matmul(&shielded, &poisoned)), "{tier}");
+
+        let (rows, n) = (shielded_t.cols(), poisoned_g.cols());
+        let got = band_at!(tier, 0, rows, n, |r0, out| {
+            ops::matmul_at_b_kernel(&shielded_t, &poisoned_g, r0, out)
+        });
+        assert!(got.iter().all(|v| v.is_finite()), "{tier}: the zero-skip must shield Inf/NaN");
+        assert_eq!(bits(&got), mbits(&reference::matmul_at_b(&shielded_t, &poisoned_g)), "{tier}");
+    }
 }

@@ -15,7 +15,10 @@
 # unit tests and `perf --smoke` — so a product-crate signature change
 # that breaks the benchmark fails here, not in the next benchmark run. It
 # first re-runs the compute kernels' Tier-1 anchor in release, the build
-# the benchmark measures.
+# the benchmark measures, and times one dense product and one codec pass
+# per instruction-set tier the host supports (a table; a wider tier slower
+# than the baseline tier fails — the signature of a kernel body that was
+# not inlined into its #[target_feature] entry point).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -54,8 +57,8 @@ echo "== reproduce smoke (scripts/reproduce.sh writes a revision header) =="
 REPRO_DIR=$(mktemp -d)
 trap 'rm -rf "$REPRO_DIR"' EXIT
 (cd "$REPRO_DIR" && "$OLDPWD/scripts/reproduce.sh" table2 scale=0.05 > /dev/null)
-head -1 "$REPRO_DIR/results/table2.txt" | grep -Eq '^# rev [0-9a-f]+(-dirty)? table2 scale=0\.05$' \
-  || { echo "results/table2.txt lacks the '# rev <rev> <name> <args>' header" >&2; exit 1; }
+head -1 "$REPRO_DIR/results/table2.txt" | grep -Eq '^# rev [0-9a-f]+(-dirty)? isa=(sse2|avx2|avx512) table2 scale=0\.05$' \
+  || { echo "results/table2.txt lacks the '# rev <rev> isa=<tier> <name> <args>' header" >&2; exit 1; }
 grep -q '^#json {"experiment":"table2"' "$REPRO_DIR/results/table2.txt" \
   || { echo "results/table2.txt has no table2 rows" >&2; exit 1; }
 repro_rc=0
@@ -153,6 +156,10 @@ if [[ "$RUN_PERF_SMOKE" == "1" ]]; then
   # Tier-1 anchor must hold on exactly that code before any number is read.
   cargo test --release -q --test property_suite \
     compute_kernels_match_the_reference_on_worker_shapes
+
+  echo "== perf smoke prerequisite (no wider tier slower than the baseline tier) =="
+  cargo test --release -q --test timing_suite \
+    wider_tiers_are_not_slower_than_the_baseline_tier -- --ignored --nocapture
 
   echo "== perf smoke (perfbench builds against the product crates) =="
   cargo test --release --offline -q --manifest-path perfbench/Cargo.toml

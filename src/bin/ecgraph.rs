@@ -44,6 +44,7 @@ use ec_partition::ldg::LdgPartitioner;
 use ec_partition::metis::MetisLikePartitioner;
 use ec_partition::Partitioner;
 use ec_serve::{run_closed_loop, InferenceService, ServeConfig, WorkloadConfig};
+use ec_tensor::isa::Tier;
 use ec_trace::{TelemetryConfig, TelemetryLevel};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -211,7 +212,7 @@ fn run_train(kv: &HashMap<String, String>, opts: &CliOpts) -> Result<(), String>
     };
 
     if show_progress {
-        println!("instantiating {dataset} replica (|V|={vertices}, d0={dims_cap}) …");
+        print_run_banner(&dataset, vertices, dims_cap);
     }
     let data = Arc::new(spec.instantiate_with(vertices, dims_cap, seed));
     let mut dims = vec![data.feature_dim()];
@@ -274,6 +275,16 @@ fn run_train(kv: &HashMap<String, String>, opts: &CliOpts) -> Result<(), String>
         );
     }
     Ok(())
+}
+
+/// First progress line of `train` and `serve`. Names the instruction-set
+/// tier the kernels selected on this host: host seconds depend on it,
+/// nothing simulated does.
+fn print_run_banner(dataset: &str, vertices: usize, dims_cap: usize) {
+    println!(
+        "instantiating {dataset} replica (|V|={vertices}, d0={dims_cap}), kernels at {} …",
+        Tier::best()
+    );
 }
 
 /// Writes the `--trace-out` / `--timeline-out` / `--metrics-out` exports
@@ -363,7 +374,7 @@ fn run_serve(kv: &HashMap<String, String>, opts: &CliOpts) -> Result<(), String>
     let zipf: f64 = get("zipf", "0.9").parse().map_err(|e| format!("bad zipf: {e}"))?;
 
     if !opts.quiet {
-        println!("instantiating {dataset} replica (|V|={vertices}, d0={dims_cap}) …");
+        print_run_banner(&dataset, vertices, dims_cap);
     }
     let data = Arc::new(spec.instantiate_with(vertices, dims_cap, seed));
     let mut dims = vec![data.feature_dim()];

@@ -212,18 +212,30 @@ fn split_spmm_is_the_stacked_spmm_bit_for_bit() {
 /// one forward and backward pass of a 3-layer model, on the per-worker
 /// operands `build_worker_contexts` yields — dense features, ReLU-sparse
 /// hidden activations, widths that are no multiple of the column tile —
-/// against `ops::reference`, bit for bit, sequential and on 3 threads. And
-/// the serving path's one-row product, `ModelWeights::project_row`, against
-/// the matching row of the batched kernel.
+/// against `ops::reference`, bit for bit, sequential, on 3 threads, and at
+/// every instruction-set tier the host supports (the pool-dispatched calls
+/// run the best one; the `*_kernel` calls name each). And the serving path's
+/// one-row product, `ModelWeights::project_row`, against the matching row of
+/// the batched kernel.
 #[test]
 fn compute_kernels_match_the_reference_on_worker_shapes() {
     use ec_graph_repro::ecgraph::config::ModelKind;
     use ec_graph_repro::ecgraph::context::build_worker_contexts;
     use ec_graph_repro::ecgraph::infer::ModelWeights;
+    use ec_graph_repro::tensor::isa::{self, Tier};
     use ec_graph_repro::tensor::ops::reference;
     use ec_graph_repro::tensor::{activations, parallel};
     use std::sync::Arc;
     let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    // `$kernel(.., 0, out)` over a whole zeroed `rows × cols` output, at `tier`.
+    macro_rules! product_at {
+        ($tier:expr, $rows:expr, $cols:expr, |$out:ident| $kernel:expr) => {{
+            let mut product = Matrix::zeros($rows, $cols);
+            let $out = product.as_mut_slice();
+            isa::dispatch_on($tier, $kernel);
+            product
+        }};
+    }
     let wave = |rows: usize, cols: usize, salt: usize| {
         Matrix::from_fn(rows, cols, |r, c| ((r * 31 + c * 17 + salt) as f32 * 0.37).sin())
     };
@@ -270,6 +282,31 @@ fn compute_kernels_match_the_reference_on_worker_shapes() {
                     bits(&reference::matmul_a_bt(&grad, &weights[l])),
                     "A·Bᵀ {tag}"
                 );
+                if threads > 1 {
+                    continue;
+                }
+                let (w, wt) = (&weights[l], weights[l].transpose());
+                let (rows, adj_w) = (local.rows(), &topo.adj_local);
+                for tier in Tier::supported() {
+                    let got = product_at!(tier, rows, dims[l], |out| {
+                        adj_w.spmm_split_kernel(&local, &remote, 0, out)
+                    });
+                    assert_eq!(bits(&got), bits(&agg), "spmm {tag} {tier}");
+                    let got = product_at!(tier, rows, dims[l + 1], |out| {
+                        ops::matmul_kernel(&agg, w, 0, out)
+                    });
+                    assert_eq!(bits(&got), bits(&z), "A·B {tag} {tier}");
+                    let got = product_at!(tier, dims[l], dims[l + 1], |out| {
+                        ops::matmul_at_b_kernel(&local, &grad, 0, out)
+                    });
+                    let want = reference::matmul_at_b(&local, &grad);
+                    assert_eq!(bits(&got), bits(&want), "AᵀB {tag} {tier}");
+                    let got = product_at!(tier, rows, dims[l], |out| {
+                        ops::matmul_a_bt_kernel(&grad, &wt, 0, out)
+                    });
+                    let want = reference::matmul_a_bt(&grad, w);
+                    assert_eq!(bits(&got), bits(&want), "A·Bᵀ {tag} {tier}");
+                }
             }
         }
     }

@@ -74,3 +74,59 @@ fn superstep_gauges_spans_and_epoch_stats_agree_on_measured_time() {
     assert!(rep.spans.iter().any(|s| s.name == "idle:wait"), "three workers never tie throughout");
     assert_eq!(rep.gauge("faults.straggler_factor", &[0, 0]), Some(2.0));
 }
+
+/// The guard against silent de-vectorisation (`ec_tensor::isa`, "the trap"):
+/// a kernel body that is not inlined into its `#[target_feature]` entry
+/// point compiles, passes every bit-identity test and runs as baseline code
+/// behind a call — slower than before. One dense product and one codec
+/// pass, timed per tier the host supports; a wider tier that loses to the
+/// baseline tier fails. Timing-sensitive, so ignored by default:
+/// `scripts/check.sh --perf-smoke` runs it on the release build.
+#[test]
+#[ignore = "timing guard; scripts/check.sh --perf-smoke runs it in release"]
+fn wider_tiers_are_not_slower_than_the_baseline_tier() {
+    use ec_graph_repro::comm::clock::HostTimer;
+    use ec_graph_repro::compress::Quantized;
+    use ec_graph_repro::tensor::isa::{self, Tier};
+    use ec_graph_repro::tensor::{ops, Matrix};
+    use std::hint::black_box;
+
+    let wave = |rows: usize, cols: usize| {
+        Matrix::from_fn(rows, cols, |r, c| ((r * 31 + c * 17) as f32 * 0.37).sin() + 1.5)
+    };
+    // Reddit's layer-1 product on one worker block, and a 64-wide message.
+    let (a, b, message) = (wave(336, 602), wave(602, 16), wave(336, 64));
+    let mut out = vec![0.0f32; a.rows() * b.cols()];
+    let best_of_20 = |run: &mut dyn FnMut()| {
+        (0..20).fold(f64::INFINITY, |best, _| {
+            let timer = HostTimer::start();
+            run();
+            best.min(timer.elapsed_s())
+        })
+    };
+    let rows: Vec<(Tier, f64, f64)> = Tier::supported()
+        .map(|tier| {
+            let product = best_of_20(&mut || {
+                out.fill(0.0);
+                isa::dispatch_on(tier, ops::matmul_kernel(black_box(&a), &b, 0, &mut out));
+            });
+            let codec = best_of_20(&mut || {
+                for _ in 0..20 {
+                    black_box(Quantized::compress_at(tier, black_box(&message), 4));
+                }
+            });
+            (tier, product, codec / 20.0)
+        })
+        .collect();
+
+    println!("{:<8}{:>22}{:>24}", "tier", "A·B 336×602·16 GFLOP/s", "compress b4 Melem/s");
+    let (flops, elems) = ((2 * 336 * 602 * 16) as f64, message.len() as f64);
+    for (tier, product, codec) in &rows {
+        println!("{:<8}{:>22.1}{:>24.0}", tier.name(), flops / product / 1e9, elems / codec / 1e6);
+    }
+    let (_, base_product, base_codec) = rows[0];
+    for (tier, product, codec) in &rows[1..] {
+        assert!(*product <= base_product, "A·B at {tier} is slower than at {}", rows[0].0);
+        assert!(*codec <= base_codec, "compress at {tier} is slower than at {}", rows[0].0);
+    }
+}
