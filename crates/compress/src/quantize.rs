@@ -44,6 +44,10 @@ use serde::{Deserialize, Serialize};
 /// `{1, 2, 4, 8, 16}`.
 pub const MAX_BITS: u8 = 16;
 
+/// Wire header of a [`Quantized`]: rows, cols (`u32` each), bits (`u8`),
+/// min, max (`f32` each).
+const HEADER_BYTES: usize = 4 + 4 + 1 + 4 + 4;
+
 /// A quantized dense matrix plus everything needed to reconstruct it.
 ///
 /// ```
@@ -94,6 +98,18 @@ impl Quantized {
     /// so a caller shipping single rows need not build a [`Matrix`] first.
     pub fn compress_row(row: &[f32], bits: u8) -> Self {
         Self::from_slice(Tier::best(), row, 1, row.len(), bits)
+    }
+
+    /// Overwrites `self` with [`Self::compress_row`]`(row, bits)`, reusing
+    /// the packed buffer — a caller that ships one row after another (the
+    /// serving fetch path) allocates nothing once the buffer has grown to a
+    /// row's size.
+    pub fn assign_row(&mut self, row: &[f32], bits: u8) {
+        let (min, max) = ec_tensor::stats::min_max(row);
+        self.packed.clear();
+        self.packed.resize(bitpack::packed_len(row.len(), bits), 0);
+        quantize_pack_into(Tier::best(), row, bits, min, max, &mut self.packed);
+        (self.rows, self.cols, self.bits, self.min, self.max) = (1, row.len(), bits, min, max);
     }
 
     fn from_slice(tier: Tier, xs: &[f32], rows: usize, cols: usize, bits: u8) -> Self {
@@ -178,7 +194,13 @@ impl Quantized {
     /// header (rows, cols: u32 each; bits: u8; min, max: f32 each) + packed
     /// codes.
     pub fn wire_size(&self) -> usize {
-        4 + 4 + 1 + 4 + 4 + self.packed.len()
+        HEADER_BYTES + self.packed.len()
+    }
+
+    /// [`Self::wire_size`] of any `count`-entry message at `bits` bits,
+    /// without building one.
+    pub fn wire_size_for(count: usize, bits: u8) -> usize {
+        HEADER_BYTES + bitpack::packed_len(count, bits)
     }
 
     /// Compression ratio versus raw `f32` transmission.
@@ -253,13 +275,18 @@ impl Quantized {
 /// representable, at most 65 535 — both give `top`, because truncation is
 /// monotone.
 fn quantize_pack(tier: Tier, xs: &[f32], bits: u8, min: f32, max: f32) -> Vec<u8> {
-    assert!((1..=MAX_BITS).contains(&bits), "bits {bits} out of range 1..=16");
-    // Zero-initialised, which is already the answer for a degenerate range
-    // (every code 0).
     let mut packed = vec![0u8; bitpack::packed_len(xs.len(), bits)];
+    quantize_pack_into(tier, xs, bits, min, max, &mut packed);
+    packed
+}
+
+/// [`quantize_pack`] into `packed`: `packed_len(xs.len(), bits)` zero bytes
+/// (already the answer for a degenerate range — every code 0).
+fn quantize_pack_into(tier: Tier, xs: &[f32], bits: u8, min: f32, max: f32, packed: &mut [u8]) {
+    assert!((1..=MAX_BITS).contains(&bits), "bits {bits} out of range 1..=16");
     let range = max - min;
     if range <= 0.0 {
-        return packed;
+        return;
     }
     let buckets = 1u32 << bits;
     let scale = buckets as f32 / range;
@@ -275,7 +302,6 @@ fn quantize_pack(tier: Tier, xs: &[f32], bits: u8, min: f32, max: f32) -> Vec<u8
         );
     }
     quantize_blocks(xs_rest, bits, min, scale, top, out_rest);
-    packed
 }
 
 /// How many leading elements of a `len`-element message run at the
@@ -575,6 +601,26 @@ mod tests {
         let mut out = vec![0.0f32; 77];
         q.decompress_into(&mut out);
         assert_eq!(out, q.decompress().into_vec());
+    }
+
+    #[test]
+    fn assign_row_is_compress_row_over_a_reused_buffer() {
+        // Longer, shorter, degenerate (all equal) and empty rows in turn,
+        // so stale bytes of an earlier row would show.
+        let rows: [Vec<f32>; 4] = [
+            (0..77).map(|i| (i as f32 * 0.61).cos()).collect(),
+            (0..9).map(|i| i as f32 - 4.0).collect(),
+            vec![2.5; 70],
+            Vec::new(),
+        ];
+        let mut scratch = Quantized::compress_row(&[], 1);
+        for bits in [3u8, 8] {
+            for row in &rows {
+                scratch.assign_row(row, bits);
+                assert_eq!(scratch, Quantized::compress_row(row, bits));
+                assert_eq!(scratch.wire_size(), Quantized::wire_size_for(row.len(), bits));
+            }
+        }
     }
 
     /// ROADMAP totality item (b): degenerate shapes and values through the

@@ -163,10 +163,27 @@ impl ModelWeights {
         h
     }
 
+    /// Projects a stack of layer-`L−1` embedding rows through the final
+    /// aggregate weight with one tiled product: `out`, `m × C` row-major,
+    /// becomes `rows[..m] · W^{L-1}` — the serving path's batched form of
+    /// [`Self::project_row`], bit-identical to it row by row. `rows` may
+    /// hold more than `m` rows (a reused arena); the rest are not read.
+    pub fn project_rows_into(&self, rows: &Matrix, out: &mut [f32]) {
+        rows_times_into(rows, self.layer(self.num_layers() - 1).0, out);
+    }
+
+    /// [`Self::project_rows_into`] through the final GraphSAGE self
+    /// transform. Returns `false`, leaving `out` alone, for GCN.
+    pub fn project_self_rows_into(&self, rows: &Matrix, out: &mut [f32]) -> bool {
+        let ws = self.self_weight(self.num_layers() - 1);
+        ws.map(|ws| rows_times_into(rows, ws, out)).is_some()
+    }
+
     /// Projects one layer-`L−1` embedding row through the final aggregate
     /// weight: the row `h · W^{L-1}` of the full matmul, reproduced with the
     /// same accumulation order as [`ec_tensor::ops::matmul`] so the result
-    /// is bit-identical to the batched kernel's row.
+    /// is bit-identical to the batched kernel's row. The scalar reference
+    /// [`Self::project_rows_into`] is held to.
     pub fn project_row(&self, h_row: &[f32]) -> Vec<f32> {
         row_times(h_row, self.layer(self.num_layers() - 1).0)
     }
@@ -184,7 +201,9 @@ impl ModelWeights {
     ///
     /// Replays the SpMM accumulation in CSR entry order, then the self
     /// term, then the bias — the exact element order of the full-graph
-    /// forward pass, so exact inputs give bit-identical logits.
+    /// forward pass, so exact inputs give bit-identical logits. Serving
+    /// runs [`Self::output_row_into`]; this allocating form with its
+    /// infallible lookup is what that one is tested against.
     pub fn output_row<'a>(
         &self,
         adj_last: &CsrMatrix,
@@ -212,6 +231,65 @@ impl ModelWeights {
         }
         z
     }
+
+    /// [`Self::output_row`] written into `out` (`C` floats, overwritten),
+    /// with a lookup that can fail: `xw_of(c)` returns the projected row of
+    /// neighbour `c`, or `None` when the caller holds none — reported as
+    /// [`MissingRow`] instead of an answer that silently lacks the term.
+    ///
+    /// # Errors
+    /// Returns the first neighbour of `v`, in CSR order, without a row.
+    pub fn output_row_into<'a>(
+        &self,
+        adj_last: &CsrMatrix,
+        v: usize,
+        mut xw_of: impl FnMut(usize) -> Option<&'a [f32]>,
+        self_term: Option<&[f32]>,
+        out: &mut [f32],
+    ) -> Result<(), MissingRow> {
+        let (_, bias) = self.layer(self.num_layers() - 1);
+        out.fill(0.0);
+        for (c, a) in adj_last.row_entries(v) {
+            let xw = xw_of(c).ok_or(MissingRow(c))?;
+            debug_assert_eq!(xw.len(), out.len(), "projected row width");
+            for (o, &x) in out.iter_mut().zip(xw) {
+                *o += a * x;
+            }
+        }
+        if self.model == ModelKind::Sage {
+            if let Some(xs) = self_term {
+                for (o, &x) in out.iter_mut().zip(xs) {
+                    *o += x;
+                }
+            }
+        }
+        for (o, &b) in out.iter_mut().zip(bias) {
+            *o += b;
+        }
+        Ok(())
+    }
+}
+
+/// A neighbour (global vertex id) whose projected row
+/// [`ModelWeights::output_row_into`] asked for and did not get.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MissingRow(pub usize);
+
+impl std::fmt::Display for MissingRow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "no projected row for neighbour {}", self.0)
+    }
+}
+
+impl std::error::Error for MissingRow {}
+
+/// `out = a[..m] · w` for the `m = out.len() / w.cols()` leading rows of
+/// `a`, through the tiled kernel every training product runs.
+fn rows_times_into(a: &Matrix, w: &Matrix, out: &mut [f32]) {
+    assert_eq!(a.cols(), w.rows(), "projection shape mismatch");
+    assert!(out.len() <= a.rows() * w.cols(), "more output rows than input rows");
+    out.fill(0.0);
+    ops::matmul_into(a, w, 0, out);
 }
 
 /// One row of `h · W`, accumulated exactly like [`ec_tensor::ops::matmul`]
@@ -238,6 +316,10 @@ mod tests {
     use ec_graph_data::{normalize, DatasetSpec};
     use ec_partition::hash::HashPartitioner;
     use ec_partition::Partitioner;
+
+    fn bits_of(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
 
     fn trained_engine(model: ModelKind, epochs: usize) -> (DistributedEngine, Vec<Arc<CsrMatrix>>) {
         let data = Arc::new(DatasetSpec::cora().instantiate_with(120, 10, 3));
@@ -286,6 +368,46 @@ mod tests {
                 let want: Vec<u32> = logits.row(v).iter().map(|x| x.to_bits()).collect();
                 let got: Vec<u32> = row.iter().map(|x| x.to_bits()).collect();
                 assert_eq!(got, want, "{model:?} vertex {v} logits diverged");
+            }
+        }
+    }
+
+    /// The batched serving forms against the scalar ones, and the lookup
+    /// that fails: the old closure had to return *some* slice, so a caller
+    /// without a neighbour's row handed back an empty one and the answer
+    /// silently lost the term.
+    #[test]
+    fn batched_projection_and_fallible_aggregation_match_the_row_forms() {
+        for model in [ModelKind::Gcn, ModelKind::Sage] {
+            let (e, adjs) = trained_engine(model, 2);
+            let m = e.inference_model();
+            let hidden = m.forward_through(&adjs, &e.data().features, m.num_layers() - 1, 1);
+            let (n, c) = (hidden.rows(), m.output_dim());
+            // A product over the first 50 rows of a taller arena.
+            let mut xw = vec![f32::NAN; 50 * c];
+            m.project_rows_into(&hidden, &mut xw);
+            let mut self_xw = vec![f32::NAN; 50 * c];
+            assert_eq!(m.project_self_rows_into(&hidden, &mut self_xw), model == ModelKind::Sage);
+            for r in 0..50 {
+                assert_eq!(bits_of(&xw[r * c..][..c]), bits_of(&m.project_row(hidden.row(r))));
+                if let Some(want) = m.project_self_row(hidden.row(r)) {
+                    assert_eq!(bits_of(&self_xw[r * c..][..c]), bits_of(&want));
+                }
+            }
+            let mut xw = vec![0.0f32; n * c];
+            m.project_rows_into(&hidden, &mut xw);
+            let xw_of = |v: usize| Some(&xw[v * c..][..c]);
+            for v in [0usize, 7, n - 1] {
+                let self_term = m.project_self_row(hidden.row(v));
+                let want = m.output_row(&adjs[1], v, |u| &xw[u * c..][..c], self_term.as_deref());
+                let mut got = vec![f32::NAN; c];
+                m.output_row_into(&adjs[1], v, xw_of, self_term.as_deref(), &mut got).unwrap();
+                assert_eq!(bits_of(&got), bits_of(&want), "{model:?} vertex {v}");
+                // Withhold one neighbour's row.
+                let (gone, _) = adjs[1].row_entries(v).last().unwrap();
+                let without = |u: usize| (u != gone).then(|| &xw[u * c..][..c]);
+                let lost = m.output_row_into(&adjs[1], v, without, self_term.as_deref(), &mut got);
+                assert_eq!(lost, Err(MissingRow(gone)));
             }
         }
     }

@@ -126,9 +126,17 @@ impl ServeConfig {
                 return Err(format!("fetch_bits {bits} out of range 1..=16"));
             }
         }
-        let cost_ok = self.secs_per_flop > 0.0 && self.batch_overhead_s >= 0.0;
+        // Positively again, and finite: +∞ here turns every latency of the
+        // report into `inf` without an error.
+        let cost_ok = self.secs_per_flop.is_finite()
+            && self.secs_per_flop > 0.0
+            && self.batch_overhead_s.is_finite()
+            && self.batch_overhead_s >= 0.0;
         if !cost_ok {
-            return Err("serving cost model must be positive".into());
+            return Err(format!(
+                "serving cost model must be finite, secs_per_flop {} > 0 and batch_overhead_s {} >= 0",
+                self.secs_per_flop, self.batch_overhead_s
+            ));
         }
         self.faults.validate()?;
         Ok(())
@@ -160,5 +168,18 @@ mod tests {
         c.num_workers = 2;
         c.max_delay_s = f64::NAN;
         assert!(c.validate().is_err());
+        for bad in [f64::INFINITY, f64::NAN, 0.0, -1e-9] {
+            let mut c = ServeConfig::defaults(4);
+            c.secs_per_flop = bad;
+            assert!(c.validate().is_err(), "secs_per_flop {bad} accepted");
+        }
+        for bad in [f64::INFINITY, f64::NAN, -1e-9] {
+            let mut c = ServeConfig::defaults(4);
+            c.batch_overhead_s = bad;
+            assert!(c.validate().is_err(), "batch_overhead_s {bad} accepted");
+        }
+        let mut c = ServeConfig::defaults(4);
+        c.batch_overhead_s = 0.0;
+        assert!(c.validate().is_ok(), "a free dispatch is a valid model");
     }
 }

@@ -17,6 +17,7 @@
 
 use crate::report::{percentile, ServeReport, WorkerServeStats};
 use crate::service::InferenceService;
+use ec_trace::TelemetryLevel;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -62,14 +63,23 @@ impl WorkloadConfig {
         if self.clients == 0 || self.total_requests == 0 {
             return Err("need at least one client and one request".into());
         }
-        // Written positively so NaN fails every check.
-        let rates_ok = self.zipf_exponent >= 0.0 && self.mean_think_s > 0.0;
+        // Written positively so NaN fails every check, and with
+        // `is_finite` so +∞ does: an infinite think time parks every client
+        // forever and the report's durations become `inf` without an error.
+        let finite_from = |x: f64, low: f64| x.is_finite() && x >= low;
+        let rates_ok = finite_from(self.zipf_exponent, 0.0)
+            && self.mean_think_s.is_finite()
+            && self.mean_think_s > 0.0;
         if !rates_ok {
-            return Err("zipf_exponent must be >= 0 and mean_think_s > 0".into());
+            return Err("zipf_exponent must be finite and >= 0, mean_think_s finite and > 0".into());
         }
-        let burst_ok = (0.0..=1.0).contains(&self.burst_fraction) && self.burst_factor >= 1.0;
+        if !finite_from(self.burst_period_s, 0.0) {
+            return Err(format!("burst_period_s {} must be finite and >= 0", self.burst_period_s));
+        }
+        let burst_ok =
+            (0.0..=1.0).contains(&self.burst_fraction) && finite_from(self.burst_factor, 1.0);
         if self.burst_period_s > 0.0 && !burst_ok {
-            return Err("burst_fraction must be in [0,1] and burst_factor >= 1".into());
+            return Err("burst_fraction must be in [0,1] and burst_factor finite and >= 1".into());
         }
         Ok(())
     }
@@ -181,6 +191,12 @@ pub fn run_closed_loop(service: &mut InferenceService, workload: &WorkloadConfig
     let mut fetch_bytes = 0u64;
     let mut makespan = 0.0f64;
 
+    // Reused by every dispatch; `waits` only exists for the request trace.
+    let tracing = service.config().telemetry.level != TelemetryLevel::Off;
+    let mut batch: Vec<Pending> = Vec::new();
+    let mut ids: Vec<u32> = Vec::new();
+    let mut waits: Vec<f64> = Vec::new();
+
     // Each client's first issue staggers off the think-time distribution.
     for c in 0..workload.clients as u32 {
         let t0 = think_time(workload, &mut rng, 0.0);
@@ -212,8 +228,7 @@ pub fn run_closed_loop(service: &mut InferenceService, workload: &WorkloadConfig
         }
     };
 
-    while let Some((&key, &ev)) = events.iter().next() {
-        events.remove(&key);
+    while let Some((key, ev)) = events.pop_first() {
         let t = f64::from_bits(key.0);
         match ev {
             Event::Issue { client } => {
@@ -245,8 +260,10 @@ pub fn run_closed_loop(service: &mut InferenceService, workload: &WorkloadConfig
                 if take == 0 {
                     continue;
                 }
-                let batch: Vec<Pending> = queues[w].drain(..take).collect();
-                let ids: Vec<u32> = batch.iter().map(|p| p.vertex).collect();
+                batch.clear();
+                batch.extend(queues[w].drain(..take));
+                ids.clear();
+                ids.extend(batch.iter().map(|p| p.vertex));
                 let cost = match service.answer_batch(w, &ids) {
                     Ok((_, cost)) => cost,
                     // Routing is by construction correct; a rejected batch
@@ -257,8 +274,11 @@ pub fn run_closed_loop(service: &mut InferenceService, workload: &WorkloadConfig
                 fetch_bytes += cost.fetch_bytes;
                 // Request-level trace (pure observation; the simulation
                 // and the report below never read it back).
-                let waits: Vec<f64> = batch.iter().map(|p| t - p.arrival).collect();
-                service.note_batch_trace(w, t, &waits, &cost);
+                if tracing {
+                    waits.clear();
+                    waits.extend(batch.iter().map(|p| t - p.arrival));
+                    service.note_batch_trace(w, t, &waits, &cost);
+                }
                 let finish = t + cost.comm_s + cost.compute_s;
                 free_at[w] = finish;
                 makespan = makespan.max(finish);
@@ -385,5 +405,20 @@ mod tests {
         w.burst_factor = 0.5;
         assert!(w.validate().is_err());
         assert!(WorkloadConfig::defaults().validate().is_ok());
+        // Non-finite knobs: each of these used to validate.
+        type Knob = fn(&mut WorkloadConfig) -> &mut f64;
+        let knobs: [Knob; 4] = [
+            |w| &mut w.mean_think_s,
+            |w| &mut w.zipf_exponent,
+            |w| &mut w.burst_period_s,
+            |w| &mut w.burst_factor,
+        ];
+        for knob in knobs {
+            for bad in [f64::INFINITY, f64::NAN] {
+                let mut w = WorkloadConfig::defaults();
+                *knob(&mut w) = bad;
+                assert!(w.validate().is_err(), "{bad} accepted: {w:?}");
+            }
+        }
     }
 }

@@ -5,10 +5,17 @@
 //! computes only the *final* GNN layer for `v`: it projects the
 //! layer-`L−1` rows of `v`'s in-neighbors through the last weight matrix
 //! and replays the SpMM/bias accumulation in the training kernels' exact
-//! element order ([`ModelWeights::output_row`]). Neighbor rows come from,
-//! in order: the worker's own shard, its [`EmbeddingCache`], or a
+//! element order ([`ModelWeights::output_row_into`]). Neighbor rows come
+//! from, in order: the worker's own shard, its [`EmbeddingCache`], or a
 //! [`crate::wire`] fetch from the owning worker (bytes charged to the
 //! [`SimNetwork`]; one network superstep per dispatched batch).
+//!
+//! A batch runs gather → decode → one product → aggregate over a
+//! [`Workspace`] the service keeps between batches: the batch's distinct
+//! neighbours as one ascending id list, their rows written by position into
+//! one row-major arena, one tiled product over the arena, and CSR-order
+//! aggregation reading the product by position. In steady state a batch
+//! allocates its answer matrix and nothing else (DESIGN.md §10).
 //!
 //! Consistency: in exact-fetch mode every answer is bit-identical to the
 //! corresponding row of the full-graph forward pass. With quantized
@@ -35,7 +42,7 @@ use ec_partition::Partition;
 use ec_tensor::{CsrMatrix, Matrix};
 use ec_trace::registry::{labels, log2_bucket};
 use ec_trace::{MetricId, SpanEvent, TelemetryLevel, TelemetrySink};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Simulated cost of answering one dispatched batch.
@@ -70,6 +77,15 @@ pub enum ServeError {
         /// The vertex's actual owner.
         owner: usize,
     },
+    /// Aggregating `vertex` needed the projected row of `neighbor` and the
+    /// batch's workspace holds none: an internal inconsistency, reported
+    /// rather than answered with the term left out.
+    MissingNeighbor {
+        /// The queried vertex.
+        vertex: u32,
+        /// The in-neighbor without a row.
+        neighbor: u32,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -79,11 +95,67 @@ impl std::fmt::Display for ServeError {
             ServeError::WrongOwner { vertex, worker, owner } => {
                 write!(f, "vertex {vertex} dispatched on worker {worker} but owned by {owner}")
             }
+            ServeError::MissingNeighbor { vertex, neighbor } => {
+                write!(f, "no row for neighbor {neighbor} while answering vertex {vertex}")
+            }
         }
     }
 }
 
 impl std::error::Error for ServeError {}
+
+/// "Not in this batch" in [`Workspace::pos_of`].
+const NO_POS: u32 = u32::MAX;
+
+/// The buffers one batch is answered in, kept between batches so that a
+/// warm service allocates nothing but its answer. Everything is indexed by
+/// *position* in [`Self::ids`]; a row that was never written cannot be
+/// looked up, because there is no lookup — only positions the gather loop
+/// itself produced.
+struct Workspace {
+    /// The rows the batch needs, as global vertex ids: in `answer_batch`
+    /// the distinct in-neighbours of the queried vertices, ascending.
+    ids: Vec<u32>,
+    /// Row `p` is the layer-`L−1` row of `ids[p]` (own shard, cache or
+    /// fetch). Holds at least `ids.len()` rows; grows, never shrinks.
+    rows: Matrix,
+    /// Row `p` is `rows[p] · W^{L-1}`, `ids.len() × C`.
+    xw: Vec<f32>,
+    /// GraphSAGE only: row `i` is the stored row of the batch's `i`-th
+    /// query, and its product with the self transform.
+    self_rows: Matrix,
+    self_xw: Vec<f32>,
+    /// Global id → position in `ids` while a batch aggregates, [`NO_POS`]
+    /// otherwise (reset by walking `ids`, not by a fill).
+    pos_of: Vec<u32>,
+    /// Per owning worker, the positions still to be fetched from it.
+    fetch: Vec<Vec<u32>>,
+    /// The one compressed row in flight on the quantized fetch path.
+    codec: Quantized,
+}
+
+impl Workspace {
+    fn new(num_vertices: usize, dim: usize, num_workers: usize) -> Self {
+        Self {
+            ids: Vec::new(),
+            rows: Matrix::zeros(0, dim),
+            xw: Vec::new(),
+            self_rows: Matrix::zeros(0, dim),
+            self_xw: Vec::new(),
+            pos_of: vec![NO_POS; num_vertices],
+            fetch: vec![Vec::new(); num_workers],
+            codec: Quantized::compress_row(&[], 1),
+        }
+    }
+}
+
+/// Makes `arena` at least `rows` tall (contents are not kept: every row a
+/// batch reads it has written first).
+fn grow_rows(arena: &mut Matrix, rows: usize) {
+    if arena.rows() < rows {
+        *arena = Matrix::zeros(rows.next_power_of_two(), arena.cols());
+    }
+}
 
 /// The serving cluster: one store shard + cache per worker, a parameter
 /// node broadcasting checkpoints, and the simulated network between them.
@@ -93,6 +165,7 @@ pub struct InferenceService {
     adjs: Vec<Arc<CsrMatrix>>,
     store: EmbeddingStore,
     caches: Vec<EmbeddingCache>,
+    ws: Workspace,
     network: SimNetwork,
     config: ServeConfig,
     telemetry: TelemetrySink,
@@ -137,11 +210,15 @@ impl InferenceService {
         let store =
             EmbeddingStore::build(&model, &adjs, &data, partition.clone(), config.kernel_threads);
         let hot_sets = hot_sets(&adjs[model.num_layers() - 1], &partition, &data, num_workers);
-        let caches = (0..num_workers).map(|_| EmbeddingCache::new(config.cache_rows)).collect();
+        let (n, k) = (store.num_vertices(), store.dim());
+        let caches = (0..num_workers)
+            .map(|_| EmbeddingCache::with_shape(config.cache_rows, config.pinned_rows, k, n))
+            .collect();
         let mut svc = Self {
             model,
             data,
             adjs,
+            ws: Workspace::new(n, k, num_workers),
             store,
             caches,
             network,
@@ -329,18 +406,15 @@ impl InferenceService {
         // Pin the hot sets through the regular fetch codec so pinned rows
         // reconstruct exactly like an LRU fill would.
         for w in 0..self.config.num_workers {
-            let pinned: Vec<u32> =
-                self.hot_sets[w].iter().take(self.config.pinned_rows).copied().collect();
-            let mut by_owner: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
-            for &v in &pinned {
-                by_owner.entry(self.store.owner(v as usize)).or_default().push(v);
+            let hot = &self.hot_sets[w];
+            self.ws.ids.clear();
+            self.ws.ids.extend_from_slice(&hot[..hot.len().min(self.config.pinned_rows)]);
+            grow_rows(&mut self.ws.rows, self.ws.ids.len());
+            for (p, &v) in self.ws.ids.iter().enumerate() {
+                self.ws.fetch[self.store.owner(v as usize)].push(p as u32);
             }
-            for (owner, ids) in by_owner {
-                let (rows, wire) = self.fetch_rows(w, owner, &ids);
-                bytes += wire;
-                for (v, row) in ids.iter().zip(rows) {
-                    self.caches[w].pin(*v, row);
-                }
+            for owner in 0..self.config.num_workers {
+                bytes += self.fetch_rows(w, owner, |cache, id, row| cache.pin(id, row));
             }
         }
         let t = self.network.flush_superstep();
@@ -351,44 +425,50 @@ impl InferenceService {
     }
 
     /// Moves one request/reply pair `requester ↔ owner` over the network
-    /// and returns the reconstructed rows (request order) plus the reply's
-    /// wire bytes. Same-worker "fetches" are free by `SimNetwork` rules but
-    /// never occur: callers only fetch rows they do not own.
-    fn fetch_rows(&mut self, requester: usize, owner: usize, ids: &[u32]) -> (Vec<Vec<f32>>, u64) {
+    /// for the positions queued in the workspace's fetch list of `owner`
+    /// (drained here): each row is read from the owner's shard, put through
+    /// the fetch codec, reconstructed straight into its arena row and
+    /// handed to `keep` with the requester's cache. Returns the reply's
+    /// wire bytes; nothing queued moves nothing. Same-worker "fetches" are
+    /// free by `SimNetwork` rules but never occur: callers only queue rows
+    /// the requester does not own.
+    fn fetch_rows(
+        &mut self,
+        requester: usize,
+        owner: usize,
+        mut keep: impl FnMut(&mut EmbeddingCache, u32, &[f32]),
+    ) -> u64 {
+        let wanted = self.ws.fetch[owner].len();
+        if wanted == 0 {
+            return 0;
+        }
         let version = self.store.version();
-        let request = ServeRequest { version, ids: ids.to_vec() };
-        self.network.send(requester, owner, Channel::Control, request.wire_size() as u64);
-        let reply = match self.config.fetch_bits {
-            None => ServeReply::Exact { version, rows: self.store.gather(ids) },
-            Some(bits) => ServeReply::RowQuantized {
-                version,
-                rows: ids
-                    .iter()
-                    .map(|&v| Quantized::compress_row(self.store.row(v as usize), bits))
-                    .collect(),
-            },
-        };
-        let wire = reply.wire_size() as u64;
+        let request = ServeRequest::wire_size_for(wanted);
+        self.network.send(requester, owner, Channel::Control, request as u64);
+        let fetch_bits = self.config.fetch_bits;
+        for i in 0..wanted {
+            let p = self.ws.fetch[owner][i] as usize;
+            let id = self.ws.ids[p];
+            let stored = self.store.row(id as usize);
+            let row = self.ws.rows.row_mut(p);
+            match fetch_bits {
+                None => row.copy_from_slice(stored),
+                Some(bits) => {
+                    self.ws.codec.assign_row(stored, bits);
+                    self.ws.codec.decompress_into(row);
+                }
+            }
+            keep(&mut self.caches[requester], id, row);
+        }
+        self.ws.fetch[owner].clear();
+        let wire = ServeReply::wire_size_for(wanted, self.store.dim(), fetch_bits) as u64;
         self.network.send(owner, requester, Channel::Forward, wire);
         self.telemetry.add(
             MetricId::ServeFetchBytes,
             labels(&[version, owner as u32, requester as u32]),
             wire,
         );
-        let rows = match reply {
-            ServeReply::Exact { rows, .. } => {
-                (0..rows.rows()).map(|r| rows.row(r).to_vec()).collect()
-            }
-            ServeReply::RowQuantized { rows, .. } => rows
-                .iter()
-                .map(|q| {
-                    let mut row = vec![0.0f32; q.shape().1];
-                    q.decompress_into(&mut row);
-                    row
-                })
-                .collect(),
-        };
-        (rows, wire)
+        wire
     }
 
     /// Answers one dispatched batch on `worker`: the final-layer output
@@ -398,6 +478,8 @@ impl InferenceService {
     /// # Errors
     /// Returns a [`ServeError`] when a vertex is out of range or not owned
     /// by `worker`; the batch is rejected before any state changes.
+    /// ([`ServeError::MissingNeighbor`] would mean the workspace contradicts
+    /// itself; nothing a caller passes can produce it.)
     pub fn answer_batch(
         &mut self,
         worker: usize,
@@ -414,82 +496,82 @@ impl InferenceService {
             }
         }
         // Owned `Arc` clone so the adjacency stays usable across the
-        // `&mut self` cache/fetch calls below.
+        // `&mut self` fetch calls below.
         let adj_last = Arc::clone(&self.adjs[self.model.num_layers() - 1]);
         let version = self.store.version();
         let mut cost = BatchCost::default();
 
-        // 1. The batch's distinct neighbor set (ascending — deterministic).
-        let mut needed: BTreeSet<u32> = BTreeSet::new();
+        // 1. The batch's distinct neighbor list (ascending — deterministic,
+        //    and the order every cache lookup below is issued in).
+        self.ws.ids.clear();
         for &v in ids {
-            needed.extend(adj_last.row_entries(v as usize).map(|(c, _)| c as u32));
+            self.ws.ids.extend(adj_last.row_entries(v as usize).map(|(c, _)| c as u32));
         }
+        let entries = self.ws.ids.len();
+        self.ws.ids.sort_unstable();
+        self.ws.ids.dedup();
+        let needed = self.ws.ids.len();
+        grow_rows(&mut self.ws.rows, needed);
 
-        // 2. Resolve each neighbor: own shard, cache, or fetch list.
-        let mut remote_rows: BTreeMap<u32, Vec<f32>> = BTreeMap::new();
-        let mut fetch_by_owner: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
-        for &c in &needed {
+        // 2. Resolve each neighbor into its arena row: own shard, cache,
+        //    or the owner's fetch list.
+        for (p, &c) in self.ws.ids.iter().enumerate() {
             let owner = self.store.owner(c as usize);
             if owner == worker {
-                continue;
-            }
-            if let Some(row) = self.caches[worker].get(c) {
+                self.ws.rows.row_mut(p).copy_from_slice(self.store.row(c as usize));
+            } else if let Some(row) = self.caches[worker].get(c) {
                 cost.cache_hits += 1;
-                remote_rows.insert(c, row.to_vec());
+                self.ws.rows.row_mut(p).copy_from_slice(row);
             } else {
                 cost.cache_misses += 1;
-                fetch_by_owner.entry(owner).or_default().push(c);
+                self.ws.fetch[owner].push(p as u32);
             }
         }
 
         // 3. Fetch the misses, owner by owner, and fill the cache.
-        for (owner, fetch_ids) in std::mem::take(&mut fetch_by_owner) {
-            let (rows, wire) = self.fetch_rows(worker, owner, &fetch_ids);
-            cost.fetch_bytes += wire;
-            cost.fetch_rows += fetch_ids.len() as u64;
-            for (&c, row) in fetch_ids.iter().zip(rows) {
-                self.caches[worker].insert(c, row.clone());
-                remote_rows.insert(c, row);
-            }
+        cost.fetch_rows = cost.cache_misses; // every miss is fetched, once
+        for owner in 0..self.config.num_workers {
+            cost.fetch_bytes +=
+                self.fetch_rows(worker, owner, |cache, id, row| cache.insert(id, row));
         }
         cost.comm_s = self.network.flush_superstep();
 
-        // 4. Final-layer compute, replaying the training kernels' element
-        //    order. Each distinct neighbor is projected once per batch.
+        // 4. Final-layer compute: every distinct neighbor projected once,
+        //    all of them by one tiled product (and a second one for the
+        //    GraphSAGE self terms), which accumulates each output element
+        //    in the training kernels' order.
         let k = self.store.dim();
         let out_dim = self.model.output_dim();
-        let mut flops = 0u64;
-        let mut xw: BTreeMap<u32, Vec<f32>> = BTreeMap::new();
-        for &c in &needed {
-            let h: &[f32] = if self.store.owner(c as usize) == worker {
-                self.store.row(c as usize)
-            } else {
-                remote_rows.get(&c).map_or(&[], Vec::as_slice)
-            };
-            xw.insert(c, self.model.project_row(h));
-            flops += 2 * (k * out_dim) as u64;
-        }
-        static EMPTY: &[f32] = &[];
-        let mut out = Matrix::zeros(ids.len(), out_dim);
-        for (i, &v) in ids.iter().enumerate() {
-            let self_term = self.model.project_self_row(self.store.row(v as usize));
-            if self_term.is_some() {
-                flops += 2 * (k * out_dim) as u64;
+        let ws = &mut self.ws;
+        ws.xw.resize(ws.xw.len().max(needed * out_dim), 0.0);
+        self.model.project_rows_into(&ws.rows, &mut ws.xw[..needed * out_dim]);
+        let mut projected = needed;
+        if self.model.self_weight(self.model.num_layers() - 1).is_some() {
+            grow_rows(&mut ws.self_rows, ids.len());
+            for (i, &v) in ids.iter().enumerate() {
+                ws.self_rows.row_mut(i).copy_from_slice(self.store.row(v as usize));
             }
-            let row = self.model.output_row(
-                &adj_last,
-                v as usize,
-                |c| xw.get(&(c as u32)).map_or(EMPTY, Vec::as_slice),
-                self_term.as_deref(),
-            );
-            flops += (2 * adj_last.row_entries(v as usize).count() * out_dim + out_dim) as u64;
-            out.set_row(i, &row);
+            ws.self_xw.resize(ws.self_xw.len().max(ids.len() * out_dim), 0.0);
+            self.model
+                .project_self_rows_into(&ws.self_rows, &mut ws.self_xw[..ids.len() * out_dim]);
+            projected += ids.len();
         }
+
+        // 5. Aggregate in CSR order, reading the product by position.
+        for (p, &c) in ws.ids.iter().enumerate() {
+            ws.pos_of[c as usize] = p as u32;
+        }
+        let answer = aggregate(&self.model, &adj_last, ws, ids);
+        for &c in &ws.ids {
+            ws.pos_of[c as usize] = NO_POS;
+        }
+        let out = answer?;
+        let flops = (projected * 2 * (k * out_dim) + (2 * entries + ids.len()) * out_dim) as u64;
         let straggle = self.network.faults().map_or(1.0, |inj| inj.straggler_factor(worker));
         cost.compute_s =
             flops as f64 * self.config.secs_per_flop * straggle + self.config.batch_overhead_s;
 
-        // 5. Serving metrics (pure observation; never feeds back).
+        // 6. Serving metrics (pure observation; never feeds back).
         let wl = labels(&[version, worker as u32]);
         self.telemetry.add(MetricId::ServeCacheHit, wl, cost.cache_hits);
         self.telemetry.add(MetricId::ServeCacheMiss, wl, cost.cache_misses);
@@ -523,6 +605,31 @@ impl InferenceService {
     }
 }
 
+/// The answer rows of `ids` from a workspace whose product and position
+/// index are in place: SpMM accumulation in CSR entry order, then the self
+/// term, then the bias, each row written straight into the output.
+fn aggregate(
+    model: &ModelWeights,
+    adj_last: &CsrMatrix,
+    ws: &Workspace,
+    ids: &[u32],
+) -> Result<Matrix, ServeError> {
+    let out_dim = model.output_dim();
+    let sage = model.self_weight(model.num_layers() - 1).is_some();
+    let mut out = Matrix::zeros(ids.len(), out_dim);
+    for (i, &v) in ids.iter().enumerate() {
+        let xw_of = |c: usize| {
+            let p = ws.pos_of.get(c).copied().filter(|&p| p != NO_POS)?;
+            ws.xw.get(p as usize * out_dim..)?.get(..out_dim)
+        };
+        let self_term = sage.then(|| &ws.self_xw[i * out_dim..][..out_dim]);
+        model.output_row_into(adj_last, v as usize, xw_of, self_term, out.row_mut(i)).map_err(
+            |missing| ServeError::MissingNeighbor { vertex: v, neighbor: missing.0 as u32 },
+        )?;
+    }
+    Ok(out)
+}
+
 /// Each worker's remote 1-hop dependencies (vertices feeding its owned
 /// rows' final layer, owned elsewhere), by descending in-degree then
 /// ascending id — the pinning priority.
@@ -548,4 +655,294 @@ fn hot_sets(
             ranked
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ec_faults::FaultPlan;
+    use ec_graph::config::{ModelKind, TrainingConfig};
+    use ec_graph::engine::DistributedEngine;
+    use ec_graph_data::{normalize, DatasetSpec};
+    use ec_partition::{hash::HashPartitioner, Partitioner};
+    use std::collections::BTreeMap;
+
+    /// The map-based path [`InferenceService::answer_batch`] replaced, kept
+    /// as it was: a `BTreeSet` of neighbours, a `Vec` per row in two
+    /// `BTreeMap`s, constructed wire messages measured by `wire_size`, one
+    /// scalar `project_row` per neighbour. It is what the workspace path is
+    /// compared against, bit for bit and counter for counter.
+    impl InferenceService {
+        fn fetch_rows_reference(
+            &mut self,
+            requester: usize,
+            owner: usize,
+            ids: &[u32],
+        ) -> (Vec<Vec<f32>>, u64) {
+            let version = self.store.version();
+            let request = ServeRequest { version, ids: ids.to_vec() };
+            self.network.send(requester, owner, Channel::Control, request.wire_size() as u64);
+            let reply = match self.config.fetch_bits {
+                None => ServeReply::Exact { version, rows: self.store.gather(ids) },
+                Some(bits) => ServeReply::RowQuantized {
+                    version,
+                    rows: ids
+                        .iter()
+                        .map(|&v| Quantized::compress_row(self.store.row(v as usize), bits))
+                        .collect(),
+                },
+            };
+            let wire = reply.wire_size() as u64;
+            self.network.send(owner, requester, Channel::Forward, wire);
+            self.telemetry.add(
+                MetricId::ServeFetchBytes,
+                labels(&[version, owner as u32, requester as u32]),
+                wire,
+            );
+            let rows = match reply {
+                ServeReply::Exact { rows, .. } => rows.rows_iter().map(<[f32]>::to_vec).collect(),
+                ServeReply::RowQuantized { rows, .. } => {
+                    rows.iter().map(|q| q.decompress().into_vec()).collect()
+                }
+            };
+            (rows, wire)
+        }
+
+        fn answer_batch_reference(
+            &mut self,
+            worker: usize,
+            ids: &[u32],
+        ) -> Result<(Matrix, BatchCost), ServeError> {
+            let adj_last = Arc::clone(&self.adjs[self.model.num_layers() - 1]);
+            let mut cost = BatchCost::default();
+            let mut needed: BTreeSet<u32> = BTreeSet::new();
+            for &v in ids {
+                needed.extend(adj_last.row_entries(v as usize).map(|(c, _)| c as u32));
+            }
+            let mut remote_rows: BTreeMap<u32, Vec<f32>> = BTreeMap::new();
+            let mut fetch_by_owner: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
+            for &c in &needed {
+                let owner = self.store.owner(c as usize);
+                if owner == worker {
+                    continue;
+                }
+                if let Some(row) = self.caches[worker].get(c) {
+                    cost.cache_hits += 1;
+                    remote_rows.insert(c, row.to_vec());
+                } else {
+                    cost.cache_misses += 1;
+                    fetch_by_owner.entry(owner).or_default().push(c);
+                }
+            }
+            for (owner, fetch_ids) in fetch_by_owner {
+                let (rows, wire) = self.fetch_rows_reference(worker, owner, &fetch_ids);
+                cost.fetch_bytes += wire;
+                cost.fetch_rows += fetch_ids.len() as u64;
+                for (&c, row) in fetch_ids.iter().zip(rows) {
+                    self.caches[worker].insert(c, row.clone());
+                    remote_rows.insert(c, row);
+                }
+            }
+            cost.comm_s = self.network.flush_superstep();
+            let k = self.store.dim();
+            let out_dim = self.model.output_dim();
+            let mut flops = 0u64;
+            let mut xw: BTreeMap<u32, Vec<f32>> = BTreeMap::new();
+            for &c in &needed {
+                let h: &[f32] = if self.store.owner(c as usize) == worker {
+                    self.store.row(c as usize)
+                } else {
+                    &remote_rows[&c]
+                };
+                xw.insert(c, self.model.project_row(h));
+                flops += 2 * (k * out_dim) as u64;
+            }
+            let mut out = Matrix::zeros(ids.len(), out_dim);
+            for (i, &v) in ids.iter().enumerate() {
+                let self_term = self.model.project_self_row(self.store.row(v as usize));
+                if self_term.is_some() {
+                    flops += 2 * (k * out_dim) as u64;
+                }
+                let row = self.model.output_row(
+                    &adj_last,
+                    v as usize,
+                    |c| &xw[&(c as u32)],
+                    self_term.as_deref(),
+                );
+                flops += (2 * adj_last.row_entries(v as usize).count() * out_dim + out_dim) as u64;
+                out.set_row(i, &row);
+            }
+            let straggle = self.network.faults().map_or(1.0, |inj| inj.straggler_factor(worker));
+            cost.compute_s =
+                flops as f64 * self.config.secs_per_flop * straggle + self.config.batch_overhead_s;
+            Ok((out, cost))
+        }
+    }
+
+    const WORKERS: usize = 4;
+
+    struct Fixture {
+        data: Arc<AttributedGraph>,
+        adjs: Vec<Arc<CsrMatrix>>,
+        /// Weights after two and after three epochs (a refresh's before/after).
+        weights: [ModelWeights; 2],
+    }
+
+    impl Fixture {
+        fn new(model: ModelKind) -> Self {
+            let data = Arc::new(DatasetSpec::cora().instantiate_with(130, 10, 5));
+            let adj = Arc::new(normalize::gcn_normalized_adjacency(&data.graph));
+            let adjs = vec![adj; 2];
+            let config = TrainingConfig {
+                dims: vec![10, 8, data.num_classes],
+                model,
+                num_workers: WORKERS,
+                seed: 7,
+                ..TrainingConfig::defaults(10, data.num_classes)
+            };
+            let partition = HashPartitioner::default().partition(&data.graph, WORKERS);
+            let mut engine = DistributedEngine::new(data.clone(), adjs.clone(), partition, config);
+            engine.run_epoch();
+            engine.run_epoch();
+            let v0 = engine.inference_model();
+            engine.run_epoch();
+            Self { data, adjs, weights: [v0, engine.inference_model()] }
+        }
+
+        fn service(&self, config: ServeConfig) -> InferenceService {
+            let parts = config.num_workers;
+            let partition = Arc::new(HashPartitioner::default().partition(&self.data.graph, parts));
+            InferenceService::new(
+                self.weights[0].clone(),
+                self.data.clone(),
+                self.adjs.clone(),
+                partition,
+                config,
+            )
+        }
+    }
+
+    /// Runs `ids` on both services and compares the answers' bits and every
+    /// cost field.
+    fn assert_same_batch(
+        new: &mut InferenceService,
+        reference: &mut InferenceService,
+        worker: usize,
+        ids: &[u32],
+        tag: &str,
+    ) {
+        let (got, cost) = new.answer_batch(worker, ids).expect("valid batch");
+        let (want, want_cost) = reference.answer_batch_reference(worker, ids).expect("valid batch");
+        assert_eq!(got.shape(), want.shape(), "{tag}: shape, ids {ids:?}");
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(bits(&got), bits(&want), "{tag}: logits, worker {worker} ids {ids:?}");
+        let fields = |c: &BatchCost| {
+            let times = (c.comm_s.to_bits(), c.compute_s.to_bits());
+            (times, c.fetch_rows, c.fetch_bytes, c.cache_hits, c.cache_misses)
+        };
+        assert_eq!(fields(&cost), fields(&want_cost), "{tag}: cost, worker {worker} ids {ids:?}");
+    }
+
+    /// Every vertex through its owner in batches of `batch`, twice over (the
+    /// second pass runs on a warm cache), then the degenerate batches.
+    fn drive(fx: &Fixture, config: ServeConfig, tag: &str) {
+        let mut new = fx.service(config.clone());
+        let mut reference = fx.service(config.clone());
+        let n = fx.data.num_vertices() as u32;
+        let owned = |svc: &InferenceService, w: usize| -> Vec<u32> {
+            (0..n).filter(|&v| svc.route(v as usize) == w).collect()
+        };
+        for pass in 0..2 {
+            for w in 0..config.num_workers {
+                for chunk in owned(&new, w).chunks(if pass == 0 { 8 } else { 3 }) {
+                    assert_same_batch(&mut new, &mut reference, w, chunk, tag);
+                }
+            }
+        }
+        let mine = owned(&new, 0);
+        // Empty, duplicates within one batch, and a batch larger than any
+        // before it (the workspace grows).
+        assert_same_batch(&mut new, &mut reference, 0, &[], tag);
+        let dup = [mine[1], mine[0], mine[1], mine[1], mine[0]];
+        assert_same_batch(&mut new, &mut reference, 0, &dup, tag);
+        assert_same_batch(&mut new, &mut reference, 0, &mine, tag);
+        // A refresh, and the first batches after it.
+        let t = new.refresh(fx.weights[1].clone());
+        assert_eq!(t.to_bits(), reference.refresh(fx.weights[1].clone()).to_bits(), "{tag}");
+        for w in 0..config.num_workers {
+            for chunk in owned(&new, w).chunks(8).take(3) {
+                assert_same_batch(&mut new, &mut reference, w, chunk, tag);
+            }
+        }
+        assert_eq!(new.cache_stats(), reference.cache_stats(), "{tag}: cache counters");
+        if config.num_workers > 1 && config.cache_rows > 0 {
+            let (hits, evictions) =
+                new.cache_stats().iter().fold((0, 0), |(h, e), s| (h + s.0, e + s.2));
+            assert!(hits > 0, "{tag}: the cache must be exercised");
+            assert!(evictions > 0 || config.cache_rows > 24, "{tag}: a 24-row cache must evict");
+        }
+        assert_eq!(new.refresh_bytes(), reference.refresh_bytes(), "{tag}: install bytes");
+        assert_eq!(
+            new.traffic().total_bytes(),
+            reference.traffic().total_bytes(),
+            "{tag}: network bytes"
+        );
+    }
+
+    #[test]
+    fn workspace_path_matches_the_map_based_reference() {
+        for model in [ModelKind::Gcn, ModelKind::Sage] {
+            let fx = Fixture::new(model);
+            for cached in [true, false] {
+                for fetch_bits in [None, Some(8u8), Some(3)] {
+                    for straggler in [false, true] {
+                        let mut config = ServeConfig::defaults(WORKERS);
+                        config.fetch_bits = fetch_bits;
+                        if !cached {
+                            config.cache_rows = 0;
+                            config.pinned_rows = 0;
+                        } else {
+                            // Small enough that the passes evict.
+                            config.cache_rows = 24;
+                            config.pinned_rows = 6;
+                        }
+                        if straggler {
+                            config.faults = FaultPlan::none().with_straggler(0, 2.0);
+                        }
+                        let tag = format!(
+                            "{model:?} cached={cached} bits={fetch_bits:?} straggler={straggler}"
+                        );
+                        drive(&fx, config, &tag);
+                    }
+                }
+            }
+            // The default cache shape, and one worker owning everything (no
+            // remote rows at all).
+            drive(&fx, ServeConfig::defaults(WORKERS), &format!("{model:?} defaults"));
+            drive(&fx, ServeConfig::defaults(1), &format!("{model:?} single worker"));
+        }
+    }
+
+    /// A neighbour without a row is an error, not a term left out: the
+    /// map-based path looked rows up with `map_or(&[], …)` and answered
+    /// with whatever was left.
+    #[test]
+    fn a_neighbor_without_a_row_is_reported_not_zeroed() {
+        let fx = Fixture::new(ModelKind::Gcn);
+        let mut svc = fx.service(ServeConfig::defaults(WORKERS));
+        let v = (0..130u32).find(|&v| svc.route(v as usize) == 0).expect("worker 0 owns a vertex");
+        svc.answer_batch(0, &[v]).expect("valid batch");
+        // Between batches the position index is blank, so aggregating
+        // against the left-over product finds no neighbour at all.
+        let adj = Arc::clone(&svc.adjs[1]);
+        let (first, _) = adj.row_entries(v as usize).next().expect("self loop");
+        assert_eq!(
+            aggregate(&svc.model, &adj, &svc.ws, &[v]).map(|m| m.shape()),
+            Err(ServeError::MissingNeighbor { vertex: v, neighbor: first as u32 })
+        );
+        // And the batch itself left the service answering as before.
+        let (again, _) = svc.answer_batch(0, &[v]).expect("valid batch");
+        let want = fx.weights[0].forward(&fx.adjs, &fx.data.features, 1);
+        assert_eq!(again.row(0), want.row(v as usize));
+    }
 }

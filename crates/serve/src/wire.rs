@@ -29,7 +29,13 @@ pub struct ServeRequest {
 impl ServeRequest {
     /// Serialized size in bytes (must equal `to_bytes().len()`).
     pub fn wire_size(&self) -> usize {
-        1 + 4 + codec::u32s_wire_size(&self.ids)
+        Self::wire_size_for(self.ids.len())
+    }
+
+    /// [`Self::wire_size`] of a request for `num_ids` rows — what the
+    /// service charges, without building the message.
+    pub fn wire_size_for(num_ids: usize) -> usize {
+        1 + 4 + 4 + 4 * num_ids
     }
 
     /// Serializes the request.
@@ -112,6 +118,18 @@ impl ServeReply {
                     // wants an exact slice.
                     4 + rows.iter().map(|q| 4 + q.wire_size()).sum::<usize>()
                 }
+            }
+    }
+
+    /// [`Self::wire_size`] of a reply carrying `num_rows` rows of `dim`
+    /// floats — exact, or each quantized to `fetch_bits` bits — without
+    /// building the message. Every row of one store is equally wide, so the
+    /// size is a function of the shape alone.
+    pub fn wire_size_for(num_rows: usize, dim: usize, fetch_bits: Option<u8>) -> usize {
+        1 + 4
+            + match fetch_bits {
+                None => 8 + 4 * num_rows * dim,
+                Some(bits) => 4 + num_rows * (4 + Quantized::wire_size_for(dim, bits)),
             }
     }
 
@@ -206,6 +224,29 @@ mod tests {
         assert_eq!(ServeReply::from_bytes(&bytes).unwrap(), msg);
         assert_eq!(msg.num_rows(), 3);
         assert_eq!(msg.version(), 2);
+    }
+
+    /// The service charges by shape; the charge must be the size of the
+    /// message it stands for, serialized.
+    #[test]
+    fn shape_sizes_equal_the_constructed_messages() {
+        for (n, dim) in [(0usize, 16usize), (1, 1), (3, 16), (7, 47), (40, 64)] {
+            let ids: Vec<u32> = (0..n as u32).map(|i| i * 3 + 1).collect();
+            let request = ServeRequest { version: 1, ids };
+            assert_eq!(ServeRequest::wire_size_for(n), request.to_bytes().len());
+            let rows = init::uniform(n, dim, -2.0, 2.0, (n + dim) as u64);
+            let exact = ServeReply::Exact { version: 1, rows: rows.clone() };
+            assert_eq!(ServeReply::wire_size_for(n, dim, None), exact.to_bytes().len());
+            for bits in [1u8, 3, 8, 16] {
+                let quantized = ServeReply::RowQuantized {
+                    version: 1,
+                    rows: rows.rows_iter().map(|r| Quantized::compress_row(r, bits)).collect(),
+                };
+                let charged = ServeReply::wire_size_for(n, dim, Some(bits));
+                assert_eq!(charged, quantized.wire_size());
+                assert_eq!(charged, quantized.to_bytes().len());
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, lints (warnings are errors), the whole
-# workspace test suite, the kernel crates' tests again in release, and a
+# workspace test suite, the kernel and serving crates' tests again in release, and a
 # one-experiment drive of scripts/reproduce.sh.
 # CI runs exactly this script. Host performance is measured by perfbench/
 # (see BENCHMARK.json), not here.
@@ -46,11 +46,13 @@ cargo run -q -p ec-lint -- --check
 echo "== cargo test =="
 cargo test --workspace -q
 
-echo "== cargo test --release (codec, reduction and exchange kernels) =="
+echo "== cargo test --release (codec, reduction, exchange and serving kernels) =="
 # The dev profile builds these crates at opt-level 1-2, where the casts and
 # lane reductions of the codec kernels are not vectorised; their
-# bit-identity tests must also hold on the code the benchmark runs.
-cargo test --release -q -p ec-compress -p ec-tensor -p ec-graph
+# bit-identity tests must also hold on the code the benchmark runs. Serving
+# answers a batch with the tiled product and the row codec, so its
+# workspace-vs-reference test belongs to the same line.
+cargo test --release -q -p ec-compress -p ec-tensor -p ec-graph -p ec-serve
 
 echo "== reproduce smoke (scripts/reproduce.sh writes a revision header) =="
 # Table II is analytic and instant; the script writes under the cwd.

@@ -215,8 +215,9 @@ fn split_spmm_is_the_stacked_spmm_bit_for_bit() {
 /// against `ops::reference`, bit for bit, sequential, on 3 threads, and at
 /// every instruction-set tier the host supports (the pool-dispatched calls
 /// run the best one; the `*_kernel` calls name each). And the serving path's
-/// one-row product, `ModelWeights::project_row`, against the matching row of
-/// the batched kernel.
+/// products: the one-row reference `ModelWeights::project_row` against the
+/// matching row of the batched kernel, and the batched `project_rows_into`
+/// against it at small and large batch sizes, at every tier.
 #[test]
 fn compute_kernels_match_the_reference_on_worker_shapes() {
     use ec_graph_repro::ecgraph::config::ModelKind;
@@ -324,6 +325,23 @@ fn compute_kernels_match_the_reference_on_worker_shapes() {
             batched.row(r).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             "project_row {r}"
         );
+    }
+    // Serving's batched form: `project_rows_into` over the leading rows of a
+    // taller arena, against `project_row` row by row, at batch sizes around
+    // every tier's row group (2 / 4 / 8 rows) — through the dispatching
+    // entry point, and through the kernel it dispatches to at each tier.
+    let flat_bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    for m in [0usize, 1, 2, 7, 8, 9, 300] {
+        let want: Vec<f32> = (0..m).flat_map(|r| model.project_row(h[1].row(r))).collect();
+        let mut got = vec![f32::NAN; m * dims[2]];
+        model.project_rows_into(&h[1], &mut got);
+        assert_eq!(flat_bits(&got), flat_bits(&want), "project_rows_into, {m} rows");
+        for tier in Tier::supported() {
+            let got = product_at!(tier, m, dims[2], |out| {
+                ops::matmul_kernel(&h[1], &weights[1], 0, out)
+            });
+            assert_eq!(bits(&got), flat_bits(&want), "batched projection, {m} rows, {tier}");
+        }
     }
 }
 

@@ -1,0 +1,115 @@
+//! The serving workspace's allocation budget: a steady-state
+//! `answer_batch` — warm workspace, warm cache, 8-bit fetches still
+//! happening — allocates its answer matrix and nothing else.
+//!
+//! Integration tests are separate binaries, so this one can install its own
+//! counting `#[global_allocator]` without touching any other test. It holds
+//! exactly one `#[test]`: nothing else in the process allocates while the
+//! counter is read.
+#![allow(
+    clippy::disallowed_types,
+    reason = "a #[global_allocator] is shared by every thread: its counter is an atomic"
+)]
+
+use ec_graph_repro::data::DatasetSpec;
+use ec_graph_repro::ecgraph::config::TrainingConfig;
+use ec_graph_repro::ecgraph::engine::DistributedEngine;
+use ec_graph_repro::partition::hash::HashPartitioner;
+use ec_graph_repro::partition::Partitioner;
+use ec_graph_repro::serve::{InferenceService, ServeConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// The system allocator, counting calls. `alloc_zeroed` and `realloc` keep
+/// their default bodies, which go through `alloc`.
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: defers to `System` for every operation; the counter has no
+// bearing on the memory handed out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's contract, passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const WORKERS: usize = 4;
+
+#[test]
+fn steady_state_batches_allocate_only_their_answer() {
+    let data = Arc::new(DatasetSpec::cora().instantiate_with(130, 10, 5));
+    let adj = Arc::new(ec_graph_repro::data::normalize::gcn_normalized_adjacency(&data.graph));
+    let adjs = vec![adj; 2];
+    let config = TrainingConfig {
+        dims: vec![10, 8, data.num_classes],
+        num_workers: WORKERS,
+        seed: 7,
+        ..TrainingConfig::defaults(10, data.num_classes)
+    };
+    let partition = HashPartitioner::default().partition(&data.graph, WORKERS);
+    let mut engine =
+        DistributedEngine::new(Arc::clone(&data), adjs.clone(), partition.clone(), config);
+    engine.run_epoch();
+    // A cache far smaller than the remote working set: the steady state
+    // still misses, fetches through the 8-bit codec and evicts.
+    let mut serve = ServeConfig::defaults(WORKERS);
+    serve.fetch_bits = Some(8);
+    serve.cache_rows = 12;
+    serve.pinned_rows = 4;
+    let mut svc = InferenceService::new(
+        engine.inference_model(),
+        data.clone(),
+        adjs,
+        Arc::new(partition),
+        serve,
+    );
+
+    let batches: Vec<(usize, Vec<u32>)> = (0..WORKERS)
+        .flat_map(|w| {
+            let owned: Vec<u32> =
+                (0..data.num_vertices() as u32).filter(|&v| svc.route(v as usize) == w).collect();
+            owned.chunks(8).map(|chunk| (w, chunk.to_vec())).collect::<Vec<_>>()
+        })
+        .collect();
+    // Two passes warm the workspace (it has seen every batch's size) and
+    // bring the cache to its steady churn.
+    for _ in 0..2 {
+        for (w, ids) in &batches {
+            svc.answer_batch(*w, ids).expect("valid batch");
+        }
+    }
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let (mut fetched, mut hits) = (0u64, 0u64);
+    for (w, ids) in &batches {
+        let (logits, cost) = svc.answer_batch(*w, ids).expect("valid batch");
+        assert_eq!(logits.rows(), ids.len());
+        fetched += cost.fetch_rows;
+        hits += cost.cache_hits;
+    }
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    assert!(
+        fetched > 0 && hits > 0,
+        "the measured pass must both fetch ({fetched}) and hit ({hits})"
+    );
+    let n = batches.len() as u64;
+    assert!(allocations >= n, "the counter must see each answer matrix ({allocations} < {n})");
+    assert!(
+        allocations <= 2 * n,
+        "{allocations} allocations over {n} steady-state batches: the workspace regressed to \
+         per-row or per-batch buffers (budget: 2 per batch, the returned Matrix)"
+    );
+}

@@ -221,16 +221,23 @@ fn misrouted_and_out_of_range_batches_are_rejected() {
     ));
 }
 
-/// The closed loop is a pure function of (config, seed): identical runs
-/// emit byte-identical reports; a different seed must change them.
-#[test]
-fn closed_loop_reports_are_seed_deterministic() {
+/// The two closed-loop cells the suite pins: the default one, and the
+/// opposite corner of the old serving grid — no cache, one 2× straggler.
+fn closed_loop_cells() -> [(&'static str, ServeConfig); 2] {
+    let mut uncached_straggler = ServeConfig::defaults(WORKERS);
+    uncached_straggler.cache_rows = 0;
+    uncached_straggler.pinned_rows = 0;
+    uncached_straggler.faults = FaultPlan::none().with_straggler(0, 2.0);
+    [("default", ServeConfig::defaults(WORKERS)), ("uncached_straggler", uncached_straggler)]
+}
+
+/// One 400-request closed loop per call on a fresh service, as report JSON.
+fn closed_loop_runner() -> impl Fn(&ServeConfig, u64) -> String {
     ec_graph_repro::comm::set_deterministic_timing(true);
     let fx = fixture(ModelKind::Gcn);
-    let engine = trained_engine(&fx, 2);
-    let weights = engine.inference_model();
-    let (data, adjs, partition, _) = &fx;
-    let run = |config: &ServeConfig, seed: u64| {
+    let weights = trained_engine(&fx, 2).inference_model();
+    move |config: &ServeConfig, seed: u64| {
+        let (data, adjs, partition, _) = &fx;
         let mut svc = InferenceService::new(
             weights.clone(),
             Arc::clone(data),
@@ -240,16 +247,41 @@ fn closed_loop_reports_are_seed_deterministic() {
         );
         let workload = WorkloadConfig { total_requests: 400, seed, ..WorkloadConfig::defaults() };
         run_closed_loop(&mut svc, &workload).to_json().to_string()
-    };
-    // The default cell, and the opposite corner of the old serving grid:
-    // no cache, one 2× straggler.
-    let mut uncached_straggler = ServeConfig::defaults(WORKERS);
-    uncached_straggler.cache_rows = 0;
-    uncached_straggler.pinned_rows = 0;
-    uncached_straggler.faults = FaultPlan::none().with_straggler(0, 2.0);
-    for config in [ServeConfig::defaults(WORKERS), uncached_straggler] {
+    }
+}
+
+/// The closed loop is a pure function of (config, seed): identical runs
+/// emit byte-identical reports; a different seed must change them.
+#[test]
+fn closed_loop_reports_are_seed_deterministic() {
+    let run = closed_loop_runner();
+    for (_, config) in closed_loop_cells() {
         let a = run(&config, 17);
         assert_eq!(a, run(&config, 17), "identical serving runs diverged");
         assert_ne!(a, run(&config, 18), "the workload seed must influence the run");
+    }
+}
+
+/// The report is a function of the lookups issued and the bytes and flops
+/// counted — not of how the host answers a batch. The fixtures under
+/// `tests/golden/serve_report_*.json` were written by this test at the
+/// commit before the serving workspace (PR 21's parent); a host-side
+/// rewrite of `answer_batch`, the cache or the event loop must reproduce
+/// them byte for byte. Regenerate only for a change that is *meant* to move
+/// a simulated quantity: `UPDATE_GOLDEN=1 cargo test --test serving_suite`.
+#[test]
+fn closed_loop_reports_match_the_committed_goldens() {
+    let run = closed_loop_runner();
+    for (name, config) in closed_loop_cells() {
+        let actual = run(&config, 17) + "\n";
+        let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join(format!("tests/golden/serve_report_{name}.json"));
+        if std::env::var_os("UPDATE_GOLDEN").is_some() {
+            std::fs::write(&path, &actual).expect("write golden fixture");
+            continue;
+        }
+        let expected = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read golden fixture {} ({e})", path.display()));
+        assert_eq!(actual, expected, "the {name} cell's ServeReport drifted from its golden");
     }
 }
