@@ -19,7 +19,6 @@
     reason = "HostTimer is the sanctioned clock; its on/off flag is the one atomic outside the pool"
 )]
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// When set, every [`HostTimer`] reports zero elapsed time, making run
@@ -68,7 +67,7 @@ impl HostTimer {
 }
 
 /// Latency–bandwidth network model.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetworkModel {
     /// Sustained point-to-point bandwidth in bytes/second.
     pub bandwidth: f64,

@@ -20,8 +20,7 @@ use ec_tensor::{init, Matrix};
 ///
 /// `load_weights` / `restore_state` run on the crash-recovery hot path, so
 /// they report malformed input through this type instead of panicking
-/// (`ec-lint`'s `no-panic-hot-path` rule enforces the absence of `unwrap`
-/// in this file).
+/// (the crate root denies `unwrap`, `expect` and `panic!`).
 #[derive(Debug)]
 pub enum CheckpointError {
     /// The underlying filesystem operation failed.

@@ -8,10 +8,8 @@
 //! link traffic matrix — and counters for the fault events (drops,
 //! corruptions, duplicates) that produced the `retry_bytes`.
 
-use serde::{Deserialize, Serialize};
-
 /// Which logical channel a transfer belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Channel {
     /// Embedding messages of the forward pass (`H` matrices).
     Forward,
@@ -29,7 +27,7 @@ pub enum Channel {
 /// Dense per-`(src, dst)` byte matrix, row-major, grown on demand to the
 /// highest node index it has seen. Node indexing follows the simulated
 /// cluster: workers first, then parameter servers.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LinkMatrix {
     nodes: usize,
     bytes: Vec<u64>,
@@ -99,7 +97,7 @@ impl LinkMatrix {
 
 /// Byte and message counters, split per channel, plus the per-link matrix
 /// and fault-event counts.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TrafficStats {
     /// Forward-pass embedding bytes.
     pub fp_bytes: u64,

@@ -38,7 +38,6 @@
 use crate::bitpack::{self, BLOCK};
 use ec_tensor::isa::{self, Tier};
 use ec_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Largest supported bit width. The paper's Bit-Tuner chooses from
 /// `{1, 2, 4, 8, 16}`.
@@ -59,7 +58,7 @@ const HEADER_BYTES: usize = 4 + 4 + 1 + 4 + 4;
 /// assert_eq!(q.decompress().as_slice(), &[0.625, 0.375, 0.125, 0.875]);
 /// assert!(q.wire_size() < 4 * 4 + 17);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Quantized {
     rows: usize,
     cols: usize,

@@ -10,7 +10,6 @@
 //! [`crate::error`] residual machinery applies unchanged.
 
 use ec_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// A top-k sparsified matrix: the `k` largest-magnitude entries with their
 /// flat indices, plus the shape.
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let t = TopK::compress(&g, 2);
 /// assert_eq!(t.decompress().as_slice(), &[0.0, -5.0, 0.0, 3.0]);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TopK {
     rows: usize,
     cols: usize,

@@ -3,7 +3,6 @@
 use ec_comm::ps::AdamParams;
 use ec_comm::NetworkModel;
 use ec_faults::FaultPlan;
-use serde::{Deserialize, Serialize};
 
 /// Which GNN model the distributed engine trains.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// EC-Graph straightforwardly" holds because they exchange the same two
 /// message types (neighbour embeddings in FP, embedding gradients in BP);
 /// [`ModelKind::Sage`] demonstrates it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ModelKind {
     /// Graph convolutional network (the paper's evaluation model):
     /// `H^l = σ(Â (H^{l-1} W) + b)`.
@@ -22,7 +21,7 @@ pub enum ModelKind {
 }
 
 /// Forward-pass treatment of remote embedding messages.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FpMode {
     /// Uncompressed `f32` embeddings (the paper's *Non-cp*).
     Exact,
@@ -50,7 +49,7 @@ pub enum FpMode {
 }
 
 /// Backward-pass treatment of remote embedding-gradient messages.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum BpMode {
     /// Uncompressed `f32` gradients.
     Exact,
@@ -74,7 +73,7 @@ pub enum BpMode {
 
 /// How the engine reacts when a forward-pass embedding fetch fails
 /// (dropped or corrupted under fault injection).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ResiliencePolicy {
     /// Keep retrying until the message arrives; every failed attempt is
     /// charged to the simulated clock (the conventional baseline).
@@ -88,7 +87,7 @@ pub enum ResiliencePolicy {
 }
 
 /// Resilience knobs for training under an active [`FaultPlan`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ResilienceConfig {
     /// Reaction to failed forward-pass fetches.
     pub policy: ResiliencePolicy,
@@ -114,7 +113,7 @@ impl Default for ResilienceConfig {
 /// bit-identical to their sequential counterparts, so every run report is
 /// byte-identical whatever the thread counts (enforced by
 /// `tests/determinism_suite.rs`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ComputeConfig {
     /// Threads running worker compute blocks concurrently inside each
     /// superstep: `0` = auto (machine parallelism, capped at the worker

@@ -9,10 +9,8 @@
 //! | compute | `O(ḡ^{L-1} · d̄²)` | `O(L · d̄²)` |
 //! | communication | `O(ḡ^L · d₀)` | `O(T·L·ḡ_rmt·d̄ / (32/B))` |
 
-use serde::{Deserialize, Serialize};
-
 /// Workload parameters for the analytic model.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CostParams {
     /// Average vertex degree `ḡ`.
     pub avg_degree: f64,
@@ -32,7 +30,7 @@ pub struct CostParams {
 
 /// Per-vertex costs of one framework, in abstract units (floats cached /
 /// multiply-adds / floats transferred).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostEstimate {
     /// Memory footprint per target vertex.
     pub memory: f64,

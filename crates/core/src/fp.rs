@@ -67,7 +67,7 @@ impl TrendState {
 /// yields the best balance between the message size and the accuracy
 /// empirically." All three are implemented; `selector_granularity` in the
 /// bench crate reproduces that comparison.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Granularity {
     /// One selection per embedding coordinate (2 bits each — precise but
     /// selector-heavy, and the compressed payload cannot skip whole rows).

@@ -4,15 +4,13 @@
 //! [`RunResult`]: the per-epoch history plus summary statistics. The bench
 //! harness serializes these as JSON rows, which `EXPERIMENTS.md` quotes.
 
-use serde::{Deserialize, Serialize};
-
 /// Validation-accuracy tolerance of the convergence point Fig. 8 and Fig. 9
 /// time a run to: late sub-0.5 % fluctuations do not count as "still
 /// converging".
 pub const CONVERGENCE_TOL: f64 = 0.005;
 
 /// One epoch's record.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct EpochRecord {
     /// Epoch index (0-based).
     pub epoch: usize,
@@ -52,7 +50,7 @@ impl EpochRecord {
 }
 
 /// Summary of one complete training run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RunResult {
     /// System label, e.g. `"ec-graph"`, `"distgnn"`, `"dgl-like"`.
     pub system: String,

@@ -101,6 +101,13 @@ pub fn train_prepartitioned(
 
 /// Trains `system` under `config`'s epoch budget, patience and fault plan
 /// and reports the run under the label `name`.
+///
+/// # Panics
+/// Panics when crash recovery cannot restore its own in-memory snapshot.
+#[expect(
+    clippy::panic,
+    reason = "orchestration boundary: a snapshot that no longer fits its system is a bug, and the loop below reports it as a typed error"
+)]
 pub fn run_to_convergence<S: EpochSystem>(
     system: &mut S,
     dataset: &str,

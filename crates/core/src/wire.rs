@@ -11,10 +11,9 @@
 use ec_comm::codec;
 use ec_compress::{bitpack, Quantized};
 use ec_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// A forward-pass response from a responding worker.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum FpMessage {
     /// Trend-boundary message: exact embeddings plus the changing-rate
     /// matrix (`rm.buildMessage(H_res, M_cr)` in Alg. 4).
@@ -100,29 +99,26 @@ impl FpMessage {
             }
             TAG_COMPRESSED => Ok(FpMessage::Compressed(Quantized::from_bytes(rest)?)),
             TAG_SELECTED => {
-                if rest.len() < 4 {
-                    return Err("selector header truncated".into());
-                }
-                let n = u32::from_le_bytes(rest[0..4].try_into().unwrap()) as usize;
+                let (count, rest) =
+                    rest.split_first_chunk::<4>().ok_or("selector header truncated")?;
+                let n = u32::from_le_bytes(*count) as usize;
+                let (body, tail) = rest.split_last_chunk::<4>().ok_or("selector body truncated")?;
                 let packed_len = (n * 2).div_ceil(8);
-                if rest.len() < 4 + packed_len + 4 {
+                if body.len() < packed_len {
                     return Err("selector body truncated".into());
                 }
-                let selector: Vec<u8> = bitpack::unpack(&rest[4..4 + packed_len], 2, n)
-                    .into_iter()
-                    .map(|c| c as u8)
-                    .collect();
+                let (packed, middle) = body.split_at(packed_len);
+                let selector: Vec<u8> =
+                    bitpack::unpack(packed, 2, n).into_iter().map(|c| c as u8).collect();
                 if selector.iter().any(|&s| s > 2) {
                     return Err("invalid selector code".into());
                 }
-                let middle = &rest[4 + packed_len..rest.len() - 4];
                 let compressed =
                     if middle.is_empty() { None } else { Some(Quantized::from_bytes(middle)?) };
-                let tail: [u8; 4] = rest[rest.len() - 4..].try_into().unwrap();
                 Ok(FpMessage::Selected {
                     selector,
                     compressed,
-                    proportion: f32::from_le_bytes(tail),
+                    proportion: f32::from_le_bytes(*tail),
                 })
             }
             other => Err(format!("unknown FP message tag {other}")),
@@ -131,7 +127,7 @@ impl FpMessage {
 }
 
 /// A backward-pass response from a responding worker.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum BpMessage {
     /// Uncompressed gradient rows.
     Exact(Matrix),

@@ -19,8 +19,8 @@
 
 #![forbid(unsafe_code)]
 #![deny(clippy::iter_over_hash_type)]
-
-use serde::{Deserialize, Serialize};
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
 
 /// What the network does with one transmitted message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,7 +37,7 @@ pub enum FaultDecision {
 }
 
 /// Per-link fault probabilities. All default to `0.0` (a perfect link).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LinkFaults {
     /// Probability a message is silently lost.
     pub drop_p: f64,
@@ -80,7 +80,7 @@ impl LinkFaults {
 
 /// A transient link outage: every message on the matching links is dropped
 /// while `start <= superstep < end`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Outage {
     /// Sending node, or `None` for "any sender".
     pub from: Option<usize>,
@@ -104,7 +104,7 @@ impl Outage {
 /// A whole-worker crash: the worker dies while executing epoch `epoch`,
 /// losing all in-memory state. The trainer restores from the latest
 /// checkpoint and replays.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrashEvent {
     /// The crashing worker.
     pub worker: usize,
@@ -113,7 +113,7 @@ pub struct CrashEvent {
 }
 
 /// The complete fault schedule of one simulated run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the stateless per-message hashes.
     pub seed: u64,
@@ -128,10 +128,11 @@ pub struct FaultPlan {
     pub outages: Vec<Outage>,
     /// Worker crashes, handled by the trainer via checkpoint/restore.
     pub crashes: Vec<CrashEvent>,
-    /// Timeout-detection cost of one failed delivery, in units of the
-    /// network model's latency (charged to both endpoints).
-    pub timeout_latencies: f64,
 }
+
+/// Timeout-detection cost of one failed delivery, in units of the network
+/// model's latency (charged to both endpoints).
+pub const TIMEOUT_LATENCIES: f64 = 4.0;
 
 impl Default for FaultPlan {
     fn default() -> Self {
@@ -150,7 +151,6 @@ impl FaultPlan {
             stragglers: Vec::new(),
             outages: Vec::new(),
             crashes: Vec::new(),
-            timeout_latencies: 4.0,
         }
     }
 
@@ -206,9 +206,6 @@ impl FaultPlan {
                 return Err(format!("straggler factor {factor} for node {node} not >= 1"));
             }
         }
-        if self.timeout_latencies.is_nan() || self.timeout_latencies < 0.0 {
-            return Err(format!("timeout_latencies {} negative", self.timeout_latencies));
-        }
         Ok(())
     }
 }
@@ -224,6 +221,10 @@ impl FaultInjector {
     ///
     /// # Panics
     /// Panics when the plan fails [`FaultPlan::validate`].
+    #[expect(
+        clippy::expect_used,
+        reason = "documented `# Panics`: configs validate their plan first, so a bad one here is a caller bug"
+    )]
     pub fn new(plan: FaultPlan) -> Self {
         plan.validate().expect("invalid fault plan");
         Self { plan }
@@ -280,7 +281,7 @@ impl FaultInjector {
     /// The timeout-detection cost of one failed delivery, given the
     /// network's per-message latency.
     pub fn timeout_cost(&self, latency: f64) -> f64 {
-        self.plan.timeout_latencies * latency
+        TIMEOUT_LATENCIES * latency
     }
 }
 

@@ -6,14 +6,13 @@
 
 use crate::csr::Graph;
 use ec_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Index sets for semi-supervised training.
 ///
 /// The paper reports dataset-specific split sizes (Table III discussion);
 /// [`Split::by_fraction`] builds a deterministic split with the same
 /// proportions.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Split {
     /// Vertices whose labels drive the loss.
     pub train: Vec<usize>,
@@ -91,7 +90,7 @@ impl Split {
 }
 
 /// A vertex-attributed, vertex-labelled graph.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AttributedGraph {
     /// Undirected structure.
     pub graph: Graph,

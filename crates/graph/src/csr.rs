@@ -5,8 +5,6 @@
 //! stored symmetrically (both `(u,v)` and `(v,u)` appear), matching the
 //! undirected GCN setting of the paper's evaluation.
 
-use serde::{Deserialize, Serialize};
-
 /// An undirected graph with vertices `0..n` in CSR form.
 ///
 /// ```
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// * `offsets.len() == n + 1`, non-decreasing, `offsets[0] == 0`;
 /// * neighbour lists are sorted, deduplicated and contain no self-loops;
 /// * the adjacency is symmetric: `v ∈ N(u) ⇔ u ∈ N(v)`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Graph {
     offsets: Vec<usize>,
     neighbors: Vec<u32>,

@@ -21,10 +21,9 @@ use crate::generators::planted_partition;
 use ec_tensor::Matrix;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Static description of one dataset replica.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DatasetSpec {
     /// Replica name, e.g. `"cora"`.
     pub name: &'static str,

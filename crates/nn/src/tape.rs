@@ -9,6 +9,8 @@
 //! sparse aggregation (`Â · H`), bias broadcast, ReLU, elementwise add and
 //! scale. Ops that need constants (the adjacency) share them via `Arc` so a
 //! tape can be rebuilt every epoch without copying the graph structure.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
 
 use ec_tensor::{activations, ops, parallel, CsrMatrix, Matrix};
 use std::sync::Arc;

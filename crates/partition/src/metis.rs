@@ -69,37 +69,32 @@ impl Partitioner for MetisLikePartitioner {
                 adj[v].push((u, 1.0));
             }
         }
-        let mut levels = vec![Level { adj, vweight: vec![1.0; n], coarse_map: Vec::new() }];
+        // `coarsest` is the level being coarsened; `finer` holds the levels
+        // above it, finest first.
+        let mut coarsest = Level { adj, vweight: vec![1.0; n], coarse_map: Vec::new() };
+        let mut finer: Vec<Level> = Vec::new();
 
         // Phase 1: coarsen.
         let target = self.coarsen_target * num_parts;
-        loop {
-            let current = levels.last().unwrap();
-            if current.vweight.len() <= target {
-                break;
-            }
-            let (coarse, map) = coarsen_once(current, self.seed ^ levels.len() as u64);
-            let shrunk = coarse.vweight.len() < current.vweight.len() * 95 / 100;
-            levels.last_mut().unwrap().coarse_map = map;
-            levels.push(coarse);
+        while coarsest.vweight.len() > target {
+            let (coarse, map) = coarsen_once(&coarsest, self.seed ^ (finer.len() + 1) as u64);
+            let shrunk = coarse.vweight.len() < coarsest.vweight.len() * 95 / 100;
+            coarsest.coarse_map = map;
+            finer.push(std::mem::replace(&mut coarsest, coarse));
             if !shrunk {
                 break; // matching stalled (e.g. star graphs)
             }
         }
 
         // Phase 2: initial partition on the coarsest level.
-        let coarsest = levels.last().unwrap();
-        let mut assignment = initial_partition(coarsest, num_parts, self.seed);
+        let mut assignment = initial_partition(&coarsest, num_parts, self.seed);
+        refine(&coarsest, &mut assignment, num_parts, self.balance_factor, self.refine_passes);
 
         // Phase 3: project back and refine at every level.
-        for li in (0..levels.len()).rev() {
-            let level = &levels[li];
-            if li + 1 < levels.len() {
-                // Project the coarser assignment through this level's map.
-                let map = &level.coarse_map;
-                assignment =
-                    (0..level.vweight.len()).map(|v| assignment[map[v] as usize]).collect();
-            }
+        for level in finer.iter().rev() {
+            // Project the coarser assignment through this level's map.
+            let map = &level.coarse_map;
+            assignment = (0..level.vweight.len()).map(|v| assignment[map[v] as usize]).collect();
             refine(level, &mut assignment, num_parts, self.balance_factor, self.refine_passes);
         }
 
@@ -238,9 +233,9 @@ fn initial_partition(level: &Level, num_parts: usize, seed: u64) -> Vec<u32> {
     }
     for v in 0..n {
         if assignment[v] == u32::MAX {
-            let p = (0..num_parts)
-                .min_by(|&a, &b| weights[a].partial_cmp(&weights[b]).unwrap())
-                .unwrap();
+            // First lightest part (weights are finite sums of vertex counts).
+            let p =
+                (1..num_parts).fold(0, |best, q| if weights[q] < weights[best] { q } else { best });
             assignment[v] = p as u32;
             weights[p] += level.vweight[v];
         }

@@ -6,11 +6,10 @@
 //! result bytes, and the determinism suite compares `to_json()` strings
 //! between telemetry-off and telemetry-on runs to prove it.
 
-use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 
 /// Per-worker serving outcome.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct WorkerServeStats {
     /// Requests served by this worker.
     pub served: u64,
@@ -27,7 +26,7 @@ pub struct WorkerServeStats {
 }
 
 /// Outcome of one closed-loop serving run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ServeReport {
     /// Dataset served.
     pub dataset: String,
@@ -67,7 +66,6 @@ pub struct ServeReport {
     pub version: u32,
     /// Telemetry attached when recording was on — excluded from
     /// [`Self::to_json`] by design.
-    #[serde(skip)]
     pub telemetry: Option<ec_trace::TelemetryReport>,
 }
 

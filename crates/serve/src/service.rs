@@ -25,9 +25,8 @@
 //! toggled without changing any answer. On checkpoint refresh the store
 //! version bumps and every cache resets wholesale (DESIGN.md §10).
 //!
-//! This file is on the serving request hot path and inside `ec-lint`'s
-//! `no-panic-hot-path` scope: malformed requests are reported as values,
-//! not panics.
+//! This file is on the serving request hot path and under the crate
+//! root's panic ban: malformed requests are reported as values, not panics.
 
 use crate::cache::EmbeddingCache;
 use crate::store::EmbeddingStore;

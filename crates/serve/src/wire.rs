@@ -14,11 +14,10 @@
 use ec_comm::codec;
 use ec_compress::Quantized;
 use ec_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// A batched embedding-fetch request: "send me the layer-`L−1` rows of
 /// these global vertex ids, at store version `version`".
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServeRequest {
     /// Embedding-store version the requester is serving at.
     pub version: u32,
@@ -64,7 +63,7 @@ impl ServeRequest {
 }
 
 /// The owning worker's answer: the requested rows, in request order.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ServeReply {
     /// Uncompressed rows, stacked into one matrix.
     Exact {

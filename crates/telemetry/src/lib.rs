@@ -43,8 +43,8 @@
 
 #![forbid(unsafe_code)]
 #![deny(clippy::iter_over_hash_type)]
-
-use serde::{Deserialize, Serialize};
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
 
 pub mod diff;
 pub mod export;
@@ -68,7 +68,7 @@ pub mod __private {
 
 /// How much the telemetry layer records. Levels are cumulative: each one
 /// records everything the previous level does.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TelemetryLevel {
     /// Record nothing; every instrumentation site reduces to one enum
     /// compare (the default).
@@ -113,7 +113,7 @@ impl std::str::FromStr for TelemetryLevel {
 }
 
 /// Telemetry knobs carried on the training configuration.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Recording level; [`TelemetryLevel::Off`] by default.
     pub level: TelemetryLevel,

@@ -8,7 +8,6 @@
 //! is always the epoch** — crash rollback uses that convention to discard
 //! the series of replayed epochs.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Label tuple attached to one series (unused slots are [`L_NONE`]).
@@ -27,7 +26,7 @@ pub fn labels(used: &[u32]) -> Labels {
 }
 
 /// Metric value kinds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MetricKind {
     /// Monotone sum of `u64` increments.
     Counter,
@@ -39,7 +38,7 @@ pub enum MetricKind {
 }
 
 /// Streaming summary of a histogram series.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct HistSummary {
     /// Number of observations.
     pub count: u64,
@@ -66,7 +65,7 @@ impl HistSummary {
 }
 
 /// One recorded value.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum MetricValue {
     /// Counter total.
     Counter(u64),
@@ -94,13 +93,18 @@ pub struct MetricDef {
 macro_rules! metric_catalog {
     ($( $variant:ident => { $name:literal, $kind:ident, $unit:literal, [$($label:literal),*], $help:literal } ),+ $(,)?) => {
         /// Every metric the system records, in catalog order.
-        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
         #[repr(u16)]
         pub enum MetricId {
             $(
                 #[doc = $help]
                 $variant,
             )+
+        }
+
+        impl MetricId {
+            /// Every id, indexed by `MetricId as usize` like [`CATALOG`].
+            pub const ALL: &'static [MetricId] = &[$(MetricId::$variant),+];
         }
 
         /// The full static catalog, indexed by `MetricId as usize`.
@@ -253,7 +257,10 @@ impl MetricsRegistry {
 
     /// Iterates recorded series in deterministic (catalog, label) order.
     pub fn iter(&self) -> impl Iterator<Item = (MetricId, &Labels, &MetricValue)> + '_ {
-        self.values.iter().filter_map(|((id, lbl), v)| id_from_index(*id).map(|m| (m, lbl, v)))
+        // The store only holds indices produced by `MetricId as u16`.
+        self.values
+            .iter()
+            .filter_map(|((id, lbl), v)| Some((*MetricId::ALL.get(*id as usize)?, lbl, v)))
     }
 
     /// Discards every series whose epoch label (slot 0) is `>= epoch`.
@@ -279,52 +286,6 @@ pub fn log2_bucket(v: f64) -> u32 {
     (64 + (biased - 1023)).clamp(0, 127) as u32
 }
 
-fn id_from_index(idx: u16) -> Option<MetricId> {
-    // Inverse of `MetricId as u16`, kept total by construction: the store
-    // only ever holds indices produced from a `MetricId`.
-    CATALOG.get(idx as usize)?;
-    // SAFETY-free inverse: match on the index via the catalog length.
-    Some(match idx {
-        0 => MetricId::SelectorCps,
-        1 => MetricId::SelectorPdt,
-        2 => MetricId::SelectorAvg,
-        3 => MetricId::BitTunerBits,
-        4 => MetricId::ResecResidualSq,
-        5 => MetricId::ResecT1Bound,
-        6 => MetricId::LinkBytes,
-        7 => MetricId::FaultDropped,
-        8 => MetricId::FaultCorrupted,
-        9 => MetricId::FaultDuplicated,
-        10 => MetricId::FaultDegradedDrop,
-        11 => MetricId::FaultDegradedCorrupt,
-        12 => MetricId::FaultCrashRecovered,
-        13 => MetricId::FaultStragglerFactor,
-        14 => MetricId::PhaseComputeS,
-        15 => MetricId::PhaseCommS,
-        16 => MetricId::PhasePackS,
-        17 => MetricId::PhaseUnpackS,
-        18 => MetricId::SuperstepCommS,
-        19 => MetricId::SuperstepComputeS,
-        20 => MetricId::FpWireBytes,
-        21 => MetricId::BpWireBytes,
-        22 => MetricId::FpReconErrL1,
-        23 => MetricId::ServeCacheHit,
-        24 => MetricId::ServeCacheMiss,
-        25 => MetricId::ServeBatchOccupancy,
-        26 => MetricId::ServeFetchBytes,
-        27 => MetricId::ServeLatencyP50,
-        28 => MetricId::ServeLatencyP99,
-        29 => MetricId::ServeQps,
-        30 => MetricId::TimelineIdleS,
-        31 => MetricId::TimelineHeadroomS,
-        32 => MetricId::ServeCacheHitRate,
-        33 => MetricId::ServeQueueWaitS,
-        34 => MetricId::ServeFetchS,
-        35 => MetricId::ServeComputeS,
-        _ => MetricId::ServeLatencyBucket,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,8 +295,8 @@ mod tests {
         assert_eq!(MetricId::SelectorCps.def().name, "selector.cps");
         assert_eq!(MetricId::FpReconErrL1.def().name, "fp.recon_err_l1");
         assert_eq!(MetricId::ServeLatencyBucket as usize, CATALOG.len() - 1);
-        for (i, def) in CATALOG.iter().enumerate() {
-            let id = id_from_index(i as u16).expect("index round-trips");
+        assert_eq!(MetricId::ALL.len(), CATALOG.len());
+        for (i, (&id, def)) in MetricId::ALL.iter().zip(CATALOG).enumerate() {
             assert_eq!(id as usize, i);
             assert_eq!(id.def().name, def.name);
             assert_eq!(

@@ -8,10 +8,9 @@
 use crate::registry::{Labels, MetricKind, MetricValue};
 use crate::span::SpanEvent;
 use crate::TelemetryLevel;
-use serde::{Deserialize, Serialize};
 
 /// One flattened metric series.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MetricRow {
     /// Dotted series name from the catalog.
     pub name: &'static str,
@@ -28,7 +27,7 @@ pub struct MetricRow {
 }
 
 /// Snapshot of everything one run recorded.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TelemetryReport {
     /// The level the run recorded at.
     pub level: TelemetryLevel,

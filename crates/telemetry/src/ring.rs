@@ -3,8 +3,8 @@
 //! Each track records into its own [`SpanRing`]: a preallocated circular
 //! buffer that overwrites the oldest event when full and counts what it
 //! dropped. Recording never allocates after the first `capacity` pushes
-//! and never panics — this file is inside `ec-lint`'s `no-panic-hot-path`
-//! scope.
+//! and never panics (the crate root denies `unwrap`, `expect` and
+//! `panic!`).
 
 use crate::span::SpanEvent;
 

@@ -7,8 +7,7 @@
 //! `&mut self`: the `Fn + Sync` worker blocks of a superstep cannot hold a
 //! `&mut`, so spans can only be recorded on the engine thread during its
 //! deterministic ordered replay of worker results — the borrow checker,
-//! not a convention, keeps telemetry off the lanes. This file is inside
-//! `ec-lint`'s `no-panic-hot-path` scope (`lint.toml`).
+//! not a convention, keeps telemetry off the lanes.
 
 use crate::registry::{labels, Labels, MetricId, MetricsRegistry};
 use crate::report::{MetricRow, TelemetryReport};

@@ -7,14 +7,12 @@
 //! `trace_event` format expects); host-measured spans accumulate on their
 //! own track and are zero-width under deterministic timing.
 
-use serde::{Deserialize, Serialize};
-
 /// Sentinel for "this dimension does not apply to this span".
 pub const NO_INDEX: i64 = -1;
 
 /// One completed span. `start_s`/`dur_s` are seconds on the simulated
 /// timeline (or the accumulated host timeline for `cat == "host"`).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SpanEvent {
     /// Event name, e.g. `"fp:exchange"`.
     pub name: &'static str,
@@ -92,7 +90,7 @@ impl SpanEvent {
 /// then the network, the engine, and the host-measurement track. Exports
 /// walk tracks in ascending index order — worker order first — so merged
 /// output is byte-identical however the recording was threaded.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TrackLayout {
     workers: usize,
 }

@@ -6,8 +6,6 @@
 //! serialization in `ec-comm` and quantization in `ec-compress` can operate
 //! directly on the contiguous backing slice.
 
-use serde::{Deserialize, Serialize};
-
 /// A row-major dense matrix of `f32`.
 ///
 /// Invariant: `data.len() == rows * cols` at all times.
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(c, a);
 /// assert_eq!(a.row(1), &[3.0, 4.0]);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

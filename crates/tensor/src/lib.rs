@@ -28,6 +28,8 @@
 
 #![deny(unsafe_code, clippy::undocumented_unsafe_blocks, clippy::unnecessary_safety_comment)]
 #![deny(clippy::iter_over_hash_type)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
 
 pub mod activations;
 pub mod dense;

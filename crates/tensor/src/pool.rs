@@ -30,27 +30,27 @@
 //! (tracked by a thread-local membership token) — re-entry can therefore
 //! never deadlock on a full queue.
 //!
-//! This is the one module that may spawn and synchronise: `clippy.toml`
-//! bans thread creation and the `Mutex`/`Condvar`/atomic/`Cell` types
-//! workspace-wide so that nothing else can share mutable state across
-//! lanes, and this file opts back in.
+//! This is the one module that may spawn threads and hold process-wide
+//! state: `clippy.toml` bans thread creation and the
+//! `Mutex`/`Condvar`/atomic/`Cell`/`OnceLock` types workspace-wide so that
+//! nothing else can share mutable state across lanes. The locks live in
+//! the private `sync` module — the only place that may name `Mutex` or
+//! `Condvar` — and the items below that need a banned type or method
+//! (the membership cell, the token counter, the two `OnceLock`s, the lane
+//! spawn) each say so with their own `#[expect]`.
 //! It also holds one of the workspace's two `unsafe` sites (in
 //! [`WorkerPool::run`]; the other enters the per-tier kernel code in
 //! [`crate::isa::dispatch_on`]); Miri and the interleaving explorer in
 //! `tests/interleave.rs` are the evidence for both.
-#![allow(
-    clippy::disallowed_types,
-    clippy::disallowed_methods,
-    reason = "the worker pool is the sanctioned home of threads, locks, condvars and atomics"
-)]
+
+mod sync;
 
 use std::any::Any;
-use std::cell::Cell;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::thread::JoinHandle;
+use sync::{JobQueue, Latch};
 
 /// A unit of work handed to [`WorkerPool::run`]: runs exactly once, may
 /// borrow from the caller's stack frame (`run` outlives every task).
@@ -64,17 +64,21 @@ type PanicPayload = Box<dyn Any + Send>;
 thread_local! {
     /// Membership token of the pool this thread is a lane of (0 = not a
     /// pool lane). Used to run re-entrant dispatch inline.
-    static POOL_MEMBERSHIP: Cell<usize> = const { Cell::new(0) };
+    #[expect(clippy::disallowed_types, reason = "thread-local, so no lane can see another's cell")]
+    static POOL_MEMBERSHIP: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Token generator; 0 is reserved for "not a pool lane".
-static NEXT_TOKEN: AtomicUsize = AtomicUsize::new(1);
+#[expect(clippy::disallowed_types, reason = "a uniqueness counter; it orders no other memory")]
+static NEXT_TOKEN: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(1);
 
 /// Host parallelism, sampled once per process and capped at 16 (the
 /// kernels are memory-bound beyond that). Every pool and every
 /// [`crate::parallel::effective_threads`] resolution agrees on this one
 /// number, so kernel dispatch can never oversubscribe the pool.
+#[expect(clippy::disallowed_types, reason = "every lane would initialise it to the same value")]
 pub fn physical_parallelism() -> usize {
+    use std::sync::OnceLock;
     static PHYS: OnceLock<usize> = OnceLock::new();
     *PHYS.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(16))
 }
@@ -83,101 +87,14 @@ pub fn physical_parallelism() -> usize {
 /// alive for the process lifetime. All band-parallel kernels dispatch
 /// here, from any thread — including lanes of *other* pools, which is safe
 /// because kernel tasks are pure compute and never dispatch further.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the process-wide pool; whichever caller wins builds the same pool"
+)]
 pub fn shared() -> &'static WorkerPool {
+    use std::sync::OnceLock;
     static SHARED: OnceLock<WorkerPool> = OnceLock::new();
     SHARED.get_or_init(|| WorkerPool::new(0))
-}
-
-/// Acquires a mutex, treating poison as ordinary data: every critical
-/// section below is a few plain moves on plain-old-data, so a panic on
-/// another thread cannot leave the state half-updated.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-struct QueueState {
-    jobs: VecDeque<Job>,
-    closed: bool,
-}
-
-/// One lane's FIFO job queue (mutex + condvar; no spinning).
-struct JobQueue {
-    state: Mutex<QueueState>,
-    ready: Condvar,
-}
-
-impl JobQueue {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(QueueState { jobs: VecDeque::new(), closed: false }),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Hands the job back if the queue is already closed (lane gone).
-    fn enqueue(&self, job: Job) -> Result<(), Job> {
-        let mut state = lock(&self.state);
-        if state.closed {
-            return Err(job);
-        }
-        state.jobs.push_back(job);
-        drop(state);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Blocks for the next job; `None` once closed and drained.
-    fn dequeue(&self) -> Option<Job> {
-        let mut state = self
-            .ready
-            .wait_while(lock(&self.state), |state| state.jobs.is_empty() && !state.closed)
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        state.jobs.pop_front()
-    }
-
-    fn close(&self) {
-        lock(&self.state).closed = true;
-        self.ready.notify_all();
-    }
-}
-
-struct LatchState {
-    pending: usize,
-    panic: Option<PanicPayload>,
-}
-
-/// Counts outstanding remote tasks of one `run` call; stores the first
-/// panic payload so the caller can resume it after the batch completes.
-struct Latch {
-    state: Mutex<LatchState>,
-    done: Condvar,
-}
-
-impl Latch {
-    fn new(pending: usize) -> Self {
-        Self { state: Mutex::new(LatchState { pending, panic: None }), done: Condvar::new() }
-    }
-
-    fn arrive(&self, panic: Option<PanicPayload>) {
-        let mut state = lock(&self.state);
-        state.pending -= 1;
-        if let Some(payload) = panic {
-            state.panic.get_or_insert(payload);
-        }
-        let finished = state.pending == 0;
-        drop(state);
-        if finished {
-            self.done.notify_all();
-        }
-    }
-
-    fn wait(&self) -> Option<PanicPayload> {
-        let mut state = self
-            .done
-            .wait_while(lock(&self.state), |state| state.pending > 0)
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        state.panic.take()
-    }
 }
 
 /// A persistent band-task pool; see the module docs.
@@ -196,6 +113,7 @@ impl WorkerPool {
     /// [`physical_parallelism`]. The cap is what makes `speedup_vs_seq`
     /// honest: requesting 8-way kernels on a 1-core host yields a pool
     /// that simply runs inline.
+    #[expect(clippy::disallowed_methods, reason = "the lanes are the workspace's only threads")]
     pub fn new(threads: usize) -> Self {
         let phys = physical_parallelism();
         let want = if threads == 0 { phys } else { threads.min(phys) }.max(1);
@@ -353,6 +271,11 @@ fn lane_main(queue: Arc<JobQueue>, token: usize) {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the tests count task runs with an atomic and drive a lane on a raw thread"
+)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};

@@ -25,7 +25,6 @@
 use crate::dense::Matrix;
 use crate::isa::{self, Isa, Kernel, Tier};
 use crate::ops::{listed_row, with_tile_width, NR};
-use serde::{Deserialize, Serialize};
 
 /// A sparse matrix in compressed-sparse-row format.
 ///
@@ -36,7 +35,7 @@ use serde::{Deserialize, Serialize};
 /// * every entry of `indices` is `< cols`;
 /// * column indices within a row are strictly increasing (checked by
 ///   [`CsrMatrix::new`]).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,
@@ -59,7 +58,7 @@ impl CsrMatrix {
     ) -> Self {
         assert_eq!(indptr.len(), rows + 1, "indptr length must be rows+1");
         assert_eq!(indptr[0], 0, "indptr must start at 0");
-        assert_eq!(*indptr.last().unwrap(), indices.len(), "indptr end mismatch");
+        assert_eq!(indptr[rows], indices.len(), "indptr end mismatch");
         assert_eq!(indices.len(), values.len(), "indices/values length mismatch");
         for w in indptr.windows(2) {
             assert!(w[0] <= w[1], "indptr must be non-decreasing");

@@ -1,7 +1,7 @@
 //! Exhaustive interleaving tests for the pool's synchronization design —
 //! a hand-rolled loom substitute (the offline build cannot vendor loom).
 //!
-//! The `JobQueue` and `Latch` in `src/pool.rs` are modeled as transition
+//! The `JobQueue` and `Latch` in `src/pool/sync.rs` are modeled as transition
 //! systems: every mutex critical section is one atomic step, and the
 //! condvar is modeled precisely — `notify_one` wakes one *currently
 //! waiting* thread (the scheduler branches over which), `notify_all`

@@ -37,11 +37,8 @@ done
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
-echo "== cargo clippy (deny warnings; clippy.toml carries the determinism and concurrency bans) =="
+echo "== cargo clippy (deny warnings; clippy.toml bans + the crate-root panic ban) =="
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "== ec-lint (hot-path panics / wire schema / metric catalog / lock order) =="
-cargo run -q -p ec-lint -- --check
 
 echo "== cargo test =="
 cargo test --workspace -q

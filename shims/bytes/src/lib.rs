@@ -3,6 +3,8 @@
 
 #![forbid(unsafe_code)]
 #![deny(clippy::iter_over_hash_type)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
 
 /// Read cursor over a byte buffer.
 pub trait Buf {

@@ -11,6 +11,8 @@
 
 #![forbid(unsafe_code)]
 #![deny(clippy::iter_over_hash_type)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
 
 /// Low-level entropy source.
 pub trait RngCore {

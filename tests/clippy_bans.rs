@@ -1,21 +1,19 @@
-//! Seeded proof that every ban in the root `clippy.toml` is live.
+//! Seeded proof that every clippy ban the workspace relies on is live.
 //!
 //! Each function below commits exactly one banned act under an
-//! `#[expect(clippy::disallowed_…)]` whose `reason` names the `clippy.toml`
+//! `#[expect(clippy::…)]`; for a `clippy.toml` entry the `reason` names the
 //! entry it exercises. `cargo clippy --all-targets -- -D warnings`
-//! (scripts/check.sh) compiles this file: with the entry present the
-//! expectation is fulfilled and the build is green; delete the entry and
-//! the build fails with "this lint expectation is unfulfilled". These are
-//! the violation families ec-lint's `no-wall-clock`,
-//! `no-unordered-iteration`, `no-float-unordered-reduce`,
-//! `determinism-taint`, `thread-scope-hygiene`, `disjoint-band-writes`,
-//! `atomics-ordering-audit` and `lock-then-wait-hygiene` fixtures used to
-//! seed, now caught on resolved types (DESIGN.md §8 maps each old finding
-//! to its function here).
+//! (scripts/check.sh) compiles this file: with the ban in force the
+//! expectation is fulfilled and the build is green; delete the
+//! `clippy.toml` entry, or let a lint stop catching its pattern, and the
+//! build fails with "this lint expectation is unfulfilled". DESIGN.md §8
+//! maps each invariant to its function here.
 //!
-//! The one `#[test]` keeps the two files in step: every `clippy.toml`
-//! entry is named by exactly one expectation here.
+//! The one `#[test]` keeps this file in step with `clippy.toml` and with
+//! the panic ban's lint list.
 #![allow(dead_code, reason = "each function exists to be linted, not called")]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
 
 use std::collections::{HashMap, HashSet};
 
@@ -223,12 +221,46 @@ fn stale_safety_comment(buf: &[f32]) -> f32 {
     buf[0]
 }
 
+// ---- the panic ban ------------------------------------------------------
+// Under the line the crate roots carry (top of this file), and not in
+// `#[test]` functions: `allow-{unwrap,expect,panic}-in-tests` in
+// `clippy.toml` must leave these alone, so a key that exempted a whole test
+// target instead of its tests would unfulfil them.
+
+#[expect(clippy::unwrap_used, reason = "aborts where the caller could have been told")]
+fn first_row(rows: &[Vec<f32>]) -> &Vec<f32> {
+    rows.first().unwrap()
+}
+
+#[expect(clippy::expect_used, reason = "a message does not make the abort recoverable")]
+fn parse_bits(arg: &str) -> u8 {
+    arg.parse().expect("bits")
+}
+
+#[expect(clippy::panic, reason = "a recoverable fault turned into a process abort")]
+fn on_dropped_message(attempt: u32) {
+    if attempt > 3 {
+        panic!("message lost");
+    }
+}
+
+#[expect(clippy::todo, reason = "a branch that aborts the first run that reaches it")]
+fn degraded_path() {
+    todo!()
+}
+
+#[expect(clippy::unimplemented, reason = "a branch that aborts the first run that reaches it")]
+fn sampled_path() {
+    unimplemented!()
+}
+
 /// Every `path = "…"` in `clippy.toml` is the `reason` of exactly one
-/// expectation above, so a new ban cannot land without its seeded proof
+/// expectation above, and every lint of the panic ban is expected by
+/// exactly one function, so a new ban cannot land without its seeded proof
 /// (and a proof cannot outlive its ban unnoticed by a reader).
 #[test]
-fn every_clippy_toml_entry_has_one_seeded_site() {
-    let toml = include_str!("../../../clippy.toml");
+fn every_ban_has_one_seeded_site() {
+    let toml = include_str!("../clippy.toml");
     let paths: Vec<&str> = toml
         .lines()
         .filter_map(|line| line.trim().strip_prefix("{ path = \"")?.split('"').next())
@@ -238,5 +270,15 @@ fn every_clippy_toml_entry_has_one_seeded_site() {
     for path in paths {
         let named = this.matches(&format!("reason = \"{path}\")]")).count();
         assert_eq!(named, 1, "{path} must be the reason of exactly one #[expect] in this file");
+    }
+    let denied = this.lines().filter_map(|l| l.strip_prefix("#![deny(")?.strip_suffix(")]"));
+    let panic_ban: Vec<&str> = denied.flat_map(|list| list.split(", ")).collect();
+    assert_eq!(panic_ban.len(), 5);
+    for lint in panic_ban {
+        let seeded = this.matches(&format!("#[expect({lint}, reason = ")).count();
+        assert_eq!(seeded, 1, "{lint} must be expected by exactly one function in this file");
+    }
+    for key in ["allow-unwrap-in-tests", "allow-expect-in-tests", "allow-panic-in-tests"] {
+        assert!(toml.lines().any(|line| line == format!("{key} = true")), "clippy.toml: {key}");
     }
 }

@@ -195,7 +195,7 @@ fn cached_answers_are_byte_identical_to_direct_answers() {
 }
 
 /// Routing misuse is reported as a value, never a panic (the request loop
-/// is in `no-panic-hot-path` scope).
+/// is under `ec-serve`'s crate-root panic ban).
 #[test]
 fn misrouted_and_out_of_range_batches_are_rejected() {
     let fx = fixture(ModelKind::Gcn);
