@@ -7,7 +7,6 @@
 //!
 //! All integers are little-endian, matrices are row-major `f32`.
 
-use bytes::{Buf, BufMut};
 use ec_tensor::Matrix;
 
 /// Serialized size of a dense matrix: `8` header bytes + `4` per entry.
@@ -15,85 +14,83 @@ pub fn matrix_wire_size(m: &Matrix) -> usize {
     8 + m.len() * 4
 }
 
-/// Serialized size of a `u32` list: `4` header bytes + `4` per element.
-pub fn u32s_wire_size(v: &[u32]) -> usize {
-    4 + v.len() * 4
+fn put_u32(buf: &mut Vec<u8>, x: u32) {
+    buf.extend_from_slice(&x.to_le_bytes());
 }
 
-/// Serialized size of a byte-per-element selector array.
-pub fn u8s_wire_size(v: &[u8]) -> usize {
-    4 + v.len()
+/// Appends the little-endian bytes of every 4-byte word: one resize, then
+/// a copy per word into its place, which compiles to a block move.
+fn put_words<T: Copy>(buf: &mut Vec<u8>, words: &[T], to_le: impl Fn(T) -> [u8; 4]) {
+    let start = buf.len();
+    buf.resize(start + words.len() * 4, 0);
+    for (dst, &w) in buf[start..].chunks_exact_mut(4).zip(words) {
+        dst.copy_from_slice(&to_le(w));
+    }
+}
+
+/// Splits the next `n` bytes off the front of `buf`; `None`, with `buf`
+/// untouched, when fewer remain.
+fn take<'a>(buf: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    let (head, rest) = buf.split_at_checked(n)?;
+    *buf = rest;
+    Some(head)
+}
+
+fn take_u32(buf: &mut &[u8]) -> Option<u32> {
+    take(buf, 4).map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+}
+
+/// The little-endian 4-byte words of `body` (whose length the caller has
+/// validated), decoded into one exactly-sized vector.
+fn words<T>(body: &[u8], from_le: impl Fn([u8; 4]) -> T) -> Vec<T> {
+    body.chunks_exact(4).map(|b| from_le([b[0], b[1], b[2], b[3]])).collect()
 }
 
 /// Appends a matrix to `buf`.
 pub fn put_matrix(buf: &mut Vec<u8>, m: &Matrix) {
-    buf.put_u32_le(m.rows() as u32);
-    buf.put_u32_le(m.cols() as u32);
-    for &x in m.as_slice() {
-        buf.put_f32_le(x);
-    }
+    put_u32(buf, m.rows() as u32);
+    put_u32(buf, m.cols() as u32);
+    put_words(buf, m.as_slice(), f32::to_le_bytes);
 }
 
 /// Reads a matrix written by [`put_matrix`], advancing `buf`.
 pub fn get_matrix(buf: &mut &[u8]) -> Result<Matrix, String> {
-    if buf.remaining() < 8 {
+    let (Some(rows), Some(cols)) = (take_u32(buf), take_u32(buf)) else {
         return Err("matrix header truncated".into());
-    }
-    let rows = buf.get_u32_le() as usize;
-    let cols = buf.get_u32_le() as usize;
+    };
+    let (rows, cols) = (rows as usize, cols as usize);
     let bytes_needed = rows
         .checked_mul(cols)
         .and_then(|c| c.checked_mul(4))
         .ok_or_else(|| "matrix size overflow".to_string())?;
-    let count = rows * cols;
-    if buf.remaining() < bytes_needed {
-        return Err(format!("matrix body truncated: need {} floats", count));
-    }
-    let mut data = Vec::with_capacity(count);
-    for _ in 0..count {
-        data.push(buf.get_f32_le());
-    }
-    Ok(Matrix::from_vec(rows, cols, data))
+    let body = take(buf, bytes_needed)
+        .ok_or_else(|| format!("matrix body truncated: need {} floats", rows * cols))?;
+    Ok(Matrix::from_vec(rows, cols, words(body, f32::from_le_bytes)))
 }
 
 /// Appends a `u32` list to `buf`.
 pub fn put_u32s(buf: &mut Vec<u8>, v: &[u32]) {
-    buf.put_u32_le(v.len() as u32);
-    for &x in v {
-        buf.put_u32_le(x);
-    }
+    put_u32(buf, v.len() as u32);
+    put_words(buf, v, u32::to_le_bytes);
 }
 
 /// Reads a `u32` list written by [`put_u32s`].
 pub fn get_u32s(buf: &mut &[u8]) -> Result<Vec<u32>, String> {
-    if buf.remaining() < 4 {
-        return Err("u32 list header truncated".into());
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len * 4 {
-        return Err("u32 list body truncated".into());
-    }
-    Ok((0..len).map(|_| buf.get_u32_le()).collect())
+    let len = take_u32(buf).ok_or("u32 list header truncated")? as usize;
+    let body = take(buf, len * 4).ok_or("u32 list body truncated")?;
+    Ok(words(body, u32::from_le_bytes))
 }
 
 /// Appends a byte array to `buf`.
 pub fn put_u8s(buf: &mut Vec<u8>, v: &[u8]) {
-    buf.put_u32_le(v.len() as u32);
-    buf.put_slice(v);
+    put_u32(buf, v.len() as u32);
+    buf.extend_from_slice(v);
 }
 
 /// Reads a byte array written by [`put_u8s`].
 pub fn get_u8s(buf: &mut &[u8]) -> Result<Vec<u8>, String> {
-    if buf.remaining() < 4 {
-        return Err("u8 list header truncated".into());
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err("u8 list body truncated".into());
-    }
-    let out = buf[..len].to_vec();
-    buf.advance(len);
-    Ok(out)
+    let len = take_u32(buf).ok_or("u8 list header truncated")? as usize;
+    Ok(take(buf, len).ok_or("u8 list body truncated")?.to_vec())
 }
 
 #[cfg(test)]
@@ -125,7 +122,7 @@ mod tests {
         let v = vec![0u32, 5, u32::MAX];
         let mut buf = Vec::new();
         put_u32s(&mut buf, &v);
-        assert_eq!(buf.len(), u32s_wire_size(&v));
+        assert_eq!(buf.len(), 4 + 4 * v.len());
         assert_eq!(get_u32s(&mut buf.as_slice()).unwrap(), v);
     }
 
@@ -134,7 +131,7 @@ mod tests {
         let v = vec![1u8, 0, 2, 2, 1];
         let mut buf = Vec::new();
         put_u8s(&mut buf, &v);
-        assert_eq!(buf.len(), u8s_wire_size(&v));
+        assert_eq!(buf.len(), 4 + v.len());
         assert_eq!(get_u8s(&mut buf.as_slice()).unwrap(), v);
     }
 
@@ -164,9 +161,7 @@ mod tests {
 
     #[test]
     fn oversized_header_rejected_without_allocation() {
-        let mut buf = Vec::new();
-        buf.put_u32_le(u32::MAX);
-        buf.put_u32_le(u32::MAX);
+        let buf = [0xff; 8];
         let mut slice = buf.as_slice();
         assert!(get_matrix(&mut slice).is_err());
     }

@@ -127,11 +127,6 @@ impl SimNetwork {
         self.faults.as_ref()
     }
 
-    /// Completed supersteps since construction (the outage clock).
-    pub fn superstep_index(&self) -> u64 {
-        self.superstep
-    }
-
     /// Records a delivered message on the per-node NICs and the ledgers.
     fn deliver(&mut self, from: usize, to: usize, channel: Channel, bytes: u64) {
         self.out_bytes[from] += bytes;
@@ -255,6 +250,33 @@ impl SimNetwork {
             return Ok(());
         }
         self.attempt(from, to, channel, bytes)
+    }
+
+    /// Sends one message with at most `attempts` transmissions (`None`:
+    /// [`Self::send`], as many as it takes), stopping at the first delivery;
+    /// the error is that of the last [`Self::try_send`]. The bounded form is
+    /// the wait of the EC-degrade policy, whose caller then substitutes a
+    /// prediction instead of retrying further.
+    pub fn send_within(
+        &mut self,
+        attempts: Option<u32>,
+        from: usize,
+        to: usize,
+        channel: Channel,
+        bytes: u64,
+    ) -> Result<(), SendError> {
+        let Some(attempts) = attempts else {
+            self.send(from, to, channel, bytes);
+            return Ok(());
+        };
+        let mut outcome = Err(SendError::Dropped);
+        for _ in 0..attempts {
+            outcome = self.try_send(from, to, channel, bytes);
+            if outcome.is_ok() {
+                break;
+            }
+        }
+        outcome
     }
 
     /// Closes the current superstep: derives its communication time from
@@ -457,6 +479,20 @@ mod tests {
         // superstep time: 4000/1000 + 1·latency + 4·latency timeout.
         let t = n.flush_superstep();
         assert!(t > 4.0, "t={t} missing timeout charge");
+    }
+
+    #[test]
+    fn bounded_send_stops_at_the_first_delivery_and_reports_the_last_failure() {
+        let model = NetworkModel { bandwidth: 1000.0, latency: 0.0 };
+        let mut lossy = SimNetwork::with_faults(2, model, FaultPlan::uniform_drop(11, 1.0));
+        let bounded = lossy.send_within(Some(3), 0, 1, Channel::Forward, 100);
+        assert_eq!(bounded, Err(SendError::Dropped));
+        assert_eq!(lossy.total_stats().dropped_msgs, 3, "every attempt is made and charged");
+        assert_eq!(lossy.send_within(None, 0, 1, Channel::Forward, 100), Ok(()));
+        assert_eq!(lossy.total_stats().fp_bytes, 100, "unbounded is the guaranteed send");
+        let mut clean = net(2);
+        assert_eq!(clean.send_within(Some(3), 0, 1, Channel::Forward, 100), Ok(()));
+        assert_eq!(clean.total_stats().messages, 1, "a delivered message is not re-sent");
     }
 
     #[test]

@@ -17,13 +17,6 @@ pub fn residual(original: &Matrix, q: &Quantized) -> Matrix {
     ops::sub(original, &q.decompress())
 }
 
-/// Convenience: compresses and returns `(compressed, residual)` in one step.
-pub fn compress_with_residual(m: &Matrix, bits: u8) -> (Quantized, Matrix) {
-    let q = Quantized::compress(m, bits);
-    let r = residual(m, &q);
-    (q, r)
-}
-
 /// Relative compression error `‖X - C(X)‖₂ / ‖X‖₂` (the `α` of the paper's
 /// Eq. 13 when measured empirically).
 pub fn relative_error(original: &Matrix, q: &Quantized) -> f32 {
@@ -33,14 +26,6 @@ pub fn relative_error(original: &Matrix, q: &Quantized) -> f32 {
     } else {
         stats::l2_norm(&residual(original, q)) / denom
     }
-}
-
-/// Mean absolute error of reconstruction.
-pub fn mean_abs_error(original: &Matrix, q: &Quantized) -> f32 {
-    if original.is_empty() {
-        return 0.0;
-    }
-    stats::l1_norm(&residual(original, q)) / original.len() as f32
 }
 
 /// The Theorem-1 upper bound on `E‖δ_{t,l}‖²`:
@@ -70,15 +55,15 @@ mod tests {
     #[test]
     fn residual_is_zero_for_exact_reconstruction() {
         let m = Matrix::filled(2, 2, 1.0);
-        let (_, r) = compress_with_residual(&m, 4);
+        let r = residual(&m, &Quantized::compress(&m, 4));
         assert!(stats::l2_norm(&r) < 1e-6);
     }
 
     #[test]
     fn residual_shrinks_with_more_bits() {
         let m = Matrix::from_fn(16, 16, |r, c| ((r * 16 + c) as f32).sin());
-        let (_, r2) = compress_with_residual(&m, 2);
-        let (_, r8) = compress_with_residual(&m, 8);
+        let r2 = residual(&m, &Quantized::compress(&m, 2));
+        let r8 = residual(&m, &Quantized::compress(&m, 8));
         assert!(stats::l2_norm(&r8) < stats::l2_norm(&r2) / 10.0);
     }
 
@@ -87,14 +72,6 @@ mod tests {
         let m = Matrix::zeros(3, 3);
         let q = Quantized::compress(&m, 2);
         assert_eq!(relative_error(&m, &q), 0.0);
-    }
-
-    #[test]
-    fn mean_abs_error_matches_hand_computation() {
-        let m = Matrix::from_vec(1, 2, vec![0.0, 1.0]);
-        // B=1, range [0,1]: midpoints 0.25 / 0.75 → errors 0.25 each.
-        let q = Quantized::compress_with_range(&m, 1, 0.0, 1.0);
-        assert!((mean_abs_error(&m, &q) - 0.25).abs() < 1e-6);
     }
 
     #[test]

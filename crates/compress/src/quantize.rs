@@ -202,16 +202,6 @@ impl Quantized {
         HEADER_BYTES + bitpack::packed_len(count, bits)
     }
 
-    /// Compression ratio versus raw `f32` transmission.
-    pub fn compression_ratio(&self) -> f64 {
-        let raw = (self.rows * self.cols * 4) as f64;
-        if raw == 0.0 {
-            1.0
-        } else {
-            raw / self.wire_size() as f64
-        }
-    }
-
     /// Serializes to the wire format described by [`Self::wire_size`].
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_size());
@@ -447,16 +437,6 @@ mod tests {
         assert!(s2 < s8);
         // 2-bit: 64*64*2/8 = 1024 bytes payload + 17 header.
         assert_eq!(s2, 1024 + 17);
-    }
-
-    #[test]
-    fn compression_ratio_roughly_32_over_b() {
-        let m = Matrix::zeros(128, 128);
-        for bits in [1u8, 2, 4, 8, 16] {
-            let r = Quantized::compress(&m, bits).compression_ratio();
-            let ideal = 32.0 / bits as f64;
-            assert!((r - ideal).abs() / ideal < 0.02, "bits={bits}: ratio {r} vs ideal {ideal}");
-        }
     }
 
     #[test]

@@ -77,13 +77,6 @@ impl TopK {
     pub fn wire_size(&self) -> usize {
         4 + 4 + 4 + self.indices.len() * 8
     }
-
-    /// The `k` that makes Top-k's wire size match `B`-bit quantization of
-    /// the same matrix: quantization spends `len·B` bits, each kept entry
-    /// costs 64 bits, so `k = len·B/64`.
-    pub fn budget_matched_k(len: usize, bits: u8) -> usize {
-        (len * bits as usize / 64).max(1)
-    }
 }
 
 #[cfg(test)]
@@ -138,12 +131,9 @@ mod tests {
     }
 
     #[test]
-    fn wire_size_and_budget_match() {
-        let len = 1024usize;
-        let k = TopK::budget_matched_k(len, 2);
-        assert_eq!(k, 32); // 1024·2/64
+    fn wire_size_is_header_plus_eight_bytes_per_entry() {
         let m = Matrix::from_fn(32, 32, |r, c| (r + c) as f32);
-        let t = TopK::compress(&m, k);
+        let t = TopK::compress(&m, 32);
         // 32 entries × 8 bytes + 12 header = 268 ≈ the 2-bit quantizer's
         // 1024·2/8 = 256 payload bytes.
         assert_eq!(t.wire_size(), 12 + 32 * 8);

@@ -5,7 +5,12 @@
 //! iteration `t` is added to the gradient rows before they are compressed
 //! at iteration `t+1`, so the error the requester accumulates stays bounded
 //! (Theorem 1) instead of compounding.
+//!
+//! What a link keeps between exchanges, and which of the functions below
+//! answers on it, is [`BpLink`]: one variant per [`BpMode`], built when the
+//! engine's link table is.
 
+use crate::config::BpMode;
 use ec_comm::codec;
 use ec_compress::Quantized;
 use ec_tensor::{ops, Matrix};
@@ -27,14 +32,75 @@ impl ResidualState {
     pub fn residual(&self) -> Option<&Matrix> {
         self.residual.as_ref()
     }
+}
 
-    /// Rebuilds a state captured via [`ResidualState::residual`].
-    pub fn from_residual(residual: Option<Matrix>) -> Self {
-        Self { residual }
+/// The backward half of a link: the responder's memory for one (requester,
+/// owner, layer) triple, with the parameters of the codec that reads it.
+/// Built from the configured [`BpMode`] once, so a residual exists on
+/// exactly the links of a run with error feedback.
+#[derive(Clone, Debug)]
+pub(crate) enum BpLink {
+    /// Raw gradients; nothing to remember.
+    Exact,
+    /// *Cp-bp-B*: nothing to remember.
+    Compressed { bits: u8 },
+    /// *ResEC-BP*: the quantization residual `δ`.
+    ResEc { delta: ResidualState, bits: u8 },
+    /// Top-k with memory: the sparsification residual.
+    TopkEc { delta: ResidualState, ratio: f32 },
+}
+
+impl BpLink {
+    /// The empty state of a link under `mode`.
+    pub(crate) fn new(mode: BpMode) -> Self {
+        match mode {
+            BpMode::Exact => Self::Exact,
+            BpMode::Compressed { bits } => Self::Compressed { bits },
+            BpMode::ResEc { bits } => Self::ResEc { delta: ResidualState::default(), bits },
+            BpMode::TopkEc { ratio } => Self::TopkEc { delta: ResidualState::default(), ratio },
+        }
+    }
+
+    /// Answers one request with the owner's exact `g_rows`: what the
+    /// requester reconstructs and the bytes on the wire.
+    pub(crate) fn respond(&mut self, g_rows: Matrix) -> (Matrix, u64) {
+        match self {
+            // The gathered rows are the message: nothing to copy.
+            Self::Exact => {
+                let wire = codec::matrix_wire_size(&g_rows) as u64;
+                (g_rows, wire)
+            }
+            Self::Compressed { bits } => respond_compressed(&g_rows, *bits),
+            Self::ResEc { delta, bits } => resec_step(delta, &g_rows, *bits),
+            Self::TopkEc { delta, ratio } => topk_ec_step(delta, &g_rows, *ratio),
+        }
+    }
+
+    /// `‖δ‖²` once the link has answered under error feedback, else `None`.
+    pub(crate) fn residual_norm_sq(&self) -> Option<f32> {
+        let (Self::ResEc { delta, .. } | Self::TopkEc { delta, .. }) = self else { return None };
+        delta.residual().map(ec_tensor::stats::l2_norm_sq)
     }
 }
 
-/// Uncompressed gradient response. (The engine owns the rows it has just
+/// Worst observed relative quantization error of ResEC-BP's codec over a
+/// few synthetic Gaussian matrices — the empirical stand-in for Theorem 1's
+/// `α` (`None` for every other mode: the theorem bounds a quantization
+/// residual). Feeds the bound gauge only, never training.
+pub(crate) fn probe_alpha(mode: BpMode) -> Option<f64> {
+    let BpMode::ResEc { bits } = mode else {
+        return None;
+    };
+    let mut alpha = 0.0f32;
+    for seed in 0..8u64 {
+        let m = ec_tensor::init::normal(32, 16, 1.0, seed);
+        let q = Quantized::compress(&m, bits);
+        alpha = alpha.max(ec_compress::error::relative_error(&m, &q));
+    }
+    Some(alpha as f64)
+}
+
+/// Uncompressed gradient response. (A link owns the rows it has just
 /// gathered and ships those without this copy.)
 pub fn respond_exact(g_rows: &Matrix) -> (Matrix, u64) {
     (g_rows.clone(), codec::matrix_wire_size(g_rows) as u64)

@@ -31,8 +31,6 @@ pub struct LayerTopology {
     /// `remote_deps` grouped by owning worker (entry `w` lists the global
     /// ids owned by worker `w`, sorted; the self entry is empty).
     pub deps_by_owner: Vec<Vec<usize>>,
-    /// Global id → position in `remote_deps`.
-    pub remote_index: HashMap<usize, usize>,
     /// Responder-side gather plan of each link: `gather_rows[w][k]` is the
     /// row of `deps_by_owner[w][k]` in owner `w`'s local matrices.
     pub gather_rows: Vec<Vec<usize>>,
@@ -49,8 +47,6 @@ pub struct WorkerContext {
     pub worker_id: usize,
     /// Sorted global ids of the local vertices.
     pub local_vertices: Vec<usize>,
-    /// Global id → local row index.
-    pub global_to_local: HashMap<usize, usize>,
     /// Per-GNN-layer topology: `layers[l-1]` drives the aggregation that
     /// produces layer `l`.
     pub layers: Vec<Arc<LayerTopology>>,
@@ -115,7 +111,6 @@ pub fn build_layer_topologies(adj: &CsrMatrix, partition: &Partition) -> Vec<Arc
                 adj_local,
                 remote_deps,
                 deps_by_owner,
-                remote_index,
                 gather_rows,
                 scatter_rows,
             })
@@ -153,9 +148,8 @@ pub fn build_worker_contexts(adjs: &[Arc<CsrMatrix>], partition: &Partition) -> 
     (0..num_parts)
         .map(|w| {
             let local_vertices = locals[w].clone();
-            let global_to_local = local_vertices.iter().enumerate().map(|(i, &v)| (v, i)).collect();
             let layers = per_layer.iter().map(|l| Arc::clone(&l[w])).collect();
-            WorkerContext { worker_id: w, local_vertices, global_to_local, layers }
+            WorkerContext { worker_id: w, local_vertices, layers }
         })
         .collect()
 }
@@ -185,15 +179,17 @@ mod tests {
         assert_eq!(ctxs[0].layers[0].remote_deps, vec![2, 3]);
         assert_eq!(ctxs[0].layers[0].deps_by_owner[1], vec![2, 3]);
         assert!(ctxs[0].layers[0].deps_by_owner[0].is_empty());
-        // Link plans agree with the id maps they replace on the hot path.
+        // Link plans name the rows the id lists name: `gather_rows` in the
+        // owner's local order, `scatter_rows` in this worker's `remote_deps`.
         for ctx in &ctxs {
             let topo = &ctx.layers[0];
             for (owner, deps) in topo.deps_by_owner.iter().enumerate() {
-                let gather: Vec<usize> =
-                    deps.iter().map(|v| ctxs[owner].global_to_local[v]).collect();
-                let scatter: Vec<usize> = deps.iter().map(|v| topo.remote_index[v]).collect();
-                assert_eq!(topo.gather_rows[owner], gather);
-                assert_eq!(topo.scatter_rows[owner], scatter);
+                // Both id lists are sorted, so a row is a binary search.
+                let rows_in = |ids: &[usize]| -> Vec<usize> {
+                    deps.iter().map(|v| ids.binary_search(v).unwrap()).collect()
+                };
+                assert_eq!(topo.gather_rows[owner], rows_in(&ctxs[owner].local_vertices));
+                assert_eq!(topo.scatter_rows[owner], rows_in(&topo.remote_deps));
             }
         }
     }

@@ -35,19 +35,19 @@
 //! paper's Table IV reports per system.
 //!
 //! All compression/compensation policy lives in [`crate::fp`] /
-//! [`crate::bp`]; the engine only routes matrices through them per the
-//! configured [`FpMode`] / [`BpMode`].
+//! [`crate::bp`], and what each (requester, owner, layer) link remembers —
+//! with the one loop both exchanges are — in `crate::link`: the configured
+//! modes are resolved into per-link state when [`DistributedEngine::new`]
+//! builds the table, so nothing below asks which mode is in force.
 
-#![allow(clippy::needless_range_loop)] // worker indices double as node ids
-
-use crate::bp::{self, ResidualState};
-use crate::config::{BpMode, FpMode, ModelKind, ResiliencePolicy, TrainingConfig};
+use crate::config::{ModelKind, TrainingConfig};
 use crate::context::{build_worker_contexts, WorkerContext};
-use crate::exec::{Cluster, ClusterSnapshot, EpochTotals, Stage, REQUEST_BYTES};
-use crate::fp::{self, TrendState};
+use crate::exec::{Cluster, ClusterSnapshot, EpochTotals, Stage};
+use crate::link::{CompensationState, Direction::Backward, Direction::Forward, EpochCounters};
+use crate::{bp, fp};
 use ec_comm::ps::CheckpointError;
 use ec_comm::stats::Channel;
-use ec_comm::{codec, HostTimer, SendError, TrafficStats};
+use ec_comm::{HostTimer, TrafficStats};
 use ec_graph_data::AttributedGraph;
 use ec_partition::Partition;
 use ec_tensor::{activations, ops, parallel, CsrMatrix, Matrix};
@@ -153,46 +153,11 @@ pub struct DistributedEngine {
     alpha_probe: Option<f64>,
 }
 
-/// Every piece of error-compensation memory the two ends of a link keep
-/// in step. The engine and [`EngineSnapshot`] hold the same struct, so a
-/// field added here is captured and restored without a list to extend.
-#[derive(Clone, Default)]
-struct CompensationState {
-    /// ReqEC-FP trend state per (requester, exchange layer, owner).
-    /// `BTreeMap` keeps every walk over compensation state in key order, so
-    /// identical runs touch identical state in an identical sequence.
-    fp_trend: BTreeMap<(usize, usize, usize), TrendState>,
-    /// Delayed-mode (DistGNN) stale caches per (requester, layer, owner).
-    fp_cache: BTreeMap<(usize, usize, usize), Option<Matrix>>,
-    /// Current adaptive bit width per (requester, owner).
-    fp_bits: Vec<Vec<u8>>,
-    /// Last observed predicted-proportion per (requester, owner), consumed
-    /// by the Bit-Tuner at epoch end.
-    fp_prop: BTreeMap<(usize, usize), f32>,
-    /// ResEC-BP residual state per (requester, exchange layer, owner).
-    bp_residual: BTreeMap<(usize, usize, usize), ResidualState>,
-}
-
-/// Diagnostics of the current epoch only; reset by assignment when an
-/// epoch starts and when a snapshot is restored.
-#[derive(Default)]
-struct EpochCounters {
-    /// Total L1 reconstruction error of all FP messages (exact modes
-    /// report 0).
-    fp_recon_err: f64,
-    /// FP messages degraded to the prediction.
-    fp_degraded: u64,
-    /// Degraded FP messages split by the failure of their final attempt.
-    fp_degraded_drop: u64,
-    fp_degraded_corrupt: u64,
-    /// Selector decision counts per exchange layer.
-    fp_selected: BTreeMap<usize, [u64; 3]>,
-}
-
 /// A complete in-memory image of the mutable training state: model
 /// parameters with their Adam moments, the epoch counter, and every piece
-/// of error-compensation memory (FP trend groups, delayed-mode caches,
-/// adaptive bit widths, pending Bit-Tuner observations, BP residuals).
+/// of error-compensation memory — the whole link table (FP trend groups,
+/// delayed-mode caches, pending Bit-Tuner observations, BP residuals) and
+/// the adaptive bit widths.
 /// Restoring it into an engine built from the same inputs resumes training
 /// with losses identical to the uninterrupted run — activations and
 /// gradients are recomputed each epoch and need no snapshotting.
@@ -297,21 +262,13 @@ impl DistributedEngine {
             })
             .collect();
 
-        let init_bits = match config.fp_mode {
-            FpMode::ReqEc { bits, .. } | FpMode::Compressed { bits } => bits,
-            _ => 16,
-        };
-        let fp_bits = vec![vec![init_bits; num_workers]; num_workers];
         let total_train = data.split.train.len();
         assert!(total_train > 0, "dataset has no training vertices");
 
-        // Probe the empirical compression-error bound α of the BP codec on
-        // synthetic Gaussian matrices (worst over a few seeds). Used only
-        // for the Theorem 1 bound gauge, never by training itself.
-        let alpha_probe = match (config.telemetry.level > TelemetryLevel::Off, config.bp_mode) {
-            (true, BpMode::ResEc { bits } | BpMode::Compressed { bits }) => Some(probe_alpha(bits)),
-            _ => None,
-        };
+        let comp = CompensationState::new(&contexts, &config);
+        let alpha_probe = (config.telemetry.level > TelemetryLevel::Off)
+            .then(|| bp::probe_alpha(config.bp_mode))
+            .flatten();
 
         Self {
             config,
@@ -326,7 +283,7 @@ impl DistributedEngine {
             labels_local,
             train_local,
             total_train,
-            comp: CompensationState { fp_bits, ..CompensationState::default() },
+            comp,
             counters: EpochCounters::default(),
             alpha_probe,
         }
@@ -414,13 +371,10 @@ impl DistributedEngine {
     }
 
     /// Squared L2 norms of all live ResEC-BP residuals, keyed by exchange
-    /// layer (Theorem-1 instrumentation).
+    /// layer, in link order — layer, then (requester, owner) (Theorem-1
+    /// instrumentation).
     pub fn bp_residual_norms(&self) -> Vec<(usize, f32)> {
-        self.comp
-            .bp_residual
-            .iter()
-            .map(|(&(_, layer, _), st)| (layer, st.residual_norm_sq()))
-            .collect()
+        self.comp.bp_residual_norms().collect()
     }
 
     /// Telemetry snapshot for the run report (`None` when the level is
@@ -460,7 +414,8 @@ impl DistributedEngine {
 
             // Exchange H^{l-1} (layer-0 features are cached).
             let remotes: Vec<Matrix> = if l >= 2 {
-                (0..num_workers).map(|i| self.exchange_fp(i, l, t)).collect()
+                let (comp, h) = (&mut self.comp, &self.h_local);
+                comp.exchange(&mut self.cluster, &mut self.counters, Forward, l, |j| &h[j][l - 1])
             } else {
                 Vec::new()
             };
@@ -536,7 +491,8 @@ impl DistributedEngine {
             // Â·H⁰ is the cached P_w — and there is no G⁰ to produce.
             let mut g_remote: Vec<Matrix> = Vec::new();
             if l >= 2 {
-                g_remote = (0..num_workers).map(|i| self.exchange_bp(i, l, &g_cur)).collect();
+                let (comp, counters) = (&mut self.comp, &mut self.counters);
+                g_remote = comp.exchange(&mut self.cluster, counters, Backward, l, |j| &g_cur[j]);
                 self.cluster.barrier(Stage::new("bp:exchange", "bp").at_layer(l));
             }
 
@@ -599,10 +555,7 @@ impl DistributedEngine {
         self.cluster.ps.push(&grads);
         self.cluster.apply_update();
 
-        // Adaptive Bit-Tuner (after the last FP exchange of the epoch).
-        if let FpMode::ReqEc { adaptive: true, .. } = self.config.fp_mode {
-            self.apply_bit_tuner(t);
-        }
+        self.comp.tune_bits(&mut self.cluster.steps.telemetry, t);
 
         let (totals, traffic) = self.cluster.end_epoch();
         if self.cluster.steps.telemetry.enabled(TelemetryLevel::Epoch) {
@@ -614,7 +567,7 @@ impl DistributedEngine {
             compute_s: totals.compute_s,
             comm_s: totals.comm_s,
             traffic,
-            degraded: self.counters.fp_degraded,
+            degraded: self.counters.fp_degraded_drop + self.counters.fp_degraded_corrupt,
             degraded_drop: self.counters.fp_degraded_drop,
             degraded_corrupt: self.counters.fp_degraded_corrupt,
         }
@@ -632,8 +585,9 @@ impl DistributedEngine {
     ) {
         let e = t as u32;
         let sink = &mut self.cluster.steps.telemetry;
-        for (&layer, counts) in &self.counters.fp_selected {
-            let lbl = labels(&[e, layer as u32]);
+        for (k, counts) in self.counters.fp_selected.iter().enumerate() {
+            let Some(counts) = counts else { continue };
+            let lbl = labels(&[e, k as u32 + 2]);
             sink.add(MetricId::SelectorCps, lbl, counts[fp::SELECT_CPS as usize]);
             sink.add(MetricId::SelectorPdt, lbl, counts[fp::SELECT_PDT as usize]);
             sink.add(MetricId::SelectorAvg, lbl, counts[fp::SELECT_AVG as usize]);
@@ -667,211 +621,24 @@ impl DistributedEngine {
         }
         sink.set(MetricId::FpReconErrL1, labels(&[e]), self.counters.fp_recon_err);
 
-        if matches!(self.config.bp_mode, BpMode::ResEc { .. } | BpMode::TopkEc { .. }) {
-            let mut by_layer: BTreeMap<usize, f64> = BTreeMap::new();
-            for (&(_, layer, _), st) in &self.comp.bp_residual {
-                *by_layer.entry(layer).or_insert(0.0) += st.residual_norm_sq() as f64;
-            }
-            let num_layers = self.config.num_layers();
-            // Theorem 1 bounds each layer's residual by a constant times
-            // the true gradient magnitude; the probe α is empirical, so the
-            // reference gets headroom over ‖G^L‖².
-            let g_ref = 4.0 * g_norm_sq;
-            for (layer, norm_sq) in by_layer {
-                let lbl = labels(&[e, layer as u32]);
-                sink.set(MetricId::ResecResidualSq, lbl, norm_sq);
-                if let Some(alpha) = self.alpha_probe {
-                    let bound = ec_compress::error::theorem1_bound(
-                        alpha,
-                        THEOREM1_RHO,
-                        g_ref,
-                        num_layers,
-                        layer,
-                    );
-                    if let Some(bound) = bound {
-                        sink.set(MetricId::ResecT1Bound, lbl, bound);
-                    }
-                }
-            }
+        let mut by_layer: BTreeMap<usize, f64> = BTreeMap::new();
+        for (layer, norm_sq) in self.comp.bp_residual_norms() {
+            *by_layer.entry(layer).or_insert(0.0) += norm_sq as f64;
         }
-    }
-
-    /// Fetches the remote rows of `H^{l-1}` for requester `i` (exchange for
-    /// computing layer `l ≥ 2`), applying the configured forward mode.
-    fn exchange_fp(&mut self, i: usize, l: usize, t: usize) -> Matrix {
-        let topo = Arc::clone(&self.contexts[i].layers[l - 1]);
-        let cols = self.config.dims[l - 1];
-        let measure = self.cluster.steps.telemetry.enabled(TelemetryLevel::Superstep);
-        let mut remote = Matrix::zeros(topo.remote_deps.len(), cols);
-        for (j, deps) in topo.deps_by_owner.iter().enumerate() {
-            if deps.is_empty() || j == i {
-                continue;
+        let num_layers = self.config.num_layers();
+        // Theorem 1 bounds each layer's residual by a constant times the
+        // true gradient magnitude; the probe α is empirical, so the
+        // reference gets headroom over ‖G^L‖².
+        let g_ref = 4.0 * g_norm_sq;
+        for (layer, norm_sq) in by_layer {
+            let lbl = labels(&[e, layer as u32]);
+            sink.set(MetricId::ResecResidualSq, lbl, norm_sq);
+            let bound = self.alpha_probe.and_then(|alpha| {
+                ec_compress::error::theorem1_bound(alpha, THEOREM1_RHO, g_ref, num_layers, layer)
+            });
+            if let Some(bound) = bound {
+                sink.set(MetricId::ResecT1Bound, lbl, bound);
             }
-            // Responder j gathers the requested rows of its local H^{l-1}.
-            let pack_timer = measure.then(HostTimer::start);
-            let h_rows = self.h_local[j][l - 1].gather_rows(&topo.gather_rows[j]);
-
-            // Each arm yields what the requester reconstructs, the bytes on
-            // the wire and the L1 distance of the reconstruction from the
-            // exact rows.
-            let (reconstructed, wire, recon_l1, degrade) = match self.config.fp_mode {
-                // The gathered rows are the message: nothing to copy.
-                FpMode::Exact => {
-                    let wire = codec::matrix_wire_size(&h_rows) as u64;
-                    (h_rows, wire, 0.0, None)
-                }
-                FpMode::Compressed { bits } => {
-                    let (m, w) = fp::respond_compressed(&h_rows, bits);
-                    let err = fp::rowwise_l1_total(&m, &h_rows);
-                    (m, w, err, None)
-                }
-                FpMode::ReqEc { t_tr, .. } => {
-                    let bits = self.comp.fp_bits[i][j];
-                    let granularity = self.config.reqec_granularity;
-                    let ec_degrade = self.config.resilience.policy == ResiliencePolicy::EcDegrade
-                        && self.cluster.network.faults().is_some();
-                    let state = self.comp.fp_trend.entry((i, l, j)).or_default();
-                    let out = fp::reqec_step_with(state, &h_rows, bits, t_tr, t, granularity);
-                    // Degrading is only safe for non-boundary messages:
-                    // boundaries mutate the shared trend state, so losing
-                    // one would desynchronize requester and responder.
-                    let pdt = if ec_degrade && !out.exact_sent { state.predict(t) } else { None };
-                    let fallback = pdt.map(|pdt| {
-                        let err = fp::rowwise_l1_total(&pdt, &h_rows);
-                        (pdt, err)
-                    });
-                    let sel = self.counters.fp_selected.entry(l).or_default();
-                    for (acc, &c) in sel.iter_mut().zip(out.selected.iter()) {
-                        *acc += c as u64;
-                    }
-                    // Record the proportion for the Bit-Tuner when this is
-                    // the last FP exchange (Alg. 3 line 13: l == L).
-                    if l == self.config.num_layers() && !out.exact_sent {
-                        self.comp.fp_prop.insert((i, j), out.proportion);
-                    }
-                    (out.reconstructed, out.wire, out.recon_l1, fallback)
-                }
-                FpMode::Delayed { r } => {
-                    let cache = self.comp.fp_cache.entry((i, l, j)).or_default();
-                    let (m, w) = fp::delayed_step(cache, &h_rows, r, t);
-                    let err = fp::rowwise_l1_total(&m, &h_rows);
-                    (m, w, err, None)
-                }
-            };
-            if let Some(tm) = &pack_timer {
-                self.cluster.steps.pack_s += tm.elapsed_s();
-            }
-            self.cluster.network.send(i, j, Channel::Control, REQUEST_BYTES);
-            self.cluster.steps.telemetry.observe(
-                MetricId::FpWireBytes,
-                labels(&[t as u32]),
-                wire as f64,
-            );
-            let (reconstructed, recon_l1) = match degrade {
-                // EC-degrade: give the transfer a bounded number of
-                // attempts, then fall back to the zero-payload prediction
-                // `Ĥ_pdt = H_base + M_cr·k` instead of waiting further.
-                Some(fallback) => {
-                    let attempts = self.config.resilience.max_attempts;
-                    let mut delivered = false;
-                    let mut last_err = None;
-                    for _ in 0..attempts {
-                        match self.cluster.network.try_send(j, i, Channel::Forward, wire) {
-                            Ok(()) => {
-                                delivered = true;
-                                break;
-                            }
-                            Err(err) => last_err = Some(err),
-                        }
-                    }
-                    if delivered {
-                        (reconstructed, recon_l1)
-                    } else {
-                        self.counters.fp_degraded += 1;
-                        match last_err {
-                            Some(SendError::Corrupted) => self.counters.fp_degraded_corrupt += 1,
-                            _ => self.counters.fp_degraded_drop += 1,
-                        }
-                        fallback
-                    }
-                }
-                None => {
-                    self.cluster.network.send(j, i, Channel::Forward, wire);
-                    (reconstructed, recon_l1)
-                }
-            };
-            self.counters.fp_recon_err += recon_l1 as f64;
-            let unpack_timer = measure.then(HostTimer::start);
-            for (k, &row) in topo.scatter_rows[j].iter().enumerate() {
-                remote.set_row(row, reconstructed.row(k));
-            }
-            if let Some(tm) = &unpack_timer {
-                self.cluster.steps.unpack_s += tm.elapsed_s();
-            }
-        }
-        remote
-    }
-
-    /// Total L1 reconstruction error of the forward messages in the most
-    /// recent epoch.
-    pub fn fp_reconstruction_error(&self) -> f64 {
-        self.counters.fp_recon_err
-    }
-
-    /// Fetches the remote rows of `G^l` for requester `i` (BP exchange for
-    /// `l ≥ 2`), applying the configured backward mode.
-    fn exchange_bp(&mut self, i: usize, l: usize, g_cur: &[Matrix]) -> Matrix {
-        let topo = Arc::clone(&self.contexts[i].layers[l - 1]);
-        let cols = self.config.dims[l];
-        let measure = self.cluster.steps.telemetry.enabled(TelemetryLevel::Superstep);
-        let e = self.cluster.epoch as u32;
-        let mut remote = Matrix::zeros(topo.remote_deps.len(), cols);
-        for (j, deps) in topo.deps_by_owner.iter().enumerate() {
-            if deps.is_empty() || j == i {
-                continue;
-            }
-            let pack_timer = measure.then(HostTimer::start);
-            let g_rows = g_cur[j].gather_rows(&topo.gather_rows[j]);
-            let (reconstructed, wire) = match self.config.bp_mode {
-                // The gathered rows are the message: nothing to copy.
-                BpMode::Exact => {
-                    let wire = codec::matrix_wire_size(&g_rows) as u64;
-                    (g_rows, wire)
-                }
-                BpMode::Compressed { bits } => bp::respond_compressed(&g_rows, bits),
-                BpMode::ResEc { bits } => {
-                    let state = self.comp.bp_residual.entry((i, l, j)).or_default();
-                    bp::resec_step(state, &g_rows, bits)
-                }
-                BpMode::TopkEc { ratio } => {
-                    let state = self.comp.bp_residual.entry((i, l, j)).or_default();
-                    bp::topk_ec_step(state, &g_rows, ratio)
-                }
-            };
-            if let Some(tm) = &pack_timer {
-                self.cluster.steps.pack_s += tm.elapsed_s();
-            }
-            self.cluster.network.send(i, j, Channel::Control, REQUEST_BYTES);
-            self.cluster.network.send(j, i, Channel::Backward, wire);
-            self.cluster.steps.telemetry.observe(MetricId::BpWireBytes, labels(&[e]), wire as f64);
-            let unpack_timer = measure.then(HostTimer::start);
-            for (k, &row) in topo.scatter_rows[j].iter().enumerate() {
-                remote.set_row(row, reconstructed.row(k));
-            }
-            if let Some(tm) = &unpack_timer {
-                self.cluster.steps.unpack_s += tm.elapsed_s();
-            }
-        }
-        remote
-    }
-
-    fn apply_bit_tuner(&mut self, t: usize) {
-        let updates = std::mem::take(&mut self.comp.fp_prop);
-        for ((i, j), p) in updates {
-            let bits = fp::tune_bits(self.comp.fp_bits[i][j], p);
-            self.comp.fp_bits[i][j] = bits;
-            let lbl = labels(&[t as u32, i as u32, j as u32]);
-            self.cluster.steps.telemetry.set(MetricId::BitTunerBits, lbl, bits as f64);
         }
     }
 
@@ -919,38 +686,46 @@ pub(crate) fn local_loss_grad(
     (loss * inv, grad)
 }
 
-/// Worst observed relative quantization error over a few synthetic
-/// Gaussian matrices — the empirical stand-in for Theorem 1's `α`.
-fn probe_alpha(bits: u8) -> f64 {
-    let mut alpha = 0.0f32;
-    for seed in 0..8u64 {
-        let m = ec_tensor::init::normal(32, 16, 1.0, seed);
-        let q = ec_compress::Quantized::compress(&m, bits);
-        alpha = alpha.max(ec_compress::error::relative_error(&m, &q));
-    }
-    alpha as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BpMode, FpMode};
     use ec_graph_data::{normalize, DatasetSpec};
     use ec_partition::hash::HashPartitioner;
     use ec_partition::Partitioner;
 
     fn engine_with(fp: FpMode, bp: BpMode, workers: usize) -> DistributedEngine {
+        layered_engine(fp, bp, workers, 2)
+    }
+
+    /// `layers` layers over the 12-feature cora replica, 8 hidden units.
+    fn config_with(fp: FpMode, bp: BpMode, workers: usize, layers: usize) -> TrainingConfig {
+        let mut dims = vec![8; layers + 1];
+        (dims[0], dims[layers]) = (12, DatasetSpec::cora().num_classes);
+        let defaults = TrainingConfig::defaults(12, dims[layers]);
+        TrainingConfig { dims, num_workers: workers, fp_mode: fp, bp_mode: bp, ..defaults }
+    }
+
+    fn layered_engine(fp: FpMode, bp: BpMode, workers: usize, layers: usize) -> DistributedEngine {
         let data = Arc::new(DatasetSpec::cora().instantiate_with(150, 12, 5));
-        let config = TrainingConfig {
-            dims: vec![12, 8, data.num_classes],
-            num_workers: workers,
-            fp_mode: fp,
-            bp_mode: bp,
-            seed: 2,
-            ..TrainingConfig::defaults(12, data.num_classes)
-        };
+        let config = TrainingConfig { seed: 2, ..config_with(fp, bp, workers, layers) };
         let adj = Arc::new(normalize::gcn_normalized_adjacency(&data.graph));
         let partition = HashPartitioner::default().partition(&data.graph, workers);
-        DistributedEngine::new(data, vec![adj; 2], partition, config)
+        DistributedEngine::new(data, vec![adj; layers], partition, config)
+    }
+
+    /// Vertex v lives on worker v % 3; the ring v — v+3 stays inside a part
+    /// and only parts 0 and 1 are linked, so worker 2 fetches nothing and
+    /// serves nobody.
+    fn ring_engine(fp: FpMode, bp: BpMode, layers: usize) -> DistributedEngine {
+        let data = Arc::new(DatasetSpec::cora().instantiate_with(150, 12, 5));
+        let mut edges: Vec<(u32, u32)> = (0..150).map(|v| (v, (v + 3) % 150)).collect();
+        edges.extend((0..150).step_by(3).map(|v| (v, v + 1)));
+        let graph = ec_graph_data::Graph::from_edges(150, &edges);
+        let adj = Arc::new(normalize::gcn_normalized_adjacency(&graph));
+        let partition = Partition::new((0..150).map(|v| v % 3).collect(), 3);
+        let config = config_with(fp, bp, 3, layers);
+        DistributedEngine::new(data, vec![adj; layers], partition, config)
     }
 
     #[test]
@@ -976,20 +751,7 @@ mod tests {
         check(&engine_with(FpMode::Exact, BpMode::Exact, 3));
         check(&engine_with(FpMode::Exact, BpMode::Exact, 1));
 
-        // Vertex v lives on worker v % 3; the ring v — v+3 stays inside a
-        // part and only parts 0 and 1 are linked, so worker 2 fetches nothing.
-        let data = Arc::new(DatasetSpec::cora().instantiate_with(150, 12, 5));
-        let mut edges: Vec<(u32, u32)> = (0..150).map(|v| (v, (v + 3) % 150)).collect();
-        edges.extend((0..150).step_by(3).map(|v| (v, v + 1)));
-        let graph = ec_graph_data::Graph::from_edges(150, &edges);
-        let adj = Arc::new(normalize::gcn_normalized_adjacency(&graph));
-        let partition = Partition::new((0..150).map(|v| v % 3).collect(), 3);
-        let config = TrainingConfig {
-            dims: vec![12, 8, data.num_classes],
-            num_workers: 3,
-            ..TrainingConfig::defaults(12, data.num_classes)
-        };
-        let e = DistributedEngine::new(data, vec![adj; 2], partition, config);
+        let e = ring_engine(FpMode::Exact, BpMode::Exact, 2);
         assert!(e.contexts[2].layers[0].remote_deps.is_empty());
         assert!(!e.contexts[0].layers[0].remote_deps.is_empty());
         check(&e);
@@ -1029,25 +791,86 @@ mod tests {
         assert!(s8.traffic.bp_bytes > 4 * s1.traffic.bp_bytes);
     }
 
+    /// The table exists from construction, a residual only once its link
+    /// has answered: nothing is listed before the first epoch, one entry
+    /// per link and exchange layer after it (in layer order), and a mode
+    /// without error feedback never lists anything.
     #[test]
     fn resec_populates_residual_state() {
-        let mut e = engine_with(FpMode::Exact, BpMode::ResEc { bits: 2 }, 3);
-        assert!(e.bp_residual_norms().is_empty());
-        e.run_epoch();
-        let norms = e.bp_residual_norms();
-        assert!(!norms.is_empty());
-        // Exchange layers for L=2 are exactly l=2.
-        assert!(norms.iter().all(|&(l, _)| l == 2));
+        for bp in [BpMode::ResEc { bits: 2 }, BpMode::TopkEc { ratio: 0.1 }] {
+            let mut e = layered_engine(FpMode::Exact, bp, 3, 3);
+            assert!(e.bp_residual_norms().is_empty(), "{bp:?} before the first epoch");
+            e.run_epoch();
+            let layers: Vec<usize> = e.bp_residual_norms().iter().map(|&(l, _)| l).collect();
+            // Hash partition of a connected graph: all six ordered pairs.
+            assert_eq!(layers, [[2; 6], [3; 6]].concat(), "{bp:?}");
+        }
+        for bp in [BpMode::Exact, BpMode::Compressed { bits: 2 }] {
+            let mut e = layered_engine(FpMode::Exact, bp, 3, 3);
+            e.run_epoch();
+            assert!(e.bp_residual_norms().is_empty(), "{bp:?} keeps no residual");
+        }
+    }
+
+    /// ROADMAP 9(b), through `run_epoch`: a worker with no remote neighbour
+    /// takes part in every superstep of a 3-layer error-compensated run
+    /// without a link, a vertex message or a tuned width of its own.
+    #[test]
+    fn a_worker_without_links_trains_through_every_exchange() {
+        let mut e = ring_engine(
+            FpMode::ReqEc { bits: 4, t_tr: 2, adaptive: true },
+            BpMode::ResEc { bits: 4 },
+            3,
+        );
+        for _ in 0..3 {
+            let stats = e.run_epoch();
+            assert!(stats.loss.is_finite(), "epoch {} loss {}", stats.epoch, stats.loss);
+            assert!(stats.traffic.fp_bytes > 0 && stats.traffic.bp_bytes > 0);
+            for other in [0, 1] {
+                assert_eq!(stats.traffic.links.get(2, other), 0);
+                assert_eq!(stats.traffic.links.get(other, 2), 0);
+            }
+        }
+        // Two exchange layers × the two links 0 → 1 and 1 → 0.
+        assert_eq!(e.bp_residual_norms().len(), 4);
+        assert!(e.evaluate().train.is_finite());
+    }
+
+    /// Every state variant goes through the one clone: a snapshot taken in
+    /// the middle of a trend group (or refresh cycle) and restored after
+    /// two more epochs replays those epochs bit for bit.
+    #[test]
+    fn snapshot_restore_replays_bit_identically_in_every_stateful_mode() {
+        let modes = [
+            (FpMode::ReqEc { bits: 2, t_tr: 4, adaptive: true }, BpMode::ResEc { bits: 4 }),
+            (FpMode::Delayed { r: 3 }, BpMode::TopkEc { ratio: 0.2 }),
+            (FpMode::Compressed { bits: 4 }, BpMode::Compressed { bits: 4 }),
+        ];
+        for (fp, bp) in modes {
+            let mut e = layered_engine(fp, bp, 3, 3);
+            e.run_epoch();
+            e.run_epoch();
+            let snapshot = e.snapshot();
+            let two_epochs = |e: &mut DistributedEngine| -> (Vec<u32>, Vec<Vec<u32>>) {
+                let losses = (0..2).map(|_| e.run_epoch().loss.to_bits()).collect();
+                let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect();
+                (losses, e.weights().iter().map(|(w, _)| bits(w)).collect())
+            };
+            let first = two_epochs(&mut e);
+            e.restore(&snapshot).unwrap();
+            assert_eq!(e.epochs_run(), 2);
+            assert_eq!(two_epochs(&mut e), first, "{fp:?} / {bp:?}");
+        }
     }
 
     #[test]
     fn exact_mode_has_zero_reconstruction_error() {
         let mut e = engine_with(FpMode::Exact, BpMode::Exact, 3);
         e.run_epoch();
-        assert_eq!(e.fp_reconstruction_error(), 0.0);
+        assert_eq!(e.counters.fp_recon_err, 0.0);
         let mut c = engine_with(FpMode::Compressed { bits: 1 }, BpMode::Exact, 3);
         c.run_epoch();
-        assert!(c.fp_reconstruction_error() > 0.0);
+        assert!(c.counters.fp_recon_err > 0.0);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! (never by the stage) through [`ec_comm::HostTimer`], so deterministic
 //! timing zeroes every compute second in one place.
 
-use crate::config::{ModelKind, TrainingConfig};
+use crate::config::{ModelKind, ResiliencePolicy, TrainingConfig};
 use ec_comm::ps::CheckpointError;
 use ec_comm::stats::Channel;
 use ec_comm::{HostTimer, ParameterServerGroup, SimNetwork, TrafficStats};
@@ -365,6 +365,10 @@ pub(crate) struct Cluster {
     pub(crate) kernel_threads: usize,
     /// Completed epochs.
     pub(crate) epoch: usize,
+    /// EC-degrade under an active fault plan: the transmissions a message
+    /// its requester can do without gets before the requester stops waiting
+    /// (`None`: every message is retried until it arrives).
+    pub(crate) degrade_attempts: Option<u32>,
     /// Node id of server 0: `num_workers`, or 0 on a single machine.
     server_base: usize,
 }
@@ -411,7 +415,10 @@ impl Cluster {
         let factors = (0..num_workers)
             .map(|w| network.faults().map_or(1.0, |f| f.straggler_factor(w)))
             .collect();
+        let degrade =
+            network.faults().is_some() && config.resilience.policy == ResiliencePolicy::EcDegrade;
         Self {
+            degrade_attempts: degrade.then_some(config.resilience.max_attempts),
             network,
             ps,
             steps: SuperstepDriver::new(WorkerPool::new(worker_threads), telemetry, factors),

@@ -8,7 +8,13 @@
 //! identical trend state by construction (the responder sends exactly what
 //! the requester stores), the simulation keeps a single [`TrendState`] per
 //! (responder → requester, layer) tuple.
+//!
+//! What a link keeps between exchanges, and which of the functions below
+//! answers on it, is [`FpLink`]: one variant per [`FpMode`], built when the
+//! engine's link table is.
 
+use crate::config::FpMode;
+use crate::link::Reply;
 use ec_comm::codec;
 use ec_compress::Quantized;
 use ec_tensor::{ops, stats, Matrix};
@@ -49,14 +55,9 @@ impl TrendState {
         Some(pdt)
     }
 
-    /// Decomposes the state for checkpointing.
+    /// The state's parts, for inspection.
     pub fn to_parts(&self) -> (Option<&Matrix>, Option<&Matrix>, usize) {
         (self.base.as_ref(), self.m_cr.as_ref(), self.base_t)
-    }
-
-    /// Rebuilds a state captured by [`TrendState::to_parts`].
-    pub fn from_parts(base: Option<Matrix>, m_cr: Option<Matrix>, base_t: usize) -> Self {
-        Self { base, m_cr, base_t }
     }
 }
 
@@ -102,8 +103,102 @@ pub struct ReqEcOutcome {
     pub recon_l1: f32,
 }
 
-/// Uncompressed response (`Non-cp`): ships raw `f32` rows. (The engine owns
-/// the rows it has just gathered and ships those without this copy.)
+/// The forward half of a link: the memory one (requester, owner, layer)
+/// triple carries from one exchange to the next, with the parameters of the
+/// policy that reads it. Built from the configured [`FpMode`] once, so a
+/// mode's state exists on exactly the links of a run in that mode.
+#[derive(Clone, Debug)]
+pub(crate) enum FpLink {
+    /// *Non-cp*: nothing to remember.
+    Exact,
+    /// *Cp-fp-B*: nothing to remember.
+    Compressed { bits: u8 },
+    /// *ReqEC-FP*: the trend group both ends hold.
+    ReqEc {
+        trend: TrendState,
+        /// Predicted proportion of this epoch's message, until the
+        /// Bit-Tuner takes it at epoch end.
+        observed: Option<f32>,
+        t_tr: usize,
+        granularity: Granularity,
+        /// Whether the Bit-Tuner reads this link: adaptive mode, and the
+        /// last FP exchange of the epoch (Alg. 3 line 13: `l == L`).
+        tuned: bool,
+    },
+    /// DistGNN-style delay: the requester's stale copy of the rows.
+    Delayed { cache: Option<Matrix>, r: usize },
+}
+
+impl FpLink {
+    /// The empty state of a link under `mode`; `last_layer` says the link
+    /// belongs to the exchange feeding layer `L`.
+    pub(crate) fn new(mode: FpMode, granularity: Granularity, last_layer: bool) -> Self {
+        match mode {
+            FpMode::Exact => Self::Exact,
+            FpMode::Compressed { bits } => Self::Compressed { bits },
+            FpMode::ReqEc { t_tr, adaptive, .. } => Self::ReqEc {
+                trend: TrendState::default(),
+                observed: None,
+                t_tr,
+                granularity,
+                tuned: adaptive && last_layer,
+            },
+            FpMode::Delayed { r } => Self::Delayed { cache: None, r },
+        }
+    }
+
+    /// Answers one request at iteration `t` with the owner's `exact` rows;
+    /// `bits` is the pair's current width (read by ReqEC only — plain
+    /// compression keeps the configured one). With `degradable`, a reply
+    /// the requester can do without carries the prediction to use instead.
+    pub(crate) fn respond(&mut self, exact: Matrix, bits: u8, t: usize, degradable: bool) -> Reply {
+        match self {
+            // The gathered rows are the message: nothing to copy.
+            Self::Exact => {
+                let wire = codec::matrix_wire_size(&exact) as u64;
+                Reply::plain(exact, wire)
+            }
+            Self::Compressed { bits: configured } => {
+                let (rows, wire) = respond_compressed(&exact, *configured);
+                Reply { recon_l1: rowwise_l1_total(&rows, &exact), ..Reply::plain(rows, wire) }
+            }
+            Self::ReqEc { trend, observed, t_tr, granularity, tuned } => {
+                let out = reqec_step_with(trend, &exact, bits, *t_tr, t, *granularity);
+                // Degrading is only safe for non-boundary messages:
+                // boundaries mutate the shared trend state, so losing one
+                // would desynchronize requester and responder.
+                let pdt = (degradable && !out.exact_sent).then(|| trend.predict(t)).flatten();
+                let fallback = pdt.map(|pdt| {
+                    let err = rowwise_l1_total(&pdt, &exact);
+                    (pdt, err)
+                });
+                if *tuned && !out.exact_sent {
+                    *observed = Some(out.proportion);
+                }
+                Reply {
+                    rows: out.reconstructed,
+                    wire: out.wire,
+                    recon_l1: out.recon_l1,
+                    selected: Some(out.selected),
+                    fallback,
+                }
+            }
+            Self::Delayed { cache, r } => {
+                let (rows, wire) = delayed_step(cache, &exact, *r, t);
+                Reply { recon_l1: rowwise_l1_total(&rows, &exact), ..Reply::plain(rows, wire) }
+            }
+        }
+    }
+
+    /// Hands the pending Bit-Tuner observation over, if there is one.
+    pub(crate) fn take_observation(&mut self) -> Option<f32> {
+        let Self::ReqEc { observed, .. } = self else { return None };
+        observed.take()
+    }
+}
+
+/// Uncompressed response (`Non-cp`): ships raw `f32` rows. (A link owns the
+/// rows it has just gathered and ships those without this copy.)
 pub fn respond_exact(h_rows: &Matrix) -> (Matrix, u64) {
     (h_rows.clone(), codec::matrix_wire_size(h_rows) as u64)
 }
@@ -263,7 +358,7 @@ fn reqec_vertex(base: &Matrix, m_cr: &Matrix, k: f32, h_rows: &Matrix, bits: u8)
     let non_pdt = rows - predicted;
     let selector_bytes = 4 + (rows * 2).div_ceil(8);
     let payload_bytes =
-        if non_pdt > 0 { 17 + ec_compress::bitpack::packed_len(non_pdt * cols, bits) } else { 0 };
+        if non_pdt > 0 { Quantized::wire_size_for(non_pdt * cols, bits) } else { 0 };
     let wire = (selector_bytes + payload_bytes + 4) as u64;
     let proportion = predicted as f32 / rows as f32;
     ReqEcOutcome { reconstructed, proportion, wire, exact_sent: false, selected, recon_l1 }
@@ -314,8 +409,7 @@ fn reqec_whole_matrix(
         let predicted = selected[SELECT_PDT as usize] as usize;
         let non_pdt = h.len() - predicted;
         let selector_bytes = 4 + (h.len() * 2).div_ceil(8);
-        let payload_bytes =
-            if non_pdt > 0 { 17 + ec_compress::bitpack::packed_len(non_pdt, bits) } else { 0 };
+        let payload_bytes = if non_pdt > 0 { Quantized::wire_size_for(non_pdt, bits) } else { 0 };
         let wire = (selector_bytes + payload_bytes + 4) as u64;
         (Matrix::from_vec(rows, cols, data), predicted as f32 / h.len() as f32, wire)
     } else {
@@ -506,10 +600,8 @@ pub(crate) mod tests {
         // must agree with what the Selector would build internally.
         let pdt = st.predict(6).unwrap();
         assert!(pdt.approx_eq(&at(6), 1e-4));
-        // Round-trip through the checkpoint accessors.
-        let (base, m_cr, base_t) = st.to_parts();
-        let rebuilt = TrendState::from_parts(base.cloned(), m_cr.cloned(), base_t);
-        assert_eq!(rebuilt.predict(6).unwrap(), pdt);
+        // A clone — what a snapshot holds — predicts the same.
+        assert_eq!(st.clone().predict(6).unwrap(), pdt);
     }
 
     #[test]
@@ -681,11 +773,8 @@ pub(crate) mod tests {
                 let predicted = selected[SELECT_PDT as usize] as usize;
                 let non_pdt = rows - predicted;
                 let selector_bytes = 4 + (rows * 2).div_ceil(8);
-                let payload_bytes = if non_pdt > 0 {
-                    17 + ec_compress::bitpack::packed_len(non_pdt * cols, bits)
-                } else {
-                    0
-                };
+                let payload_bytes =
+                    if non_pdt > 0 { Quantized::wire_size_for(non_pdt * cols, bits) } else { 0 };
                 let recon_l1 = stats::rowwise_l1_distance(&reconstructed, h_rows).iter().sum();
                 return ReqEcOutcome {
                     reconstructed,

@@ -19,6 +19,9 @@
 //!   Selector of Eq. 10, and the adaptive Bit-Tuner);
 //! * [`bp`] — backward-pass message preparation: plain quantization and
 //!   **ResEC-BP** (error-feedback residual, Eqs. 11–12);
+//! * `link` (private) — the link table: per (requester, owner, layer) the
+//!   two index plans and the compensation state resolved from the modes,
+//!   and the one gather → respond → send → scatter loop both exchanges are;
 //! * [`engine`] — the superstep engine: Algorithms 1–6 over the simulated
 //!   cluster, parameter-server pulls/pushes, byte-accurate traffic and
 //!   simulated epoch times;
@@ -67,6 +70,7 @@ pub mod engine;
 pub mod exec;
 pub mod fp;
 pub mod infer;
+mod link;
 pub mod report;
 pub mod sampling;
 pub mod trainer;

@@ -105,11 +105,6 @@ impl Graph {
         })
     }
 
-    /// Maximum degree.
-    pub fn max_degree(&self) -> usize {
-        (0..self.num_vertices()).map(|v| self.degree(v)).max().unwrap_or(0)
-    }
-
     /// Checks structural invariants; used by property tests.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.num_vertices();
@@ -184,10 +179,8 @@ mod tests {
     }
 
     #[test]
-    fn avg_and_max_degree() {
-        let g = triangle_plus_tail();
-        assert_eq!(g.avg_degree(), 2.0);
-        assert_eq!(g.max_degree(), 3);
+    fn avg_degree_counts_both_endpoints() {
+        assert_eq!(triangle_plus_tail().avg_degree(), 2.0);
     }
 
     #[test]

@@ -165,20 +165,9 @@ impl DatasetSpec {
         vec![Self::cora(), Self::pubmed(), Self::reddit(), Self::products(), Self::papers()]
     }
 
-    /// Linear scale-down factor of the replica relative to the original.
-    pub fn scale_factor(&self) -> f64 {
-        self.default_vertices as f64 / self.paper_vertices as f64
-    }
-
     /// Instantiates the replica at its default size.
     pub fn instantiate(&self, seed: u64) -> AttributedGraph {
         self.instantiate_with(self.default_vertices, self.feature_dim, seed)
-    }
-
-    /// Instantiates the replica at a custom vertex count (degree, dims,
-    /// classes and homophily preserved). Tests use tiny instantiations.
-    pub fn instantiate_scaled(&self, num_vertices: usize, seed: u64) -> AttributedGraph {
-        self.instantiate_with(num_vertices, self.feature_dim, seed)
     }
 
     /// Instantiates with custom vertex count *and* feature dimension
@@ -290,12 +279,6 @@ mod tests {
         assert_eq!(s.default_vertices, s.paper_vertices);
         assert_eq!(s.feature_dim, 1433);
         assert_eq!(s.num_classes, 7);
-    }
-
-    #[test]
-    fn scale_factors_are_sane() {
-        assert_eq!(DatasetSpec::cora().scale_factor(), 1.0);
-        assert!(DatasetSpec::papers().scale_factor() < 1e-3);
     }
 
     #[test]

@@ -34,74 +34,6 @@ pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> Graph {
     Graph::from_edges(n, &edges)
 }
 
-/// Barabási–Albert preferential attachment: each new vertex attaches to
-/// `m_per_vertex` existing vertices with probability proportional to degree.
-///
-/// Produces the heavy-tailed degree distributions typical of citation and
-/// social graphs.
-pub fn barabasi_albert(n: usize, m_per_vertex: usize, seed: u64) -> Graph {
-    assert!(m_per_vertex >= 1, "attachment count must be positive");
-    assert!(n > m_per_vertex, "need more vertices than the attachment count");
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(n * m_per_vertex);
-    // `targets` holds one entry per edge endpoint: sampling uniformly from it
-    // is sampling proportional to degree.
-    let mut targets: Vec<u32> = (0..m_per_vertex as u32).collect();
-    for v in m_per_vertex..n {
-        let mut chosen = std::collections::HashSet::new();
-        while chosen.len() < m_per_vertex {
-            let t = targets[rng.gen_range(0..targets.len())];
-            chosen.insert(t);
-        }
-        // Attach in sorted order: HashSet iteration order differs between
-        // processes, and `targets` grows as edges land, so an unordered walk
-        // here would make the whole graph differ from run to run.
-        let mut picked: Vec<u32> = chosen.into_iter().collect();
-        picked.sort_unstable();
-        for t in picked {
-            edges.push((v as u32, t));
-            targets.push(v as u32);
-            targets.push(t);
-        }
-    }
-    Graph::from_edges(n, &edges)
-}
-
-/// R-MAT (recursive matrix) generator — the generator behind Graph500 and a
-/// standard stand-in for web-scale power-law graphs such as OGBN-Papers.
-///
-/// `scale` gives `n = 2^scale` vertices; `edge_factor` edges are sampled per
-/// vertex with quadrant probabilities `(a, b, c, 1-a-b-c)`.
-pub fn rmat(scale: u32, edge_factor: usize, a: f64, b: f64, c: f64, seed: u64) -> Graph {
-    assert!(a + b + c < 1.0 + 1e-9, "quadrant probabilities exceed 1");
-    let n = 1usize << scale;
-    let m = n * edge_factor;
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut edges = Vec::with_capacity(m);
-    for _ in 0..m {
-        let (mut u, mut v) = (0usize, 0usize);
-        for _ in 0..scale {
-            u <<= 1;
-            v <<= 1;
-            let r: f64 = rng.gen();
-            if r < a {
-                // top-left: no bits set
-            } else if r < a + b {
-                v |= 1;
-            } else if r < a + b + c {
-                u |= 1;
-            } else {
-                u |= 1;
-                v |= 1;
-            }
-        }
-        if u != v {
-            edges.push((u as u32, v as u32));
-        }
-    }
-    Graph::from_edges(n, &edges)
-}
-
 /// Stochastic block model over explicit class labels: every vertex draws
 /// `degree/2` neighbours, each intra-class with probability `homophily`,
 /// otherwise uniform over all vertices.
@@ -192,38 +124,6 @@ pub fn sbm(n: usize, k: usize, p_in: f64, p_out: f64, seed: u64) -> (Graph, Vec<
     (Graph::from_edges(n, &edges), labels)
 }
 
-/// Watts–Strogatz small-world graph: a ring lattice where each vertex
-/// connects to its `k/2` nearest neighbours on each side, with every edge
-/// rewired to a uniform random endpoint with probability `beta`.
-///
-/// Small-world graphs stress partitioners differently from the other
-/// generators: at `beta = 0` METIS-style partitioners find near-perfect
-/// contiguous cuts, and quality degrades smoothly as `beta` grows.
-pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> Graph {
-    assert!(k >= 2 && k.is_multiple_of(2), "k must be even and ≥ 2");
-    assert!(n > k, "need more vertices than the ring degree");
-    assert!((0.0..=1.0).contains(&beta), "beta must be in [0,1]");
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut edges = Vec::with_capacity(n * k / 2);
-    for v in 0..n {
-        for offset in 1..=(k / 2) {
-            let mut u = ((v + offset) % n) as u32;
-            if rng.gen_bool(beta) {
-                // Rewire to a random non-self endpoint.
-                loop {
-                    let cand = rng.gen_range(0..n) as u32;
-                    if cand as usize != v {
-                        u = cand;
-                        break;
-                    }
-                }
-            }
-            edges.push((v as u32, u));
-        }
-    }
-    Graph::from_edges(n, &edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,25 +145,6 @@ mod tests {
     #[should_panic(expected = "possible")]
     fn erdos_renyi_rejects_too_many_edges() {
         let _ = erdos_renyi(3, 10, 0);
-    }
-
-    #[test]
-    fn barabasi_albert_is_connected_and_heavy_tailed() {
-        let g = barabasi_albert(500, 3, 2);
-        assert!(g.validate().is_ok());
-        // Early vertices accumulate far more than the attachment count.
-        assert!(g.max_degree() > 3 * 4, "max degree {} not heavy-tailed", g.max_degree());
-        // Every late vertex has at least its own attachments.
-        for v in 3..500 {
-            assert!(g.degree(v) >= 3);
-        }
-    }
-
-    #[test]
-    fn rmat_produces_skewed_degrees() {
-        let g = rmat(9, 8, 0.57, 0.19, 0.19, 3);
-        assert!(g.validate().is_ok());
-        assert!(g.max_degree() as f64 > 4.0 * g.avg_degree());
     }
 
     #[test]
@@ -289,33 +170,6 @@ mod tests {
         }
         let h = same as f64 / total as f64;
         assert!(h > 0.6, "homophily {h} too low");
-    }
-
-    #[test]
-    fn watts_strogatz_ring_structure() {
-        // beta = 0: pure ring lattice, every vertex has degree exactly k.
-        let g = watts_strogatz(50, 4, 0.0, 1);
-        assert!(g.validate().is_ok());
-        for v in 0..50 {
-            assert_eq!(g.degree(v), 4, "vertex {v}");
-        }
-        assert!(g.has_edge(0, 1) && g.has_edge(0, 2) && g.has_edge(0, 49));
-    }
-
-    #[test]
-    fn watts_strogatz_rewiring_changes_structure() {
-        let ring = watts_strogatz(100, 6, 0.0, 2);
-        let wired = watts_strogatz(100, 6, 0.5, 2);
-        assert_ne!(ring, wired);
-        // Edge count is conserved up to dedup collisions.
-        assert!(wired.num_edges() <= ring.num_edges());
-        assert!(wired.num_edges() > ring.num_edges() / 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "even")]
-    fn watts_strogatz_rejects_odd_k() {
-        let _ = watts_strogatz(10, 3, 0.1, 0);
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! * [`normalize`] — the GCN-normalized adjacency
 //!   `Â = D^{-1/2}(A + I)D^{-1/2}`,
 //! * [`generators`] — seeded synthetic graph generators (Erdős–Rényi,
-//!   Barabási–Albert, R-MAT, stochastic block model, planted-partition
-//!   homophilous graphs),
+//!   stochastic block model, planted-partition homophilous graphs),
 //! * [`datasets`] — **synthetic replicas** of the paper's five datasets,
 //!   matched on average degree, feature dimension, class count and label
 //!   homophily (vertex counts of the two OGBN graphs are scaled down; the

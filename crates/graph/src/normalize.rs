@@ -101,20 +101,6 @@ pub fn standardize_columns(features: &mut ec_tensor::Matrix) {
     }
 }
 
-/// Row-normalizes a feature matrix in place so each row sums to 1
-/// (zero rows untouched) — the standard preprocessing for citation graphs.
-pub fn row_normalize_features(features: &mut ec_tensor::Matrix) {
-    for r in 0..features.rows() {
-        let row = features.row_mut(r);
-        let sum: f32 = row.iter().map(|x| x.abs()).sum();
-        if sum > 0.0 {
-            for x in row.iter_mut() {
-                *x /= sum;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,14 +148,6 @@ mod tests {
             let sum: f32 = a.row(r).iter().sum();
             assert!((sum - 1.0).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn feature_row_normalization() {
-        let mut f = ec_tensor::Matrix::from_rows(&[vec![2., 2.], vec![0., 0.]]);
-        row_normalize_features(&mut f);
-        assert_eq!(f.row(0), &[0.5, 0.5]);
-        assert_eq!(f.row(1), &[0., 0.]);
     }
 }
 

@@ -14,7 +14,7 @@
 //!   `entropyloss` of Alg. 1), exposed standalone because the distributed
 //!   engine computes the output-layer gradient manually;
 //! * [`optim`] — Adam (the paper's optimizer) and SGD over parameter sets;
-//! * [`metrics`] — accuracy and macro-F1 for Table V.
+//! * [`metrics`] — accuracy for Table V.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::iter_over_hash_type)]

@@ -40,20 +40,6 @@ pub fn masked_softmax_cross_entropy(
     (loss * inv, grad)
 }
 
-/// Mean loss only (no gradient), for validation-curve tracking.
-pub fn masked_cross_entropy_loss(logits: &Matrix, labels: &[u32], mask: &[usize]) -> f32 {
-    assert_eq!(labels.len(), logits.rows(), "labels/logits row mismatch");
-    if mask.is_empty() {
-        return 0.0;
-    }
-    let log_probs = activations::log_softmax_rows(logits);
-    let mut loss = 0.0f32;
-    for &v in mask {
-        loss -= log_probs.get(v, labels[v] as usize);
-    }
-    loss / mask.len() as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,8 +94,8 @@ mod tests {
                 lp.set(r, c, lp.get(r, c) + eps);
                 let mut lm = logits.clone();
                 lm.set(r, c, lm.get(r, c) - eps);
-                let fp = masked_cross_entropy_loss(&lp, &labels, &mask);
-                let fm = masked_cross_entropy_loss(&lm, &labels, &mask);
+                let (fp, _) = masked_softmax_cross_entropy(&lp, &labels, &mask);
+                let (fm, _) = masked_softmax_cross_entropy(&lm, &labels, &mask);
                 let numeric = (fp - fm) / (2.0 * eps);
                 assert!(
                     (grad.get(r, c) - numeric).abs() < 1e-3,
@@ -118,16 +104,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn loss_only_variant_agrees() {
-        let logits = Matrix::from_rows(&[vec![0.1, 0.9], vec![-0.5, 0.2]]);
-        let labels = [1u32, 0];
-        let mask = [0usize, 1];
-        let (full, _) = masked_softmax_cross_entropy(&logits, &labels, &mask);
-        let only = masked_cross_entropy_loss(&logits, &labels, &mask);
-        assert!((full - only).abs() < 1e-5);
     }
 
     #[test]

@@ -29,44 +29,6 @@ pub fn accuracy(logits: &Matrix, labels: &[u32], indices: &[usize]) -> f64 {
     correct as f64 / indices.len() as f64
 }
 
-/// Macro-averaged F1 over the classes present in `indices`.
-pub fn macro_f1(logits: &Matrix, labels: &[u32], indices: &[usize], num_classes: usize) -> f64 {
-    if indices.is_empty() {
-        return 0.0;
-    }
-    let preds = argmax_rows(logits);
-    let mut tp = vec![0usize; num_classes];
-    let mut fp = vec![0usize; num_classes];
-    let mut fne = vec![0usize; num_classes];
-    for &v in indices {
-        let (p, y) = (preds[v] as usize, labels[v] as usize);
-        if p == y {
-            tp[y] += 1;
-        } else {
-            fp[p] += 1;
-            fne[y] += 1;
-        }
-    }
-    let mut sum = 0.0;
-    let mut present = 0usize;
-    for c in 0..num_classes {
-        let support = tp[c] + fne[c];
-        if support == 0 && fp[c] == 0 {
-            continue; // class absent from both predictions and labels
-        }
-        present += 1;
-        let denom = 2 * tp[c] + fp[c] + fne[c];
-        if denom > 0 {
-            sum += 2.0 * tp[c] as f64 / denom as f64;
-        }
-    }
-    if present == 0 {
-        0.0
-    } else {
-        sum / present as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,30 +58,5 @@ mod tests {
     fn accuracy_of_empty_mask_is_zero() {
         let m = Matrix::zeros(1, 2);
         assert_eq!(accuracy(&m, &[0], &[]), 0.0);
-    }
-
-    #[test]
-    fn perfect_macro_f1() {
-        let m = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
-        assert!((macro_f1(&m, &[0, 1], &[0, 1], 2) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn macro_f1_penalizes_minority_errors_more_than_accuracy() {
-        // 3 of class 0 predicted right, 1 of class 1 predicted wrong.
-        let m =
-            Matrix::from_rows(&[vec![1.0, 0.0], vec![1.0, 0.0], vec![1.0, 0.0], vec![1.0, 0.0]]);
-        let labels = [0u32, 0, 0, 1];
-        let idx = [0usize, 1, 2, 3];
-        let acc = accuracy(&m, &labels, &idx);
-        let f1 = macro_f1(&m, &labels, &idx, 2);
-        assert!(f1 < acc, "macro-F1 {f1} should be below accuracy {acc}");
-    }
-
-    #[test]
-    fn macro_f1_ignores_absent_classes() {
-        let m = Matrix::from_rows(&[vec![1.0, 0.0, 0.0]]);
-        // Class 2 never appears; perfect on class 0.
-        assert!((macro_f1(&m, &[0], &[0], 3) - 1.0).abs() < 1e-12);
     }
 }

@@ -35,12 +35,6 @@ impl Adam {
         }
     }
 
-    /// Creates Adam state matching an existing parameter list.
-    pub fn for_params(params: &[Matrix], lr: f32) -> Self {
-        let shapes: Vec<_> = params.iter().map(|p| p.shape()).collect();
-        Self::new(&shapes, lr)
-    }
-
     /// Applies one update step: `params[i] -= lr · m̂ / (√v̂ + ε)`.
     ///
     /// # Panics

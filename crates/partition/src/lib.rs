@@ -2,13 +2,11 @@
 //!
 //! EC-Graph's Graph Engine divides the input graph into one part per worker
 //! (Section III-A). The paper ships *Hash* and *METIS* partitioning and
-//! mentions streaming partitioners as future work; this crate provides all
-//! three families plus the quality metrics the evaluation reasons about:
+//! mentions streaming partitioners as future work; this crate provides
+//! both families plus the quality metrics the evaluation reasons about:
 //!
 //! * [`hash`] — the paper's default equal-vertex Hash partitioner (used for
 //!   Table IV / Fig. 9 because its partition time is "almost negligible"),
-//! * [`range`] — contiguous range partitioning (also used by the Parameter
-//!   Manager for weights),
 //! * [`metis`] — a from-scratch multilevel partitioner (heavy-edge-matching
 //!   coarsening, greedy growing, boundary refinement) standing in for METIS
 //!   in Fig. 11,
@@ -26,7 +24,6 @@ pub mod hash;
 pub mod ldg;
 pub mod metis;
 pub mod metrics;
-pub mod range;
 
 use ec_graph_data::Graph;
 

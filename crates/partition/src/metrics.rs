@@ -50,39 +50,6 @@ pub fn avg_remote_degree(g: &Graph, p: &Partition) -> f64 {
     remote as f64 / n as f64
 }
 
-/// For each part, the set of *remote* vertices whose embeddings the part
-/// must fetch each layer: vertices on other parts adjacent to at least one
-/// local vertex. With EC-Graph's first-hop cache, each such vertex is
-/// fetched exactly once per layer regardless of how many local vertices
-/// need it.
-pub fn remote_dependencies(g: &Graph, p: &Partition) -> Vec<Vec<usize>> {
-    let mut deps: Vec<std::collections::BTreeSet<usize>> =
-        vec![std::collections::BTreeSet::new(); p.num_parts()];
-    for v in 0..g.num_vertices() {
-        let pv = p.part_of(v);
-        for &u in g.neighbors(v) {
-            let pu = p.part_of(u as usize);
-            if pu != pv {
-                deps[pv].insert(u as usize);
-            }
-        }
-    }
-    deps.into_iter().map(|s| s.into_iter().collect()).collect()
-}
-
-/// Replication factor: average number of parts on which each vertex is
-/// either local or cached as a remote dependency (≥ 1; 1 means no edge is
-/// cut).
-pub fn replication_factor(g: &Graph, p: &Partition) -> f64 {
-    let n = g.num_vertices();
-    if n == 0 {
-        return 1.0;
-    }
-    let deps = remote_dependencies(g, p);
-    let cached: usize = deps.iter().map(Vec::len).sum();
-    (n + cached) as f64 / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,33 +87,5 @@ mod tests {
         let p = Partition::new(vec![0, 0, 1, 1], 2);
         // Only vertices 1 and 2 have one remote neighbour each → 2/4.
         assert_eq!(avg_remote_degree(&g, &p), 0.5);
-    }
-
-    #[test]
-    fn remote_dependencies_are_per_part_and_sorted() {
-        let g = path4();
-        let p = Partition::new(vec![0, 0, 1, 1], 2);
-        let deps = remote_dependencies(&g, &p);
-        assert_eq!(deps[0], vec![2]);
-        assert_eq!(deps[1], vec![1]);
-    }
-
-    #[test]
-    fn replication_factor_of_uncut_partition_is_one() {
-        let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
-        let p = Partition::new(vec![0, 0, 1, 1], 2);
-        assert_eq!(replication_factor(&g, &p), 1.0);
-    }
-
-    #[test]
-    fn replication_counts_shared_dependency_once() {
-        // star: 0 on part 1; 1,2,3 on part 0 all need vertex 0.
-        let g = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
-        let p = Partition::new(vec![1, 0, 0, 0], 2);
-        let deps = remote_dependencies(&g, &p);
-        assert_eq!(deps[0], vec![0]); // fetched once, not three times
-                                      // part 1 needs all of 1,2,3
-        assert_eq!(deps[1], vec![1, 2, 3]);
-        assert_eq!(replication_factor(&g, &p), 2.0);
     }
 }

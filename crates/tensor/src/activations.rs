@@ -52,20 +52,6 @@ pub fn softmax_rows(m: &Matrix) -> Matrix {
     out
 }
 
-/// Row-wise log-softmax (numerically stable log of [`softmax_rows`]).
-pub fn log_softmax_rows(m: &Matrix) -> Matrix {
-    let mut out = m.clone();
-    for r in 0..out.rows() {
-        let row = out.row_mut(r);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let log_sum = row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln() + max;
-        for x in row.iter_mut() {
-            *x -= log_sum;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,15 +105,5 @@ mod tests {
         let s = softmax_rows(&m);
         assert!(s.as_slice().iter().all(|x| x.is_finite()));
         assert!((s.row(0).iter().sum::<f32>() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn log_softmax_matches_log_of_softmax() {
-        let m = Matrix::from_vec(1, 3, vec![0.5, -1.0, 2.0]);
-        let ls = log_softmax_rows(&m);
-        let s = softmax_rows(&m);
-        for c in 0..3 {
-            assert!((ls.get(0, c) - s.get(0, c).ln()).abs() < 1e-5);
-        }
     }
 }

@@ -197,19 +197,6 @@ impl Matrix {
         Self { rows: indices.len(), cols: self.cols, data }
     }
 
-    /// Adds the rows of `src` into the rows of `self` listed in `indices`
-    /// (`self[indices[i]] += src[i]`).
-    pub fn scatter_add_rows(&mut self, indices: &[usize], src: &Matrix) {
-        assert_eq!(indices.len(), src.rows());
-        assert_eq!(self.cols, src.cols());
-        for (i, &dst) in indices.iter().enumerate() {
-            let row = self.row_mut(dst);
-            for (a, &b) in row.iter_mut().zip(src.row(i)) {
-                *a += b;
-            }
-        }
-    }
-
     /// Vertically stacks `self` on top of `other`.
     ///
     /// # Panics
@@ -308,14 +295,6 @@ mod tests {
         let g = m.gather_rows(&[2, 0]);
         assert_eq!(g.row(0), &[3., 3.]);
         assert_eq!(g.row(1), &[1., 1.]);
-    }
-
-    #[test]
-    fn scatter_add_accumulates() {
-        let mut m = Matrix::zeros(3, 2);
-        let src = Matrix::from_rows(&[vec![1., 2.], vec![3., 4.]]);
-        m.scatter_add_rows(&[1, 1], &src);
-        assert_eq!(m.row(1), &[4., 6.]);
     }
 
     #[test]

@@ -20,14 +20,6 @@ pub fn xavier_uniform(fan_in: usize, fan_out: usize, seed: u64) -> Matrix {
     Matrix::from_fn(fan_in, fan_out, |_, _| rng.gen_range(-limit..limit))
 }
 
-/// Kaiming/He uniform initialization for ReLU networks:
-/// `U(-√(6/fan_in), +√(6/fan_in))`.
-pub fn kaiming_uniform(fan_in: usize, fan_out: usize, seed: u64) -> Matrix {
-    let limit = (6.0 / fan_in as f32).sqrt();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    Matrix::from_fn(fan_in, fan_out, |_, _| rng.gen_range(-limit..limit))
-}
-
 /// A matrix with i.i.d. `U(lo, hi)` entries.
 pub fn uniform(rows: usize, cols: usize, lo: f32, hi: f32, seed: u64) -> Matrix {
     assert!(lo < hi, "empty uniform range");
@@ -64,13 +56,6 @@ mod tests {
     fn xavier_respects_limit() {
         let limit = (6.0f32 / 24.0).sqrt();
         let m = xavier_uniform(16, 8, 7);
-        assert!(m.as_slice().iter().all(|x| x.abs() <= limit));
-    }
-
-    #[test]
-    fn kaiming_respects_limit() {
-        let limit = (6.0f32 / 32.0).sqrt();
-        let m = kaiming_uniform(32, 4, 7);
         assert!(m.as_slice().iter().all(|x| x.abs() <= limit));
     }
 

@@ -9,8 +9,9 @@
 //! * [`CsrMatrix`] — a compressed-sparse-row matrix used for the normalized
 //!   adjacency `Â = D^{-1/2}(A + I)D^{-1/2}` and the SpMM kernels
 //!   (`Â · H` and `Âᵀ · G`) that dominate GNN compute;
-//! * [`activations`] — ReLU / softmax / log-softmax and their derivatives;
-//! * [`init`] — Xavier/Glorot and Kaiming initializers (seeded, reproducible);
+//! * [`activations`] — ReLU / softmax and their derivatives;
+//! * [`init`] — Xavier/Glorot and plain uniform / normal initializers (seeded,
+//!   reproducible);
 //! * [`stats`] — norms and summary statistics used by the error-compensation
 //!   machinery (L1 selector distances, L2 residual norms for Theorem 1).
 //!

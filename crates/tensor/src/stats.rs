@@ -122,11 +122,6 @@ pub fn mean(m: &Matrix) -> f32 {
     }
 }
 
-/// Maximum absolute entry.
-pub fn max_abs(m: &Matrix) -> f32 {
-    m.as_slice().iter().fold(0.0f32, |acc, &x| acc.max(x.abs()))
-}
-
 /// Index of the minimum value of a slice (first occurrence).
 ///
 /// Used by the Selector: `argmin(S)` over the three candidate distances.
@@ -272,12 +267,6 @@ mod tests {
                 prop_assert_eq!(bits(got), bits((0.0, 0.0)), "{}", tier);
             }
         }
-    }
-
-    #[test]
-    fn max_abs_ignores_sign() {
-        let m = Matrix::from_vec(1, 3, vec![-9., 2., 5.]);
-        assert_eq!(max_abs(&m), 9.0);
     }
 
     #[test]

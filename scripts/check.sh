@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, lints (warnings are errors), the whole
-# workspace test suite, the kernel and serving crates' tests again in release, and a
-# one-experiment drive of scripts/reproduce.sh.
+# workspace test suite, the kernel and serving crates' tests again in release, a
+# one-experiment drive of scripts/reproduce.sh and an exit-code probe of the
+# `ecgraph` CLI's strict key=value parsing.
 # CI runs exactly this script. Host performance is measured by perfbench/
 # (see BENCHMARK.json), not here.
 # Pass --trace-smoke to also drive the CLI end-to-end with the telemetry
@@ -64,6 +65,15 @@ repro_rc=0
 target/release/reproduce fig6 epoch=5 > /dev/null 2>&1 || repro_rc=$?
 [[ "$repro_rc" -eq 2 ]] \
   || { echo "a mistyped key must exit 2, not run the default (got $repro_rc)" >&2; exit 1; }
+
+echo "== CLI smoke (ecgraph: a typo, an unparsable value or layers=0 exits 2) =="
+cargo build --release -q --bin ecgraph
+for bad in "train wrokers=3" "train hidden=abc" "serve layers=0"; do
+  cli_rc=0
+  # shellcheck disable=SC2086  # $bad is a subcommand and one argument
+  target/release/ecgraph $bad > /dev/null 2>&1 || cli_rc=$?
+  [[ "$cli_rc" -eq 2 ]] || { echo "ecgraph $bad must exit 2 (got $cli_rc)" >&2; exit 1; }
+done
 
 if [[ "$RUN_TRACE_SMOKE" == "1" ]]; then
   echo "== trace smoke (CLI exporters end-to-end) =="

@@ -29,6 +29,12 @@
 //! as JSON; `telemetry=off|epoch|superstep|trace` overrides the recording
 //! level the flags imply. `--quiet` silences the progress output.
 //!
+//! `train` and `serve` accept only the keys they declare ([`TRAIN_KEYS`],
+//! [`SERVE_KEYS`]): an unknown key, a value that does not parse as the key's
+//! type, or `layers=0` is a usage error that names the accepted keys and
+//! exits `2` before anything runs — nothing falls back to a default. Any
+//! other failure (an invalid configuration, an unwritable file) exits `1`.
+//!
 //! `compare` structurally diffs two metrics/bench JSON documents and
 //! classifies every numeric series as improved / regressed / unchanged —
 //! the same engine as the `trace_diff` binary (exit `3` on regression).
@@ -47,11 +53,14 @@ use ec_serve::{run_closed_loop, InferenceService, ServeConfig, WorkloadConfig};
 use ec_tensor::isa::Tier;
 use ec_trace::{TelemetryConfig, TelemetryLevel};
 use std::collections::HashMap;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 
 /// Flag-style (non-`key=value`) options shared by `train` and `serve`.
+#[derive(Default)]
 struct CliOpts {
     trace_out: Option<PathBuf>,
     timeline_out: Option<PathBuf>,
@@ -60,28 +69,79 @@ struct CliOpts {
     quiet: bool,
 }
 
+/// Keys `ecgraph train` accepts, space-separated.
+const TRAIN_KEYS: &str = "dataset vertices features layers hidden workers epochs seed patience \
+                          fp bp model partitioner telemetry";
+
+/// Keys `ecgraph serve` accepts, space-separated.
+const SERVE_KEYS: &str = "dataset vertices features layers hidden workers epochs seed model \
+                          requests clients cache pinned bits straggler zipf checkpoint telemetry";
+
+/// Why `train` / `serve` did not finish.
+#[derive(Debug)]
+enum CliError {
+    /// The command line is wrong; the message names the accepted keys.
+    Usage(String),
+    /// The command line is fine and the run failed.
+    Failed(String),
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        Self::Failed(msg)
+    }
+}
+
+/// The `key=value` arguments of one `train` / `serve` invocation, checked
+/// against the subcommand's declared keys.
+struct Args {
+    keys: &'static str,
+    kv: HashMap<String, String>,
+}
+
+impl Args {
+    fn usage(&self, problem: String) -> CliError {
+        CliError::Usage(format!("{problem}\naccepted keys: {}", self.keys))
+    }
+
+    fn declares(&self, key: &str) -> bool {
+        self.keys.split(' ').any(|k| k == key)
+    }
+
+    /// The value of `key` (else `default`) through `parse`; a value that
+    /// does not parse is a usage error, never a silent default.
+    fn get_with<T>(
+        &self,
+        key: &str,
+        default: &str,
+        parse: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<T, CliError> {
+        debug_assert!(self.declares(key), "`{key}` is read but not declared");
+        let text = self.kv.get(key).map_or(default, String::as_str);
+        parse(text)
+            .map_err(|e| self.usage(format!("`{text}` is not a valid value for `{key}`: {e}")))
+    }
+
+    fn get<T: FromStr>(&self, key: &str, default: &str) -> Result<T, CliError>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.get_with(key, default, |v| v.parse::<T>().map_err(|e| e.to_string()))
+    }
+}
+
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
-        Some("train") => {
+        Some(cmd @ ("train" | "serve")) => {
             let rest: Vec<String> = args.collect();
-            match parse_cli_args(&rest).and_then(|(kv, opts)| run_train(&kv, &opts)) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("serve") => {
-            let rest: Vec<String> = args.collect();
-            match parse_cli_args(&rest).and_then(|(kv, opts)| run_serve(&kv, &opts)) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+            let (code, problem) = match run(cmd, &rest) {
+                Ok(()) => return ExitCode::SUCCESS,
+                Err(CliError::Usage(e)) => (2, e),
+                Err(CliError::Failed(e)) => (1, e),
+            };
+            eprintln!("error: {problem}");
+            ExitCode::from(code)
         }
         Some("compare") => {
             let rest: Vec<String> = args.collect();
@@ -119,100 +179,114 @@ fn main() -> ExitCode {
     }
 }
 
-/// Splits the `train`/`serve` arguments into `key=value` pairs and flags.
-fn parse_cli_args(rest: &[String]) -> Result<(HashMap<String, String>, CliOpts), String> {
-    let mut kv = HashMap::new();
-    let mut opts = CliOpts {
-        trace_out: None,
-        timeline_out: None,
-        metrics_out: None,
-        report_out: None,
-        quiet: false,
-    };
+/// `ecgraph train …` / `ecgraph serve …` with everything after the
+/// subcommand in `rest`.
+fn run(cmd: &str, rest: &[String]) -> Result<(), CliError> {
+    let train = cmd == "train";
+    let (args, opts) = parse_cli_args(if train { TRAIN_KEYS } else { SERVE_KEYS }, rest)?;
+    if train {
+        run_train(&args, &opts)
+    } else {
+        run_serve(&args, &opts)
+    }
+}
+
+/// Splits the `train`/`serve` arguments into `key=value` pairs — each key
+/// one of `keys` — and flags.
+fn parse_cli_args(keys: &'static str, rest: &[String]) -> Result<(Args, CliOpts), CliError> {
+    let mut args = Args { keys, kv: HashMap::new() };
+    let mut opts = CliOpts::default();
     let mut it = rest.iter();
     while let Some(a) = it.next() {
+        let mut path = |flag: &str| {
+            it.next().map(PathBuf::from).ok_or_else(|| args.usage(format!("{flag} needs a path")))
+        };
         match a.as_str() {
-            "--trace-out" => {
-                let path = it.next().ok_or_else(|| "--trace-out needs a path".to_string())?;
-                opts.trace_out = Some(PathBuf::from(path));
-            }
-            "--timeline-out" => {
-                let path = it.next().ok_or_else(|| "--timeline-out needs a path".to_string())?;
-                opts.timeline_out = Some(PathBuf::from(path));
-            }
-            "--metrics-out" => {
-                let path = it.next().ok_or_else(|| "--metrics-out needs a path".to_string())?;
-                opts.metrics_out = Some(PathBuf::from(path));
-            }
-            "--report-out" => {
-                let path = it.next().ok_or_else(|| "--report-out needs a path".to_string())?;
-                opts.report_out = Some(PathBuf::from(path));
-            }
+            "--trace-out" => opts.trace_out = Some(path("--trace-out")?),
+            "--timeline-out" => opts.timeline_out = Some(path("--timeline-out")?),
+            "--metrics-out" => opts.metrics_out = Some(path("--metrics-out")?),
+            "--report-out" => opts.report_out = Some(path("--report-out")?),
             "--quiet" => opts.quiet = true,
             other => {
-                let (k, v) = other.split_once('=').ok_or_else(|| {
-                    format!(
+                let Some((k, v)) = other.split_once('=') else {
+                    return Err(args.usage(format!(
                         "unrecognized argument '{other}' (expected key=value, \
                          --trace-out <file>, --timeline-out <file>, --metrics-out <file>, \
                          --report-out <file>, or --quiet)"
-                    )
-                })?;
-                kv.insert(k.to_string(), v.to_string());
+                    )));
+                };
+                if !args.declares(k) {
+                    return Err(args.usage(format!("unknown key `{k}`")));
+                }
+                args.kv.insert(k.to_string(), v.to_string());
             }
         }
     }
-    Ok((kv, opts))
+    Ok((args, opts))
 }
 
-fn run_train(kv: &HashMap<String, String>, opts: &CliOpts) -> Result<(), String> {
-    if opts.report_out.is_some() {
-        return Err("--report-out only applies to `ecgraph serve`".into());
-    }
-    let get = |k: &str, d: &str| kv.get(k).cloned().unwrap_or_else(|| d.to_string());
-
-    // The export flags imply a recording level; an explicit `telemetry=`
-    // can deepen it further but never below what the flags need.
-    let mut level = match kv.get("telemetry") {
-        Some(s) => s.parse::<TelemetryLevel>()?,
-        None if opts.trace_out.is_some() || opts.timeline_out.is_some() => TelemetryLevel::Trace,
-        None if opts.metrics_out.is_some() => TelemetryLevel::Epoch,
-        None => TelemetryLevel::Off,
-    };
-    if opts.trace_out.is_some() || opts.timeline_out.is_some() {
-        level = level.max(TelemetryLevel::Trace);
+/// The recording level of a run: the export flags imply one, and an
+/// explicit `telemetry=` can deepen it further but never below what the
+/// flags need.
+fn telemetry_level(args: &Args, opts: &CliOpts) -> Result<TelemetryLevel, CliError> {
+    let implied = if opts.trace_out.is_some() || opts.timeline_out.is_some() {
+        TelemetryLevel::Trace
     } else if opts.metrics_out.is_some() {
-        level = level.max(TelemetryLevel::Epoch);
+        TelemetryLevel::Epoch
+    } else {
+        TelemetryLevel::Off
+    };
+    Ok(args.get::<TelemetryLevel>("telemetry", "off")?.max(implied))
+}
+
+fn parse_dataset(name: &str) -> Result<DatasetSpec, String> {
+    DatasetSpec::all()
+        .into_iter()
+        .find(|s| s.name == name)
+        .ok_or_else(|| "unknown dataset (try `ecgraph datasets`)".to_string())
+}
+
+fn parse_model(name: &str) -> Result<ModelKind, String> {
+    match name {
+        "gcn" => Ok(ModelKind::Gcn),
+        "sage" => Ok(ModelKind::Sage),
+        _ => Err("unknown model (gcn|sage)".to_string()),
     }
+}
+
+fn parse_partitioner(name: &str) -> Result<Box<dyn Partitioner>, String> {
+    match name {
+        "hash" => Ok(Box::new(HashPartitioner::default())),
+        "metis" => Ok(Box::new(MetisLikePartitioner::default())),
+        "ldg" => Ok(Box::new(LdgPartitioner::default())),
+        _ => Err("unknown partitioner (hash|metis|ldg)".to_string()),
+    }
+}
+
+fn run_train(args: &Args, opts: &CliOpts) -> Result<(), CliError> {
+    if opts.report_out.is_some() {
+        return Err(args.usage("--report-out only applies to `ecgraph serve`".into()));
+    }
+    let level = telemetry_level(args, opts)?;
     // At Superstep+ the run is being inspected through the exporters, so
     // the ad-hoc progress lines get out of the way.
     let show_progress = !opts.quiet && level < TelemetryLevel::Superstep;
-    let dataset = get("dataset", "cora");
-    let spec = DatasetSpec::all()
-        .into_iter()
-        .find(|s| s.name == dataset)
-        .ok_or_else(|| format!("unknown dataset '{dataset}' (try `ecgraph datasets`)"))?;
-    let vertices: usize = get("vertices", &spec.default_vertices.to_string())
-        .parse()
-        .map_err(|e| format!("bad vertices: {e}"))?;
-    let dims_cap: usize = get("features", &spec.feature_dim.min(256).to_string())
-        .parse()
-        .map_err(|e| format!("bad features: {e}"))?;
-    let layers: usize = get("layers", &spec.default_layers.to_string()).parse().unwrap_or(2);
-    let hidden: usize = get("hidden", "16").parse().unwrap_or(16);
-    let workers: usize = get("workers", "6").parse().unwrap_or(6);
-    let epochs: usize = get("epochs", "100").parse().unwrap_or(100);
-    let seed: u64 = get("seed", "1").parse().unwrap_or(1);
-
-    let fp_mode = parse_fp(&get("fp", "reqec:2"))?;
-    let bp_mode = parse_bp(&get("bp", "resec:4"))?;
-    let model = match get("model", "gcn").as_str() {
-        "gcn" => ModelKind::Gcn,
-        "sage" => ModelKind::Sage,
-        other => return Err(format!("unknown model '{other}'")),
-    };
+    let spec = args.get_with("dataset", "cora", parse_dataset)?;
+    let vertices: usize = args.get("vertices", &spec.default_vertices.to_string())?;
+    let dims_cap: usize = args.get("features", &spec.feature_dim.min(256).to_string())?;
+    let layers = args.get::<NonZeroUsize>("layers", &spec.default_layers.to_string())?.get();
+    let hidden: usize = args.get("hidden", "16")?;
+    let workers: usize = args.get("workers", "6")?;
+    let epochs: usize = args.get("epochs", "100")?;
+    let seed: u64 = args.get("seed", "1")?;
+    let patience: usize = args.get("patience", "25")?;
+    let fp_mode = args.get_with("fp", "reqec:2", parse_fp)?;
+    let bp_mode = args.get_with("bp", "resec:4", parse_bp)?;
+    let model = args.get_with("model", "gcn", parse_model)?;
+    let partitioner = args.get_with("partitioner", "hash", parse_partitioner)?;
 
     if show_progress {
-        print_run_banner(&dataset, vertices, dims_cap);
+        print_run_banner(spec.name, vertices, dims_cap);
     }
     let data = Arc::new(spec.instantiate_with(vertices, dims_cap, seed));
     let mut dims = vec![data.feature_dim()];
@@ -226,19 +300,12 @@ fn run_train(kv: &HashMap<String, String>, opts: &CliOpts) -> Result<(), String>
         fp_mode,
         bp_mode,
         max_epochs: epochs,
-        patience: Some(get("patience", "25").parse().unwrap_or(25)),
+        patience: Some(patience),
         telemetry: TelemetryConfig::at(level),
         seed,
         ..TrainingConfig::defaults(data.feature_dim(), data.num_classes)
     };
     config.validate()?;
-
-    let partitioner: Box<dyn Partitioner> = match get("partitioner", "hash").as_str() {
-        "hash" => Box::new(HashPartitioner::default()),
-        "metis" => Box::new(MetisLikePartitioner::default()),
-        "ldg" => Box::new(LdgPartitioner::default()),
-        other => return Err(format!("unknown partitioner '{other}'")),
-    };
 
     if show_progress {
         println!(
@@ -326,55 +393,29 @@ fn write_observability(report: &ec_trace::TelemetryReport, opts: &CliOpts) -> Re
 /// `checkpoint=` file), reload the weights through the engine-free
 /// inference path, and drive the serving cluster with the closed-loop
 /// load generator.
-fn run_serve(kv: &HashMap<String, String>, opts: &CliOpts) -> Result<(), String> {
-    let get = |k: &str, d: &str| kv.get(k).cloned().unwrap_or_else(|| d.to_string());
-    // Same rule as `train`: export flags imply a recording level, and an
-    // explicit `telemetry=` can deepen but never starve an export.
-    let mut level = match kv.get("telemetry") {
-        Some(s) => s.parse::<TelemetryLevel>()?,
-        None if opts.trace_out.is_some() || opts.timeline_out.is_some() => TelemetryLevel::Trace,
-        None if opts.metrics_out.is_some() => TelemetryLevel::Epoch,
-        None => TelemetryLevel::Off,
-    };
-    if opts.trace_out.is_some() || opts.timeline_out.is_some() {
-        level = level.max(TelemetryLevel::Trace);
-    } else if opts.metrics_out.is_some() {
-        level = level.max(TelemetryLevel::Epoch);
-    }
+fn run_serve(args: &Args, opts: &CliOpts) -> Result<(), CliError> {
+    let level = telemetry_level(args, opts)?;
+    let spec = args.get_with("dataset", "cora", parse_dataset)?;
+    let vertices: usize = args.get("vertices", &spec.default_vertices.to_string())?;
+    let dims_cap: usize = args.get("features", &spec.feature_dim.min(256).to_string())?;
+    let layers = args.get::<NonZeroUsize>("layers", &spec.default_layers.to_string())?.get();
+    let hidden: usize = args.get("hidden", "16")?;
+    let workers: usize = args.get("workers", "4")?;
+    let epochs: usize = args.get("epochs", "5")?;
+    let seed: u64 = args.get("seed", "1")?;
+    let model = args.get_with("model", "gcn", parse_model)?;
 
-    let dataset = get("dataset", "cora");
-    let spec = DatasetSpec::all()
-        .into_iter()
-        .find(|s| s.name == dataset)
-        .ok_or_else(|| format!("unknown dataset '{dataset}' (try `ecgraph datasets`)"))?;
-    let vertices: usize = get("vertices", &spec.default_vertices.to_string())
-        .parse()
-        .map_err(|e| format!("bad vertices: {e}"))?;
-    let dims_cap: usize = get("features", &spec.feature_dim.min(256).to_string())
-        .parse()
-        .map_err(|e| format!("bad features: {e}"))?;
-    let layers: usize = get("layers", &spec.default_layers.to_string()).parse().unwrap_or(2);
-    let hidden: usize = get("hidden", "16").parse().unwrap_or(16);
-    let workers: usize = get("workers", "4").parse().unwrap_or(4);
-    let epochs: usize = get("epochs", "5").parse().unwrap_or(5);
-    let seed: u64 = get("seed", "1").parse().unwrap_or(1);
-    let model = match get("model", "gcn").as_str() {
-        "gcn" => ModelKind::Gcn,
-        "sage" => ModelKind::Sage,
-        other => return Err(format!("unknown model '{other}'")),
-    };
-
-    let requests: u64 = get("requests", "500").parse().map_err(|e| format!("bad requests: {e}"))?;
-    let clients: usize = get("clients", "16").parse().map_err(|e| format!("bad clients: {e}"))?;
-    let cache: usize = get("cache", "256").parse().map_err(|e| format!("bad cache: {e}"))?;
-    let pinned: usize = get("pinned", "32").parse().map_err(|e| format!("bad pinned: {e}"))?;
-    let bits: u8 = get("bits", "0").parse().map_err(|e| format!("bad bits: {e}"))?;
-    let straggler: f64 =
-        get("straggler", "0").parse().map_err(|e| format!("bad straggler: {e}"))?;
-    let zipf: f64 = get("zipf", "0.9").parse().map_err(|e| format!("bad zipf: {e}"))?;
+    let requests: u64 = args.get("requests", "500")?;
+    let clients: usize = args.get("clients", "16")?;
+    let cache: usize = args.get("cache", "256")?;
+    let pinned: usize = args.get("pinned", "32")?;
+    let bits: u8 = args.get("bits", "0")?;
+    let straggler: f64 = args.get("straggler", "0")?;
+    let zipf: f64 = args.get("zipf", "0.9")?;
+    let explicit_ckpt: Option<PathBuf> = args.kv.get("checkpoint").map(PathBuf::from);
 
     if !opts.quiet {
-        print_run_banner(&dataset, vertices, dims_cap);
+        print_run_banner(spec.name, vertices, dims_cap);
     }
     let data = Arc::new(spec.instantiate_with(vertices, dims_cap, seed));
     let mut dims = vec![data.feature_dim()];
@@ -387,7 +428,6 @@ fn run_serve(kv: &HashMap<String, String>, opts: &CliOpts) -> Result<(), String>
     // The serving path always goes through the on-disk checkpoint — the
     // server never holds a trainer. `checkpoint=` reuses an existing file
     // (and keeps a freshly written one); otherwise a temp file is used.
-    let explicit_ckpt = kv.get("checkpoint").map(PathBuf::from);
     let ckpt = explicit_ckpt.clone().unwrap_or_else(|| {
         std::env::temp_dir().join(format!("ecgraph_serve_{}.ckpt", std::process::id()))
     });
@@ -490,26 +530,82 @@ fn run_serve(kv: &HashMap<String, String>, opts: &CliOpts) -> Result<(), String>
 
 fn parse_fp(s: &str) -> Result<FpMode, String> {
     let (kind, arg) = s.split_once(':').unwrap_or((s, ""));
-    let num = || arg.parse::<u8>().map_err(|_| format!("bad numeric argument in '{s}'"));
+    let num = || arg.parse::<u8>().map_err(|_| "bad numeric argument".to_string());
     match kind {
         "exact" => Ok(FpMode::Exact),
         "cp" => Ok(FpMode::Compressed { bits: num()? }),
         "reqec" => Ok(FpMode::ReqEc { bits: num()?, t_tr: 10, adaptive: false }),
         "reqec-adapt" => Ok(FpMode::ReqEc { bits: num()?, t_tr: 10, adaptive: true }),
-        "delayed" => {
-            Ok(FpMode::Delayed { r: arg.parse().map_err(|_| format!("bad delay in '{s}'"))? })
+        "delayed" => Ok(FpMode::Delayed { r: arg.parse().map_err(|_| "bad delay".to_string())? }),
+        _ => {
+            Err("unknown fp mode (exact|cp:<bits>|reqec:<bits>|reqec-adapt:<bits>|delayed:<r>)"
+                .into())
         }
-        other => Err(format!("unknown fp mode '{other}'")),
     }
 }
 
 fn parse_bp(s: &str) -> Result<BpMode, String> {
     let (kind, arg) = s.split_once(':').unwrap_or((s, ""));
-    let num = || arg.parse::<u8>().map_err(|_| format!("bad numeric argument in '{s}'"));
+    let num = || arg.parse::<u8>().map_err(|_| "bad numeric argument".to_string());
     match kind {
         "exact" => Ok(BpMode::Exact),
         "cp" => Ok(BpMode::Compressed { bits: num()? }),
         "resec" => Ok(BpMode::ResEc { bits: num()? }),
-        other => Err(format!("unknown bp mode '{other}'")),
+        _ => Err("unknown bp mode (exact|cp:<bits>|resec:<bits>)".into()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The usage message of `ecgraph <args…>`, which must fail as one.
+    fn usage_error(args: &[&str]) -> String {
+        let rest: Vec<String> = args[1..].iter().map(|a| a.to_string()).collect();
+        match run(args[0], &rest) {
+            Err(CliError::Usage(msg)) => msg,
+            other => panic!("{args:?} must be a usage error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_unknown_key_is_a_usage_error_that_names_the_accepted_keys() {
+        let msg = usage_error(&["train", "dataset=cora", "vertices=200", "wrokers=3", "--quiet"]);
+        assert!(msg.contains("unknown key `wrokers`"), "{msg}");
+        assert!(msg.contains("accepted keys:") && msg.contains(" workers "), "{msg}");
+        // `train` does not take `serve`'s keys.
+        assert!(usage_error(&["train", "requests=5"]).contains("unknown key `requests`"));
+    }
+
+    #[test]
+    fn an_unparsable_value_is_a_usage_error_not_a_default() {
+        let msg = usage_error(&["train", "dataset=cora", "vertices=200", "hidden=abc", "--quiet"]);
+        assert!(msg.contains("`abc` is not a valid value for `hidden`"), "{msg}");
+        assert!(msg.contains("accepted keys:"), "{msg}");
+        for bad in ["dataset=core", "fp=reqec", "bp=resec:x", "model=gat", "telemetry=loud"] {
+            assert!(usage_error(&["train", bad]).contains("is not a valid value"), "{bad}");
+        }
+        assert!(usage_error(&["serve", "requests=-1"]).contains("`requests`"));
+    }
+
+    #[test]
+    fn zero_layers_is_a_usage_error_not_a_capacity_overflow() {
+        for cmd in ["train", "serve"] {
+            let msg = usage_error(&[cmd, "layers=0"]);
+            assert!(msg.contains("`0` is not a valid value for `layers`"), "{cmd}: {msg}");
+            assert!(msg.contains("accepted keys:"), "{cmd}: {msg}");
+        }
+    }
+
+    /// Every key a subcommand reads is one it declares (`Args::get_with`
+    /// asserts it), and a well-formed command line still runs.
+    #[test]
+    fn declared_keys_cover_what_a_run_reads() {
+        let args = ["vertices=120", "features=8", "workers=2", "epochs=2", "--quiet"];
+        let rest: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        run("train", &rest).unwrap();
+        let mut rest = rest;
+        rest.push("requests=20".to_string());
+        run("serve", &rest).unwrap();
     }
 }

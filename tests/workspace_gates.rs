@@ -178,7 +178,6 @@ fn escape_hatches_are_a_closed_list() {
             "crates/serve/src/lib.rs",
             "crates/telemetry/src/lib.rs",
             "crates/tensor/src/lib.rs",
-            "shims/bytes/src/lib.rs",
             "shims/rand/src/lib.rs",
             // Its seeded `#[expect]`s sit under the same line.
             "tests/clippy_bans.rs"
