@@ -104,11 +104,22 @@ impl Quantized {
     /// serving fetch path) allocates nothing once the buffer has grown to a
     /// row's size.
     pub fn assign_row(&mut self, row: &[f32], bits: u8) {
-        let (min, max) = ec_tensor::stats::min_max(row);
+        self.assign_slice(row, 1, row.len(), bits);
+    }
+
+    /// Overwrites `self` with [`Self::compress`]`(m, bits)`, reusing the
+    /// packed buffer: the training exchange packs every message of an epoch
+    /// into one `Quantized`.
+    pub fn assign(&mut self, m: &Matrix, bits: u8) {
+        self.assign_slice(m.as_slice(), m.rows(), m.cols(), bits);
+    }
+
+    fn assign_slice(&mut self, xs: &[f32], rows: usize, cols: usize, bits: u8) {
+        let (min, max) = ec_tensor::stats::min_max(xs);
         self.packed.clear();
-        self.packed.resize(bitpack::packed_len(row.len(), bits), 0);
-        quantize_pack_into(Tier::best(), row, bits, min, max, &mut self.packed);
-        (self.rows, self.cols, self.bits, self.min, self.max) = (1, row.len(), bits, min, max);
+        self.packed.resize(bitpack::packed_len(xs.len(), bits), 0);
+        quantize_pack_into(Tier::best(), xs, bits, min, max, &mut self.packed);
+        (self.rows, self.cols, self.bits, self.min, self.max) = (rows, cols, bits, min, max);
     }
 
     fn from_slice(tier: Tier, xs: &[f32], rows: usize, cols: usize, bits: u8) -> Self {
@@ -583,7 +594,7 @@ mod tests {
     }
 
     #[test]
-    fn assign_row_is_compress_row_over_a_reused_buffer() {
+    fn assign_is_compress_over_a_reused_buffer() {
         // Longer, shorter, degenerate (all equal) and empty rows in turn,
         // so stale bytes of an earlier row would show.
         let rows: [Vec<f32>; 4] = [
@@ -598,6 +609,12 @@ mod tests {
                 scratch.assign_row(row, bits);
                 assert_eq!(scratch, Quantized::compress_row(row, bits));
                 assert_eq!(scratch.wire_size(), Quantized::wire_size_for(row.len(), bits));
+            }
+            // The same buffer takes whole matrices, ragged last block included.
+            for (r, c) in [(7, 11), (2, 64), (0, 5), (3, 1)] {
+                let m = Matrix::from_fn(r, c, |r, c| ((r * 13 + c) as f32 * 0.43).sin());
+                scratch.assign(&m, bits);
+                assert_eq!(scratch, Quantized::compress(&m, bits));
             }
         }
     }

@@ -11,6 +11,7 @@
 //! engine's link table is.
 
 use crate::config::BpMode;
+use crate::link::{round_trip, MessageBuffers};
 use ec_comm::codec;
 use ec_compress::Quantized;
 use ec_tensor::{ops, Matrix};
@@ -61,18 +62,24 @@ impl BpLink {
         }
     }
 
-    /// Answers one request with the owner's exact `g_rows`: what the
-    /// requester reconstructs and the bytes on the wire.
-    pub(crate) fn respond(&mut self, g_rows: Matrix) -> (Matrix, u64) {
+    /// Answers one request: reads the owner's rows from `buf.exact`, leaves
+    /// what the requester reconstructs in `buf.reply` and returns the bytes
+    /// on the wire.
+    pub(crate) fn respond(&mut self, buf: &mut MessageBuffers) -> u64 {
+        let MessageBuffers { exact, reply, codec } = buf;
         match self {
-            // The gathered rows are the message: nothing to copy.
+            // The gathered rows are the message: trade buffers, copy nothing.
             Self::Exact => {
-                let wire = codec::matrix_wire_size(&g_rows) as u64;
-                (g_rows, wire)
+                std::mem::swap(exact, reply);
+                codec::matrix_wire_size(reply) as u64
             }
-            Self::Compressed { bits } => respond_compressed(&g_rows, *bits),
-            Self::ResEc { delta, bits } => resec_step(delta, &g_rows, *bits),
-            Self::TopkEc { delta, ratio } => topk_ec_step(delta, &g_rows, *ratio),
+            Self::Compressed { bits } => round_trip(exact, *bits, codec, reply),
+            Self::ResEc { delta, bits } => resec_step_into(delta, exact, *bits, codec, reply),
+            Self::TopkEc { delta, ratio } => {
+                let (sent, wire) = topk_ec_step(delta, exact, *ratio);
+                *reply = sent;
+                wire
+            }
         }
     }
 
@@ -110,12 +117,7 @@ pub fn respond_exact(g_rows: &Matrix) -> (Matrix, u64) {
 /// message because gradients "will not be normalized into a unit ball"
 /// (Alg. 6 line 4).
 pub fn respond_compressed(g_rows: &Matrix, bits: u8) -> (Matrix, u64) {
-    if g_rows.rows() == 0 {
-        return (g_rows.clone(), 0);
-    }
-    let q = Quantized::compress(g_rows, bits);
-    let wire = q.wire_size() as u64;
-    (q.decompress(), wire)
+    crate::fp::respond_compressed(g_rows, bits)
 }
 
 /// One ResEC-BP exchange (Eqs. 11–12):
@@ -129,27 +131,38 @@ pub fn respond_compressed(g_rows: &Matrix, bits: u8) -> (Matrix, u64) {
 /// Returns the matrix the requester decompresses and the wire bytes.
 ///
 /// `G_cpt` is formed in the residual buffer the link already owns and is
-/// turned into `δ^{l,t}` in place once `M` has been decoded, so a
-/// steady-state exchange allocates only the message and the matrix it
-/// returns. Per element this is the same sum (addition commutes) and the
-/// same `G_cpt − M` as building both as fresh matrices, which the test
-/// reference does.
+/// turned into `δ^{l,t}` in place once `M` has been decoded. Per element
+/// this is the same sum (addition commutes) and the same `G_cpt − M` as
+/// building both as fresh matrices, which the test reference does.
 pub fn resec_step(state: &mut ResidualState, g_rows: &Matrix, bits: u8) -> (Matrix, u64) {
+    let mut buf = MessageBuffers::with_reply(Matrix::zeros(g_rows.rows(), g_rows.cols()));
+    let wire = resec_step_into(state, g_rows, bits, &mut buf.codec, &mut buf.reply);
+    (buf.reply, wire)
+}
+
+/// [`resec_step`] through reused buffers — `M` packed in `codec` and decoded
+/// into `out` — so that a link past its first exchange allocates nothing.
+fn resec_step_into(
+    state: &mut ResidualState,
+    g_rows: &Matrix,
+    bits: u8,
+    codec: &mut Quantized,
+    out: &mut Matrix,
+) -> u64 {
     if g_rows.rows() == 0 {
-        return (g_rows.clone(), 0);
+        out.clone_from(g_rows);
+        return 0;
     }
-    let mut carried = match state.residual.take() {
-        Some(mut delta) => {
-            ops::add_assign(&mut delta, g_rows);
+    let carried = match &mut state.residual {
+        Some(delta) => {
+            ops::add_assign(delta, g_rows);
             delta
         }
-        None => g_rows.clone(),
+        None => state.residual.insert(g_rows.clone()),
     };
-    let q = Quantized::compress(&carried, bits);
-    let decompressed = q.decompress();
-    ops::sub_assign(&mut carried, &decompressed);
-    state.residual = Some(carried);
-    (decompressed, q.wire_size() as u64)
+    let wire = round_trip(carried, bits, codec, out);
+    ops::sub_assign(carried, out);
+    wire
 }
 
 /// One Top-k-with-error-feedback exchange ("Sparsified SGD with Memory",

@@ -43,7 +43,9 @@
 use crate::config::{ModelKind, TrainingConfig};
 use crate::context::{build_worker_contexts, WorkerContext};
 use crate::exec::{Cluster, ClusterSnapshot, EpochTotals, Stage};
-use crate::link::{CompensationState, Direction::Backward, Direction::Forward, EpochCounters};
+use crate::link::{
+    CompensationState, Direction::Backward, Direction::Forward, EpochCounters, ExchangeWorkspace,
+};
 use crate::{bp, fp};
 use ec_comm::ps::CheckpointError;
 use ec_comm::stats::Channel;
@@ -146,6 +148,9 @@ pub struct DistributedEngine {
     total_train: usize,
 
     comp: CompensationState,
+    /// The exchanges' reusable buffers — not training state, so not in a
+    /// snapshot.
+    exchange_ws: ExchangeWorkspace,
     counters: EpochCounters,
 
     /// Empirical compression error `α` of the configured BP codec, probed
@@ -284,6 +289,7 @@ impl DistributedEngine {
             train_local,
             total_train,
             comp,
+            exchange_ws: ExchangeWorkspace::new(),
             counters: EpochCounters::default(),
             alpha_probe,
         }
@@ -413,11 +419,12 @@ impl DistributedEngine {
             self.cluster.charge_pull(&slots);
 
             // Exchange H^{l-1} (layer-0 features are cached).
-            let remotes: Vec<Matrix> = if l >= 2 {
-                let (comp, h) = (&mut self.comp, &self.h_local);
-                comp.exchange(&mut self.cluster, &mut self.counters, Forward, l, |j| &h[j][l - 1])
+            let remotes: &[Matrix] = if l >= 2 {
+                let (comp, ws, h) = (&mut self.comp, &mut self.exchange_ws, &self.h_local);
+                let source = |j: usize| &h[j][l - 1];
+                comp.exchange(ws, &mut self.cluster, &mut self.counters, Forward, l, source)
             } else {
-                Vec::new()
+                &[]
             };
             self.cluster.barrier(Stage::new("fp:exchange", "fp").at_layer(l));
 
@@ -489,10 +496,12 @@ impl DistributedEngine {
         for l in (1..=num_layers).rev() {
             // Exchange G^l. Layer 1 needs none: Y⁰ = (Â·H⁰)ᵀ·G¹ is local —
             // Â·H⁰ is the cached P_w — and there is no G⁰ to produce.
-            let mut g_remote: Vec<Matrix> = Vec::new();
+            let mut g_remote: &[Matrix] = &[];
             if l >= 2 {
-                let (comp, counters) = (&mut self.comp, &mut self.counters);
-                g_remote = comp.exchange(&mut self.cluster, counters, Backward, l, |j| &g_cur[j]);
+                let (comp, ws, counters) =
+                    (&mut self.comp, &mut self.exchange_ws, &mut self.counters);
+                g_remote =
+                    comp.exchange(ws, &mut self.cluster, counters, Backward, l, |j| &g_cur[j]);
                 self.cluster.barrier(Stage::new("bp:exchange", "bp").at_layer(l));
             }
 
@@ -834,6 +843,75 @@ mod tests {
         // Two exchange layers × the two links 0 → 1 and 1 → 0.
         assert_eq!(e.bp_residual_norms().len(), 4);
         assert!(e.evaluate().train.is_finite());
+    }
+
+    /// ROADMAP 9(b) through the exchange workspace, whose remote operands
+    /// are reshaped from exchange to exchange and never re-zeroed: a
+    /// partition with a single-vertex part — so every link out of it has one
+    /// row — trains a 47-wide 3-layer model at `B = 1` and `B = 16` across a
+    /// trend boundary while messages drop and degrade; and in an exact-mode
+    /// twin under the same faults, whatever the buffers held before, every
+    /// exchange leaves exactly the owners' current rows in them.
+    #[test]
+    fn no_stale_row_survives_in_the_reused_remote_operands() {
+        use crate::config::{ResilienceConfig, ResiliencePolicy};
+        let lonely = |fp: FpMode, bp: BpMode| {
+            let data = Arc::new(DatasetSpec::cora().instantiate_with(150, 12, 5));
+            let adj = Arc::new(normalize::gcn_normalized_adjacency(&data.graph));
+            // Vertex 0 alone on worker 2, the rest alternating.
+            let parts = (0..150).map(|v| if v == 0 { 2 } else { v % 2 }).collect();
+            let config = TrainingConfig {
+                dims: vec![12, 47, 47, data.num_classes],
+                faults: ec_faults::FaultPlan::uniform_drop(11, 0.3),
+                resilience: ResilienceConfig {
+                    policy: ResiliencePolicy::EcDegrade,
+                    max_attempts: 1,
+                    checkpoint_every: 0,
+                },
+                ..config_with(fp, bp, 3, 3)
+            };
+            DistributedEngine::new(data, vec![adj; 3], Partition::new(parts, 3), config)
+        };
+
+        for bits in [1u8, 16] {
+            let mut e =
+                lonely(FpMode::ReqEc { bits, t_tr: 2, adaptive: false }, BpMode::ResEc { bits });
+            assert_eq!(e.contexts[2].num_local(), 1);
+            assert_eq!(e.contexts[0].layers[1].deps_by_owner[2].len(), 1, "a one-row link");
+            // Epochs 0 and 1 are trend boundaries; 2 is the first whose
+            // messages the prediction can stand in for.
+            let degraded: Vec<u64> = (0..3)
+                .map(|_| {
+                    let stats = e.run_epoch();
+                    assert!(stats.loss.is_finite(), "B={bits} epoch {}", stats.epoch);
+                    stats.degraded
+                })
+                .collect();
+            assert!(degraded[2] > 0 && degraded[..2] == [0, 0], "B={bits}: {degraded:?}");
+        }
+
+        let mut e = lonely(FpMode::Exact, BpMode::Exact);
+        for _ in 0..3 {
+            e.run_epoch();
+        }
+        // `H^{l-1}` stands in for `G^l` backward: the exchange only asks for
+        // the owners' local rows.
+        for (dir, l) in [(Forward, 2), (Backward, 3), (Forward, 3), (Backward, 2)] {
+            let width = |e: &DistributedEngine| e.h_local[0][l - 1].cols();
+            let mut global = Matrix::zeros(150, width(&e));
+            for (ctx, h) in e.contexts.iter().zip(&e.h_local) {
+                for (row, &v) in ctx.local_vertices.iter().enumerate() {
+                    global.set_row(v, h[l - 1].row(row));
+                }
+            }
+            let (comp, ws, h) = (&mut e.comp, &mut e.exchange_ws, &e.h_local);
+            let remotes =
+                comp.exchange(ws, &mut e.cluster, &mut e.counters, dir, l, |j| &h[j][l - 1]);
+            for (ctx, remote) in e.contexts.iter().zip(remotes) {
+                let fresh = global.gather_rows(&ctx.layers[l - 1].remote_deps);
+                assert_eq!(remote, &fresh, "{dir:?} layer {l} worker {}", ctx.worker_id);
+            }
+        }
     }
 
     /// Every state variant goes through the one clone: a snapshot taken in

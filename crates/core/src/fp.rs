@@ -12,11 +12,27 @@
 //! What a link keeps between exchanges, and which of the functions below
 //! answers on it, is [`FpLink`]: one variant per [`FpMode`], built when the
 //! engine's link table is.
+//!
+//! **Reduction order.** Every L1 distance here — the Selector's three per
+//! row (Eq. 10), [`ReqEcOutcome::recon_l1`], [`rowwise_l1_total`] — is
+//! summed in the sixteen-lane order of [`stats::row_l1_distance`]: lane `j`
+//! adds the columns `≡ j (mod 16)` of the full 16-column chunks in ascending
+//! order, one fixed tree folds the lanes, the `cols % 16` tail columns follow
+//! in ascending order. A float sum depends on its order, so the order is
+//! written in the source rather than left to the vector width: the Selector
+//! sweep ([`SelectorSweep`]) is compiled per instruction-set tier and
+//! returns the same bits on every tier, host and thread count. There is one
+//! sweep and no switch.
+//!
+//! The public step functions allocate what they return; the engine's
+//! exchange runs the same code through reused buffers
+//! (`link::MessageBuffers`), so a steady-state message allocates nothing.
 
 use crate::config::FpMode;
-use crate::link::Reply;
+use crate::link::{round_trip, MessageBuffers, Reply};
 use ec_comm::codec;
 use ec_compress::Quantized;
+use ec_tensor::isa::{self, Isa, Kernel};
 use ec_tensor::{ops, stats, Matrix};
 
 /// Selector codes (paper: "00, 01 and 10 for compressed, predicted, and
@@ -47,12 +63,17 @@ impl TrendState {
     /// because non-boundary exchanges never mutate the trend state, both
     /// ends stay consistent.
     pub fn predict(&self, t: usize) -> Option<Matrix> {
-        let base = self.base.as_ref()?;
-        let m_cr = self.m_cr.as_ref()?;
-        let k = t.saturating_sub(self.base_t) as f32;
-        let mut pdt = base.clone();
-        ops::axpy(&mut pdt, m_cr, k);
-        Some(pdt)
+        let mut pdt = Matrix::zeros(0, 0);
+        self.predict_into(t, &mut pdt).then_some(pdt)
+    }
+
+    /// [`Self::predict`] into `out`'s buffer; `false`, with `out` untouched,
+    /// before the first trend boundary.
+    fn predict_into(&self, t: usize, out: &mut Matrix) -> bool {
+        let (Some(base), Some(m_cr)) = (&self.base, &self.m_cr) else { return false };
+        out.clone_from(base);
+        ops::axpy(out, m_cr, t.saturating_sub(self.base_t) as f32);
+        true
     }
 
     /// The state's parts, for inspection.
@@ -103,6 +124,20 @@ pub struct ReqEcOutcome {
     pub recon_l1: f32,
 }
 
+/// What one ReqEC-FP exchange reports beside the rows it reconstructs.
+#[derive(Clone, Copy, Debug, Default)]
+struct ReqEcReport {
+    proportion: f32,
+    wire: u64,
+    exact_sent: bool,
+    selected: [u32; 3],
+    recon_l1: f32,
+    /// L1 distance of the prediction `Ĥ_pdt` from the exact rows, summed
+    /// like `recon_l1` — what the message costs in accuracy if EC-degrade
+    /// replaces it (0 for boundary messages, which cannot be replaced).
+    pdt_l1: f32,
+}
+
 /// The forward half of a link: the memory one (requester, owner, layer)
 /// triple carries from one exchange to the next, with the parameters of the
 /// policy that reads it. Built from the configured [`FpMode`] once, so a
@@ -147,46 +182,58 @@ impl FpLink {
         }
     }
 
-    /// Answers one request at iteration `t` with the owner's `exact` rows;
-    /// `bits` is the pair's current width (read by ReqEC only — plain
-    /// compression keeps the configured one). With `degradable`, a reply
-    /// the requester can do without carries the prediction to use instead.
-    pub(crate) fn respond(&mut self, exact: Matrix, bits: u8, t: usize, degradable: bool) -> Reply {
+    /// Answers one request at iteration `t`: reads the owner's rows from
+    /// `buf.exact` and leaves what the requester reconstructs in
+    /// `buf.reply`. `bits` is the pair's current width (read by ReqEC only —
+    /// plain compression keeps the configured one). With `degradable`, a
+    /// reply the requester can do without says what [`Self::degrade`] would
+    /// cost instead.
+    pub(crate) fn respond(
+        &mut self,
+        buf: &mut MessageBuffers,
+        bits: u8,
+        t: usize,
+        degradable: bool,
+    ) -> Reply {
+        let MessageBuffers { exact, reply, codec } = buf;
         match self {
-            // The gathered rows are the message: nothing to copy.
+            // The gathered rows are the message: trade buffers, copy nothing.
             Self::Exact => {
-                let wire = codec::matrix_wire_size(&exact) as u64;
-                Reply::plain(exact, wire)
+                std::mem::swap(exact, reply);
+                Reply::plain(codec::matrix_wire_size(reply) as u64)
             }
             Self::Compressed { bits: configured } => {
-                let (rows, wire) = respond_compressed(&exact, *configured);
-                Reply { recon_l1: rowwise_l1_total(&rows, &exact), ..Reply::plain(rows, wire) }
+                let wire = round_trip(exact, *configured, codec, reply);
+                Reply { recon_l1: rowwise_l1_total(reply, exact), ..Reply::plain(wire) }
             }
             Self::ReqEc { trend, observed, t_tr, granularity, tuned } => {
-                let out = reqec_step_with(trend, &exact, bits, *t_tr, t, *granularity);
-                // Degrading is only safe for non-boundary messages:
-                // boundaries mutate the shared trend state, so losing one
-                // would desynchronize requester and responder.
-                let pdt = (degradable && !out.exact_sent).then(|| trend.predict(t)).flatten();
-                let fallback = pdt.map(|pdt| {
-                    let err = rowwise_l1_total(&pdt, &exact);
-                    (pdt, err)
-                });
+                let out = reqec_step_into(trend, exact, bits, *t_tr, t, *granularity, codec, reply);
                 if *tuned && !out.exact_sent {
                     *observed = Some(out.proportion);
                 }
                 Reply {
-                    rows: out.reconstructed,
                     wire: out.wire,
                     recon_l1: out.recon_l1,
                     selected: Some(out.selected),
-                    fallback,
+                    // Degrading is only safe for non-boundary messages:
+                    // boundaries mutate the shared trend state, so losing
+                    // one would desynchronize requester and responder.
+                    fallback_l1: (degradable && !out.exact_sent).then_some(out.pdt_l1),
                 }
             }
             Self::Delayed { cache, r } => {
-                let (rows, wire) = delayed_step(cache, &exact, *r, t);
-                Reply { recon_l1: rowwise_l1_total(&rows, &exact), ..Reply::plain(rows, wire) }
+                let wire = delayed_step_into(cache, exact, *r, t, reply);
+                Reply { recon_l1: rowwise_l1_total(reply, exact), ..Reply::plain(wire) }
             }
+        }
+    }
+
+    /// EC-degrade: overwrites `rows` with the zero-payload prediction
+    /// `Ĥ_pdt = H_base + M_cr·k` the requester falls back to when the reply
+    /// to a [`Self::respond`] that offered a `fallback_l1` is lost.
+    pub(crate) fn degrade(&self, t: usize, rows: &mut Matrix) {
+        if let Self::ReqEc { trend, .. } = self {
+            trend.predict_into(t, rows);
         }
     }
 
@@ -212,12 +259,9 @@ pub fn respond_exact(h_rows: &Matrix) -> (Matrix, u64) {
 /// as two `f32`s. This keeps the error proportional to `range / 2^B`, the
 /// scaling the paper's bit-sensitivity results (Fig. 6) rely on.
 pub fn respond_compressed(h_rows: &Matrix, bits: u8) -> (Matrix, u64) {
-    if h_rows.rows() == 0 {
-        return (h_rows.clone(), 0);
-    }
-    let q = Quantized::compress(h_rows, bits);
-    let wire = q.wire_size() as u64;
-    (q.decompress(), wire)
+    let mut buf = MessageBuffers::with_reply(Matrix::zeros(h_rows.rows(), h_rows.cols()));
+    let wire = round_trip(h_rows, bits, &mut buf.codec, &mut buf.reply);
+    (buf.reply, wire)
 }
 
 /// One ReqEC-FP exchange (Algorithms 3 and 4) at iteration `t`.
@@ -248,17 +292,37 @@ pub fn reqec_step_with(
     t: usize,
     granularity: Granularity,
 ) -> ReqEcOutcome {
+    let mut buf = MessageBuffers::with_reply(Matrix::zeros(h_rows.rows(), h_rows.cols()));
+    let (codec, out) = (&mut buf.codec, &mut buf.reply);
+    let report = reqec_step_into(state, h_rows, bits, t_tr, t, granularity, codec, out);
+    ReqEcOutcome {
+        reconstructed: buf.reply,
+        proportion: report.proportion,
+        wire: report.wire,
+        exact_sent: report.exact_sent,
+        selected: report.selected,
+        recon_l1: report.recon_l1,
+    }
+}
+
+/// [`reqec_step_with`] through reused buffers: the packed candidate in
+/// `codec`, the rows the requester reconstructs in `out`.
+#[expect(clippy::too_many_arguments, reason = "the step's five parameters plus two buffers")]
+fn reqec_step_into(
+    state: &mut TrendState,
+    h_rows: &Matrix,
+    bits: u8,
+    t_tr: usize,
+    t: usize,
+    granularity: Granularity,
+    codec: &mut Quantized,
+    out: &mut Matrix,
+) -> ReqEcReport {
     let rows = h_rows.rows();
     let cols = h_rows.cols();
     if rows == 0 {
-        return ReqEcOutcome {
-            reconstructed: h_rows.clone(),
-            proportion: 0.0,
-            wire: 0,
-            exact_sent: false,
-            selected: [0; 3],
-            recon_l1: 0.0,
-        };
+        out.clone_from(h_rows);
+        return ReqEcReport::default();
     }
     // Non-boundary steps read the live trend group; when the group has not
     // been bootstrapped yet (`base` is `None`) control falls through to the
@@ -267,8 +331,8 @@ pub fn reqec_step_with(
         if let (Some(base), Some(m_cr)) = (&state.base, &state.m_cr) {
             let k = (t - state.base_t) as f32;
             return match granularity {
-                Granularity::Vertex => reqec_vertex(base, m_cr, k, h_rows, bits),
-                _ => reqec_whole_matrix(base, m_cr, k, h_rows, bits, granularity),
+                Granularity::Vertex => reqec_vertex(base, m_cr, k, h_rows, bits, codec, out),
+                _ => reqec_whole_matrix(base, m_cr, k, h_rows, bits, granularity, out),
             };
         }
     }
@@ -291,67 +355,34 @@ pub fn reqec_step_with(
         None => Matrix::zeros(rows, cols),
     };
     let wire = (codec::matrix_wire_size(h_rows) + codec::matrix_wire_size(&m_cr)) as u64;
-    state.base = Some(h_rows.clone());
-    state.m_cr = Some(m_cr);
+    // The new `H_base` takes the buffer the outgoing `M_cr` leaves behind.
+    let mut base = state.m_cr.replace(m_cr).unwrap_or_else(|| Matrix::zeros(0, 0));
+    base.clone_from(h_rows);
+    state.base = Some(base);
     state.base_t = t;
-    ReqEcOutcome {
-        reconstructed: h_rows.clone(),
-        proportion: 0.0,
-        wire,
-        exact_sent: true,
-        selected: [0; 3],
-        recon_l1: 0.0,
-    }
+    out.clone_from(h_rows);
+    ReqEcReport { wire, exact_sent: true, ..ReqEcReport::default() }
 }
 
 /// The vertex-wise non-boundary exchange — the paper's choice and the
-/// per-message hot path — as one sweep over the rows.
-///
-/// `Ĥ_cps` is decoded straight into the output matrix. Each row then forms
-/// `Ĥ_pdt = H_base + M_cr·k` and `Ĥ_avg = (Ĥ_pdt + Ĥ_cps)/2` element by
-/// element while accumulating the three L1 distances of Eq. 10, and the
-/// row is overwritten only if the Selector prefers another candidate. No
-/// candidate matrix is materialised. The arithmetic per element and the
-/// left-to-right order of every distance sum are those of the multi-pass
-/// formulation (kept as the test reference), so the reconstructed rows,
-/// the decisions and the distances are bit-identical to it.
-fn reqec_vertex(base: &Matrix, m_cr: &Matrix, k: f32, h_rows: &Matrix, bits: u8) -> ReqEcOutcome {
+/// per-message hot path: `Ĥ_cps` is decoded straight into the output matrix
+/// and a [`SelectorSweep`] rewrites the rows the Selector gives to another
+/// candidate. No candidate matrix is materialised.
+fn reqec_vertex(
+    base: &Matrix,
+    m_cr: &Matrix,
+    k: f32,
+    h_rows: &Matrix,
+    bits: u8,
+    codec: &mut Quantized,
+    reconstructed: &mut Matrix,
+) -> ReqEcReport {
     let (rows, cols) = h_rows.shape();
     assert_eq!(base.shape(), h_rows.shape(), "trend group shape changed");
     assert_eq!(m_cr.shape(), h_rows.shape(), "trend group shape changed");
-    let mut reconstructed = Quantized::compress(h_rows, bits).decompress();
-    let mut selected = [0u32; 3];
-    let mut recon_l1 = 0.0f32;
-    for v in 0..rows {
-        let (h, b, m) = (h_rows.row(v), base.row(v), m_cr.row(v));
-        let out = reconstructed.row_mut(v);
-        let (mut d_cps, mut d_pdt, mut d_avg) = (0.0f32, 0.0f32, 0.0f32);
-        for i in 0..cols {
-            let pdt = b[i] + m[i] * k;
-            let avg = (pdt + out[i]) * 0.5;
-            d_cps += (out[i] - h[i]).abs();
-            d_pdt += (pdt - h[i]).abs();
-            d_avg += (avg - h[i]).abs();
-        }
-        // Selector: argmin over the candidates (Eq. 10), first wins ties.
-        let distances = [d_cps, d_pdt, d_avg];
-        let sid = stats::argmin(&distances);
-        selected[sid] += 1;
-        recon_l1 += distances[sid];
-        match sid as u8 {
-            SELECT_CPS => {}
-            SELECT_PDT => {
-                for i in 0..cols {
-                    out[i] = b[i] + m[i] * k;
-                }
-            }
-            _ => {
-                for i in 0..cols {
-                    out[i] = (b[i] + m[i] * k + out[i]) * 0.5;
-                }
-            }
-        }
-    }
+    round_trip(h_rows, bits, codec, reconstructed);
+    let SelectorTotals { selected, recon_l1, pdt_l1 } =
+        isa::dispatch(SelectorSweep { base, m_cr, k, h_rows, out: reconstructed });
     let predicted = selected[SELECT_PDT as usize] as usize;
     // Wire cost: 2-bit selector per vertex, compressed codes only for the
     // non-predicted vertices, one f32 proportion, quantization header.
@@ -361,7 +392,112 @@ fn reqec_vertex(base: &Matrix, m_cr: &Matrix, k: f32, h_rows: &Matrix, bits: u8)
         if non_pdt > 0 { Quantized::wire_size_for(non_pdt * cols, bits) } else { 0 };
     let wire = (selector_bytes + payload_bytes + 4) as u64;
     let proportion = predicted as f32 / rows as f32;
-    ReqEcOutcome { reconstructed, proportion, wire, exact_sent: false, selected, recon_l1 }
+    ReqEcReport { proportion, wire, exact_sent: false, selected, recon_l1, pdt_l1 }
+}
+
+/// The Selector (Eq. 10) over one message, as a [`Kernel`] — what
+/// [`reqec_step`] dispatches at the best tier and the per-tier tests at each:
+/// per row, the L1 distances of the three candidates from `h_rows`, the
+/// argmin (first wins ties; a NaN distance never wins `<`, so a row with
+/// nothing finite to compare falls to [`SELECT_CPS`]), and the row of `out`
+/// rewritten in place unless `Ĥ_cps` won.
+///
+/// Each distance is summed in the lane order of the module header
+/// ([`stats::row_l1_distance`]'s), and the arithmetic per element is that of
+/// the multi-pass formulation (`Ĥ_pdt = H_base + M_cr·k` and
+/// `Ĥ_avg = (Ĥ_pdt + Ĥ_cps)·½` as matrices, then
+/// [`stats::rowwise_l1_distance`] per candidate), which the tests keep as
+/// the reference: rows, decisions and sums equal it bit for bit. Everything
+/// between the tier's entry point and the arithmetic is `#[inline(always)]`.
+pub struct SelectorSweep<'a> {
+    /// `H_base` of the link's trend group.
+    pub base: &'a Matrix,
+    /// `M_cr` of the link's trend group.
+    pub m_cr: &'a Matrix,
+    /// Iterations since the trend boundary.
+    pub k: f32,
+    /// The owner's exact rows.
+    pub h_rows: &'a Matrix,
+    /// `Ĥ_cps` on entry, the reconstruction on return.
+    pub out: &'a mut Matrix,
+}
+
+/// What a [`SelectorSweep`] counted and summed, each sum over rows in row
+/// order.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SelectorTotals {
+    /// Decisions, indexed by Selector code.
+    pub selected: [u32; 3],
+    /// `Σ_v` distance of the candidate chosen for `v`.
+    pub recon_l1: f32,
+    /// `Σ_v d_pdt[v]`: the error of answering with the prediction alone.
+    pub pdt_l1: f32,
+}
+
+impl Kernel for SelectorSweep<'_> {
+    type Output = SelectorTotals;
+
+    #[inline(always)]
+    fn run<I: Isa>(self) -> SelectorTotals {
+        let Self { base, m_cr, k, h_rows, out } = self;
+        let mut totals = SelectorTotals { selected: [0; 3], recon_l1: 0.0, pdt_l1: 0.0 };
+        for v in 0..h_rows.rows() {
+            let (h, b, m) = (h_rows.row(v), base.row(v), m_cr.row(v));
+            let out = out.row_mut(v);
+            let distances = selector_distances(h, b, m, out, k);
+            let sid = stats::argmin(&distances);
+            totals.selected[sid] += 1;
+            totals.recon_l1 += distances[sid];
+            totals.pdt_l1 += distances[SELECT_PDT as usize];
+            match sid as u8 {
+                SELECT_CPS => {}
+                SELECT_PDT => {
+                    for ((o, &b), &m) in out.iter_mut().zip(b).zip(m) {
+                        *o = b + m * k;
+                    }
+                }
+                _ => {
+                    for ((o, &b), &m) in out.iter_mut().zip(b).zip(m) {
+                        *o = (b + m * k + *o) * 0.5;
+                    }
+                }
+            }
+        }
+        totals
+    }
+}
+
+/// One row of the Selector: the distances of `Ĥ_cps` (`cps`), `Ĥ_pdt` and
+/// `Ĥ_avg` from `h`, indexed by Selector code, all three accumulated in one
+/// pass over the row in the lane order (see [`SelectorSweep`]).
+#[inline(always)]
+fn selector_distances(h: &[f32], b: &[f32], m: &[f32], cps: &[f32], k: f32) -> [f32; 3] {
+    const LANES: usize = stats::L1_LANES;
+    let full = h.len() / LANES * LANES;
+    let ((h, h_tail), (b, b_tail)) = (h.split_at(full), b.split_at(full));
+    let ((m, m_tail), (cps, cps_tail)) = (m.split_at(full), cps.split_at(full));
+    let (mut d_cps, mut d_pdt, mut d_avg) = ([0.0f32; LANES], [0.0f32; LANES], [0.0f32; LANES]);
+    let chunks = h.chunks_exact(LANES).zip(b.chunks_exact(LANES));
+    for ((h, b), (m, c)) in chunks.zip(m.chunks_exact(LANES).zip(cps.chunks_exact(LANES))) {
+        for u in 0..LANES {
+            let pdt = b[u] + m[u] * k;
+            let avg = (pdt + c[u]) * 0.5;
+            d_cps[u] += (c[u] - h[u]).abs();
+            d_pdt[u] += (pdt - h[u]).abs();
+            d_avg[u] += (avg - h[u]).abs();
+        }
+    }
+    // Indexed by Selector code.
+    let mut distances =
+        [stats::fold_l1_lanes(d_cps), stats::fold_l1_lanes(d_pdt), stats::fold_l1_lanes(d_avg)];
+    for ((&h, &b), (&m, &c)) in h_tail.iter().zip(b_tail).zip(m_tail.iter().zip(cps_tail)) {
+        let pdt = b + m * k;
+        let avg = (pdt + c) * 0.5;
+        distances[SELECT_CPS as usize] += (c - h).abs();
+        distances[SELECT_PDT as usize] += (pdt - h).abs();
+        distances[SELECT_AVG as usize] += (avg - h).abs();
+    }
+    distances
 }
 
 /// The element-wise and matrix-wise non-boundary exchanges (the
@@ -375,7 +511,8 @@ fn reqec_whole_matrix(
     h_rows: &Matrix,
     bits: u8,
     granularity: Granularity,
-) -> ReqEcOutcome {
+    out: &mut Matrix,
+) -> ReqEcReport {
     let rows = h_rows.rows();
     let cols = h_rows.cols();
     let mut pdt = base.clone();
@@ -384,6 +521,7 @@ fn reqec_whole_matrix(
     let cps = q.decompress();
     let avg = ops::scale(&ops::add(&pdt, &cps), 0.5);
 
+    let pdt_l1 = rowwise_l1_total(&pdt, h_rows);
     let mut selected = [0u32; 3];
     let (reconstructed, proportion, wire) = if granularity == Granularity::Element {
         // Per-coordinate selection: most accurate reconstruction, but
@@ -428,14 +566,29 @@ fn reqec_whole_matrix(
         }
     };
     let recon_l1 = rowwise_l1_total(&reconstructed, h_rows);
-    ReqEcOutcome { reconstructed, proportion, wire, exact_sent: false, selected, recon_l1 }
+    *out = reconstructed;
+    ReqEcReport { proportion, wire, exact_sent: false, selected, recon_l1, pdt_l1 }
 }
 
-/// `Σ_v Σ_i |a[v,i] − b[v,i]|`, summed per row and then over rows — the
+/// `Σ_v Σ_i |a[v,i] − b[v,i]|`, each row summed by
+/// [`stats::row_l1_distance`] and the rows then added in row order — the
 /// reconstruction-error figure of a message whose preparation did not
-/// already produce it.
+/// already produce it, in the order the Selector sweep sums its own.
 pub fn rowwise_l1_total(a: &Matrix, b: &Matrix) -> f32 {
-    stats::rowwise_l1_distance(a, b).iter().sum()
+    assert_eq!(a.shape(), b.shape(), "rowwise_l1_total shape mismatch");
+    isa::dispatch(
+        #[inline(always)]
+        || rowwise_l1_total_kernel(a, b),
+    )
+}
+
+#[inline(always)]
+fn rowwise_l1_total_kernel(a: &Matrix, b: &Matrix) -> f32 {
+    let mut total = 0.0f32;
+    for (ra, rb) in a.rows_iter().zip(b.rows_iter()) {
+        total += stats::row_l1_distance(ra, rb);
+    }
+    total
 }
 
 /// DistGNN-style delayed partial aggregation: each epoch only the rows with
@@ -448,14 +601,29 @@ pub fn delayed_step(
     r: usize,
     t: usize,
 ) -> (Matrix, u64) {
+    let mut out = Matrix::zeros(0, 0);
+    let wire = delayed_step_into(cache, h_rows, r, t, &mut out);
+    (out, wire)
+}
+
+/// [`delayed_step`] with the requester's view of the rows copied into `out`.
+fn delayed_step_into(
+    cache: &mut Option<Matrix>,
+    h_rows: &Matrix,
+    r: usize,
+    t: usize,
+    out: &mut Matrix,
+) -> u64 {
     let rows = h_rows.rows();
     if rows == 0 {
-        return (h_rows.clone(), 0);
+        out.clone_from(h_rows);
+        return 0;
     }
     match cache {
         None => {
             *cache = Some(h_rows.clone());
-            (h_rows.clone(), codec::matrix_wire_size(h_rows) as u64)
+            out.clone_from(h_rows);
+            codec::matrix_wire_size(h_rows) as u64
         }
         Some(cached) => {
             let mut refreshed = 0usize;
@@ -466,8 +634,8 @@ pub fn delayed_step(
                 }
             }
             // Refreshed rows ship as (index, row) pairs plus a small header.
-            let wire = (8 + refreshed * (4 + h_rows.cols() * 4)) as u64;
-            (cached.clone(), wire)
+            out.clone_from(cached);
+            (8 + refreshed * (4 + h_rows.cols() * 4)) as u64
         }
     }
 }
@@ -735,11 +903,43 @@ pub(crate) mod tests {
         assert_eq!(wire, 0);
     }
 
-    /// The multi-pass formulation of [`reqec_step`] the fused passes
-    /// replaced, verbatim: every candidate a fresh matrix (clone + `axpy`,
-    /// `compress`/`decompress`, `add` + `scale`), three `rowwise_l1_distance`
-    /// sweeps, a `set_row` copy per vertex, `scale(&sub(..))` at boundaries
-    /// and a separate distance sweep for the reconstruction error.
+    /// The lane order of every L1 distance in this workspace, spelled out
+    /// with plain indexing: lane `i % 16` takes column `i` of the full
+    /// 16-column chunks in ascending order, the sixteen lanes fold
+    /// `+8`, `+4`, `(s0 + s2) + (s1 + s3)`, and the tail columns are then
+    /// added in ascending order.
+    fn row_l1_lanes_reference(a: &[f32], b: &[f32]) -> f32 {
+        assert_eq!(a.len(), b.len());
+        let full = a.len() / 16 * 16;
+        let mut lanes = [0.0f32; 16];
+        for i in 0..full {
+            lanes[i % 16] += (a[i] - b[i]).abs();
+        }
+        let mut eight = [0.0f32; 8];
+        for u in 0..8 {
+            eight[u] = lanes[u] + lanes[u + 8];
+        }
+        let mut four = [0.0f32; 4];
+        for u in 0..4 {
+            four[u] = eight[u] + eight[u + 4];
+        }
+        let mut distance = (four[0] + four[2]) + (four[1] + four[3]);
+        for i in full..a.len() {
+            distance += (a[i] - b[i]).abs();
+        }
+        distance
+    }
+
+    fn rowwise_l1_lanes_reference(a: &Matrix, b: &Matrix) -> Vec<f32> {
+        (0..a.rows()).map(|v| row_l1_lanes_reference(a.row(v), b.row(v))).collect()
+    }
+
+    /// The multi-pass formulation of [`reqec_step`]: every candidate a fresh
+    /// matrix (clone + `axpy`, `compress`/`decompress`, `add` + `scale`),
+    /// three row-wise distance sweeps in the lane order of
+    /// [`row_l1_lanes_reference`], a `set_row` copy per vertex,
+    /// `scale(&sub(..))` at boundaries and a separate distance sweep for the
+    /// reconstruction error.
     fn reqec_step_reference(
         state: &mut TrendState,
         h_rows: &Matrix,
@@ -755,9 +955,9 @@ pub(crate) mod tests {
                 ops::axpy(&mut pdt, m_cr, k);
                 let cps = Quantized::compress(h_rows, bits).decompress();
                 let avg = ops::scale(&ops::add(&pdt, &cps), 0.5);
-                let d_cps = stats::rowwise_l1_distance(&cps, h_rows);
-                let d_pdt = stats::rowwise_l1_distance(&pdt, h_rows);
-                let d_avg = stats::rowwise_l1_distance(&avg, h_rows);
+                let d_cps = rowwise_l1_lanes_reference(&cps, h_rows);
+                let d_pdt = rowwise_l1_lanes_reference(&pdt, h_rows);
+                let d_avg = rowwise_l1_lanes_reference(&avg, h_rows);
                 let mut reconstructed = Matrix::zeros(rows, cols);
                 let mut selected = [0u32; 3];
                 for v in 0..rows {
@@ -775,7 +975,7 @@ pub(crate) mod tests {
                 let selector_bytes = 4 + (rows * 2).div_ceil(8);
                 let payload_bytes =
                     if non_pdt > 0 { Quantized::wire_size_for(non_pdt * cols, bits) } else { 0 };
-                let recon_l1 = stats::rowwise_l1_distance(&reconstructed, h_rows).iter().sum();
+                let recon_l1 = rowwise_l1_lanes_reference(&reconstructed, h_rows).iter().sum();
                 return ReqEcOutcome {
                     reconstructed,
                     proportion: predicted as f32 / rows as f32,
@@ -872,34 +1072,201 @@ pub(crate) mod tests {
 
     #[test]
     fn fused_vertex_pass_equals_the_multi_pass_reference() {
-        // Three trend groups at every Bit-Tuner width; all three candidates
-        // must actually be chosen somewhere or the comparison is hollow.
+        // Three trend groups at every Bit-Tuner width, on rows of two full
+        // lane chunks and a tail; all three candidates must actually be
+        // chosen somewhere or the comparison is hollow.
         let mut totals = [0u32; 3];
         for bits in [1u8, 2, 4, 8, 16] {
-            let steps = drifting_rows(24, 19, 13, bits as u64, 0.08);
+            let steps = drifting_rows(24, 41, 13, bits as u64, 0.08);
             for (acc, c) in totals.iter_mut().zip(assert_fused_equals_reference(&steps, bits, 4)) {
                 *acc += c;
             }
         }
         assert!(totals.iter().all(|&c| c > 0), "Selector coverage {totals:?}");
 
-        // Degenerate inputs: one vertex, one column, T_tr = 1 (all
-        // boundaries), an all-equal message, and rows with no finite entry
-        // or a stray infinity (distances go NaN / Inf; CPS wins NaN ties).
+        // Degenerate inputs: one vertex, one column, exactly one chunk,
+        // T_tr = 1 (all boundaries), an all-equal message, and rows with no
+        // finite entry or a stray infinity in a lane and in the tail
+        // (distances go NaN / Inf; CPS wins NaN ties).
         assert_fused_equals_reference(&drifting_rows(1, 1, 6, 3, 0.1), 1, 3);
         assert_fused_equals_reference(&drifting_rows(5, 1, 6, 4, 0.1), 16, 2);
+        assert_fused_equals_reference(&drifting_rows(7, 16, 6, 8, 0.1), 2, 3);
         assert_fused_equals_reference(&drifting_rows(3, 7, 4, 5, 0.1), 4, 1);
         assert_fused_equals_reference(&vec![Matrix::filled(4, 5, 0.25); 5], 2, 3);
-        let mut hostile = drifting_rows(6, 9, 7, 6, 0.05);
+        let mut hostile = drifting_rows(6, 21, 7, 6, 0.05);
         for h in hostile.iter_mut().skip(2) {
             h.row_mut(1).fill(f32::NAN);
             h.set(3, 4, f32::INFINITY);
             h.set(4, 0, f32::NEG_INFINITY);
+            h.set(5, 19, f32::INFINITY);
         }
         assert_fused_equals_reference(&hostile, 4, 5);
     }
 
+    /// The Selector over one message in the multi-pass formulation: the
+    /// candidates as whole matrices, [`row_l1_lanes_reference`] per candidate
+    /// and row, first-wins argmin.
+    fn selector_reference(
+        base: &Matrix,
+        m_cr: &Matrix,
+        k: f32,
+        h: &Matrix,
+        cps: &Matrix,
+    ) -> (Matrix, SelectorTotals) {
+        let mut pdt = base.clone();
+        ops::axpy(&mut pdt, m_cr, k);
+        let avg = ops::scale(&ops::add(&pdt, cps), 0.5);
+        let candidates = [cps, &pdt, &avg];
+        let mut out = cps.clone();
+        let mut totals = SelectorTotals { selected: [0; 3], recon_l1: 0.0, pdt_l1: 0.0 };
+        for v in 0..h.rows() {
+            let distances = candidates.map(|m| row_l1_lanes_reference(m.row(v), h.row(v)));
+            let mut sid = 0;
+            for (candidate, distance) in distances.iter().enumerate().skip(1) {
+                if *distance < distances[sid] {
+                    sid = candidate;
+                }
+            }
+            totals.selected[sid] += 1;
+            totals.recon_l1 += distances[sid];
+            totals.pdt_l1 += distances[SELECT_PDT as usize];
+            out.set_row(v, candidates[sid].row(v));
+        }
+        (out, totals)
+    }
+
+    fn totals_bits(t: SelectorTotals) -> ([u32; 3], u32, u32) {
+        (t.selected, canonical_bits(t.recon_l1), canonical_bits(t.pdt_l1))
+    }
+
+    /// Non-finite values through the sweep, each with its documented result
+    /// at every tier: a distance that is NaN never wins `<`, so a row with a
+    /// NaN anywhere the three candidates all see it (the exact row, here)
+    /// keeps `Ĥ_cps`; an infinity there makes the three distances tie at
+    /// `+Inf`, and the first candidate — `Ĥ_cps` again — wins the tie.
+    #[test]
+    fn non_finite_rows_fall_to_the_compressed_candidate_at_every_tier() {
+        let (rows, cols, k) = (6usize, 37usize, 2.0f32);
+        let base = ec_tensor::init::uniform(rows, cols, 0.0, 1.0, 11);
+        let m_cr = ec_tensor::init::uniform(rows, cols, -0.02, 0.02, 12);
+        // The trend continues exactly: without the planted values every row
+        // is predicted.
+        let mut h = base.clone();
+        ops::axpy(&mut h, &m_cr, k);
+        h.set(1, 3, f32::NAN); // in a lane
+        h.set(2, 35, f32::NAN); // in the tail
+        h.set(3, 20, f32::INFINITY);
+        h.set(4, 36, f32::NEG_INFINITY);
+        let cps = Quantized::compress(&h, 4).decompress();
+        let (want, want_totals) = selector_reference(&base, &m_cr, k, &h, &cps);
+        assert_eq!(want_totals.selected, [4, 2, 0], "rows 0 and 5 are predicted");
+        assert!(want_totals.recon_l1.is_nan() && want_totals.pdt_l1.is_nan());
+        for v in 1..5 {
+            assert_eq!(
+                bit_patterns(&want).chunks(cols).nth(v),
+                bit_patterns(&cps).chunks(cols).nth(v)
+            );
+        }
+        for tier in isa::Tier::supported() {
+            let mut out = cps.clone();
+            let sweep = SelectorSweep { base: &base, m_cr: &m_cr, k, h_rows: &h, out: &mut out };
+            let totals = isa::dispatch_on(tier, sweep);
+            assert_eq!(totals_bits(totals), totals_bits(want_totals), "{tier}");
+            assert_eq!(bit_patterns(&out), bit_patterns(&want), "{tier}");
+        }
+    }
+
+    /// What EC-degrade is told a lost reply costs is what the prediction it
+    /// substitutes measures — `Σ_v d_pdt[v]` out of the sweep equals
+    /// [`rowwise_l1_total`] of [`TrendState::predict`] bit for bit — and
+    /// `degrade` puts exactly that prediction in the reply's place.
+    #[test]
+    fn the_sweep_prices_the_fallback_the_link_degrades_to() {
+        let steps = drifting_rows(9, 47, 8, 21, 0.08);
+        let mut link = FpLink::new(
+            FpMode::ReqEc { bits: 4, t_tr: 5, adaptive: false },
+            Granularity::Vertex,
+            true,
+        );
+        let mut buf = MessageBuffers::with_reply(Matrix::zeros(0, 0));
+        let mut offered = 0;
+        for (t, h) in steps.iter().enumerate() {
+            buf.exact.clone_from(h);
+            let reply = link.respond(&mut buf, 4, t, true);
+            let FpLink::ReqEc { trend, .. } = &link else { unreachable!() };
+            let boundary = t == 0 || (t + 1) % 5 == 0;
+            assert_eq!(reply.fallback_l1.is_none(), boundary, "t={t}");
+            if let Some(fallback_l1) = reply.fallback_l1 {
+                let pdt = trend.predict(t).expect("a non-boundary step has a trend group");
+                assert_eq!(fallback_l1.to_bits(), rowwise_l1_total(&pdt, h).to_bits(), "t={t}");
+                link.degrade(t, &mut buf.reply);
+                assert_eq!(bit_patterns(&buf.reply), bit_patterns(&pdt), "t={t}");
+                offered += 1;
+            }
+        }
+        assert_eq!(offered, 6);
+        // Without the policy nothing is offered.
+        buf.exact.clone_from(&steps[1]);
+        assert!(link.respond(&mut buf, 4, 8, false).fallback_l1.is_none());
+    }
+
     proptest::proptest! {
+        /// The dispatched sweep, `stats::rowwise_l1_distance` and
+        /// `rowwise_l1_total` against the plain-indexing references, bit for
+        /// bit at every tier the host supports: rows narrower than a chunk,
+        /// exact chunks, 41/47-wide rows and tails, empty messages, every
+        /// Bit-Tuner width, and NaN / ±Inf planted in `H`, `H_base` or
+        /// `M_cr` (so single candidates go non-finite too).
+        #[test]
+        fn dispatched_sweep_equals_the_lane_reference_at_every_tier(
+            rows in 0usize..=9,
+            cols in 1usize..=80,
+            width in 0usize..5,
+            k in 1usize..6,
+            seed in proptest::prelude::any::<u64>(),
+            noise in 0.0f32..0.3,
+            planted in proptest::collection::vec((0usize..3, 0usize..720, 0usize..3), 0..4),
+        ) {
+            let mut operands = [
+                drifting_rows(rows, cols, 1, seed, noise).remove(0),
+                ec_tensor::init::uniform(rows, cols, 0.0, 1.0, seed ^ 0x55),
+                ec_tensor::init::uniform(rows, cols, -0.05, 0.05, seed ^ 0xAA),
+            ];
+            for (which, at, value) in planted {
+                if rows > 0 {
+                    let value = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][value];
+                    operands[which].as_mut_slice()[at % (rows * cols)] = value;
+                }
+            }
+            let [h, base, m_cr] = operands;
+            let k = k as f32;
+            let cps = Quantized::compress(&h, [1u8, 2, 4, 8, 16][width]).decompress();
+            let (want, want_totals) = selector_reference(&base, &m_cr, k, &h, &cps);
+            let want_rows = rowwise_l1_lanes_reference(&cps, &h);
+            let mut want_total = 0.0f32;
+            for d in &want_rows {
+                want_total += d;
+            }
+            let row_bits = |d: &[f32]| d.iter().map(|&x| canonical_bits(x)).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(
+                row_bits(&stats::rowwise_l1_distance(&cps, &h)),
+                row_bits(&want_rows)
+            );
+            for tier in isa::Tier::supported() {
+                let mut out = cps.clone();
+                let sweep = SelectorSweep { base: &base, m_cr: &m_cr, k, h_rows: &h, out: &mut out };
+                let totals = isa::dispatch_on(tier, sweep);
+                proptest::prop_assert_eq!(totals_bits(totals), totals_bits(want_totals), "{}", tier);
+                proptest::prop_assert_eq!(bit_patterns(&out), bit_patterns(&want), "{}", tier);
+                let total = isa::dispatch_on(
+                    tier,
+                    #[inline(always)]
+                    || rowwise_l1_total_kernel(&cps, &h),
+                );
+                proptest::prop_assert_eq!(canonical_bits(total), canonical_bits(want_total), "{}", tier);
+            }
+        }
+
         #[test]
         fn fused_vertex_pass_equals_the_reference_on_drawn_sequences(
             rows in 1usize..14,

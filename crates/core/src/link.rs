@@ -19,6 +19,7 @@ use crate::exec::{Cluster, REQUEST_BYTES};
 use crate::fp::{self, FpLink};
 use ec_comm::stats::Channel;
 use ec_comm::{HostTimer, SendError};
+use ec_compress::Quantized;
 use ec_tensor::Matrix;
 use ec_trace::registry::labels;
 use ec_trace::{MetricId, TelemetryLevel, TelemetrySink};
@@ -33,27 +34,60 @@ pub(crate) enum Direction {
     Backward,
 }
 
-/// What a link's policy answers a request with.
-pub(crate) struct Reply {
+/// The buffers a message passes through on its way across a link, reused
+/// from one message to the next: once each has grown to the largest message,
+/// gathering, packing and decoding allocate nothing.
+pub(crate) struct MessageBuffers {
+    /// The owner's exact rows, gathered.
+    pub exact: Matrix,
     /// The rows the requester reconstructs.
-    pub rows: Matrix,
+    pub reply: Matrix,
+    /// The packed message in between, where the link's policy quantizes.
+    pub codec: Quantized,
+}
+
+impl MessageBuffers {
+    /// Empty buffers around `reply`: the workspace starts from `0 × 0`, the
+    /// allocating entry points hand in zeros of the message's shape (one
+    /// `calloc`, as cheap as a buffer gets when it is used once).
+    pub(crate) fn with_reply(reply: Matrix) -> Self {
+        Self { exact: Matrix::zeros(0, 0), reply, codec: Quantized::compress_row(&[], 1) }
+    }
+}
+
+/// `C_bits(m)` into `codec` and its reconstruction into `out`; returns the
+/// bytes on the wire (an empty message ships nothing).
+pub(crate) fn round_trip(m: &Matrix, bits: u8, codec: &mut Quantized, out: &mut Matrix) -> u64 {
+    if m.rows() == 0 {
+        out.clone_from(m);
+        return 0;
+    }
+    codec.assign(m, bits);
+    out.reshape_for_overwrite(m.rows(), m.cols());
+    codec.decompress_into(out.as_mut_slice());
+    codec.wire_size() as u64
+}
+
+/// What a link's policy says about the reply it left in
+/// [`MessageBuffers::reply`].
+pub(crate) struct Reply {
     /// Bytes on the wire.
     pub wire: u64,
-    /// L1 distance of `rows` from the exact rows (0 where they are exact,
+    /// L1 distance of the reply from the exact rows (0 where they are exact,
     /// and for gradients, whose error the residual tracks instead).
     pub recon_l1: f32,
     /// Selector decision counts, when a Selector ran.
     pub selected: Option<[u32; 3]>,
-    /// EC-degrade: the rows (and their L1 distance) the requester falls back
-    /// to when the reply does not arrive within the cluster's attempt bound
-    /// — the zero-payload prediction `Ĥ_pdt = H_base + M_cr·k`.
-    pub fallback: Option<(Matrix, f32)>,
+    /// EC-degrade: present when the requester can do without this reply, and
+    /// then the L1 distance of what [`FpLink::degrade`] puts in its place if
+    /// it does not arrive within the cluster's attempt bound.
+    pub fallback_l1: Option<f32>,
 }
 
 impl Reply {
-    /// A reply with nothing to report beyond its rows and size.
-    pub(crate) fn plain(rows: Matrix, wire: u64) -> Self {
-        Self { rows, wire, recon_l1: 0.0, selected: None, fallback: None }
+    /// A reply with nothing to report beyond its size.
+    pub(crate) fn plain(wire: u64) -> Self {
+        Self { wire, recon_l1: 0.0, selected: None, fallback_l1: None }
     }
 }
 
@@ -77,9 +111,33 @@ struct Link {
 pub(crate) struct CompensationState {
     /// `layers[l - 2]` = the links of exchange layer `l`, in message order.
     layers: Vec<Vec<Link>>,
+    /// `remote_rows[l - 2][w]` = rows of worker `w`'s remote operand in
+    /// exchange layer `l`.
+    remote_rows: Vec<Vec<usize>>,
     /// Current ReqEC bit width per `[requester][owner]`, shared by the
     /// pair's links across layers.
     pub fp_bits: Vec<Vec<u8>>,
+}
+
+/// Everything an exchange writes that no later exchange reads: the engine
+/// holds one beside the link table, outside [`CompensationState`], so a
+/// snapshot neither clones nor restores it, and it is sized by the first
+/// exchange that uses it rather than at construction.
+pub(crate) struct ExchangeWorkspace {
+    /// `remotes[worker]`: the remote operand of the exchange in flight. An
+    /// exchange's operands are consumed by the compute superstep that
+    /// follows it, so every exchange reshapes the same `W` buffers — small
+    /// enough to stay cache-resident — and none is ever re-zeroed: each row
+    /// is overwritten by its link's reply, retry or fallback
+    /// ([`CompensationState::new`] checks that the links cover them all).
+    remotes: Vec<Matrix>,
+    message: MessageBuffers,
+}
+
+impl ExchangeWorkspace {
+    pub(crate) fn new() -> Self {
+        Self { remotes: Vec::new(), message: MessageBuffers::with_reply(Matrix::zeros(0, 0)) }
+    }
 }
 
 /// Diagnostics of the current epoch only; reset by assignment when an
@@ -103,6 +161,9 @@ impl CompensationState {
     /// `config`.
     pub(crate) fn new(contexts: &[WorkerContext], config: &TrainingConfig) -> Self {
         let num_layers = config.num_layers();
+        let remote_rows = (2..=num_layers)
+            .map(|l| contexts.iter().map(|ctx| ctx.layers[l - 1].remote_deps.len()).collect())
+            .collect();
         let layers = (2..=num_layers)
             .map(|l| {
                 let fp = FpLink::new(config.fp_mode, config.reqec_granularity, l == num_layers);
@@ -110,8 +171,17 @@ impl CompensationState {
                 let mut links = Vec::new();
                 for ctx in contexts {
                     let topo = &ctx.layers[l - 1];
+                    // Remote operands persist without a zero fill, so every
+                    // remote row must be some link's to overwrite.
+                    let mut covered = vec![false; topo.remote_deps.len()];
                     for (owner, deps) in topo.deps_by_owner.iter().enumerate() {
                         if !deps.is_empty() && owner != ctx.worker_id {
+                            let scatter = &topo.scatter_rows[owner];
+                            assert_eq!(scatter.len(), topo.gather_rows[owner].len());
+                            for &row in scatter {
+                                assert!(!covered[row], "remote row {row} belongs to two links");
+                                covered[row] = true;
+                            }
                             links.push(Link {
                                 requester: ctx.worker_id,
                                 owner,
@@ -121,6 +191,7 @@ impl CompensationState {
                             });
                         }
                     }
+                    assert!(covered.iter().all(|&c| c), "a remote row belongs to no link");
                 }
                 links
             })
@@ -130,7 +201,7 @@ impl CompensationState {
             _ => 16,
         };
         let fp_bits = vec![vec![init_bits; contexts.len()]; contexts.len()];
-        Self { layers, fp_bits }
+        Self { layers, remote_rows, fp_bits }
     }
 
     /// `(exchange layer, ‖δ‖²)` of every live BP residual, in link order.
@@ -144,15 +215,16 @@ impl CompensationState {
     /// link's owner `j` gathers its rows of `source(j)`, the link's policy
     /// answers, request and reply cross the network, and requester `i`
     /// scatters what it reconstructs into its remote operand. Returns the
-    /// remote operands indexed by worker.
-    pub(crate) fn exchange<'a>(
+    /// remote operands indexed by worker, which live in `ws`.
+    pub(crate) fn exchange<'a, 'w>(
         &mut self,
+        ws: &'w mut ExchangeWorkspace,
         cluster: &mut Cluster,
         counters: &mut EpochCounters,
         dir: Direction,
         l: usize,
         source: impl Fn(usize) -> &'a Matrix,
-    ) -> Vec<Matrix> {
+    ) -> &'w [Matrix] {
         use Direction::{Backward, Forward};
         let t = cluster.epoch;
         let measure = cluster.steps.telemetry.enabled(TelemetryLevel::Superstep);
@@ -161,23 +233,20 @@ impl CompensationState {
             Backward => (Channel::Backward, MetricId::BpWireBytes),
         };
         let degrade = cluster.degrade_attempts;
-        // A worker without a link keeps an empty remote operand.
         let cols = source(0).cols();
-        let mut remotes = vec![Matrix::zeros(0, cols); self.fp_bits.len()];
+        let ExchangeWorkspace { remotes, message } = ws;
+        remotes.resize(self.fp_bits.len(), Matrix::zeros(0, 0));
+        for (remote, &rows) in remotes.iter_mut().zip(&self.remote_rows[l - 2]) {
+            remote.reshape_for_overwrite(rows, cols);
+        }
         counters.fp_selected.resize(self.layers.len(), None);
         for link in &mut self.layers[l - 2] {
             let (i, j) = (link.requester, link.owner);
-            if remotes[i].rows() == 0 {
-                remotes[i] = Matrix::zeros(link.topo.remote_deps.len(), cols);
-            }
             let pack_timer = measure.then(HostTimer::start);
-            let exact = source(j).gather_rows(&link.topo.gather_rows[j]);
+            source(j).gather_rows_into(&link.topo.gather_rows[j], &mut message.exact);
             let reply = match dir {
-                Forward => link.fp.respond(exact, self.fp_bits[i][j], t, degrade.is_some()),
-                Backward => {
-                    let (rows, wire) = link.bp.respond(exact);
-                    Reply::plain(rows, wire)
-                }
+                Forward => link.fp.respond(message, self.fp_bits[i][j], t, degrade.is_some()),
+                Backward => Reply::plain(link.bp.respond(message)),
             };
             cluster.steps.pack_s += pack_timer.map_or(0.0, |tm| tm.elapsed_s());
             if let Some(selected) = reply.selected {
@@ -190,22 +259,23 @@ impl CompensationState {
             let lbl = labels(&[t as u32]);
             cluster.steps.telemetry.observe(wire_metric, lbl, reply.wire as f64);
             // A bounded wait only where a fallback stands by; else retry.
-            let attempts = reply.fallback.as_ref().and(degrade);
+            let attempts = reply.fallback_l1.and(degrade);
             let delivery = cluster.network.send_within(attempts, j, i, channel, reply.wire);
-            let (rows, recon_l1) = match (delivery, reply.fallback) {
-                (Err(err), Some(fallback)) => {
+            let unpack_timer = measure.then(HostTimer::start);
+            let recon_l1 = match (delivery, reply.fallback_l1) {
+                (Err(err), Some(fallback_l1)) => {
                     match err {
                         SendError::Corrupted => counters.fp_degraded_corrupt += 1,
                         SendError::Dropped => counters.fp_degraded_drop += 1,
                     }
-                    fallback
+                    link.fp.degrade(t, &mut message.reply);
+                    fallback_l1
                 }
-                _ => (reply.rows, reply.recon_l1),
+                _ => reply.recon_l1,
             };
             counters.fp_recon_err += recon_l1 as f64;
-            let unpack_timer = measure.then(HostTimer::start);
             for (k, &row) in link.topo.scatter_rows[j].iter().enumerate() {
-                remotes[i].set_row(row, rows.row(k));
+                remotes[i].set_row(row, message.reply.row(k));
             }
             cluster.steps.unpack_s += unpack_timer.map_or(0.0, |tm| tm.elapsed_s());
         }
@@ -255,6 +325,7 @@ mod tests {
         let contexts = build_worker_contexts(&adjs, &partition);
         let mut comp = CompensationState::new(&contexts, &config);
         let mut cluster = Cluster::new(&config);
+        let mut ws = ExchangeWorkspace::new();
         let mut counters = EpochCounters::default();
         assert_eq!(comp.layers.len(), 2, "exchange layers are 2..=L");
 
@@ -278,10 +349,11 @@ mod tests {
 
             for dir in [Direction::Forward, Direction::Backward] {
                 let before = cluster.network.total_stats().messages;
-                let remotes = comp.exchange(&mut cluster, &mut counters, dir, l, |j| &sources[j]);
+                let remotes =
+                    comp.exchange(&mut ws, &mut cluster, &mut counters, dir, l, |j| &sources[j]);
                 let sent = cluster.network.total_stats().messages - before;
                 assert_eq!(sent, 2 * want.len() as u64, "layer {l} {dir:?}");
-                for (ctx, remote) in contexts.iter().zip(&remotes) {
+                for (ctx, remote) in contexts.iter().zip(remotes) {
                     assert_eq!(remote, &global.gather_rows(&ctx.layers[l - 1].remote_deps));
                 }
             }

@@ -17,11 +17,24 @@
 /// assert_eq!(c, a);
 /// assert_eq!(a.row(1), &[3.0, 4.0]);
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Self { rows: self.rows, cols: self.cols, data: self.data.clone() }
+    }
+
+    /// Copies `source` into `self`'s buffer, which is reallocated only when
+    /// it is too small — how a reusable message buffer takes a matrix.
+    fn clone_from(&mut self, source: &Self) {
+        (self.rows, self.cols) = (source.rows, source.cols);
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl Matrix {
@@ -190,11 +203,28 @@ impl Matrix {
     /// This is the `gather` used when a worker assembles the embeddings of a
     /// requested remote-vertex set.
     pub fn gather_rows(&self, indices: &[usize]) -> Self {
-        let mut data = Vec::with_capacity(indices.len() * self.cols);
+        let mut out = Self::zeros(0, self.cols);
+        self.gather_rows_into(indices, &mut out);
+        out
+    }
+
+    /// [`Self::gather_rows`] into `out`, whose buffer is reused: once it has
+    /// grown to the largest message, gathering allocates nothing.
+    pub fn gather_rows_into(&self, indices: &[usize], out: &mut Matrix) {
+        out.data.clear();
+        out.data.reserve(indices.len() * self.cols);
         for &src in indices {
-            data.extend_from_slice(self.row(src));
+            out.data.extend_from_slice(self.row(src));
         }
-        Self { rows: indices.len(), cols: self.cols, data }
+        (out.rows, out.cols) = (indices.len(), self.cols);
+    }
+
+    /// Makes `self` a `rows × cols` matrix in the buffer it already owns,
+    /// for a caller about to overwrite every entry: the entries are whatever
+    /// the buffer held (zeros where it had to grow), never re-zeroed.
+    pub fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0.0);
+        (self.rows, self.cols) = (rows, cols);
     }
 
     /// Vertically stacks `self` on top of `other`.
@@ -295,6 +325,24 @@ mod tests {
         let g = m.gather_rows(&[2, 0]);
         assert_eq!(g.row(0), &[3., 3.]);
         assert_eq!(g.row(1), &[1., 1.]);
+    }
+
+    #[test]
+    fn reused_buffers_take_any_shape_without_reallocating() {
+        let m = Matrix::from_fn(5, 3, |r, c| (r * 3 + c) as f32);
+        let mut buf = Matrix::zeros(0, 0);
+        m.gather_rows_into(&[4, 0, 4, 2], &mut buf);
+        assert_eq!(buf, m.gather_rows(&[4, 0, 4, 2]));
+        let storage = buf.as_slice().as_ptr();
+        m.gather_rows_into(&[1], &mut buf);
+        assert_eq!(buf, m.gather_rows(&[1]));
+        buf.reshape_for_overwrite(2, 5);
+        assert_eq!((buf.shape(), buf.len()), ((2, 5), 10));
+        buf.clone_from(&Matrix::filled(3, 4, 7.0));
+        assert_eq!(buf, Matrix::filled(3, 4, 7.0));
+        m.gather_rows_into(&[], &mut buf);
+        assert_eq!(buf.shape(), (0, 3));
+        assert_eq!(buf.as_slice().as_ptr(), storage, "the first gather sized the buffer");
     }
 
     #[test]

@@ -23,14 +23,71 @@ pub fn l2_norm_sq(m: &Matrix) -> f32 {
     m.as_slice().iter().map(|x| x * x).sum()
 }
 
+/// Lanes of a row's L1 distance ([`row_l1_distance`]): sixteen independent
+/// partial sums, so the reduction is four (SSE), two (AVX2) or one (AVX-512)
+/// vector add per sixteen columns instead of one serial dependency chain.
+/// The same sixteen at every instruction-set tier, like [`min_max`]'s — a
+/// float sum depends on its order, so the order is fixed here, in the
+/// source, and not left to the vector width.
+pub const L1_LANES: usize = 16;
+
+/// Folds the sixteen lane sums of a distance by one fixed tree:
+/// `b[u] = a[u] + a[u+8]`, `s[u] = b[u] + b[u+4]`, `(s0 + s2) + (s1 + s3)`.
+#[inline(always)]
+pub fn fold_l1_lanes(a: [f32; L1_LANES]) -> f32 {
+    let b: [f32; 8] = std::array::from_fn(|u| a[u] + a[u + 8]);
+    let s: [f32; 4] = std::array::from_fn(|u| b[u] + b[u + 4]);
+    (s[0] + s[2]) + (s[1] + s[3])
+}
+
+/// `Σ_i |a[i] − b[i]|` of one row (paper Eq. 10) in the **lane order** every
+/// Selector distance and reconstruction-error figure of this workspace is
+/// summed in: lane `j` adds the columns `≡ j (mod 16)` of the full
+/// 16-column chunks in ascending order, [`fold_l1_lanes`] folds the lanes,
+/// and the `len % 16` tail columns are then added in ascending order. A row
+/// narrower than sixteen columns is therefore summed left to right.
+///
+/// A kernel body: `#[inline(always)]`, to be called under an
+/// [`isa::dispatch`] — the order is the same at every tier, only the
+/// registers the lanes sit in change.
+///
+/// # Panics
+/// Panics if the rows differ in length.
+#[inline(always)]
+pub fn row_l1_distance(a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(a.len(), b.len(), "row_l1_distance length mismatch");
+    let full = a.len() / L1_LANES * L1_LANES;
+    let ((a, a_tail), (b, b_tail)) = (a.split_at(full), b.split_at(full));
+    let mut lanes = [0.0f32; L1_LANES];
+    for (ca, cb) in a.chunks_exact(L1_LANES).zip(b.chunks_exact(L1_LANES)) {
+        for u in 0..L1_LANES {
+            lanes[u] += (ca[u] - cb[u]).abs();
+        }
+    }
+    let mut distance = fold_l1_lanes(lanes);
+    for (x, y) in a_tail.iter().zip(b_tail) {
+        distance += (x - y).abs();
+    }
+    distance
+}
+
 /// Row-wise L1 distance between two equally-shaped matrices:
-/// `out[v] = Σ_i |a[v,i] - b[v,i]|` (paper Eq. 10).
+/// `out[v] = Σ_i |a[v,i] - b[v,i]|` (paper Eq. 10), each row summed by
+/// [`row_l1_distance`].
 pub fn rowwise_l1_distance(a: &Matrix, b: &Matrix) -> Vec<f32> {
     assert_eq!(a.shape(), b.shape(), "rowwise_l1_distance shape mismatch");
-    a.rows_iter()
-        .zip(b.rows_iter())
-        .map(|(ra, rb)| ra.iter().zip(rb).map(|(x, y)| (x - y).abs()).sum())
-        .collect()
+    isa::dispatch(
+        #[inline(always)]
+        || {
+            a.rows_iter()
+                .zip(b.rows_iter())
+                .map(
+                    #[inline(always)]
+                    |(ra, rb)| row_l1_distance(ra, rb),
+                )
+                .collect()
+        },
+    )
 }
 
 /// Lanes of the [`min_max`] scan: sixteen independent running bounds, so
@@ -124,7 +181,9 @@ pub fn mean(m: &Matrix) -> f32 {
 
 /// Index of the minimum value of a slice (first occurrence).
 ///
-/// Used by the Selector: `argmin(S)` over the three candidate distances.
+/// Used by the Selector: `argmin(S)` over the three candidate distances,
+/// once per row inside its dispatched sweep — hence `#[inline(always)]`.
+#[inline(always)]
 pub fn argmin(values: &[f32]) -> usize {
     assert!(!values.is_empty(), "argmin of empty slice");
     let mut best = 0;
@@ -155,6 +214,33 @@ mod tests {
         let a = Matrix::from_rows(&[vec![1., 2.], vec![0., 0.]]);
         let b = Matrix::from_rows(&[vec![1., 0.], vec![3., -1.]]);
         assert_eq!(rowwise_l1_distance(&a, &b), vec![2.0, 4.0]);
+    }
+
+    /// The sum is in lane order, not left to right, at every tier: 2^24
+    /// absorbs sixteen 1.0s added one at a time, but not the 2s, 4s and 8
+    /// the fold tree hands it, nor the tail's 3.0.
+    #[test]
+    fn row_l1_distance_sums_in_lane_order() {
+        let mut a = [1.0f32; 19];
+        (a[0], a[18]) = (16_777_216.0, 3.0);
+        let zero = [0.0f32; 19];
+        assert_eq!(a.iter().sum::<f32>(), 16_777_220.0, "left to right");
+        for tier in Tier::supported() {
+            let at = |n: usize| {
+                isa::dispatch_on(
+                    tier,
+                    #[inline(always)]
+                    || row_l1_distance(&a[..n], &zero[..n]),
+                )
+            };
+            // b0 = 2^24 + 1 → 2^24; s0 = 2^24 + 2; (s0 + 4) + (4 + 4).
+            assert_eq!(at(16), 16_777_230.0, "{tier}");
+            // Tail, one column at a time: + 1 → …232 (ties to even), + 1
+            // absorbed, + 3 → …236.
+            assert_eq!(at(19), 16_777_236.0, "{tier}");
+            // Fewer than sixteen columns: no lanes, left to right.
+            assert_eq!(at(15), 16_777_216.0, "{tier}");
+        }
     }
 
     #[test]

@@ -16,8 +16,9 @@
 # unit tests and `perf --smoke` — so a product-crate signature change
 # that breaks the benchmark fails here, not in the next benchmark run. It
 # first re-runs the compute kernels' Tier-1 anchor in release, the build
-# the benchmark measures, and times one dense product and one codec pass
-# per instruction-set tier the host supports (a table; a wider tier slower
+# the benchmark measures, and times one dense product, one codec pass and
+# the ReqEC step (decode + Selector sweep, at 64 and 16 columns) per
+# instruction-set tier the host supports (a table; a wider tier slower
 # than the baseline tier fails — the signature of a kernel body that was
 # not inlined into its #[target_feature] entry point).
 set -euo pipefail

@@ -2,48 +2,21 @@
 //! `answer_batch` — warm workspace, warm cache, 8-bit fetches still
 //! happening — allocates its answer matrix and nothing else.
 //!
-//! Integration tests are separate binaries, so this one can install its own
-//! counting `#[global_allocator]` without touching any other test. It holds
-//! exactly one `#[test]`: nothing else in the process allocates while the
-//! counter is read.
-#![allow(
-    clippy::disallowed_types,
-    reason = "a #[global_allocator] is shared by every thread: its counter is an atomic"
-)]
+//! Integration tests are separate binaries, so this one can install the
+//! counting `#[global_allocator]` of `tests/counting_alloc` without touching
+//! any other test. It holds exactly one `#[test]`: nothing else in the
+//! process allocates while the counter is read.
 
+mod counting_alloc;
+
+use counting_alloc::allocations;
 use ec_graph_repro::data::DatasetSpec;
 use ec_graph_repro::ecgraph::config::TrainingConfig;
 use ec_graph_repro::ecgraph::engine::DistributedEngine;
 use ec_graph_repro::partition::hash::HashPartitioner;
 use ec_graph_repro::partition::Partitioner;
 use ec_graph_repro::serve::{InferenceService, ServeConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// The system allocator, counting calls. `alloc_zeroed` and `realloc` keep
-/// their default bodies, which go through `alloc`.
-struct Counting;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers to `System` for every operation; the counter has no
-// bearing on the memory handed out.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's contract, passed through unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 const WORKERS: usize = 4;
 
@@ -91,7 +64,7 @@ fn steady_state_batches_allocate_only_their_answer() {
         }
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let (mut fetched, mut hits) = (0u64, 0u64);
     for (w, ids) in &batches {
         let (logits, cost) = svc.answer_batch(*w, ids).expect("valid batch");
@@ -99,7 +72,7 @@ fn steady_state_batches_allocate_only_their_answer() {
         fetched += cost.fetch_rows;
         hits += cost.cache_hits;
     }
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = allocations() - before;
 
     assert!(
         fetched > 0 && hits > 0,
