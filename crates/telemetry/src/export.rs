@@ -1,7 +1,6 @@
-//! Exporters: Chrome `trace_event` JSON, flat JSONL, standalone metrics
-//! JSON.
+//! Exporters: Chrome `trace_event` JSON and standalone metrics JSON.
 //!
-//! All three render a [`TelemetryReport`], whose spans and rows are
+//! Both render a [`TelemetryReport`], whose spans and rows are
 //! already in deterministic order — the exporters add no ordering of
 //! their own, so exported bytes are identical whenever reports are.
 //! Timestamps convert from the report's seconds to the microseconds
@@ -118,44 +117,6 @@ pub fn chrome_trace_json(report: &TelemetryReport) -> String {
     chrome_trace(report).to_string()
 }
 
-/// Renders the report as a flat JSONL event log: one JSON object per
-/// line — spans (in merged track order) first, then metric rows.
-pub fn jsonl(report: &TelemetryReport) -> String {
-    let mut out = String::new();
-    for ev in &report.spans {
-        let line = json!({
-            "type": "span",
-            "name": ev.name,
-            "cat": ev.cat,
-            "track": ev.track,
-            "start_s": Value::Float(ev.start_s),
-            "dur_s": Value::Float(ev.dur_s),
-            "args": span_args(ev),
-        });
-        out.push_str(&line.to_string());
-        out.push('\n');
-    }
-    for row in &report.rows {
-        let mut line = metric_row(row);
-        if let Value::Object(fields) = &mut line {
-            fields.insert(0, ("type".to_string(), json!("metric")));
-        }
-        out.push_str(&line.to_string());
-        out.push('\n');
-    }
-    out
-}
-
-/// Reads a JSONL event log back: every non-empty line is one JSON value,
-/// and the first malformed line is reported by number.
-pub fn parse_jsonl(text: &str) -> Result<Vec<Value>, String> {
-    text.lines()
-        .enumerate()
-        .filter(|(_, line)| !line.trim().is_empty())
-        .map(|(i, line)| serde_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 1)))
-        .collect()
-}
-
 /// Renders the metric rows (plus run-level context) as a standalone
 /// metrics JSON document.
 pub fn metrics_json(report: &TelemetryReport) -> String {
@@ -204,25 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_emits_spans_then_metrics_one_per_line() {
-        let rep = sample_report();
-        let text = jsonl(&rep);
-        let lines = parse_jsonl(&text).expect("valid JSONL").len();
-        assert_eq!(lines, 2 + rep.rows.len());
-        let first = text.lines().next().expect("nonempty");
-        assert!(first.starts_with(r#"{"type":"span","name":"fp:compute""#));
-        assert!(text.contains(r#"{"type":"metric","name":"selector.pdt","kind":"counter","unit":"decisions","labels":{"epoch":0,"layer":2},"value":17}"#));
-        assert!(text.contains(r#"{"type":"metric","name":"fp.wire_bytes","kind":"histogram","unit":"bytes","labels":{"epoch":0},"value":{"count":2,"sum":192.0,"min":64.0,"max":128.0}}"#));
-    }
-
-    #[test]
-    fn parse_jsonl_skips_blank_lines_and_reports_the_bad_one() {
-        assert_eq!(parse_jsonl("{\"a\":1}\n\n[2]\n").map(|v| v.len()), Ok(2));
-        let err = parse_jsonl("{}\nnope\n").expect_err("bad line");
-        assert!(err.starts_with("line 2:"), "{err}");
-    }
-
-    #[test]
     fn metrics_json_is_standalone_and_valid() {
         let rep = sample_report();
         let text = metrics_json(&rep);
@@ -236,6 +178,5 @@ mod tests {
         let rep = TelemetrySink::new(&TelemetryConfig::default(), 1).report();
         serde_json::from_str(&chrome_trace_json(&rep)).expect("valid trace");
         serde_json::from_str(&metrics_json(&rep)).expect("valid metrics");
-        assert_eq!(parse_jsonl(&jsonl(&rep)), Ok(Vec::new()));
     }
 }

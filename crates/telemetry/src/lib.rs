@@ -19,15 +19,11 @@
 //! * [`report`] — [`TelemetryReport`], the immutable snapshot attached to
 //!   a finished run;
 //! * [`export`] — Chrome `trace_event` JSON (loadable in
-//!   `chrome://tracing` / Perfetto), a flat JSONL event log, and a
-//!   standalone metrics JSON;
+//!   `chrome://tracing` / Perfetto) and a standalone metrics JSON;
 //! * [`timeline`] — compute / comm-serialize / comm-wire / idle-wait
 //!   attribution over the span stream, with a flamegraph-compatible
 //!   folded-stack export and the overlap-headroom figure the async
-//!   engine refactor must beat;
-//! * [`diff`] — structural cross-run diffing of metrics/bench JSON with
-//!   improved/regressed/unchanged classification (the `trace_diff` bin
-//!   and `ecgraph compare`).
+//!   engine refactor must beat.
 //!
 //! ## Determinism contract
 //!
@@ -46,7 +42,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::todo, clippy::unimplemented)]
 
-pub mod diff;
 pub mod export;
 pub mod registry;
 pub mod report;
@@ -81,8 +76,8 @@ pub enum TelemetryLevel {
     /// Adds per-superstep comm/compute timing rows and host-measured
     /// pack/unpack phase accounting.
     Superstep,
-    /// Adds span events on the per-track ring buffers (Chrome-trace /
-    /// JSONL export).
+    /// Adds span events on the per-track ring buffers (Chrome-trace
+    /// export).
     Trace,
 }
 
@@ -112,33 +107,17 @@ impl std::str::FromStr for TelemetryLevel {
     }
 }
 
-/// Telemetry knobs carried on the training configuration.
+/// Telemetry settings carried on the training configuration.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Recording level; [`TelemetryLevel::Off`] by default.
     pub level: TelemetryLevel,
-    /// Span-ring capacity per track at [`TelemetryLevel::Trace`]
-    /// (`0` = the default of 65 536 events). When a ring fills, the oldest
-    /// events are overwritten and counted as dropped.
-    pub ring_capacity: usize,
 }
 
 impl TelemetryConfig {
-    /// Default ring capacity per track.
-    pub const DEFAULT_RING_CAPACITY: usize = 65_536;
-
-    /// Convenience constructor for a given level with default capacity.
+    /// Convenience constructor for a given level.
     pub fn at(level: TelemetryLevel) -> Self {
-        Self { level, ring_capacity: 0 }
-    }
-
-    /// The ring capacity with the `0 = default` convention resolved.
-    pub fn resolved_ring_capacity(&self) -> usize {
-        if self.ring_capacity == 0 {
-            Self::DEFAULT_RING_CAPACITY
-        } else {
-            self.ring_capacity
-        }
+        Self { level }
     }
 }
 
@@ -200,16 +179,6 @@ mod tests {
             assert_eq!(l.as_str().parse::<TelemetryLevel>(), Ok(l));
         }
         assert!("verbose".parse::<TelemetryLevel>().is_err());
-    }
-
-    #[test]
-    fn config_resolves_ring_capacity() {
-        assert_eq!(
-            TelemetryConfig::default().resolved_ring_capacity(),
-            TelemetryConfig::DEFAULT_RING_CAPACITY
-        );
-        let c = TelemetryConfig { ring_capacity: 8, ..TelemetryConfig::default() };
-        assert_eq!(c.resolved_ring_capacity(), 8);
     }
 
     #[test]

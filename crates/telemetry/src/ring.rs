@@ -8,6 +8,9 @@
 
 use crate::span::SpanEvent;
 
+/// Events each track's ring retains at [`crate::TelemetryLevel::Trace`].
+pub const RING_CAPACITY: usize = 65_536;
+
 /// A circular buffer of spans with drop accounting.
 #[derive(Clone, Debug)]
 pub struct SpanRing {

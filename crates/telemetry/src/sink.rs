@@ -11,7 +11,7 @@
 
 use crate::registry::{labels, Labels, MetricId, MetricsRegistry};
 use crate::report::{MetricRow, TelemetryReport};
-use crate::ring::SpanRing;
+use crate::ring::{SpanRing, RING_CAPACITY};
 use crate::span::{SpanEvent, TrackLayout};
 use crate::{TelemetryConfig, TelemetryLevel};
 
@@ -38,7 +38,7 @@ impl TelemetrySink {
     pub fn new(config: &TelemetryConfig, workers: usize) -> Self {
         let layout = TrackLayout::new(workers);
         let rings = if config.level >= TelemetryLevel::Trace {
-            (0..layout.count()).map(|_| SpanRing::new(config.resolved_ring_capacity())).collect()
+            (0..layout.count()).map(|_| SpanRing::new(RING_CAPACITY)).collect()
         } else {
             Vec::new()
         };

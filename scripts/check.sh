@@ -6,9 +6,9 @@
 # CI runs exactly this script. Host performance is measured by perfbench/
 # (see BENCHMARK.json), not here.
 # Pass --trace-smoke to also drive the CLI end-to-end with the telemetry
-# exporters on and validate the emitted trace/metrics/timeline files, the
-# serving request-trace path, and an `ecgraph compare` self-vs-self run
-# (which must report all-unchanged).
+# exporters on (training and the serving request-trace path) and check that
+# every emitted trace/metrics/timeline file parses as JSON and carries the
+# series it must.
 # Pass --serve-smoke to also drive `ecgraph serve` end-to-end (fast path)
 # and validate the emitted serve report.
 # Pass --perf-smoke to also build the benchmark package (perfbench/, a
@@ -67,11 +67,11 @@ target/release/reproduce fig6 epoch=5 > /dev/null 2>&1 || repro_rc=$?
 [[ "$repro_rc" -eq 2 ]] \
   || { echo "a mistyped key must exit 2, not run the default (got $repro_rc)" >&2; exit 1; }
 
-echo "== CLI smoke (ecgraph: a typo, an unparsable value or layers=0 exits 2) =="
+echo "== CLI smoke (ecgraph: a typo, an unparsable value, layers=0 or an unknown subcommand exits 2) =="
 cargo build --release -q --bin ecgraph
-for bad in "train wrokers=3" "train hidden=abc" "serve layers=0"; do
+for bad in "train wrokers=3" "train hidden=abc" "serve layers=0" "compare a.json b.json" "bogus"; do
   cli_rc=0
-  # shellcheck disable=SC2086  # $bad is a subcommand and one argument
+  # shellcheck disable=SC2086  # $bad is a subcommand and its arguments
   target/release/ecgraph $bad > /dev/null 2>&1 || cli_rc=$?
   [[ "$cli_rc" -eq 2 ]] || { echo "ecgraph $bad must exit 2 (got $cli_rc)" >&2; exit 1; }
 done
@@ -84,8 +84,6 @@ if [[ "$RUN_TRACE_SMOKE" == "1" ]]; then
     dataset=cora vertices=150 workers=4 epochs=6 fp=reqec:2 bp=resec:4 \
     --quiet --trace-out "$SMOKE_DIR/trace.json" --metrics-out "$SMOKE_DIR/metrics.json" \
     --timeline-out "$SMOKE_DIR/timeline.json"
-  cargo run -q -p ec-trace --bin trace_check -- \
-    "$SMOKE_DIR/trace.json" "$SMOKE_DIR/metrics.json" "$SMOKE_DIR/timeline.json"
   for needle in selector.pdt resec.theorem1_bound traffic.link_bytes; do
     grep -q "$needle" "$SMOKE_DIR/metrics.json" \
       || { echo "metrics.json is missing $needle" >&2; exit 1; }
@@ -101,45 +99,15 @@ if [[ "$RUN_TRACE_SMOKE" == "1" ]]; then
   cargo run -q -p ec-graph-repro --bin ecgraph -- serve \
     dataset=cora vertices=150 workers=4 epochs=2 requests=200 \
     --quiet --trace-out "$SMOKE_DIR/serve_trace.json"
-  cargo run -q -p ec-trace --bin trace_check -- "$SMOKE_DIR/serve_trace.json"
   for needle in serve:fetch serve:compute; do
     grep -q "$needle" "$SMOKE_DIR/serve_trace.json" \
       || { echo "serve_trace.json is missing $needle spans" >&2; exit 1; }
   done
 
-  echo "== compare smoke (self-vs-self must be all-unchanged) =="
-  cargo run -q -p ec-graph-repro --bin ecgraph -- compare \
-    "$SMOKE_DIR/metrics.json" "$SMOKE_DIR/metrics.json" \
-    out="$SMOKE_DIR/verdict.json" > "$SMOKE_DIR/compare.txt"
-  grep -q 'verdict: unchanged' "$SMOKE_DIR/compare.txt" \
-    || { echo "self-compare must report all-unchanged" >&2; exit 1; }
-  cargo run -q -p ec-trace --bin trace_check -- "$SMOKE_DIR/verdict.json"
-
-  echo "== compare smoke (injected regression must exit 3) =="
-  # Copy the real metrics document and inflate one lower-is-better series
-  # (a `*bytes` traffic counter); `ecgraph compare` documents exit 0 for
-  # no regressions and exit 3 when at least one series regressed, so the
-  # doctored run must exit 3.
-  python3 - "$SMOKE_DIR/metrics.json" "$SMOKE_DIR/metrics_regressed.json" <<'PY'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-for entry in doc["metrics"]:
-    value = entry.get("value")
-    if "bytes" in entry.get("name", "") and isinstance(value, (int, float)) and value > 0:
-        entry["value"] = value * 10
-        break
-else:
-    raise SystemExit("metrics.json has no nonzero *bytes series to regress")
-with open(sys.argv[2], "w") as f:
-    json.dump(doc, f)
-PY
-  compare_rc=0
-  cargo run -q -p ec-graph-repro --bin ecgraph -- compare \
-    "$SMOKE_DIR/metrics.json" "$SMOKE_DIR/metrics_regressed.json" --quiet \
-    || compare_rc=$?
-  [[ "$compare_rc" -eq 3 ]] \
-    || { echo "regressed compare must exit 3 (got $compare_rc)" >&2; exit 1; }
+  echo "== trace smoke (every emitted document parses as JSON) =="
+  python3 -c 'import json,sys; [json.load(open(p)) for p in sys.argv[1:]]' \
+    "$SMOKE_DIR/trace.json" "$SMOKE_DIR/metrics.json" "$SMOKE_DIR/timeline.json" \
+    "$SMOKE_DIR/serve_trace.json"
 fi
 
 if [[ "$RUN_SERVE_SMOKE" == "1" ]]; then

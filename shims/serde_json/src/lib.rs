@@ -1,10 +1,10 @@
 //! Offline stand-in for `serde_json`: a [`Value`] tree, the [`json!`]
 //! constructor macro, RFC 8259 text output via `Display`/`to_string`, and
 //! a matching [`from_str`] parser with the upstream accessor surface
-//! (`get`, `as_*`, `Index`/`IndexMut`) — the one JSON reader behind
-//! `ecgraph compare`, `trace_diff`, `trace_check` and the benchmark's
-//! `--agree`. The parser is total over hostile text: nesting deeper than
-//! [`MAX_DEPTH`] is a typed [`Error`], not a stack overflow.
+//! (`get`, `as_*`, `Index`/`IndexMut`) — the one JSON reader behind the
+//! benchmark's `--agree` and the tests that parse exported documents. The
+//! parser is total over hostile text: nesting deeper than [`MAX_DEPTH`] is
+//! a typed [`Error`], not a stack overflow.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::iter_over_hash_type)]

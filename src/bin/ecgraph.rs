@@ -8,7 +8,6 @@
 //! ecgraph train dataset=cora workers=6 --timeline-out timeline.json
 //! ecgraph serve dataset=cora workers=4 epochs=5 requests=500 cache=256
 //! ecgraph serve dataset=cora workers=4 --trace-out serve_trace.json
-//! ecgraph compare before.json after.json rel=0.05 out=verdict.json
 //! ecgraph datasets            # list the built-in dataset replicas
 //! ```
 //!
@@ -21,8 +20,7 @@
 //! `--report-out <file>` writes the run's canonical `ServeReport` JSON.
 //!
 //! Observability: `--trace-out <file>` writes a Chrome `trace_event` JSON
-//! (or a flat JSONL event log when the file ends in `.jsonl`) — for
-//! `serve` it carries the request-level spans (queue wait, fetch,
+//! — for `serve` it carries the request-level spans (queue wait, fetch,
 //! compute); `--timeline-out <file>` writes the compute/comm/idle
 //! timeline attribution (or flamegraph folded stacks when the file ends
 //! in `.folded`); `--metrics-out <file>` writes the EC-metrics registry
@@ -32,12 +30,9 @@
 //! `train` and `serve` accept only the keys they declare ([`TRAIN_KEYS`],
 //! [`SERVE_KEYS`]): an unknown key, a value that does not parse as the key's
 //! type, or `layers=0` is a usage error that names the accepted keys and
-//! exits `2` before anything runs — nothing falls back to a default. Any
-//! other failure (an invalid configuration, an unwritable file) exits `1`.
-//!
-//! `compare` structurally diffs two metrics/bench JSON documents and
-//! classifies every numeric series as improved / regressed / unchanged —
-//! the same engine as the `trace_diff` binary (exit `3` on regression).
+//! exits `2` before anything runs — nothing falls back to a default. So
+//! does a missing or unknown subcommand. Any other failure (an invalid
+//! configuration, an unwritable file) exits `1`.
 
 use ec_faults::FaultPlan;
 use ec_graph::config::{BpMode, FpMode, ModelKind, TrainingConfig};
@@ -143,10 +138,6 @@ fn main() -> ExitCode {
             eprintln!("error: {problem}");
             ExitCode::from(code)
         }
-        Some("compare") => {
-            let rest: Vec<String> = args.collect();
-            ExitCode::from(ec_trace::diff::cli_run("ecgraph compare", &rest))
-        }
         Some("datasets") => {
             println!(
                 "{:<10} {:>12} {:>10} {:>8} {:>8} {:>8}",
@@ -165,16 +156,18 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        _ => {
+        other => {
+            if let Some(cmd) = other {
+                eprintln!("error: unknown subcommand `{cmd}`");
+            }
             eprintln!(
-                "usage: ecgraph <train|serve|compare|datasets> [key=value ...] \
+                "usage: ecgraph <train|serve|datasets> [key=value ...] \
                  [--trace-out <file>] [--timeline-out <file>] [--metrics-out <file>] \
                  [--report-out <file>] [--quiet]"
             );
             eprintln!("  e.g. ecgraph train dataset=cora workers=6 fp=reqec:2 bp=resec:4");
             eprintln!("       ecgraph serve dataset=cora workers=4 epochs=5 requests=500");
-            eprintln!("       ecgraph compare before.json after.json rel=0.05 out=verdict.json");
-            ExitCode::FAILURE
+            ExitCode::from(2)
         }
     }
 }
@@ -358,12 +351,8 @@ fn print_run_banner(dataset: &str, vertices: usize, dims_cap: usize) {
 /// for a finished run's telemetry report (shared by `train` and `serve`).
 fn write_observability(report: &ec_trace::TelemetryReport, opts: &CliOpts) -> Result<(), String> {
     if let Some(path) = &opts.trace_out {
-        let text = if path.extension().is_some_and(|e| e == "jsonl") {
-            ec_trace::export::jsonl(report)
-        } else {
-            ec_trace::export::chrome_trace_json(report)
-        };
-        std::fs::write(path, text).map_err(|e| format!("writing {}: {e}", path.display()))?;
+        std::fs::write(path, ec_trace::export::chrome_trace_json(report))
+            .map_err(|e| format!("writing {}: {e}", path.display()))?;
         if !opts.quiet {
             println!("wrote trace to {}", path.display());
         }

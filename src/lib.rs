@@ -19,7 +19,7 @@
 //! * [`serve`] — the checkpoint-backed inference service (embedding store,
 //!   per-worker caches, request batching, closed-loop load generation),
 //! * [`trace`] — deterministic span tracing and the EC-metrics registry,
-//!   with Chrome-trace / JSONL / metrics-JSON exporters.
+//!   with Chrome-trace / metrics-JSON / timeline exporters.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::iter_over_hash_type)]

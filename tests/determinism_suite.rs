@@ -330,31 +330,3 @@ fn serve_telemetry_is_inert_under_fault_injection() {
     let clean = serve_run(TelemetryLevel::Off, FaultPlan::none()).to_json().to_string();
     assert_ne!(base, clean, "fault plan had no observable effect on serving");
 }
-
-/// The structural diff engine must agree with the byte-equality this
-/// suite proves: two identical-seed runs compare as zero drift — for the
-/// canonical run report and for the metrics export — while a different
-/// seed shows up as drift.
-#[test]
-fn identical_runs_diff_clean_through_trace_diff() {
-    use ec_graph_repro::trace::{diff, export};
-
-    let cfg = diff::DiffConfig::default();
-    let a = run_full(3, ComputeConfig::sequential(), FaultPlan::none(), TelemetryLevel::Trace);
-    let b = run_full(3, ComputeConfig::sequential(), FaultPlan::none(), TelemetryLevel::Trace);
-    let r = diff::diff_texts(&a.to_json().to_string(), &b.to_json().to_string(), &cfg)
-        .expect("run reports parse");
-    assert!(!r.has_drift(), "identical-seed run reports must diff clean");
-    assert_eq!(r.overall(), diff::Verdict::Unchanged);
-
-    let ma = export::metrics_json(a.telemetry.as_ref().expect("trace report"));
-    let mb = export::metrics_json(b.telemetry.as_ref().expect("trace report"));
-    let m = diff::diff_texts(&ma, &mb, &cfg).expect("metrics exports parse");
-    assert!(!m.has_drift(), "metrics exports drifted between identical runs");
-
-    // Not vacuous: a different seed must register as drift.
-    let c = run_full(4, ComputeConfig::sequential(), FaultPlan::none(), TelemetryLevel::Off);
-    let d = diff::diff_texts(&a.to_json().to_string(), &c.to_json().to_string(), &cfg)
-        .expect("run reports parse");
-    assert!(d.has_drift(), "seed change must show up in the structural diff");
-}

@@ -1,6 +1,7 @@
 //! Exporter golden snapshots: a tiny two-worker Trace-level run under
 //! deterministic timing must serialize to byte-identical Chrome-trace,
-//! JSONL and metrics-JSON files on every machine and thread count. The
+//! metrics-JSON, timeline-JSON and folded-stack files on every machine
+//! and thread count. The
 //! fixtures live in `tests/golden/`; after an intentional format or
 //! content change, regenerate them with
 //!
@@ -75,19 +76,6 @@ fn chrome_trace_matches_golden() {
         assert!(text.contains(needle), "chrome trace missing {needle:?}");
     }
     check_golden("trace.json", &text);
-}
-
-#[test]
-fn jsonl_event_log_matches_golden() {
-    let report = trace_run();
-    let text = export::jsonl(&report);
-    let lines = export::parse_jsonl(&text).expect("event log must be valid JSONL").len();
-    assert_eq!(
-        lines,
-        report.spans.len() + report.rows.len(),
-        "one JSONL line per span and per metric row"
-    );
-    check_golden("events.jsonl", &text);
 }
 
 #[test]
