@@ -659,8 +659,9 @@ fn theorem1(run: &mut Run) {
     }
     // G² from the logits-layer gradient norm of the final model state.
     let logits = engine.forward_global();
+    let train = &data.split.train;
     let (_, g_full) =
-        ec_nn::loss::masked_softmax_cross_entropy(&logits, &data.labels, &data.split.train);
+        ec_nn::loss::masked_softmax_cross_entropy(&logits, &data.labels, train, train.len());
     // Headroom: per-layer norms shrink going down.
     let g_bound = (stats::l2_norm_sq(&g_full) as f64 * 4.0).max(1e-9);
 

@@ -18,18 +18,20 @@ use ec_tensor::{init, Matrix};
 
 /// Why loading or restoring parameter-server state failed.
 ///
-/// `load_weights` / `restore_state` run on the crash-recovery hot path, so
-/// they report malformed input through this type instead of panicking
-/// (the crate root denies `unwrap`, `expect` and `panic!`).
+/// [`read_weights`], `load_weights` and `restore` run on the
+/// crash-recovery and serving paths, so they report malformed input through
+/// this type instead of panicking (the crate root denies `unwrap`, `expect`
+/// and `panic!`).
 #[derive(Debug)]
 pub enum CheckpointError {
     /// The underlying filesystem operation failed.
     Io(std::io::Error),
     /// The input ended before the named field could be read.
     Truncated(&'static str),
-    /// The snapshot holds a different number of layers than this group.
+    /// The checkpoint or snapshot holds a different number of layers than
+    /// this group.
     LayerCount {
-        /// Layer count found in the snapshot.
+        /// Layer count found in the checkpoint or snapshot.
         found: usize,
         /// Layer count of the group being restored.
         expected: usize,
@@ -71,16 +73,25 @@ impl From<String> for CheckpointError {
     }
 }
 
-/// Reads a fixed-size field at `off`, or reports which field was cut off.
-fn read_array<const N: usize>(
-    bytes: &[u8],
-    off: usize,
-    what: &'static str,
-) -> Result<[u8; N], CheckpointError> {
-    bytes
-        .get(off..off + N)
-        .and_then(|s| <[u8; N]>::try_from(s).ok())
-        .ok_or(CheckpointError::Truncated(what))
+/// Decodes a weights file written by
+/// [`ParameterServerGroup::save_weights`]: a little-endian `u32` slot count,
+/// then one `(W, b)` matrix pair per slot. The result grows one decoded slot
+/// at a time, so a hostile count costs no more memory than the file's own
+/// bytes can fill.
+///
+/// # Errors
+/// [`CheckpointError::Truncated`] when the count itself is cut off, and
+/// [`CheckpointError::Decode`] when a slot does not decode.
+pub fn read_weights(bytes: &[u8]) -> Result<Vec<(Matrix, Vec<f32>)>, CheckpointError> {
+    let (count, mut rest) =
+        bytes.split_first_chunk::<4>().ok_or(CheckpointError::Truncated("slot count"))?;
+    let mut slots = Vec::new();
+    for _ in 0..u32::from_le_bytes(*count) {
+        let w = crate::codec::get_matrix(&mut rest)?;
+        let b = crate::codec::get_matrix(&mut rest)?;
+        slots.push((w, b.into_vec()));
+    }
+    Ok(slots)
 }
 
 /// Adam hyper-parameters (the paper uses the standard Adam optimizer).
@@ -244,6 +255,41 @@ impl ParameterServerGroup {
     /// Snapshot of all weights (testing / checkpointing).
     pub fn weights(&self) -> Vec<(Matrix, Vec<f32>)> {
         self.layers.iter().map(|lp| (lp.w.clone(), lp.b.clone())).collect()
+    }
+
+    /// Every layer's `(W shape, bias length)`.
+    fn shapes(&self) -> Vec<((usize, usize), usize)> {
+        self.layers.iter().map(|lp| (lp.w.shape(), lp.b.len())).collect()
+    }
+
+    /// `Ok` when `found` lists exactly this group's layer shapes.
+    fn check_shapes(&self, found: &[((usize, usize), usize)]) -> Result<(), CheckpointError> {
+        let expected = self.shapes();
+        if found.len() != expected.len() {
+            return Err(CheckpointError::LayerCount {
+                found: found.len(),
+                expected: expected.len(),
+            });
+        }
+        if found != expected {
+            return Err(CheckpointError::ShapeMismatch);
+        }
+        Ok(())
+    }
+
+    /// Puts back the complete state of `snapshot`, a clone of this group
+    /// taken earlier: weights, biases, Adam moments, pending gradients, the
+    /// step counter and the pending push count, so training continues
+    /// bit-identically to an uninterrupted run. (Contrast with
+    /// [`Self::load_weights`], which restores only the inference state.)
+    ///
+    /// # Errors
+    /// Fails, leaving this group untouched, when the snapshot's layer shapes
+    /// do not match this group's.
+    pub fn restore(&mut self, snapshot: &ParameterServerGroup) -> Result<(), CheckpointError> {
+        self.check_shapes(&snapshot.shapes())?;
+        self.clone_from(snapshot);
+        Ok(())
     }
 
     /// Overwrites all weights (used to clone model state across baseline
@@ -415,86 +461,13 @@ impl ParameterServerGroup {
 
     /// Restores weights saved by [`Self::save_weights`].
     ///
-    /// Fails when the file's layer shapes do not match this group's.
+    /// Fails when the file does not decode or its layer shapes do not match
+    /// this group's.
     pub fn load_weights(&mut self, path: &std::path::Path) -> Result<(), CheckpointError> {
-        let buf = std::fs::read(path)?;
-        let count = u32::from_le_bytes(read_array(&buf, 0, "layer count")?) as usize;
-        if count != self.layers.len() {
-            return Err(CheckpointError::LayerCount { found: count, expected: self.layers.len() });
-        }
-        let mut slice = &buf[4..];
-        let mut weights = Vec::with_capacity(count);
-        for _ in 0..count {
-            let w = crate::codec::get_matrix(&mut slice)?;
-            let b = crate::codec::get_matrix(&mut slice)?;
-            weights.push((w, b.into_vec()));
-        }
-        for (lp, (w, b)) in self.layers.iter().zip(&weights) {
-            if w.shape() != lp.w.shape() || b.len() != lp.b.len() {
-                return Err(CheckpointError::ShapeMismatch);
-            }
-        }
+        let weights = read_weights(&std::fs::read(path)?)?;
+        let found: Vec<_> = weights.iter().map(|(w, b)| (w.shape(), b.len())).collect();
+        self.check_shapes(&found)?;
         self.set_weights(&weights);
-        Ok(())
-    }
-
-    /// Serializes the complete optimizer state — weights, biases, Adam
-    /// first/second moments, pending gradient accumulators, the Adam step
-    /// counter and pending push count — so a restored group continues
-    /// training bit-identically to an uninterrupted one. (Contrast with
-    /// [`Self::save_weights`], which persists only the inference state.)
-    pub fn state_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&self.step.to_le_bytes());
-        buf.extend_from_slice(&(self.pushes_since_update as u64).to_le_bytes());
-        buf.extend_from_slice(&(self.layers.len() as u32).to_le_bytes());
-        let put_vec = |buf: &mut Vec<u8>, v: &[f32]| {
-            crate::codec::put_matrix(buf, &Matrix::from_vec(1, v.len(), v.to_vec()));
-        };
-        for lp in &self.layers {
-            crate::codec::put_matrix(&mut buf, &lp.w);
-            put_vec(&mut buf, &lp.b);
-            crate::codec::put_matrix(&mut buf, &lp.m_w);
-            crate::codec::put_matrix(&mut buf, &lp.v_w);
-            put_vec(&mut buf, &lp.m_b);
-            put_vec(&mut buf, &lp.v_b);
-            crate::codec::put_matrix(&mut buf, &lp.grad_w);
-            put_vec(&mut buf, &lp.grad_b);
-        }
-        buf
-    }
-
-    /// Restores state captured by [`Self::state_bytes`].
-    ///
-    /// Fails when the snapshot's layer shapes do not match this group's.
-    pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let step = u64::from_le_bytes(read_array(bytes, 0, "Adam step counter")?);
-        let pushes = u64::from_le_bytes(read_array(bytes, 8, "pending push count")?) as usize;
-        let count = u32::from_le_bytes(read_array(bytes, 16, "layer count")?) as usize;
-        if count != self.layers.len() {
-            return Err(CheckpointError::LayerCount { found: count, expected: self.layers.len() });
-        }
-        let mut slice = &bytes[20..];
-        let mut restored = Vec::with_capacity(count);
-        for _ in 0..count {
-            let w = crate::codec::get_matrix(&mut slice)?;
-            let b = crate::codec::get_matrix(&mut slice)?.into_vec();
-            let m_w = crate::codec::get_matrix(&mut slice)?;
-            let v_w = crate::codec::get_matrix(&mut slice)?;
-            let m_b = crate::codec::get_matrix(&mut slice)?.into_vec();
-            let v_b = crate::codec::get_matrix(&mut slice)?.into_vec();
-            let grad_w = crate::codec::get_matrix(&mut slice)?;
-            let grad_b = crate::codec::get_matrix(&mut slice)?.into_vec();
-            restored.push(LayerParams { w, b, m_w, v_w, m_b, v_b, grad_w, grad_b });
-        }
-        for (lp, new) in self.layers.iter().zip(&restored) {
-            if new.w.shape() != lp.w.shape() || new.b.len() != lp.b.len() {
-                return Err(CheckpointError::ShapeMismatch);
-            }
-        }
-        self.step = step;
-        self.pushes_since_update = pushes;
-        self.layers = restored;
         Ok(())
     }
 }
@@ -522,12 +495,11 @@ mod checkpoint_tests {
         std::fs::remove_file(path).ok();
     }
 
+    /// A weights file carries no Adam moments, so a group loaded from one
+    /// diverges from the group that wrote it at the next update; the
+    /// complete state travels by [`ParameterServerGroup::restore`].
     #[test]
-    fn full_state_round_trip_resumes_bit_identically() {
-        // Train a few steps, snapshot, train more; a group restored from
-        // the snapshot and fed the same gradients must match exactly —
-        // this requires the Adam moments and step counter, not just the
-        // weights.
+    fn weights_only_restore_diverges_once_moments_matter() {
         let shapes = [(4, 3), (3, 2)];
         let grads = |s: f32| {
             vec![(Matrix::filled(4, 3, s), vec![s; 3]), (Matrix::filled(3, 2, s), vec![s; 2])]
@@ -537,44 +509,37 @@ mod checkpoint_tests {
             ps.push(&grads(0.1 * i as f32));
             ps.apply_update();
         }
-        let snapshot = ps.state_bytes();
-        let mut restored = ParameterServerGroup::new(&shapes, 2, AdamParams::default(), 99);
-        restored.restore_state(&snapshot).unwrap();
-        for i in 0..5 {
-            let g = grads(0.05 * i as f32);
-            ps.push(&g);
-            ps.apply_update();
-            restored.push(&g);
-            restored.apply_update();
-        }
-        assert_eq!(ps.pull(0).0, restored.pull(0).0);
-        assert_eq!(ps.pull(1).1, restored.pull(1).1);
-
-        // Weights-only restore diverges once moments matter.
         let mut weights_only = ParameterServerGroup::new(&shapes, 2, AdamParams::default(), 99);
         let path = tmp("weights-only.bin");
         ps.save_weights(&path).unwrap();
         weights_only.load_weights(&path).unwrap();
         std::fs::remove_file(path).ok();
+        let mut full = ParameterServerGroup::new(&shapes, 2, AdamParams::default(), 99);
+        full.restore(&ps).unwrap();
         let g = grads(0.2);
-        ps.push(&g);
-        ps.apply_update();
-        weights_only.push(&g);
-        weights_only.apply_update();
+        for group in [&mut ps, &mut weights_only, &mut full] {
+            group.push(&g);
+            group.apply_update();
+        }
         assert_ne!(ps.pull(0).0, weights_only.pull(0).0);
+        assert_eq!(ps.pull(0).0, full.pull(0).0);
     }
 
     #[test]
-    fn restore_state_rejects_mismatch() {
-        let ps = ParameterServerGroup::new(&[(4, 3)], 1, AdamParams::default(), 1);
-        let snap = ps.state_bytes();
+    fn restore_rejects_mismatch() {
+        let snap = ParameterServerGroup::new(&[(4, 3)], 1, AdamParams::default(), 1);
         let mut other = ParameterServerGroup::new(&[(4, 3), (3, 2)], 1, AdamParams::default(), 1);
-        assert!(other.restore_state(&snap).is_err());
-        let mut wrong_shape = ParameterServerGroup::new(&[(5, 3)], 1, AdamParams::default(), 1);
-        assert!(wrong_shape.restore_state(&snap).is_err());
+        assert!(matches!(
+            other.restore(&snap),
+            Err(CheckpointError::LayerCount { found: 1, expected: 2 })
+        ));
+        let mut wrong_shape = ParameterServerGroup::new(&[(5, 3)], 1, AdamParams::default(), 2);
+        let before = wrong_shape.pull(0).0.clone();
+        assert!(matches!(wrong_shape.restore(&snap), Err(CheckpointError::ShapeMismatch)));
+        assert_eq!(wrong_shape.pull(0).0, &before, "a failed restore changes nothing");
         let mut ok = ParameterServerGroup::new(&[(4, 3)], 1, AdamParams::default(), 2);
-        assert!(ok.restore_state(&snap[..10]).is_err(), "truncated snapshot must fail");
-        assert!(ok.restore_state(&snap).is_ok());
+        assert!(ok.restore(&snap).is_ok());
+        assert_eq!(ok.pull(0).0, snap.pull(0).0);
     }
 
     #[test]
@@ -600,9 +565,12 @@ mod checkpoint_tests {
     #[test]
     fn load_rejects_garbage() {
         let path = tmp("garbage.bin");
-        std::fs::write(&path, [1, 2, 3]).unwrap();
         let mut ps = ParameterServerGroup::new(&[(2, 2)], 1, AdamParams::default(), 1);
-        assert!(ps.load_weights(&path).is_err());
+        std::fs::write(&path, [1, 2, 3]).unwrap();
+        assert!(matches!(ps.load_weights(&path), Err(CheckpointError::Truncated(_))));
+        // A slot count of `u32::MAX` with no slots behind it.
+        std::fs::write(&path, [0xff; 4]).unwrap();
+        assert!(matches!(ps.load_weights(&path), Err(CheckpointError::Decode(_))));
         std::fs::remove_file(path).ok();
     }
 }

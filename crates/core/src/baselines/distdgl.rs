@@ -96,7 +96,7 @@ fn train_batch(
     }
     let labels: Vec<u32> = seeds.iter().map(|&v| data.labels[v]).collect();
     let mask: Vec<usize> = (0..seeds.len()).collect();
-    let (loss, mut grad) = masked_softmax_cross_entropy(tape.value(h), &labels, &mask);
+    let (loss, mut grad) = masked_softmax_cross_entropy(tape.value(h), &labels, &mask, mask.len());
     grad.map_inplace(|x| x * scale);
     tape.backward(h, grad);
     // A parameter the backward sweep never reached has a zero gradient.

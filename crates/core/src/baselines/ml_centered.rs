@@ -13,12 +13,12 @@
 
 use super::train_comparator;
 use crate::config::TrainingConfig;
-use crate::engine::local_loss_grad;
 use crate::exec::{Cluster, Stage};
 use crate::report::RunResult;
 use ec_comm::stats::Channel;
 use ec_comm::HostTimer;
 use ec_graph_data::{normalize, AttributedGraph};
+use ec_nn::loss::masked_softmax_cross_entropy;
 use ec_partition::hash::HashPartitioner;
 use ec_partition::Partitioner;
 use ec_tensor::{activations, ops, parallel, CsrMatrix, Matrix};
@@ -126,7 +126,8 @@ pub(super) fn full_batch_epoch(
         }
         // Loss over this worker's own training vertices, globally scaled.
         let logits = c.input(&hs, num_layers);
-        let (loss, mut g) = local_loss_grad(logits, &c.labels, &c.train_local, total_train);
+        let (loss, mut g) =
+            masked_softmax_cross_entropy(logits, &c.labels, &c.train_local, total_train);
         // Backward (Eqs. 4–6 over the closure; Â is symmetric).
         let mut grads: Vec<(Matrix, Vec<f32>)> = Vec::with_capacity(num_layers);
         for l in (0..num_layers).rev() {

@@ -1,7 +1,7 @@
 //! Training configuration for the distributed engine.
 
 use ec_comm::ps::AdamParams;
-use ec_comm::NetworkModel;
+use ec_comm::{NetworkModel, ParameterServerGroup};
 use ec_faults::FaultPlan;
 
 /// Which GNN model the distributed engine trains.
@@ -230,6 +230,18 @@ impl TrainingConfig {
     /// The `(fan_in, fan_out)` weight shapes, layer-major.
     pub fn layer_shapes(&self) -> Vec<(usize, usize)> {
         self.dims.windows(2).map(|w| (w[0], w[1])).collect()
+    }
+
+    /// The parameter servers a run of this configuration starts from: one
+    /// Xavier-initialized slot per layer, seeded from [`Self::seed`], and for
+    /// GraphSAGE the second (root/self) transform of layer `l` at slot
+    /// `L + l`, updated by server-side Adam with [`Self::adam`].
+    pub fn parameter_servers(&self) -> ParameterServerGroup {
+        let mut shapes = self.layer_shapes();
+        if self.model == ModelKind::Sage {
+            shapes.extend(self.layer_shapes());
+        }
+        ParameterServerGroup::new(&shapes, self.num_servers, self.adam, self.seed)
     }
 
     /// Validates internal consistency.

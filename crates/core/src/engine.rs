@@ -51,6 +51,7 @@ use ec_comm::ps::CheckpointError;
 use ec_comm::stats::Channel;
 use ec_comm::{HostTimer, TrafficStats};
 use ec_graph_data::AttributedGraph;
+use ec_nn::loss::masked_softmax_cross_entropy;
 use ec_partition::Partition;
 use ec_tensor::{activations, ops, parallel, CsrMatrix, Matrix};
 use ec_trace::registry::labels;
@@ -463,8 +464,10 @@ impl DistributedEngine {
         // ---------------- Loss and G^L ----------------
         let results = self.cluster.steps.compute_superstep(
             Stage::new("loss:compute", "loss").unindexed(),
+            // Each worker's share of the global mean: its own training rows,
+            // divided by the global training count.
             |w| {
-                local_loss_grad(
+                masked_softmax_cross_entropy(
                     &self.h_local[w][num_layers],
                     &self.labels_local[w],
                     &self.train_local[w],
@@ -667,32 +670,6 @@ impl DistributedEngine {
         let kt = self.config.compute.kernel_threads;
         self.inference_model().forward(&self.adjs, &self.data.features, kt)
     }
-}
-
-/// Computes each worker's loss contribution and `G^L` rows: softmax
-/// cross-entropy over the local training vertices, scaled by the *global*
-/// training-set size so that the summed worker gradients equal the global
-/// mean-loss gradient.
-pub(crate) fn local_loss_grad(
-    logits: &Matrix,
-    labels: &[u32],
-    train_local: &[usize],
-    total_train: usize,
-) -> (f32, Matrix) {
-    let probs = activations::softmax_rows(logits);
-    let mut grad = Matrix::zeros(logits.rows(), logits.cols());
-    let inv = 1.0 / total_train as f32;
-    let mut loss = 0.0f32;
-    for &v in train_local {
-        let y = labels[v] as usize;
-        loss -= probs.get(v, y).max(1e-12).ln();
-        let row = grad.row_mut(v);
-        for (c, g) in row.iter_mut().enumerate() {
-            let indicator = if c == y { 1.0 } else { 0.0 };
-            *g = (probs.get(v, c) - indicator) * inv;
-        }
-    }
-    (loss * inv, grad)
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@
 //! (never by the stage) through [`ec_comm::HostTimer`], so deterministic
 //! timing zeroes every compute second in one place.
 
-use crate::config::{ModelKind, ResiliencePolicy, TrainingConfig};
+use crate::config::{ResiliencePolicy, TrainingConfig};
 use ec_comm::ps::CheckpointError;
 use ec_comm::stats::Channel;
 use ec_comm::{HostTimer, ParameterServerGroup, SimNetwork, TrafficStats};
@@ -379,7 +379,7 @@ pub(crate) struct Cluster {
 pub(crate) struct ClusterSnapshot {
     pub(crate) epoch: usize,
     sim_now: f64,
-    ps_state: Vec<u8>,
+    ps: ParameterServerGroup,
 }
 
 impl Cluster {
@@ -402,13 +402,7 @@ impl Cluster {
         let num_workers = config.num_workers;
         let num_nodes = server_base + config.num_servers;
         let network = SimNetwork::with_faults(num_nodes, config.network, config.faults.clone());
-        // Sage carries a second (root/self) weight matrix per layer; the
-        // servers store it at slot `L + l`.
-        let mut shapes = config.layer_shapes();
-        if config.model == ModelKind::Sage {
-            shapes.extend(config.layer_shapes());
-        }
-        let ps = ParameterServerGroup::new(&shapes, config.num_servers, config.adam, config.seed);
+        let ps = config.parameter_servers();
         let telemetry = TelemetrySink::new(&config.telemetry, num_workers);
         // The persistent worker pool every superstep fan-out reuses.
         let (worker_threads, kernel_threads) = config.compute.resolve(num_workers);
@@ -490,18 +484,14 @@ impl Cluster {
     }
 
     pub(crate) fn snapshot(&self) -> ClusterSnapshot {
-        ClusterSnapshot {
-            epoch: self.epoch,
-            sim_now: self.steps.sim_now(),
-            ps_state: self.ps.state_bytes(),
-        }
+        ClusterSnapshot { epoch: self.epoch, sim_now: self.steps.sim_now(), ps: self.ps.clone() }
     }
 
     /// # Errors
     /// A [`CheckpointError`] when the snapshot's parameter state does not
     /// match this cluster's layer shapes.
     pub(crate) fn restore(&mut self, snapshot: &ClusterSnapshot) -> Result<(), CheckpointError> {
-        self.ps.restore_state(&snapshot.ps_state)?;
+        self.ps.restore(&snapshot.ps)?;
         self.epoch = snapshot.epoch;
         self.steps.rewind(snapshot.epoch, snapshot.sim_now);
         Ok(())

@@ -54,24 +54,14 @@ impl ModelWeights {
     /// how the slots split into aggregate and self transforms.
     ///
     /// # Errors
-    /// Returns a [`CheckpointError`] on I/O failure, truncation, or a slot
-    /// count that contradicts `model`.
+    /// Returns a [`CheckpointError`] on I/O failure, a file
+    /// [`ec_comm::ps::read_weights`] rejects, or a slot count that
+    /// contradicts `model`.
     pub fn load(path: &std::path::Path, model: ModelKind) -> Result<Self, CheckpointError> {
-        let buf = std::fs::read(path)?;
-        let head: [u8; 4] = buf
-            .get(0..4)
-            .and_then(|s| s.try_into().ok())
-            .ok_or(CheckpointError::Truncated("slot count"))?;
-        let count = u32::from_le_bytes(head) as usize;
+        let slots = ec_comm::ps::read_weights(&std::fs::read(path)?)?;
+        let count = slots.len();
         if count == 0 || (model == ModelKind::Sage && !count.is_multiple_of(2)) {
             return Err(CheckpointError::LayerCount { found: count, expected: count.max(2) });
-        }
-        let mut slice = &buf[4..];
-        let mut slots = Vec::with_capacity(count);
-        for _ in 0..count {
-            let w = ec_comm::codec::get_matrix(&mut slice)?;
-            let b = ec_comm::codec::get_matrix(&mut slice)?;
-            slots.push((w, b.into_vec()));
         }
         Ok(Self { model, slots })
     }
@@ -431,10 +421,21 @@ mod tests {
     fn load_rejects_garbage() {
         let mut path = std::env::temp_dir();
         path.push(format!("ecgraph-infer-junk-{}.bin", std::process::id()));
-        std::fs::write(&path, [1, 0]).unwrap();
-        assert!(ModelWeights::load(&path, ModelKind::Gcn).is_err());
-        std::fs::write(&path, 3u32.to_le_bytes()).unwrap();
-        assert!(ModelWeights::load(&path, ModelKind::Sage).is_err(), "odd Sage slot count");
+        let load = |bytes: &[u8], model| {
+            std::fs::write(&path, bytes).unwrap();
+            ModelWeights::load(&path, model)
+        };
+        assert!(matches!(load(&[1, 0], ModelKind::Gcn), Err(CheckpointError::Truncated(_))));
+        // Three well-formed empty slots: odd, so not a GraphSAGE model.
+        let mut odd = 3u32.to_le_bytes().to_vec();
+        odd.extend([0u8; 6 * 8]);
+        assert!(load(&odd, ModelKind::Gcn).is_ok());
+        let parity = load(&odd, ModelKind::Sage);
+        assert!(matches!(parity, Err(CheckpointError::LayerCount { found: 3, .. })));
+        // A slot count of `u32::MAX` and nothing behind it: an error, not an
+        // allocation sized by the count.
+        let hostile = load(&[0xff; 4], ModelKind::Gcn);
+        assert!(matches!(hostile, Err(CheckpointError::Decode(_))));
         std::fs::remove_file(&path).ok();
     }
 }

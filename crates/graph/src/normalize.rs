@@ -39,21 +39,6 @@ pub fn gcn_normalized_adjacency(g: &Graph) -> CsrMatrix {
     CsrMatrix::new(n, n, indptr, indices, values)
 }
 
-/// Builds the row-stochastic mean-aggregation matrix `D̃^{-1}(A + I)`
-/// used by GraphSAGE-style mean aggregation.
-pub fn row_normalized_adjacency(g: &Graph) -> CsrMatrix {
-    let n = g.num_vertices();
-    let mut triples = Vec::with_capacity(g.num_arcs() + n);
-    for v in 0..n {
-        let inv = 1.0 / ((g.degree(v) + 1) as f32);
-        triples.push((v, v, inv));
-        for &u in g.neighbors(v) {
-            triples.push((v, u as usize, inv));
-        }
-    }
-    CsrMatrix::from_triples(n, n, &triples)
-}
-
 /// Column-standardizes a feature matrix in place: each feature gets zero
 /// mean and unit variance (constant columns become zero).
 ///
@@ -138,16 +123,6 @@ mod tests {
         let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
         let a = gcn_normalized_adjacency(&g);
         assert_eq!(a.nnz(), g.num_arcs() + 3);
-    }
-
-    #[test]
-    fn row_normalized_rows_sum_to_one() {
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let a = row_normalized_adjacency(&g).to_dense();
-        for r in 0..4 {
-            let sum: f32 = a.row(r).iter().sum();
-            assert!((sum - 1.0).abs() < 1e-6);
-        }
     }
 }
 

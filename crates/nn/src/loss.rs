@@ -1,36 +1,42 @@
 //! Masked softmax cross-entropy — the `softmax` + `etropyloss` of Alg. 1.
 //!
 //! Semi-supervised vertex classification computes the loss only over the
-//! labelled training vertices (`mask`), averaging so the gradient magnitude
-//! is independent of the training-set size. The gradient w.r.t. the logits
-//! is the classic `softmax(z) - onehot(y)` on masked rows, zero elsewhere —
+//! labelled training vertices (`mask`). The gradient w.r.t. the logits is
+//! the classic `softmax(z) - onehot(y)` on masked rows, zero elsewhere —
 //! exactly the seed EC-Graph's backward pass starts from (`∇_{H^L} ℒ` in
 //! Eq. 4, with the identity activation at the output layer).
+//!
+//! Every term is divided by `divisor`. A trainer that sees its whole batch
+//! passes `mask.len()` and gets the batch mean; a distributed worker passes
+//! the *global* training-set size, so the workers' losses and gradients sum
+//! to the global mean's — and a worker without training rows contributes
+//! zero.
 
 use ec_tensor::{activations, Matrix};
 
-/// Computes `(mean loss, ∂loss/∂logits)` over the rows listed in `mask`.
+/// Computes `(Σ loss / divisor, ∂(Σ loss / divisor)/∂logits)` over the rows
+/// listed in `mask`.
 ///
 /// # Panics
-/// Panics if `labels.len() != logits.rows()`, a masked row is out of
-/// bounds, or a masked label is `>= logits.cols()`.
+/// Panics if `divisor` is zero, `labels.len() != logits.rows()`, a masked
+/// row is out of bounds, or a masked label is `>= logits.cols()`.
 pub fn masked_softmax_cross_entropy(
     logits: &Matrix,
     labels: &[u32],
     mask: &[usize],
+    divisor: usize,
 ) -> (f32, Matrix) {
     assert_eq!(labels.len(), logits.rows(), "labels/logits row mismatch");
-    assert!(!mask.is_empty(), "empty training mask");
+    assert!(divisor > 0, "zero loss divisor");
     let probs = activations::softmax_rows(logits);
     let mut grad = Matrix::zeros(logits.rows(), logits.cols());
-    let inv = 1.0 / mask.len() as f32;
+    let inv = 1.0 / divisor as f32;
     let mut loss = 0.0f32;
     for &v in mask {
         assert!(v < logits.rows(), "masked vertex {v} out of bounds");
         let y = labels[v] as usize;
         assert!(y < logits.cols(), "label {y} exceeds class count {}", logits.cols());
-        let p = probs.get(v, y).max(1e-12);
-        loss -= p.ln();
+        loss -= probs.get(v, y).max(1e-12).ln();
         let grow = grad.row_mut(v);
         for (c, g) in grow.iter_mut().enumerate() {
             let indicator = if c == y { 1.0 } else { 0.0 };
@@ -44,11 +50,16 @@ pub fn masked_softmax_cross_entropy(
 mod tests {
     use super::*;
 
+    /// The batch mean: every masked row, divided by their count.
+    fn mean_ce(logits: &Matrix, labels: &[u32], mask: &[usize]) -> (f32, Matrix) {
+        masked_softmax_cross_entropy(logits, labels, mask, mask.len())
+    }
+
     #[test]
     fn perfect_prediction_has_near_zero_loss() {
         // Huge logit on the true class.
         let logits = Matrix::from_rows(&[vec![20.0, 0.0], vec![0.0, 20.0]]);
-        let (loss, grad) = masked_softmax_cross_entropy(&logits, &[0, 1], &[0, 1]);
+        let (loss, grad) = mean_ce(&logits, &[0, 1], &[0, 1]);
         assert!(loss < 1e-6, "loss {loss}");
         assert!(grad.as_slice().iter().all(|g| g.abs() < 1e-6));
     }
@@ -56,14 +67,14 @@ mod tests {
     #[test]
     fn uniform_logits_give_log_c() {
         let logits = Matrix::zeros(1, 4);
-        let (loss, _) = masked_softmax_cross_entropy(&logits, &[2], &[0]);
+        let (loss, _) = mean_ce(&logits, &[2], &[0]);
         assert!((loss - (4.0f32).ln()).abs() < 1e-6);
     }
 
     #[test]
     fn gradient_is_softmax_minus_onehot_scaled() {
         let logits = Matrix::from_rows(&[vec![1.0, 2.0, 0.5]]);
-        let (_, grad) = masked_softmax_cross_entropy(&logits, &[1], &[0]);
+        let (_, grad) = mean_ce(&logits, &[1], &[0]);
         let p = activations::softmax_rows(&logits);
         assert!((grad.get(0, 0) - p.get(0, 0)).abs() < 1e-6);
         assert!((grad.get(0, 1) - (p.get(0, 1) - 1.0)).abs() < 1e-6);
@@ -75,7 +86,7 @@ mod tests {
     #[test]
     fn unmasked_rows_receive_zero_gradient() {
         let logits = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![3.0, -1.0]]);
-        let (_, grad) = masked_softmax_cross_entropy(&logits, &[0, 1, 0], &[1]);
+        let (_, grad) = mean_ce(&logits, &[0, 1, 0], &[1]);
         assert!(grad.row(0).iter().all(|&g| g == 0.0));
         assert!(grad.row(2).iter().all(|&g| g == 0.0));
         assert!(grad.row(1).iter().any(|&g| g != 0.0));
@@ -86,7 +97,7 @@ mod tests {
         let logits = Matrix::from_rows(&[vec![0.3, -0.7, 1.1], vec![0.0, 0.4, -0.2]]);
         let labels = [2u32, 0];
         let mask = [0usize, 1];
-        let (_, grad) = masked_softmax_cross_entropy(&logits, &labels, &mask);
+        let (_, grad) = mean_ce(&logits, &labels, &mask);
         let eps = 1e-3f32;
         for r in 0..2 {
             for c in 0..3 {
@@ -94,8 +105,8 @@ mod tests {
                 lp.set(r, c, lp.get(r, c) + eps);
                 let mut lm = logits.clone();
                 lm.set(r, c, lm.get(r, c) - eps);
-                let (fp, _) = masked_softmax_cross_entropy(&lp, &labels, &mask);
-                let (fm, _) = masked_softmax_cross_entropy(&lm, &labels, &mask);
+                let (fp, _) = mean_ce(&lp, &labels, &mask);
+                let (fm, _) = mean_ce(&lm, &labels, &mask);
                 let numeric = (fp - fm) / (2.0 * eps);
                 assert!(
                     (grad.get(r, c) - numeric).abs() < 1e-3,
@@ -106,9 +117,27 @@ mod tests {
         }
     }
 
+    /// Split across two "workers" by the global count, the shares sum to
+    /// the mean over the union; a worker with no training rows contributes
+    /// a zero loss and a zero gradient.
     #[test]
-    #[should_panic(expected = "empty training mask")]
-    fn rejects_empty_mask() {
-        let _ = masked_softmax_cross_entropy(&Matrix::zeros(1, 2), &[0], &[]);
+    fn shares_over_the_global_count_sum_to_the_mean() {
+        let logits = Matrix::from_rows(&[vec![0.3, -0.7], vec![1.0, 0.4], vec![-0.2, 0.9]]);
+        let labels = [1u32, 0, 1];
+        let (mean, mean_grad) = mean_ce(&logits, &labels, &[0, 1, 2]);
+        let (a, ga) = masked_softmax_cross_entropy(&logits, &labels, &[0, 2], 3);
+        let (b, gb) = masked_softmax_cross_entropy(&logits, &labels, &[1], 3);
+        assert!((a + b - mean).abs() < 1e-6, "{a} + {b} vs {mean}");
+        assert!(ec_tensor::ops::add(&ga, &gb).approx_eq(&mean_grad, 1e-7));
+
+        let (none, g) = masked_softmax_cross_entropy(&logits, &labels, &[], 3);
+        assert_eq!(none, 0.0);
+        assert!(g.as_slice().iter().all(|&x| x == 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "zero loss divisor")]
+    fn rejects_a_zero_divisor() {
+        let _ = mean_ce(&Matrix::zeros(1, 2), &[0], &[]);
     }
 }

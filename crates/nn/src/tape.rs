@@ -6,9 +6,9 @@
 //! topological order).
 //!
 //! The op set is exactly what full-batch GNN training needs: dense matmul,
-//! sparse aggregation (`Â · H`), bias broadcast, ReLU, elementwise add and
-//! scale. Ops that need constants (the adjacency) share them via `Arc` so a
-//! tape can be rebuilt every epoch without copying the graph structure.
+//! sparse aggregation (`Â · H`), bias broadcast, ReLU and elementwise add.
+//! Ops that need constants (the adjacency) share them via `Arc` so a tape
+//! can be rebuilt every epoch without copying the graph structure.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::todo, clippy::unimplemented)]
 
@@ -32,8 +32,6 @@ enum Op {
     Relu(usize),
     /// `Y = A + B`.
     Add(usize, usize),
-    /// `Y = s·X`.
-    Scale(usize, f32),
 }
 
 struct Node {
@@ -145,13 +143,6 @@ impl Tape {
         self.push(value, Op::Add(a.0, b.0), needs)
     }
 
-    /// `Y = s · X`.
-    pub fn scale(&mut self, x: VarId, s: f32) -> VarId {
-        let value = ops::scale(&self.nodes[x.0].value, s);
-        let needs = self.nodes[x.0].needs_grad;
-        self.push(value, Op::Scale(x.0, s), needs)
-    }
-
     /// Runs the reverse sweep, seeding node `root` with `seed` (typically
     /// `∂loss/∂root` computed by the loss function).
     ///
@@ -213,12 +204,6 @@ impl Tape {
                     }
                     if self.nodes[b].needs_grad {
                         self.accumulate(b, g.clone());
-                    }
-                }
-                Op::Scale(x, s) => {
-                    let (x, s) = (*x, *s);
-                    if self.nodes[x].needs_grad {
-                        self.accumulate(x, ops::scale(&g, s));
                     }
                 }
             }
@@ -359,19 +344,10 @@ mod tests {
     }
 
     #[test]
-    fn scale_gradient() {
-        let mut tape = Tape::new();
-        let x = tape.parameter(Matrix::filled(1, 2, 1.0));
-        let y = tape.scale(x, -2.5);
-        tape.backward(y, Matrix::filled(1, 2, 1.0));
-        assert_eq!(tape.grad(x).unwrap().as_slice(), &[-2.5, -2.5]);
-    }
-
-    #[test]
     fn backward_resets_previous_grads() {
         let mut tape = Tape::new();
         let x = tape.parameter(Matrix::filled(1, 1, 1.0));
-        let y = tape.scale(x, 2.0);
+        let y = tape.add(x, x);
         tape.backward(y, Matrix::filled(1, 1, 1.0));
         tape.backward(y, Matrix::filled(1, 1, 1.0));
         assert_eq!(
@@ -415,10 +391,11 @@ mod tests {
     fn gradient_norm_is_finite_on_deep_chains() {
         let mut tape = Tape::new();
         let x = tape.parameter(Matrix::from_fn(4, 4, |r, c| ((r * 4 + c) as f32).sin()));
+        let shrink = tape.constant(Matrix::from_fn(4, 4, |r, c| if r == c { 0.9 } else { 0.0 }));
         let mut h = x;
         for _ in 0..16 {
             h = tape.relu(h);
-            h = tape.scale(h, 0.9);
+            h = tape.matmul(h, shrink);
         }
         let shape = tape.value(h).shape();
         tape.backward(h, Matrix::filled(shape.0, shape.1, 1.0));

@@ -171,6 +171,12 @@ impl ServeReply {
                 }
                 let n = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
                 rest = &rest[4..];
+                // Every row carries at least its 4-byte length, so a count
+                // the remaining bytes cannot hold is rejected before it
+                // sizes anything.
+                if n > rest.len() / 4 {
+                    return Err(format!("serve reply claims {n} rows in {} bytes", rest.len()));
+                }
                 let mut rows = Vec::with_capacity(n);
                 for _ in 0..n {
                     if rest.len() < 4 {
@@ -265,5 +271,8 @@ mod tests {
         }
         assert!(ServeRequest::from_bytes(&[0xFF, 0, 0, 0, 0]).is_err());
         assert!(ServeReply::from_bytes(&[0xFF, 0, 0, 0, 0]).is_err());
+        // A row-quantized reply claiming `u32::MAX` rows and carrying none.
+        let hostile = [TAG_ROW_QUANTIZED, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff];
+        assert!(ServeReply::from_bytes(&hostile).is_err());
     }
 }

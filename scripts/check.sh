@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, lints (warnings are errors), the whole
 # workspace test suite, the kernel and serving crates' tests again in release, a
-# one-experiment drive of scripts/reproduce.sh and an exit-code probe of the
-# `ecgraph` CLI's strict key=value parsing.
+# one-experiment drive of scripts/reproduce.sh, an exit-code probe of the
+# `ecgraph` CLI's strict key=value parsing, and `ecgraph serve` fed a hostile
+# checkpoint (a u32::MAX slot count and nothing behind it), which must fail
+# with exit 1 and `loading checkpoint` on stderr rather than abort.
 # CI runs exactly this script. Host performance is measured by perfbench/
 # (see BENCHMARK.json), not here.
 # Pass --trace-smoke to also drive the CLI end-to-end with the telemetry
@@ -67,7 +69,7 @@ target/release/reproduce fig6 epoch=5 > /dev/null 2>&1 || repro_rc=$?
 [[ "$repro_rc" -eq 2 ]] \
   || { echo "a mistyped key must exit 2, not run the default (got $repro_rc)" >&2; exit 1; }
 
-echo "== CLI smoke (ecgraph: a typo, an unparsable value, layers=0 or an unknown subcommand exits 2) =="
+echo "== CLI smoke (ecgraph: a typo, an unparsable value, layers=0 or an unknown subcommand exits 2; a hostile checkpoint exits 1) =="
 cargo build --release -q --bin ecgraph
 for bad in "train wrokers=3" "train hidden=abc" "serve layers=0" "compare a.json b.json" "bogus"; do
   cli_rc=0
@@ -75,6 +77,12 @@ for bad in "train wrokers=3" "train hidden=abc" "serve layers=0" "compare a.json
   target/release/ecgraph $bad > /dev/null 2>&1 || cli_rc=$?
   [[ "$cli_rc" -eq 2 ]] || { echo "ecgraph $bad must exit 2 (got $cli_rc)" >&2; exit 1; }
 done
+printf '\xff\xff\xff\xff' > "$REPRO_DIR/hostile.ckpt"
+cli_rc=0
+target/release/ecgraph serve dataset=cora vertices=150 workers=2 epochs=1 requests=20 \
+  checkpoint="$REPRO_DIR/hostile.ckpt" --quiet > /dev/null 2> "$REPRO_DIR/hostile.err" || cli_rc=$?
+[[ "$cli_rc" -eq 1 ]] && grep -q 'loading checkpoint' "$REPRO_DIR/hostile.err" \
+  || { echo "ecgraph serve on a hostile checkpoint must exit 1 with 'loading checkpoint' (got $cli_rc)" >&2; exit 1; }
 
 if [[ "$RUN_TRACE_SMOKE" == "1" ]]; then
   echo "== trace smoke (CLI exporters end-to-end) =="

@@ -8,12 +8,12 @@
 //!
 //! * [`tensor`] — dense/sparse linear-algebra kernels,
 //! * [`data`] — graph storage, synthetic dataset replicas,
-//! * [`partition`] — Hash / Range / METIS-like / streaming partitioners,
+//! * [`partition`] — Hash / METIS-like / streaming partitioners,
 //! * [`compress`] — B-bit bucket quantization with bit-packing,
 //! * [`comm`] — the simulated cluster (network model, parameter servers),
 //! * [`faults`] — deterministic fault injection (drops, stragglers,
 //!   outages, crashes) for the simulated cluster,
-//! * [`nn`] — hand-rolled autodiff, GCN/SAGE layers, optimizers,
+//! * [`nn`] — hand-rolled autodiff, softmax cross-entropy, accuracy,
 //! * [`ecgraph`] — the EC-Graph distributed engine, ReqEC-FP, ResEC-BP and
 //!   every baseline system from the paper's evaluation,
 //! * [`serve`] — the checkpoint-backed inference service (embedding store,

@@ -1,20 +1,36 @@
 //! The load-bearing correctness test of the reproduction: with compression
 //! disabled, the distributed engine (manual gradients, Eqs. 4–6, any
 //! number of workers, any partitioner) must follow *exactly* the same
-//! training trajectory as the single-machine autodiff trainer.
+//! training trajectory as a single-machine autodiff trainer.
 
-use ec_graph_repro::data::normalize;
-use ec_graph_repro::data::DatasetSpec;
-use ec_graph_repro::ecgraph::config::TrainingConfig;
+use ec_graph_repro::comm::ParameterServerGroup;
+use ec_graph_repro::data::{normalize, AttributedGraph, DatasetSpec};
+use ec_graph_repro::ecgraph::config::{ModelKind, TrainingConfig};
 use ec_graph_repro::ecgraph::engine::DistributedEngine;
-use ec_graph_repro::nn::GcnNetwork;
+use ec_graph_repro::nn::loss::masked_softmax_cross_entropy;
+use ec_graph_repro::nn::{Tape, VarId};
 use ec_graph_repro::partition::hash::HashPartitioner;
 use ec_graph_repro::partition::metis::MetisLikePartitioner;
 use ec_graph_repro::partition::Partitioner;
+use ec_graph_repro::tensor::{CsrMatrix, Matrix};
 use std::sync::Arc;
 
+fn config_for(
+    data: &AttributedGraph,
+    dims: Vec<usize>,
+    workers: usize,
+    seed: u64,
+) -> TrainingConfig {
+    TrainingConfig {
+        dims,
+        num_workers: workers,
+        seed,
+        ..TrainingConfig::defaults(data.feature_dim(), data.num_classes)
+    }
+}
+
 fn build_engine(
-    data: &Arc<ec_graph_repro::data::AttributedGraph>,
+    data: &Arc<AttributedGraph>,
     dims: Vec<usize>,
     workers: usize,
     partitioner: &dyn Partitioner,
@@ -22,28 +38,86 @@ fn build_engine(
 ) -> DistributedEngine {
     let adj = Arc::new(normalize::gcn_normalized_adjacency(&data.graph));
     let partition = partitioner.partition(&data.graph, workers);
-    let config = TrainingConfig {
-        dims,
-        num_workers: workers,
-        seed,
-        ..TrainingConfig::defaults(data.feature_dim(), data.num_classes)
-    };
+    let config = config_for(data, dims, workers, seed);
     let adjs = vec![adj; config.num_layers()];
     DistributedEngine::new(Arc::clone(data), adjs, partition, config)
 }
 
+/// The single-machine reference: the model built on the autodiff tape over
+/// the global graph, its parameters held and updated by the parameter
+/// servers a run of the same configuration starts from. It shares the
+/// engine's slot layout, Xavier seeds and Adam arithmetic, so what differs
+/// from the engine is exactly what this file checks: manual gradients
+/// against autodiff, on one machine against many.
+struct Reference {
+    model: ModelKind,
+    adjs: Vec<Arc<CsrMatrix>>,
+    ps: ParameterServerGroup,
+}
+
+impl Reference {
+    fn new(config: &TrainingConfig, adjs: Vec<Arc<CsrMatrix>>) -> Self {
+        Self { model: config.model, adjs, ps: config.parameter_servers() }
+    }
+
+    /// The full-batch mean loss at the current parameters and its gradient
+    /// for every server slot (zero where the loss does not reach: the
+    /// GraphSAGE self slots carry an unused bias).
+    fn loss_and_grads(&self, data: &AttributedGraph) -> (f32, Vec<(Matrix, Vec<f32>)>) {
+        let num_layers = self.adjs.len();
+        let mut tape = Tape::new();
+        let slots: Vec<(VarId, VarId)> = (0..self.ps.num_layers())
+            .map(|s| {
+                let (w, b) = self.ps.pull(s);
+                let bias = Matrix::from_vec(1, b.len(), b.to_vec());
+                (tape.parameter(w.clone()), tape.parameter(bias))
+            })
+            .collect();
+        let mut h = tape.constant(data.features.clone());
+        for (l, adj) in self.adjs.iter().enumerate() {
+            let hw = tape.matmul(h, slots[l].0);
+            let mut z = tape.spmm(Arc::clone(adj), hw);
+            if self.model == ModelKind::Sage {
+                let hs = tape.matmul(h, slots[num_layers + l].0);
+                z = tape.add(z, hs);
+            }
+            let z = tape.add_bias(z, slots[l].1);
+            h = if l + 1 < num_layers { tape.relu(z) } else { z };
+        }
+        let train = &data.split.train;
+        let (loss, grad) =
+            masked_softmax_cross_entropy(tape.value(h), &data.labels, train, train.len());
+        tape.backward(h, grad);
+        let grad_of = |id: VarId| {
+            let (rows, cols) = tape.value(id).shape();
+            tape.grad(id).cloned().unwrap_or_else(|| Matrix::zeros(rows, cols))
+        };
+        (loss, slots.iter().map(|&(w, b)| (grad_of(w), grad_of(b).into_vec())).collect())
+    }
+
+    /// One full-batch epoch: autodiff gradients, one push, one Adam step.
+    fn train_epoch(&mut self, data: &AttributedGraph) {
+        let (_, grads) = self.loss_and_grads(data);
+        self.ps.push(&grads);
+        self.ps.apply_update();
+    }
+}
+
+/// The GCN reference over the symmetric-normalized adjacency, trained for
+/// `epochs` epochs.
 fn local_reference(
-    data: &Arc<ec_graph_repro::data::AttributedGraph>,
+    data: &Arc<AttributedGraph>,
     dims: &[usize],
     seed: u64,
     epochs: usize,
-) -> GcnNetwork {
+) -> ParameterServerGroup {
+    let config = config_for(data, dims.to_vec(), 1, seed);
     let adj = Arc::new(normalize::gcn_normalized_adjacency(&data.graph));
-    let mut net = GcnNetwork::new(dims, 0.01, seed);
+    let mut reference = Reference::new(&config, vec![adj; config.num_layers()]);
     for _ in 0..epochs {
-        net.train_epoch(&adj, &data.features, &data.labels, &data.split.train);
+        reference.train_epoch(data);
     }
-    net
+    reference.ps
 }
 
 #[test]
@@ -55,13 +129,10 @@ fn two_layer_engine_matches_autodiff_trajectory() {
         engine.run_epoch();
     }
     let reference = local_reference(&data, &dims, 42, 5);
-    let dist = engine.weights();
-    for (l, (w, b)) in dist.iter().enumerate() {
-        assert!(
-            w.approx_eq(&reference.weights()[l], 2e-3),
-            "layer {l} weights diverged after 5 epochs"
-        );
-        for (x, y) in b.iter().zip(reference.biases()[l].row(0)) {
+    for (l, (w, b)) in engine.weights().iter().enumerate() {
+        let (rw, rb) = reference.pull(l);
+        assert!(w.approx_eq(rw, 2e-3), "layer {l} weights diverged after 5 epochs");
+        for (x, y) in b.iter().zip(rb) {
             assert!((x - y).abs() < 2e-3, "layer {l} bias diverged");
         }
     }
@@ -77,7 +148,7 @@ fn three_layer_engine_matches_autodiff_trajectory() {
     }
     let reference = local_reference(&data, &dims, 7, 4);
     for (l, (w, _)) in engine.weights().iter().enumerate() {
-        assert!(w.approx_eq(&reference.weights()[l], 3e-3), "3-layer engine diverged at layer {l}");
+        assert!(w.approx_eq(reference.pull(l).0, 3e-3), "3-layer engine diverged at layer {l}");
     }
 }
 
@@ -93,9 +164,9 @@ fn one_layer_engine_matches_autodiff_trajectory() {
         assert_eq!(stats.traffic.fp_bytes + stats.traffic.bp_bytes, 0, "L = 1 exchanges nothing");
     }
     let reference = local_reference(&data, &dims, 42, 5);
-    let (w, b) = &engine.weights()[0];
-    assert!(w.approx_eq(&reference.weights()[0], 2e-3), "weights diverged after 5 epochs");
-    for (x, y) in b.iter().zip(reference.biases()[0].row(0)) {
+    let ((w, b), (rw, rb)) = (&engine.weights()[0], reference.pull(0));
+    assert!(w.approx_eq(rw, 2e-3), "weights diverged after 5 epochs");
+    for (x, y) in b.iter().zip(rb) {
         assert!((x - y).abs() < 2e-3, "bias diverged");
     }
 }
@@ -107,9 +178,6 @@ fn one_layer_engine_matches_autodiff_trajectory() {
 #[test]
 fn sampled_engine_is_independent_of_worker_count() {
     use ec_graph_repro::ecgraph::sampling::sample_layer_graphs;
-    use ec_graph_repro::nn::loss::masked_softmax_cross_entropy;
-    use ec_graph_repro::nn::Tape;
-    use ec_graph_repro::tensor::{init, Matrix};
 
     let data = Arc::new(DatasetSpec::products().instantiate_with(150, 10, 9));
     let dims = vec![10usize, 8, data.num_classes];
@@ -117,26 +185,12 @@ fn sampled_engine_is_independent_of_worker_count() {
     let (adjs, _) = sample_layer_graphs(&data.graph, &[4, 2], 4);
     assert_ne!(adjs[0], adjs[1], "the fan-outs must give the layers different graphs");
 
-    let mut tape = Tape::new();
-    let mut h = tape.constant(data.features.clone());
-    for l in 0..2 {
-        let w = tape.parameter(init::xavier_uniform(dims[l], dims[l + 1], seed + l as u64));
-        let b = tape.parameter(Matrix::zeros(1, dims[l + 1]));
-        let hw = tape.matmul(h, w);
-        let z = tape.spmm(Arc::clone(&adjs[l]), hw);
-        let z = tape.add_bias(z, b);
-        h = if l == 0 { tape.relu(z) } else { z };
-    }
-    let (loss, _) = masked_softmax_cross_entropy(tape.value(h), &data.labels, &data.split.train);
+    let reference = Reference::new(&config_for(&data, dims.clone(), 1, seed), adjs.clone());
+    let (loss, _) = reference.loss_and_grads(&data);
 
     let mut weights = Vec::new();
     for workers in [1usize, 6] {
-        let config = TrainingConfig {
-            dims: dims.clone(),
-            num_workers: workers,
-            seed,
-            ..TrainingConfig::defaults(10, data.num_classes)
-        };
+        let config = config_for(&data, dims.clone(), workers, seed);
         let partition = HashPartitioner::default().partition(&data.graph, workers);
         let mut engine = DistributedEngine::new(Arc::clone(&data), adjs.clone(), partition, config);
         let first = engine.run_epoch().loss;
@@ -194,8 +248,8 @@ fn engine_loss_matches_local_loss_epoch_one() {
     let stats = engine.run_epoch();
 
     let adj = Arc::new(normalize::gcn_normalized_adjacency(&data.graph));
-    let net = GcnNetwork::new(&dims, 0.01, 5);
-    let (loss, _, _) = net.compute_gradients(&adj, &data.features, &data.labels, &data.split.train);
+    let reference = Reference::new(&config_for(&data, dims, 1, 5), vec![adj; 2]);
+    let (loss, _) = reference.loss_and_grads(&data);
     assert!((stats.loss - loss).abs() < 1e-4, "distributed loss {} vs local {loss}", stats.loss);
 }
 
@@ -204,88 +258,28 @@ fn engine_loss_matches_local_loss_epoch_one() {
 /// (`H^l = σ(Â(H W_n) + H W_s + b)`).
 #[test]
 fn sage_engine_matches_autodiff_trajectory() {
-    use ec_graph_repro::ecgraph::config::ModelKind;
-    use ec_graph_repro::nn::loss::masked_softmax_cross_entropy;
-    use ec_graph_repro::nn::optim::Adam;
-    use ec_graph_repro::nn::Tape;
-    use ec_graph_repro::tensor::{init, Matrix};
-
     let data = Arc::new(DatasetSpec::cora().instantiate_with(90, 10, 31));
     let dims = vec![10usize, 8, data.num_classes];
     let num_layers = dims.len() - 1;
-    let seed = 77u64;
     let adj = Arc::new(normalize::gcn_normalized_adjacency(&data.graph));
+    let config = TrainingConfig { model: ModelKind::Sage, ..config_for(&data, dims, 3, 77) };
+    let adjs = vec![adj; num_layers];
 
-    // Distributed Sage engine.
-    let config = TrainingConfig {
-        dims: dims.clone(),
-        model: ModelKind::Sage,
-        num_workers: 3,
-        seed,
-        ..TrainingConfig::defaults(10, data.num_classes)
-    };
     let partition = HashPartitioner::default().partition(&data.graph, 3);
-    let mut engine = DistributedEngine::new(
-        Arc::clone(&data),
-        vec![Arc::clone(&adj); num_layers],
-        partition,
-        config,
-    );
-
-    // Tape reference with the *same* parameter initialization: the engine's
-    // servers hold [W_n per layer | W_s per layer], xavier(seed + slot).
-    let mut w_n: Vec<Matrix> = (0..num_layers)
-        .map(|l| init::xavier_uniform(dims[l], dims[l + 1], seed.wrapping_add(l as u64)))
-        .collect();
-    let mut w_s: Vec<Matrix> = (0..num_layers)
-        .map(|l| {
-            init::xavier_uniform(dims[l], dims[l + 1], seed.wrapping_add((num_layers + l) as u64))
-        })
-        .collect();
-    let mut biases: Vec<Matrix> = dims[1..].iter().map(|&d| Matrix::zeros(1, d)).collect();
-    let mut shapes: Vec<(usize, usize)> = w_n.iter().map(|m| m.shape()).collect();
-    shapes.extend(w_s.iter().map(|m| m.shape()));
-    shapes.extend(biases.iter().map(|m| m.shape()));
-    let mut adam = Adam::new(&shapes, 0.01);
-
+    let mut engine =
+        DistributedEngine::new(Arc::clone(&data), adjs.clone(), partition, config.clone());
+    let mut reference = Reference::new(&config, adjs);
     for _ in 0..4 {
         engine.run_epoch();
-
-        let mut tape = Tape::new();
-        let x = tape.constant(data.features.clone());
-        let wn_ids: Vec<_> = w_n.iter().map(|w| tape.parameter(w.clone())).collect();
-        let ws_ids: Vec<_> = w_s.iter().map(|w| tape.parameter(w.clone())).collect();
-        let b_ids: Vec<_> = biases.iter().map(|b| tape.parameter(b.clone())).collect();
-        let mut h = x;
-        for l in 0..num_layers {
-            let hw = tape.matmul(h, wn_ids[l]);
-            let agg = tape.spmm(Arc::clone(&adj), hw);
-            let hs = tape.matmul(h, ws_ids[l]);
-            let sum = tape.add(agg, hs);
-            let z = tape.add_bias(sum, b_ids[l]);
-            h = if l + 1 < num_layers { tape.relu(z) } else { z };
-        }
-        let (_, grad) =
-            masked_softmax_cross_entropy(tape.value(h), &data.labels, &data.split.train);
-        tape.backward(h, grad);
-        let mut params: Vec<Matrix> = w_n.iter().chain(&w_s).chain(&biases).cloned().collect();
-        let grads: Vec<Matrix> = wn_ids
-            .iter()
-            .chain(&ws_ids)
-            .chain(&b_ids)
-            .map(|&id| tape.grad(id).unwrap().clone())
-            .collect();
-        adam.step(&mut params, &grads);
-        w_n = params[..num_layers].to_vec();
-        w_s = params[num_layers..2 * num_layers].to_vec();
-        biases = params[2 * num_layers..].to_vec();
+        reference.train_epoch(&data);
     }
 
     let dist = engine.weights();
     for l in 0..num_layers {
-        assert!(dist[l].0.approx_eq(&w_n[l], 3e-3), "layer {l} W_n diverged");
-        assert!(dist[num_layers + l].0.approx_eq(&w_s[l], 3e-3), "layer {l} W_s diverged");
-        for (a, b) in dist[l].1.iter().zip(biases[l].row(0)) {
+        let ((w_n, bias), (w_s, _)) = (reference.ps.pull(l), reference.ps.pull(num_layers + l));
+        assert!(dist[l].0.approx_eq(w_n, 3e-3), "layer {l} W_n diverged");
+        assert!(dist[num_layers + l].0.approx_eq(w_s, 3e-3), "layer {l} W_s diverged");
+        for (a, b) in dist[l].1.iter().zip(bias) {
             assert!((a - b).abs() < 3e-3, "layer {l} bias diverged");
         }
     }

@@ -176,7 +176,8 @@ fn escape_hatches_are_a_closed_list() {
             "crates/faults/src/lib.rs",
             "crates/graph/src/lib.rs",
             // The autodiff tape the comparators' compute blocks call; the
-            // rest of `ec-nn` is models and optimizers built at setup.
+            // rest of `ec-nn` is the loss and accuracy, which assert their
+            // documented preconditions.
             "crates/nn/src/tape.rs",
             "crates/partition/src/lib.rs",
             "crates/serve/src/lib.rs",
