@@ -10,7 +10,7 @@
 use crate::systems::{
     paper_config, paper_ec_bits, paper_fanouts, run as run_system, train_hash, System,
 };
-use crate::{bench_hidden, Body, Datasets, Experiment, Key, List, Run};
+use crate::{bench_hidden, Bits, Body, Datasets, Experiment, Key, List, Run};
 use ec_comm::HostTimer;
 use ec_compress::error::{relative_error, theorem1_bound};
 use ec_compress::Quantized;
@@ -29,11 +29,12 @@ use ec_partition::metis::MetisLikePartitioner;
 use ec_partition::{metrics, Partitioner};
 use ec_tensor::{init, stats};
 use serde_json::json;
+use std::num::{NonZeroU32, NonZeroUsize};
 use std::sync::Arc;
 
 const ALL: &str = "cora,pubmed,reddit,products,papers";
 const SCALE: Key = Key::new::<f64>("scale", "1.0");
-const WORKERS: Key = Key::new::<usize>("workers", "6");
+const WORKERS: Key = Key::new::<NonZeroUsize>("workers", "6");
 
 const fn datasets(default: &'static str) -> Key {
     Key::new::<Datasets>("datasets", default)
@@ -52,11 +53,11 @@ const fn patience(default: &'static str) -> Key {
 }
 
 const fn bits(default: &'static str) -> Key {
-    Key::new::<u8>("bits", default)
+    Key::new::<Bits>("bits", default)
 }
 
 const fn layers(default: &'static str) -> Key {
-    Key::new::<List<usize>>("layers", default)
+    Key::new::<List<NonZeroUsize>>("layers", default)
 }
 
 /// Every experiment `reproduce` knows, in `all` order.
@@ -125,7 +126,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
             dataset("products"),
             epochs("5"),
             SCALE,
-            Key::new::<List<usize>>("workers", "2,4,6,8,10,13"),
+            Key::new::<List<NonZeroUsize>>("workers", "2,4,6,8,10,13"),
         ],
         body: Body::Selected(fig11),
     },
@@ -147,7 +148,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
             SCALE,
             WORKERS,
             Key::new::<f64>("straggler", "2.0"),
-            Key::new::<u32>("attempts", "1"),
+            Key::new::<NonZeroU32>("attempts", "1"),
         ],
         body: Body::Selected(resilience_sweep),
     },
@@ -172,8 +173,8 @@ pub const EXPERIMENTS: &[Experiment] = &[
         keys: &[
             epochs("60"),
             bits("2"),
-            Key::new::<usize>("workers", "4"),
-            Key::new::<usize>("n", "600"),
+            Key::new::<NonZeroUsize>("workers", "4"),
+            Key::new::<NonZeroUsize>("n", "600"),
         ],
         body: Body::Once(theorem1),
     },
@@ -186,8 +187,13 @@ pub const EXPERIMENTS: &[Experiment] = &[
     },
 ];
 
-const BITS_SWEEP_KEYS: &[Key] =
-    &[datasets("cora,reddit"), epochs("100"), SCALE, WORKERS, Key::new::<usize>("every", "5")];
+const BITS_SWEEP_KEYS: &[Key] = &[
+    datasets("cora,reddit"),
+    epochs("100"),
+    SCALE,
+    WORKERS,
+    Key::new::<NonZeroUsize>("every", "5"),
+];
 
 type Data = Arc<AttributedGraph>;
 

@@ -56,6 +56,18 @@ impl<T: FromStr> FromStr for List<T> {
     }
 }
 
+/// A quantizer bit width, `1..=16`.
+pub struct Bits(pub u8);
+
+impl FromStr for Bits {
+    type Err = String;
+    fn from_str(s: &str) -> Result<Self, String> {
+        let bits = s.parse::<u8>().map_err(|e| e.to_string())?;
+        let valid = (1..=ec_compress::quantize::MAX_BITS).contains(&bits);
+        valid.then_some(Bits(bits)).ok_or_else(|| format!("{bits} is outside 1..=16"))
+    }
+}
+
 /// A comma-separated list of dataset names, each one a known replica.
 pub struct Datasets(pub Vec<DatasetSpec>);
 
@@ -332,6 +344,30 @@ mod tests {
         // `table2` declares no `epochs`; out-of-range values fail the type.
         assert!(rejected(&["table2", "epochs=5"]).contains("unknown key `epochs`"));
         assert!(rejected(&["ttr_sweep", "bits=300"]).contains("not a valid value for `bits`"));
+        // Integers no run can use fail the key's type, before anything runs,
+        // rather than a panic mid-run.
+        for args in [
+            ["table4", "layers=0"],
+            ["fig10", "layers=0"],
+            ["table2", "workers=0"],
+            ["table5", "workers=0"],
+            ["fig11", "workers=0"],
+            ["theorem1", "workers=0"],
+            ["fig6", "every=0"],
+            ["fig7", "every=0"],
+            ["ttr_sweep", "bits=0"],
+            ["ttr_sweep", "bits=17"],
+            ["selector_granularity", "bits=0"],
+            ["selector_granularity", "bits=17"],
+            ["theorem1", "bits=0"],
+            ["theorem1", "bits=17"],
+            ["resilience_sweep", "attempts=0"],
+            ["theorem1", "n=0"],
+        ] {
+            let key = args[1].split('=').next().unwrap_or_default();
+            let msg = rejected(&args);
+            assert!(msg.contains(&format!("not a valid value for `{key}`")), "{args:?}: {msg}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use ec_comm::HostTimer;
 use ec_graph::baselines::distdgl::{train_minibatch, MiniBatchConfig, Sampling};
-use ec_graph::baselines::local::{train_local, LocalConfig, LocalKind};
+use ec_graph::baselines::local::{train_local, LocalKind};
 use ec_graph::baselines::ml_centered::train_ml_centered;
 use ec_graph::config::{BpMode, FpMode, TrainingConfig};
 use ec_graph::report::RunResult;
@@ -152,9 +152,7 @@ pub fn run(
         System::DglLike | System::PygLike => {
             let kind =
                 if system == System::DglLike { LocalKind::DglLike } else { LocalKind::PygLike };
-            // 32 GB machines in the paper's small cluster.
-            let local = LocalConfig { base: config, kind, memory_limit: 32u64 << 30 };
-            return train_local(Arc::clone(data), &local);
+            return train_local(Arc::clone(data), config, kind);
         }
         System::NonCp => train_hash(data, with(FpMode::Exact, BpMode::Exact), label),
         System::DistGnn => train_hash(data, with(FpMode::Delayed { r: 5 }, BpMode::Exact), label),
@@ -182,7 +180,6 @@ pub fn run(
             let minibatch = MiniBatchConfig {
                 base: config,
                 fanouts: paper_fanouts(&data.name, layers).unwrap_or_else(|| vec![10; layers]),
-                batch_size: 64,
                 sampling: if system == System::DistDgl {
                     Sampling::Online
                 } else {

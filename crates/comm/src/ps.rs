@@ -165,11 +165,6 @@ impl ParameterServerGroup {
         self.layers.len()
     }
 
-    /// Number of servers the parameters are range-split over.
-    pub fn num_servers(&self) -> usize {
-        self.num_servers
-    }
-
     /// `pull(l)`: the layer's current weights and bias.
     pub fn pull(&self, layer: usize) -> (&Matrix, &[f32]) {
         let lp = &self.layers[layer];

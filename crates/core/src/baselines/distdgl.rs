@@ -44,6 +44,9 @@ pub enum Sampling {
     Prefetched,
 }
 
+/// Mini-batch size per worker.
+const BATCH_SIZE: usize = 64;
+
 /// What makes a mini-batch run itself, on top of the shared training
 /// configuration.
 #[derive(Clone, Debug)]
@@ -52,8 +55,6 @@ pub struct MiniBatchConfig<'a> {
     pub base: &'a TrainingConfig,
     /// Fan-out per layer (forward order), e.g. the paper's `(20, 5)`.
     pub fanouts: Vec<usize>,
-    /// Mini-batch size per worker.
-    pub batch_size: usize,
     /// The system being reproduced.
     pub sampling: Sampling,
 }
@@ -136,7 +137,7 @@ pub fn train_minibatch(
     if config.sampling == Sampling::Prefetched {
         let mut rng = SmallRng::seed_from_u64(base.seed ^ 0xB10C);
         for (w, train) in train_by_worker.iter().enumerate() {
-            let per_batch: Vec<Batch> = make_batches(train, config.batch_size, &mut rng)
+            let per_batch: Vec<Batch> = make_batches(train, BATCH_SIZE, &mut rng)
                 .into_iter()
                 .map(|seeds| {
                     let blocks = sample_blocks(&data.graph, &seeds, &config.fanouts, &mut rng);
@@ -156,7 +157,7 @@ pub fn train_minibatch(
     let preprocessing_s = pre_start.elapsed_s() + prefetch_s;
 
     let adj = Arc::new(normalize::gcn_normalized_adjacency(&data.graph));
-    let batches_of = |train: &Vec<usize>| train.len().div_ceil(config.batch_size);
+    let batches_of = |train: &Vec<usize>| train.len().div_ceil(BATCH_SIZE);
     let max_batches = train_by_worker.iter().map(batches_of).max().unwrap_or(0).max(1);
     let total_train = data.split.train.len().max(1);
 
@@ -165,11 +166,7 @@ pub fn train_minibatch(
         let kt = cluster.kernel_threads;
         // DistDGL reshuffles every worker's seed batches each epoch.
         let reshuffle = |w: usize| {
-            make_batches(
-                &train_by_worker[w],
-                config.batch_size,
-                &mut stream(base.seed, epoch, 0, w),
-            )
+            make_batches(&train_by_worker[w], BATCH_SIZE, &mut stream(base.seed, epoch, 0, w))
         };
         let order: Vec<_> = (0..num_workers).filter(|_| online).map(reshuffle).collect();
         let (mut loss_sum, mut loss_count) = (0.0f32, 0usize);
@@ -247,7 +244,7 @@ mod tests {
     }
 
     fn config(base: &TrainingConfig, sampling: Sampling) -> MiniBatchConfig<'_> {
-        MiniBatchConfig { base, fanouts: vec![5, 5], batch_size: 16, sampling }
+        MiniBatchConfig { base, fanouts: vec![5, 5], sampling }
     }
 
     #[test]

@@ -113,13 +113,6 @@ pub fn respond_exact(g_rows: &Matrix) -> (Matrix, u64) {
     (g_rows.clone(), codec::matrix_wire_size(g_rows) as u64)
 }
 
-/// Plain `B`-bit quantized response (`Cp-bp-B`); min/max computed per
-/// message because gradients "will not be normalized into a unit ball"
-/// (Alg. 6 line 4).
-pub fn respond_compressed(g_rows: &Matrix, bits: u8) -> (Matrix, u64) {
-    crate::fp::respond_compressed(g_rows, bits)
-}
-
 /// One ResEC-BP exchange (Eqs. 11–12):
 ///
 /// ```text
@@ -187,6 +180,7 @@ pub fn topk_ec_step(state: &mut ResidualState, g_rows: &Matrix, ratio: f32) -> (
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fp::respond_compressed;
     use crate::fp::tests::bit_patterns;
     use ec_tensor::stats;
 

@@ -311,11 +311,6 @@ impl DistributedEngine {
         &self.data
     }
 
-    /// The per-layer normalized adjacencies.
-    pub fn adjs(&self) -> &[Arc<CsrMatrix>] {
-        &self.adjs
-    }
-
     /// Detaches the current model parameters as a read-only
     /// [`crate::infer::ModelWeights`] — the inference entry point shared by
     /// [`Self::evaluate`] and the `ec-serve` serving layer. Pure forward
@@ -332,11 +327,6 @@ impl DistributedEngine {
     /// Snapshot of the current model parameters.
     pub fn weights(&self) -> Vec<(Matrix, Vec<f32>)> {
         self.cluster.ps.weights()
-    }
-
-    /// Overwrites the model parameters (identical-start comparisons).
-    pub fn set_weights(&mut self, weights: &[(Matrix, Vec<f32>)]) {
-        self.cluster.ps.set_weights(weights);
     }
 
     /// Persists the current model weights to `path` (wire-codec format).
@@ -820,6 +810,30 @@ mod tests {
         // Two exchange layers × the two links 0 → 1 and 1 → 0.
         assert_eq!(e.bp_residual_norms().len(), 4);
         assert!(e.evaluate().train.is_finite());
+    }
+
+    /// ROADMAP 10: a worker that owns no vertex at all — no rows, no links,
+    /// no loss term — takes part in every superstep under each family of
+    /// link state (none, trend + residual, delay + sparsification residual).
+    #[test]
+    fn an_empty_partition_trains_in_every_mode_family() {
+        let data = Arc::new(DatasetSpec::cora().instantiate_with(150, 12, 5));
+        let adj = Arc::new(normalize::gcn_normalized_adjacency(&data.graph));
+        for (fp, bp) in [
+            (FpMode::Exact, BpMode::Exact),
+            (FpMode::ReqEc { bits: 2, t_tr: 10, adaptive: true }, BpMode::ResEc { bits: 4 }),
+            (FpMode::Delayed { r: 3 }, BpMode::TopkEc { ratio: 0.2 }),
+        ] {
+            // Worker 2 of 3 owns nothing.
+            let partition = Partition::new((0..150).map(|v| v % 2).collect(), 3);
+            let (data, adjs) = (Arc::clone(&data), vec![Arc::clone(&adj); 2]);
+            let mut e = DistributedEngine::new(data, adjs, partition, config_with(fp, bp, 3, 2));
+            assert_eq!(e.contexts[2].num_local(), 0);
+            for _ in 0..4 {
+                let stats = e.run_epoch();
+                assert!(stats.loss.is_finite(), "{fp:?}/{bp:?} epoch {}", stats.epoch);
+            }
+        }
     }
 
     /// ROADMAP 9(b) through the exchange workspace, whose remote operands

@@ -230,11 +230,6 @@ impl FaultInjector {
         Self { plan }
     }
 
-    /// The plan in force.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// The fault probabilities for the link `from → to`.
     pub fn link_faults(&self, from: usize, to: usize) -> LinkFaults {
         self.plan

@@ -49,19 +49,16 @@ pub use service::{BatchCost, InferenceService};
 pub use store::EmbeddingStore;
 pub use wire::{ServeReply, ServeRequest};
 
-use ec_comm::NetworkModel;
 use ec_faults::FaultPlan;
 
-/// Serving-side configuration: batching, cache and cost-model knobs.
+/// Serving-side configuration: cache, fetch and fault knobs. Batching
+/// (`loadgen`'s `MAX_BATCH` / `MAX_DELAY_S`), the network (Gigabit
+/// Ethernet) and the compute cost model (`service`'s `SECS_PER_FLOP` /
+/// `BATCH_OVERHEAD_S`) are fixed.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Serving workers (must equal the partition's part count).
     pub num_workers: usize,
-    /// Dispatch a batch as soon as this many requests are pending.
-    pub max_batch: usize,
-    /// … or as soon as the oldest pending request has waited this long
-    /// (simulated seconds).
-    pub max_delay_s: f64,
     /// LRU capacity (rows) of each worker's embedding cache; 0 disables
     /// caching of fetched rows.
     pub cache_rows: usize,
@@ -72,40 +69,25 @@ pub struct ServeConfig {
     /// bit-identical to the full-graph forward pass); `Some(b)` quantizes
     /// each fetched row to `b` bits with a per-row range.
     pub fetch_bits: Option<u8>,
-    /// α–β model of the serving network.
-    pub network: NetworkModel,
     /// Fault plan injected into the serving network (stragglers, outages).
     pub faults: FaultPlan,
     /// Kernel threads for store (re)materialization; 0 = auto.
     pub kernel_threads: usize,
-    /// Modeled seconds per floating-point operation of the final-layer
-    /// per-request compute (the serving analog of the training engine's
-    /// measured compute blocks — modeled so latencies are deterministic).
-    pub secs_per_flop: f64,
-    /// Fixed modeled overhead per dispatched batch (scheduling, kernel
-    /// launch) in seconds.
-    pub batch_overhead_s: f64,
     /// Telemetry recording level for serving metrics.
     pub telemetry: ec_trace::TelemetryConfig,
 }
 
 impl ServeConfig {
-    /// Defaults for `num_workers` workers: batches of up to 8 requests or
-    /// 2 ms, a 256-row cache with 32 pinned rows, exact fetches, a
-    /// gigabit network and a 5 GFLOP/s per-worker serving budget.
+    /// Defaults for `num_workers` workers: a 256-row cache with 32 pinned
+    /// rows and exact fetches.
     pub fn defaults(num_workers: usize) -> Self {
         Self {
             num_workers,
-            max_batch: 8,
-            max_delay_s: 2e-3,
             cache_rows: 256,
             pinned_rows: 32,
             fetch_bits: None,
-            network: NetworkModel::gigabit_ethernet(),
             faults: FaultPlan::none(),
             kernel_threads: 0,
-            secs_per_flop: 2e-10,
-            batch_overhead_s: 20e-6,
             telemetry: ec_trace::TelemetryConfig::default(),
         }
     }
@@ -115,30 +97,10 @@ impl ServeConfig {
         if self.num_workers == 0 {
             return Err("need at least one serving worker".into());
         }
-        if self.max_batch == 0 {
-            return Err("max_batch must be at least 1".into());
-        }
-        // Written positively so NaN fails the check too.
-        let delay_ok = self.max_delay_s.is_finite() && self.max_delay_s >= 0.0;
-        if !delay_ok {
-            return Err(format!("max_delay_s {} must be finite and >= 0", self.max_delay_s));
-        }
         if let Some(bits) = self.fetch_bits {
             if bits == 0 || bits > ec_compress::quantize::MAX_BITS {
                 return Err(format!("fetch_bits {bits} out of range 1..=16"));
             }
-        }
-        // Positively again, and finite: +∞ here turns every latency of the
-        // report into `inf` without an error.
-        let cost_ok = self.secs_per_flop.is_finite()
-            && self.secs_per_flop > 0.0
-            && self.batch_overhead_s.is_finite()
-            && self.batch_overhead_s >= 0.0;
-        if !cost_ok {
-            return Err(format!(
-                "serving cost model must be finite, secs_per_flop {} > 0 and batch_overhead_s {} >= 0",
-                self.secs_per_flop, self.batch_overhead_s
-            ));
         }
         self.faults.validate()?;
         Ok(())
@@ -157,31 +119,11 @@ mod tests {
     #[test]
     fn validate_rejects_bad_knobs() {
         let mut c = ServeConfig::defaults(4);
-        c.max_batch = 0;
-        assert!(c.validate().is_err());
-        let mut c = ServeConfig::defaults(4);
         c.fetch_bits = Some(0);
         assert!(c.validate().is_err());
         let mut c = ServeConfig::defaults(4);
         c.fetch_bits = Some(17);
         assert!(c.validate().is_err());
-        let mut c = ServeConfig::defaults(0);
-        assert!(c.validate().is_err());
-        c.num_workers = 2;
-        c.max_delay_s = f64::NAN;
-        assert!(c.validate().is_err());
-        for bad in [f64::INFINITY, f64::NAN, 0.0, -1e-9] {
-            let mut c = ServeConfig::defaults(4);
-            c.secs_per_flop = bad;
-            assert!(c.validate().is_err(), "secs_per_flop {bad} accepted");
-        }
-        for bad in [f64::INFINITY, f64::NAN, -1e-9] {
-            let mut c = ServeConfig::defaults(4);
-            c.batch_overhead_s = bad;
-            assert!(c.validate().is_err(), "batch_overhead_s {bad} accepted");
-        }
-        let mut c = ServeConfig::defaults(4);
-        c.batch_overhead_s = 0.0;
-        assert!(c.validate().is_ok(), "a free dispatch is a valid model");
+        assert!(ServeConfig::defaults(0).validate().is_err());
     }
 }

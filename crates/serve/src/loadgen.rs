@@ -4,8 +4,9 @@
 //! `C` clients each keep one request in flight: issue → (queue, batch,
 //! serve) → think → issue again. Vertex popularity follows a Zipf law over
 //! a seeded permutation of the vertex ids (popular vertices are spread
-//! across partitions, as in real traffic); think times are exponential,
-//! modulated by an on/off burst phase of the simulated clock.
+//! across partitions, as in real traffic); think times are exponential
+//! with a 1 ms mean, 3× shorter in the first fifth of every 50 ms of the
+//! simulated clock (the burst phase).
 //!
 //! Determinism: every random draw flows from the workload seed through one
 //! `SmallRng` consumed in event order; the event queue is a `BTreeMap`
@@ -21,6 +22,20 @@ use ec_trace::TelemetryLevel;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
 
+/// A worker dispatches a batch as soon as this many requests are pending…
+const MAX_BATCH: usize = 8;
+/// … or as soon as the oldest pending request has waited this long
+/// (simulated seconds).
+const MAX_DELAY_S: f64 = 2e-3;
+/// Mean think time between a completion and the client's next issue.
+const MEAN_THINK_S: f64 = 1e-3;
+/// Burst cycle length in simulated seconds.
+const BURST_PERIOD_S: f64 = 50e-3;
+/// Fraction of each cycle spent in the burst phase.
+const BURST_FRACTION: f64 = 0.2;
+/// Think-rate multiplier during the burst phase.
+const BURST_FACTOR: f64 = 3.0;
+
 /// Closed-loop workload description.
 #[derive(Clone, Debug)]
 pub struct WorkloadConfig {
@@ -30,32 +45,14 @@ pub struct WorkloadConfig {
     pub total_requests: u64,
     /// Zipf popularity exponent (0 = uniform).
     pub zipf_exponent: f64,
-    /// Mean think time between a completion and the client's next issue.
-    pub mean_think_s: f64,
-    /// Burst cycle length in simulated seconds (0 disables bursts).
-    pub burst_period_s: f64,
-    /// Fraction of each cycle spent in the burst phase.
-    pub burst_fraction: f64,
-    /// Think-rate multiplier during the burst phase (> 1 = more traffic).
-    pub burst_factor: f64,
     /// Seed for all load-generator randomness.
     pub seed: u64,
 }
 
 impl WorkloadConfig {
-    /// A small default workload: 16 clients, 1 000 requests, Zipf 0.9,
-    /// 1 ms mean think time, 3× bursts for a fifth of every 50 ms cycle.
+    /// A small default workload: 16 clients, 1 000 requests, Zipf 0.9.
     pub fn defaults() -> Self {
-        Self {
-            clients: 16,
-            total_requests: 1_000,
-            zipf_exponent: 0.9,
-            mean_think_s: 1e-3,
-            burst_period_s: 50e-3,
-            burst_fraction: 0.2,
-            burst_factor: 3.0,
-            seed: 17,
-        }
+        Self { clients: 16, total_requests: 1_000, zipf_exponent: 0.9, seed: 17 }
     }
 
     /// Checks the knobs for consistency.
@@ -63,23 +60,9 @@ impl WorkloadConfig {
         if self.clients == 0 || self.total_requests == 0 {
             return Err("need at least one client and one request".into());
         }
-        // Written positively so NaN fails every check, and with
-        // `is_finite` so +∞ does: an infinite think time parks every client
-        // forever and the report's durations become `inf` without an error.
-        let finite_from = |x: f64, low: f64| x.is_finite() && x >= low;
-        let rates_ok = finite_from(self.zipf_exponent, 0.0)
-            && self.mean_think_s.is_finite()
-            && self.mean_think_s > 0.0;
-        if !rates_ok {
-            return Err("zipf_exponent must be finite and >= 0, mean_think_s finite and > 0".into());
-        }
-        if !finite_from(self.burst_period_s, 0.0) {
-            return Err(format!("burst_period_s {} must be finite and >= 0", self.burst_period_s));
-        }
-        let burst_ok =
-            (0.0..=1.0).contains(&self.burst_fraction) && finite_from(self.burst_factor, 1.0);
-        if self.burst_period_s > 0.0 && !burst_ok {
-            return Err("burst_fraction must be in [0,1] and burst_factor finite and >= 1".into());
+        // Written positively so NaN fails the check too.
+        if !(self.zipf_exponent.is_finite() && self.zipf_exponent >= 0.0) {
+            return Err("zipf_exponent must be finite and >= 0".into());
         }
         Ok(())
     }
@@ -127,13 +110,10 @@ impl ZipfSampler {
 
 /// One exponential think-time draw, burst-modulated by the simulated time
 /// `now` at which the thinking starts.
-fn think_time(cfg: &WorkloadConfig, rng: &mut SmallRng, now: f64) -> f64 {
-    let mut mean = cfg.mean_think_s;
-    if cfg.burst_period_s > 0.0 {
-        let phase = (now / cfg.burst_period_s).fract();
-        if phase < cfg.burst_fraction {
-            mean /= cfg.burst_factor;
-        }
+fn think_time(rng: &mut SmallRng, now: f64) -> f64 {
+    let mut mean = MEAN_THINK_S;
+    if (now / BURST_PERIOD_S).fract() < BURST_FRACTION {
+        mean /= BURST_FACTOR;
     }
     let u: f64 = rng.gen();
     -mean * (1.0 - u).ln()
@@ -166,8 +146,6 @@ pub fn run_closed_loop(service: &mut InferenceService, workload: &WorkloadConfig
     let num_workers = service.num_workers();
     let zipf = ZipfSampler::new(service.store_vertices(), workload.zipf_exponent, workload.seed);
     let mut rng = SmallRng::seed_from_u64(workload.seed);
-    let max_batch = service.config().max_batch;
-    let max_delay = service.config().max_delay_s;
 
     let mut events: BTreeMap<(u64, u64), Event> = BTreeMap::new();
     let mut seq = 0u64;
@@ -199,7 +177,7 @@ pub fn run_closed_loop(service: &mut InferenceService, workload: &WorkloadConfig
 
     // Each client's first issue staggers off the think-time distribution.
     for c in 0..workload.clients as u32 {
-        let t0 = think_time(workload, &mut rng, 0.0);
+        let t0 = think_time(&mut rng, 0.0);
         push(&mut events, &mut seq, t0, Event::Issue { client: c });
     }
 
@@ -215,7 +193,7 @@ pub fn run_closed_loop(service: &mut InferenceService, workload: &WorkloadConfig
                              now: f64| {
         let queue = &queues[w];
         let Some(front) = queue.front() else { return };
-        let trigger = if queue.len() >= max_batch { now } else { front.arrival + max_delay };
+        let trigger = if queue.len() >= MAX_BATCH { now } else { front.arrival + MAX_DELAY_S };
         let start = trigger.max(free_at[w]).max(now);
         if scheduled_at[w].is_none_or(|t| start < t) {
             gens[w] += 1;
@@ -256,7 +234,7 @@ pub fn run_closed_loop(service: &mut InferenceService, workload: &WorkloadConfig
                     continue; // superseded by a later re-schedule
                 }
                 scheduled_at[w] = None;
-                let take = queues[w].len().min(max_batch);
+                let take = queues[w].len().min(MAX_BATCH);
                 if take == 0 {
                     continue;
                 }
@@ -289,7 +267,7 @@ pub fn run_closed_loop(service: &mut InferenceService, workload: &WorkloadConfig
                     service.note_request_latency(latency);
                     served += 1;
                     per_worker[w].served += 1;
-                    let next = finish + think_time(workload, &mut rng, finish);
+                    let next = finish + think_time(&mut rng, finish);
                     push(&mut events, &mut seq, next, Event::Issue { client: p.client });
                 }
                 schedule_dispatch(
@@ -384,16 +362,11 @@ mod tests {
 
     #[test]
     fn think_times_burst() {
-        let cfg = WorkloadConfig {
-            burst_period_s: 1.0,
-            burst_fraction: 0.5,
-            burst_factor: 10.0,
-            ..WorkloadConfig::defaults()
-        };
+        // 5 ms is inside the first fifth of the 50 ms cycle, 30 ms is not.
         let mut rng = SmallRng::seed_from_u64(1);
-        let in_burst: f64 = (0..400).map(|_| think_time(&cfg, &mut rng, 0.1)).sum();
-        let off_burst: f64 = (0..400).map(|_| think_time(&cfg, &mut rng, 0.9)).sum();
-        assert!(off_burst > in_burst * 3.0, "burst phase must shorten think times");
+        let in_burst: f64 = (0..400).map(|_| think_time(&mut rng, 5e-3)).sum();
+        let off_burst: f64 = (0..400).map(|_| think_time(&mut rng, 30e-3)).sum();
+        assert!(off_burst > in_burst * 2.0, "burst phase must shorten think times");
     }
 
     #[test]
@@ -401,24 +374,10 @@ mod tests {
         let mut w = WorkloadConfig::defaults();
         w.clients = 0;
         assert!(w.validate().is_err());
-        let mut w = WorkloadConfig::defaults();
-        w.burst_factor = 0.5;
-        assert!(w.validate().is_err());
         assert!(WorkloadConfig::defaults().validate().is_ok());
-        // Non-finite knobs: each of these used to validate.
-        type Knob = fn(&mut WorkloadConfig) -> &mut f64;
-        let knobs: [Knob; 4] = [
-            |w| &mut w.mean_think_s,
-            |w| &mut w.zipf_exponent,
-            |w| &mut w.burst_period_s,
-            |w| &mut w.burst_factor,
-        ];
-        for knob in knobs {
-            for bad in [f64::INFINITY, f64::NAN] {
-                let mut w = WorkloadConfig::defaults();
-                *knob(&mut w) = bad;
-                assert!(w.validate().is_err(), "{bad} accepted: {w:?}");
-            }
+        for bad in [f64::INFINITY, f64::NAN, -0.5] {
+            let w = WorkloadConfig { zipf_exponent: bad, ..WorkloadConfig::defaults() };
+            assert!(w.validate().is_err(), "{bad} accepted: {w:?}");
         }
     }
 }

@@ -33,7 +33,7 @@ use crate::store::EmbeddingStore;
 use crate::wire::{ServeReply, ServeRequest};
 use crate::ServeConfig;
 use ec_comm::stats::Channel;
-use ec_comm::SimNetwork;
+use ec_comm::{NetworkModel, SimNetwork};
 use ec_compress::Quantized;
 use ec_graph::infer::ModelWeights;
 use ec_graph_data::AttributedGraph;
@@ -102,6 +102,14 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
+
+/// Modeled seconds per floating-point operation of a batch's final-layer
+/// compute: a 5 GFLOP/s per-worker budget, modeled (not measured) so that
+/// latencies are deterministic.
+const SECS_PER_FLOP: f64 = 2e-10;
+
+/// Modeled fixed cost of dispatching one batch (scheduling, kernel launch).
+const BATCH_OVERHEAD_S: f64 = 20e-6;
 
 /// "Not in this batch" in [`Workspace::pos_of`].
 const NO_POS: u32 = u32::MAX;
@@ -203,8 +211,11 @@ impl InferenceService {
 
         let num_workers = config.num_workers;
         // Node layout: workers 0..W, parameter node W (checkpoint source).
-        let network =
-            SimNetwork::with_faults(num_workers + 1, config.network, config.faults.clone());
+        let network = SimNetwork::with_faults(
+            num_workers + 1,
+            NetworkModel::gigabit_ethernet(),
+            config.faults.clone(),
+        );
         let telemetry = TelemetrySink::new(&config.telemetry, num_workers);
         let store =
             EmbeddingStore::build(&model, &adjs, &data, partition.clone(), config.kernel_threads);
@@ -567,8 +578,7 @@ impl InferenceService {
         let out = answer?;
         let flops = (projected * 2 * (k * out_dim) + (2 * entries + ids.len()) * out_dim) as u64;
         let straggle = self.network.faults().map_or(1.0, |inj| inj.straggler_factor(worker));
-        cost.compute_s =
-            flops as f64 * self.config.secs_per_flop * straggle + self.config.batch_overhead_s;
+        cost.compute_s = flops as f64 * SECS_PER_FLOP * straggle + BATCH_OVERHEAD_S;
 
         // 6. Serving metrics (pure observation; never feeds back).
         let wl = labels(&[version, worker as u32]);
@@ -576,31 +586,6 @@ impl InferenceService {
         self.telemetry.add(MetricId::ServeCacheMiss, wl, cost.cache_misses);
         self.telemetry.observe(MetricId::ServeBatchOccupancy, wl, ids.len() as f64);
         Ok((out, cost))
-    }
-
-    /// Convenience wrapper: argmax class predictions for a batch.
-    ///
-    /// # Errors
-    /// Same contract as [`Self::answer_batch`].
-    pub fn predict(
-        &mut self,
-        worker: usize,
-        ids: &[u32],
-    ) -> Result<(Vec<u32>, BatchCost), ServeError> {
-        let (logits, cost) = self.answer_batch(worker, ids)?;
-        let classes = (0..logits.rows())
-            .map(|r| {
-                let row = logits.row(r);
-                let mut best = 0usize;
-                for (j, &x) in row.iter().enumerate() {
-                    if x > row[best] {
-                        best = j;
-                    }
-                }
-                best as u32
-            })
-            .collect();
-        Ok((classes, cost))
     }
 }
 
@@ -772,8 +757,7 @@ mod tests {
                 out.set_row(i, &row);
             }
             let straggle = self.network.faults().map_or(1.0, |inj| inj.straggler_factor(worker));
-            cost.compute_s =
-                flops as f64 * self.config.secs_per_flop * straggle + self.config.batch_overhead_s;
+            cost.compute_s = flops as f64 * SECS_PER_FLOP * straggle + BATCH_OVERHEAD_S;
             Ok((out, cost))
         }
     }

@@ -8,7 +8,8 @@
 //!
 //! * [`span`] — a lightweight span model ([`SpanEvent`] is `Copy`, names
 //!   are `&'static str`, recording allocates nothing) placed on a fixed
-//!   track layout (one per simulated worker, plus network/engine/host);
+//!   track layout (one per simulated worker, plus network/engine and an
+//!   empty `host` track the exports still list);
 //! * [`ring`] — fixed-capacity per-track ring buffers that overwrite the
 //!   oldest event under pressure and count what they dropped;
 //! * [`registry`] — a static catalog of typed counters / gauges /
@@ -28,11 +29,12 @@
 //! ## Determinism contract
 //!
 //! Trace timestamps are **simulated seconds** (the same modeled clock the
-//! run report is built from), never the host clock. Host-measured spans
-//! (the `span!` macro, preprocessing) go through the sanctioned
-//! [`ec_comm::HostTimer`], which reports zero under deterministic timing —
-//! so under `ec_comm::set_deterministic_timing(true)` two identical runs
-//! export byte-identical traces, whatever the thread counts. Recording is
+//! run report is built from), never the host clock. The host-measured
+//! quantities a caller records (pack/unpack phase gauges, per-superstep
+//! compute) come from the sanctioned `ec_comm::HostTimer`, which reports
+//! zero under deterministic timing — so under
+//! `ec_comm::set_deterministic_timing(true)` two identical runs export
+//! byte-identical traces, whatever the thread counts. Recording is
 //! observation only: no training decision may read telemetry state, and
 //! `tests/determinism_suite.rs` proves the run report is byte-identical
 //! with telemetry [`TelemetryLevel::Off`] vs [`TelemetryLevel::Trace`].
@@ -54,12 +56,6 @@ pub use registry::{Labels, MetricId, MetricKind, MetricValue, L_NONE};
 pub use report::{MetricRow, TelemetryReport};
 pub use sink::TelemetrySink;
 pub use span::{SpanEvent, TrackLayout, NO_INDEX};
-
-/// Not part of the public API: support machinery for the [`span!`] macro.
-#[doc(hidden)]
-pub mod __private {
-    pub use ec_comm::HostTimer;
-}
 
 /// How much the telemetry layer records. Levels are cumulative: each one
 /// records everything the previous level does.
@@ -121,42 +117,6 @@ impl TelemetryConfig {
     }
 }
 
-/// Times `$body` with the sanctioned host clock and records it as a span
-/// on the sink's host track (a no-op below [`TelemetryLevel::Trace`]).
-///
-/// The field block accepts any subset of `epoch` / `layer` / `superstep` /
-/// `worker`:
-///
-/// ```
-/// use ec_trace::{span, TelemetryConfig, TelemetryLevel, TelemetrySink};
-/// let mut sink = TelemetrySink::new(&TelemetryConfig::at(TelemetryLevel::Trace), 2);
-/// let value = span!(sink, "preprocess:partition", { epoch: 0, worker: 1 }, {
-///     21 * 2
-/// });
-/// assert_eq!(value, 42);
-/// ```
-///
-/// Host spans live on their own wall-clock timeline (accumulated from the
-/// start of the run); under deterministic timing they are zero-width, so
-/// traces stay byte-identical.
-#[macro_export]
-macro_rules! span {
-    ($sink:expr, $name:expr, { $($field:ident : $val:expr),* $(,)? }, $body:expr) => {{
-        if $sink.enabled($crate::TelemetryLevel::Trace) {
-            let __ec_trace_timer = $crate::__private::HostTimer::start();
-            let __ec_trace_out = $body;
-            #[allow(unused_mut)]
-            let mut __ec_trace_ev =
-                $crate::SpanEvent::host($name, __ec_trace_timer.elapsed_s());
-            $( __ec_trace_ev.$field = ($val) as i64; )*
-            $sink.push_host_span(__ec_trace_ev);
-            __ec_trace_out
-        } else {
-            $body
-        }
-    }};
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,23 +139,5 @@ mod tests {
             assert_eq!(l.as_str().parse::<TelemetryLevel>(), Ok(l));
         }
         assert!("verbose".parse::<TelemetryLevel>().is_err());
-    }
-
-    #[test]
-    fn span_macro_records_at_trace_and_passes_value_through() {
-        let mut sink = TelemetrySink::new(&TelemetryConfig::at(TelemetryLevel::Trace), 2);
-        let v = span!(sink, "unit:work", { epoch: 3, layer: 1 }, 6 * 7);
-        assert_eq!(v, 42);
-        let report = sink.report();
-        assert_eq!(report.spans.len(), 1);
-        assert_eq!(report.spans[0].name, "unit:work");
-        assert_eq!(report.spans[0].epoch, 3);
-        assert_eq!(report.spans[0].layer, 1);
-        assert_eq!(report.spans[0].worker, NO_INDEX);
-
-        let mut off = TelemetrySink::new(&TelemetryConfig::default(), 2);
-        let v = span!(off, "unit:work", {}, 1 + 1);
-        assert_eq!(v, 2);
-        assert!(off.report().spans.is_empty());
     }
 }

@@ -28,9 +28,6 @@ pub struct TelemetrySink {
     /// the replayed epochs re-record everything else, but the crash itself
     /// happens only once.
     crash_epochs: Vec<u32>,
-    /// Accumulated host-measured time; host spans are laid out end to end
-    /// on their own track (zero-width under deterministic timing).
-    host_cursor_s: f64,
 }
 
 impl TelemetrySink {
@@ -48,7 +45,6 @@ impl TelemetrySink {
             registry: MetricsRegistry::new(),
             rings,
             crash_epochs: Vec::new(),
-            host_cursor_s: 0.0,
         }
     }
 
@@ -96,18 +92,6 @@ impl TelemetrySink {
         if let Some(ring) = self.rings.get_mut(ev.track as usize) {
             ring.push(ev);
         }
-    }
-
-    /// Records a host-measured span ([`crate::span!`]'s backend): assigns
-    /// the host track and lays the span at the current host cursor.
-    pub fn push_host_span(&mut self, mut ev: SpanEvent) {
-        if self.rings.is_empty() {
-            return;
-        }
-        ev.track = self.layout.host();
-        ev.start_s = self.host_cursor_s;
-        self.host_cursor_s += ev.dur_s;
-        self.span(ev);
     }
 
     /// Marks a crash rolled back and replayed at `epoch`. Survives
@@ -209,18 +193,6 @@ mod tests {
         s.span(SpanEvent::new("w0", "fp", 0, 0.0, 1.0));
         let names: Vec<&str> = s.report().spans.iter().map(|e| e.name).collect();
         assert_eq!(names, vec!["w0", "w1", "net"]);
-    }
-
-    #[test]
-    fn host_spans_accumulate_on_their_own_track() {
-        let mut s = sink_at(TelemetryLevel::Trace);
-        s.push_host_span(SpanEvent::host("a", 2.0));
-        s.push_host_span(SpanEvent::host("b", 0.5));
-        let rep = s.report();
-        assert_eq!(rep.spans.len(), 2);
-        assert_eq!(rep.spans[0].track, s.layout().host());
-        assert_eq!(rep.spans[0].start_s, 0.0);
-        assert_eq!(rep.spans[1].start_s, 2.0);
     }
 
     #[test]

@@ -4,19 +4,18 @@
 //! numeric coordinates, so recording one is a handful of word moves — no
 //! allocation on any hot path. Timestamps are **simulated seconds**
 //! (converted to microseconds at export time, the unit Chrome's
-//! `trace_event` format expects); host-measured spans accumulate on their
-//! own track and are zero-width under deterministic timing.
+//! `trace_event` format expects).
 
 /// Sentinel for "this dimension does not apply to this span".
 pub const NO_INDEX: i64 = -1;
 
 /// One completed span. `start_s`/`dur_s` are seconds on the simulated
-/// timeline (or the accumulated host timeline for `cat == "host"`).
+/// timeline.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SpanEvent {
     /// Event name, e.g. `"fp:exchange"`.
     pub name: &'static str,
-    /// Category: `"fp"`, `"bp"`, `"loss"`, `"update"` or `"host"`.
+    /// Category, e.g. `"fp"`, `"bp"`, `"loss"`, `"update"` or `"serve"`.
     pub cat: &'static str,
     /// Track index (Chrome `tid`); see [`TrackLayout`].
     pub track: u32,
@@ -56,11 +55,6 @@ impl SpanEvent {
         }
     }
 
-    /// A host-measured span; the sink assigns its track and start time.
-    pub fn host(name: &'static str, dur_s: f64) -> Self {
-        Self::new(name, "host", 0, 0.0, dur_s)
-    }
-
     /// Sets the epoch dimension.
     pub fn at_epoch(mut self, epoch: usize) -> Self {
         self.epoch = epoch as i64;
@@ -87,9 +81,13 @@ impl SpanEvent {
 }
 
 /// The fixed track layout of one run: one track per simulated worker,
-/// then the network, the engine, and the host-measurement track. Exports
-/// walk tracks in ascending index order — worker order first — so merged
-/// output is byte-identical however the recording was threaded.
+/// then the network and the engine. Exports walk tracks in ascending index
+/// order — worker order first — so merged output is byte-identical however
+/// the recording was threaded.
+///
+/// Track `W + 2`, named `"host"`, once held host-measured spans. Nothing
+/// records on it any more, but it stays in [`Self::count`] and
+/// [`Self::name`] because the committed trace and metrics goldens list it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TrackLayout {
     workers: usize,
@@ -122,12 +120,7 @@ impl TrackLayout {
         self.workers as u32 + 1
     }
 
-    /// Track of host-measured (wall-clock) spans.
-    pub fn host(&self) -> u32 {
-        self.workers as u32 + 2
-    }
-
-    /// Total number of tracks.
+    /// Total number of tracks, the empty `"host"` track included.
     pub fn count(&self) -> usize {
         self.workers + 3
     }
@@ -162,7 +155,7 @@ mod tests {
         assert_eq!(ev.layer, 2);
         assert_eq!(ev.superstep, 7);
         assert_eq!(ev.worker, 1);
-        assert_eq!(SpanEvent::host("x", 0.1).epoch, NO_INDEX);
+        assert_eq!(SpanEvent::new("x", "fp", 0, 0.0, 0.1).epoch, NO_INDEX);
     }
 
     #[test]
@@ -172,7 +165,6 @@ mod tests {
         assert_eq!(l.worker(3), 3);
         assert_eq!(l.network(), 4);
         assert_eq!(l.engine(), 5);
-        assert_eq!(l.host(), 6);
         assert_eq!(l.count(), 7);
         assert_eq!(l.name(1), "worker 1");
         assert_eq!(l.name(4), "network");

@@ -64,14 +64,18 @@ head -1 "$REPRO_DIR/results/table2.txt" | grep -Eq '^# rev [0-9a-f]+(-dirty)? is
   || { echo "results/table2.txt lacks the '# rev <rev> isa=<tier> <name> <args>' header" >&2; exit 1; }
 grep -q '^#json {"experiment":"table2"' "$REPRO_DIR/results/table2.txt" \
   || { echo "results/table2.txt has no table2 rows" >&2; exit 1; }
-repro_rc=0
-target/release/reproduce fig6 epoch=5 > /dev/null 2>&1 || repro_rc=$?
-[[ "$repro_rc" -eq 2 ]] \
-  || { echo "a mistyped key must exit 2, not run the default (got $repro_rc)" >&2; exit 1; }
+for bad in "fig6 epoch=5" "table2 workers=0"; do
+  repro_rc=0
+  # shellcheck disable=SC2086  # $bad is an experiment and its arguments
+  target/release/reproduce $bad > /dev/null 2>&1 || repro_rc=$?
+  [[ "$repro_rc" -eq 2 ]] \
+    || { echo "reproduce $bad must exit 2, not run or panic (got $repro_rc)" >&2; exit 1; }
+done
 
-echo "== CLI smoke (ecgraph: a typo, an unparsable value, layers=0 or an unknown subcommand exits 2; a hostile checkpoint exits 1) =="
+echo "== CLI smoke (ecgraph: a typo, an unparsable value, layers=0, vertices=0 or an unknown subcommand exits 2; a hostile checkpoint exits 1) =="
 cargo build --release -q --bin ecgraph
-for bad in "train wrokers=3" "train hidden=abc" "serve layers=0" "compare a.json b.json" "bogus"; do
+for bad in "train wrokers=3" "train hidden=abc" "serve layers=0" "train vertices=0" "serve vertices=0" \
+  "compare a.json b.json" "bogus"; do
   cli_rc=0
   # shellcheck disable=SC2086  # $bad is a subcommand and its arguments
   target/release/ecgraph $bad > /dev/null 2>&1 || cli_rc=$?

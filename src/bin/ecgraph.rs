@@ -29,7 +29,7 @@
 //!
 //! `train` and `serve` accept only the keys they declare ([`TRAIN_KEYS`],
 //! [`SERVE_KEYS`]): an unknown key, a value that does not parse as the key's
-//! type, or `layers=0` is a usage error that names the accepted keys and
+//! type, or `layers=0` / `vertices=0` is a usage error that names the accepted keys and
 //! exits `2` before anything runs — nothing falls back to a default. So
 //! does a missing or unknown subcommand. Any other failure (an invalid
 //! configuration, an unwritable file) exits `1`.
@@ -265,7 +265,7 @@ fn run_train(args: &Args, opts: &CliOpts) -> Result<(), CliError> {
     // the ad-hoc progress lines get out of the way.
     let show_progress = !opts.quiet && level < TelemetryLevel::Superstep;
     let spec = args.get_with("dataset", "cora", parse_dataset)?;
-    let vertices: usize = args.get("vertices", &spec.default_vertices.to_string())?;
+    let vertices = args.get::<NonZeroUsize>("vertices", &spec.default_vertices.to_string())?.get();
     let dims_cap: usize = args.get("features", &spec.feature_dim.min(256).to_string())?;
     let layers = args.get::<NonZeroUsize>("layers", &spec.default_layers.to_string())?.get();
     let hidden: usize = args.get("hidden", "16")?;
@@ -385,7 +385,7 @@ fn write_observability(report: &ec_trace::TelemetryReport, opts: &CliOpts) -> Re
 fn run_serve(args: &Args, opts: &CliOpts) -> Result<(), CliError> {
     let level = telemetry_level(args, opts)?;
     let spec = args.get_with("dataset", "cora", parse_dataset)?;
-    let vertices: usize = args.get("vertices", &spec.default_vertices.to_string())?;
+    let vertices = args.get::<NonZeroUsize>("vertices", &spec.default_vertices.to_string())?.get();
     let dims_cap: usize = args.get("features", &spec.feature_dim.min(256).to_string())?;
     let layers = args.get::<NonZeroUsize>("layers", &spec.default_layers.to_string())?.get();
     let hidden: usize = args.get("hidden", "16")?;
@@ -459,13 +459,7 @@ fn run_serve(args: &Args, opts: &CliOpts) -> Result<(), CliError> {
     }
     sc.telemetry = TelemetryConfig::at(level);
     sc.validate()?;
-    let workload = WorkloadConfig {
-        clients,
-        total_requests: requests,
-        zipf_exponent: zipf,
-        seed,
-        ..WorkloadConfig::defaults()
-    };
+    let workload = WorkloadConfig { clients, total_requests: requests, zipf_exponent: zipf, seed };
     workload.validate()?;
 
     if !opts.quiet {
@@ -579,10 +573,14 @@ mod tests {
 
     #[test]
     fn zero_layers_is_a_usage_error_not_a_capacity_overflow() {
+        // Zero vertices would reach the graph generator, which needs at
+        // least one vertex per class.
         for cmd in ["train", "serve"] {
-            let msg = usage_error(&[cmd, "layers=0"]);
-            assert!(msg.contains("`0` is not a valid value for `layers`"), "{cmd}: {msg}");
-            assert!(msg.contains("accepted keys:"), "{cmd}: {msg}");
+            for key in ["layers", "vertices"] {
+                let msg = usage_error(&[cmd, &format!("{key}=0")]);
+                assert!(msg.contains(&format!("`0` is not a valid value for `{key}`")), "{msg}");
+                assert!(msg.contains("accepted keys:"), "{cmd}: {msg}");
+            }
         }
     }
 

@@ -47,6 +47,13 @@ fn fixture(model: ModelKind) -> Fixture {
     (data, adjs, partition, config)
 }
 
+/// [`fixture`] on a partition whose last worker owns no vertex.
+fn fixture_with_an_empty_part(model: ModelKind) -> Fixture {
+    let (data, adjs, _, config) = fixture(model);
+    let parts = (0..data.num_vertices() as u32).map(|v| v % (WORKERS as u32 - 1)).collect();
+    (data, adjs, Arc::new(Partition::new(parts, WORKERS)), config)
+}
+
 fn trained_engine(fx: &Fixture, epochs: usize) -> DistributedEngine {
     let (data, adjs, partition, config) = fx;
     let mut engine = DistributedEngine::new(
@@ -219,6 +226,29 @@ fn misrouted_and_out_of_range_batches_are_rejected() {
         svc.answer_batch(svc.route(0), &[out_of_range]),
         Err(ServeError::VertexOutOfRange(v)) if v == out_of_range
     ));
+}
+
+/// ROADMAP 10: a service whose last worker owns no vertex (an empty store
+/// part, nothing routed to it) answers every request, exact and 8-bit.
+#[test]
+fn a_service_with_an_empty_part_serves_every_request() {
+    let fx = fixture_with_an_empty_part(ModelKind::Gcn);
+    let weights = trained_engine(&fx, 2).inference_model();
+    let (data, adjs, partition, _) = &fx;
+    for fetch_bits in [None, Some(8u8)] {
+        let config = ServeConfig { fetch_bits, ..ServeConfig::defaults(WORKERS) };
+        let mut svc = InferenceService::new(
+            weights.clone(),
+            Arc::clone(data),
+            adjs.clone(),
+            Arc::clone(partition),
+            config,
+        );
+        let workload = WorkloadConfig { total_requests: 200, ..WorkloadConfig::defaults() };
+        let report = run_closed_loop(&mut svc, &workload);
+        assert_eq!((report.issued, report.served), (200, 200), "fetch_bits {fetch_bits:?}");
+        assert_eq!(report.per_worker[WORKERS - 1].served, 0, "fetch_bits {fetch_bits:?}");
+    }
 }
 
 /// The two closed-loop cells the suite pins: the default one, and the
