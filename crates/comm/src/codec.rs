@@ -11,7 +11,12 @@ use ec_tensor::Matrix;
 
 /// Serialized size of a dense matrix: `8` header bytes + `4` per entry.
 pub fn matrix_wire_size(m: &Matrix) -> usize {
-    8 + m.len() * 4
+    matrix_wire_size_for(m.len())
+}
+
+/// [`matrix_wire_size`] of a matrix of `entries` entries.
+pub fn matrix_wire_size_for(entries: usize) -> usize {
+    8 + entries * 4
 }
 
 fn put_u32(buf: &mut Vec<u8>, x: u32) {
@@ -41,9 +46,12 @@ fn take_u32(buf: &mut &[u8]) -> Option<u32> {
 }
 
 /// The little-endian 4-byte words of `body` (whose length the caller has
-/// validated), decoded into one exactly-sized vector.
-fn words<T>(body: &[u8], from_le: impl Fn([u8; 4]) -> T) -> Vec<T> {
-    body.chunks_exact(4).map(|b| from_le([b[0], b[1], b[2], b[3]])).collect()
+/// validated), decoded in order.
+fn words<'a, T>(
+    body: &'a [u8],
+    from_le: impl Fn([u8; 4]) -> T + 'a,
+) -> impl Iterator<Item = T> + 'a {
+    body.chunks_exact(4).map(move |b| from_le([b[0], b[1], b[2], b[3]]))
 }
 
 /// Appends a matrix to `buf`.
@@ -65,7 +73,7 @@ pub fn get_matrix(buf: &mut &[u8]) -> Result<Matrix, String> {
         .ok_or_else(|| "matrix size overflow".to_string())?;
     let body = take(buf, bytes_needed)
         .ok_or_else(|| format!("matrix body truncated: need {} floats", rows * cols))?;
-    Ok(Matrix::from_vec(rows, cols, words(body, f32::from_le_bytes)))
+    Ok(Matrix::from_entries(rows, cols, words(body, f32::from_le_bytes)))
 }
 
 /// Appends a `u32` list to `buf`.
@@ -78,7 +86,7 @@ pub fn put_u32s(buf: &mut Vec<u8>, v: &[u32]) {
 pub fn get_u32s(buf: &mut &[u8]) -> Result<Vec<u32>, String> {
     let len = take_u32(buf).ok_or("u32 list header truncated")? as usize;
     let body = take(buf, len * 4).ok_or("u32 list body truncated")?;
-    Ok(words(body, u32::from_le_bytes))
+    Ok(words(body, u32::from_le_bytes).collect())
 }
 
 /// Appends a byte array to `buf`.

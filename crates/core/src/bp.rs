@@ -11,7 +11,7 @@
 //! engine's link table is.
 
 use crate::config::BpMode;
-use crate::link::{round_trip, MessageBuffers};
+use crate::link::{copy_rows, round_trip, MessageBuffers};
 use ec_comm::codec;
 use ec_compress::Quantized;
 use ec_tensor::{ops, Matrix};
@@ -62,22 +62,32 @@ impl BpLink {
         }
     }
 
-    /// Answers one request: reads the owner's rows from `buf.exact`, leaves
-    /// what the requester reconstructs in `buf.reply` and returns the bytes
-    /// on the wire.
-    pub(crate) fn respond(&mut self, buf: &mut MessageBuffers) -> u64 {
-        let MessageBuffers { exact, reply, codec } = buf;
+    /// Answers one request for rows `rows` of the owner's `source`: writes
+    /// what the requester reconstructs into `reply` (`rows.len()` rows) and
+    /// returns the bytes on the wire. ResEC reads the rows where they are,
+    /// adding them into `δ`; the other codecs gather them first.
+    pub(crate) fn respond(
+        &mut self,
+        source: &Matrix,
+        rows: &[usize],
+        buf: &mut MessageBuffers,
+        reply: &mut [f32],
+    ) -> u64 {
+        let MessageBuffers { exact, codec } = buf;
         match self {
-            // The gathered rows are the message: trade buffers, copy nothing.
-            Self::Exact => {
-                std::mem::swap(exact, reply);
-                codec::matrix_wire_size(reply) as u64
+            Self::Exact => copy_rows(source, rows, reply),
+            Self::Compressed { bits } => {
+                source.gather_rows_into(rows, exact);
+                round_trip(exact, *bits, codec, reply)
             }
-            Self::Compressed { bits } => round_trip(exact, *bits, codec, reply),
-            Self::ResEc { delta, bits } => resec_step_into(delta, exact, *bits, codec, reply),
+            Self::ResEc { delta, bits } => {
+                let g_rows = rows.iter().map(|&r| source.row(r));
+                resec_step_into(delta, g_rows, source.cols(), *bits, codec, reply)
+            }
             Self::TopkEc { delta, ratio } => {
+                source.gather_rows_into(rows, exact);
                 let (sent, wire) = topk_ec_step(delta, exact, *ratio);
-                *reply = sent;
+                reply.copy_from_slice(sent.as_slice());
                 wire
             }
         }
@@ -128,33 +138,50 @@ pub fn respond_exact(g_rows: &Matrix) -> (Matrix, u64) {
 /// this is the same sum (addition commutes) and the same `G_cpt − M` as
 /// building both as fresh matrices, which the test reference does.
 pub fn resec_step(state: &mut ResidualState, g_rows: &Matrix, bits: u8) -> (Matrix, u64) {
-    let mut buf = MessageBuffers::with_reply(Matrix::zeros(g_rows.rows(), g_rows.cols()));
-    let wire = resec_step_into(state, g_rows, bits, &mut buf.codec, &mut buf.reply);
-    (buf.reply, wire)
+    let mut out = Matrix::zeros(g_rows.rows(), g_rows.cols());
+    let g = (0..g_rows.rows()).map(|v| g_rows.row(v));
+    let codec = &mut MessageBuffers::new().codec;
+    let wire = resec_step_into(state, g, g_rows.cols(), bits, codec, out.as_mut_slice());
+    (out, wire)
 }
 
-/// [`resec_step`] through reused buffers — `M` packed in `codec` and decoded
-/// into `out` — so that a link past its first exchange allocates nothing.
-fn resec_step_into(
+/// [`resec_step`] over `G`'s rows wherever they are (`cols` wide each)
+/// through a reused codec buffer — `M` packed in `codec` and decoded into
+/// `out` — so that a link past its first exchange allocates nothing.
+fn resec_step_into<'g>(
     state: &mut ResidualState,
-    g_rows: &Matrix,
+    g_rows: impl ExactSizeIterator<Item = &'g [f32]>,
+    cols: usize,
     bits: u8,
     codec: &mut Quantized,
-    out: &mut Matrix,
+    out: &mut [f32],
 ) -> u64 {
-    if g_rows.rows() == 0 {
-        out.clone_from(g_rows);
+    let rows = g_rows.len();
+    if rows == 0 {
         return 0;
     }
     let carried = match &mut state.residual {
         Some(delta) => {
-            ops::add_assign(delta, g_rows);
+            assert_eq!(delta.shape(), (rows, cols), "residual shape changed");
+            for (v, g) in g_rows.enumerate() {
+                for (d, &x) in delta.row_mut(v).iter_mut().zip(g) {
+                    *d += x;
+                }
+            }
             delta
         }
-        None => state.residual.insert(g_rows.clone()),
+        None => {
+            let mut first = Matrix::zeros(rows, cols);
+            for (v, g) in g_rows.enumerate() {
+                first.set_row(v, g);
+            }
+            state.residual.insert(first)
+        }
     };
     let wire = round_trip(carried, bits, codec, out);
-    ops::sub_assign(carried, out);
+    for (d, &m) in carried.as_mut_slice().iter_mut().zip(out.iter()) {
+        *d -= m;
+    }
     wire
 }
 

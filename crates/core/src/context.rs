@@ -11,12 +11,18 @@
 //! split operand `[H_local ; H_remote]` (Alg. 1 line 7's `concatenate`,
 //! which `parallel::spmm_split` reads without materializing).
 //!
+//! The remote columns are numbered in `remote_deps` order, but the remote
+//! operand `H_remote` is stored *owner-major*: the rows one owner ships sit
+//! together, so a reply is decoded where the aggregation reads it. The
+//! aggregation finds remote column `c` at row `remote_row[c]`, which keeps
+//! every SpMM row's terms — and therefore its bits — in CSR order.
+//!
 //! Topology is per layer: full-batch EC-Graph uses one topology for every
 //! layer, while the sampling mode (EC-Graph-S) trains on a different
 //! fan-out-sampled adjacency per layer.
 
 use ec_partition::Partition;
-use ec_tensor::CsrMatrix;
+use ec_tensor::{parallel, CsrMatrix, Matrix};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -26,7 +32,8 @@ pub struct LayerTopology {
     /// Local rows of the (normalized) adjacency, columns renumbered to
     /// `[locals | remotes]`.
     pub adj_local: CsrMatrix,
-    /// Sorted global ids of the remote vertices this worker must fetch.
+    /// Sorted global ids of the remote vertices this worker must fetch;
+    /// remote column `c` of `adj_local` is `remote_deps[c]`.
     pub remote_deps: Vec<usize>,
     /// `remote_deps` grouped by owning worker (entry `w` lists the global
     /// ids owned by worker `w`, sorted; the self entry is empty).
@@ -34,10 +41,25 @@ pub struct LayerTopology {
     /// Responder-side gather plan of each link: `gather_rows[w][k]` is the
     /// row of `deps_by_owner[w][k]` in owner `w`'s local matrices.
     pub gather_rows: Vec<Vec<usize>>,
-    /// Requester-side scatter plan of each link: `scatter_rows[w][k]` is
-    /// the row of `deps_by_owner[w][k]` in this worker's remote matrices
-    /// (its position in `remote_deps`).
-    pub scatter_rows: Vec<Vec<usize>>,
+    /// The remote operand's owner-major blocks: `deps_by_owner[w]` occupies
+    /// rows `link_start[w]..link_start[w + 1]`, in that order (`W + 1`
+    /// entries, from 0 to `remote_deps.len()`).
+    pub link_start: Vec<usize>,
+    /// Row of the remote operand that holds remote column `c`.
+    pub remote_row: Vec<u32>,
+}
+
+impl LayerTopology {
+    /// The remote operand this worker holds of a global `h`: the rows of its
+    /// remote dependencies, owner-major.
+    pub fn remote_operand(&self, h: &Matrix) -> Matrix {
+        h.gather_rows(&self.deps_by_owner.concat())
+    }
+
+    /// This worker's rows of `Â·[local ; remote]`, `remote` owner-major.
+    pub fn aggregate(&self, local: &Matrix, remote: &Matrix, threads: usize) -> Matrix {
+        parallel::spmm_split(&self.adj_local, local, remote, &self.remote_row, threads)
+    }
 }
 
 /// Everything one worker knows about the partitioned graph.
@@ -100,19 +122,32 @@ pub fn build_layer_topologies(adj: &CsrMatrix, partition: &Partition) -> Vec<Arc
             );
             let mut deps_by_owner: Vec<Vec<usize>> = vec![Vec::new(); num_parts];
             let mut gather_rows: Vec<Vec<usize>> = vec![Vec::new(); num_parts];
-            let mut scatter_rows: Vec<Vec<usize>> = vec![Vec::new(); num_parts];
-            for (pos, &v) in remote_deps.iter().enumerate() {
+            for &v in &remote_deps {
                 let owner = partition.part_of(v);
                 deps_by_owner[owner].push(v);
                 gather_rows[owner].push(local_row[v]);
-                scatter_rows[owner].push(pos);
             }
+            let mut link_start = vec![0usize];
+            for deps in &deps_by_owner {
+                link_start.push(link_start[link_start.len() - 1] + deps.len());
+            }
+            // Each owner's block fills in `remote_deps` order.
+            let mut next = link_start.clone();
+            let remote_row = remote_deps
+                .iter()
+                .map(|&v| {
+                    let slot = &mut next[partition.part_of(v)];
+                    *slot += 1;
+                    (*slot - 1) as u32
+                })
+                .collect();
             Arc::new(LayerTopology {
                 adj_local,
                 remote_deps,
                 deps_by_owner,
                 gather_rows,
-                scatter_rows,
+                link_start,
+                remote_row,
             })
         })
         .collect()
@@ -159,7 +194,7 @@ mod tests {
     use super::*;
     use ec_graph_data::{normalize, Graph};
     use ec_partition::Partition;
-    use ec_tensor::{ops, Matrix};
+    use ec_tensor::ops;
 
     /// 4-cycle split in half: each worker needs two remote vertices.
     fn setup() -> (Arc<CsrMatrix>, Partition) {
@@ -179,17 +214,56 @@ mod tests {
         assert_eq!(ctxs[0].layers[0].remote_deps, vec![2, 3]);
         assert_eq!(ctxs[0].layers[0].deps_by_owner[1], vec![2, 3]);
         assert!(ctxs[0].layers[0].deps_by_owner[0].is_empty());
-        // Link plans name the rows the id lists name: `gather_rows` in the
-        // owner's local order, `scatter_rows` in this worker's `remote_deps`.
+        // The gather plans name the rows the id lists name, in the owner's
+        // local order (sorted, so a row is a binary search).
         for ctx in &ctxs {
             let topo = &ctx.layers[0];
             for (owner, deps) in topo.deps_by_owner.iter().enumerate() {
-                // Both id lists are sorted, so a row is a binary search.
-                let rows_in = |ids: &[usize]| -> Vec<usize> {
-                    deps.iter().map(|v| ids.binary_search(v).unwrap()).collect()
-                };
-                assert_eq!(topo.gather_rows[owner], rows_in(&ctxs[owner].local_vertices));
-                assert_eq!(topo.scatter_rows[owner], rows_in(&topo.remote_deps));
+                let rows: Vec<usize> = deps
+                    .iter()
+                    .map(|v| ctxs[owner].local_vertices.binary_search(v).unwrap())
+                    .collect();
+                assert_eq!(topo.gather_rows[owner], rows);
+            }
+        }
+    }
+
+    /// The link blocks tile the remote operand in owner order, and
+    /// `remote_row` sends each remote column to its owner's block, at its
+    /// place in `deps_by_owner`: on a hash partition of a random graph, where
+    /// owners interleave in `remote_deps`, and with an owner that has no
+    /// vertex at all.
+    #[test]
+    fn link_blocks_tile_the_remote_operand_in_owner_order() {
+        let g = ec_graph_data::generators::erdos_renyi(60, 150, 3);
+        let adj = Arc::new(normalize::gcn_normalized_adjacency(&g));
+        let hashed = ec_partition::hash::HashPartitioner::new(3);
+        let partitions = [
+            ec_partition::Partitioner::partition(&hashed, &g, 4),
+            Partition::new((0..60).map(|v| [0, 1, 3][v % 3]).collect(), 4),
+        ];
+        for p in &partitions {
+            for ctx in build_worker_contexts(&[Arc::clone(&adj)], p) {
+                let topo = &ctx.layers[0];
+                let n_remote = topo.remote_deps.len();
+                assert_eq!(topo.link_start.len(), p.num_parts() + 1);
+                assert_eq!((topo.link_start[0], topo.link_start[p.num_parts()]), (0, n_remote));
+                // Owner-major: the blocks listed in owner order are the
+                // remote rows in order, each owner's ids in its block.
+                let mut by_row: Vec<usize> = Vec::new();
+                for (owner, deps) in topo.deps_by_owner.iter().enumerate() {
+                    let block = topo.link_start[owner]..topo.link_start[owner + 1];
+                    assert_eq!(block.len(), deps.len(), "worker {} owner {owner}", ctx.worker_id);
+                    assert_eq!(block.start, by_row.len());
+                    by_row.extend(deps);
+                }
+                // `remote_row` is the permutation from column to owner-major row.
+                let mut seen = vec![false; n_remote];
+                for (c, &row) in topo.remote_row.iter().enumerate() {
+                    assert_eq!(by_row[row as usize], topo.remote_deps[c], "column {c}");
+                    assert!(!std::mem::replace(&mut seen[row as usize], true), "row {row} twice");
+                }
+                assert_eq!(topo.remote_row.len(), n_remote);
             }
         }
     }
@@ -205,9 +279,7 @@ mod tests {
         for ctx in &ctxs {
             let topo = &ctx.layers[0];
             let h_local = h.gather_rows(&ctx.local_vertices);
-            let h_remote = h.gather_rows(&topo.remote_deps);
-            let h_cat = h_local.vstack(&h_remote);
-            let local_out = topo.adj_local.spmm(&h_cat);
+            let local_out = topo.aggregate(&h_local, &topo.remote_operand(&h), 1);
             let expected = global.gather_rows(&ctx.local_vertices);
             assert!(
                 local_out.approx_eq(&expected, 1e-6),

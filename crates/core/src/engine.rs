@@ -224,7 +224,7 @@ impl DistributedEngine {
         for ctx in &contexts {
             let feats = data.features.gather_rows(&ctx.local_vertices);
             let topo0 = &ctx.layers[0];
-            let remote_feats = data.features.gather_rows(&topo0.remote_deps);
+            let remote_feats = topo0.remote_operand(&data.features);
             // Charge the one-time feature transfer, owner → this worker.
             for (owner, deps) in topo0.deps_by_owner.iter().enumerate() {
                 if deps.is_empty() || owner == ctx.worker_id {
@@ -233,7 +233,7 @@ impl DistributedEngine {
                 let bytes = (8 + deps.len() * (4 + data.feature_dim() * 4)) as u64;
                 cluster.network.send(owner, ctx.worker_id, Channel::Forward, bytes);
             }
-            p0.push(parallel::spmm_split(&topo0.adj_local, &feats, &remote_feats, kt));
+            p0.push(topo0.aggregate(&feats, &remote_feats, kt));
             h_local.push(vec![feats]);
             labels_local.push(ctx.local_vertices.iter().map(|&v| data.labels[v]).collect());
             train_local.push(
@@ -427,8 +427,8 @@ impl DistributedEngine {
                 |w| {
                     // Layer 1 has no exchange: its aggregate is the cached P_w.
                     let fresh = (l >= 2).then(|| {
-                        let adj = &self.contexts[w].layers[l - 1].adj_local;
-                        parallel::spmm_split(adj, &self.h_local[w][l - 1], &remotes[w], kt)
+                        let topo = &self.contexts[w].layers[l - 1];
+                        topo.aggregate(&self.h_local[w][l - 1], &remotes[w], kt)
                     });
                     let mut z = parallel::matmul(fresh.as_ref().unwrap_or(&self.p0[w]), w_l, kt);
                     if let Some(ws) = w_self {
@@ -511,8 +511,7 @@ impl DistributedEngine {
                         let y_part = parallel::matmul_at_b(&self.p0[w], g, kt);
                         return (y_part, ys_part, b_part, None);
                     }
-                    let adj = &self.contexts[w].layers[l - 1].adj_local;
-                    let ag = parallel::spmm_split(adj, g, &g_remote[w], kt);
+                    let ag = self.contexts[w].layers[l - 1].aggregate(g, &g_remote[w], kt);
                     // Y^{l-1} = (H^{l-1})ᵀ (Â G^l), summed over workers.
                     let y_part = parallel::matmul_at_b(h_prev, &ag, kt);
                     // G^{l-1} = [(Â G^l)(W^{l-1})ᵀ (+ G^l W_sᵀ)] ⊙ σ'(Z^{l-1}).
@@ -899,8 +898,12 @@ mod tests {
             let remotes =
                 comp.exchange(ws, &mut e.cluster, &mut e.counters, dir, l, |j| &h[j][l - 1]);
             for (ctx, remote) in e.contexts.iter().zip(remotes) {
-                let fresh = global.gather_rows(&ctx.layers[l - 1].remote_deps);
-                assert_eq!(remote, &fresh, "{dir:?} layer {l} worker {}", ctx.worker_id);
+                let topo = &ctx.layers[l - 1];
+                assert_eq!(remote.rows(), topo.remote_deps.len());
+                for (&v, &row) in topo.remote_deps.iter().zip(&topo.remote_row) {
+                    let tag = format!("{dir:?} layer {l} worker {} vertex {v}", ctx.worker_id);
+                    assert_eq!(remote.row(row as usize), global.row(v), "{tag}");
+                }
             }
         }
     }

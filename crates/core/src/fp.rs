@@ -26,10 +26,12 @@
 //!
 //! The public step functions allocate what they return; the engine's
 //! exchange runs the same code through reused buffers
-//! (`link::MessageBuffers`), so a steady-state message allocates nothing.
+//! (`link::MessageBuffers`) and decodes each reply straight into its block of
+//! the requester's remote operand, so a steady-state message allocates
+//! nothing.
 
 use crate::config::FpMode;
-use crate::link::{round_trip, MessageBuffers, Reply};
+use crate::link::{copy_rows, round_trip, MessageBuffers, Reply};
 use ec_comm::codec;
 use ec_compress::Quantized;
 use ec_tensor::isa::{self, Isa, Kernel};
@@ -63,16 +65,21 @@ impl TrendState {
     /// because non-boundary exchanges never mutate the trend state, both
     /// ends stay consistent.
     pub fn predict(&self, t: usize) -> Option<Matrix> {
-        let mut pdt = Matrix::zeros(0, 0);
-        self.predict_into(t, &mut pdt).then_some(pdt)
+        let base = self.base.as_ref()?;
+        let mut pdt = Matrix::zeros(base.rows(), base.cols());
+        self.predict_into(t, pdt.as_mut_slice()).then_some(pdt)
     }
 
-    /// [`Self::predict`] into `out`'s buffer; `false`, with `out` untouched,
-    /// before the first trend boundary.
-    fn predict_into(&self, t: usize, out: &mut Matrix) -> bool {
+    /// [`Self::predict`] into `out` (`H_base`'s size), with `axpy`'s
+    /// arithmetic; `false`, with `out` untouched, before the first trend
+    /// boundary.
+    fn predict_into(&self, t: usize, out: &mut [f32]) -> bool {
         let (Some(base), Some(m_cr)) = (&self.base, &self.m_cr) else { return false };
-        out.clone_from(base);
-        ops::axpy(out, m_cr, t.saturating_sub(self.base_t) as f32);
+        assert_eq!(out.len(), base.len(), "prediction size");
+        let k = t.saturating_sub(self.base_t) as f32;
+        for ((o, &b), &m) in out.iter_mut().zip(base.as_slice()).zip(m_cr.as_slice()) {
+            *o = b + m * k;
+        }
         true
     }
 
@@ -182,31 +189,33 @@ impl FpLink {
         }
     }
 
-    /// Answers one request at iteration `t`: reads the owner's rows from
-    /// `buf.exact` and leaves what the requester reconstructs in
-    /// `buf.reply`. `bits` is the pair's current width (read by ReqEC only —
-    /// plain compression keeps the configured one). With `degradable`, a
-    /// reply the requester can do without says what [`Self::degrade`] would
-    /// cost instead.
+    /// Answers one request at iteration `t` for rows `rows` of the owner's
+    /// `source` and writes what the requester reconstructs into `reply`
+    /// (`rows.len()` rows). `bits` is the pair's current width (read by ReqEC
+    /// only — plain compression keeps the configured one). With
+    /// `degradable`, a reply the requester can do without says what
+    /// [`Self::degrade`] would cost instead.
+    #[expect(clippy::too_many_arguments, reason = "the request, its buffers and the step's state")]
     pub(crate) fn respond(
         &mut self,
+        source: &Matrix,
+        rows: &[usize],
         buf: &mut MessageBuffers,
+        reply: &mut [f32],
         bits: u8,
         t: usize,
         degradable: bool,
     ) -> Reply {
-        let MessageBuffers { exact, reply, codec } = buf;
+        let MessageBuffers { exact, codec } = buf;
         match self {
-            // The gathered rows are the message: trade buffers, copy nothing.
-            Self::Exact => {
-                std::mem::swap(exact, reply);
-                Reply::plain(codec::matrix_wire_size(reply) as u64)
-            }
+            Self::Exact => Reply::plain(copy_rows(source, rows, reply)),
             Self::Compressed { bits: configured } => {
+                source.gather_rows_into(rows, exact);
                 let wire = round_trip(exact, *configured, codec, reply);
-                Reply { recon_l1: rowwise_l1_total(reply, exact), ..Reply::plain(wire) }
+                Reply { recon_l1: rows_l1_total(reply, exact), ..Reply::plain(wire) }
             }
             Self::ReqEc { trend, observed, t_tr, granularity, tuned } => {
+                source.gather_rows_into(rows, exact);
                 let out = reqec_step_into(trend, exact, bits, *t_tr, t, *granularity, codec, reply);
                 if *tuned && !out.exact_sent {
                     *observed = Some(out.proportion);
@@ -222,8 +231,9 @@ impl FpLink {
                 }
             }
             Self::Delayed { cache, r } => {
+                source.gather_rows_into(rows, exact);
                 let wire = delayed_step_into(cache, exact, *r, t, reply);
-                Reply { recon_l1: rowwise_l1_total(reply, exact), ..Reply::plain(wire) }
+                Reply { recon_l1: rows_l1_total(reply, exact), ..Reply::plain(wire) }
             }
         }
     }
@@ -231,7 +241,7 @@ impl FpLink {
     /// EC-degrade: overwrites `rows` with the zero-payload prediction
     /// `Ĥ_pdt = H_base + M_cr·k` the requester falls back to when the reply
     /// to a [`Self::respond`] that offered a `fallback_l1` is lost.
-    pub(crate) fn degrade(&self, t: usize, rows: &mut Matrix) {
+    pub(crate) fn degrade(&self, t: usize, rows: &mut [f32]) {
         if let Self::ReqEc { trend, .. } = self {
             trend.predict_into(t, rows);
         }
@@ -259,9 +269,9 @@ pub fn respond_exact(h_rows: &Matrix) -> (Matrix, u64) {
 /// as two `f32`s. This keeps the error proportional to `range / 2^B`, the
 /// scaling the paper's bit-sensitivity results (Fig. 6) rely on.
 pub fn respond_compressed(h_rows: &Matrix, bits: u8) -> (Matrix, u64) {
-    let mut buf = MessageBuffers::with_reply(Matrix::zeros(h_rows.rows(), h_rows.cols()));
-    let wire = round_trip(h_rows, bits, &mut buf.codec, &mut buf.reply);
-    (buf.reply, wire)
+    let mut reply = Matrix::zeros(h_rows.rows(), h_rows.cols());
+    let wire = round_trip(h_rows, bits, &mut MessageBuffers::new().codec, reply.as_mut_slice());
+    (reply, wire)
 }
 
 /// One ReqEC-FP exchange (Algorithms 3 and 4) at iteration `t`.
@@ -292,11 +302,11 @@ pub fn reqec_step_with(
     t: usize,
     granularity: Granularity,
 ) -> ReqEcOutcome {
-    let mut buf = MessageBuffers::with_reply(Matrix::zeros(h_rows.rows(), h_rows.cols()));
-    let (codec, out) = (&mut buf.codec, &mut buf.reply);
+    let mut reconstructed = Matrix::zeros(h_rows.rows(), h_rows.cols());
+    let (codec, out) = (&mut MessageBuffers::new().codec, reconstructed.as_mut_slice());
     let report = reqec_step_into(state, h_rows, bits, t_tr, t, granularity, codec, out);
     ReqEcOutcome {
-        reconstructed: buf.reply,
+        reconstructed,
         proportion: report.proportion,
         wire: report.wire,
         exact_sent: report.exact_sent,
@@ -305,8 +315,9 @@ pub fn reqec_step_with(
     }
 }
 
-/// [`reqec_step_with`] through reused buffers: the packed candidate in
-/// `codec`, the rows the requester reconstructs in `out`.
+/// [`reqec_step_with`] through a reused codec buffer: the packed candidate
+/// in `codec`, the rows the requester reconstructs in `out` (`h_rows`'
+/// size).
 #[expect(clippy::too_many_arguments, reason = "the step's five parameters plus two buffers")]
 fn reqec_step_into(
     state: &mut TrendState,
@@ -316,12 +327,11 @@ fn reqec_step_into(
     t: usize,
     granularity: Granularity,
     codec: &mut Quantized,
-    out: &mut Matrix,
+    out: &mut [f32],
 ) -> ReqEcReport {
     let rows = h_rows.rows();
     let cols = h_rows.cols();
     if rows == 0 {
-        out.clone_from(h_rows);
         return ReqEcReport::default();
     }
     // Non-boundary steps read the live trend group; when the group has not
@@ -360,7 +370,7 @@ fn reqec_step_into(
     base.clone_from(h_rows);
     state.base = Some(base);
     state.base_t = t;
-    out.clone_from(h_rows);
+    out.copy_from_slice(h_rows.as_slice());
     ReqEcReport { wire, exact_sent: true, ..ReqEcReport::default() }
 }
 
@@ -375,7 +385,7 @@ fn reqec_vertex(
     h_rows: &Matrix,
     bits: u8,
     codec: &mut Quantized,
-    reconstructed: &mut Matrix,
+    reconstructed: &mut [f32],
 ) -> ReqEcReport {
     let (rows, cols) = h_rows.shape();
     assert_eq!(base.shape(), h_rows.shape(), "trend group shape changed");
@@ -418,8 +428,9 @@ pub struct SelectorSweep<'a> {
     pub k: f32,
     /// The owner's exact rows.
     pub h_rows: &'a Matrix,
-    /// `Ĥ_cps` on entry, the reconstruction on return.
-    pub out: &'a mut Matrix,
+    /// `Ĥ_cps` on entry, the reconstruction on return (`h_rows`' size,
+    /// row-major).
+    pub out: &'a mut [f32],
 }
 
 /// What a [`SelectorSweep`] counted and summed, each sum over rows in row
@@ -440,10 +451,12 @@ impl Kernel for SelectorSweep<'_> {
     #[inline(always)]
     fn run<I: Isa>(self) -> SelectorTotals {
         let Self { base, m_cr, k, h_rows, out } = self;
+        let cols = h_rows.cols();
+        assert_eq!(out.len(), h_rows.len(), "Selector output size");
         let mut totals = SelectorTotals { selected: [0; 3], recon_l1: 0.0, pdt_l1: 0.0 };
         for v in 0..h_rows.rows() {
             let (h, b, m) = (h_rows.row(v), base.row(v), m_cr.row(v));
-            let out = out.row_mut(v);
+            let out = &mut out[v * cols..(v + 1) * cols];
             let distances = selector_distances(h, b, m, out, k);
             let sid = stats::argmin(&distances);
             totals.selected[sid] += 1;
@@ -511,7 +524,7 @@ fn reqec_whole_matrix(
     h_rows: &Matrix,
     bits: u8,
     granularity: Granularity,
-    out: &mut Matrix,
+    out: &mut [f32],
 ) -> ReqEcReport {
     let rows = h_rows.rows();
     let cols = h_rows.cols();
@@ -566,7 +579,7 @@ fn reqec_whole_matrix(
         }
     };
     let recon_l1 = rowwise_l1_total(&reconstructed, h_rows);
-    *out = reconstructed;
+    out.copy_from_slice(reconstructed.as_slice());
     ReqEcReport { proportion, wire, exact_sent: false, selected, recon_l1, pdt_l1 }
 }
 
@@ -576,6 +589,12 @@ fn reqec_whole_matrix(
 /// already produce it, in the order the Selector sweep sums its own.
 pub fn rowwise_l1_total(a: &Matrix, b: &Matrix) -> f32 {
     assert_eq!(a.shape(), b.shape(), "rowwise_l1_total shape mismatch");
+    rows_l1_total(a.as_slice(), b)
+}
+
+/// [`rowwise_l1_total`] of `a`, `b`'s shape row-major, against `b`.
+fn rows_l1_total(a: &[f32], b: &Matrix) -> f32 {
+    assert_eq!(a.len(), b.len(), "rowwise_l1_total size mismatch");
     isa::dispatch(
         #[inline(always)]
         || rowwise_l1_total_kernel(a, b),
@@ -583,9 +602,9 @@ pub fn rowwise_l1_total(a: &Matrix, b: &Matrix) -> f32 {
 }
 
 #[inline(always)]
-fn rowwise_l1_total_kernel(a: &Matrix, b: &Matrix) -> f32 {
+fn rowwise_l1_total_kernel(a: &[f32], b: &Matrix) -> f32 {
     let mut total = 0.0f32;
-    for (ra, rb) in a.rows_iter().zip(b.rows_iter()) {
+    for (ra, rb) in a.chunks_exact(b.cols().max(1)).zip(b.rows_iter()) {
         total += stats::row_l1_distance(ra, rb);
     }
     total
@@ -601,28 +620,28 @@ pub fn delayed_step(
     r: usize,
     t: usize,
 ) -> (Matrix, u64) {
-    let mut out = Matrix::zeros(0, 0);
-    let wire = delayed_step_into(cache, h_rows, r, t, &mut out);
+    let mut out = Matrix::zeros(h_rows.rows(), h_rows.cols());
+    let wire = delayed_step_into(cache, h_rows, r, t, out.as_mut_slice());
     (out, wire)
 }
 
-/// [`delayed_step`] with the requester's view of the rows copied into `out`.
+/// [`delayed_step`] with the requester's view of the rows copied into `out`
+/// (`h_rows`' size).
 fn delayed_step_into(
     cache: &mut Option<Matrix>,
     h_rows: &Matrix,
     r: usize,
     t: usize,
-    out: &mut Matrix,
+    out: &mut [f32],
 ) -> u64 {
     let rows = h_rows.rows();
     if rows == 0 {
-        out.clone_from(h_rows);
         return 0;
     }
     match cache {
         None => {
             *cache = Some(h_rows.clone());
-            out.clone_from(h_rows);
+            out.copy_from_slice(h_rows.as_slice());
             codec::matrix_wire_size(h_rows) as u64
         }
         Some(cached) => {
@@ -634,7 +653,7 @@ fn delayed_step_into(
                 }
             }
             // Refreshed rows ship as (index, row) pairs plus a small header.
-            out.clone_from(cached);
+            out.copy_from_slice(cached.as_slice());
             (8 + refreshed * (4 + h_rows.cols() * 4)) as u64
         }
     }
@@ -1169,7 +1188,8 @@ pub(crate) mod tests {
         }
         for tier in isa::Tier::supported() {
             let mut out = cps.clone();
-            let sweep = SelectorSweep { base: &base, m_cr: &m_cr, k, h_rows: &h, out: &mut out };
+            let sweep =
+                SelectorSweep { base: &base, m_cr: &m_cr, k, h_rows: &h, out: out.as_mut_slice() };
             let totals = isa::dispatch_on(tier, sweep);
             assert_eq!(totals_bits(totals), totals_bits(want_totals), "{tier}");
             assert_eq!(bit_patterns(&out), bit_patterns(&want), "{tier}");
@@ -1188,26 +1208,27 @@ pub(crate) mod tests {
             Granularity::Vertex,
             true,
         );
-        let mut buf = MessageBuffers::with_reply(Matrix::zeros(0, 0));
+        let mut buf = MessageBuffers::new();
+        let every_row: Vec<usize> = (0..9).collect();
+        let mut out = Matrix::zeros(9, 47);
         let mut offered = 0;
         for (t, h) in steps.iter().enumerate() {
-            buf.exact.clone_from(h);
-            let reply = link.respond(&mut buf, 4, t, true);
+            let reply = link.respond(h, &every_row, &mut buf, out.as_mut_slice(), 4, t, true);
             let FpLink::ReqEc { trend, .. } = &link else { unreachable!() };
             let boundary = t == 0 || (t + 1) % 5 == 0;
             assert_eq!(reply.fallback_l1.is_none(), boundary, "t={t}");
             if let Some(fallback_l1) = reply.fallback_l1 {
                 let pdt = trend.predict(t).expect("a non-boundary step has a trend group");
                 assert_eq!(fallback_l1.to_bits(), rowwise_l1_total(&pdt, h).to_bits(), "t={t}");
-                link.degrade(t, &mut buf.reply);
-                assert_eq!(bit_patterns(&buf.reply), bit_patterns(&pdt), "t={t}");
+                link.degrade(t, out.as_mut_slice());
+                assert_eq!(bit_patterns(&out), bit_patterns(&pdt), "t={t}");
                 offered += 1;
             }
         }
         assert_eq!(offered, 6);
         // Without the policy nothing is offered.
-        buf.exact.clone_from(&steps[1]);
-        assert!(link.respond(&mut buf, 4, 8, false).fallback_l1.is_none());
+        let reply = link.respond(&steps[1], &every_row, &mut buf, out.as_mut_slice(), 4, 8, false);
+        assert!(reply.fallback_l1.is_none());
     }
 
     proptest::proptest! {
@@ -1254,14 +1275,14 @@ pub(crate) mod tests {
             );
             for tier in isa::Tier::supported() {
                 let mut out = cps.clone();
-                let sweep = SelectorSweep { base: &base, m_cr: &m_cr, k, h_rows: &h, out: &mut out };
+                let sweep = SelectorSweep { base: &base, m_cr: &m_cr, k, h_rows: &h, out: out.as_mut_slice() };
                 let totals = isa::dispatch_on(tier, sweep);
                 proptest::prop_assert_eq!(totals_bits(totals), totals_bits(want_totals), "{}", tier);
                 proptest::prop_assert_eq!(bit_patterns(&out), bit_patterns(&want), "{}", tier);
                 let total = isa::dispatch_on(
                     tier,
                     #[inline(always)]
-                    || rowwise_l1_total_kernel(&cps, &h),
+                    || rowwise_l1_total_kernel(cps.as_slice(), &h),
                 );
                 proptest::prop_assert_eq!(canonical_bits(total), canonical_bits(want_total), "{}", tier);
             }

@@ -20,8 +20,9 @@
 //! * [`bp`] — backward-pass message preparation: plain quantization and
 //!   **ResEC-BP** (error-feedback residual, Eqs. 11–12);
 //! * `link` (private) — the link table: per (requester, owner, layer) the
-//!   two index plans and the compensation state resolved from the modes,
-//!   and the one gather → respond → send → scatter loop both exchanges are;
+//!   gather plan, the block of the requester's remote operand and the
+//!   compensation state resolved from the modes, and the one respond → send
+//!   loop both exchanges are;
 //! * [`engine`] — the superstep engine: Algorithms 1–6 over the simulated
 //!   cluster, parameter-server pulls/pushes, byte-accurate traffic and
 //!   simulated epoch times;

@@ -17,6 +17,7 @@ use crate::config::{FpMode, TrainingConfig};
 use crate::context::{LayerTopology, WorkerContext};
 use crate::exec::{Cluster, REQUEST_BYTES};
 use crate::fp::{self, FpLink};
+use ec_comm::codec;
 use ec_comm::stats::Channel;
 use ec_comm::{HostTimer, SendError};
 use ec_compress::Quantized;
@@ -36,40 +37,45 @@ pub(crate) enum Direction {
 
 /// The buffers a message passes through on its way across a link, reused
 /// from one message to the next: once each has grown to the largest message,
-/// gathering, packing and decoding allocate nothing.
+/// gathering and packing allocate nothing. The reply itself is decoded into
+/// the requester's remote operand.
 pub(crate) struct MessageBuffers {
-    /// The owner's exact rows, gathered.
+    /// The owner's exact rows, gathered where a policy reads them as a
+    /// matrix.
     pub exact: Matrix,
-    /// The rows the requester reconstructs.
-    pub reply: Matrix,
-    /// The packed message in between, where the link's policy quantizes.
+    /// The packed message, where the link's policy quantizes.
     pub codec: Quantized,
 }
 
 impl MessageBuffers {
-    /// Empty buffers around `reply`: the workspace starts from `0 × 0`, the
-    /// allocating entry points hand in zeros of the message's shape (one
-    /// `calloc`, as cheap as a buffer gets when it is used once).
-    pub(crate) fn with_reply(reply: Matrix) -> Self {
-        Self { exact: Matrix::zeros(0, 0), reply, codec: Quantized::compress_row(&[], 1) }
+    /// Empty buffers; the first messages size them.
+    pub(crate) fn new() -> Self {
+        Self { exact: Matrix::zeros(0, 0), codec: Quantized::compress_row(&[], 1) }
     }
 }
 
 /// `C_bits(m)` into `codec` and its reconstruction into `out`; returns the
 /// bytes on the wire (an empty message ships nothing).
-pub(crate) fn round_trip(m: &Matrix, bits: u8, codec: &mut Quantized, out: &mut Matrix) -> u64 {
+pub(crate) fn round_trip(m: &Matrix, bits: u8, codec: &mut Quantized, out: &mut [f32]) -> u64 {
     if m.rows() == 0 {
-        out.clone_from(m);
         return 0;
     }
     codec.assign(m, bits);
-    out.reshape_for_overwrite(m.rows(), m.cols());
-    codec.decompress_into(out.as_mut_slice());
+    codec.decompress_into(out);
     codec.wire_size() as u64
 }
 
-/// What a link's policy says about the reply it left in
-/// [`MessageBuffers::reply`].
+/// The uncompressed reply: rows `rows` of `source` copied into `out` back to
+/// back. Returns its bytes on the wire.
+pub(crate) fn copy_rows(source: &Matrix, rows: &[usize], out: &mut [f32]) -> u64 {
+    for (dst, &r) in out.chunks_exact_mut(source.cols().max(1)).zip(rows) {
+        dst.copy_from_slice(source.row(r));
+    }
+    codec::matrix_wire_size_for(out.len()) as u64
+}
+
+/// What a link's policy says about the reply it decoded into its block of
+/// the remote operand.
 pub(crate) struct Reply {
     /// Bytes on the wire.
     pub wire: u64,
@@ -96,8 +102,9 @@ impl Reply {
 struct Link {
     requester: usize,
     owner: usize,
-    /// The requester's topology of this layer; `gather_rows[owner]` and
-    /// `scatter_rows[owner]` are this link's two index plans.
+    /// The requester's topology of this layer: `gather_rows[owner]` is this
+    /// link's gather plan, `link_start[owner]..link_start[owner + 1]` its
+    /// block of the remote operand.
     topo: Arc<LayerTopology>,
     fp: FpLink,
     bp: BpLink,
@@ -124,19 +131,19 @@ pub(crate) struct CompensationState {
 /// snapshot neither clones nor restores it, and it is sized by the first
 /// exchange that uses it rather than at construction.
 pub(crate) struct ExchangeWorkspace {
-    /// `remotes[worker]`: the remote operand of the exchange in flight. An
-    /// exchange's operands are consumed by the compute superstep that
-    /// follows it, so every exchange reshapes the same `W` buffers — small
-    /// enough to stay cache-resident — and none is ever re-zeroed: each row
-    /// is overwritten by its link's reply, retry or fallback
-    /// ([`CompensationState::new`] checks that the links cover them all).
+    /// `remotes[worker]`: the remote operand of the exchange in flight,
+    /// owner-major (`LayerTopology::link_start`). An exchange's operands are
+    /// consumed by the compute superstep that follows it, so every exchange
+    /// reshapes the same `W` buffers — small enough to stay cache-resident —
+    /// and none is ever re-zeroed: the links' blocks tile each operand, and
+    /// each block is overwritten by its link's reply, retry or fallback.
     remotes: Vec<Matrix>,
     message: MessageBuffers,
 }
 
 impl ExchangeWorkspace {
     pub(crate) fn new() -> Self {
-        Self { remotes: Vec::new(), message: MessageBuffers::with_reply(Matrix::zeros(0, 0)) }
+        Self { remotes: Vec::new(), message: MessageBuffers::new() }
     }
 }
 
@@ -171,17 +178,8 @@ impl CompensationState {
                 let mut links = Vec::new();
                 for ctx in contexts {
                     let topo = &ctx.layers[l - 1];
-                    // Remote operands persist without a zero fill, so every
-                    // remote row must be some link's to overwrite.
-                    let mut covered = vec![false; topo.remote_deps.len()];
                     for (owner, deps) in topo.deps_by_owner.iter().enumerate() {
                         if !deps.is_empty() && owner != ctx.worker_id {
-                            let scatter = &topo.scatter_rows[owner];
-                            assert_eq!(scatter.len(), topo.gather_rows[owner].len());
-                            for &row in scatter {
-                                assert!(!covered[row], "remote row {row} belongs to two links");
-                                covered[row] = true;
-                            }
                             links.push(Link {
                                 requester: ctx.worker_id,
                                 owner,
@@ -191,7 +189,6 @@ impl CompensationState {
                             });
                         }
                     }
-                    assert!(covered.iter().all(|&c| c), "a remote row belongs to no link");
                 }
                 links
             })
@@ -211,11 +208,11 @@ impl CompensationState {
         })
     }
 
-    /// One exchange of layer `l` in the cluster's current epoch: every
-    /// link's owner `j` gathers its rows of `source(j)`, the link's policy
-    /// answers, request and reply cross the network, and requester `i`
-    /// scatters what it reconstructs into its remote operand. Returns the
-    /// remote operands indexed by worker, which live in `ws`.
+    /// One exchange of layer `l` in the cluster's current epoch: for every
+    /// link, owner `j`'s policy answers from its rows of `source(j)` straight
+    /// into the link's block of requester `i`'s remote operand, and request
+    /// and reply cross the network. Returns the remote operands indexed by
+    /// worker, which live in `ws`.
     pub(crate) fn exchange<'a, 'w>(
         &mut self,
         ws: &'w mut ExchangeWorkspace,
@@ -241,12 +238,17 @@ impl CompensationState {
         }
         counters.fp_selected.resize(self.layers.len(), None);
         for link in &mut self.layers[l - 2] {
-            let (i, j) = (link.requester, link.owner);
+            let (i, j, topo) = (link.requester, link.owner, &link.topo);
+            let block = (topo.link_start[j] * cols)..(topo.link_start[j + 1] * cols);
+            let block = &mut remotes[i].as_mut_slice()[block];
+            let (owned, rows) = (source(j), &topo.gather_rows[j]);
             let pack_timer = measure.then(HostTimer::start);
-            source(j).gather_rows_into(&link.topo.gather_rows[j], &mut message.exact);
             let reply = match dir {
-                Forward => link.fp.respond(message, self.fp_bits[i][j], t, degrade.is_some()),
-                Backward => Reply::plain(link.bp.respond(message)),
+                Forward => {
+                    let bits = self.fp_bits[i][j];
+                    link.fp.respond(owned, rows, message, block, bits, t, degrade.is_some())
+                }
+                Backward => Reply::plain(link.bp.respond(owned, rows, message, block)),
             };
             cluster.steps.pack_s += pack_timer.map_or(0.0, |tm| tm.elapsed_s());
             if let Some(selected) = reply.selected {
@@ -268,15 +270,12 @@ impl CompensationState {
                         SendError::Corrupted => counters.fp_degraded_corrupt += 1,
                         SendError::Dropped => counters.fp_degraded_drop += 1,
                     }
-                    link.fp.degrade(t, &mut message.reply);
+                    link.fp.degrade(t, block);
                     fallback_l1
                 }
                 _ => reply.recon_l1,
             };
             counters.fp_recon_err += recon_l1 as f64;
-            for (k, &row) in link.topo.scatter_rows[j].iter().enumerate() {
-                remotes[i].set_row(row, message.reply.row(k));
-            }
             cluster.steps.unpack_s += unpack_timer.map_or(0.0, |tm| tm.elapsed_s());
         }
         remotes
@@ -354,7 +353,11 @@ mod tests {
                 let sent = cluster.network.total_stats().messages - before;
                 assert_eq!(sent, 2 * want.len() as u64, "layer {l} {dir:?}");
                 for (ctx, remote) in contexts.iter().zip(remotes) {
-                    assert_eq!(remote, &global.gather_rows(&ctx.layers[l - 1].remote_deps));
+                    let topo = &ctx.layers[l - 1];
+                    assert_eq!(remote.shape(), (topo.remote_deps.len(), 8));
+                    for (&v, &row) in topo.remote_deps.iter().zip(&topo.remote_row) {
+                        assert_eq!(remote.row(row as usize), global.row(v), "{dir:?} layer {l}");
+                    }
                 }
             }
             per_layer.push(want);

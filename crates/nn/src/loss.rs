@@ -15,7 +15,8 @@
 use ec_tensor::{activations, Matrix};
 
 /// Computes `(Σ loss / divisor, ∂(Σ loss / divisor)/∂logits)` over the rows
-/// listed in `mask`.
+/// listed in `mask`. Only those rows are softmaxed, each in its row of the
+/// gradient and from its logits every time it is listed.
 ///
 /// # Panics
 /// Panics if `divisor` is zero, `labels.len() != logits.rows()`, a masked
@@ -28,7 +29,6 @@ pub fn masked_softmax_cross_entropy(
 ) -> (f32, Matrix) {
     assert_eq!(labels.len(), logits.rows(), "labels/logits row mismatch");
     assert!(divisor > 0, "zero loss divisor");
-    let probs = activations::softmax_rows(logits);
     let mut grad = Matrix::zeros(logits.rows(), logits.cols());
     let inv = 1.0 / divisor as f32;
     let mut loss = 0.0f32;
@@ -36,11 +36,13 @@ pub fn masked_softmax_cross_entropy(
         assert!(v < logits.rows(), "masked vertex {v} out of bounds");
         let y = labels[v] as usize;
         assert!(y < logits.cols(), "label {y} exceeds class count {}", logits.cols());
-        loss -= probs.get(v, y).max(1e-12).ln();
         let grow = grad.row_mut(v);
+        grow.copy_from_slice(logits.row(v));
+        activations::softmax_row(grow);
+        loss -= grow[y].max(1e-12).ln();
         for (c, g) in grow.iter_mut().enumerate() {
             let indicator = if c == y { 1.0 } else { 0.0 };
-            *g = (probs.get(v, c) - indicator) * inv;
+            *g = (*g - indicator) * inv;
         }
     }
     (loss * inv, grad)
@@ -133,6 +135,47 @@ mod tests {
         let (none, g) = masked_softmax_cross_entropy(&logits, &labels, &[], 3);
         assert_eq!(none, 0.0);
         assert!(g.as_slice().iter().all(|&x| x == 0.0));
+    }
+
+    /// The formulation that softmaxes every row and then reads the masked
+    /// ones.
+    fn all_rows_reference(
+        logits: &Matrix,
+        labels: &[u32],
+        mask: &[usize],
+        divisor: usize,
+    ) -> (f32, Matrix) {
+        let probs = activations::softmax_rows(logits);
+        let mut grad = Matrix::zeros(logits.rows(), logits.cols());
+        let inv = 1.0 / divisor as f32;
+        let mut loss = 0.0f32;
+        for &v in mask {
+            let y = labels[v] as usize;
+            loss -= probs.get(v, y).max(1e-12).ln();
+            for (c, g) in grad.row_mut(v).iter_mut().enumerate() {
+                let indicator = if c == y { 1.0 } else { 0.0 };
+                *g = (probs.get(v, c) - indicator) * inv;
+            }
+        }
+        (loss * inv, grad)
+    }
+
+    /// Loss and gradient bits equal the all-rows formulation: random logits
+    /// (with a row far out of `exp`'s range), a mask that lists one row
+    /// twice, and an empty mask.
+    #[test]
+    fn masked_rows_only_equals_the_all_rows_formulation_bit_for_bit() {
+        let mut logits = ec_tensor::init::uniform(40, 7, -6.0, 6.0, 17);
+        logits.row_mut(5).fill(-1e4);
+        logits.set(5, 2, 1e4);
+        let labels: Vec<u32> = (0..40).map(|v| (v * 5 % 7) as u32).collect();
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for mask in [vec![3, 5, 11, 3, 39, 0], vec![]] {
+            let (loss, grad) = masked_softmax_cross_entropy(&logits, &labels, &mask, 29);
+            let (want_loss, want_grad) = all_rows_reference(&logits, &labels, &mask, 29);
+            assert_eq!(loss.to_bits(), want_loss.to_bits(), "{mask:?}");
+            assert_eq!(bits(&grad), bits(&want_grad), "{mask:?}");
+        }
     }
 
     #[test]

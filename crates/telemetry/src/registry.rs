@@ -156,9 +156,9 @@ metric_catalog! {
     PhaseCommS => { "phase.comm", Gauge, "seconds", ["epoch"],
         "Modeled communication seconds of the epoch" },
     PhasePackS => { "phase.pack", Gauge, "seconds", ["epoch"],
-        "Measured responder-side gather/compress (message packing) seconds" },
+        "Measured per-message policy seconds: gather, compress, decode into the requester's operand" },
     PhaseUnpackS => { "phase.unpack", Gauge, "seconds", ["epoch"],
-        "Measured requester-side scatter (message unpacking) seconds" },
+        "Measured requester-side seconds after delivery (the EC-degrade fallback)" },
     SuperstepCommS => { "superstep.comm", Gauge, "seconds", ["epoch", "superstep"],
         "Modeled communication seconds of one superstep" },
     SuperstepComputeS => { "superstep.compute", Gauge, "seconds", ["epoch", "superstep"],

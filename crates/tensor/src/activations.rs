@@ -36,20 +36,24 @@ pub fn relu_backward_assign(flow: &mut Matrix, z: &Matrix) {
 pub fn softmax_rows(m: &Matrix) -> Matrix {
     let mut out = m.clone();
     for r in 0..out.rows() {
-        let row = out.row_mut(r);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for x in row.iter_mut() {
-            *x = (*x - max).exp();
-            sum += *x;
-        }
-        if sum > 0.0 {
-            for x in row.iter_mut() {
-                *x /= sum;
-            }
-        }
+        softmax_row(out.row_mut(r));
     }
     out
+}
+
+/// [`softmax_rows`] of one row, in place.
+pub fn softmax_row(row: &mut [f32]) {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for x in row.iter_mut() {
+        *x = (*x - max).exp();
+        sum += *x;
+    }
+    if sum > 0.0 {
+        for x in row.iter_mut() {
+            *x /= sum;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -2,13 +2,31 @@
 //!
 //! The embedding matrices `H^l`, gradient matrices `G^l` and weight matrices
 //! `W^l` of the paper are all instances of [`Matrix`]. The type is
-//! deliberately simple — a `(rows, cols, Vec<f32>)` triple — so that message
-//! serialization in `ec-comm` and quantization in `ec-compress` can operate
-//! directly on the contiguous backing slice.
+//! deliberately simple — a `(rows, cols)` shape over one contiguous
+//! row-major slice — so that message serialization in `ec-comm` and
+//! quantization in `ec-compress` can operate directly on that slice.
+//!
+//! **Alignment.** The slice starts on a 64-byte boundary: a cache line, and
+//! one AVX-512 register. A 64-column row is then four whole lines, so the
+//! widest tier's loads in SpMM, the dense tiles, the codecs and the Selector
+//! never split one (a misaligned operand halved SpMM's 64-column rate). The
+//! storage is a `Vec<f32>` allocated [`SLACK`] floats longer than the
+//! matrix and read from its first aligned float on: no `unsafe`, and no
+//! allocator of its own.
+
+use std::fmt;
+
+/// Bytes the entries are aligned to.
+const ALIGN: usize = 64;
+
+/// Floats an allocation carries beyond the entries, so that one of its
+/// first `SLACK + 1` floats starts an [`ALIGN`]-byte line.
+const SLACK: usize = ALIGN / std::mem::size_of::<f32>() - 1;
 
 /// A row-major dense matrix of `f32`.
 ///
-/// Invariant: `data.len() == rows * cols` at all times.
+/// Invariant: `buf.len() == offset + rows * cols`; the entries are
+/// `buf[offset..]`, and `buf[..offset]` pads them to an aligned start.
 ///
 /// ```
 /// use ec_tensor::{ops, Matrix};
@@ -17,38 +35,114 @@
 /// assert_eq!(c, a);
 /// assert_eq!(a.row(1), &[3.0, 4.0]);
 /// ```
-#[derive(Debug, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
-    data: Vec<f32>,
+    buf: Vec<f32>,
+    offset: usize,
+}
+
+/// Floats from `ptr` to the first [`ALIGN`]-byte boundary at or after it;
+/// `0` where `align_offset` declines to say (it may, under Miri), which
+/// costs the alignment and nothing else.
+fn lead(ptr: *const f32) -> usize {
+    let lead = ptr.align_offset(ALIGN);
+    if lead <= SLACK {
+        lead
+    } else {
+        0
+    }
+}
+
+/// An empty buffer with room for `len` floats past its aligned start, padded
+/// up to that start, and the padding's length; no allocation for `len == 0`.
+fn storage(len: usize) -> (Vec<f32>, usize) {
+    if len == 0 {
+        return (Vec::new(), 0);
+    }
+    let mut buf = Vec::with_capacity(len + SLACK);
+    let offset = lead(buf.as_ptr());
+    buf.resize(offset, 0.0);
+    (buf, offset)
 }
 
 impl Clone for Matrix {
     fn clone(&self) -> Self {
-        Self { rows: self.rows, cols: self.cols, data: self.data.clone() }
+        Self::with_entries(self.rows, self.cols, |buf| buf.extend_from_slice(self.as_slice()))
     }
 
     /// Copies `source` into `self`'s buffer, which is reallocated only when
     /// it is too small — how a reusable message buffer takes a matrix.
     fn clone_from(&mut self, source: &Self) {
+        self.clear_for(source.len());
+        self.buf.extend_from_slice(source.as_slice());
         (self.rows, self.cols) = (source.rows, source.cols);
-        self.data.clone_from(&source.data);
+    }
+}
+
+impl PartialEq for Matrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape() == other.shape() && self.as_slice() == other.as_slice()
+    }
+}
+
+impl fmt::Debug for Matrix {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Matrix")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("data", &self.as_slice())
+            .finish()
     }
 }
 
 impl Matrix {
+    /// The `rows × cols` matrix whose entries `write` appends, row-major, to
+    /// an empty aligned buffer with room for exactly them — so that every
+    /// entry is written once.
+    ///
+    /// # Panics
+    /// Panics if `write` appends other than `rows * cols` entries.
+    fn with_entries(rows: usize, cols: usize, write: impl FnOnce(&mut Vec<f32>)) -> Self {
+        let (mut buf, offset) = storage(rows * cols);
+        write(&mut buf);
+        assert_eq!(
+            buf.len(),
+            offset + rows * cols,
+            "a {rows}x{cols} matrix needs that many entries"
+        );
+        Self { rows, cols, buf, offset }
+    }
+
+    /// Empties `self`'s buffer for `len` entries about to be appended: the
+    /// one it owns when that has room, a new one otherwise.
+    fn clear_for(&mut self, len: usize) {
+        if self.offset + len > self.buf.capacity() {
+            (self.buf, self.offset) = storage(len);
+        }
+        self.buf.truncate(self.offset);
+    }
+
     /// Creates a `rows × cols` matrix filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self { rows, cols, data: vec![0.0; rows * cols] }
+        Self::filled(rows, cols, 0.0)
     }
 
     /// Creates a `rows × cols` matrix with every entry set to `value`.
     pub fn filled(rows: usize, cols: usize, value: f32) -> Self {
-        Self { rows, cols, data: vec![value; rows * cols] }
+        let len = rows * cols;
+        if len == 0 {
+            return Self { rows, cols, buf: Vec::new(), offset: 0 };
+        }
+        // One `vec!` — a zeroed allocation for `0.0` — and the slack cut off.
+        let mut buf = vec![value; len + SLACK];
+        let offset = lead(buf.as_ptr());
+        buf.truncate(offset + len);
+        Self { rows, cols, buf, offset }
     }
 
-    /// Wraps an existing row-major buffer.
+    /// Wraps an existing row-major buffer; copies it only when it does not
+    /// start on an aligned boundary.
     ///
     /// # Panics
     /// Panics if `data.len() != rows * cols`.
@@ -59,18 +153,30 @@ impl Matrix {
             "buffer length {} does not match {rows}x{cols}",
             data.len()
         );
-        Self { rows, cols, data }
+        if lead(data.as_ptr()) == 0 {
+            return Self { rows, cols, buf: data, offset: 0 };
+        }
+        Self::with_entries(rows, cols, |buf| buf.extend_from_slice(&data))
+    }
+
+    /// Builds a `rows × cols` matrix of the values `entries` yields, in
+    /// row-major order, written straight into aligned storage.
+    ///
+    /// # Panics
+    /// Panics if `entries` yields other than `rows * cols` values.
+    pub fn from_entries(rows: usize, cols: usize, entries: impl IntoIterator<Item = f32>) -> Self {
+        Self::with_entries(rows, cols, |buf| buf.extend(entries))
     }
 
     /// Builds a matrix by evaluating `f(row, col)` at every position.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                data.push(f(r, c));
+        Self::with_entries(rows, cols, |buf| {
+            for r in 0..rows {
+                for c in 0..cols {
+                    buf.push(f(r, c));
+                }
             }
-        }
-        Self { rows, cols, data }
+        })
     }
 
     /// Builds a matrix from a slice of equally-long rows.
@@ -78,14 +184,13 @@ impl Matrix {
     /// # Panics
     /// Panics if the rows have inconsistent lengths.
     pub fn from_rows(rows: &[Vec<f32>]) -> Self {
-        let n = rows.len();
         let cols = rows.first().map_or(0, Vec::len);
-        let mut data = Vec::with_capacity(n * cols);
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(row.len(), cols, "row {i} has length {} != {cols}", row.len());
-            data.extend_from_slice(row);
-        }
-        Self { rows: n, cols, data }
+        Self::with_entries(rows.len(), cols, |buf| {
+            for (i, row) in rows.iter().enumerate() {
+                assert_eq!(row.len(), cols, "row {i} has length {} != {cols}", row.len());
+                buf.extend_from_slice(row);
+            }
+        })
     }
 
     /// The identity matrix of order `n`.
@@ -118,73 +223,77 @@ impl Matrix {
     /// Total number of entries.
     #[inline]
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.rows * self.cols
     }
 
     /// True when the matrix has no entries.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
     /// Element accessor.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {
         debug_assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c]
+        self.buf[self.offset + r * self.cols + c]
     }
 
     /// Element mutator.
     #[inline]
     pub fn set(&mut self, r: usize, c: usize, v: f32) {
         debug_assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c] = v;
+        self.buf[self.offset + r * self.cols + c] = v;
     }
 
     /// Borrow row `r` as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
         debug_assert!(r < self.rows, "row {r} out of bounds ({} rows)", self.rows);
-        &self.data[r * self.cols..(r + 1) * self.cols]
+        let start = self.offset + r * self.cols;
+        &self.buf[start..start + self.cols]
     }
 
     /// Mutably borrow row `r`.
     #[inline]
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         debug_assert!(r < self.rows);
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
+        let start = self.offset + r * self.cols;
+        &mut self.buf[start..start + self.cols]
     }
 
-    /// The whole backing buffer, row-major.
+    /// All entries, row-major.
     #[inline]
     pub fn as_slice(&self) -> &[f32] {
-        &self.data
+        &self.buf[self.offset..]
     }
 
-    /// Mutable access to the backing buffer.
+    /// All entries, row-major, mutably.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        &mut self.buf[self.offset..]
     }
 
-    /// Consumes the matrix, returning its backing buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
+    /// Consumes the matrix, returning its entries in its own buffer (moved
+    /// to the buffer's start when they were not there).
+    pub fn into_vec(mut self) -> Vec<f32> {
+        self.buf.drain(..self.offset);
+        self.buf
     }
 
     /// Iterator over rows as slices.
     pub fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols.max(1))
+        self.as_slice().chunks_exact(self.cols.max(1))
     }
 
     /// Applies `f` to every entry, returning a new matrix.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
-        Self { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&x| f(x)).collect() }
+        Self::from_entries(self.rows, self.cols, self.as_slice().iter().map(|&x| f(x)))
     }
 
     /// Applies `f` to every entry in place.
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
+        for x in self.as_mut_slice() {
             *x = f(*x);
         }
     }
@@ -211,20 +320,24 @@ impl Matrix {
     /// [`Self::gather_rows`] into `out`, whose buffer is reused: once it has
     /// grown to the largest message, gathering allocates nothing.
     pub fn gather_rows_into(&self, indices: &[usize], out: &mut Matrix) {
-        out.data.clear();
-        out.data.reserve(indices.len() * self.cols);
+        out.clear_for(indices.len() * self.cols);
         for &src in indices {
-            out.data.extend_from_slice(self.row(src));
+            out.buf.extend_from_slice(self.row(src));
         }
         (out.rows, out.cols) = (indices.len(), self.cols);
     }
 
     /// Makes `self` a `rows × cols` matrix in the buffer it already owns,
     /// for a caller about to overwrite every entry: the entries are whatever
-    /// the buffer held (zeros where it had to grow), never re-zeroed.
+    /// the buffer held (zeros past its old end, all zeros where it had to be
+    /// reallocated), never re-zeroed.
     pub fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
-        self.data.resize(rows * cols, 0.0);
-        (self.rows, self.cols) = (rows, cols);
+        if self.offset + rows * cols > self.buf.capacity() {
+            *self = Self::zeros(rows, cols);
+        } else {
+            self.buf.resize(self.offset + rows * cols, 0.0);
+            (self.rows, self.cols) = (rows, cols);
+        }
     }
 
     /// Vertically stacks `self` on top of `other`.
@@ -233,10 +346,10 @@ impl Matrix {
     /// Panics if the column counts differ.
     pub fn vstack(&self, other: &Matrix) -> Self {
         assert_eq!(self.cols, other.cols, "vstack column mismatch");
-        let mut data = Vec::with_capacity(self.data.len() + other.data.len());
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        Self { rows: self.rows + other.rows, cols: self.cols, data }
+        Self::with_entries(self.rows + other.rows, self.cols, |buf| {
+            buf.extend_from_slice(self.as_slice());
+            buf.extend_from_slice(other.as_slice());
+        })
     }
 
     /// The transpose of the matrix.
@@ -247,14 +360,15 @@ impl Matrix {
     pub fn transpose(&self) -> Self {
         const TILE: usize = 32;
         let mut out = Self::zeros(self.cols, self.rows);
+        let (src_all, dst) = (self.as_slice(), out.as_mut_slice());
         for r0 in (0..self.rows).step_by(TILE) {
             let rh = TILE.min(self.rows - r0);
             for c0 in (0..self.cols).step_by(TILE) {
                 let ch = TILE.min(self.cols - c0);
                 for r in r0..r0 + rh {
-                    let src = &self.data[r * self.cols + c0..r * self.cols + c0 + ch];
+                    let src = &src_all[r * self.cols + c0..r * self.cols + c0 + ch];
                     for (dc, &v) in src.iter().enumerate() {
-                        out.data[(c0 + dc) * self.rows + r] = v;
+                        dst[(c0 + dc) * self.rows + r] = v;
                     }
                 }
             }
@@ -266,7 +380,7 @@ impl Matrix {
     /// by at most `tol`.
     pub fn approx_eq(&self, other: &Matrix, tol: f32) -> bool {
         self.shape() == other.shape()
-            && self.data.iter().zip(&other.data).all(|(a, b)| (a - b).abs() <= tol)
+            && self.as_slice().iter().zip(other.as_slice()).all(|(a, b)| (a - b).abs() <= tol)
     }
 }
 
@@ -343,6 +457,51 @@ mod tests {
         m.gather_rows_into(&[], &mut buf);
         assert_eq!(buf.shape(), (0, 3));
         assert_eq!(buf.as_slice().as_ptr(), storage, "the first gather sized the buffer");
+    }
+
+    /// Every way a matrix gets storage starts its entries on a 64-byte line:
+    /// the constructors, a clone, and a reused buffer wherever it has to
+    /// grow. Sizes from one float to an `mmap`-sized block, so that whatever
+    /// the allocator's own alignment, some are misaligned unless the storage
+    /// pads them. (Only the pointer check is compiled out under Miri, whose
+    /// `align_offset` may decline to align; the rest still runs there.)
+    #[test]
+    fn storage_starts_a_cache_line() {
+        fn assert_aligned(m: &Matrix, what: &str) {
+            #[cfg(not(miri))]
+            assert_eq!(m.as_slice().as_ptr() as usize % 64, 0, "{what} {:?}", m.shape());
+            assert_eq!(m.as_slice().len(), m.rows() * m.cols(), "{what}");
+        }
+        let sizes: &[(usize, usize)] = if cfg!(miri) {
+            &[(1, 1), (3, 5), (2, 17)]
+        } else {
+            &[(1, 1), (3, 5), (2, 17), (9, 64), (300, 64)]
+        };
+        for &(rows, cols) in sizes {
+            let m = Matrix::from_fn(rows, cols, |r, c| (r * cols + c) as f32);
+            assert_aligned(&Matrix::zeros(rows, cols), "zeros");
+            assert_aligned(&Matrix::filled(rows, cols, -1.5), "filled");
+            assert_aligned(&m, "from_fn");
+            let data = m.as_slice().to_vec();
+            let wrapped = Matrix::from_vec(rows, cols, data.clone());
+            assert_aligned(&wrapped, "from_vec");
+            assert_eq!(wrapped, m);
+            assert_eq!(wrapped.into_vec(), data, "into_vec");
+            assert_aligned(&m.clone(), "clone");
+            let mut buf = Matrix::zeros(0, 0);
+            buf.clone_from(&m);
+            assert_aligned(&buf, "clone_from");
+            assert_eq!(buf, m);
+            let mut buf = Matrix::zeros(0, 0);
+            m.gather_rows_into(&[rows - 1, 0], &mut buf);
+            assert_aligned(&buf, "gather_rows_into");
+            let mut buf = Matrix::zeros(1, 1);
+            buf.reshape_for_overwrite(rows + 1, cols);
+            assert_aligned(&buf, "reshape_for_overwrite");
+            assert_aligned(&m.map(|x| x + 1.0), "map");
+            assert_aligned(&Matrix::from_entries(rows, cols, data.iter().copied()), "from_entries");
+            assert_aligned(&m.vstack(&m), "vstack");
+        }
     }
 
     #[test]

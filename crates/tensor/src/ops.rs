@@ -748,8 +748,8 @@ fn zip_with(a: &Matrix, b: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
         a.shape(),
         b.shape()
     );
-    let data = a.as_slice().iter().zip(b.as_slice()).map(|(&x, &y)| f(x, y)).collect();
-    Matrix::from_vec(a.rows(), a.cols(), data)
+    let entries = a.as_slice().iter().zip(b.as_slice()).map(|(&x, &y)| f(x, y));
+    Matrix::from_entries(a.rows(), a.cols(), entries)
 }
 
 #[cfg(test)]

@@ -108,17 +108,24 @@ pub fn spmm(s: &CsrMatrix, b: &Matrix, threads: usize) -> Matrix {
 }
 
 /// Parallel `S · [local ; remote]` without building the stacked operand:
-/// the worker-side aggregation over `[H_local | H_remote]`. Bit-identical
-/// to `spmm(s, &local.vstack(remote), threads)`.
+/// the worker-side aggregation over `[H_local | H_remote]`, where remote
+/// column `c` is row `remote_row[c]` of `remote`. Bit-identical to
+/// `spmm(s, &local.vstack(&remote_in_column_order), threads)`.
 ///
 /// # Panics
-/// Panics if `s.cols() != local.rows() + remote.rows()` or the two
-/// operands differ in width.
-pub fn spmm_split(s: &CsrMatrix, local: &Matrix, remote: &Matrix, threads: usize) -> Matrix {
-    assert_eq!(s.cols(), local.rows() + remote.rows(), "spmm_split shape mismatch");
+/// Panics if `s.cols() != local.rows() + remote_row.len()`, the two
+/// operands differ in width, or `remote_row` names a row `remote` lacks.
+pub fn spmm_split(
+    s: &CsrMatrix,
+    local: &Matrix,
+    remote: &Matrix,
+    remote_row: &[u32],
+    threads: usize,
+) -> Matrix {
+    assert_eq!(s.cols(), local.rows() + remote_row.len(), "spmm_split shape mismatch");
     assert_eq!(local.cols(), remote.cols(), "spmm_split operand width mismatch");
     spmm_banded(s, local.cols(), threads, &|row0, band| {
-        s.spmm_split_into(local, remote, row0, band)
+        s.spmm_split_into(local, remote, remote_row, row0, band)
     })
 }
 
@@ -236,12 +243,15 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         let b = init::uniform(40, 8, -1.0, 1.0, 3);
-        // Every split point, including an empty local and an empty remote.
+        // Every split point, including an empty local and an empty remote,
+        // with the remote rows stored in reverse column order.
         for n_local in [0usize, 1, 17, 40] {
             let local = b.gather_rows(&(0..n_local).collect::<Vec<_>>());
-            let remote = b.gather_rows(&(n_local..40).collect::<Vec<_>>());
+            let remote = b.gather_rows(&(n_local..40).rev().collect::<Vec<_>>());
+            let remote_row: Vec<u32> = (0..40 - n_local as u32).rev().collect();
             for threads in [1usize, 2, 7] {
-                assert_eq!(spmm_split(&s, &local, &remote, threads), s.spmm(&b), "{n_local}");
+                let got = spmm_split(&s, &local, &remote, &remote_row, threads);
+                assert_eq!(got, s.spmm(&b), "{n_local}");
             }
         }
     }

@@ -180,14 +180,24 @@ impl CsrMatrix {
 
     /// [`CsrMatrix::spmm_into`] over the split operand `[local ; remote]`
     /// without materializing the stack: column `c < local.rows()` reads
-    /// row `c` of `local`, any other column row `c - local.rows()` of
-    /// `remote`. Same nonzero order as `spmm_into` over
-    /// `local.vstack(remote)`, so the bits are identical.
+    /// row `c` of `local`, any other column row
+    /// `remote_row[c - local.rows()]` of `remote` — so the remote rows may
+    /// sit in any order, the map naming where each column's row is. Same
+    /// nonzero order as `spmm_into` over `local.vstack(remote in column
+    /// order)`, so the bits are identical.
     ///
-    /// Callers check `self.cols() == local.rows() + remote.rows()` and
-    /// `local.cols() == remote.cols()` (see `parallel::spmm_split`).
-    pub fn spmm_split_into(&self, local: &Matrix, remote: &Matrix, row0: usize, out: &mut [f32]) {
-        isa::dispatch(self.spmm_split_kernel(local, remote, row0, out));
+    /// Callers check `self.cols() == local.rows() + remote_row.len()`,
+    /// `local.cols() == remote.cols()` and that every `remote_row` entry is
+    /// a row of `remote` (see `parallel::spmm_split`).
+    pub fn spmm_split_into(
+        &self,
+        local: &Matrix,
+        remote: &Matrix,
+        remote_row: &[u32],
+        row0: usize,
+        out: &mut [f32],
+    ) {
+        isa::dispatch(self.spmm_split_kernel(local, remote, remote_row, row0, out));
     }
 
     /// [`CsrMatrix::spmm_split_into`] as a [`Kernel`], for
@@ -196,6 +206,7 @@ impl CsrMatrix {
         &'a self,
         local: &'a Matrix,
         remote: &'a Matrix,
+        remote_row: &'a [u32],
         row0: usize,
         out: &'a mut [f32],
     ) -> impl Kernel<Output = ()> + 'a {
@@ -204,7 +215,13 @@ impl CsrMatrix {
             self,
             local.cols(),
             #[inline(always)]
-            move |c| if c < n_local { local.row(c) } else { remote.row(c - n_local) },
+            move |c| {
+                if c < n_local {
+                    local.row(c)
+                } else {
+                    remote.row(remote_row[c - n_local] as usize)
+                }
+            },
             row0,
             out,
         )

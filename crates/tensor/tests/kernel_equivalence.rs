@@ -260,9 +260,10 @@ proptest! {
     }
 
     /// The split-operand SpMM must be the stacked one bit for bit: ragged
-    /// shapes, an empty local or remote half (`dim()` yields 0), and — on a
-    /// quarter of the cases — planted ±inf/NaN rows on either side of the
-    /// split, so `inf·0` and `inf − inf` arise in the same places.
+    /// shapes, an empty local or remote half (`dim()` yields 0), the remote
+    /// rows stored in a seed-drawn order that the `remote_row` map undoes,
+    /// and — on a quarter of the cases — planted ±inf/NaN rows on either side
+    /// of the split, so `inf·0` and `inf − inf` arise in the same places.
     #[test]
     fn split_spmm_equals_spmm_over_the_stack(
         m in dim(), n_local in dim(), n_remote in dim(), n in dim(),
@@ -276,12 +277,24 @@ proptest! {
             plant_non_finite(&mut remote, seed ^ 0x77);
         }
         let want = reference::spmm(&s, &local.vstack(&remote));
+        // Fisher–Yates: remote column `c` is stored as row `remote_row[c]`.
+        let mut remote_row: Vec<u32> = (0..n_remote as u32).collect();
+        let mut state = seed;
+        for i in (1..n_remote).rev() {
+            remote_row.swap(i, next(&mut state) as usize % (i + 1));
+        }
+        let mut stored = Matrix::zeros(n_remote, n);
+        for (c, &row) in remote_row.iter().enumerate() {
+            stored.set_row(row as usize, remote.row(c));
+        }
         for threads in [1usize, 2, 3, 5] {
-            prop_assert_eq!(mbits(&parallel::spmm_split(&s, &local, &remote, threads)), mbits(&want));
+            let got = parallel::spmm_split(&s, &local, &stored, &remote_row, threads);
+            prop_assert_eq!(mbits(&got), mbits(&want));
         }
         for tier in Tier::supported() {
-            let got =
-                band_at!(tier, 0, m, n, |r0, out| s.spmm_split_kernel(&local, &remote, r0, out));
+            let got = band_at!(tier, 0, m, n, |r0, out| {
+                s.spmm_split_kernel(&local, &stored, &remote_row, r0, out)
+            });
             prop_assert_eq!(bits(&got), mbits(&want), "{}", tier);
         }
     }

@@ -47,13 +47,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test --workspace -q
 
-echo "== cargo test --release (codec, reduction, exchange and serving kernels) =="
+echo "== cargo test --release (codec, reduction, exchange, loss and serving kernels) =="
 # The dev profile builds these crates at opt-level 1-2, where the casts and
 # lane reductions of the codec kernels are not vectorised; their
 # bit-identity tests must also hold on the code the benchmark runs. Serving
 # answers a batch with the tiled product and the row codec, so its
-# workspace-vs-reference test belongs to the same line.
-cargo test --release -q -p ec-compress -p ec-tensor -p ec-graph -p ec-serve
+# workspace-vs-reference test belongs to the same line, and so does the
+# loss's pin to the all-rows softmax.
+cargo test --release -q -p ec-compress -p ec-tensor -p ec-graph -p ec-nn -p ec-serve
 
 echo "== reproduce smoke (scripts/reproduce.sh writes a revision header) =="
 # Table II is analytic and instant; the script writes under the cwd.

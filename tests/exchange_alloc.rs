@@ -26,7 +26,7 @@ const LAYERS: usize = 3;
 /// the run is sequential and deterministic — so that an allocation creeping
 /// back into the exchange (or anywhere else in the epoch) fails here and is
 /// either removed or re-pinned on purpose.
-const EPOCH_ALLOCATIONS: u64 = 157;
+const EPOCH_ALLOCATIONS: u64 = 153;
 
 /// What this same test body counted at the parent commit (`e9b4a17`, the
 /// exchange before it had a workspace).

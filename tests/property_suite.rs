@@ -173,8 +173,9 @@ proptest! {
 /// Tier-1 anchor for the engine's aggregation kernel (`cargo test -q` does
 /// not run `crates/tensor/tests/kernel_equivalence.rs`): over real worker
 /// topologies — including a single worker, whose remote half is empty —
-/// the split-operand SpMM equals SpMM over the stacked operand bit for
-/// bit at every thread count, non-finite rows included.
+/// the split-operand SpMM over the owner-major remote operand and its
+/// `remote_row` map equals SpMM over the stacked operand in column order
+/// bit for bit at every thread count, non-finite rows included.
 #[test]
 fn split_spmm_is_the_stacked_spmm_bit_for_bit() {
     use ec_graph_repro::ecgraph::context::build_worker_contexts;
@@ -197,10 +198,12 @@ fn split_spmm_is_the_stacked_spmm_bit_for_bit() {
         for ctx in &build_worker_contexts(&[adj], &partition) {
             let topo = &ctx.layers[0];
             let local = h.gather_rows(&ctx.local_vertices);
-            let remote = h.gather_rows(&topo.remote_deps);
-            let want = bits(&topo.adj_local.spmm(&local.vstack(&remote)));
+            let stacked = local.vstack(&h.gather_rows(&topo.remote_deps));
+            let want = bits(&topo.adj_local.spmm(&stacked));
+            let remote = topo.remote_operand(&h);
             for threads in [1usize, 2, 3, 5] {
-                let got = parallel::spmm_split(&topo.adj_local, &local, &remote, threads);
+                let map = &topo.remote_row;
+                let got = parallel::spmm_split(&topo.adj_local, &local, &remote, map, threads);
                 assert_eq!(bits(&got), want, "seed {seed} worker {}", ctx.worker_id);
             }
         }
@@ -260,13 +263,15 @@ fn compute_kernels_match_the_reference_on_worker_shapes() {
         for threads in [1usize, 3] {
             for l in 0..3 {
                 let local = h[l].gather_rows(&ctx.local_vertices);
-                let remote = h[l].gather_rows(&topo.remote_deps);
+                let remote = topo.remote_operand(&h[l]);
+                let map = &topo.remote_row;
                 let tag = format!("worker {} layer {l} threads {threads}", ctx.worker_id);
                 // Â_w·[H_local | H_remote], then ·W.
-                let agg = parallel::spmm_split(&topo.adj_local, &local, &remote, threads);
+                let agg = parallel::spmm_split(&topo.adj_local, &local, &remote, map, threads);
+                let stacked = local.vstack(&h[l].gather_rows(&topo.remote_deps));
                 assert_eq!(
                     bits(&agg),
-                    bits(&reference::spmm(&topo.adj_local, &local.vstack(&remote))),
+                    bits(&reference::spmm(&topo.adj_local, &stacked)),
                     "spmm {tag}"
                 );
                 let z = parallel::matmul(&agg, &weights[l], threads);
@@ -290,7 +295,7 @@ fn compute_kernels_match_the_reference_on_worker_shapes() {
                 let (rows, adj_w) = (local.rows(), &topo.adj_local);
                 for tier in Tier::supported() {
                     let got = product_at!(tier, rows, dims[l], |out| {
-                        adj_w.spmm_split_kernel(&local, &remote, 0, out)
+                        adj_w.spmm_split_kernel(&local, &remote, map, 0, out)
                     });
                     assert_eq!(bits(&got), bits(&agg), "spmm {tag} {tier}");
                     let got = product_at!(tier, rows, dims[l + 1], |out| {

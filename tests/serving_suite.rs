@@ -54,6 +54,21 @@ fn fixture_with_an_empty_part(model: ModelKind) -> Fixture {
     (data, adjs, Arc::new(Partition::new(parts, WORKERS)), config)
 }
 
+/// [`fixture`] with every edge of each fifth vertex removed: those vertices
+/// have degree zero, and the normalized adjacency leaves them their
+/// self-loop only.
+fn fixture_with_isolated_vertices(model: ModelKind) -> Fixture {
+    let (data, _, partition, config) = fixture(model);
+    let isolated = |v: u32| v.is_multiple_of(5);
+    let edges: Vec<(u32, u32)> =
+        data.graph.edges().filter(|&(a, b)| !isolated(a) && !isolated(b)).collect();
+    let graph = ec_graph_repro::data::Graph::from_edges(data.num_vertices(), &edges);
+    assert!((0..data.num_vertices()).step_by(5).all(|v| graph.degree(v) == 0));
+    let adj = Arc::new(ec_graph_repro::data::normalize::gcn_normalized_adjacency(&graph));
+    let data = ec_graph_repro::data::AttributedGraph { graph, ..(*data).clone() };
+    (Arc::new(data), vec![adj; 2], partition, config)
+}
+
 fn trained_engine(fx: &Fixture, epochs: usize) -> DistributedEngine {
     let (data, adjs, partition, config) = fx;
     let mut engine = DistributedEngine::new(
@@ -248,6 +263,42 @@ fn a_service_with_an_empty_part_serves_every_request() {
         let report = run_closed_loop(&mut svc, &workload);
         assert_eq!((report.issued, report.served), (200, 200), "fetch_bits {fetch_bits:?}");
         assert_eq!(report.per_worker[WORKERS - 1].served, 0, "fetch_bits {fetch_bits:?}");
+    }
+}
+
+/// ROADMAP 10: zero-degree vertices through serve, under GCN and SAGE. With
+/// exact fetches every answer — the isolated vertices' included — is
+/// `ModelWeights::forward`'s bit for bit; with 8-bit fetches every answer is
+/// finite; and a closed loop serves every request it issues either way.
+#[test]
+fn zero_degree_vertices_are_served() {
+    for model in [ModelKind::Gcn, ModelKind::Sage] {
+        let fx = fixture_with_isolated_vertices(model);
+        let weights = trained_engine(&fx, 2).inference_model();
+        let (data, adjs, partition, _) = &fx;
+        let reference = weights.forward(adjs, &data.features, 1);
+        for fetch_bits in [None, Some(8u8)] {
+            let config = ServeConfig { fetch_bits, ..ServeConfig::defaults(WORKERS) };
+            let build = || {
+                let (data, partition) = (Arc::clone(data), Arc::clone(partition));
+                InferenceService::new(
+                    weights.clone(),
+                    data,
+                    adjs.clone(),
+                    partition,
+                    config.clone(),
+                )
+            };
+            let served = serve_all(&mut build(), data.num_vertices(), data.num_classes);
+            let tag = format!("{model:?} fetch_bits {fetch_bits:?}");
+            match fetch_bits {
+                None => assert_eq!(bits_of(&served), bits_of(&reference), "{tag}"),
+                Some(_) => assert!(served.as_slice().iter().all(|x| x.is_finite()), "{tag}"),
+            }
+            let workload = WorkloadConfig { total_requests: 200, ..WorkloadConfig::defaults() };
+            let report = run_closed_loop(&mut build(), &workload);
+            assert_eq!((report.issued, report.served), (200, 200), "{tag}");
+        }
     }
 }
 

@@ -149,7 +149,8 @@ fn wider_tiers_are_not_slower_than_the_baseline_tier() {
                 best_of_20(&mut || {
                     for _ in 0..20 {
                         packed.decompress_into_at(tier, cps.as_mut_slice());
-                        let sweep = SelectorSweep { base, m_cr, k: 1.0, h_rows: h, out: &mut cps };
+                        let out = cps.as_mut_slice();
+                        let sweep = SelectorSweep { base, m_cr, k: 1.0, h_rows: h, out };
                         black_box(isa::dispatch_on(tier, sweep));
                     }
                 }) / 20.0
