@@ -1,6 +1,10 @@
 //! Per-worker embedding cache: a deterministic LRU over fetched remote
 //! rows plus a pinned hot set that eviction never touches.
 //!
+//! The service caches *projected* rows `H^{L-1}·W^{L-1}`, `C` floats each,
+//! whichever of `H` or `P` the fetch shipped: a row fetched as `H` is
+//! projected before it is cached, so a hit never needs a product.
+//!
 //! Layout: one slab of `f32`s holds every resident row — LRU slots
 //! `0..capacity` first, pinned slots after them — a dense `id → slot` index
 //! answers a lookup with one load, and the eviction order is an intrusive
@@ -20,7 +24,7 @@
 /// "No slot" / "no neighbour" in the index and the recency links.
 const NONE: u32 = u32::MAX;
 
-/// LRU + pinned-hot-set cache of layer-`L−1` embedding rows.
+/// LRU + pinned-hot-set cache of equally wide embedding rows.
 #[derive(Clone, Debug)]
 pub struct EmbeddingCache {
     /// Max resident LRU rows (pinned rows do not count). 0 disables the
@@ -196,7 +200,7 @@ impl EmbeddingCache {
     ///
     /// # Panics
     /// Panics when `len` differs from the width of the rows already held:
-    /// one cache serves one embedding layer.
+    /// one cache holds one kind of row.
     fn fix_shape(&mut self, id: u32, len: usize) {
         if self.dim == 0 {
             self.dim = len;

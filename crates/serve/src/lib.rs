@@ -9,13 +9,17 @@
 //! The pieces, mirroring the training stack's layering:
 //!
 //! * [`store`] — the partitioned [`store::EmbeddingStore`]: materialized
-//!   layer-`L−1` activations, version-tagged, rebuilt per checkpoint via
-//!   the read-only [`ec_graph::infer::ModelWeights`] forward path;
+//!   layer-`L−1` activations `H` and their final-layer products
+//!   `P = H·W^{L-1}` (plus GraphSAGE's self product), version-tagged,
+//!   rebuilt per checkpoint via the read-only
+//!   [`ec_graph::infer::ModelWeights`] forward path;
 //! * [`cache`] — per-worker deterministic LRU + pinned-hot-set
-//!   [`cache::EmbeddingCache`] over fetched remote rows;
+//!   [`cache::EmbeddingCache`] over fetched remote rows, held projected
+//!   (`C` floats);
 //! * [`wire`] — the fetch protocol ([`wire::ServeRequest`] /
-//!   [`wire::ServeReply`]), per-row quantized so reconstruction does not
-//!   depend on request batching (the cache-consistency property);
+//!   [`wire::ServeReply`]) carrying `P` rows when `C ≤ k` and `H` rows
+//!   otherwise, per-row quantized so reconstruction does not depend on
+//!   request batching (the cache-consistency property);
 //! * [`service`] — [`service::InferenceService`]: batched per-vertex
 //!   query answering over [`ec_comm::SimNetwork`], byte-identical to the
 //!   full-graph forward pass in exact-fetch mode;
@@ -67,7 +71,8 @@ pub struct ServeConfig {
     pub pinned_rows: usize,
     /// `None` ships exact `f32` rows (serving answers are then
     /// bit-identical to the full-graph forward pass); `Some(b)` quantizes
-    /// each fetched row to `b` bits with a per-row range.
+    /// each fetched row — projected or not, as the store ships it — to `b`
+    /// bits with a per-row range.
     pub fetch_bits: Option<u8>,
     /// Fault plan injected into the serving network (stragglers, outages).
     pub faults: FaultPlan,

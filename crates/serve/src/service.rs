@@ -2,20 +2,23 @@
 //! partitioned store and simulated network.
 //!
 //! A query for vertex `v` is routed to `v`'s owning worker. The owner
-//! computes only the *final* GNN layer for `v`: it projects the
-//! layer-`L−1` rows of `v`'s in-neighbors through the last weight matrix
-//! and replays the SpMM/bias accumulation in the training kernels' exact
-//! element order ([`ModelWeights::output_row_into`]). Neighbor rows come
-//! from, in order: the worker's own shard, its [`EmbeddingCache`], or a
+//! computes only the *final* GNN layer for `v`: it aggregates the projected
+//! rows `H^{L-1}·W^{L-1}` of `v`'s in-neighbors, replaying the SpMM/bias
+//! accumulation in the training kernels' exact element order
+//! ([`ModelWeights::output_row_into`]). Projected rows come from, in order:
+//! the worker's own shard of the store, its [`EmbeddingCache`], or a
 //! [`crate::wire`] fetch from the owning worker (bytes charged to the
-//! [`SimNetwork`]; one network superstep per dispatched batch).
+//! [`SimNetwork`]; one network superstep per dispatched batch). A fetch
+//! ships `P` rows when `C ≤ k`; otherwise it ships `H` rows, and the
+//! requester projects just those, with one tiled product, before caching
+//! them ([`EmbeddingStore::ships_projected`]).
 //!
-//! A batch runs gather → decode → one product → aggregate over a
-//! [`Workspace`] the service keeps between batches: the batch's distinct
-//! neighbours as one ascending id list, their rows written by position into
-//! one row-major arena, one tiled product over the arena, and CSR-order
-//! aggregation reading the product by position. In steady state a batch
-//! allocates its answer matrix and nothing else (DESIGN.md §10).
+//! A batch runs gather → decode → aggregate over a [`Workspace`] the
+//! service keeps between batches: the batch's distinct neighbours as one
+//! ascending id list, their projected rows written by position into one
+//! row-major arena, and CSR-order aggregation reading the arena by
+//! position. In steady state a batch allocates its answer matrix and
+//! nothing else (DESIGN.md §10).
 //!
 //! Consistency: in exact-fetch mode every answer is bit-identical to the
 //! corresponding row of the full-graph forward pass. With quantized
@@ -49,7 +52,8 @@ use std::sync::Arc;
 pub struct BatchCost {
     /// Modeled network seconds of the batch's fetch superstep.
     pub comm_s: f64,
-    /// Modeled compute seconds of the batch's final-layer kernels
+    /// Modeled compute seconds of the batch's final-layer kernels: the
+    /// projection of rows fetched as `H`, and the aggregation
     /// (straggler-scaled).
     pub compute_s: f64,
     /// Remote rows fetched over the network.
@@ -123,34 +127,37 @@ struct Workspace {
     /// The rows the batch needs, as global vertex ids: in `answer_batch`
     /// the distinct in-neighbours of the queried vertices, ascending.
     ids: Vec<u32>,
-    /// Row `p` is the layer-`L−1` row of `ids[p]` (own shard, cache or
-    /// fetch). Holds at least `ids.len()` rows; grows, never shrinks.
-    rows: Matrix,
-    /// Row `p` is `rows[p] · W^{L-1}`, `ids.len() × C`.
-    xw: Vec<f32>,
-    /// GraphSAGE only: row `i` is the stored row of the batch's `i`-th
-    /// query, and its product with the self transform.
-    self_rows: Matrix,
-    self_xw: Vec<f32>,
+    /// Row `p` is the projected row `H^{L-1}·W^{L-1}` of `ids[p]` (own
+    /// shard, cache or fetch), `C` wide. Holds at least `ids.len()` rows;
+    /// grows, never shrinks.
+    xw: Matrix,
     /// Global id → position in `ids` while a batch aggregates, [`NO_POS`]
     /// otherwise (reset by walking `ids`, not by a fill).
     pos_of: Vec<u32>,
-    /// Per owning worker, the positions still to be fetched from it.
+    /// Per owning worker, the positions to fetch from it; emptied once the
+    /// fetched rows are in the cache.
     fetch: Vec<Vec<u32>>,
+    /// The positions whose `H` row was fetched to be projected here, in
+    /// fetch order. Stays empty while the store ships `P` rows (`C ≤ k`).
+    project: Vec<u32>,
+    /// Row `j` is the fetched `H` row of position `project[j]`, `k` wide.
+    fetched: Matrix,
+    /// `fetched · W^{L-1}`, `project.len() × C`.
+    fetched_xw: Vec<f32>,
     /// The one compressed row in flight on the quantized fetch path.
     codec: Quantized,
 }
 
 impl Workspace {
-    fn new(num_vertices: usize, dim: usize, num_workers: usize) -> Self {
+    fn new(num_vertices: usize, dim: usize, out_dim: usize, num_workers: usize) -> Self {
         Self {
             ids: Vec::new(),
-            rows: Matrix::zeros(0, dim),
-            xw: Vec::new(),
-            self_rows: Matrix::zeros(0, dim),
-            self_xw: Vec::new(),
+            xw: Matrix::zeros(0, out_dim),
             pos_of: vec![NO_POS; num_vertices],
             fetch: vec![Vec::new(); num_workers],
+            project: Vec::new(),
+            fetched: Matrix::zeros(0, dim),
+            fetched_xw: Vec::new(),
             codec: Quantized::compress_row(&[], 1),
         }
     }
@@ -220,15 +227,15 @@ impl InferenceService {
         let store =
             EmbeddingStore::build(&model, &adjs, &data, partition.clone(), config.kernel_threads);
         let hot_sets = hot_sets(&adjs[model.num_layers() - 1], &partition, &data, num_workers);
-        let (n, k) = (store.num_vertices(), store.dim());
+        let (n, k, c) = (store.num_vertices(), store.dim(), store.output_dim());
         let caches = (0..num_workers)
-            .map(|_| EmbeddingCache::with_shape(config.cache_rows, config.pinned_rows, k, n))
+            .map(|_| EmbeddingCache::with_shape(config.cache_rows, config.pinned_rows, c, n))
             .collect();
         let mut svc = Self {
             model,
             data,
             adjs,
-            ws: Workspace::new(n, k, num_workers),
+            ws: Workspace::new(n, k, c, num_workers),
             store,
             caches,
             network,
@@ -419,13 +426,11 @@ impl InferenceService {
             let hot = &self.hot_sets[w];
             self.ws.ids.clear();
             self.ws.ids.extend_from_slice(&hot[..hot.len().min(self.config.pinned_rows)]);
-            grow_rows(&mut self.ws.rows, self.ws.ids.len());
+            grow_rows(&mut self.ws.xw, self.ws.ids.len());
             for (p, &v) in self.ws.ids.iter().enumerate() {
                 self.ws.fetch[self.store.owner(v as usize)].push(p as u32);
             }
-            for owner in 0..self.config.num_workers {
-                bytes += self.fetch_rows(w, owner, |cache, id, row| cache.pin(id, row));
-            }
+            bytes += self.fetch_queued(w, |cache, id, row| cache.pin(id, row)).0;
         }
         let t = self.network.flush_superstep();
         self.refresh_comm_s += t;
@@ -434,20 +439,54 @@ impl InferenceService {
         t
     }
 
-    /// Moves one request/reply pair `requester ↔ owner` over the network
-    /// for the positions queued in the workspace's fetch list of `owner`
-    /// (drained here): each row is read from the owner's shard, put through
-    /// the fetch codec, reconstructed straight into its arena row and
-    /// handed to `keep` with the requester's cache. Returns the reply's
-    /// wire bytes; nothing queued moves nothing. Same-worker "fetches" are
-    /// free by `SimNetwork` rules but never occur: callers only queue rows
-    /// the requester does not own.
-    fn fetch_rows(
+    /// Fetches every position queued in the workspace's fetch lists for
+    /// `requester`, one request/reply pair per owner in ascending order;
+    /// projects the `H` rows among them with one tiled product (only when
+    /// the store ships `H`); then hands each fetched projected row to `keep`
+    /// with the requester's cache, in fetch order, and empties the lists.
+    /// Returns the reply bytes and the number of rows projected here.
+    fn fetch_queued(
         &mut self,
         requester: usize,
-        owner: usize,
         mut keep: impl FnMut(&mut EmbeddingCache, u32, &[f32]),
-    ) -> u64 {
+    ) -> (u64, usize) {
+        if !self.store.ships_projected() {
+            let queued = self.ws.fetch.iter().map(Vec::len).sum();
+            grow_rows(&mut self.ws.fetched, queued);
+        }
+        let bytes =
+            (0..self.config.num_workers).map(|owner| self.fetch_rows(requester, owner)).sum();
+        let ws = &mut self.ws;
+        let projected = ws.project.len();
+        if projected > 0 {
+            let c = self.store.output_dim();
+            ws.fetched_xw.resize(ws.fetched_xw.len().max(projected * c), 0.0);
+            let xw = &mut ws.fetched_xw[..projected * c];
+            self.model.project_rows_into(&ws.fetched, xw);
+            for (&p, row) in ws.project.iter().zip(xw.chunks_exact(c)) {
+                ws.xw.row_mut(p as usize).copy_from_slice(row);
+            }
+            ws.project.clear();
+        }
+        for list in &mut ws.fetch {
+            for &p in list.iter() {
+                keep(&mut self.caches[requester], ws.ids[p as usize], ws.xw.row(p as usize));
+            }
+            list.clear();
+        }
+        (bytes, projected)
+    }
+
+    /// Moves one request/reply pair `requester ↔ owner` over the network
+    /// for the positions queued in the workspace's fetch list of `owner`:
+    /// each shipped row is read from the owner's shard, put through the
+    /// fetch codec and reconstructed straight into its arena row — the
+    /// position's `xw` row for a `P` row, the next `fetched` row (queued for
+    /// projection) for an `H` row. Returns the reply's wire bytes; nothing
+    /// queued moves nothing. Same-worker "fetches" are free by `SimNetwork`
+    /// rules but never occur: callers only queue rows the requester does
+    /// not own.
+    fn fetch_rows(&mut self, requester: usize, owner: usize) -> u64 {
         let wanted = self.ws.fetch[owner].len();
         if wanted == 0 {
             return 0;
@@ -456,22 +495,26 @@ impl InferenceService {
         let request = ServeRequest::wire_size_for(wanted);
         self.network.send(requester, owner, Channel::Control, request as u64);
         let fetch_bits = self.config.fetch_bits;
-        for i in 0..wanted {
-            let p = self.ws.fetch[owner][i] as usize;
-            let id = self.ws.ids[p];
-            let stored = self.store.row(id as usize);
-            let row = self.ws.rows.row_mut(p);
+        let ships_projected = self.store.ships_projected();
+        let ws = &mut self.ws;
+        for &p in &ws.fetch[owner] {
+            let id = ws.ids[p as usize] as usize;
+            let row = if ships_projected {
+                ws.xw.row_mut(p as usize)
+            } else {
+                ws.project.push(p);
+                ws.fetched.row_mut(ws.project.len() - 1)
+            };
+            let stored = self.store.shipped_row(id);
             match fetch_bits {
                 None => row.copy_from_slice(stored),
                 Some(bits) => {
-                    self.ws.codec.assign_row(stored, bits);
-                    self.ws.codec.decompress_into(row);
+                    ws.codec.assign_row(stored, bits);
+                    ws.codec.decompress_into(row);
                 }
             }
-            keep(&mut self.caches[requester], id, row);
         }
-        self.ws.fetch[owner].clear();
-        let wire = ServeReply::wire_size_for(wanted, self.store.dim(), fetch_bits) as u64;
+        let wire = ServeReply::wire_size_for(wanted, self.store.shipped_dim(), fetch_bits) as u64;
         self.network.send(owner, requester, Channel::Forward, wire);
         self.telemetry.add(
             MetricId::ServeFetchBytes,
@@ -520,67 +563,47 @@ impl InferenceService {
         let entries = self.ws.ids.len();
         self.ws.ids.sort_unstable();
         self.ws.ids.dedup();
-        let needed = self.ws.ids.len();
-        grow_rows(&mut self.ws.rows, needed);
+        grow_rows(&mut self.ws.xw, self.ws.ids.len());
 
-        // 2. Resolve each neighbor into its arena row: own shard, cache,
-        //    or the owner's fetch list.
+        // 2. Resolve each neighbor into its projected arena row: own shard,
+        //    cache, or the owner's fetch list.
         for (p, &c) in self.ws.ids.iter().enumerate() {
             let owner = self.store.owner(c as usize);
             if owner == worker {
-                self.ws.rows.row_mut(p).copy_from_slice(self.store.row(c as usize));
+                self.ws.xw.row_mut(p).copy_from_slice(self.store.projected_row(c as usize));
             } else if let Some(row) = self.caches[worker].get(c) {
                 cost.cache_hits += 1;
-                self.ws.rows.row_mut(p).copy_from_slice(row);
+                self.ws.xw.row_mut(p).copy_from_slice(row);
             } else {
                 cost.cache_misses += 1;
                 self.ws.fetch[owner].push(p as u32);
             }
         }
 
-        // 3. Fetch the misses, owner by owner, and fill the cache.
+        // 3. Fetch the misses, owner by owner, project them if they came
+        //    as `H` rows, and fill the cache.
         cost.fetch_rows = cost.cache_misses; // every miss is fetched, once
-        for owner in 0..self.config.num_workers {
-            cost.fetch_bytes +=
-                self.fetch_rows(worker, owner, |cache, id, row| cache.insert(id, row));
-        }
+        let (fetch_bytes, projected) =
+            self.fetch_queued(worker, |cache, id, row| cache.insert(id, row));
+        cost.fetch_bytes = fetch_bytes;
         cost.comm_s = self.network.flush_superstep();
 
-        // 4. Final-layer compute: every distinct neighbor projected once,
-        //    all of them by one tiled product (and a second one for the
-        //    GraphSAGE self terms), which accumulates each output element
-        //    in the training kernels' order.
-        let k = self.store.dim();
-        let out_dim = self.model.output_dim();
+        // 4. Aggregate in CSR order, reading the arena by position.
         let ws = &mut self.ws;
-        ws.xw.resize(ws.xw.len().max(needed * out_dim), 0.0);
-        self.model.project_rows_into(&ws.rows, &mut ws.xw[..needed * out_dim]);
-        let mut projected = needed;
-        if self.model.self_weight(self.model.num_layers() - 1).is_some() {
-            grow_rows(&mut ws.self_rows, ids.len());
-            for (i, &v) in ids.iter().enumerate() {
-                ws.self_rows.row_mut(i).copy_from_slice(self.store.row(v as usize));
-            }
-            ws.self_xw.resize(ws.self_xw.len().max(ids.len() * out_dim), 0.0);
-            self.model
-                .project_self_rows_into(&ws.self_rows, &mut ws.self_xw[..ids.len() * out_dim]);
-            projected += ids.len();
-        }
-
-        // 5. Aggregate in CSR order, reading the product by position.
         for (p, &c) in ws.ids.iter().enumerate() {
             ws.pos_of[c as usize] = p as u32;
         }
-        let answer = aggregate(&self.model, &adj_last, ws, ids);
+        let answer = aggregate(&self.model, &self.store, &adj_last, ws, ids);
         for &c in &ws.ids {
             ws.pos_of[c as usize] = NO_POS;
         }
         let out = answer?;
+        let (k, out_dim) = (self.store.dim(), self.store.output_dim());
         let flops = (projected * 2 * (k * out_dim) + (2 * entries + ids.len()) * out_dim) as u64;
         let straggle = self.network.faults().map_or(1.0, |inj| inj.straggler_factor(worker));
         cost.compute_s = flops as f64 * SECS_PER_FLOP * straggle + BATCH_OVERHEAD_S;
 
-        // 6. Serving metrics (pure observation; never feeds back).
+        // 5. Serving metrics (pure observation; never feeds back).
         let wl = labels(&[version, worker as u32]);
         self.telemetry.add(MetricId::ServeCacheHit, wl, cost.cache_hits);
         self.telemetry.add(MetricId::ServeCacheMiss, wl, cost.cache_misses);
@@ -589,24 +612,25 @@ impl InferenceService {
     }
 }
 
-/// The answer rows of `ids` from a workspace whose product and position
-/// index are in place: SpMM accumulation in CSR entry order, then the self
-/// term, then the bias, each row written straight into the output.
+/// The answer rows of `ids` from a workspace whose projected rows and
+/// position index are in place: SpMM accumulation in CSR entry order, then
+/// the stored self term, then the bias, each row written straight into the
+/// output.
 fn aggregate(
     model: &ModelWeights,
+    store: &EmbeddingStore,
     adj_last: &CsrMatrix,
     ws: &Workspace,
     ids: &[u32],
 ) -> Result<Matrix, ServeError> {
     let out_dim = model.output_dim();
-    let sage = model.self_weight(model.num_layers() - 1).is_some();
     let mut out = Matrix::zeros(ids.len(), out_dim);
     for (i, &v) in ids.iter().enumerate() {
         let xw_of = |c: usize| {
             let p = ws.pos_of.get(c).copied().filter(|&p| p != NO_POS)?;
-            ws.xw.get(p as usize * out_dim..)?.get(..out_dim)
+            ws.xw.as_slice().get(p as usize * out_dim..)?.get(..out_dim)
         };
-        let self_term = sage.then(|| &ws.self_xw[i * out_dim..][..out_dim]);
+        let self_term = store.projected_self_row(v as usize);
         model.output_row_into(adj_last, v as usize, xw_of, self_term, out.row_mut(i)).map_err(
             |missing| ServeError::MissingNeighbor { vertex: v, neighbor: missing.0 as u32 },
         )?;
@@ -652,10 +676,14 @@ mod tests {
     use std::collections::BTreeMap;
 
     /// The map-based path [`InferenceService::answer_batch`] replaced, kept
-    /// as it was: a `BTreeSet` of neighbours, a `Vec` per row in two
+    /// in its shape: a `BTreeSet` of neighbours, a `Vec` per row in two
     /// `BTreeMap`s, constructed wire messages measured by `wire_size`, one
-    /// scalar `project_row` per neighbour. It is what the workspace path is
-    /// compared against, bit for bit and counter for counter.
+    /// scalar `project_row` per row it projects. It projects own rows and
+    /// self terms from `H` itself rather than reading the store's products,
+    /// ships whichever rows the store says, and where those are `H` rows it
+    /// is the formulation before the projected store: decode, project,
+    /// aggregate. It is what the workspace path is compared against, bit for
+    /// bit and counter for counter.
     impl InferenceService {
         fn fetch_rows_reference(
             &mut self,
@@ -666,14 +694,19 @@ mod tests {
             let version = self.store.version();
             let request = ServeRequest { version, ids: ids.to_vec() };
             self.network.send(requester, owner, Channel::Control, request.wire_size() as u64);
+            let shipped = |v: u32| self.store.shipped_row(v as usize);
             let reply = match self.config.fetch_bits {
-                None => ServeReply::Exact { version, rows: self.store.gather(ids) },
+                None => ServeReply::Exact {
+                    version,
+                    rows: Matrix::from_vec(
+                        ids.len(),
+                        self.store.shipped_dim(),
+                        ids.iter().flat_map(|&v| shipped(v).to_vec()).collect(),
+                    ),
+                },
                 Some(bits) => ServeReply::RowQuantized {
                     version,
-                    rows: ids
-                        .iter()
-                        .map(|&v| Quantized::compress_row(self.store.row(v as usize), bits))
-                        .collect(),
+                    rows: ids.iter().map(|&v| Quantized::compress_row(shipped(v), bits)).collect(),
                 },
             };
             let wire = reply.wire_size() as u64;
@@ -703,7 +736,10 @@ mod tests {
             for &v in ids {
                 needed.extend(adj_last.row_entries(v as usize).map(|(c, _)| c as u32));
             }
-            let mut remote_rows: BTreeMap<u32, Vec<f32>> = BTreeMap::new();
+            let k = self.store.dim();
+            let out_dim = self.model.output_dim();
+            let mut flops = 0u64;
+            let mut remote_xw: BTreeMap<u32, Vec<f32>> = BTreeMap::new();
             let mut fetch_by_owner: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
             for &c in &needed {
                 let owner = self.store.owner(c as usize);
@@ -712,7 +748,7 @@ mod tests {
                 }
                 if let Some(row) = self.caches[worker].get(c) {
                     cost.cache_hits += 1;
-                    remote_rows.insert(c, row.to_vec());
+                    remote_xw.insert(c, row.to_vec());
                 } else {
                     cost.cache_misses += 1;
                     fetch_by_owner.entry(owner).or_default().push(c);
@@ -723,30 +759,28 @@ mod tests {
                 cost.fetch_bytes += wire;
                 cost.fetch_rows += fetch_ids.len() as u64;
                 for (&c, row) in fetch_ids.iter().zip(rows) {
-                    self.caches[worker].insert(c, row.clone());
-                    remote_rows.insert(c, row);
+                    let xw = if self.store.ships_projected() {
+                        row
+                    } else {
+                        flops += 2 * (k * out_dim) as u64;
+                        self.model.project_row(&row)
+                    };
+                    self.caches[worker].insert(c, xw.clone());
+                    remote_xw.insert(c, xw);
                 }
             }
             cost.comm_s = self.network.flush_superstep();
-            let k = self.store.dim();
-            let out_dim = self.model.output_dim();
-            let mut flops = 0u64;
             let mut xw: BTreeMap<u32, Vec<f32>> = BTreeMap::new();
             for &c in &needed {
-                let h: &[f32] = if self.store.owner(c as usize) == worker {
-                    self.store.row(c as usize)
-                } else {
-                    &remote_rows[&c]
+                let row = match remote_xw.remove(&c) {
+                    Some(row) => row,
+                    None => self.model.project_row(self.store.row(c as usize)),
                 };
-                xw.insert(c, self.model.project_row(h));
-                flops += 2 * (k * out_dim) as u64;
+                xw.insert(c, row);
             }
             let mut out = Matrix::zeros(ids.len(), out_dim);
             for (i, &v) in ids.iter().enumerate() {
                 let self_term = self.model.project_self_row(self.store.row(v as usize));
-                if self_term.is_some() {
-                    flops += 2 * (k * out_dim) as u64;
-                }
                 let row = self.model.output_row(
                     &adj_last,
                     v as usize,
@@ -772,12 +806,14 @@ mod tests {
     }
 
     impl Fixture {
-        fn new(model: ModelKind) -> Self {
+        /// A 130-vertex, 7-class replica whose model has `hidden` units: 8
+        /// makes the store ship projected rows, 4 makes it ship `H` rows.
+        fn new(model: ModelKind, hidden: usize) -> Self {
             let data = Arc::new(DatasetSpec::cora().instantiate_with(130, 10, 5));
             let adj = Arc::new(normalize::gcn_normalized_adjacency(&data.graph));
             let adjs = vec![adj; 2];
             let config = TrainingConfig {
-                dims: vec![10, 8, data.num_classes],
+                dims: vec![10, hidden, data.num_classes],
                 model,
                 num_workers: WORKERS,
                 seed: 7,
@@ -872,10 +908,16 @@ mod tests {
         );
     }
 
+    /// The grid runs once over a store that ships `P` rows (`C = 7 ≤ k = 8`)
+    /// and once over one that ships `H` rows for the requester to project
+    /// (`C = 7 > k = 4`).
     #[test]
     fn workspace_path_matches_the_map_based_reference() {
-        for model in [ModelKind::Gcn, ModelKind::Sage] {
-            let fx = Fixture::new(model);
+        for (model, hidden) in
+            [ModelKind::Gcn, ModelKind::Sage].into_iter().flat_map(|m| [(m, 8), (m, 4)])
+        {
+            let fx = Fixture::new(model, hidden);
+            assert_eq!(fx.service(ServeConfig::defaults(1)).store.ships_projected(), hidden == 8);
             for cached in [true, false] {
                 for fetch_bits in [None, Some(8u8), Some(3)] {
                     for straggler in [false, true] {
@@ -893,7 +935,8 @@ mod tests {
                             config.faults = FaultPlan::none().with_straggler(0, 2.0);
                         }
                         let tag = format!(
-                            "{model:?} cached={cached} bits={fetch_bits:?} straggler={straggler}"
+                            "{model:?} k={hidden} cached={cached} bits={fetch_bits:?} \
+                             straggler={straggler}"
                         );
                         drive(&fx, config, &tag);
                     }
@@ -901,8 +944,8 @@ mod tests {
             }
             // The default cache shape, and one worker owning everything (no
             // remote rows at all).
-            drive(&fx, ServeConfig::defaults(WORKERS), &format!("{model:?} defaults"));
-            drive(&fx, ServeConfig::defaults(1), &format!("{model:?} single worker"));
+            drive(&fx, ServeConfig::defaults(WORKERS), &format!("{model:?} k={hidden} defaults"));
+            drive(&fx, ServeConfig::defaults(1), &format!("{model:?} k={hidden} single worker"));
         }
     }
 
@@ -911,16 +954,16 @@ mod tests {
     /// with whatever was left.
     #[test]
     fn a_neighbor_without_a_row_is_reported_not_zeroed() {
-        let fx = Fixture::new(ModelKind::Gcn);
+        let fx = Fixture::new(ModelKind::Gcn, 8);
         let mut svc = fx.service(ServeConfig::defaults(WORKERS));
         let v = (0..130u32).find(|&v| svc.route(v as usize) == 0).expect("worker 0 owns a vertex");
         svc.answer_batch(0, &[v]).expect("valid batch");
         // Between batches the position index is blank, so aggregating
-        // against the left-over product finds no neighbour at all.
+        // against the left-over arena finds no neighbour at all.
         let adj = Arc::clone(&svc.adjs[1]);
         let (first, _) = adj.row_entries(v as usize).next().expect("self loop");
         assert_eq!(
-            aggregate(&svc.model, &adj, &svc.ws, &[v]).map(|m| m.shape()),
+            aggregate(&svc.model, &svc.store, &adj, &svc.ws, &[v]).map(|m| m.shape()),
             Err(ServeError::MissingNeighbor { vertex: v, neighbor: first as u32 })
         );
         // And the batch itself left the service answering as before.

@@ -7,6 +7,12 @@
 //! — every message can be serialized, deserialized and measured, and the
 //! round-trip tests assert `to_bytes().len() == wire_size()`.
 //!
+//! A reply carries whichever rows the owner's store ships
+//! ([`crate::store::EmbeddingStore::shipped_row`]): projected rows
+//! `H^{L-1}·W^{L-1}` (`C` floats) when `C ≤ k`, layer-`L−1` rows (`k` floats)
+//! otherwise — `min(k, C)` floats per row. The format does not say which:
+//! both ends know the model's shape.
+//!
 //! Both messages carry the embedding-store *version* so a reply computed
 //! against a stale checkpoint can never be installed into a cache that has
 //! already moved on (the coherence rule of DESIGN.md §10).
@@ -15,8 +21,8 @@ use ec_comm::codec;
 use ec_compress::Quantized;
 use ec_tensor::Matrix;
 
-/// A batched embedding-fetch request: "send me the layer-`L−1` rows of
-/// these global vertex ids, at store version `version`".
+/// A batched embedding-fetch request: "send me the shipped rows of these
+/// global vertex ids, at store version `version`".
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServeRequest {
     /// Embedding-store version the requester is serving at.
@@ -122,8 +128,9 @@ impl ServeReply {
 
     /// [`Self::wire_size`] of a reply carrying `num_rows` rows of `dim`
     /// floats — exact, or each quantized to `fetch_bits` bits — without
-    /// building the message. Every row of one store is equally wide, so the
-    /// size is a function of the shape alone.
+    /// building the message. Every row one store ships is equally wide
+    /// (`dim` is its `shipped_dim()`), so the size is a function of the
+    /// shape alone.
     pub fn wire_size_for(num_rows: usize, dim: usize, fetch_bits: Option<u8>) -> usize {
         1 + 4
             + match fetch_bits {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, lints (warnings are errors), the whole
-# workspace test suite, the kernel and serving crates' tests again in release, a
+# workspace test suite, the kernel and serving crates' tests and the serving
+# suite again in release, a
 # one-experiment drive of scripts/reproduce.sh, an exit-code probe of the
 # `ecgraph` CLI's strict key=value parsing, and `ecgraph serve` fed a hostile
 # checkpoint (a u32::MAX slot count and nothing behind it), which must fail
@@ -53,8 +54,11 @@ echo "== cargo test --release (codec, reduction, exchange, loss and serving kern
 # bit-identity tests must also hold on the code the benchmark runs. Serving
 # answers a batch with the tiled product and the row codec, so its
 # workspace-vs-reference test belongs to the same line, and so does the
-# loss's pin to the all-rows softmax.
+# loss's pin to the all-rows softmax. Exact serving answers equal the forward
+# pass only while the store's projected rows and the per-batch product agree,
+# so the serving suite runs here too.
 cargo test --release -q -p ec-compress -p ec-tensor -p ec-graph -p ec-nn -p ec-serve
+cargo test --release -q --test serving_suite
 
 echo "== reproduce smoke (scripts/reproduce.sh writes a revision header) =="
 # Table II is analytic and instant; the script writes under the cwd.

@@ -1,6 +1,7 @@
 //! The serving workspace's allocation budget: a steady-state
 //! `answer_batch` — warm workspace, warm cache, 8-bit fetches still
-//! happening — allocates its answer matrix and nothing else.
+//! happening — allocates its answer matrix and nothing else, whether the
+//! store ships projected rows or ships `H` rows that the batch projects.
 //!
 //! Integration tests are separate binaries, so this one can install the
 //! counting `#[global_allocator]` of `tests/counting_alloc` without touching
@@ -25,64 +26,71 @@ fn steady_state_batches_allocate_only_their_answer() {
     let data = Arc::new(DatasetSpec::cora().instantiate_with(130, 10, 5));
     let adj = Arc::new(ec_graph_repro::data::normalize::gcn_normalized_adjacency(&data.graph));
     let adjs = vec![adj; 2];
-    let config = TrainingConfig {
-        dims: vec![10, 8, data.num_classes],
-        num_workers: WORKERS,
-        seed: 7,
-        ..TrainingConfig::defaults(10, data.num_classes)
-    };
     let partition = HashPartitioner::default().partition(&data.graph, WORKERS);
-    let mut engine =
-        DistributedEngine::new(Arc::clone(&data), adjs.clone(), partition.clone(), config);
-    engine.run_epoch();
-    // A cache far smaller than the remote working set: the steady state
-    // still misses, fetches through the 8-bit codec and evicts.
-    let mut serve = ServeConfig::defaults(WORKERS);
-    serve.fetch_bits = Some(8);
-    serve.cache_rows = 12;
-    serve.pinned_rows = 4;
-    let mut svc = InferenceService::new(
-        engine.inference_model(),
-        data.clone(),
-        adjs,
-        Arc::new(partition),
-        serve,
-    );
+    // 7 classes: 8 hidden units ship projected rows, 4 ship `H` rows.
+    for hidden in [8usize, 4] {
+        let config = TrainingConfig {
+            dims: vec![10, hidden, data.num_classes],
+            num_workers: WORKERS,
+            seed: 7,
+            ..TrainingConfig::defaults(10, data.num_classes)
+        };
+        let mut engine =
+            DistributedEngine::new(Arc::clone(&data), adjs.clone(), partition.clone(), config);
+        engine.run_epoch();
+        // A cache far smaller than the remote working set: the steady state
+        // still misses, fetches through the 8-bit codec and evicts.
+        let mut serve = ServeConfig::defaults(WORKERS);
+        serve.fetch_bits = Some(8);
+        serve.cache_rows = 12;
+        serve.pinned_rows = 4;
+        let mut svc = InferenceService::new(
+            engine.inference_model(),
+            data.clone(),
+            adjs.clone(),
+            Arc::new(partition.clone()),
+            serve,
+        );
 
-    let batches: Vec<(usize, Vec<u32>)> = (0..WORKERS)
-        .flat_map(|w| {
-            let owned: Vec<u32> =
-                (0..data.num_vertices() as u32).filter(|&v| svc.route(v as usize) == w).collect();
-            owned.chunks(8).map(|chunk| (w, chunk.to_vec())).collect::<Vec<_>>()
-        })
-        .collect();
-    // Two passes warm the workspace (it has seen every batch's size) and
-    // bring the cache to its steady churn.
-    for _ in 0..2 {
-        for (w, ids) in &batches {
-            svc.answer_batch(*w, ids).expect("valid batch");
+        let batches: Vec<(usize, Vec<u32>)> = (0..WORKERS)
+            .flat_map(|w| {
+                let owned: Vec<u32> = (0..data.num_vertices() as u32)
+                    .filter(|&v| svc.route(v as usize) == w)
+                    .collect();
+                owned.chunks(8).map(|chunk| (w, chunk.to_vec())).collect::<Vec<_>>()
+            })
+            .collect();
+        // Two passes warm the workspace (it has seen every batch's size) and
+        // bring the cache to its steady churn.
+        for _ in 0..2 {
+            for (w, ids) in &batches {
+                svc.answer_batch(*w, ids).expect("valid batch");
+            }
         }
-    }
 
-    let before = allocations();
-    let (mut fetched, mut hits) = (0u64, 0u64);
-    for (w, ids) in &batches {
-        let (logits, cost) = svc.answer_batch(*w, ids).expect("valid batch");
-        assert_eq!(logits.rows(), ids.len());
-        fetched += cost.fetch_rows;
-        hits += cost.cache_hits;
-    }
-    let allocations = allocations() - before;
+        let before = allocations();
+        let (mut fetched, mut hits) = (0u64, 0u64);
+        for (w, ids) in &batches {
+            let (logits, cost) = svc.answer_batch(*w, ids).expect("valid batch");
+            assert_eq!(logits.rows(), ids.len());
+            fetched += cost.fetch_rows;
+            hits += cost.cache_hits;
+        }
+        let allocations = allocations() - before;
 
-    assert!(
-        fetched > 0 && hits > 0,
-        "the measured pass must both fetch ({fetched}) and hit ({hits})"
-    );
-    let n = batches.len() as u64;
-    assert!(allocations >= n, "the counter must see each answer matrix ({allocations} < {n})");
-    assert!(
-        allocations <= 2 * n,
-        "{allocations} allocations over {n} steady-state batches: the workspace regressed to \
-         per-row or per-batch buffers (budget: 2 per batch, the returned Matrix)"
-    );
+        assert!(
+            fetched > 0 && hits > 0,
+            "k={hidden}: the measured pass must both fetch ({fetched}) and hit ({hits})"
+        );
+        let n = batches.len() as u64;
+        assert!(
+            allocations >= n,
+            "k={hidden}: the counter must see each answer matrix ({allocations} < {n})"
+        );
+        assert!(
+            allocations <= 2 * n,
+            "k={hidden}: {allocations} allocations over {n} steady-state batches: the workspace \
+             regressed to per-row or per-batch buffers (budget: 2 per batch, the returned Matrix)"
+        );
+    }
 }
