@@ -159,14 +159,11 @@ impl ModelWeights {
     /// [`Self::project_row`], bit-identical to it row by row. `rows` may
     /// hold more than `m` rows (a reused arena); the rest are not read.
     pub fn project_rows_into(&self, rows: &Matrix, out: &mut [f32]) {
-        rows_times_into(rows, self.layer(self.num_layers() - 1).0, out);
-    }
-
-    /// [`Self::project_rows_into`] through the final GraphSAGE self
-    /// transform. Returns `false`, leaving `out` alone, for GCN.
-    pub fn project_self_rows_into(&self, rows: &Matrix, out: &mut [f32]) -> bool {
-        let ws = self.self_weight(self.num_layers() - 1);
-        ws.map(|ws| rows_times_into(rows, ws, out)).is_some()
+        let w = self.layer(self.num_layers() - 1).0;
+        assert_eq!(rows.cols(), w.rows(), "projection shape mismatch");
+        assert!(out.len() <= rows.rows() * w.cols(), "more output rows than input rows");
+        out.fill(0.0);
+        ops::matmul_into(rows, w, 0, out);
     }
 
     /// Projects one layer-`L−1` embedding row through the final aggregate
@@ -273,15 +270,6 @@ impl std::fmt::Display for MissingRow {
 
 impl std::error::Error for MissingRow {}
 
-/// `out = a[..m] · w` for the `m = out.len() / w.cols()` leading rows of
-/// `a`, through the tiled kernel every training product runs.
-fn rows_times_into(a: &Matrix, w: &Matrix, out: &mut [f32]) {
-    assert_eq!(a.cols(), w.rows(), "projection shape mismatch");
-    assert!(out.len() <= a.rows() * w.cols(), "more output rows than input rows");
-    out.fill(0.0);
-    ops::matmul_into(a, w, 0, out);
-}
-
 /// One row of `h · W`, accumulated exactly like [`ec_tensor::ops::matmul`]
 /// computes it (k-major with the zero-skip, streaming over `W`'s rows).
 fn row_times(h_row: &[f32], w: &Matrix) -> Vec<f32> {
@@ -376,13 +364,8 @@ mod tests {
             // A product over the first 50 rows of a taller arena.
             let mut xw = vec![f32::NAN; 50 * c];
             m.project_rows_into(&hidden, &mut xw);
-            let mut self_xw = vec![f32::NAN; 50 * c];
-            assert_eq!(m.project_self_rows_into(&hidden, &mut self_xw), model == ModelKind::Sage);
             for r in 0..50 {
                 assert_eq!(bits_of(&xw[r * c..][..c]), bits_of(&m.project_row(hidden.row(r))));
-                if let Some(want) = m.project_self_row(hidden.row(r)) {
-                    assert_eq!(bits_of(&self_xw[r * c..][..c]), bits_of(&want));
-                }
             }
             let mut xw = vec![0.0f32; n * c];
             m.project_rows_into(&hidden, &mut xw);
