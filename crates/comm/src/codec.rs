@@ -3,7 +3,7 @@
 //! Compressed payloads carry their own format (`ec_compress::Quantized`);
 //! this module serializes everything else the cluster exchanges: dense
 //! matrices (exact embeddings, changing-rate matrices, weight pulls) and
-//! index sets (requested vertex lists, selector arrays).
+//! index sets (requested vertex lists).
 //!
 //! All integers are little-endian, matrices are row-major `f32`.
 
@@ -89,18 +89,6 @@ pub fn get_u32s(buf: &mut &[u8]) -> Result<Vec<u32>, String> {
     Ok(words(body, u32::from_le_bytes).collect())
 }
 
-/// Appends a byte array to `buf`.
-pub fn put_u8s(buf: &mut Vec<u8>, v: &[u8]) {
-    put_u32(buf, v.len() as u32);
-    buf.extend_from_slice(v);
-}
-
-/// Reads a byte array written by [`put_u8s`].
-pub fn get_u8s(buf: &mut &[u8]) -> Result<Vec<u8>, String> {
-    let len = take_u32(buf).ok_or("u8 list header truncated")? as usize;
-    Ok(take(buf, len).ok_or("u8 list body truncated")?.to_vec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,25 +123,16 @@ mod tests {
     }
 
     #[test]
-    fn u8s_round_trip() {
-        let v = vec![1u8, 0, 2, 2, 1];
-        let mut buf = Vec::new();
-        put_u8s(&mut buf, &v);
-        assert_eq!(buf.len(), 4 + v.len());
-        assert_eq!(get_u8s(&mut buf.as_slice()).unwrap(), v);
-    }
-
-    #[test]
     fn sequential_fields_decode_in_order() {
         let m = Matrix::identity(2);
         let mut buf = Vec::new();
         put_u32s(&mut buf, &[9, 8]);
         put_matrix(&mut buf, &m);
-        put_u8s(&mut buf, &[3]);
+        put_u32s(&mut buf, &[3]);
         let mut slice = buf.as_slice();
         assert_eq!(get_u32s(&mut slice).unwrap(), vec![9, 8]);
         assert_eq!(get_matrix(&mut slice).unwrap(), m);
-        assert_eq!(get_u8s(&mut slice).unwrap(), vec![3]);
+        assert_eq!(get_u32s(&mut slice).unwrap(), vec![3]);
     }
 
     #[test]

@@ -64,10 +64,11 @@ pub struct SimNetwork {
     in_bytes: Vec<u64>,
     out_bytes: Vec<u64>,
     out_msgs: Vec<u64>,
+    /// The open epoch's ledger.
     epoch_stats: TrafficStats,
-    total_stats: TrafficStats,
+    /// Every closed epoch's ledger, merged in by [`Self::end_epoch`].
+    closed_stats: TrafficStats,
     epoch_time: f64,
-    total_time: f64,
     /// Fault machinery; `None` keeps every hot path identical to the
     /// fault-free implementation.
     faults: Option<FaultInjector>,
@@ -88,9 +89,8 @@ impl SimNetwork {
             out_bytes: vec![0; num_nodes],
             out_msgs: vec![0; num_nodes],
             epoch_stats: TrafficStats::default(),
-            total_stats: TrafficStats::default(),
+            closed_stats: TrafficStats::default(),
             epoch_time: 0.0,
-            total_time: 0.0,
             faults: None,
             superstep: 0,
             msg_seq: 0,
@@ -127,26 +127,28 @@ impl SimNetwork {
         self.faults.as_ref()
     }
 
-    /// Records a delivered message on the per-node NICs and the ledgers.
+    /// Records a delivered message on the per-node NICs and the ledger.
     fn deliver(&mut self, from: usize, to: usize, channel: Channel, bytes: u64) {
-        self.out_bytes[from] += bytes;
-        self.out_msgs[from] += 1;
         self.in_bytes[to] += bytes;
-        self.epoch_stats.record(channel, bytes);
-        self.epoch_stats.links.record(from, to, bytes);
-        self.total_stats.record(channel, bytes);
-        self.total_stats.links.record(from, to, bytes);
+        self.send_out(from, to, channel, bytes);
     }
 
-    /// Counts one fault event on both ledgers.
+    /// Records a transmission on the sender's NIC and the ledger.
+    fn send_out(&mut self, from: usize, to: usize, channel: Channel, bytes: u64) {
+        self.out_bytes[from] += bytes;
+        self.out_msgs[from] += 1;
+        self.epoch_stats.record(channel, bytes);
+        self.epoch_stats.links.record(from, to, bytes);
+    }
+
+    /// Counts one fault event on the ledger.
     fn count_fault(&mut self, decision: FaultDecision) {
-        for stats in [&mut self.epoch_stats, &mut self.total_stats] {
-            match decision {
-                FaultDecision::Drop => stats.dropped_msgs += 1,
-                FaultDecision::Corrupt => stats.corrupted_msgs += 1,
-                FaultDecision::Duplicate => stats.duplicated_msgs += 1,
-                FaultDecision::Deliver => {}
-            }
+        let stats = &mut self.epoch_stats;
+        match decision {
+            FaultDecision::Drop => stats.dropped_msgs += 1,
+            FaultDecision::Corrupt => stats.corrupted_msgs += 1,
+            FaultDecision::Duplicate => stats.duplicated_msgs += 1,
+            FaultDecision::Deliver => {}
         }
     }
 
@@ -182,12 +184,7 @@ impl SimNetwork {
             FaultDecision::Drop => {
                 // The sender transmits into the void; the receiver learns
                 // nothing until its timeout fires.
-                self.out_bytes[from] += bytes;
-                self.out_msgs[from] += 1;
-                self.epoch_stats.record(Channel::Retry, bytes);
-                self.epoch_stats.links.record(from, to, bytes);
-                self.total_stats.record(Channel::Retry, bytes);
-                self.total_stats.links.record(from, to, bytes);
+                self.send_out(from, to, Channel::Retry, bytes);
                 self.count_fault(decision);
                 self.pending_delay[from] += timeout;
                 self.pending_delay[to] += timeout;
@@ -299,7 +296,6 @@ impl SimNetwork {
         self.superstep += 1;
         self.msg_seq = 0;
         self.epoch_time += t;
-        self.total_time += t;
         t
     }
 
@@ -309,18 +305,16 @@ impl SimNetwork {
     pub fn end_epoch(&mut self) -> (TrafficStats, f64) {
         self.flush_superstep();
         let stats = self.epoch_stats.take();
+        self.closed_stats.merge(&stats);
         let time = std::mem::take(&mut self.epoch_time);
         (stats, time)
     }
 
-    /// Cumulative traffic since construction.
+    /// Cumulative traffic since construction, the open epoch included.
     pub fn total_stats(&self) -> TrafficStats {
-        self.total_stats.clone()
-    }
-
-    /// Cumulative communication seconds since construction.
-    pub fn total_time(&self) -> f64 {
-        self.total_time
+        let mut total = self.closed_stats.clone();
+        total.merge(&self.epoch_stats);
+        total
     }
 }
 
@@ -382,9 +376,10 @@ mod tests {
         let (stats2, time2) = n.end_epoch();
         assert_eq!(stats2.total_bytes(), 0);
         assert_eq!(time2, 0.0);
-        // totals persist
+        // totals persist, and take in the open epoch
         assert_eq!(n.total_stats().total_bytes(), 3000);
-        assert!((n.total_time() - 3.0).abs() < 1e-9);
+        n.send(0, 1, Channel::Forward, 500);
+        assert_eq!(n.total_stats().fp_bytes, 1500);
     }
 
     #[test]
@@ -552,7 +547,7 @@ mod tests {
             let plan = FaultPlan::uniform_drop(1234, 0.2);
             let mut n =
                 SimNetwork::with_faults(4, NetworkModel { bandwidth: 1e5, latency: 1e-4 }, plan);
-            let mut failures = 0u32;
+            let (mut failures, mut time) = (0u32, 0.0f64);
             for step in 0..6u64 {
                 for m in 0..40u64 {
                     let from = (m % 4) as usize;
@@ -561,9 +556,9 @@ mod tests {
                         failures += 1;
                     }
                 }
-                n.flush_superstep();
+                time += n.flush_superstep();
             }
-            (failures, n.total_stats(), n.total_time().to_bits())
+            (failures, n.total_stats(), time.to_bits())
         };
         assert_eq!(run(), run());
         let (failures, stats, _) = run();

@@ -21,6 +21,7 @@ use crate::config::TrainingConfig;
 use crate::exec::{Cluster, Stage};
 use crate::report::RunResult;
 use crate::sampling::{make_batches, sample_blocks, Block};
+use crate::wire::FpMessage;
 use ec_comm::stats::Channel;
 use ec_comm::{HostTimer, ParameterServerGroup};
 use ec_graph_data::{normalize, AttributedGraph};
@@ -128,7 +129,6 @@ pub fn train_minibatch(
     for &v in &data.split.train {
         train_by_worker[partition.part_of(v)].push(v);
     }
-    let row_bytes = 4 + data.feature_dim() * 4;
 
     // Preprocessing: offline sampling and feature prefetch for the
     // ML-centered variant.
@@ -147,7 +147,8 @@ pub fn train_minibatch(
             for (_, blocks) in &per_batch {
                 let share = remote_to(w, &blocks[0].src) / (num_workers - 1).max(1);
                 for j in (0..num_workers).filter(|&j| j != w) {
-                    cluster.network.send(j, w, Channel::Forward, (8 + share * row_bytes) as u64);
+                    let bytes = FpMessage::indexed_rows_size(share, data.feature_dim()) as u64;
+                    cluster.network.send(j, w, Channel::Forward, bytes);
                 }
             }
             offline.push(per_batch);
@@ -194,7 +195,7 @@ pub fn train_minibatch(
                 }
                 let remote = remote_to(w, &blocks[0].src);
                 if remote > 0 {
-                    let bytes = (8 + remote * row_bytes) as u64;
+                    let bytes = FpMessage::indexed_rows_size(remote, data.feature_dim()) as u64;
                     cluster.network.send(next, w, Channel::Forward, bytes);
                 }
             }

@@ -46,6 +46,7 @@ use crate::exec::{Cluster, ClusterSnapshot, EpochTotals, Stage};
 use crate::link::{
     CompensationState, Direction::Backward, Direction::Forward, EpochCounters, ExchangeWorkspace,
 };
+use crate::wire::FpMessage;
 use crate::{bp, fp};
 use ec_comm::ps::CheckpointError;
 use ec_comm::stats::Channel;
@@ -138,8 +139,6 @@ pub struct DistributedEngine {
 
     /// `h_local[w][l]` = local rows of `H^l` (`l = 0` is the features).
     h_local: Vec<Vec<Matrix>>,
-    /// `z_local[w][l-1]` = local rows of the pre-activation `Z^l`.
-    z_local: Vec<Vec<Matrix>>,
     /// `P_w = Â_w·[X_local ; X_remote]` over the layer-1 topology — built
     /// once from the paper's first-hop feature cache, never mutated.
     p0: Vec<Matrix>,
@@ -230,7 +229,7 @@ impl DistributedEngine {
                 if deps.is_empty() || owner == ctx.worker_id {
                     continue;
                 }
-                let bytes = (8 + deps.len() * (4 + data.feature_dim() * 4)) as u64;
+                let bytes = FpMessage::indexed_rows_size(deps.len(), data.feature_dim()) as u64;
                 cluster.network.send(owner, ctx.worker_id, Channel::Forward, bytes);
             }
             p0.push(topo0.aggregate(&feats, &remote_feats, kt));
@@ -259,15 +258,6 @@ impl DistributedEngine {
                 hl.push(Matrix::zeros(rows, config.dims[l + 1]));
             }
         }
-        let z_local = contexts
-            .iter()
-            .map(|ctx| {
-                (0..num_layers)
-                    .map(|l| Matrix::zeros(ctx.num_local(), config.dims[l + 1]))
-                    .collect()
-            })
-            .collect();
-
         let total_train = data.split.train.len();
         assert!(total_train > 0, "dataset has no training vertices");
 
@@ -284,7 +274,6 @@ impl DistributedEngine {
             cluster,
             preprocessing,
             h_local,
-            z_local,
             p0,
             labels_local,
             train_local,
@@ -436,18 +425,14 @@ impl DistributedEngine {
                     }
                     ops::add_bias_assign(&mut z, b_l);
                     // The output layer has no activation: Z^L is H^L.
-                    let h = (l < num_layers).then(|| activations::relu(&z));
-                    (h, z)
+                    if l < num_layers {
+                        activations::relu_assign(&mut z);
+                    }
+                    z
                 },
             );
-            for (w, (h, z)) in results.into_iter().enumerate() {
-                match h {
-                    Some(h) => {
-                        self.h_local[w][l] = h;
-                        self.z_local[w][l - 1] = z;
-                    }
-                    None => self.h_local[w][l] = z,
-                }
+            for (w, h) in results.into_iter().enumerate() {
+                self.h_local[w][l] = h;
             }
         }
 
@@ -514,12 +499,14 @@ impl DistributedEngine {
                     let ag = self.contexts[w].layers[l - 1].aggregate(g, &g_remote[w], kt);
                     // Y^{l-1} = (H^{l-1})ᵀ (Â G^l), summed over workers.
                     let y_part = parallel::matmul_at_b(h_prev, &ag, kt);
-                    // G^{l-1} = [(Â G^l)(W^{l-1})ᵀ (+ G^l W_sᵀ)] ⊙ σ'(Z^{l-1}).
+                    // G^{l-1} = [(Â G^l)(W^{l-1})ᵀ (+ G^l W_sᵀ)] ⊙ σ'(Z^{l-1});
+                    // `H^{l-1} = max(Z^{l-1}, 0)` is positive exactly where
+                    // `Z^{l-1}` is, so it serves as the mask.
                     let mut flow = parallel::matmul_a_bt(&ag, w_lm1, kt);
                     if let Some(ws) = ws_lm1 {
                         ops::add_assign(&mut flow, &parallel::matmul_a_bt(g, ws, kt));
                     }
-                    activations::relu_backward_assign(&mut flow, &self.z_local[w][l - 2]);
+                    activations::relu_backward_assign(&mut flow, h_prev);
                     (y_part, ys_part, b_part, Some(flow))
                 },
             );

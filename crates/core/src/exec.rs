@@ -32,6 +32,7 @@
 //! timing zeroes every compute second in one place.
 
 use crate::config::{ResiliencePolicy, TrainingConfig};
+use crate::wire::REQUEST_BYTES;
 use ec_comm::ps::CheckpointError;
 use ec_comm::stats::Channel;
 use ec_comm::{HostTimer, ParameterServerGroup, SimNetwork, TrafficStats};
@@ -39,10 +40,6 @@ use ec_tensor::pool::Task;
 pub use ec_tensor::pool::WorkerPool;
 use ec_trace::registry::labels;
 use ec_trace::{MetricId, SpanEvent, TelemetryLevel, TelemetryReport, TelemetrySink};
-
-/// Size we charge for a `get`/`pull` request envelope (ids are exchanged
-/// once during preprocessing; steady-state requests are tiny).
-pub(crate) const REQUEST_BYTES: u64 = 16;
 
 /// Runs `f(0), …, f(n - 1)` across the pool's lanes and returns the
 /// results indexed by worker.

@@ -3,11 +3,11 @@
 //!
 //! Each function prepares the embedding rows one responding worker ships to
 //! one requesting worker for one layer, returning the matrix the requester
-//! will reconstruct together with the exact number of bytes the message
-//! occupies on the simulated wire. Because both ends of ReqEC-FP maintain
-//! identical trend state by construction (the responder sends exactly what
-//! the requester stores), the simulation keeps a single [`TrendState`] per
-//! (responder → requester, layer) tuple.
+//! will reconstruct together with the bytes the message occupies on the
+//! simulated wire, as [`crate::wire`] prices its shape. Because both ends
+//! of ReqEC-FP maintain identical trend state by construction (the
+//! responder sends exactly what the requester stores), the simulation keeps
+//! a single [`TrendState`] per (responder → requester, layer) tuple.
 //!
 //! What a link keeps between exchanges, and which of the functions below
 //! answers on it, is [`FpLink`]: one variant per [`FpMode`], built when the
@@ -32,6 +32,7 @@
 
 use crate::config::FpMode;
 use crate::link::{copy_rows, round_trip, MessageBuffers, Reply};
+use crate::wire::FpMessage;
 use ec_comm::codec;
 use ec_compress::Quantized;
 use ec_tensor::isa::{self, Isa, Kernel};
@@ -364,7 +365,7 @@ fn reqec_step_into(
         }
         None => Matrix::zeros(rows, cols),
     };
-    let wire = (codec::matrix_wire_size(h_rows) + codec::matrix_wire_size(&m_cr)) as u64;
+    let wire = FpMessage::boundary_size(h_rows.len()) as u64;
     // The new `H_base` takes the buffer the outgoing `M_cr` leaves behind.
     let mut base = state.m_cr.replace(m_cr).unwrap_or_else(|| Matrix::zeros(0, 0));
     base.clone_from(h_rows);
@@ -394,13 +395,10 @@ fn reqec_vertex(
     let SelectorTotals { selected, recon_l1, pdt_l1 } =
         isa::dispatch(SelectorSweep { base, m_cr, k, h_rows, out: reconstructed });
     let predicted = selected[SELECT_PDT as usize] as usize;
-    // Wire cost: 2-bit selector per vertex, compressed codes only for the
-    // non-predicted vertices, one f32 proportion, quantization header.
+    // Only the non-predicted vertices ship compressed rows.
     let non_pdt = rows - predicted;
-    let selector_bytes = 4 + (rows * 2).div_ceil(8);
-    let payload_bytes =
-        if non_pdt > 0 { Quantized::wire_size_for(non_pdt * cols, bits) } else { 0 };
-    let wire = (selector_bytes + payload_bytes + 4) as u64;
+    let payload = (non_pdt > 0).then_some((non_pdt * cols, bits));
+    let wire = FpMessage::selected_size(rows, payload) as u64;
     let proportion = predicted as f32 / rows as f32;
     ReqEcReport { proportion, wire, exact_sent: false, selected, recon_l1, pdt_l1 }
 }
@@ -559,9 +557,8 @@ fn reqec_whole_matrix(
         }
         let predicted = selected[SELECT_PDT as usize] as usize;
         let non_pdt = h.len() - predicted;
-        let selector_bytes = 4 + (h.len() * 2).div_ceil(8);
-        let payload_bytes = if non_pdt > 0 { Quantized::wire_size_for(non_pdt, bits) } else { 0 };
-        let wire = (selector_bytes + payload_bytes + 4) as u64;
+        let payload = (non_pdt > 0).then_some((non_pdt, bits));
+        let wire = FpMessage::selected_size(h.len(), payload) as u64;
         (Matrix::from_vec(rows, cols, data), predicted as f32 / h.len() as f32, wire)
     } else {
         // One selection for the whole message.
@@ -570,8 +567,8 @@ fn reqec_whole_matrix(
         let d_avg = stats::l1_norm(&ops::sub(&avg, h_rows));
         let sid = stats::argmin(&[d_cps, d_pdt, d_avg]) as u8;
         selected[sid as usize] = 1;
-        let payload_bytes = if sid == SELECT_PDT { 0 } else { q.wire_size() };
-        let wire = (1 + payload_bytes + 4) as u64;
+        let payload = (sid != SELECT_PDT).then_some((h_rows.len(), bits));
+        let wire = FpMessage::matrix_selected_size(payload) as u64;
         match sid {
             SELECT_CPS => (cps, 0.0f32, wire),
             SELECT_PDT => (pdt, 1.0, wire),
@@ -652,9 +649,8 @@ fn delayed_step_into(
                     refreshed += 1;
                 }
             }
-            // Refreshed rows ship as (index, row) pairs plus a small header.
             out.copy_from_slice(cached.as_slice());
-            (8 + refreshed * (4 + h_rows.cols() * 4)) as u64
+            FpMessage::indexed_rows_size(refreshed, h_rows.cols()) as u64
         }
     }
 }
@@ -772,8 +768,8 @@ pub(crate) mod tests {
         reqec_step(&mut st, &at(4), 4, 5, 4);
         let out = reqec_step(&mut st, &at(5), 4, 5, 5);
         assert!((out.proportion - 1.0).abs() < 1e-6);
-        // selector (4 + 4 bytes) + proportion only — no quantized payload.
-        assert_eq!(out.wire, (4 + (16 * 2usize).div_ceil(8) + 4) as u64);
+        // Selector and proportion only — no quantized payload.
+        assert_eq!(out.wire, FpMessage::selected_size(16, None) as u64);
     }
 
     #[test]
@@ -822,7 +818,7 @@ pub(crate) mod tests {
         // Rows with (v + 1) % 5 == 0 → v ∈ {4, 9} refreshed.
         let refreshed: Vec<usize> = (0..10).filter(|v| m.row(*v)[0] == 1.0).collect();
         assert_eq!(refreshed, vec![4, 9]);
-        assert_eq!(wire, 8 + 2 * (4 + 8));
+        assert_eq!(wire, FpMessage::indexed_rows_size(2, 2) as u64);
     }
 
     #[test]
@@ -991,14 +987,12 @@ pub(crate) mod tests {
                 }
                 let predicted = selected[SELECT_PDT as usize] as usize;
                 let non_pdt = rows - predicted;
-                let selector_bytes = 4 + (rows * 2).div_ceil(8);
-                let payload_bytes =
-                    if non_pdt > 0 { Quantized::wire_size_for(non_pdt * cols, bits) } else { 0 };
+                let payload = (non_pdt > 0).then_some((non_pdt * cols, bits));
                 let recon_l1 = rowwise_l1_lanes_reference(&reconstructed, h_rows).iter().sum();
                 return ReqEcOutcome {
                     reconstructed,
                     proportion: predicted as f32 / rows as f32,
-                    wire: (selector_bytes + payload_bytes + 4) as u64,
+                    wire: FpMessage::selected_size(rows, payload) as u64,
                     exact_sent: false,
                     selected,
                     recon_l1,
@@ -1012,7 +1006,7 @@ pub(crate) mod tests {
             }
             None => Matrix::zeros(rows, cols),
         };
-        let wire = (codec::matrix_wire_size(h_rows) + codec::matrix_wire_size(&m_cr)) as u64;
+        let wire = FpMessage::boundary_size(h_rows.len()) as u64;
         state.base = Some(h_rows.clone());
         state.m_cr = Some(m_cr);
         state.base_t = t;

@@ -15,8 +15,9 @@
 use crate::bp::BpLink;
 use crate::config::{FpMode, TrainingConfig};
 use crate::context::{LayerTopology, WorkerContext};
-use crate::exec::{Cluster, REQUEST_BYTES};
+use crate::exec::Cluster;
 use crate::fp::{self, FpLink};
+use crate::wire::REQUEST_BYTES;
 use ec_comm::codec;
 use ec_comm::stats::Channel;
 use ec_comm::{HostTimer, SendError};

@@ -1,16 +1,28 @@
-//! Concrete wire formats for every vertex message the engine exchanges —
-//! the gRPC/protobuf layer of the original system.
+//! Wire formats for every vertex message the engine exchanges — the
+//! gRPC/protobuf layer of the original system — and the one definition of
+//! what each of them costs on the simulated wire.
 //!
-//! The engine charges each message's byte count analytically (computing a
-//! size is cheaper than serializing gigabytes inside a simulation). This
-//! module makes those charges *honest*: every message kind can actually be
-//! serialized, deserialized, and measured, and the tests assert that the
-//! analytic formulas in [`crate::fp`] / [`crate::bp`] equal the real
-//! serialized sizes byte-for-byte.
+//! The exchange charges a message by its shape, without serializing it:
+//! [`FpMessage::boundary_size`], [`FpMessage::selected_size`] and the two
+//! priced-only formats below them, which the first-hop feature cache and the
+//! comparators' feature fetches are charged by too. A message that is a single payload is
+//! priced by that payload's codec (`codec::matrix_wire_size_for`,
+//! `Quantized::wire_size_for`, `TopK::wire_size`). `wire_size()` of a built
+//! message calls the same functions, and `tests/wire_bytes.rs` holds each
+//! of them to `to_bytes().len()` over a grid of shapes.
+//!
+//! **Tag and envelope.** Every encoded message starts with a one-byte tag,
+//! and a charge is `to_bytes().len() − 1`: the tag rides in the
+//! [`REQUEST_BYTES`] envelope the requester sends first.
 
 use ec_comm::codec;
 use ec_compress::{bitpack, Quantized};
 use ec_tensor::Matrix;
+
+/// Bytes charged for a request envelope — the requester's `get` of a
+/// reply, or a worker's `pull` of parameters. Vertex ids are exchanged once
+/// during preprocessing, so a steady-state request is this constant.
+pub const REQUEST_BYTES: u64 = 16;
 
 /// A forward-pass response from a responding worker.
 #[derive(Clone, Debug, PartialEq)]
@@ -43,17 +55,51 @@ const TAG_EXACT: u8 = 0;
 const TAG_COMPRESSED: u8 = 1;
 const TAG_SELECTED: u8 = 2;
 
+/// Width of one Selector code.
+const SELECTOR_BITS: u8 = 2;
+
+/// Bytes of an optional `Quantized` payload of `(entries, bits)`.
+fn payload_size(payload: Option<(usize, u8)>) -> usize {
+    payload.map_or(0, |(entries, bits)| Quantized::wire_size_for(entries, bits))
+}
+
 impl FpMessage {
+    /// Charge of a trend-boundary message whose `H` and `M_cr` hold
+    /// `entries` entries each.
+    pub fn boundary_size(entries: usize) -> usize {
+        2 * codec::matrix_wire_size_for(entries)
+    }
+
+    /// Charge of a Selected message: `choices` Selector codes (one per
+    /// vertex, or one per element at element granularity), the payload of
+    /// `(entries, bits)` when any choice needs one, and the proportion.
+    pub fn selected_size(choices: usize, payload: Option<(usize, u8)>) -> usize {
+        4 + bitpack::packed_len(choices, SELECTOR_BITS) + payload_size(payload) + 4
+    }
+
+    /// Charge of the matrix-wise ablation message: one Selector code for
+    /// the whole message in a byte, the payload of `(entries, bits)` unless
+    /// the code is *predicted*, and the proportion. Priced, not encoded.
+    pub fn matrix_selected_size(payload: Option<(usize, u8)>) -> usize {
+        1 + payload_size(payload) + 4
+    }
+
+    /// Charge of `rows` rows of `cols` floats shipped by index: an 8-byte
+    /// header plus one `(u32 index, row)` pair per row — a DistGNN refresh,
+    /// the first-hop feature cache, a mini-batch feature fetch. Priced, not
+    /// encoded.
+    pub fn indexed_rows_size(rows: usize, cols: usize) -> usize {
+        8 + rows * (4 + 4 * cols)
+    }
+
     /// Serialized size in bytes (must equal `to_bytes().len()`).
     pub fn wire_size(&self) -> usize {
         1 + match self {
-            FpMessage::Exact { h, m_cr } => {
-                codec::matrix_wire_size(h) + codec::matrix_wire_size(m_cr)
-            }
+            FpMessage::Exact { h, .. } => Self::boundary_size(h.len()),
             FpMessage::Compressed(q) => q.wire_size(),
             FpMessage::Selected { selector, compressed, .. } => {
-                let selector_bytes = 4 + (selector.len() * 2).div_ceil(8);
-                selector_bytes + compressed.as_ref().map_or(0, Quantized::wire_size) + 4
+                let payload = compressed.as_ref().map(|q| (q.shape().0 * q.shape().1, q.bits()));
+                Self::selected_size(selector.len(), payload)
             }
         }
     }
@@ -75,7 +121,7 @@ impl FpMessage {
                 buf.push(TAG_SELECTED);
                 let codes: Vec<u32> = selector.iter().map(|&s| s as u32).collect();
                 buf.extend_from_slice(&(selector.len() as u32).to_le_bytes());
-                buf.extend_from_slice(&bitpack::pack(&codes, 2));
+                buf.extend_from_slice(&bitpack::pack(&codes, SELECTOR_BITS));
                 if let Some(q) = compressed {
                     buf.extend_from_slice(&q.to_bytes());
                 }
@@ -103,13 +149,13 @@ impl FpMessage {
                     rest.split_first_chunk::<4>().ok_or("selector header truncated")?;
                 let n = u32::from_le_bytes(*count) as usize;
                 let (body, tail) = rest.split_last_chunk::<4>().ok_or("selector body truncated")?;
-                let packed_len = (n * 2).div_ceil(8);
+                let packed_len = bitpack::packed_len(n, SELECTOR_BITS);
                 if body.len() < packed_len {
                     return Err("selector body truncated".into());
                 }
                 let (packed, middle) = body.split_at(packed_len);
-                let selector: Vec<u8> =
-                    bitpack::unpack(packed, 2, n).into_iter().map(|c| c as u8).collect();
+                let codes = bitpack::unpack(packed, SELECTOR_BITS, n);
+                let selector: Vec<u8> = codes.into_iter().map(|c| c as u8).collect();
                 if selector.iter().any(|&s| s > 2) {
                     return Err("invalid selector code".into());
                 }
@@ -126,7 +172,8 @@ impl FpMessage {
     }
 }
 
-/// A backward-pass response from a responding worker.
+/// A backward-pass response from a responding worker. Each variant is a
+/// single payload, priced by its codec.
 #[derive(Clone, Debug, PartialEq)]
 pub enum BpMessage {
     /// Uncompressed gradient rows.
@@ -137,7 +184,7 @@ pub enum BpMessage {
 }
 
 impl BpMessage {
-    /// Serialized size in bytes.
+    /// Serialized size in bytes (must equal `to_bytes().len()`).
     pub fn wire_size(&self) -> usize {
         1 + match self {
             BpMessage::Exact(g) => codec::matrix_wire_size(g),
@@ -175,61 +222,6 @@ impl BpMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ec_tensor::init;
-
-    fn sample_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
-        init::uniform(rows, cols, -1.0, 1.0, seed)
-    }
-
-    #[test]
-    fn exact_fp_round_trips_and_sizes_match() {
-        let msg = FpMessage::Exact { h: sample_matrix(6, 4, 1), m_cr: sample_matrix(6, 4, 2) };
-        let bytes = msg.to_bytes();
-        assert_eq!(bytes.len(), msg.wire_size());
-        assert_eq!(FpMessage::from_bytes(&bytes).unwrap(), msg);
-    }
-
-    #[test]
-    fn compressed_fp_round_trips() {
-        let q = Quantized::compress(&sample_matrix(8, 3, 3), 4);
-        let msg = FpMessage::Compressed(q);
-        let bytes = msg.to_bytes();
-        assert_eq!(bytes.len(), msg.wire_size());
-        assert_eq!(FpMessage::from_bytes(&bytes).unwrap(), msg);
-    }
-
-    #[test]
-    fn selected_fp_round_trips_with_payload() {
-        let q = Quantized::compress(&sample_matrix(3, 5, 4), 2);
-        let msg = FpMessage::Selected {
-            selector: vec![0, 1, 2, 1, 0],
-            compressed: Some(q),
-            proportion: 0.4,
-        };
-        let bytes = msg.to_bytes();
-        assert_eq!(bytes.len(), msg.wire_size());
-        assert_eq!(FpMessage::from_bytes(&bytes).unwrap(), msg);
-    }
-
-    #[test]
-    fn selected_fp_round_trips_all_predicted() {
-        let msg = FpMessage::Selected { selector: vec![1; 9], compressed: None, proportion: 1.0 };
-        let bytes = msg.to_bytes();
-        assert_eq!(bytes.len(), msg.wire_size());
-        assert_eq!(FpMessage::from_bytes(&bytes).unwrap(), msg);
-    }
-
-    #[test]
-    fn bp_messages_round_trip() {
-        for msg in [
-            BpMessage::Exact(sample_matrix(4, 4, 5)),
-            BpMessage::Compressed(Quantized::compress(&sample_matrix(4, 4, 6), 8)),
-        ] {
-            let bytes = msg.to_bytes();
-            assert_eq!(bytes.len(), msg.wire_size());
-            assert_eq!(BpMessage::from_bytes(&bytes).unwrap(), msg);
-        }
-    }
 
     #[test]
     fn fuzzed_inputs_error_cleanly() {
@@ -239,55 +231,5 @@ mod tests {
             let _ = BpMessage::from_bytes(&junk);
         }
         assert!(FpMessage::from_bytes(&[9, 0, 0]).is_err());
-    }
-
-    /// The analytic byte charges in `fp.rs` must equal the real serialized
-    /// sizes (minus the 1-byte tag the analytic model folds into its fixed
-    /// request overhead).
-    #[test]
-    fn analytic_fp_sizes_match_serialization() {
-        use crate::fp::{self, TrendState};
-        let h0 = sample_matrix(16, 8, 7).map(|x| x.abs());
-        let mut st = TrendState::default();
-
-        // Boundary message: analytic charge = H + M_cr as raw matrices.
-        let out0 = fp::reqec_step(&mut st, &h0, 2, 5, 0);
-        let exact_msg = FpMessage::Exact { h: h0.clone(), m_cr: Matrix::zeros(16, 8) };
-        assert_eq!(out0.wire as usize, exact_msg.wire_size() - 1);
-
-        // Mid-group message: selector + filtered payload + proportion.
-        let h1 = h0.map(|x| x + 0.05);
-        let out1 = fp::reqec_step(&mut st, &h1, 2, 5, 1);
-        let n_pdt = (out1.proportion * 16.0).round() as usize;
-        let filtered_rows = 16 - n_pdt;
-        let msg = FpMessage::Selected {
-            selector: vec![0; 16],
-            compressed: if filtered_rows > 0 {
-                Some(Quantized::compress(&sample_matrix(filtered_rows, 8, 9), 2))
-            } else {
-                None
-            },
-            proportion: out1.proportion,
-        };
-        assert_eq!(out1.wire as usize, msg.wire_size() - 1);
-
-        // Plain compression: analytic charge = Quantized wire size.
-        let (_, wire) = fp::respond_compressed(&h1, 4);
-        let q = Quantized::compress(&h1, 4);
-        assert_eq!(wire as usize, FpMessage::Compressed(q).wire_size() - 1);
-    }
-
-    /// Same for the backward pass.
-    #[test]
-    fn analytic_bp_sizes_match_serialization() {
-        use crate::bp::{self, ResidualState};
-        let g = sample_matrix(12, 6, 11);
-        let (_, exact_wire) = bp::respond_exact(&g);
-        assert_eq!(exact_wire as usize, BpMessage::Exact(g.clone()).wire_size() - 1);
-
-        let mut st = ResidualState::default();
-        let (_, ec_wire) = bp::resec_step(&mut st, &g, 4);
-        let q = Quantized::compress(&g, 4);
-        assert_eq!(ec_wire as usize, BpMessage::Compressed(q).wire_size() - 1);
     }
 }

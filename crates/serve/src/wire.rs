@@ -2,10 +2,11 @@
 //!
 //! A cache miss on worker `w` for a vertex owned by worker `o` turns into a
 //! [`ServeRequest`] `w → o` (control channel) answered by a [`ServeReply`]
-//! `o → w` (forward channel). As in [`ec_graph::wire`], the simulation
-//! charges byte counts analytically; these types keep those charges honest
-//! — every message can be serialized, deserialized and measured, and the
-//! round-trip tests assert `to_bytes().len() == wire_size()`.
+//! `o → w` (forward channel). As in [`ec_graph::wire`], sizes are defined
+//! here: the service charges [`ServeRequest::wire_size_for`] and
+//! [`ServeReply::wire_size_for`] of a message's shape without building it.
+//! The shape test below holds both to `to_bytes().len()`, and
+//! `tests/wire_bytes.rs` pins every variant's bytes.
 //!
 //! A reply carries whichever rows the owner's store ships
 //! ([`crate::store::EmbeddingStore::shipped_row`]): projected rows
@@ -96,23 +97,6 @@ const TAG_EXACT: u8 = 0x11;
 const TAG_ROW_QUANTIZED: u8 = 0x12;
 
 impl ServeReply {
-    /// Store version the reply was computed at.
-    pub fn version(&self) -> u32 {
-        match self {
-            ServeReply::Exact { version, .. } | ServeReply::RowQuantized { version, .. } => {
-                *version
-            }
-        }
-    }
-
-    /// Number of rows carried.
-    pub fn num_rows(&self) -> usize {
-        match self {
-            ServeReply::Exact { rows, .. } => rows.rows(),
-            ServeReply::RowQuantized { rows, .. } => rows.len(),
-        }
-    }
-
     /// Serialized size in bytes (must equal `to_bytes().len()`).
     pub fn wire_size(&self) -> usize {
         1 + 4
@@ -209,35 +193,6 @@ mod tests {
     use super::*;
     use ec_tensor::init;
 
-    #[test]
-    fn serve_request_round_trips_and_sizes_match() {
-        let msg = ServeRequest { version: 3, ids: vec![1, 5, 9, 200] };
-        let bytes = msg.to_bytes();
-        assert_eq!(bytes.len(), msg.wire_size());
-        assert_eq!(ServeRequest::from_bytes(&bytes).unwrap(), msg);
-    }
-
-    #[test]
-    fn exact_reply_round_trips_and_sizes_match() {
-        let msg = ServeReply::Exact { version: 7, rows: init::uniform(4, 6, -1.0, 1.0, 11) };
-        let bytes = msg.to_bytes();
-        assert_eq!(bytes.len(), msg.wire_size());
-        assert_eq!(ServeReply::from_bytes(&bytes).unwrap(), msg);
-    }
-
-    #[test]
-    fn row_quantized_reply_round_trips_and_sizes_match() {
-        let rows: Vec<Quantized> = (0..3)
-            .map(|i| Quantized::compress(&init::uniform(1, 6, -1.0, 1.0, 20 + i), 4))
-            .collect();
-        let msg = ServeReply::RowQuantized { version: 2, rows };
-        let bytes = msg.to_bytes();
-        assert_eq!(bytes.len(), msg.wire_size());
-        assert_eq!(ServeReply::from_bytes(&bytes).unwrap(), msg);
-        assert_eq!(msg.num_rows(), 3);
-        assert_eq!(msg.version(), 2);
-    }
-
     /// The service charges by shape; the charge must be the size of the
     /// message it stands for, serialized.
     #[test]
@@ -259,14 +214,6 @@ mod tests {
                 assert_eq!(charged, quantized.to_bytes().len());
             }
         }
-    }
-
-    #[test]
-    fn empty_reply_round_trips() {
-        let msg = ServeReply::RowQuantized { version: 0, rows: Vec::new() };
-        let bytes = msg.to_bytes();
-        assert_eq!(bytes.len(), msg.wire_size());
-        assert_eq!(ServeReply::from_bytes(&bytes).unwrap(), msg);
     }
 
     #[test]

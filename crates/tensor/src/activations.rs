@@ -11,6 +11,11 @@ pub fn relu(m: &Matrix) -> Matrix {
     m.map(|x| x.max(0.0))
 }
 
+/// [`relu`] in place.
+pub fn relu_assign(m: &mut Matrix) {
+    m.map_inplace(|x| x.max(0.0));
+}
+
 /// Derivative of ReLU evaluated at the *pre-activation* `z`:
 /// `1` where `z > 0`, else `0`.
 pub fn relu_grad(z: &Matrix) -> Matrix {

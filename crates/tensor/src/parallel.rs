@@ -55,18 +55,26 @@ fn band_count(threads: usize, rows: usize, work: usize) -> usize {
     threads.min(rows).min((work / MIN_BAND_WORK).max(1))
 }
 
-/// Splits `out` (rows × cols, row-major) into `bands` contiguous row
-/// bands and runs `body(first_row, band)` for each on the shared pool.
-fn run_bands(
-    out: &mut [f32],
+/// Band dispatch shared by every kernel below: allocates the zeroed
+/// `rows × cols` output and has `body(first_row, band)` fill it — inline
+/// when [`band_count`] grants `work` multiply-accumulates one band, else
+/// as contiguous row bands on the shared pool.
+fn banded(
     rows: usize,
     cols: usize,
-    bands: usize,
+    work: usize,
+    threads: usize,
     body: &(impl Fn(usize, &mut [f32]) + Sync),
-) {
+) -> Matrix {
+    let bands = band_count(effective_threads(threads), rows, work);
+    let mut c = Matrix::zeros(rows, cols);
+    if bands <= 1 {
+        body(0, c.as_mut_slice());
+        return c;
+    }
     let chunk = rows.div_ceil(bands);
     let mut tasks: Vec<Task<'_>> = Vec::with_capacity(bands);
-    let mut rest = out;
+    let mut rest = c.as_mut_slice();
     let mut row0 = 0usize;
     while row0 < rows {
         let here = chunk.min(rows - row0);
@@ -77,6 +85,7 @@ fn run_bands(
         row0 += here;
     }
     pool::shared().run(tasks);
+    c
 }
 
 /// Parallel `C = A · B` over row bands of `A`.
@@ -88,14 +97,7 @@ pub fn matmul(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
     let (m, k) = a.shape();
     let n = b.cols();
     let work = m.saturating_mul(k).saturating_mul(n);
-    let bands = band_count(effective_threads(threads), m, work);
-    let mut c = Matrix::zeros(m, n);
-    if bands <= 1 {
-        ops::matmul_into(a, b, 0, c.as_mut_slice());
-        return c;
-    }
-    run_bands(c.as_mut_slice(), m, n, bands, &|row0, band| ops::matmul_into(a, b, row0, band));
-    c
+    banded(m, n, work, threads, &|row0, band| ops::matmul_into(a, b, row0, band))
 }
 
 /// Parallel sparse × dense product over row bands of the sparse matrix.
@@ -104,7 +106,8 @@ pub fn matmul(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
 /// Panics if `s.cols() != b.rows()`.
 pub fn spmm(s: &CsrMatrix, b: &Matrix, threads: usize) -> Matrix {
     assert_eq!(s.cols(), b.rows(), "spmm shape mismatch");
-    spmm_banded(s, b.cols(), threads, &|row0, band| s.spmm_into(b, row0, band))
+    let work = s.nnz().saturating_mul(b.cols());
+    banded(s.rows(), b.cols(), work, threads, &|row0, band| s.spmm_into(b, row0, band))
 }
 
 /// Parallel `S · [local ; remote]` without building the stacked operand:
@@ -124,29 +127,10 @@ pub fn spmm_split(
 ) -> Matrix {
     assert_eq!(s.cols(), local.rows() + remote_row.len(), "spmm_split shape mismatch");
     assert_eq!(local.cols(), remote.cols(), "spmm_split operand width mismatch");
-    spmm_banded(s, local.cols(), threads, &|row0, band| {
+    let n = local.cols();
+    banded(s.rows(), n, s.nnz().saturating_mul(n), threads, &|row0, band| {
         s.spmm_split_into(local, remote, remote_row, row0, band)
     })
-}
-
-/// Band dispatch shared by [`spmm`] and [`spmm_split`]: `body(row0, band)`
-/// fills output rows `row0..` of the `s.rows() × n` product.
-fn spmm_banded(
-    s: &CsrMatrix,
-    n: usize,
-    threads: usize,
-    body: &(impl Fn(usize, &mut [f32]) + Sync),
-) -> Matrix {
-    let m = s.rows();
-    let work = s.nnz().saturating_mul(n);
-    let bands = band_count(effective_threads(threads), m, work);
-    let mut c = Matrix::zeros(m, n);
-    if bands <= 1 {
-        body(0, c.as_mut_slice());
-        return c;
-    }
-    run_bands(c.as_mut_slice(), m, n, bands, body);
-    c
 }
 
 /// Parallel `C = Aᵀ · B` over row bands of the *output* (columns of `A`).
@@ -165,14 +149,7 @@ pub fn matmul_at_b(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
     let m = a.cols();
     let n = b.cols();
     let work = m.saturating_mul(a.rows()).saturating_mul(n);
-    let bands = band_count(effective_threads(threads), m, work);
-    let mut c = Matrix::zeros(m, n);
-    if bands <= 1 {
-        ops::matmul_at_b_into(a, b, 0, c.as_mut_slice());
-        return c;
-    }
-    run_bands(c.as_mut_slice(), m, n, bands, &|row0, band| ops::matmul_at_b_into(a, b, row0, band));
-    c
+    banded(m, n, work, threads, &|row0, band| ops::matmul_at_b_into(a, b, row0, band))
 }
 
 /// Parallel `C = A · Bᵀ` over row bands of `A`.
@@ -187,19 +164,9 @@ pub fn matmul_a_bt(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
     assert_eq!(a.cols(), b.cols(), "matmul_a_bt shape mismatch");
     let m = a.rows();
     let n = b.rows();
-    let k = a.cols();
-    let work = m.saturating_mul(n).saturating_mul(k);
-    let bands = band_count(effective_threads(threads), m, work);
+    let work = m.saturating_mul(n).saturating_mul(a.cols());
     let bt = b.transpose();
-    let mut c = Matrix::zeros(m, n);
-    if bands <= 1 {
-        ops::matmul_a_bt_into(a, &bt, 0, c.as_mut_slice());
-        return c;
-    }
-    run_bands(c.as_mut_slice(), m, n, bands, &|row0, band| {
-        ops::matmul_a_bt_into(a, &bt, row0, band)
-    });
-    c
+    banded(m, n, work, threads, &|row0, band| ops::matmul_a_bt_into(a, &bt, row0, band))
 }
 
 #[cfg(test)]

@@ -29,10 +29,11 @@
 //!
 //! `train` and `serve` accept only the keys they declare ([`TRAIN_KEYS`],
 //! [`SERVE_KEYS`]): an unknown key, a value that does not parse as the key's
-//! type, or `layers=0` / `vertices=0` is a usage error that names the accepted keys and
-//! exits `2` before anything runs — nothing falls back to a default. So
-//! does a missing or unknown subcommand. Any other failure (an invalid
-//! configuration, an unwritable file) exits `1`.
+//! type, `layers=0` / `vertices=0` / `workers=0`, or a `straggler` that is
+//! neither `0` nor a finite factor `≥ 1` is a usage error that names the
+//! accepted keys and exits `2` before anything runs — nothing falls back
+//! to a default. So does a missing or unknown subcommand. Any other failure
+//! (an invalid configuration, an unwritable file) exits `1`.
 
 use ec_faults::FaultPlan;
 use ec_graph::config::{BpMode, FpMode, ModelKind, TrainingConfig};
@@ -269,7 +270,7 @@ fn run_train(args: &Args, opts: &CliOpts) -> Result<(), CliError> {
     let dims_cap: usize = args.get("features", &spec.feature_dim.min(256).to_string())?;
     let layers = args.get::<NonZeroUsize>("layers", &spec.default_layers.to_string())?.get();
     let hidden: usize = args.get("hidden", "16")?;
-    let workers: usize = args.get("workers", "6")?;
+    let workers = args.get::<NonZeroUsize>("workers", "6")?.get();
     let epochs: usize = args.get("epochs", "100")?;
     let seed: u64 = args.get("seed", "1")?;
     let patience: usize = args.get("patience", "25")?;
@@ -389,7 +390,7 @@ fn run_serve(args: &Args, opts: &CliOpts) -> Result<(), CliError> {
     let dims_cap: usize = args.get("features", &spec.feature_dim.min(256).to_string())?;
     let layers = args.get::<NonZeroUsize>("layers", &spec.default_layers.to_string())?.get();
     let hidden: usize = args.get("hidden", "16")?;
-    let workers: usize = args.get("workers", "4")?;
+    let workers = args.get::<NonZeroUsize>("workers", "4")?.get();
     let epochs: usize = args.get("epochs", "5")?;
     let seed: u64 = args.get("seed", "1")?;
     let model = args.get_with("model", "gcn", parse_model)?;
@@ -399,7 +400,7 @@ fn run_serve(args: &Args, opts: &CliOpts) -> Result<(), CliError> {
     let cache: usize = args.get("cache", "256")?;
     let pinned: usize = args.get("pinned", "32")?;
     let bits: u8 = args.get("bits", "0")?;
-    let straggler: f64 = args.get("straggler", "0")?;
+    let straggler = args.get_with("straggler", "0", parse_straggler)?;
     let zipf: f64 = args.get("zipf", "0.9")?;
     let explicit_ckpt: Option<PathBuf> = args.kv.get("checkpoint").map(PathBuf::from);
 
@@ -511,6 +512,16 @@ fn run_serve(args: &Args, opts: &CliOpts) -> Result<(), CliError> {
     Ok(())
 }
 
+/// A straggler slowdown: `0` for none, or a finite factor `≥ 1`.
+fn parse_straggler(s: &str) -> Result<f64, String> {
+    let factor = s.parse::<f64>().map_err(|e| e.to_string())?;
+    if factor == 0.0 || (factor.is_finite() && factor >= 1.0) {
+        Ok(factor)
+    } else {
+        Err("a straggler slowdown is 0 (none) or a finite factor ≥ 1".into())
+    }
+}
+
 fn parse_fp(s: &str) -> Result<FpMode, String> {
     let (kind, arg) = s.split_once(':').unwrap_or((s, ""));
     let num = || arg.parse::<u8>().map_err(|_| "bad numeric argument".to_string());
@@ -574,13 +585,28 @@ mod tests {
     #[test]
     fn zero_layers_is_a_usage_error_not_a_capacity_overflow() {
         // Zero vertices would reach the graph generator, which needs at
-        // least one vertex per class.
+        // least one vertex per class; zero workers the partitioner, which
+        // needs at least one part.
         for cmd in ["train", "serve"] {
-            for key in ["layers", "vertices"] {
+            for key in ["layers", "vertices", "workers"] {
                 let msg = usage_error(&[cmd, &format!("{key}=0")]);
                 assert!(msg.contains(&format!("`0` is not a valid value for `{key}`")), "{msg}");
                 assert!(msg.contains("accepted keys:"), "{cmd}: {msg}");
             }
+        }
+    }
+
+    #[test]
+    fn a_straggler_below_one_is_a_usage_error_not_silently_ignored() {
+        for bad in ["0.5", "nan", "inf", "-2"] {
+            let msg = usage_error(&["serve", &format!("straggler={bad}")]);
+            assert!(
+                msg.contains(&format!("`{bad}` is not a valid value for `straggler`")),
+                "{msg}"
+            );
+        }
+        for good in ["0", "1", "2.5"] {
+            assert_eq!(parse_straggler(good), Ok(good.parse().unwrap()));
         }
     }
 

@@ -106,8 +106,6 @@ proptest! {
         let _ = codec::get_matrix(&mut slice);
         let mut slice = bytes.as_slice();
         let _ = codec::get_u32s(&mut slice);
-        let mut slice = bytes.as_slice();
-        let _ = codec::get_u8s(&mut slice);
     }
 
     /// The quantized wire format never panics on arbitrary bytes either.

@@ -7,16 +7,18 @@
 //! This test holds one literal value of every wire type and variant to a
 //! committed byte string, so swapping two writes, renumbering a tag or
 //! widening a length prefix fails here — and checks on the same values that
-//! `from_bytes` inverts the encoding and that `wire_size()`, which is what
-//! the simulation charges, is the encoded length.
+//! `from_bytes` inverts the encoding and that `wire_size()` is the encoded
+//! length. A second test holds every price the exchange charges by shape
+//! to the length of the message it stands for, over a grid of shapes.
 //!
 //! A deliberate format change updates the strings below in the same commit;
 //! the spaces in them separate fields and are ignored.
 
+use ec_graph_repro::comm::codec;
 use ec_graph_repro::compress::Quantized;
 use ec_graph_repro::ecgraph::wire::{BpMessage, FpMessage};
 use ec_graph_repro::serve::wire::{ServeReply, ServeRequest};
-use ec_graph_repro::tensor::Matrix;
+use ec_graph_repro::tensor::{init, Matrix};
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -120,4 +122,53 @@ fn every_wire_type_serializes_to_its_committed_bytes() {
         ServeReply::RowQuantized { version: 0, rows: Vec::new() },
         "12 00000000 00000000"
     );
+}
+
+/// The exchange charges a vertex message by its shape, tag excluded: one
+/// more byte than each charge is the length of the message it stands for,
+/// serialized. Shapes from empty to wide, every bit width, Selected
+/// messages at vertex and element granularity with a payload for none,
+/// some and all of their choices.
+#[test]
+fn shape_prices_equal_the_serialized_messages() {
+    let len = |bytes: Vec<u8>| bytes.len();
+    for (rows, cols) in [(0usize, 16usize), (1, 1), (3, 16), (7, 47), (40, 64)] {
+        let h = init::uniform(rows, cols, -2.0, 2.0, (rows + cols) as u64);
+        let n = h.len();
+        let boundary = FpMessage::Exact { h: h.clone(), m_cr: h.clone() };
+        assert_eq!(1 + FpMessage::boundary_size(n), len(boundary.to_bytes()), "{rows}x{cols}");
+        let exact = BpMessage::Exact(h.clone());
+        assert_eq!(1 + codec::matrix_wire_size_for(n), len(exact.to_bytes()), "{rows}x{cols}");
+        for bits in 1..=16u8 {
+            let q = Quantized::compress(&h, bits);
+            let charged = 1 + Quantized::wire_size_for(n, bits);
+            assert_eq!(charged, len(FpMessage::Compressed(q.clone()).to_bytes()), "B={bits}");
+            assert_eq!(charged, len(BpMessage::Compressed(q).to_bytes()), "B={bits}");
+            // Vertex-wise: a choice per row, payload rows `cols` wide;
+            // element-wise: a choice per entry, payload entries.
+            for (choices, width) in [(rows, cols), (n, 1)] {
+                for shipped in [0, choices / 2, choices] {
+                    let selector = (0..choices)
+                        .map(|c| if c < shipped { (c % 2 * 2) as u8 } else { 1 })
+                        .collect();
+                    let payload = &h.as_slice()[..shipped * width];
+                    let msg = FpMessage::Selected {
+                        selector,
+                        compressed: (shipped > 0).then(|| {
+                            let m = Matrix::from_vec(shipped, width, payload.to_vec());
+                            Quantized::compress(&m, bits)
+                        }),
+                        proportion: (choices - shipped) as f32 / choices.max(1) as f32,
+                    };
+                    let priced = FpMessage::selected_size(
+                        choices,
+                        (shipped > 0).then_some((payload.len(), bits)),
+                    );
+                    let bytes = msg.to_bytes();
+                    assert_eq!(1 + priced, bytes.len(), "{choices} choices, {shipped} shipped");
+                    assert_eq!(msg.wire_size(), bytes.len());
+                }
+            }
+        }
+    }
 }
