@@ -17,7 +17,9 @@ pub enum Channel {
     Backward,
     /// Parameter pulls/pushes between workers and servers.
     Parameter,
-    /// Control traffic (vertex-id requests, selector arrays, proportions).
+    /// Request envelopes: parameter pulls, serving requests and the vertex-id
+    /// lists of sampled mini-batches. Selector arrays and proportions travel
+    /// inside the forward messages they describe.
     Control,
     /// Wasted transmissions under fault injection: dropped or corrupted
     /// attempts and redundant duplicate deliveries.
@@ -105,7 +107,7 @@ pub struct TrafficStats {
     pub bp_bytes: u64,
     /// Parameter pull/push bytes.
     pub param_bytes: u64,
-    /// Request/selector/control bytes.
+    /// Request envelope bytes ([`Channel::Control`]).
     pub control_bytes: u64,
     /// Bytes wasted on failed or duplicated transmissions (fault injection).
     pub retry_bytes: u64,

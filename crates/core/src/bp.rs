@@ -62,7 +62,7 @@ impl BpLink {
         }
     }
 
-    /// Answers one request for rows `rows` of the owner's `source`: writes
+    /// Answers the link's gather plan `rows` of the owner's `source`: writes
     /// what the requester reconstructs into `reply` (`rows.len()` rows) and
     /// returns the bytes on the wire. ResEC reads the rows where they are,
     /// adding them into `δ`; the other codecs gather them first.

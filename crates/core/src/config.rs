@@ -246,8 +246,8 @@ impl TrainingConfig {
 
     /// Validates internal consistency.
     pub fn validate(&self) -> Result<(), String> {
-        if self.dims.len() < 2 {
-            return Err("need at least one layer".into());
+        if self.dims.len() < 2 || self.dims.contains(&0) {
+            return Err(format!("need at least one layer and positive widths: {:?}", self.dims));
         }
         if self.num_workers == 0 || self.num_servers == 0 {
             return Err("need at least one worker and one server".into());
@@ -385,5 +385,14 @@ mod tests {
         let mut c = TrainingConfig::defaults(8, 2);
         c.num_workers = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_a_zero_width_layer() {
+        for dims in [vec![0, 16, 2], vec![8, 0, 2], vec![8, 16, 16, 0]] {
+            let c = TrainingConfig { dims: dims.clone(), ..TrainingConfig::defaults(8, 2) };
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("positive widths"), "{dims:?}: {err}");
+        }
     }
 }

@@ -190,13 +190,13 @@ impl FpLink {
         }
     }
 
-    /// Answers one request at iteration `t` for rows `rows` of the owner's
-    /// `source` and writes what the requester reconstructs into `reply`
+    /// Answers the link's gather plan `rows` of the owner's `source` at
+    /// iteration `t` and writes what the requester reconstructs into `reply`
     /// (`rows.len()` rows). `bits` is the pair's current width (read by ReqEC
     /// only — plain compression keeps the configured one). With
     /// `degradable`, a reply the requester can do without says what
     /// [`Self::degrade`] would cost instead.
-    #[expect(clippy::too_many_arguments, reason = "the request, its buffers and the step's state")]
+    #[expect(clippy::too_many_arguments, reason = "the plan, its buffers and the step's state")]
     pub(crate) fn respond(
         &mut self,
         source: &Matrix,

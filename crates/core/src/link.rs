@@ -17,7 +17,6 @@ use crate::config::{FpMode, TrainingConfig};
 use crate::context::{LayerTopology, WorkerContext};
 use crate::exec::Cluster;
 use crate::fp::{self, FpLink};
-use crate::wire::REQUEST_BYTES;
 use ec_comm::codec;
 use ec_comm::stats::Channel;
 use ec_comm::{HostTimer, SendError};
@@ -209,11 +208,11 @@ impl CompensationState {
         })
     }
 
-    /// One exchange of layer `l` in the cluster's current epoch: for every
-    /// link, owner `j`'s policy answers from its rows of `source(j)` straight
-    /// into the link's block of requester `i`'s remote operand, and request
-    /// and reply cross the network. Returns the remote operands indexed by
-    /// worker, which live in `ws`.
+    /// One exchange of layer `l` in the cluster's current epoch, a single push
+    /// round: for every link, owner `j`'s policy answers from its rows of
+    /// `source(j)` straight into the link's block of requester `i`'s remote
+    /// operand, unrequested, since the gather plans are fixed when the table
+    /// is built. Returns the remote operands indexed by worker, in `ws`.
     pub(crate) fn exchange<'a, 'w>(
         &mut self,
         ws: &'w mut ExchangeWorkspace,
@@ -258,7 +257,6 @@ impl CompensationState {
                     *acc += c as u64;
                 }
             }
-            cluster.network.send(i, j, Channel::Control, REQUEST_BYTES);
             let lbl = labels(&[t as u32]);
             cluster.steps.telemetry.observe(wire_metric, lbl, reply.wire as f64);
             // A bounded wait only where a fallback stands by; else retry.
@@ -307,10 +305,10 @@ mod tests {
 
     /// The table is the non-empty dependency sets — per layer, so sampled
     /// adjacencies get different tables — in ascending (requester, owner)
-    /// order; a fault-free exchange costs each link a request and a reply
+    /// order; a fault-free exchange costs each link one unrequested reply
     /// and, in the exact modes, delivers the owners' rows.
     #[test]
-    fn links_are_the_dependency_sets_in_message_order_and_cost_two_messages_each() {
+    fn links_are_the_dependency_sets_in_message_order_and_cost_one_message_each() {
         let data = DatasetSpec::products().instantiate_with(200, 12, 9);
         let (mut adjs, _) = crate::sampling::sample_layer_graphs(&data.graph, &[5, 3], 4);
         // Layer 3 aggregates over the single edge 0 — 1: parts 0 and 1 only.
@@ -352,7 +350,7 @@ mod tests {
                 let remotes =
                     comp.exchange(&mut ws, &mut cluster, &mut counters, dir, l, |j| &sources[j]);
                 let sent = cluster.network.total_stats().messages - before;
-                assert_eq!(sent, 2 * want.len() as u64, "layer {l} {dir:?}");
+                assert_eq!(sent, want.len() as u64, "layer {l} {dir:?}");
                 for (ctx, remote) in contexts.iter().zip(remotes) {
                     let topo = &ctx.layers[l - 1];
                     assert_eq!(remote.shape(), (topo.remote_deps.len(), 8));

@@ -11,17 +11,17 @@
 //! message calls the same functions, and `tests/wire_bytes.rs` holds each
 //! of them to `to_bytes().len()` over a grid of shapes.
 //!
-//! **Tag and envelope.** Every encoded message starts with a one-byte tag,
-//! and a charge is `to_bytes().len() − 1`: the tag rides in the
-//! [`REQUEST_BYTES`] envelope the requester sends first.
+//! **Tag.** Every encoded message starts with a one-byte tag, and a charge
+//! is `to_bytes().len() − 1`: the tag follows from the link's configured mode
+//! and from whether epoch `t` is a trend boundary, which both ends know.
 
 use ec_comm::codec;
 use ec_compress::{bitpack, Quantized};
 use ec_tensor::Matrix;
 
-/// Bytes charged for a request envelope — the requester's `get` of a
-/// reply, or a worker's `pull` of parameters. Vertex ids are exchanged once
-/// during preprocessing, so a steady-state request is this constant.
+/// Bytes charged for a request envelope: a worker's `pull` of parameters
+/// from a server. Vertex messages need none, since each owner pushes its
+/// reply along the link's gather plan, fixed during preprocessing.
 pub const REQUEST_BYTES: u64 = 16;
 
 /// A forward-pass response from a responding worker.

@@ -3,7 +3,8 @@
 # workspace test suite, the kernel and serving crates' tests and the serving
 # suite again in release, a
 # one-experiment drive of scripts/reproduce.sh, an exit-code probe of the
-# `ecgraph` CLI's strict key=value parsing, and `ecgraph serve` fed a hostile
+# `ecgraph` CLI's strict key=value parsing (zero-width layers and a
+# zero-epoch run among the refused values), and `ecgraph serve` fed a hostile
 # checkpoint (a u32::MAX slot count and nothing behind it), which must fail
 # with exit 1 and `loading checkpoint` on stderr rather than abort.
 # CI runs exactly this script. Host performance is measured by perfbench/
@@ -77,10 +78,11 @@ for bad in "fig6 epoch=5" "table2 workers=0"; do
     || { echo "reproduce $bad must exit 2, not run or panic (got $repro_rc)" >&2; exit 1; }
 done
 
-echo "== CLI smoke (ecgraph: a typo, an unparsable value, layers=0, vertices=0, workers=0, a straggler below 1 or an unknown subcommand exits 2; a hostile checkpoint exits 1) =="
+echo "== CLI smoke (ecgraph: a typo, an unparsable value, layers=0, vertices=0, workers=0, hidden=0, features=0, train epochs=0, a straggler below 1 or an unknown subcommand exits 2; a hostile checkpoint exits 1) =="
 cargo build --release -q --bin ecgraph
 for bad in "train wrokers=3" "train hidden=abc" "serve layers=0" "train vertices=0" "serve vertices=0" \
-  "train workers=0" "serve workers=0" "serve straggler=0.5" "compare a.json b.json" "bogus"; do
+  "train workers=0" "serve workers=0" "train hidden=0" "train features=0" "train epochs=0" \
+  "serve hidden=0" "serve features=0" "serve straggler=0.5" "compare a.json b.json" "bogus"; do
   cli_rc=0
   # shellcheck disable=SC2086  # $bad is a subcommand and its arguments
   target/release/ecgraph $bad > /dev/null 2>&1 || cli_rc=$?

@@ -267,11 +267,12 @@ fn run_train(args: &Args, opts: &CliOpts) -> Result<(), CliError> {
     let show_progress = !opts.quiet && level < TelemetryLevel::Superstep;
     let spec = args.get_with("dataset", "cora", parse_dataset)?;
     let vertices = args.get::<NonZeroUsize>("vertices", &spec.default_vertices.to_string())?.get();
-    let dims_cap: usize = args.get("features", &spec.feature_dim.min(256).to_string())?;
+    let dims_cap =
+        args.get::<NonZeroUsize>("features", &spec.feature_dim.min(256).to_string())?.get();
     let layers = args.get::<NonZeroUsize>("layers", &spec.default_layers.to_string())?.get();
-    let hidden: usize = args.get("hidden", "16")?;
+    let hidden = args.get::<NonZeroUsize>("hidden", "16")?.get();
     let workers = args.get::<NonZeroUsize>("workers", "6")?.get();
-    let epochs: usize = args.get("epochs", "100")?;
+    let epochs = args.get::<NonZeroUsize>("epochs", "100")?.get();
     let seed: u64 = args.get("seed", "1")?;
     let patience: usize = args.get("patience", "25")?;
     let fp_mode = args.get_with("fp", "reqec:2", parse_fp)?;
@@ -387,9 +388,10 @@ fn run_serve(args: &Args, opts: &CliOpts) -> Result<(), CliError> {
     let level = telemetry_level(args, opts)?;
     let spec = args.get_with("dataset", "cora", parse_dataset)?;
     let vertices = args.get::<NonZeroUsize>("vertices", &spec.default_vertices.to_string())?.get();
-    let dims_cap: usize = args.get("features", &spec.feature_dim.min(256).to_string())?;
+    let dims_cap =
+        args.get::<NonZeroUsize>("features", &spec.feature_dim.min(256).to_string())?.get();
     let layers = args.get::<NonZeroUsize>("layers", &spec.default_layers.to_string())?.get();
-    let hidden: usize = args.get("hidden", "16")?;
+    let hidden = args.get::<NonZeroUsize>("hidden", "16")?.get();
     let workers = args.get::<NonZeroUsize>("workers", "4")?.get();
     let epochs: usize = args.get("epochs", "5")?;
     let seed: u64 = args.get("seed", "1")?;
@@ -593,6 +595,24 @@ mod tests {
                 assert!(msg.contains(&format!("`0` is not a valid value for `{key}`")), "{msg}");
                 assert!(msg.contains("accepted keys:"), "{cmd}: {msg}");
             }
+        }
+    }
+
+    /// A zero-width layer or a run of no epochs has nothing to train or
+    /// report, so each is refused before anything is instantiated.
+    #[test]
+    fn zero_widths_and_zero_epochs_are_usage_errors() {
+        let cases = [
+            ("train", "hidden"),
+            ("train", "features"),
+            ("train", "epochs"),
+            ("serve", "hidden"),
+            ("serve", "features"),
+        ];
+        for (cmd, key) in cases {
+            let msg = usage_error(&[cmd, &format!("{key}=0")]);
+            assert!(msg.contains(&format!("`0` is not a valid value for `{key}`")), "{msg}");
+            assert!(msg.contains("accepted keys:"), "{cmd}: {msg}");
         }
     }
 

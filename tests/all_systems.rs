@@ -124,9 +124,10 @@ fn comparators_pay_the_engines_parameter_server_costs() {
         assert_eq!(a.param_bytes, 2 * WORKERS as u64 * model_bytes, "one pull and one push each");
         // Parameter-server traffic is all AliGraph-FG moves per epoch …
         assert_eq!(a.total_bytes, a.param_bytes + requests, "request Control bytes");
-        // … and Non-cp pays the same envelopes, plus one per vertex fetch.
+        // … and Non-cp pays exactly the same envelopes: its vertex messages
+        // are pushed along fixed links, unrequested.
         let control = b.total_bytes - b.param_bytes - b.fp_bytes - b.bp_bytes;
-        assert!(control > requests, "non-cp control {control} vs {requests}");
+        assert_eq!(control, requests, "non-cp control bytes are the pull envelopes");
     }
 
     // `comm_s` is modelled from bytes alone (no host timer enters it): one
@@ -149,6 +150,56 @@ fn comparators_pay_the_engines_parameter_server_costs() {
             e.comm_s,
             pulls + push
         );
+    }
+}
+
+/// The vertex exchange is one push round: on a latency-only network (one
+/// second per message, free bytes) an epoch's clock counts the busiest NIC's
+/// messages per superstep. Layer 1's pull is the server's `W` replies; each
+/// later forward superstep a worker's pull request plus its `W − 1` replies
+/// (the server's `W` ties it); each backward exchange `W − 1` replies; the
+/// push one message. No link sends a request, so the only Control bytes are
+/// the `W·L` pull envelopes.
+#[test]
+fn the_vertex_exchange_is_one_push_round_on_a_latency_only_network() {
+    use ec_graph_repro::data::normalize;
+    use ec_graph_repro::ecgraph::config::{BpMode, FpMode};
+    use ec_graph_repro::ecgraph::engine::DistributedEngine;
+    use ec_graph_repro::ecgraph::wire::REQUEST_BYTES;
+    use ec_graph_repro::partition::{hash::HashPartitioner, Partitioner};
+
+    let data = Arc::new(DatasetSpec::cora().instantiate_with(150, 12, 5));
+    let adj = Arc::new(normalize::gcn_normalized_adjacency(&data.graph));
+    let modes = [
+        (FpMode::Exact, BpMode::Exact),
+        (FpMode::ReqEc { bits: 2, t_tr: 4, adaptive: true }, BpMode::ResEc { bits: 4 }),
+    ];
+    // (L, W) → (comm_s, messages): W + (L−1)·W + (L−1)·(W−1) + 1 seconds.
+    for ((layers, workers), (comm_s, messages)) in
+        [((2, 3), (9.0, 27)), ((3, 3), (14.0, 45)), ((2, 6), (18.0, 90))]
+    {
+        for (fp_mode, bp_mode) in modes {
+            let mut dims = vec![12];
+            dims.extend(std::iter::repeat_n(16, layers - 1));
+            dims.push(data.num_classes);
+            let config = TrainingConfig {
+                dims,
+                num_workers: workers,
+                fp_mode,
+                bp_mode,
+                network: NetworkModel { bandwidth: f64::INFINITY, latency: 1.0 },
+                ..TrainingConfig::defaults(12, data.num_classes)
+            };
+            let partition = HashPartitioner::default().partition(&data.graph, workers);
+            let adjs = vec![Arc::clone(&adj); layers];
+            let mut engine = DistributedEngine::new(Arc::clone(&data), adjs, partition, config);
+            let epoch = engine.run_epoch();
+            let case = format!("L={layers} W={workers} {fp_mode:?}/{bp_mode:?}");
+            assert_eq!(epoch.comm_s, comm_s, "{case}: comm_s");
+            assert_eq!(epoch.traffic.messages, messages, "{case}: messages");
+            let envelopes = REQUEST_BYTES * (workers * layers) as u64;
+            assert_eq!(epoch.traffic.control_bytes, envelopes, "{case}: only pull envelopes");
+        }
     }
 }
 
