@@ -209,7 +209,7 @@ impl SimNetwork {
     /// the right primitive for traffic whose loss the engine cannot absorb
     /// (gradients, parameters, trend boundaries).
     pub fn send(&mut self, from: usize, to: usize, channel: Channel, bytes: u64) {
-        debug_assert!(from < self.num_nodes() && to < self.num_nodes(), "node out of range");
+        assert!(from < self.num_nodes() && to < self.num_nodes(), "node out of range");
         if from == to {
             return;
         }
@@ -238,7 +238,7 @@ impl SimNetwork {
         channel: Channel,
         bytes: u64,
     ) -> Result<(), SendError> {
-        debug_assert!(from < self.num_nodes() && to < self.num_nodes(), "node out of range");
+        assert!(from < self.num_nodes() && to < self.num_nodes(), "node out of range");
         if from == to {
             return Ok(());
         }
@@ -392,10 +392,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "node out of range")]
     fn send_rejects_unknown_node() {
-        let mut n = net(2);
-        n.send(0, 5, Channel::Forward, 1);
+        let rejects = |send: fn(&mut SimNetwork)| {
+            let panic = std::panic::catch_unwind(|| send(&mut net(2))).unwrap_err();
+            assert_eq!(panic.downcast_ref::<&str>(), Some(&"node out of range"));
+        };
+        rejects(|n| n.send(0, 5, Channel::Forward, 1));
+        // A same-node transfer is free, but only between nodes that exist.
+        rejects(|n| n.send(5, 5, Channel::Forward, 1));
+        rejects(|n| _ = n.try_send(5, 5, Channel::Forward, 1));
+        rejects(|n| _ = n.try_send(0, 5, Channel::Forward, 1));
     }
 
     #[test]

@@ -3,16 +3,17 @@
 //! "PM divides GNN parameters onto m servers according to some user-defined
 //! partition strategy. By default, we implement a built-in range-based
 //! partition method, which divides the weights W and biases B of each layer
-//! evenly." Workers `pull` parameters before each layer and `push`
-//! gradients after the backward pass; "the servers receive gradients from
-//! each worker, add them up to obtain the global gradients, and update the
-//! weights with the global gradients" using Adam.
+//! evenly." Here `m` is the worker count and shard `s` lives on worker `s`'s
+//! node. Each epoch every shard owner sends every other worker its slices
+//! of all slots in one unrequested round, and workers push gradients after
+//! the backward pass; "the servers receive gradients from each worker, add
+//! them up to obtain the global gradients, and update the weights with the
+//! global gradients" using Adam.
 //!
-//! The slices held by individual servers are mathematically independent, so
+//! The slices held by individual shards are mathematically independent, so
 //! the group updates each layer's full matrix in one pass; the range split
 //! only matters for wire accounting, exposed via
-//! [`ParameterServerGroup::pull_wire_sizes`] /
-//! [`ParameterServerGroup::push_wire_sizes`].
+//! [`ParameterServerGroup::shard_wire_sizes`].
 
 use ec_tensor::{init, Matrix};
 
@@ -128,10 +129,10 @@ struct LayerParams {
     grad_b: Vec<f32>,
 }
 
-/// The group of `m` parameter servers, owning every layer's weights.
+/// The group of `m` parameter shards, owning every layer's weights.
 #[derive(Clone, Debug)]
 pub struct ParameterServerGroup {
-    num_servers: usize,
+    num_shards: usize,
     adam: AdamParams,
     step: u64,
     layers: Vec<LayerParams>,
@@ -139,10 +140,10 @@ pub struct ParameterServerGroup {
 }
 
 impl ParameterServerGroup {
-    /// Creates servers holding Xavier-initialized weights for the given
-    /// `(fan_in, fan_out)` layer shapes.
-    pub fn new(shapes: &[(usize, usize)], num_servers: usize, adam: AdamParams, seed: u64) -> Self {
-        assert!(num_servers >= 1, "need at least one server");
+    /// Creates `num_shards` shards holding Xavier-initialized weights for
+    /// the given `(fan_in, fan_out)` layer shapes.
+    pub fn new(shapes: &[(usize, usize)], num_shards: usize, adam: AdamParams, seed: u64) -> Self {
+        assert!(num_shards >= 1, "need at least one shard");
         let layers = shapes
             .iter()
             .enumerate()
@@ -157,7 +158,7 @@ impl ParameterServerGroup {
                 grad_b: vec![0.0; fo],
             })
             .collect();
-        Self { num_servers, adam, step: 0, layers, pushes_since_update: 0 }
+        Self { num_shards, adam, step: 0, layers, pushes_since_update: 0 }
     }
 
     /// Number of layers managed.
@@ -169,14 +170,6 @@ impl ParameterServerGroup {
     pub fn pull(&self, layer: usize) -> (&Matrix, &[f32]) {
         let lp = &self.layers[layer];
         (&lp.w, &lp.b)
-    }
-
-    /// Bytes each server ships to one worker for a `pull(layer)`: the
-    /// range-partitioned rows of `W` plus the bias slice, `f32` each.
-    /// Returns one `(server, bytes)` entry per server.
-    pub fn pull_wire_sizes(&self, layer: usize) -> Vec<u64> {
-        let lp = &self.layers[layer];
-        self.split_sizes(lp)
     }
 
     /// `push(grads)`: a worker delivers its gradient contribution for every
@@ -197,26 +190,19 @@ impl ParameterServerGroup {
         self.pushes_since_update += 1;
     }
 
-    /// Bytes one worker ships for a full `push`, split per server.
-    pub fn push_wire_sizes(&self) -> Vec<u64> {
-        let mut sizes = vec![0u64; self.num_servers];
-        for lp in &self.layers {
-            for (s, sz) in self.split_sizes(lp).into_iter().enumerate() {
-                sizes[s] += sz;
-            }
-        }
-        sizes
-    }
-
-    fn split_sizes(&self, lp: &LayerParams) -> Vec<u64> {
-        // Range-split W's rows and b's entries over the servers.
-        let rows = lp.w.rows();
-        let cols = lp.w.cols();
-        (0..self.num_servers)
+    /// Bytes of each shard's slices of every slot, one entry per shard:
+    /// the range-partitioned rows of each `W` plus the bias slice, `f32`
+    /// each. One pull ships a shard's entry from its owner to one worker,
+    /// and one push ships it from one worker back to the owner.
+    pub fn shard_wire_sizes(&self) -> Vec<u64> {
+        (0..self.num_shards)
             .map(|s| {
-                let (rs, re) = range(rows, self.num_servers, s);
-                let (bs, be) = range(lp.b.len(), self.num_servers, s);
-                (((re - rs) * cols + (be - bs)) * 4) as u64
+                let slice = |lp: &LayerParams| {
+                    let (rs, re) = range(lp.w.rows(), self.num_shards, s);
+                    let (bs, be) = range(lp.b.len(), self.num_shards, s);
+                    (((re - rs) * lp.w.cols() + (be - bs)) * 4) as u64
+                };
+                self.layers.iter().map(slice).sum()
             })
             .collect()
     }
@@ -350,10 +336,19 @@ mod tests {
     }
 
     #[test]
-    fn pull_wire_sizes_cover_the_full_matrix() {
-        let ps = group();
-        let total: u64 = ps.pull_wire_sizes(0).iter().sum();
-        assert_eq!(total, (4 * 3 + 3) as u64 * 4);
+    fn shard_sizes_sum_to_the_model_bytes() {
+        let shapes = [(4, 3), (3, 2), (602, 16)];
+        let model: u64 = shapes.iter().map(|&(r, c)| ((r * c + c) * 4) as u64).sum();
+        for shards in [1, 4, 7] {
+            let ps = ParameterServerGroup::new(&shapes, shards, AdamParams::default(), 7);
+            let sizes = ps.shard_wire_sizes();
+            assert_eq!(sizes.len(), shards);
+            assert_eq!(sizes.iter().sum::<u64>(), model, "{shards} shards");
+        }
+        // Seven shards of a four- and a three-row slot: the last three hold
+        // no row and no bias entry.
+        let ps = ParameterServerGroup::new(&shapes[..2], 7, AdamParams::default(), 7);
+        assert_eq!(ps.shard_wire_sizes(), [28, 28, 24, 12, 0, 0, 0]);
     }
 
     #[test]

@@ -15,11 +15,12 @@ pub enum Channel {
     Forward,
     /// Embedding-gradient messages of the backward pass (`G` matrices).
     Backward,
-    /// Parameter pulls/pushes between workers and servers.
+    /// Parameter pulls/pushes between workers and the shard owners.
     Parameter,
-    /// Request envelopes: parameter pulls, serving requests and the vertex-id
-    /// lists of sampled mini-batches. Selector arrays and proportions travel
-    /// inside the forward messages they describe.
+    /// Requests: serving requests and the vertex-id lists of sampled
+    /// mini-batches. Parameter pulls and vertex messages are sent
+    /// unrequested; Selector arrays and proportions travel inside the
+    /// forward messages they describe.
     Control,
     /// Wasted transmissions under fault injection: dropped or corrupted
     /// attempts and redundant duplicate deliveries.
@@ -27,8 +28,8 @@ pub enum Channel {
 }
 
 /// Dense per-`(src, dst)` byte matrix, row-major, grown on demand to the
-/// highest node index it has seen. Node indexing follows the simulated
-/// cluster: workers first, then parameter servers.
+/// highest node index it has seen. Node `w` is worker `w`, which also
+/// hosts parameter shard `w`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LinkMatrix {
     nodes: usize,
@@ -107,7 +108,7 @@ pub struct TrafficStats {
     pub bp_bytes: u64,
     /// Parameter pull/push bytes.
     pub param_bytes: u64,
-    /// Request envelope bytes ([`Channel::Control`]).
+    /// Request bytes ([`Channel::Control`]).
     pub control_bytes: u64,
     /// Bytes wasted on failed or duplicated transmissions (fault injection).
     pub retry_bytes: u64,

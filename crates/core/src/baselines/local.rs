@@ -90,7 +90,7 @@ fn edgewise_spmm(adj: &CsrMatrix, x: &Matrix) -> Matrix {
 /// whole graph, on a cluster whose worker and parameter store share a node,
 /// so nothing is charged. Of `config`, the model shape, optimizer, seed,
 /// epoch budget, patience and thread budget apply; `num_workers`,
-/// `num_servers`, `network` and the compression modes do not. The PyG-like
+/// `network` and the compression modes do not. The PyG-like
 /// per-edge gather/scatter path stays sequential whatever
 /// `compute.kernel_threads` says — the scatter order *is* the toolkit
 /// behavior being modelled. Returns `Err` when the estimated peak memory
@@ -100,7 +100,7 @@ pub fn train_local(
     config: &TrainingConfig,
     kind: LocalKind,
 ) -> Result<RunResult, String> {
-    let base = TrainingConfig { num_workers: 1, num_servers: 1, ..config.clone() };
+    let base = TrainingConfig { num_workers: 1, ..config.clone() };
     let pre_start = HostTimer::start();
     let adj = normalize::gcn_normalized_adjacency(&data.graph);
     let peak = estimated_peak_bytes(kind, &adj, &base.dims);
@@ -110,7 +110,7 @@ pub fn train_local(
             kind.label()
         ));
     }
-    let cluster = Cluster::single_machine(&base);
+    let cluster = Cluster::new(&base);
     let adj = Arc::new(adj);
     let whole_graph = [Closure {
         adj: Arc::clone(&adj),

@@ -8,8 +8,8 @@
 //! cover a large portion of the graph" (Section I). This module measures
 //! exactly that effect: the per-epoch compute is a full GCN pass over each
 //! worker's closure subgraph, and preprocessing pays the one-shot transfer
-//! of the closure's features and adjacency from the parameter servers
-//! (`O(ḡ^L · d₀)` in Table II).
+//! of the closure's features and adjacency from node 0 (`O(ḡ^L · d₀)` in
+//! Table II).
 
 use super::train_comparator;
 use crate::config::TrainingConfig;
@@ -99,7 +99,7 @@ fn build_closures(
 }
 
 /// One full-batch GCN epoch as a stage program: every worker pulls the
-/// weights layer by layer, runs a complete transform-first forward and
+/// weights in one round, runs a complete transform-first forward and
 /// backward pass over its own [`Closure`] (no worker-to-worker traffic),
 /// and pushes its gradient share. `aggregate` is the sparse product `Â·M`
 /// — the one kernel the DGL-like and PyG-like toolkits disagree on.
@@ -161,13 +161,14 @@ pub fn train_ml_centered(
     let mut cluster = Cluster::new(config);
 
     // Preprocessing: build + ship each closure (features and adjacency
-    // pulled once from the parameter servers / graph store).
+    // pulled once from the graph store on node 0, so worker 0's own closure
+    // is a same-node transfer and free).
     let pre_start = HostTimer::start();
     let adj = normalize::gcn_normalized_adjacency(&data.graph);
     let closures = build_closures(&data, &adj, config.num_workers, config.num_layers());
     for (w, c) in closures.iter().enumerate() {
         let bytes = (c.labels.len() * (4 + data.feature_dim() * 4) + c.adj.nnz() * 8) as u64;
-        cluster.network.send(cluster.server_node(0), w, Channel::Forward, bytes);
+        cluster.network.send(0, w, Channel::Forward, bytes);
     }
     let (_, transfer_s) = cluster.network.end_epoch();
     let preprocessing_s = pre_start.elapsed_s() + transfer_s;

@@ -163,8 +163,6 @@ pub struct TrainingConfig {
     pub model: ModelKind,
     /// Number of workers (machines holding graph partitions).
     pub num_workers: usize,
-    /// Number of parameter servers.
-    pub num_servers: usize,
     /// Forward compression mode.
     pub fp_mode: FpMode,
     /// Selector granularity for ReqEC-FP (the paper picks vertex-wise).
@@ -205,7 +203,6 @@ impl TrainingConfig {
             dims: vec![d0, 16, classes],
             model: ModelKind::Gcn,
             num_workers: 6,
-            num_servers: 1,
             fp_mode: FpMode::Exact,
             reqec_granularity: crate::fp::Granularity::Vertex,
             bp_mode: BpMode::Exact,
@@ -235,13 +232,14 @@ impl TrainingConfig {
     /// The parameter servers a run of this configuration starts from: one
     /// Xavier-initialized slot per layer, seeded from [`Self::seed`], and for
     /// GraphSAGE the second (root/self) transform of layer `l` at slot
-    /// `L + l`, updated by server-side Adam with [`Self::adam`].
+    /// `L + l`, range-split into one shard per worker and updated by
+    /// server-side Adam with [`Self::adam`].
     pub fn parameter_servers(&self) -> ParameterServerGroup {
         let mut shapes = self.layer_shapes();
         if self.model == ModelKind::Sage {
             shapes.extend(self.layer_shapes());
         }
-        ParameterServerGroup::new(&shapes, self.num_servers, self.adam, self.seed)
+        ParameterServerGroup::new(&shapes, self.num_workers, self.adam, self.seed)
     }
 
     /// Validates internal consistency.
@@ -249,8 +247,8 @@ impl TrainingConfig {
         if self.dims.len() < 2 || self.dims.contains(&0) {
             return Err(format!("need at least one layer and positive widths: {:?}", self.dims));
         }
-        if self.num_workers == 0 || self.num_servers == 0 {
-            return Err("need at least one worker and one server".into());
+        if self.num_workers == 0 {
+            return Err("need at least one worker".into());
         }
         if self.eval_every == 0 {
             return Err("eval_every must be positive".into());

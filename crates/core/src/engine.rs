@@ -4,7 +4,8 @@
 //! Execution is a sequence of synchronous supersteps per epoch:
 //!
 //! ```text
-//! FP  (per layer l = 1..L):   pull W   | exchange H^{l-1} (l ≥ 2) | compute Z^l, H^l
+//! FP  (l = 1):                pull all W | compute Z^1, H^1 from the cached P_w
+//! FP  (per layer l = 2..L):   exchange H^{l-1} | compute Z^l, H^l
 //! loss:                       local masked softmax-CE → G^L
 //! BP  (per layer l = L..2):   exchange G^l | compute Y^{l-1}, b-grad, G^{l-1}
 //! BP  (l = 1):                compute Y^0 = P_wᵀ·G¹, b-grad locally
@@ -390,14 +391,9 @@ impl DistributedEngine {
         let sage = self.config.model == ModelKind::Sage;
 
         // ---------------- Forward propagation ----------------
+        // Every worker receives every slot in one round before layer 1.
+        self.cluster.charge_pull();
         for l in 1..=num_layers {
-            // Every worker pulls `W^{l-1}`, `b^{l-1}` (and `W_self` for Sage).
-            let mut slots = vec![l - 1];
-            if sage {
-                slots.push(num_layers + l - 1);
-            }
-            self.cluster.charge_pull(&slots);
-
             // Exchange H^{l-1} (layer-0 features are cached).
             let remotes: &[Matrix] = if l >= 2 {
                 let (comp, ws, h) = (&mut self.comp, &mut self.exchange_ws, &self.h_local);
@@ -725,9 +721,9 @@ mod tests {
         let s = e.run_epoch();
         assert_eq!(s.traffic.fp_bytes, 0);
         assert_eq!(s.traffic.bp_bytes, 0);
-        // Parameter traffic is also free: worker and server share node 0?
-        // No — the server is a separate node, so param bytes remain.
-        assert!(s.traffic.param_bytes > 0);
+        // Its one parameter shard shares node 0, so pull and push are free.
+        assert_eq!(s.traffic.param_bytes, 0);
+        assert_eq!(s.comm_s, 0.0);
     }
 
     #[test]
@@ -776,7 +772,9 @@ mod tests {
 
     /// ROADMAP 9(b), through `run_epoch`: a worker with no remote neighbour
     /// takes part in every superstep of a 3-layer error-compensated run
-    /// without a link, a vertex message or a tuned width of its own.
+    /// without a link, a vertex message or a tuned width of its own. Its
+    /// node carries parameter traffic only: in each direction, one shard's
+    /// pull and the other's push.
     #[test]
     fn a_worker_without_links_trains_through_every_exchange() {
         let mut e = ring_engine(
@@ -784,13 +782,14 @@ mod tests {
             BpMode::ResEc { bits: 4 },
             3,
         );
+        let shards = e.config.parameter_servers().shard_wire_sizes();
         for _ in 0..3 {
             let stats = e.run_epoch();
             assert!(stats.loss.is_finite(), "epoch {} loss {}", stats.epoch, stats.loss);
             assert!(stats.traffic.fp_bytes > 0 && stats.traffic.bp_bytes > 0);
             for other in [0, 1] {
-                assert_eq!(stats.traffic.links.get(2, other), 0);
-                assert_eq!(stats.traffic.links.get(other, 2), 0);
+                assert_eq!(stats.traffic.links.get(2, other), shards[2] + shards[other]);
+                assert_eq!(stats.traffic.links.get(other, 2), shards[2] + shards[other]);
             }
         }
         // Two exchange layers × the two links 0 → 1 and 1 → 0.

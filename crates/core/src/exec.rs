@@ -32,7 +32,6 @@
 //! timing zeroes every compute second in one place.
 
 use crate::config::{ResiliencePolicy, TrainingConfig};
-use crate::wire::REQUEST_BYTES;
 use ec_comm::ps::CheckpointError;
 use ec_comm::stats::Channel;
 use ec_comm::{HostTimer, ParameterServerGroup, SimNetwork, TrafficStats};
@@ -349,11 +348,12 @@ impl SuperstepDriver {
     }
 }
 
-/// The simulated cluster every trainer runs on: workers and parameter
-/// servers joined by one network (with its fault plan), stepped by one
-/// driver. Fields are reached directly, so a compute block can borrow
-/// `cluster.ps` while `cluster.steps` runs it and the borrow checker keeps
-/// it away from the network and the driver by field.
+/// The simulated cluster every trainer runs on: one node per worker, each
+/// also hosting the parameter shard of the same index, joined by one
+/// network (with its fault plan) and stepped by one driver. Fields are
+/// reached directly, so a compute block can borrow `cluster.ps` while
+/// `cluster.steps` runs it and the borrow checker keeps it away from the
+/// network and the driver by field.
 pub(crate) struct Cluster {
     pub(crate) network: SimNetwork,
     pub(crate) ps: ParameterServerGroup,
@@ -366,8 +366,9 @@ pub(crate) struct Cluster {
     /// its requester can do without gets before the requester stops waiting
     /// (`None`: every message is retried until it arrives).
     pub(crate) degrade_attempts: Option<u32>,
-    /// Node id of server 0: `num_workers`, or 0 on a single machine.
-    server_base: usize,
+    /// Bytes of shard `s`'s slices of every slot: one pull message from its
+    /// owner, and one push message to it. Fixed by the layer shapes.
+    shard_bytes: Vec<u64>,
 }
 
 /// The cluster's share of a training checkpoint: the servers' parameters
@@ -380,25 +381,15 @@ pub(crate) struct ClusterSnapshot {
 }
 
 impl Cluster {
-    /// `config.num_workers` workers and `config.num_servers` parameter
-    /// servers on separate nodes of a network subjected to `config.faults`.
+    /// `config.num_workers` worker nodes, shard `s` on node `s`, on a
+    /// network subjected to `config.faults`. With one worker (the DGL/PyG
+    /// columns) worker and shard share node 0, and same-node transfers are
+    /// free, so no parameter traffic is charged.
     pub(crate) fn new(config: &TrainingConfig) -> Self {
-        Self::build(config, config.num_workers)
-    }
-
-    /// One machine (the DGL/PyG columns): worker and parameter store share
-    /// node 0, and same-node transfers are free, so nothing below is charged.
-    pub(crate) fn single_machine(config: &TrainingConfig) -> Self {
-        assert_eq!(config.num_workers, 1, "a single machine is one worker");
-        Self::build(config, 0)
-    }
-
-    fn build(config: &TrainingConfig, server_base: usize) -> Self {
         let validated = config.validate();
         assert!(validated.is_ok(), "invalid training config: {validated:?}");
         let num_workers = config.num_workers;
-        let num_nodes = server_base + config.num_servers;
-        let network = SimNetwork::with_faults(num_nodes, config.network, config.faults.clone());
+        let network = SimNetwork::with_faults(num_workers, config.network, config.faults.clone());
         let ps = config.parameter_servers();
         let telemetry = TelemetrySink::new(&config.telemetry, num_workers);
         // The persistent worker pool every superstep fan-out reuses.
@@ -411,47 +402,42 @@ impl Cluster {
         Self {
             degrade_attempts: degrade.then_some(config.resilience.max_attempts),
             network,
+            shard_bytes: ps.shard_wire_sizes(),
             ps,
             steps: SuperstepDriver::new(WorkerPool::new(worker_threads), telemetry, factors),
             kernel_threads,
             epoch: 0,
-            server_base,
         }
     }
 
-    /// Network node of parameter server `s`.
-    pub(crate) fn server_node(&self, s: usize) -> usize {
-        self.server_base + s
-    }
-
-    /// Charges every worker's pull of the parameter `slots` from the
-    /// servers: a request envelope up, the range-split parameters down.
-    pub(crate) fn charge_pull(&mut self, slots: &[usize]) {
-        for w in 0..self.steps.factors.len() {
-            for &slot in slots {
-                for (s, &bytes) in self.ps.pull_wire_sizes(slot).iter().enumerate() {
-                    let server = self.server_node(s);
-                    self.network.send(w, server, Channel::Control, REQUEST_BYTES);
-                    self.network.send(server, w, Channel::Parameter, bytes);
+    /// Charges the epoch's parameter pull: every slot is needed by every
+    /// worker every epoch, so no worker asks. Each shard owner sends every
+    /// other worker one message holding its slices of all slots.
+    pub(crate) fn charge_pull(&mut self) {
+        for (owner, &bytes) in self.shard_bytes.iter().enumerate() {
+            for w in 0..self.shard_bytes.len() {
+                if w != owner && bytes > 0 {
+                    self.network.send(owner, w, Channel::Parameter, bytes);
                 }
             }
         }
     }
 
-    /// Pulls every layer the way the engine's forward pass does — a charged
-    /// pull and a barrier per layer — for systems whose compute block spans
-    /// all layers; earlier unflushed sends go with the first layer.
+    /// Pulls every layer the way the engine's forward pass does — the
+    /// epoch's one pull round and its barrier — for systems whose compute
+    /// block spans all layers; earlier unflushed sends share the barrier.
     pub(crate) fn pull_all_layers(&mut self) {
-        for l in 1..=self.ps.num_layers() {
-            self.charge_pull(&[l - 1]);
-            self.barrier(Stage::new("fp:exchange", "fp").at_layer(l));
-        }
+        self.charge_pull();
+        self.barrier(Stage::new("fp:exchange", "fp").at_layer(1));
     }
 
-    /// Charges worker `w`'s gradient push to every server.
+    /// Charges worker `w`'s gradient push: one message to every other
+    /// shard's owner. Its own shard's slice stays on its node, free.
     pub(crate) fn charge_push(&mut self, w: usize) {
-        for (s, &bytes) in self.ps.push_wire_sizes().iter().enumerate() {
-            self.network.send(w, self.server_node(s), Channel::Parameter, bytes);
+        for (owner, &bytes) in self.shard_bytes.iter().enumerate() {
+            if owner != w && bytes > 0 {
+                self.network.send(w, owner, Channel::Parameter, bytes);
+            }
         }
     }
 

@@ -19,11 +19,6 @@ use ec_comm::codec;
 use ec_compress::{bitpack, Quantized};
 use ec_tensor::Matrix;
 
-/// Bytes charged for a request envelope: a worker's `pull` of parameters
-/// from a server. Vertex messages need none, since each owner pushes its
-/// reply along the link's gather plan, fixed during preprocessing.
-pub const REQUEST_BYTES: u64 = 16;
-
 /// A forward-pass response from a responding worker.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FpMessage {

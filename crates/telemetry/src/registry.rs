@@ -136,7 +136,7 @@ metric_catalog! {
     ResecT1Bound => { "resec.theorem1_bound", Gauge, "norm_sq", ["epoch", "layer"],
         "Theorem 1 upper bound (1+a)^(L-l) G^2 / (1 - a^2(1+1/rho)) for the same layer" },
     LinkBytes => { "traffic.link_bytes", Gauge, "bytes", ["epoch", "src", "dst"],
-        "Bytes moved src->dst this epoch (workers first, then parameter servers)" },
+        "Bytes moved src->dst this epoch (node w is worker w and parameter shard w)" },
     FaultDropped => { "faults.dropped", Counter, "messages", ["epoch"],
         "Messages lost in transit under fault injection" },
     FaultCorrupted => { "faults.corrupted", Counter, "messages", ["epoch"],

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, lints (warnings are errors), the whole
-# workspace test suite, the kernel and serving crates' tests and the serving
-# suite again in release, a
+# workspace test suite, the kernel, network and serving crates' tests and
+# the serving suite again in release, a
 # one-experiment drive of scripts/reproduce.sh, an exit-code probe of the
-# `ecgraph` CLI's strict key=value parsing (zero-width layers and a
-# zero-epoch run among the refused values), and `ecgraph serve` fed a hostile
+# `ecgraph` CLI's strict key=value parsing (zero-width layers, a zero-epoch
+# run, out-of-range bit widths and a zero delay among the refused values),
+# and `ecgraph serve` fed a hostile
 # checkpoint (a u32::MAX slot count and nothing behind it), which must fail
 # with exit 1 and `loading checkpoint` on stderr rather than abort.
 # CI runs exactly this script. Host performance is measured by perfbench/
@@ -49,7 +50,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test --workspace -q
 
-echo "== cargo test --release (codec, reduction, exchange, loss and serving kernels) =="
+echo "== cargo test --release (codec, reduction, exchange, network, loss and serving kernels) =="
 # The dev profile builds these crates at opt-level 1-2, where the casts and
 # lane reductions of the codec kernels are not vectorised; their
 # bit-identity tests must also hold on the code the benchmark runs. Serving
@@ -57,8 +58,9 @@ echo "== cargo test --release (codec, reduction, exchange, loss and serving kern
 # workspace-vs-reference test belongs to the same line, and so does the
 # loss's pin to the all-rows softmax. Exact serving answers equal the forward
 # pass only while the store's projected rows and the per-batch product agree,
-# so the serving suite runs here too.
-cargo test --release -q -p ec-compress -p ec-tensor -p ec-graph -p ec-nn -p ec-serve
+# so the serving suite runs here too. The network's node-range check must
+# hold where debug assertions are off.
+cargo test --release -q -p ec-compress -p ec-tensor -p ec-graph -p ec-nn -p ec-serve -p ec-comm
 cargo test --release -q --test serving_suite
 
 echo "== reproduce smoke (scripts/reproduce.sh writes a revision header) =="
@@ -78,11 +80,12 @@ for bad in "fig6 epoch=5" "table2 workers=0"; do
     || { echo "reproduce $bad must exit 2, not run or panic (got $repro_rc)" >&2; exit 1; }
 done
 
-echo "== CLI smoke (ecgraph: a typo, an unparsable value, layers=0, vertices=0, workers=0, hidden=0, features=0, train epochs=0, a straggler below 1 or an unknown subcommand exits 2; a hostile checkpoint exits 1) =="
+echo "== CLI smoke (ecgraph: a typo, an unparsable value, layers=0, vertices=0, workers=0, hidden=0, features=0, train epochs=0, a bit width outside 1..=16, a zero delay, a straggler below 1 or an unknown subcommand exits 2; a hostile checkpoint exits 1) =="
 cargo build --release -q --bin ecgraph
 for bad in "train wrokers=3" "train hidden=abc" "serve layers=0" "train vertices=0" "serve vertices=0" \
   "train workers=0" "serve workers=0" "train hidden=0" "train features=0" "train epochs=0" \
-  "serve hidden=0" "serve features=0" "serve straggler=0.5" "compare a.json b.json" "bogus"; do
+  "serve hidden=0" "serve features=0" "serve straggler=0.5" "train fp=cp:0" "train bp=resec:17" \
+  "train fp=delayed:0" "serve bits=17" "compare a.json b.json" "bogus"; do
   cli_rc=0
   # shellcheck disable=SC2086  # $bad is a subcommand and its arguments
   target/release/ecgraph $bad > /dev/null 2>&1 || cli_rc=$?

@@ -13,6 +13,8 @@
 //!
 //! `fp` accepts `exact`, `cp:<bits>`, `reqec:<bits>`, `reqec-adapt:<bits>`
 //! or `delayed:<r>`; `bp` accepts `exact`, `cp:<bits>` or `resec:<bits>`.
+//! `<bits>` is `1..=16` and `<r>` at least 1; `serve`'s `bits` is `1..=16`,
+//! or `0` for exact rows.
 //!
 //! `serve` trains briefly (or reuses `checkpoint=<file>` if it exists),
 //! reloads the checkpoint through the engine-free inference path, and
@@ -29,12 +31,14 @@
 //!
 //! `train` and `serve` accept only the keys they declare ([`TRAIN_KEYS`],
 //! [`SERVE_KEYS`]): an unknown key, a value that does not parse as the key's
-//! type, `layers=0` / `vertices=0` / `workers=0`, or a `straggler` that is
-//! neither `0` nor a finite factor `≥ 1` is a usage error that names the
-//! accepted keys and exits `2` before anything runs — nothing falls back
-//! to a default. So does a missing or unknown subcommand. Any other failure
-//! (an invalid configuration, an unwritable file) exits `1`.
+//! type, `layers=0` / `vertices=0` / `workers=0`, a bit width or delay out
+//! of its range, or a `straggler` that is neither `0` nor a finite factor
+//! `≥ 1` is a usage error that names the accepted keys and exits `2` before
+//! anything runs — nothing falls back to a default. So does a missing or
+//! unknown subcommand. Any other failure (an invalid configuration, an
+//! unwritable file) exits `1`.
 
+use ec_compress::MAX_BITS;
 use ec_faults::FaultPlan;
 use ec_graph::config::{BpMode, FpMode, ModelKind, TrainingConfig};
 use ec_graph::engine::DistributedEngine;
@@ -401,7 +405,7 @@ fn run_serve(args: &Args, opts: &CliOpts) -> Result<(), CliError> {
     let clients: usize = args.get("clients", "16")?;
     let cache: usize = args.get("cache", "256")?;
     let pinned: usize = args.get("pinned", "32")?;
-    let bits: u8 = args.get("bits", "0")?;
+    let bits = args.get_with("bits", "0", parse_fetch_bits)?;
     let straggler = args.get_with("straggler", "0", parse_straggler)?;
     let zipf: f64 = args.get("zipf", "0.9")?;
     let explicit_ckpt: Option<PathBuf> = args.kv.get("checkpoint").map(PathBuf::from);
@@ -524,15 +528,35 @@ fn parse_straggler(s: &str) -> Result<f64, String> {
     }
 }
 
+/// A codec bit width, `1..=MAX_BITS`.
+fn parse_bits(arg: &str) -> Result<u8, String> {
+    match arg.parse::<u8>() {
+        Ok(bits) if (1..=MAX_BITS).contains(&bits) => Ok(bits),
+        _ => Err(format!("a bit width is 1..={MAX_BITS}")),
+    }
+}
+
+/// `serve`'s fetch width: a codec bit width, or `0` for exact rows.
+fn parse_fetch_bits(arg: &str) -> Result<u8, String> {
+    if arg == "0" {
+        Ok(0)
+    } else {
+        parse_bits(arg).map_err(|e| format!("{e}, or 0 for exact rows"))
+    }
+}
+
 fn parse_fp(s: &str) -> Result<FpMode, String> {
     let (kind, arg) = s.split_once(':').unwrap_or((s, ""));
-    let num = || arg.parse::<u8>().map_err(|_| "bad numeric argument".to_string());
+    let num = || parse_bits(arg);
     match kind {
         "exact" => Ok(FpMode::Exact),
         "cp" => Ok(FpMode::Compressed { bits: num()? }),
         "reqec" => Ok(FpMode::ReqEc { bits: num()?, t_tr: 10, adaptive: false }),
         "reqec-adapt" => Ok(FpMode::ReqEc { bits: num()?, t_tr: 10, adaptive: true }),
-        "delayed" => Ok(FpMode::Delayed { r: arg.parse().map_err(|_| "bad delay".to_string())? }),
+        "delayed" => {
+            let r = arg.parse::<NonZeroUsize>().map_err(|_| "a delay period is ≥ 1".to_string())?;
+            Ok(FpMode::Delayed { r: r.get() })
+        }
         _ => {
             Err("unknown fp mode (exact|cp:<bits>|reqec:<bits>|reqec-adapt:<bits>|delayed:<r>)"
                 .into())
@@ -542,7 +566,7 @@ fn parse_fp(s: &str) -> Result<FpMode, String> {
 
 fn parse_bp(s: &str) -> Result<BpMode, String> {
     let (kind, arg) = s.split_once(':').unwrap_or((s, ""));
-    let num = || arg.parse::<u8>().map_err(|_| "bad numeric argument".to_string());
+    let num = || parse_bits(arg);
     match kind {
         "exact" => Ok(BpMode::Exact),
         "cp" => Ok(BpMode::Compressed { bits: num()? }),
@@ -614,6 +638,30 @@ mod tests {
             assert!(msg.contains(&format!("`0` is not a valid value for `{key}`")), "{msg}");
             assert!(msg.contains("accepted keys:"), "{cmd}: {msg}");
         }
+    }
+
+    /// A bit width or delay the run would reject after building its replica
+    /// is refused before anything is instantiated.
+    #[test]
+    fn out_of_range_bit_widths_and_delays_are_usage_errors() {
+        let cases = [
+            ("train", "fp", "cp:0"),
+            ("train", "fp", "reqec:0"),
+            ("train", "fp", "reqec-adapt:17"),
+            ("train", "fp", "delayed:0"),
+            ("train", "bp", "resec:17"),
+            ("train", "bp", "cp:33"),
+            ("serve", "bits", "17"),
+        ];
+        for (cmd, key, bad) in cases {
+            let msg = usage_error(&[cmd, &format!("{key}={bad}")]);
+            assert!(msg.contains(&format!("`{bad}` is not a valid value for `{key}`")), "{msg}");
+            assert!(msg.contains("accepted keys:"), "{cmd}: {msg}");
+        }
+        assert_eq!(parse_fp("cp:16"), Ok(FpMode::Compressed { bits: 16 }));
+        assert_eq!(parse_fp("delayed:1"), Ok(FpMode::Delayed { r: 1 }));
+        assert_eq!(parse_bp("resec:1"), Ok(BpMode::ResEc { bits: 1 }));
+        assert_eq!((parse_fetch_bits("0"), parse_fetch_bits("16")), (Ok(0), Ok(16)));
     }
 
     #[test]

@@ -100,10 +100,10 @@ fn sampled_systems_respect_the_epoch_structure() {
 }
 
 /// Every distributed system pays for its parameters on the one cluster's
-/// clock: the same bytes, the same 16-byte request envelope per pull and
-/// the same pull → compute → push barriers the engine pays. AliGraph-FG used
-/// to skip the envelope and settle a whole epoch's traffic in a single
-/// flush, where a worker's pull and push overlapped for free.
+/// clock: the same bytes and the same pull → compute → push barriers the
+/// engine pays. Shard `s` of the range-split model lives on worker `s`'s
+/// node, so a worker pulls and pushes every shard but its own, and nothing
+/// is requested: the owners send the epoch's slices unasked.
 #[test]
 fn comparators_pay_the_engines_parameter_server_costs() {
     let data = small_replica();
@@ -111,96 +111,135 @@ fn comparators_pay_the_engines_parameter_server_costs() {
     let fg = run(System::AliGraphFg, &data, &config).unwrap();
     let exact = run(System::NonCp, &data, &config).unwrap();
 
-    // One request per (worker, layer) pull from the single server.
-    let requests = 16 * (WORKERS * LAYERS) as u64;
-    let layer_bytes: Vec<u64> = config
-        .layer_shapes()
-        .iter()
-        .map(|&(rows, cols)| ((rows * cols + cols) * 4) as u64)
-        .collect();
-    let model_bytes: u64 = layer_bytes.iter().sum();
+    let model_bytes: u64 =
+        config.layer_shapes().iter().map(|&(rows, cols)| ((rows * cols + cols) * 4) as u64).sum();
+    let shards = config.parameter_servers().shard_wire_sizes();
+    assert_eq!((shards.len(), shards.iter().sum::<u64>()), (WORKERS, model_bytes));
+    let w = WORKERS as u64;
     for (a, b) in fg.epochs.iter().zip(&exact.epochs) {
         assert_eq!(a.param_bytes, b.param_bytes, "Parameter bytes");
-        assert_eq!(a.param_bytes, 2 * WORKERS as u64 * model_bytes, "one pull and one push each");
-        // Parameter-server traffic is all AliGraph-FG moves per epoch …
-        assert_eq!(a.total_bytes, a.param_bytes + requests, "request Control bytes");
-        // … and Non-cp pays exactly the same envelopes: its vertex messages
-        // are pushed along fixed links, unrequested.
-        let control = b.total_bytes - b.param_bytes - b.fp_bytes - b.bp_bytes;
-        assert_eq!(control, requests, "non-cp control bytes are the pull envelopes");
+        assert_eq!(a.param_bytes, 2 * (w - 1) * model_bytes, "one pull and one push each");
+        // Parameter traffic is all AliGraph-FG moves per epoch …
+        assert_eq!(a.total_bytes, a.param_bytes, "no Control bytes");
+        // … and Non-cp adds only its vertex messages, pushed along fixed
+        // links, unrequested.
+        assert_eq!(b.total_bytes, b.param_bytes + b.fp_bytes + b.bp_bytes, "no Control bytes");
     }
 
     // `comm_s` is modelled from bytes alone (no host timer enters it): one
-    // flush per layer pull and one for the push, each as long as its busiest
-    // NIC — the server's or a worker's — takes for max(in, out) bytes.
+    // pull barrier and one push barrier, each as long as the busiest node
+    // takes for its `W − 1` messages and max(in, out) bytes. In the pull,
+    // owner `s` sends `(W − 1)·S_s` and receives every other shard; the push
+    // mirrors it.
     let net = NetworkModel::gigabit_ethernet();
-    let w = WORKERS as u64;
-    let pulls: f64 = layer_bytes
+    let barrier = shards
         .iter()
-        .map(|&bytes| {
-            let server = net.transfer_time((w * bytes).max(w * 16), w);
-            server.max(net.transfer_time(bytes.max(16), 1))
-        })
-        .sum();
-    let push = net.transfer_time(w * model_bytes, 0).max(net.transfer_time(model_bytes, 1));
+        .map(|&own| net.transfer_time(((w - 1) * own).max(model_bytes - own), w - 1))
+        .fold(0.0, f64::max);
     for e in &fg.epochs {
         assert!(
-            (e.comm_s - (pulls + push)).abs() < 1e-12,
+            (e.comm_s - 2.0 * barrier).abs() < 1e-12,
             "comm_s {} vs {}",
             e.comm_s,
-            pulls + push
+            2.0 * barrier
         );
     }
 }
 
-/// The vertex exchange is one push round: on a latency-only network (one
-/// second per message, free bytes) an epoch's clock counts the busiest NIC's
-/// messages per superstep. Layer 1's pull is the server's `W` replies; each
-/// later forward superstep a worker's pull request plus its `W − 1` replies
-/// (the server's `W` ties it); each backward exchange `W − 1` replies; the
-/// push one message. No link sends a request, so the only Control bytes are
-/// the `W·L` pull envelopes.
-#[test]
-fn the_vertex_exchange_is_one_push_round_on_a_latency_only_network() {
+/// One engine epoch on a latency-only network (one second per message,
+/// free bytes) for `workers` workers on `data` with layer widths `dims`.
+fn latency_only_epoch(
+    data: &Arc<ec_graph_repro::data::AttributedGraph>,
+    dims: Vec<usize>,
+    workers: usize,
+    fp_mode: ec_graph_repro::ecgraph::config::FpMode,
+    bp_mode: ec_graph_repro::ecgraph::config::BpMode,
+) -> ec_graph_repro::ecgraph::engine::EpochStats {
     use ec_graph_repro::data::normalize;
-    use ec_graph_repro::ecgraph::config::{BpMode, FpMode};
     use ec_graph_repro::ecgraph::engine::DistributedEngine;
-    use ec_graph_repro::ecgraph::wire::REQUEST_BYTES;
     use ec_graph_repro::partition::{hash::HashPartitioner, Partitioner};
 
-    let data = Arc::new(DatasetSpec::cora().instantiate_with(150, 12, 5));
     let adj = Arc::new(normalize::gcn_normalized_adjacency(&data.graph));
+    let adjs = vec![adj; dims.len() - 1];
+    let (d0, classes) = (dims[0], dims[dims.len() - 1]);
+    let config = TrainingConfig {
+        dims,
+        num_workers: workers,
+        fp_mode,
+        bp_mode,
+        network: NetworkModel { bandwidth: f64::INFINITY, latency: 1.0 },
+        ..TrainingConfig::defaults(d0, classes)
+    };
+    let partition = HashPartitioner::default().partition(&data.graph, workers);
+    DistributedEngine::new(Arc::clone(data), adjs, partition, config).run_epoch()
+}
+
+/// The vertex exchange and the parameter pull are each one push round: on
+/// a latency-only network an epoch's clock counts the busiest NIC's
+/// messages per superstep. Every node sends `W − 1` messages in each of
+/// the `2L` barriers: the pull (each shard owner to every other worker),
+/// the `L − 1` forward and `L − 1` backward exchanges (each owner to every
+/// requester) and the push (each worker to every other shard). Nothing is
+/// requested, so no Control byte is sent.
+#[test]
+fn the_vertex_exchange_is_one_push_round_on_a_latency_only_network() {
+    use ec_graph_repro::ecgraph::config::{BpMode, FpMode};
+
+    let data = Arc::new(DatasetSpec::cora().instantiate_with(150, 12, 5));
     let modes = [
         (FpMode::Exact, BpMode::Exact),
         (FpMode::ReqEc { bits: 2, t_tr: 4, adaptive: true }, BpMode::ResEc { bits: 4 }),
     ];
-    // (L, W) → (comm_s, messages): W + (L−1)·W + (L−1)·(W−1) + 1 seconds.
+    // (L, W) → (comm_s, messages): 2L·(W − 1) seconds, 2L·W(W − 1) messages.
     for ((layers, workers), (comm_s, messages)) in
-        [((2, 3), (9.0, 27)), ((3, 3), (14.0, 45)), ((2, 6), (18.0, 90))]
+        [((2, 3), (8.0, 24)), ((3, 3), (12.0, 36)), ((2, 6), (20.0, 120))]
     {
         for (fp_mode, bp_mode) in modes {
             let mut dims = vec![12];
             dims.extend(std::iter::repeat_n(16, layers - 1));
             dims.push(data.num_classes);
-            let config = TrainingConfig {
-                dims,
-                num_workers: workers,
-                fp_mode,
-                bp_mode,
-                network: NetworkModel { bandwidth: f64::INFINITY, latency: 1.0 },
-                ..TrainingConfig::defaults(12, data.num_classes)
-            };
-            let partition = HashPartitioner::default().partition(&data.graph, workers);
-            let adjs = vec![Arc::clone(&adj); layers];
-            let mut engine = DistributedEngine::new(Arc::clone(&data), adjs, partition, config);
-            let epoch = engine.run_epoch();
+            let epoch = latency_only_epoch(&data, dims, workers, fp_mode, bp_mode);
             let case = format!("L={layers} W={workers} {fp_mode:?}/{bp_mode:?}");
             assert_eq!(epoch.comm_s, comm_s, "{case}: comm_s");
             assert_eq!(epoch.traffic.messages, messages, "{case}: messages");
-            let envelopes = REQUEST_BYTES * (workers * layers) as u64;
-            assert_eq!(epoch.traffic.control_bytes, envelopes, "{case}: only pull envelopes");
+            assert_eq!(epoch.traffic.control_bytes, 0, "{case}: nothing is requested");
         }
     }
+}
+
+/// A shard that holds no row and no bias entry of any slot sends and
+/// receives nothing. With `W = 6` over the slots `4 × 3` and `3 × 3`,
+/// shards 4 and 5 are empty: the four other owners each pull-send 5
+/// messages, and in the push workers 0–3 send 3 messages and workers 4 and
+/// 5 send 4 (the busiest NIC). The exchanges stay at `W − 1` per node.
+#[test]
+fn empty_parameter_shards_send_no_messages() {
+    use ec_graph_repro::ecgraph::config::{BpMode, FpMode};
+
+    let data = Arc::new(DatasetSpec::pubmed().instantiate_with(240, 4, 5));
+    assert_eq!(data.num_classes, 3);
+    let (workers, dims) = (6, vec![4, 3, 3]);
+    let model_bytes = ((4 * 3 + 3) + (3 * 3 + 3)) * 4;
+    let epoch = latency_only_epoch(&data, dims, workers, FpMode::Exact, BpMode::Exact);
+    // Pull 4·5, exchanges 2·6·5, push 4·3 + 2·4.
+    assert_eq!(epoch.traffic.messages, 20 + 60 + 20);
+    // Pull 5, forward exchange 5, backward exchange 5, push 4.
+    assert_eq!(epoch.comm_s, 19.0);
+    assert_eq!(epoch.traffic.param_bytes, 2 * (workers as u64 - 1) * model_bytes);
+}
+
+/// One worker hosts the only shard, so its pull and push never leave the
+/// node: no parameter byte, no message and no simulated second.
+#[test]
+fn a_single_worker_pays_nothing_for_its_parameters() {
+    use ec_graph_repro::ecgraph::config::{BpMode, FpMode};
+
+    let data = small_replica();
+    let dims = vec![24, 16, data.num_classes];
+    let epoch = latency_only_epoch(&data, dims, 1, FpMode::Exact, BpMode::Exact);
+    assert_eq!(epoch.traffic.param_bytes, 0);
+    assert_eq!(epoch.traffic.messages, 0);
+    assert_eq!(epoch.comm_s, 0.0);
 }
 
 /// The whole experiment table runs in-process at the 64-vertex floor: each
