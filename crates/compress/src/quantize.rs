@@ -100,9 +100,9 @@ impl Quantized {
     }
 
     /// Overwrites `self` with [`Self::compress_row`]`(row, bits)`, reusing
-    /// the packed buffer — a caller that ships one row after another (the
-    /// serving fetch path) allocates nothing once the buffer has grown to a
-    /// row's size.
+    /// the packed buffer — a caller that re-encodes the same rows again (the
+    /// serving store at each checkpoint install) allocates nothing once the
+    /// buffer has grown to a row's size.
     pub fn assign_row(&mut self, row: &[f32], bits: u8) {
         self.assign_slice(row, 1, row.len(), bits);
     }

@@ -70,9 +70,10 @@ pub struct ServeConfig {
     /// picked by descending in-edge degree.
     pub pinned_rows: usize,
     /// `None` ships exact `f32` rows (serving answers are then
-    /// bit-identical to the full-graph forward pass); `Some(b)` quantizes
-    /// each fetched row — projected or not, as the store ships it — to `b`
-    /// bits with a per-row range.
+    /// bit-identical to the full-graph forward pass); `Some(b)` ships each
+    /// row — projected or not, as the store ships it — quantized to `b` bits
+    /// with a per-row range. Every shipped row is encoded once per
+    /// checkpoint install, so a fetch only decodes.
     pub fetch_bits: Option<u8>,
     /// Fault plan injected into the serving network (stragglers, outages).
     pub faults: FaultPlan,

@@ -22,11 +22,13 @@
 //!
 //! Consistency: in exact-fetch mode every answer is bit-identical to the
 //! corresponding row of the full-graph forward pass. With quantized
-//! fetches, rows are compressed *per row* with a per-row range, so a
-//! reconstruction is a pure function of the stored row — which is why a
-//! cached copy and a fresh fetch agree byte-for-byte and the cache can be
-//! toggled without changing any answer. On checkpoint refresh the store
-//! version bumps and every cache resets wholesale (DESIGN.md §10).
+//! fetches, rows are compressed *per row* with a per-row range, so an
+//! encoding is a pure function of the stored row and the store version —
+//! which is why a cached copy and a fresh fetch agree byte-for-byte and the
+//! cache can be toggled without changing any answer. The service therefore
+//! encodes every shipped row once, when a checkpoint is installed, and a
+//! fetch only decodes it. On checkpoint refresh the store version bumps,
+//! every row is re-encoded and every cache resets wholesale (DESIGN.md §10).
 //!
 //! This file is on the serving request hot path and under the crate
 //! root's panic ban: malformed requests are reported as values, not panics.
@@ -128,7 +130,8 @@ struct Workspace {
     /// the distinct in-neighbours of the queried vertices, ascending.
     ids: Vec<u32>,
     /// Row `p` is the projected row `H^{L-1}·W^{L-1}` of `ids[p]` (own
-    /// shard, cache or fetch), `C` wide. Holds at least `ids.len()` rows;
+    /// shard, cache, or a fetch — copied, or decoded from the owner's
+    /// install-time encoding), `C` wide. Holds at least `ids.len()` rows;
     /// grows, never shrinks.
     xw: Matrix,
     /// Global id → position in `ids` while a batch aggregates, [`NO_POS`]
@@ -140,12 +143,11 @@ struct Workspace {
     /// The positions whose `H` row was fetched to be projected here, in
     /// fetch order. Stays empty while the store ships `P` rows (`C ≤ k`).
     project: Vec<u32>,
-    /// Row `j` is the fetched `H` row of position `project[j]`, `k` wide.
+    /// Row `j` is the fetched `H` row of position `project[j]` (copied or
+    /// decoded, like an `xw` row), `k` wide.
     fetched: Matrix,
     /// `fetched · W^{L-1}`, `project.len() × C`.
     fetched_xw: Vec<f32>,
-    /// The one compressed row in flight on the quantized fetch path.
-    codec: Quantized,
 }
 
 impl Workspace {
@@ -158,7 +160,6 @@ impl Workspace {
             project: Vec::new(),
             fetched: Matrix::zeros(0, dim),
             fetched_xw: Vec::new(),
-            codec: Quantized::compress_row(&[], 1),
         }
     }
 }
@@ -180,6 +181,10 @@ pub struct InferenceService {
     store: EmbeddingStore,
     caches: Vec<EmbeddingCache>,
     ws: Workspace,
+    /// With quantized fetches, row `v` is the reply row `v`'s owner ships:
+    /// its stored shipped row, compressed at the store's current version.
+    /// Empty with exact fetches.
+    encoded: Vec<Quantized>,
     network: SimNetwork,
     config: ServeConfig,
     telemetry: TelemetrySink,
@@ -236,6 +241,7 @@ impl InferenceService {
             data,
             adjs,
             ws: Workspace::new(n, k, c, num_workers),
+            encoded: Vec::new(),
             store,
             caches,
             network,
@@ -407,10 +413,19 @@ impl InferenceService {
         self.install_checkpoint()
     }
 
-    /// Broadcasts the current weights to every worker and re-pins each
-    /// worker's hot set at the current store version, charging all bytes
-    /// and returning the install superstep's modeled seconds.
+    /// Encodes every shipped row of the current store version once (with
+    /// quantized fetches), broadcasts the current weights to every worker
+    /// and re-pins each worker's hot set at that version, charging all
+    /// bytes and returning the install superstep's modeled seconds.
     fn install_checkpoint(&mut self) -> f64 {
+        if let Some(bits) = self.config.fetch_bits {
+            // Reuses each row's packed buffer after the first install.
+            let n = self.store.num_vertices();
+            self.encoded.resize_with(n, || Quantized::compress_row(&[], bits));
+            for (v, q) in self.encoded.iter_mut().enumerate() {
+                q.assign_row(self.store.shipped_row(v), bits);
+            }
+        }
         let version = self.store.version();
         let weight_bytes = self.model.wire_size();
         let param_node = self.config.num_workers;
@@ -420,8 +435,9 @@ impl InferenceService {
             bytes += weight_bytes;
             self.caches[w].reset_to_version(version);
         }
-        // Pin the hot sets through the regular fetch codec so pinned rows
-        // reconstruct exactly like an LRU fill would.
+        // Pin the hot sets through the regular fetch path, after the rows
+        // are encoded, so pinned rows reconstruct exactly like an LRU fill
+        // would.
         for w in 0..self.config.num_workers {
             let hot = &self.hot_sets[w];
             self.ws.ids.clear();
@@ -440,7 +456,8 @@ impl InferenceService {
     }
 
     /// Fetches every position queued in the workspace's fetch lists for
-    /// `requester`, one request/reply pair per owner in ascending order;
+    /// `requester`, one request/reply pair per owner in ascending order,
+    /// each row copied or decoded straight into its arena row;
     /// projects the `H` rows among them with one tiled product (only when
     /// the store ships `H`); then hands each fetched projected row to `keep`
     /// with the requester's cache, in fetch order, and empties the lists.
@@ -479,11 +496,11 @@ impl InferenceService {
 
     /// Moves one request/reply pair `requester ↔ owner` over the network
     /// for the positions queued in the workspace's fetch list of `owner`:
-    /// each shipped row is read from the owner's shard, put through the
-    /// fetch codec and reconstructed straight into its arena row — the
-    /// position's `xw` row for a `P` row, the next `fetched` row (queued for
-    /// projection) for an `H` row. Returns the reply's wire bytes; nothing
-    /// queued moves nothing. Same-worker "fetches" are free by `SimNetwork`
+    /// each shipped row is read from the owner's shard — copied when exact,
+    /// decoded from its install-time encoding when quantized — straight into
+    /// its arena row: the position's `xw` row for a `P` row, the next
+    /// `fetched` row (queued for projection) for an `H` row. Returns the
+    /// reply's wire bytes; nothing queued moves nothing. Same-worker "fetches" are free by `SimNetwork`
     /// rules but never occur: callers only queue rows the requester does
     /// not own.
     fn fetch_rows(&mut self, requester: usize, owner: usize) -> u64 {
@@ -505,13 +522,9 @@ impl InferenceService {
                 ws.project.push(p);
                 ws.fetched.row_mut(ws.project.len() - 1)
             };
-            let stored = self.store.shipped_row(id);
             match fetch_bits {
-                None => row.copy_from_slice(stored),
-                Some(bits) => {
-                    ws.codec.assign_row(stored, bits);
-                    ws.codec.decompress_into(row);
-                }
+                None => row.copy_from_slice(self.store.shipped_row(id)),
+                Some(_) => self.encoded[id].decompress_into(row),
             }
         }
         let wire = ServeReply::wire_size_for(wanted, self.store.shipped_dim(), fetch_bits) as u64;
@@ -946,6 +959,66 @@ mod tests {
             // remote rows at all).
             drive(&fx, ServeConfig::defaults(WORKERS), &format!("{model:?} k={hidden} defaults"));
             drive(&fx, ServeConfig::defaults(1), &format!("{model:?} k={hidden} single worker"));
+        }
+    }
+
+    /// A quantized reply's rows are the owner's install-time encodings: the
+    /// message built from them is exactly as long as the shape price the
+    /// service charges, and decoding it gives the arena rows a fetch wrote,
+    /// bit for bit — before and after a refresh re-encodes the store, over
+    /// a store that ships `P` rows and one that ships `H` rows.
+    #[test]
+    fn the_stored_encoding_is_the_reply_that_is_priced() {
+        let (requester, owner) = (0usize, 1usize);
+        for hidden in [8usize, 4] {
+            let fx = Fixture::new(ModelKind::Gcn, hidden);
+            for bits in [8u8, 3] {
+                let mut config = ServeConfig::defaults(WORKERS);
+                config.fetch_bits = Some(bits);
+                let mut svc = fx.service(config);
+                let ids: Vec<u32> =
+                    (0..130u32).filter(|&v| svc.route(v as usize) == owner).take(6).collect();
+                for round in 0..2 {
+                    if round == 1 {
+                        svc.refresh(fx.weights[1].clone());
+                    }
+                    let tag = format!("k={hidden} bits={bits} round={round}");
+                    let (n, dim) = (ids.len(), svc.store.shipped_dim());
+                    let ws = &mut svc.ws;
+                    ws.ids.clone_from(&ids);
+                    grow_rows(&mut ws.xw, n);
+                    grow_rows(&mut ws.fetched, n);
+                    ws.fetch[owner].extend(0..n as u32);
+                    let charged = svc.fetch_rows(requester, owner);
+
+                    let rows: Vec<Quantized> =
+                        ids.iter().map(|&v| svc.encoded[v as usize].clone()).collect();
+                    for (&v, q) in ids.iter().zip(&rows) {
+                        let fresh =
+                            Quantized::compress_row(svc.store.shipped_row(v as usize), bits);
+                        assert_eq!(q, &fresh, "{tag}: row {v} is not its store row's encoding");
+                    }
+                    let reply = ServeReply::RowQuantized { version: svc.version(), rows };
+                    let bytes = reply.to_bytes();
+                    assert_eq!(bytes.len(), ServeReply::wire_size_for(n, dim, Some(bits)), "{tag}");
+                    assert_eq!(bytes.len() as u64, charged, "{tag}");
+
+                    let Ok(ServeReply::RowQuantized { rows, .. }) = ServeReply::from_bytes(&bytes)
+                    else {
+                        panic!("{tag}: the reply does not decode as row-quantized");
+                    };
+                    let ships_projected = svc.store.ships_projected();
+                    for (j, q) in rows.iter().enumerate() {
+                        let arena =
+                            if ships_projected { svc.ws.xw.row(j) } else { svc.ws.fetched.row(j) };
+                        let decoded = q.decompress().into_vec();
+                        let bits_of = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits_of(&decoded), bits_of(arena), "{tag}: row {j}");
+                    }
+                    svc.ws.fetch[owner].clear();
+                    svc.ws.project.clear();
+                }
+            }
         }
     }
 

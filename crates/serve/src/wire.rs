@@ -12,7 +12,9 @@
 //! ([`crate::store::EmbeddingStore::shipped_row`]): projected rows
 //! `H^{L-1}·W^{L-1}` (`C` floats) when `C ≤ k`, layer-`L−1` rows (`k` floats)
 //! otherwise — `min(k, C)` floats per row. The format does not say which:
-//! both ends know the model's shape.
+//! both ends know the model's shape. A [`ServeReply::RowQuantized`] row is
+//! the encoding the owner made of its stored row when the checkpoint was
+//! installed — one per row and store version, never redone per request.
 //!
 //! Both messages carry the embedding-store *version* so a reply computed
 //! against a stale checkpoint can never be installed into a cache that has

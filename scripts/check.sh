@@ -4,7 +4,8 @@
 # the serving suite again in release, a
 # one-experiment drive of scripts/reproduce.sh, an exit-code probe of the
 # `ecgraph` CLI's strict key=value parsing (zero-width layers, a zero-epoch
-# run, out-of-range bit widths and a zero delay among the refused values),
+# run, out-of-range bit widths, a zero delay, an empty serving workload and a
+# negative or non-finite Zipf exponent among the refused values),
 # and `ecgraph serve` fed a hostile
 # checkpoint (a u32::MAX slot count and nothing behind it), which must fail
 # with exit 1 and `loading checkpoint` on stderr rather than abort.
@@ -14,8 +15,9 @@
 # exporters on (training and the serving request-trace path) and check that
 # every emitted trace/metrics/timeline file parses as JSON and carries the
 # series it must.
-# Pass --serve-smoke to also drive `ecgraph serve` end-to-end (fast path)
-# and validate the emitted serve report.
+# Pass --serve-smoke to also drive `ecgraph serve` end-to-end twice — with
+# exact fetches and with 8-bit quantized replies — and validate each
+# emitted serve report and metrics file.
 # Pass --perf-smoke to also build the benchmark package (perfbench/, a
 # package of its own that the workspace build never compiles), run its
 # unit tests and `perf --smoke` — so a product-crate signature change
@@ -80,12 +82,13 @@ for bad in "fig6 epoch=5" "table2 workers=0"; do
     || { echo "reproduce $bad must exit 2, not run or panic (got $repro_rc)" >&2; exit 1; }
 done
 
-echo "== CLI smoke (ecgraph: a typo, an unparsable value, layers=0, vertices=0, workers=0, hidden=0, features=0, train epochs=0, a bit width outside 1..=16, a zero delay, a straggler below 1 or an unknown subcommand exits 2; a hostile checkpoint exits 1) =="
+echo "== CLI smoke (ecgraph: a typo, an unparsable value, layers=0, vertices=0, workers=0, hidden=0, features=0, train epochs=0, a bit width outside 1..=16, a zero delay, a straggler below 1, clients=0, requests=0, a zipf exponent that is negative or not finite or an unknown subcommand exits 2; a hostile checkpoint exits 1) =="
 cargo build --release -q --bin ecgraph
 for bad in "train wrokers=3" "train hidden=abc" "serve layers=0" "train vertices=0" "serve vertices=0" \
   "train workers=0" "serve workers=0" "train hidden=0" "train features=0" "train epochs=0" \
   "serve hidden=0" "serve features=0" "serve straggler=0.5" "train fp=cp:0" "train bp=resec:17" \
-  "train fp=delayed:0" "serve bits=17" "compare a.json b.json" "bogus"; do
+  "train fp=delayed:0" "serve bits=17" "serve clients=0" "serve requests=0" "serve zipf=-1" \
+  "serve zipf=inf" "serve zipf=nan" "compare a.json b.json" "bogus"; do
   cli_rc=0
   # shellcheck disable=SC2086  # $bad is a subcommand and its arguments
   target/release/ecgraph $bad > /dev/null 2>&1 || cli_rc=$?
@@ -137,16 +140,20 @@ if [[ "$RUN_SERVE_SMOKE" == "1" ]]; then
   SERVE_DIR=$(mktemp -d)
   # Re-arming EXIT replaces the earlier traps; clean every dir.
   trap 'rm -rf "$SERVE_DIR" "${SMOKE_DIR:-}" "$REPRO_DIR"' EXIT
-  cargo run -q -p ec-graph-repro --bin ecgraph -- serve \
-    dataset=cora vertices=150 workers=4 epochs=3 requests=300 \
-    --quiet --report-out "$SERVE_DIR/serve.json" --metrics-out "$SERVE_DIR/serve_metrics.json"
-  for needle in latency_p50_s latency_p99_s '"served":300' cache_hits; do
-    grep -q "$needle" "$SERVE_DIR/serve.json" \
-      || { echo "serve.json is missing $needle" >&2; exit 1; }
-  done
-  for needle in serve.cache_hit serve.latency_p99 serve.qps; do
-    grep -q "$needle" "$SERVE_DIR/serve_metrics.json" \
-      || { echo "serve_metrics.json is missing $needle" >&2; exit 1; }
+  # bits=0 ships exact rows; bits=8 drives the quantized reply path (rows
+  # encoded once per checkpoint install, decoded per fetch).
+  for bits in 0 8; do
+    cargo run -q -p ec-graph-repro --bin ecgraph -- serve \
+      dataset=cora vertices=150 workers=4 epochs=3 requests=300 bits=$bits --quiet \
+      --report-out "$SERVE_DIR/serve_b$bits.json" --metrics-out "$SERVE_DIR/serve_metrics_b$bits.json"
+    for needle in latency_p50_s latency_p99_s '"served":300' cache_hits; do
+      grep -q "$needle" "$SERVE_DIR/serve_b$bits.json" \
+        || { echo "serve_b$bits.json is missing $needle" >&2; exit 1; }
+    done
+    for needle in serve.cache_hit serve.latency_p99 serve.qps; do
+      grep -q "$needle" "$SERVE_DIR/serve_metrics_b$bits.json" \
+        || { echo "serve_metrics_b$bits.json is missing $needle" >&2; exit 1; }
+    done
   done
 fi
 

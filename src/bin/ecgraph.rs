@@ -32,8 +32,9 @@
 //! `train` and `serve` accept only the keys they declare ([`TRAIN_KEYS`],
 //! [`SERVE_KEYS`]): an unknown key, a value that does not parse as the key's
 //! type, `layers=0` / `vertices=0` / `workers=0`, a bit width or delay out
-//! of its range, or a `straggler` that is neither `0` nor a finite factor
-//! `≥ 1` is a usage error that names the accepted keys and exits `2` before
+//! of its range, a `straggler` that is neither `0` nor a finite factor
+//! `≥ 1`, `clients=0`, `requests=0`, or a `zipf` exponent that is not finite
+//! and `≥ 0` is a usage error that names the accepted keys and exits `2` before
 //! anything runs — nothing falls back to a default. So does a missing or
 //! unknown subcommand. Any other failure (an invalid configuration, an
 //! unwritable file) exits `1`.
@@ -53,7 +54,7 @@ use ec_serve::{run_closed_loop, InferenceService, ServeConfig, WorkloadConfig};
 use ec_tensor::isa::Tier;
 use ec_trace::{TelemetryConfig, TelemetryLevel};
 use std::collections::HashMap;
-use std::num::NonZeroUsize;
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -401,13 +402,13 @@ fn run_serve(args: &Args, opts: &CliOpts) -> Result<(), CliError> {
     let seed: u64 = args.get("seed", "1")?;
     let model = args.get_with("model", "gcn", parse_model)?;
 
-    let requests: u64 = args.get("requests", "500")?;
-    let clients: usize = args.get("clients", "16")?;
+    let requests = args.get::<NonZeroU64>("requests", "500")?.get();
+    let clients = args.get::<NonZeroUsize>("clients", "16")?.get();
     let cache: usize = args.get("cache", "256")?;
     let pinned: usize = args.get("pinned", "32")?;
     let bits = args.get_with("bits", "0", parse_fetch_bits)?;
     let straggler = args.get_with("straggler", "0", parse_straggler)?;
-    let zipf: f64 = args.get("zipf", "0.9")?;
+    let zipf = args.get_with("zipf", "0.9", parse_zipf)?;
     let explicit_ckpt: Option<PathBuf> = args.kv.get("checkpoint").map(PathBuf::from);
 
     if !opts.quiet {
@@ -525,6 +526,17 @@ fn parse_straggler(s: &str) -> Result<f64, String> {
         Ok(factor)
     } else {
         Err("a straggler slowdown is 0 (none) or a finite factor ≥ 1".into())
+    }
+}
+
+/// A Zipf popularity exponent: finite and `≥ 0` (`0` is uniform).
+fn parse_zipf(s: &str) -> Result<f64, String> {
+    let exponent = s.parse::<f64>().map_err(|e| e.to_string())?;
+    // Written positively so NaN fails the check too.
+    if exponent.is_finite() && exponent >= 0.0 {
+        Ok(exponent)
+    } else {
+        Err("a Zipf exponent is finite and ≥ 0".into())
     }
 }
 
@@ -662,6 +674,22 @@ mod tests {
         assert_eq!(parse_fp("delayed:1"), Ok(FpMode::Delayed { r: 1 }));
         assert_eq!(parse_bp("resec:1"), Ok(BpMode::ResEc { bits: 1 }));
         assert_eq!((parse_fetch_bits("0"), parse_fetch_bits("16")), (Ok(0), Ok(16)));
+    }
+
+    /// A workload the load generator would refuse is refused before the
+    /// run trains the model it would serve.
+    #[test]
+    fn an_empty_workload_or_a_bad_zipf_exponent_is_a_usage_error() {
+        for (key, bad) in
+            [("clients", "0"), ("requests", "0"), ("zipf", "-1"), ("zipf", "inf"), ("zipf", "nan")]
+        {
+            let msg = usage_error(&["serve", &format!("{key}={bad}")]);
+            assert!(msg.contains(&format!("`{bad}` is not a valid value for `{key}`")), "{msg}");
+            assert!(msg.contains("accepted keys:"), "{msg}");
+        }
+        for good in ["0", "0.9", "2"] {
+            assert_eq!(parse_zipf(good), Ok(good.parse().unwrap()));
+        }
     }
 
     #[test]

@@ -2,6 +2,9 @@
 //! `answer_batch` — warm workspace, warm cache, 8-bit fetches still
 //! happening — allocates its answer matrix and nothing else, whether the
 //! store ships projected rows or ships `H` rows that the batch projects.
+//! A checkpoint refresh of that 8-bit service re-encodes every shipped row
+//! without allocating for it: it allocates exactly as often as the same
+//! refresh of an exact-fetch service.
 //!
 //! Integration tests are separate binaries, so this one can install the
 //! counting `#[global_allocator]` of `tests/counting_alloc` without touching
@@ -91,6 +94,32 @@ fn steady_state_batches_allocate_only_their_answer() {
             allocations <= 2 * n,
             "k={hidden}: {allocations} allocations over {n} steady-state batches: the workspace \
              regressed to per-row or per-batch buffers (budget: 2 per batch, the returned Matrix)"
+        );
+
+        // A refresh re-encodes every shipped row into the packed buffers the
+        // previous install left behind, so the 8-bit service's refresh
+        // allocates exactly what an exact-fetch service's refresh does.
+        let exact_config = ServeConfig { fetch_bits: None, ..svc.config().clone() };
+        let mut exact = InferenceService::new(
+            engine.inference_model(),
+            data.clone(),
+            adjs.clone(),
+            Arc::new(partition.clone()),
+            exact_config,
+        );
+        engine.run_epoch();
+        let refreshed = engine.inference_model();
+        let (for_quantized, for_exact) = (refreshed.clone(), refreshed);
+        let before = counting_alloc::allocations();
+        svc.refresh(for_quantized);
+        let quantized_refresh = counting_alloc::allocations() - before;
+        let before = counting_alloc::allocations();
+        exact.refresh(for_exact);
+        let exact_refresh = counting_alloc::allocations() - before;
+        assert_eq!(
+            quantized_refresh, exact_refresh,
+            "k={hidden}: an 8-bit refresh allocates {quantized_refresh} times, an exact one \
+             {exact_refresh}: re-encoding the store allocated per row"
         );
     }
 }
