@@ -11,10 +11,12 @@
 //! engine's link table is.
 
 use crate::config::BpMode;
-use crate::link::{copy_rows, round_trip, MessageBuffers};
+use crate::link::{copy_rows, round_trip, MessageBuffers, Policy, Reply};
 use ec_comm::codec;
+use ec_comm::stats::Channel;
 use ec_compress::Quantized;
 use ec_tensor::{ops, Matrix};
+use ec_trace::MetricId;
 
 /// Residual memory for one (responder → requester, layer) pair.
 #[derive(Clone, Debug, Default)]
@@ -62,19 +64,32 @@ impl BpLink {
         }
     }
 
-    /// Answers the link's gather plan `rows` of the owner's `source`: writes
-    /// what the requester reconstructs into `reply` (`rows.len()` rows) and
-    /// returns the bytes on the wire. ResEC reads the rows where they are,
-    /// adding them into `δ`; the other codecs gather them first.
-    pub(crate) fn respond(
+    /// `‖δ‖²` once the link has answered under error feedback, else `None`.
+    pub(crate) fn residual_norm_sq(&self) -> Option<f32> {
+        let (Self::ResEc { delta, .. } | Self::TopkEc { delta, .. }) = self else { return None };
+        delta.residual().map(ec_tensor::stats::l2_norm_sq)
+    }
+}
+
+impl Policy for BpLink {
+    const CHANNEL: Channel = Channel::Backward;
+    const WIRE_METRIC: MetricId = MetricId::BpWireBytes;
+
+    /// ResEC reads the rows where they are, adding them into `δ`; the other
+    /// codecs gather them first. A gradient reply offers no fallback, and
+    /// `bits`, `t` and `degradable` are the forward pass's.
+    fn respond(
         &mut self,
         source: &Matrix,
         rows: &[usize],
         buf: &mut MessageBuffers,
         reply: &mut [f32],
-    ) -> u64 {
+        _bits: u8,
+        _t: usize,
+        _degradable: bool,
+    ) -> Reply {
         let MessageBuffers { exact, codec } = buf;
-        match self {
+        Reply::plain(match self {
             Self::Exact => copy_rows(source, rows, reply),
             Self::Compressed { bits } => {
                 source.gather_rows_into(rows, exact);
@@ -90,13 +105,7 @@ impl BpLink {
                 reply.copy_from_slice(sent.as_slice());
                 wire
             }
-        }
-    }
-
-    /// `‖δ‖²` once the link has answered under error feedback, else `None`.
-    pub(crate) fn residual_norm_sq(&self) -> Option<f32> {
-        let (Self::ResEc { delta, .. } | Self::TopkEc { delta, .. }) = self else { return None };
-        delta.residual().map(ec_tensor::stats::l2_norm_sq)
+        })
     }
 }
 

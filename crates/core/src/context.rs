@@ -19,11 +19,13 @@
 //!
 //! Topology is per layer: full-batch EC-Graph uses one topology for every
 //! layer, while the sampling mode (EC-Graph-S) trains on a different
-//! fan-out-sampled adjacency per layer.
+//! fan-out-sampled adjacency per layer. Training also gives the top layer
+//! one plan per direction ([`build_training_contexts`]): the masked loss
+//! reads `Z^L` only at training vertices and `G^L` is zero everywhere else,
+//! so each pass there ships only the rows that reach the loss.
 
 use ec_partition::Partition;
 use ec_tensor::{parallel, CsrMatrix, Matrix};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One layer's local adjacency slice and remote dependency sets.
@@ -62,6 +64,15 @@ impl LayerTopology {
     }
 }
 
+/// Which pass an exchange serves.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Direction {
+    /// `H^{l-1}` rows for computing layer `l`.
+    Forward,
+    /// `G^l` rows for back-propagating through layer `l`.
+    Backward,
+}
+
 /// Everything one worker knows about the partitioned graph.
 #[derive(Clone, Debug)]
 pub struct WorkerContext {
@@ -69,9 +80,12 @@ pub struct WorkerContext {
     pub worker_id: usize,
     /// Sorted global ids of the local vertices.
     pub local_vertices: Vec<usize>,
-    /// Per-GNN-layer topology: `layers[l-1]` drives the aggregation that
-    /// produces layer `l`.
+    /// Per-GNN-layer forward plan: `layers[l-1]` drives the aggregation
+    /// that produces layer `l`.
     pub layers: Vec<Arc<LayerTopology>>,
+    /// Per-GNN-layer backward plan: `backward[l-1]` aggregates `G^l`. The
+    /// same `Arc` as `layers[l-1]` wherever both passes read the same rows.
+    pub backward: Vec<Arc<LayerTopology>>,
 }
 
 impl WorkerContext {
@@ -79,89 +93,216 @@ impl WorkerContext {
     pub fn num_local(&self) -> usize {
         self.local_vertices.len()
     }
+
+    /// The plan that aggregates layer `l` in direction `dir`.
+    pub fn plan(&self, dir: Direction, l: usize) -> &Arc<LayerTopology> {
+        match dir {
+            Direction::Forward => &self.layers[l - 1],
+            Direction::Backward => &self.backward[l - 1],
+        }
+    }
 }
 
-/// Builds one [`LayerTopology`] per worker for a single global adjacency.
-pub fn build_layer_topologies(adj: &CsrMatrix, partition: &Partition) -> Vec<Arc<LayerTopology>> {
-    let num_parts = partition.num_parts();
-    let mut locals: Vec<Vec<usize>> = vec![Vec::new(); num_parts];
-    // Row of every vertex in its owner's local matrices.
-    let mut local_row = vec![0usize; partition.num_vertices()];
-    for v in 0..partition.num_vertices() {
-        let part = &mut locals[partition.part_of(v)];
-        local_row[v] = part.len();
-        part.push(v);
+/// Where every vertex lives: its owner's local ids, in order, and its row
+/// in its owner's local matrices.
+struct Placement<'a> {
+    partition: &'a Partition,
+    locals: Vec<Vec<usize>>,
+    local_row: Vec<usize>,
+}
+
+impl<'a> Placement<'a> {
+    fn new(partition: &'a Partition) -> Self {
+        let mut locals: Vec<Vec<usize>> = vec![Vec::new(); partition.num_parts()];
+        let mut local_row = vec![0usize; partition.num_vertices()];
+        for v in 0..partition.num_vertices() {
+            let part = &mut locals[partition.part_of(v)];
+            local_row[v] = part.len();
+            part.push(v);
+        }
+        Self { partition, locals, local_row }
     }
-    (0..num_parts)
-        .map(|w| {
-            let local = &locals[w];
-            // Collect remote columns referenced by the local rows.
-            let rows = adj.select_rows(local);
-            let mut remote_set: std::collections::BTreeSet<usize> =
-                std::collections::BTreeSet::new();
-            for r in 0..rows.rows() {
-                for (c, _) in rows.row_entries(r) {
-                    if partition.part_of(c) != w {
-                        remote_set.insert(c);
+
+    /// The topology over `adj_local` (columns `[locals | remotes]`) whose
+    /// remote column `c` is the sorted `remote_deps[c]`: the owners' id
+    /// lists, gather plans and owner-major blocks.
+    fn topology(&self, adj_local: CsrMatrix, remote_deps: Vec<usize>) -> LayerTopology {
+        let num_parts = self.partition.num_parts();
+        let mut deps_by_owner: Vec<Vec<usize>> = vec![Vec::new(); num_parts];
+        let mut gather_rows: Vec<Vec<usize>> = vec![Vec::new(); num_parts];
+        for &v in &remote_deps {
+            let owner = self.partition.part_of(v);
+            deps_by_owner[owner].push(v);
+            gather_rows[owner].push(self.local_row[v]);
+        }
+        let mut link_start = vec![0usize];
+        for deps in &deps_by_owner {
+            link_start.push(link_start[link_start.len() - 1] + deps.len());
+        }
+        // Each owner's block fills in `remote_deps` order.
+        let mut next = link_start.clone();
+        let remote_row = remote_deps
+            .iter()
+            .map(|&v| {
+                let slot = &mut next[self.partition.part_of(v)];
+                *slot += 1;
+                (*slot - 1) as u32
+            })
+            .collect();
+        LayerTopology { adj_local, remote_deps, deps_by_owner, gather_rows, link_start, remote_row }
+    }
+
+    /// Worker `w`'s full 1-hop topology over the global `adj`, in one pass
+    /// over its rows: since locals and remotes are each numbered in
+    /// global-id order, a row renumbers into its locals then its remotes
+    /// with no sort; a vertex-indexed stamp finds the remote columns, which
+    /// hold their global ids until the sorted remote list numbers them.
+    /// `col_of` and `stamp` are `n`-long scratch shared by all workers;
+    /// `stamp` must not hold `w + 1` on entry.
+    fn full(
+        &self,
+        adj: &CsrMatrix,
+        w: usize,
+        col_of: &mut [u32],
+        stamp: &mut [u32],
+    ) -> LayerTopology {
+        let (local, part) = (&self.locals[w], self.partition.assignment());
+        let n_local = local.len();
+        let mut remote_deps = Vec::new();
+        // Row `r`'s remote entries are `remote_start[r]..indptr[r + 1]`.
+        let mut indptr = Vec::with_capacity(n_local + 1);
+        let mut remote_start = Vec::with_capacity(n_local);
+        let (mut indices, mut values) = (Vec::new(), Vec::new());
+        let mut row_remotes: Vec<(u32, f32)> = Vec::new();
+        indptr.push(0);
+        for &v in local {
+            for (c, x) in adj.row_entries(v) {
+                if part[c] as usize == w {
+                    indices.push(self.local_row[c] as u32);
+                    values.push(x);
+                } else {
+                    row_remotes.push((c as u32, x));
+                    if stamp[c] != w as u32 + 1 {
+                        stamp[c] = w as u32 + 1;
+                        remote_deps.push(c);
                     }
                 }
             }
-            let remote_deps: Vec<usize> = remote_set.into_iter().collect();
-            let remote_index: HashMap<usize, usize> =
-                remote_deps.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-            let n_local = local.len();
-            let adj_local = rows.remap_columns(
-                &|c| {
-                    Some(if partition.part_of(c) == w {
-                        local_row[c]
-                    } else {
-                        n_local + remote_index[&c]
-                    })
-                },
-                n_local + remote_deps.len(),
-            );
-            let mut deps_by_owner: Vec<Vec<usize>> = vec![Vec::new(); num_parts];
-            let mut gather_rows: Vec<Vec<usize>> = vec![Vec::new(); num_parts];
-            for &v in &remote_deps {
-                let owner = partition.part_of(v);
-                deps_by_owner[owner].push(v);
-                gather_rows[owner].push(local_row[v]);
+            remote_start.push(indices.len());
+            for (c, x) in row_remotes.drain(..) {
+                indices.push(c);
+                values.push(x);
             }
-            let mut link_start = vec![0usize];
-            for deps in &deps_by_owner {
-                link_start.push(link_start[link_start.len() - 1] + deps.len());
+            indptr.push(indices.len());
+        }
+        remote_deps.sort_unstable();
+        for (i, &v) in remote_deps.iter().enumerate() {
+            col_of[v] = (n_local + i) as u32;
+        }
+        for (&start, &end) in remote_start.iter().zip(&indptr[1..]) {
+            for c in &mut indices[start..end] {
+                *c = col_of[*c as usize];
             }
-            // Each owner's block fills in `remote_deps` order.
-            let mut next = link_start.clone();
-            let remote_row = remote_deps
-                .iter()
-                .map(|&v| {
-                    let slot = &mut next[partition.part_of(v)];
-                    *slot += 1;
-                    (*slot - 1) as u32
-                })
-                .collect();
-            Arc::new(LayerTopology {
-                adj_local,
-                remote_deps,
-                deps_by_owner,
-                gather_rows,
-                link_start,
-                remote_row,
-            })
-        })
+        }
+        let cols = n_local + remote_deps.len();
+        let adj_local = CsrMatrix::new(n_local, cols, indptr, indices, values);
+        self.topology(adj_local, remote_deps)
+    }
+
+    /// The entries of `full` in rows `keep_row` accepts and columns
+    /// `keep_col` accepts (both in `adj_local`'s numbering), its remote
+    /// columns renumbered to the ones still read — one pass over its
+    /// entries, which keep their order.
+    fn retain(
+        &self,
+        full: &LayerTopology,
+        keep_row: impl Fn(usize) -> bool,
+        keep_col: impl Fn(usize) -> bool,
+    ) -> LayerTopology {
+        let adj = &full.adj_local;
+        let n_local = adj.rows();
+        // The new column of each old remote column still read (`0` marks
+        // one read until the kept ones are numbered).
+        let mut kept_cols = vec![u32::MAX; full.remote_deps.len()];
+        let mut indptr = Vec::with_capacity(n_local + 1);
+        let (mut indices, mut values) = (Vec::with_capacity(adj.nnz()), Vec::new());
+        indptr.push(0);
+        for r in 0..n_local {
+            for (c, x) in adj.row_entries(r).filter(|&(c, _)| keep_row(r) && keep_col(c)) {
+                indices.push(c as u32);
+                values.push(x);
+                if c >= n_local {
+                    kept_cols[c - n_local] = 0;
+                }
+            }
+            indptr.push(indices.len());
+        }
+        let mut remote_deps = Vec::new();
+        for (slot, &v) in kept_cols.iter_mut().zip(&full.remote_deps) {
+            if *slot == 0 {
+                *slot = (n_local + remote_deps.len()) as u32;
+                remote_deps.push(v);
+            }
+        }
+        for c in indices.iter_mut().filter(|c| **c as usize >= n_local) {
+            *c = kept_cols[*c as usize - n_local];
+        }
+        let cols = n_local + remote_deps.len();
+        let adj_local = CsrMatrix::new(n_local, cols, indptr, indices, values);
+        self.topology(adj_local, remote_deps)
+    }
+}
+
+/// One full [`LayerTopology`] per worker for a single global adjacency.
+fn layer_topologies(adj: &CsrMatrix, placement: &Placement) -> Vec<Arc<LayerTopology>> {
+    let n = placement.partition.num_vertices();
+    let (mut col_of, mut stamp) = (vec![0u32; n], vec![0u32; n]);
+    (0..placement.partition.num_parts())
+        .map(|w| Arc::new(placement.full(adj, w, &mut col_of, &mut stamp)))
         .collect()
 }
 
-/// Builds the full worker contexts for per-layer adjacencies.
+/// Builds the full worker contexts for per-layer adjacencies, with every
+/// vertex in the loss: both passes of every layer read every remote 1-hop
+/// neighbour.
 ///
 /// `adjs` has one (global, `n × n`) normalized adjacency per GNN layer;
 /// pass the same `Arc` `L` times for the standard full-batch setup (the
 /// topology is computed once per distinct matrix and shared).
 pub fn build_worker_contexts(adjs: &[Arc<CsrMatrix>], partition: &Partition) -> Vec<WorkerContext> {
-    assert!(!adjs.is_empty(), "need at least one layer adjacency");
-    let num_parts = partition.num_parts();
+    contexts(adjs, &Placement::new(partition), None)
+}
 
+/// [`build_worker_contexts`] for a loss that reads only the rows of
+/// `loss_vertices`: the top layer `L` gets its own plan per direction, and
+/// every other layer keeps the shared full topology.
+///
+/// * **Forward**: `Â` with every row outside the loss emptied. A worker
+///   aggregates `Z^L` only at its loss rows and receives `H^{L-1}` only for
+///   the remote neighbours of those rows; its other rows of `Z^L` carry no
+///   neighbour term, which nothing reads.
+/// * **Backward**: `Â` with every column outside the loss dropped. `G^L` is
+///   exactly zero outside the loss rows, so `Â·G^L` skips only zero terms,
+///   and a worker receives `G^L` only for the remote loss vertices next to
+///   its own.
+pub fn build_training_contexts(
+    adjs: &[Arc<CsrMatrix>],
+    partition: &Partition,
+    loss_vertices: &[usize],
+) -> Vec<WorkerContext> {
+    let mut in_loss = vec![false; partition.num_vertices()];
+    for &v in loss_vertices {
+        in_loss[v] = true;
+    }
+    contexts(adjs, &Placement::new(partition), Some(&in_loss))
+}
+
+fn contexts(
+    adjs: &[Arc<CsrMatrix>],
+    placement: &Placement,
+    in_loss: Option<&[bool]>,
+) -> Vec<WorkerContext> {
+    assert!(!adjs.is_empty(), "need at least one layer adjacency");
     // Deduplicate identical Arcs so shared topologies are built once.
     let mut built: Vec<(usize, Vec<Arc<LayerTopology>>)> = Vec::new(); // (ptr, per-worker)
     let mut per_layer: Vec<Vec<Arc<LayerTopology>>> = Vec::new();
@@ -170,21 +311,27 @@ pub fn build_worker_contexts(adjs: &[Arc<CsrMatrix>], partition: &Partition) -> 
         if let Some((_, topos)) = built.iter().find(|(k, _)| *k == key) {
             per_layer.push(topos.clone());
         } else {
-            let topos = build_layer_topologies(adj, partition);
+            let topos = layer_topologies(adj, placement);
             built.push((key, topos.clone()));
             per_layer.push(topos);
         }
     }
-
-    let mut locals: Vec<Vec<usize>> = vec![Vec::new(); num_parts];
-    for v in 0..partition.num_vertices() {
-        locals[partition.part_of(v)].push(v);
-    }
-    (0..num_parts)
+    let top = adjs.len() - 1;
+    (0..placement.partition.num_parts())
         .map(|w| {
-            let local_vertices = locals[w].clone();
-            let layers = per_layer.iter().map(|l| Arc::clone(&l[w])).collect();
-            WorkerContext { worker_id: w, local_vertices, layers }
+            let local_vertices = placement.locals[w].clone();
+            let mut layers: Vec<_> = per_layer.iter().map(|l| Arc::clone(&l[w])).collect();
+            let mut backward = layers.clone();
+            if let Some(in_loss) = in_loss {
+                let full = &per_layer[top][w];
+                let (local, remote) = (&local_vertices, &full.remote_deps);
+                let col_in_loss: Vec<bool> =
+                    local.iter().chain(remote).map(|&v| in_loss[v]).collect();
+                let forward = placement.retain(full, |r| in_loss[local[r]], |_| true);
+                layers[top] = Arc::new(forward);
+                backward[top] = Arc::new(placement.retain(full, |_| true, |c| col_in_loss[c]));
+            }
+            WorkerContext { worker_id: w, local_vertices, layers, backward }
         })
         .collect()
 }
@@ -288,6 +435,40 @@ mod tests {
                 local_out,
                 expected
             );
+        }
+    }
+
+    /// The top layer's plans aggregate what the loss reads: forward, the
+    /// global `Â·H` on every loss row; backward, the global `Â·G` on every
+    /// row when `G` is zero outside the loss — while the layer below keeps
+    /// the full topology in both directions.
+    #[test]
+    fn training_plans_aggregate_what_the_loss_reads() {
+        let g = ec_graph_data::generators::erdos_renyi(90, 240, 5);
+        let adj = Arc::new(normalize::gcn_normalized_adjacency(&g));
+        let p = ec_partition::Partitioner::partition(
+            &ec_partition::hash::HashPartitioner::new(2),
+            &g,
+            3,
+        );
+        let loss: Vec<usize> = (0..90).step_by(3).collect();
+        let h = Matrix::from_fn(90, 4, |r, c| ((r * 7 + c * 3) % 11) as f32 * 0.1 - 0.4);
+        let g_loss = Matrix::from_fn(90, 4, |r, c| if r % 3 == 0 { h.get(r, c) } else { 0.0 });
+        let (ah, ag) = (adj.spmm(&h), adj.spmm(&g_loss));
+        let ctxs = build_training_contexts(&[Arc::clone(&adj), Arc::clone(&adj)], &p, &loss);
+        for ctx in &ctxs {
+            let (fwd, bwd) = (ctx.plan(Direction::Forward, 2), ctx.plan(Direction::Backward, 2));
+            assert!(Arc::ptr_eq(ctx.plan(Direction::Forward, 1), ctx.plan(Direction::Backward, 1)));
+            assert!(fwd.remote_deps.len() < ctx.layers[0].remote_deps.len());
+            assert!(bwd.remote_deps.iter().all(|v| v % 3 == 0), "backward ships loss rows");
+            let local = h.gather_rows(&ctx.local_vertices);
+            let out = fwd.aggregate(&local, &fwd.remote_operand(&h), 1);
+            let (rows, vertices): (Vec<usize>, Vec<usize>) =
+                ctx.local_vertices.iter().enumerate().filter(|(_, v)| *v % 3 == 0).unzip();
+            assert!(out.gather_rows(&rows).approx_eq(&ah.gather_rows(&vertices), 1e-6), "forward");
+            let local = g_loss.gather_rows(&ctx.local_vertices);
+            let out = bwd.aggregate(&local, &bwd.remote_operand(&g_loss), 1);
+            assert!(out.approx_eq(&ag.gather_rows(&ctx.local_vertices), 1e-6), "backward");
         }
     }
 

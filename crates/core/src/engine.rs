@@ -35,6 +35,10 @@
 //! is `Σ supersteps (max-worker compute + network time)` — the quantity the
 //! paper's Table IV reports per system.
 //!
+//! The top layer's exchanges carry only what reaches the masked loss: the
+//! forward one the remote neighbours of training vertices, the backward one
+//! the remote training vertices (`context::build_training_contexts`).
+//!
 //! All compression/compensation policy lives in [`crate::fp`] /
 //! [`crate::bp`], and what each (requester, owner, layer) link remembers —
 //! with the one loop both exchanges are — in `crate::link`: the configured
@@ -42,7 +46,7 @@
 //! builds the table, so nothing below asks which mode is in force.
 
 use crate::config::{ModelKind, TrainingConfig};
-use crate::context::{build_worker_contexts, WorkerContext};
+use crate::context::{build_training_contexts, WorkerContext};
 use crate::exec::{Cluster, ClusterSnapshot, EpochTotals, Stage};
 use crate::link::{
     CompensationState, Direction::Backward, Direction::Forward, EpochCounters, ExchangeWorkspace,
@@ -204,7 +208,7 @@ impl DistributedEngine {
         assert_eq!(partition.num_parts(), config.num_workers, "partition/worker count mismatch");
 
         let build_start = HostTimer::start();
-        let contexts = build_worker_contexts(&adjs, &partition);
+        let contexts = build_training_contexts(&adjs, &partition, &data.split.train);
         let build_s = build_start.elapsed_s();
 
         let num_workers = config.num_workers;
@@ -412,7 +416,7 @@ impl DistributedEngine {
                 |w| {
                     // Layer 1 has no exchange: its aggregate is the cached P_w.
                     let fresh = (l >= 2).then(|| {
-                        let topo = &self.contexts[w].layers[l - 1];
+                        let topo = self.contexts[w].plan(Forward, l);
                         topo.aggregate(&self.h_local[w][l - 1], &remotes[w], kt)
                     });
                     let mut z = parallel::matmul(fresh.as_ref().unwrap_or(&self.p0[w]), w_l, kt);
@@ -492,7 +496,7 @@ impl DistributedEngine {
                         let y_part = parallel::matmul_at_b(&self.p0[w], g, kt);
                         return (y_part, ys_part, b_part, None);
                     }
-                    let ag = self.contexts[w].layers[l - 1].aggregate(g, &g_remote[w], kt);
+                    let ag = self.contexts[w].plan(Backward, l).aggregate(g, &g_remote[w], kt);
                     // Y^{l-1} = (H^{l-1})ᵀ (Â G^l), summed over workers.
                     let y_part = parallel::matmul_at_b(h_prev, &ag, kt);
                     // G^{l-1} = [(Â G^l)(W^{l-1})ᵀ (+ G^l W_sᵀ)] ⊙ σ'(Z^{l-1});
@@ -884,13 +888,69 @@ mod tests {
             let remotes =
                 comp.exchange(ws, &mut e.cluster, &mut e.counters, dir, l, |j| &h[j][l - 1]);
             for (ctx, remote) in e.contexts.iter().zip(remotes) {
-                let topo = &ctx.layers[l - 1];
+                let topo = ctx.plan(dir, l);
                 assert_eq!(remote.rows(), topo.remote_deps.len());
                 for (&v, &row) in topo.remote_deps.iter().zip(&topo.remote_row) {
                     let tag = format!("{dir:?} layer {l} worker {} vertex {v}", ctx.worker_id);
                     assert_eq!(remote.row(row as usize), global.row(v), "{tag}");
                 }
             }
+        }
+    }
+
+    /// The pruning's premise, under every BP mode: the rows of `G^L` the
+    /// top layer's backward plans leave out — shipped to no requester and
+    /// read by no local column — are exactly zero, so `Â·G^L` loses
+    /// nothing; and the plans do leave rows out.
+    #[test]
+    fn every_row_of_the_top_gradient_no_plan_ships_is_zero() {
+        let data = Arc::new(DatasetSpec::products().instantiate_with(300, 12, 5));
+        let adj = Arc::new(normalize::gcn_normalized_adjacency(&data.graph));
+        let partition = HashPartitioner::default().partition(&data.graph, 3);
+        for bp in [
+            BpMode::Exact,
+            BpMode::Compressed { bits: 2 },
+            BpMode::ResEc { bits: 2 },
+            BpMode::TopkEc { ratio: 0.2 },
+        ] {
+            let fp = FpMode::ReqEc { bits: 2, t_tr: 2, adaptive: true };
+            let mut config = config_with(fp, bp, 3, 3);
+            *config.dims.last_mut().unwrap() = data.num_classes;
+            let (data, adjs) = (Arc::clone(&data), vec![Arc::clone(&adj); 3]);
+            let mut e = DistributedEngine::new(data, adjs, partition.clone(), config);
+            let (mut zero_rows, mut left_out) = (0, 0);
+            for _ in 0..3 {
+                e.run_epoch();
+                for (j, ctx) in e.contexts.iter().enumerate() {
+                    let (_, g) = masked_softmax_cross_entropy(
+                        &e.h_local[j][3],
+                        &e.labels_local[j],
+                        &e.train_local[j],
+                        e.total_train,
+                    );
+                    let own = &ctx.plan(Backward, 3).adj_local;
+                    let mut read = vec![false; ctx.num_local()];
+                    for (c, _) in (0..own.rows()).flat_map(|r| own.row_entries(r)) {
+                        if c < ctx.num_local() {
+                            read[c] = true;
+                        }
+                    }
+                    for other in &e.contexts {
+                        for &row in &other.plan(Backward, 3).gather_rows[j] {
+                            read[row] = true;
+                        }
+                    }
+                    for (r, _) in read.iter().enumerate().filter(|(_, &read)| !read) {
+                        assert!(g.row(r).iter().all(|&x| x == 0.0), "{bp:?} worker {j} row {r}");
+                        zero_rows += 1;
+                    }
+                    let full = e.contexts.iter().map(|c| c.plan(Forward, 2).gather_rows[j].len());
+                    let pruned =
+                        e.contexts.iter().map(|c| c.plan(Backward, 3).gather_rows[j].len());
+                    left_out += full.sum::<usize>() - pruned.sum::<usize>();
+                }
+            }
+            assert!(zero_rows > 0 && left_out > 0, "{bp:?}: {zero_rows} rows, {left_out} left out");
         }
     }
 

@@ -31,12 +31,14 @@
 //! nothing.
 
 use crate::config::FpMode;
-use crate::link::{copy_rows, round_trip, MessageBuffers, Reply};
+use crate::link::{copy_rows, round_trip, MessageBuffers, Policy, Reply};
 use crate::wire::FpMessage;
 use ec_comm::codec;
+use ec_comm::stats::Channel;
 use ec_compress::Quantized;
 use ec_tensor::isa::{self, Isa, Kernel};
 use ec_tensor::{ops, stats, Matrix};
+use ec_trace::MetricId;
 
 /// Selector codes (paper: "00, 01 and 10 for compressed, predicted, and
 /// average approximations").
@@ -190,14 +192,20 @@ impl FpLink {
         }
     }
 
-    /// Answers the link's gather plan `rows` of the owner's `source` at
-    /// iteration `t` and writes what the requester reconstructs into `reply`
-    /// (`rows.len()` rows). `bits` is the pair's current width (read by ReqEC
-    /// only — plain compression keeps the configured one). With
-    /// `degradable`, a reply the requester can do without says what
-    /// [`Self::degrade`] would cost instead.
-    #[expect(clippy::too_many_arguments, reason = "the plan, its buffers and the step's state")]
-    pub(crate) fn respond(
+    /// Hands the pending Bit-Tuner observation over, if there is one.
+    pub(crate) fn take_observation(&mut self) -> Option<f32> {
+        let Self::ReqEc { observed, .. } = self else { return None };
+        observed.take()
+    }
+}
+
+impl Policy for FpLink {
+    const CHANNEL: Channel = Channel::Forward;
+    const WIRE_METRIC: MetricId = MetricId::FpWireBytes;
+
+    /// `bits` is read by ReqEC only: plain compression keeps the configured
+    /// width.
+    fn respond(
         &mut self,
         source: &Matrix,
         rows: &[usize],
@@ -242,16 +250,10 @@ impl FpLink {
     /// EC-degrade: overwrites `rows` with the zero-payload prediction
     /// `Ĥ_pdt = H_base + M_cr·k` the requester falls back to when the reply
     /// to a [`Self::respond`] that offered a `fallback_l1` is lost.
-    pub(crate) fn degrade(&self, t: usize, rows: &mut [f32]) {
+    fn degrade(&self, t: usize, rows: &mut [f32]) {
         if let Self::ReqEc { trend, .. } = self {
             trend.predict_into(t, rows);
         }
-    }
-
-    /// Hands the pending Bit-Tuner observation over, if there is one.
-    pub(crate) fn take_observation(&mut self) -> Option<f32> {
-        let Self::ReqEc { observed, .. } = self else { return None };
-        observed.take()
     }
 }
 

@@ -3,10 +3,13 @@
 //!
 //! The paper's two mechanisms are per-link memories — ReqEC-FP's `H_base` /
 //! `M_cr` and Bit-Tuner width (Alg. 3–4), ResEC-BP's `δ` (Alg. 5–6). The
-//! engine builds the table once: per exchange layer `l ∈ 2..=L`, one link
-//! per non-empty dependency set in ascending `(requester, owner)` order,
-//! with its index plans and the [`FpLink`] / [`BpLink`] state the configured
-//! modes resolve to. **The link order is the message order**: a fault
+//! engine builds the table once: per direction and exchange layer
+//! `l ∈ 2..=L`, one link per non-empty dependency set of that direction's
+//! plan (`WorkerContext::plan`) in ascending `(requester, owner)` order,
+//! with its index plans and the [`FpLink`] (forward) or [`BpLink`]
+//! (backward) state the configured modes resolve to. Below the top layer
+//! both directions list the same pairs over the same topology; at layer `L`
+//! each ships only the rows that reach the loss. **The link order is the message order**: a fault
 //! decision is keyed by the message's sequence number in its superstep, and
 //! the ledgers, Selector counts and the float sums behind the
 //! reconstruction-error and residual gauges accumulate per message — so a
@@ -14,6 +17,7 @@
 
 use crate::bp::BpLink;
 use crate::config::{FpMode, TrainingConfig};
+pub(crate) use crate::context::Direction;
 use crate::context::{LayerTopology, WorkerContext};
 use crate::exec::Cluster;
 use crate::fp::{self, FpLink};
@@ -25,15 +29,6 @@ use ec_tensor::Matrix;
 use ec_trace::registry::labels;
 use ec_trace::{MetricId, TelemetryLevel, TelemetrySink};
 use std::sync::Arc;
-
-/// Which pass an exchange serves.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Direction {
-    /// `H^{l-1}` rows for computing layer `l`.
-    Forward,
-    /// `G^l` rows for back-propagating through layer `l`.
-    Backward,
-}
 
 /// The buffers a message passes through on its way across a link, reused
 /// from one message to the next: once each has grown to the largest message,
@@ -97,17 +92,59 @@ impl Reply {
     }
 }
 
-/// One (requester, owner) pair of one exchange layer.
+/// One (requester, owner) pair of one exchange layer, in one direction.
 #[derive(Clone)]
-struct Link {
+struct Link<P> {
     requester: usize,
     owner: usize,
-    /// The requester's topology of this layer: `gather_rows[owner]` is this
-    /// link's gather plan, `link_start[owner]..link_start[owner + 1]` its
-    /// block of the remote operand.
+    /// The requester's plan of this layer and direction:
+    /// `gather_rows[owner]` is this link's gather plan,
+    /// `link_start[owner]..link_start[owner + 1]` its block of the remote
+    /// operand.
     topo: Arc<LayerTopology>,
-    fp: FpLink,
-    bp: BpLink,
+    policy: P,
+}
+
+/// How a link's owner answers in one direction ([`FpLink`] forward,
+/// [`BpLink`] backward), and what stands in for a reply that does not
+/// arrive.
+pub(crate) trait Policy {
+    /// The ledger the link's messages are charged to.
+    const CHANNEL: Channel;
+    /// The per-message size histogram.
+    const WIRE_METRIC: MetricId;
+
+    /// Answers the link's gather plan `rows` of the owner's `source` at
+    /// iteration `t` and writes what the requester reconstructs into `reply`
+    /// (`rows.len()` rows). `bits` is the pair's current ReqEC width. With
+    /// `degradable`, a reply the requester can do without says what
+    /// [`Self::degrade`] would cost instead.
+    #[expect(clippy::too_many_arguments, reason = "the plan, its buffers and the step's state")]
+    fn respond(
+        &mut self,
+        source: &Matrix,
+        rows: &[usize],
+        buf: &mut MessageBuffers,
+        reply: &mut [f32],
+        bits: u8,
+        t: usize,
+        degradable: bool,
+    ) -> Reply;
+
+    /// Overwrites `rows` with what the requester falls back to when the
+    /// reply to a [`Self::respond`] that offered a `fallback_l1` is lost;
+    /// a policy that never offers one has nothing to do.
+    fn degrade(&self, _t: usize, _rows: &mut [f32]) {}
+}
+
+/// The links of one direction, per exchange layer `l ∈ 2..=L`.
+#[derive(Clone)]
+struct LinkTable<P> {
+    /// `layers[l - 2]` = the links of exchange layer `l`, in message order.
+    layers: Vec<Vec<Link<P>>>,
+    /// `remote_rows[l - 2][w]` = rows of worker `w`'s remote operand in
+    /// exchange layer `l`.
+    remote_rows: Vec<Vec<usize>>,
 }
 
 /// Every piece of error-compensation memory the two ends of a link keep in
@@ -116,11 +153,10 @@ struct Link {
 /// without a list to extend.
 #[derive(Clone)]
 pub(crate) struct CompensationState {
-    /// `layers[l - 2]` = the links of exchange layer `l`, in message order.
-    layers: Vec<Vec<Link>>,
-    /// `remote_rows[l - 2][w]` = rows of worker `w`'s remote operand in
-    /// exchange layer `l`.
-    remote_rows: Vec<Vec<usize>>,
+    /// The forward links, each with its ReqEC / delayed / codec state.
+    fp: LinkTable<FpLink>,
+    /// The backward links, each with its ResEC / Top-k residual or codec.
+    bp: LinkTable<BpLink>,
     /// Current ReqEC bit width per `[requester][owner]`, shared by the
     /// pair's links across layers.
     pub fp_bits: Vec<Vec<u8>>,
@@ -168,51 +204,33 @@ impl CompensationState {
     /// `config`.
     pub(crate) fn new(contexts: &[WorkerContext], config: &TrainingConfig) -> Self {
         let num_layers = config.num_layers();
-        let remote_rows = (2..=num_layers)
-            .map(|l| contexts.iter().map(|ctx| ctx.layers[l - 1].remote_deps.len()).collect())
-            .collect();
-        let layers = (2..=num_layers)
-            .map(|l| {
-                let fp = FpLink::new(config.fp_mode, config.reqec_granularity, l == num_layers);
-                let bp = BpLink::new(config.bp_mode);
-                let mut links = Vec::new();
-                for ctx in contexts {
-                    let topo = &ctx.layers[l - 1];
-                    for (owner, deps) in topo.deps_by_owner.iter().enumerate() {
-                        if !deps.is_empty() && owner != ctx.worker_id {
-                            links.push(Link {
-                                requester: ctx.worker_id,
-                                owner,
-                                topo: Arc::clone(topo),
-                                fp: fp.clone(),
-                                bp: bp.clone(),
-                            });
-                        }
-                    }
-                }
-                links
-            })
-            .collect();
+        let fp = LinkTable::new(contexts, Direction::Forward, num_layers, |l| {
+            FpLink::new(config.fp_mode, config.reqec_granularity, l == num_layers)
+        });
+        let bp = LinkTable::new(contexts, Direction::Backward, num_layers, |_| {
+            BpLink::new(config.bp_mode)
+        });
         let init_bits = match config.fp_mode {
             FpMode::ReqEc { bits, .. } | FpMode::Compressed { bits } => bits,
             _ => 16,
         };
         let fp_bits = vec![vec![init_bits; contexts.len()]; contexts.len()];
-        Self { layers, remote_rows, fp_bits }
+        Self { fp, bp, fp_bits }
     }
 
     /// `(exchange layer, ‖δ‖²)` of every live BP residual, in link order.
     pub(crate) fn bp_residual_norms(&self) -> impl Iterator<Item = (usize, f32)> + '_ {
-        self.layers.iter().enumerate().flat_map(|(k, links)| {
-            links.iter().filter_map(move |link| Some((k + 2, link.bp.residual_norm_sq()?)))
+        self.bp.layers.iter().enumerate().flat_map(|(k, links)| {
+            links.iter().filter_map(move |link| Some((k + 2, link.policy.residual_norm_sq()?)))
         })
     }
 
-    /// One exchange of layer `l` in the cluster's current epoch, a single push
-    /// round: for every link, owner `j`'s policy answers from its rows of
-    /// `source(j)` straight into the link's block of requester `i`'s remote
-    /// operand, unrequested, since the gather plans are fixed when the table
-    /// is built. Returns the remote operands indexed by worker, in `ws`.
+    /// One exchange of layer `l` in direction `dir` in the cluster's current
+    /// epoch, a single push round: for every link of that direction, owner
+    /// `j`'s policy answers from its rows of `source(j)` straight into the
+    /// link's block of requester `i`'s remote operand, unrequested, since
+    /// the gather plans are fixed when the table is built. Returns the
+    /// remote operands indexed by worker, in `ws`.
     pub(crate) fn exchange<'a, 'w>(
         &mut self,
         ws: &'w mut ExchangeWorkspace,
@@ -222,70 +240,19 @@ impl CompensationState {
         l: usize,
         source: impl Fn(usize) -> &'a Matrix,
     ) -> &'w [Matrix] {
-        use Direction::{Backward, Forward};
-        let t = cluster.epoch;
-        let measure = cluster.steps.telemetry.enabled(TelemetryLevel::Superstep);
-        let (channel, wire_metric) = match dir {
-            Forward => (Channel::Forward, MetricId::FpWireBytes),
-            Backward => (Channel::Backward, MetricId::BpWireBytes),
-        };
-        let degrade = cluster.degrade_attempts;
-        let cols = source(0).cols();
-        let ExchangeWorkspace { remotes, message } = ws;
-        remotes.resize(self.fp_bits.len(), Matrix::zeros(0, 0));
-        for (remote, &rows) in remotes.iter_mut().zip(&self.remote_rows[l - 2]) {
-            remote.reshape_for_overwrite(rows, cols);
+        let bits = &self.fp_bits;
+        match dir {
+            Direction::Forward => self.fp.exchange(ws, cluster, counters, bits, l, source),
+            Direction::Backward => self.bp.exchange(ws, cluster, counters, bits, l, source),
         }
-        counters.fp_selected.resize(self.layers.len(), None);
-        for link in &mut self.layers[l - 2] {
-            let (i, j, topo) = (link.requester, link.owner, &link.topo);
-            let block = (topo.link_start[j] * cols)..(topo.link_start[j + 1] * cols);
-            let block = &mut remotes[i].as_mut_slice()[block];
-            let (owned, rows) = (source(j), &topo.gather_rows[j]);
-            let pack_timer = measure.then(HostTimer::start);
-            let reply = match dir {
-                Forward => {
-                    let bits = self.fp_bits[i][j];
-                    link.fp.respond(owned, rows, message, block, bits, t, degrade.is_some())
-                }
-                Backward => Reply::plain(link.bp.respond(owned, rows, message, block)),
-            };
-            cluster.steps.pack_s += pack_timer.map_or(0.0, |tm| tm.elapsed_s());
-            if let Some(selected) = reply.selected {
-                let acc = counters.fp_selected[l - 2].get_or_insert([0; 3]);
-                for (acc, c) in acc.iter_mut().zip(selected) {
-                    *acc += c as u64;
-                }
-            }
-            let lbl = labels(&[t as u32]);
-            cluster.steps.telemetry.observe(wire_metric, lbl, reply.wire as f64);
-            // A bounded wait only where a fallback stands by; else retry.
-            let attempts = reply.fallback_l1.and(degrade);
-            let delivery = cluster.network.send_within(attempts, j, i, channel, reply.wire);
-            let unpack_timer = measure.then(HostTimer::start);
-            let recon_l1 = match (delivery, reply.fallback_l1) {
-                (Err(err), Some(fallback_l1)) => {
-                    match err {
-                        SendError::Corrupted => counters.fp_degraded_corrupt += 1,
-                        SendError::Dropped => counters.fp_degraded_drop += 1,
-                    }
-                    link.fp.degrade(t, block);
-                    fallback_l1
-                }
-                _ => reply.recon_l1,
-            };
-            counters.fp_recon_err += recon_l1 as f64;
-            cluster.steps.unpack_s += unpack_timer.map_or(0.0, |tm| tm.elapsed_s());
-        }
-        remotes
     }
 
     /// The adaptive Bit-Tuner (Alg. 3 lines 13–18), after the last FP
     /// exchange of epoch `t`: every pair whose last-layer link observed a
     /// predicted proportion gets its width for the next epoch.
     pub(crate) fn tune_bits(&mut self, telemetry: &mut TelemetrySink, t: usize) {
-        for link in self.layers.last_mut().into_iter().flatten() {
-            if let Some(proportion) = link.fp.take_observation() {
+        for link in self.fp.layers.last_mut().into_iter().flatten() {
+            if let Some(proportion) = link.policy.take_observation() {
                 let (i, j) = (link.requester, link.owner);
                 let bits = fp::tune_bits(self.fp_bits[i][j], proportion);
                 self.fp_bits[i][j] = bits;
@@ -296,12 +263,134 @@ impl CompensationState {
     }
 }
 
+impl<P: Policy + Clone> LinkTable<P> {
+    /// Per exchange layer, one link per non-empty dependency set of `dir`'s
+    /// plans in ascending `(requester, owner)` order, each with the state
+    /// `policy(l)`.
+    fn new(
+        contexts: &[WorkerContext],
+        dir: Direction,
+        num_layers: usize,
+        policy: impl Fn(usize) -> P,
+    ) -> Self {
+        let remote_rows = (2..=num_layers)
+            .map(|l| contexts.iter().map(|ctx| ctx.plan(dir, l).remote_deps.len()).collect())
+            .collect();
+        let layers = (2..=num_layers)
+            .map(|l| {
+                let policy = policy(l);
+                let mut links = Vec::new();
+                for ctx in contexts {
+                    let topo = ctx.plan(dir, l);
+                    for (owner, deps) in topo.deps_by_owner.iter().enumerate() {
+                        if !deps.is_empty() && owner != ctx.worker_id {
+                            links.push(Link {
+                                requester: ctx.worker_id,
+                                owner,
+                                topo: Arc::clone(topo),
+                                policy: policy.clone(),
+                            });
+                        }
+                    }
+                }
+                links
+            })
+            .collect();
+        Self { layers, remote_rows }
+    }
+
+    /// [`CompensationState::exchange`] over this direction's links.
+    fn exchange<'a, 'w>(
+        &mut self,
+        ws: &'w mut ExchangeWorkspace,
+        cluster: &mut Cluster,
+        counters: &mut EpochCounters,
+        fp_bits: &[Vec<u8>],
+        l: usize,
+        source: impl Fn(usize) -> &'a Matrix,
+    ) -> &'w [Matrix] {
+        let t = cluster.epoch;
+        let measure = cluster.steps.telemetry.enabled(TelemetryLevel::Superstep);
+        let degrade = cluster.degrade_attempts;
+        let cols = source(0).cols();
+        let ExchangeWorkspace { remotes, message } = ws;
+        remotes.resize(fp_bits.len(), Matrix::zeros(0, 0));
+        for (remote, &rows) in remotes.iter_mut().zip(&self.remote_rows[l - 2]) {
+            remote.reshape_for_overwrite(rows, cols);
+        }
+        counters.fp_selected.resize(self.layers.len(), None);
+        for link in &mut self.layers[l - 2] {
+            let (i, j, topo) = (link.requester, link.owner, &link.topo);
+            let block = (topo.link_start[j] * cols)..(topo.link_start[j + 1] * cols);
+            let block = &mut remotes[i].as_mut_slice()[block];
+            let (owned, rows) = (source(j), &topo.gather_rows[j]);
+            let pack_timer = measure.then(HostTimer::start);
+            let reply = link.policy.respond(
+                owned,
+                rows,
+                message,
+                block,
+                fp_bits[i][j],
+                t,
+                degrade.is_some(),
+            );
+            cluster.steps.pack_s += pack_timer.map_or(0.0, |tm| tm.elapsed_s());
+            if let Some(selected) = reply.selected {
+                let acc = counters.fp_selected[l - 2].get_or_insert([0; 3]);
+                for (acc, c) in acc.iter_mut().zip(selected) {
+                    *acc += c as u64;
+                }
+            }
+            let lbl = labels(&[t as u32]);
+            cluster.steps.telemetry.observe(P::WIRE_METRIC, lbl, reply.wire as f64);
+            // A bounded wait only where a fallback stands by; else retry.
+            let attempts = reply.fallback_l1.and(degrade);
+            let delivery = cluster.network.send_within(attempts, j, i, P::CHANNEL, reply.wire);
+            let unpack_timer = measure.then(HostTimer::start);
+            let recon_l1 = match (delivery, reply.fallback_l1) {
+                (Err(err), Some(fallback_l1)) => {
+                    match err {
+                        SendError::Corrupted => counters.fp_degraded_corrupt += 1,
+                        SendError::Dropped => counters.fp_degraded_drop += 1,
+                    }
+                    link.policy.degrade(t, block);
+                    fallback_l1
+                }
+                _ => reply.recon_l1,
+            };
+            counters.fp_recon_err += recon_l1 as f64;
+            cluster.steps.unpack_s += unpack_timer.map_or(0.0, |tm| tm.elapsed_s());
+        }
+        remotes
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::build_worker_contexts;
-    use ec_graph_data::DatasetSpec;
+    use crate::context::{build_training_contexts, build_worker_contexts};
+    use ec_graph_data::{normalize, DatasetSpec};
     use ec_partition::Partition;
+    use std::collections::BTreeSet;
+    use Direction::{Backward, Forward};
+
+    /// `(requester, owner, ids shipped)` of every link of `links`, in table
+    /// order.
+    fn listed<P>(links: &[Link<P>]) -> Vec<(usize, usize, Vec<usize>)> {
+        links
+            .iter()
+            .map(|k| (k.requester, k.owner, k.topo.deps_by_owner[k.owner].clone()))
+            .collect()
+    }
+
+    impl CompensationState {
+        fn listed(&self, dir: Direction, l: usize) -> Vec<(usize, usize, Vec<usize>)> {
+            match dir {
+                Forward => listed(&self.fp.layers[l - 2]),
+                Backward => listed(&self.bp.layers[l - 2]),
+            }
+        }
+    }
 
     /// The table is the non-empty dependency sets — per layer, so sampled
     /// adjacencies get different tables — in ascending (requester, owner)
@@ -313,7 +402,7 @@ mod tests {
         let (mut adjs, _) = crate::sampling::sample_layer_graphs(&data.graph, &[5, 3], 4);
         // Layer 3 aggregates over the single edge 0 — 1: parts 0 and 1 only.
         let edge = ec_graph_data::Graph::from_edges(200, &[(0, 1)]);
-        adjs.push(Arc::new(ec_graph_data::normalize::gcn_normalized_adjacency(&edge)));
+        adjs.push(Arc::new(normalize::gcn_normalized_adjacency(&edge)));
         let config = TrainingConfig {
             dims: vec![12, 8, 8, data.num_classes],
             num_workers: 4,
@@ -325,7 +414,7 @@ mod tests {
         let mut cluster = Cluster::new(&config);
         let mut ws = ExchangeWorkspace::new();
         let mut counters = EpochCounters::default();
-        assert_eq!(comp.layers.len(), 2, "exchange layers are 2..=L");
+        assert_eq!((comp.fp.layers.len(), comp.bp.layers.len()), (2, 2), "layers are 2..=L");
 
         let global = Matrix::from_fn(200, 8, |r, c| (r * 8 + c) as f32);
         let sources: Vec<Matrix> =
@@ -336,34 +425,96 @@ mod tests {
             for ctx in &contexts {
                 for (owner, deps) in ctx.layers[l - 1].deps_by_owner.iter().enumerate() {
                     if !deps.is_empty() {
-                        want.push((ctx.worker_id, owner));
+                        want.push((ctx.worker_id, owner, deps.clone()));
                     }
                 }
             }
-            let got: Vec<_> = comp.layers[l - 2].iter().map(|k| (k.requester, k.owner)).collect();
-            assert_eq!(got, want, "layer {l}");
-            assert!(want.windows(2).all(|w| w[0] < w[1]), "ascending (requester, owner)");
-            assert!(want.iter().all(|&(i, j)| i != j));
+            assert!(want.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)), "ascending");
+            assert!(want.iter().all(|&(i, j, _)| i != j));
 
-            for dir in [Direction::Forward, Direction::Backward] {
+            for dir in [Forward, Backward] {
+                // Every vertex is in the loss: both directions list the pairs.
+                assert_eq!(comp.listed(dir, l), want, "layer {l} {dir:?}");
                 let before = cluster.network.total_stats().messages;
                 let remotes =
                     comp.exchange(&mut ws, &mut cluster, &mut counters, dir, l, |j| &sources[j]);
                 let sent = cluster.network.total_stats().messages - before;
                 assert_eq!(sent, want.len() as u64, "layer {l} {dir:?}");
                 for (ctx, remote) in contexts.iter().zip(remotes) {
-                    let topo = &ctx.layers[l - 1];
+                    let topo = ctx.plan(dir, l);
                     assert_eq!(remote.shape(), (topo.remote_deps.len(), 8));
                     for (&v, &row) in topo.remote_deps.iter().zip(&topo.remote_row) {
                         assert_eq!(remote.row(row as usize), global.row(v), "{dir:?} layer {l}");
                     }
                 }
             }
-            per_layer.push(want);
+            per_layer.push(want.into_iter().map(|(i, j, _)| (i, j)).collect::<Vec<_>>());
         }
         assert_eq!(per_layer[0].len(), 12, "a sampled products layer links every pair");
         assert_eq!(per_layer[1], [(0, 1), (1, 0)]);
         assert_eq!(counters.fp_recon_err, 0.0);
         assert!(counters.fp_selected.iter().all(Option::is_none), "no Selector in exact mode");
+    }
+
+    /// With a loss over the training split, the top layer's links carry
+    /// only rows that reach it — forward, the remote neighbours of the
+    /// requester's training vertices; backward, the remote training
+    /// vertices next to any of the requester's vertices — while the lower
+    /// layers keep every remote 1-hop neighbour in both directions. On a
+    /// hash partition of a random graph, shared adjacency and sampled.
+    #[test]
+    fn top_layer_links_carry_only_the_rows_the_loss_reads() {
+        let data = DatasetSpec::products().instantiate_with(300, 12, 9);
+        let (g, train) = (&data.graph, &data.split.train);
+        let in_loss: BTreeSet<usize> = train.iter().copied().collect();
+        let partition = ec_partition::Partitioner::partition(
+            &ec_partition::hash::HashPartitioner::new(3),
+            g,
+            4,
+        );
+        let config = TrainingConfig {
+            dims: vec![12, 8, 8, data.num_classes],
+            num_workers: 4,
+            ..TrainingConfig::defaults(12, data.num_classes)
+        };
+        let shared = Arc::new(normalize::gcn_normalized_adjacency(g));
+        let (sampled, _) = crate::sampling::sample_layer_graphs(g, &[5, 3, 2], 4);
+        for adjs in [vec![shared; 3], sampled] {
+            let contexts = build_training_contexts(&adjs, &partition, train);
+            let comp = CompensationState::new(&contexts, &config);
+            let mut pruned = [0usize; 2];
+            for l in 2..=3 {
+                for (d, dir) in [Forward, Backward].into_iter().enumerate() {
+                    let mut want = Vec::new();
+                    for i in 0..4 {
+                        let mut deps = vec![BTreeSet::new(); 4];
+                        for v in (0..300).filter(|&v| partition.part_of(v) == i) {
+                            let row_read = l < 3 || dir == Backward || in_loss.contains(&v);
+                            for (u, _) in adjs[l - 1].row_entries(v).filter(|_| row_read) {
+                                let col_read = l < 3 || dir == Forward || in_loss.contains(&u);
+                                if partition.part_of(u) != i && col_read {
+                                    deps[partition.part_of(u)].insert(u);
+                                }
+                            }
+                        }
+                        for (j, deps) in deps.into_iter().enumerate() {
+                            if !deps.is_empty() {
+                                want.push((i, j, deps.into_iter().collect::<Vec<_>>()));
+                            }
+                        }
+                    }
+                    assert_eq!(comp.listed(dir, l), want, "layer {l} {dir:?}");
+                    if l == 3 {
+                        let full: usize = build_worker_contexts(&adjs, &partition)
+                            .iter()
+                            .map(|c| c.layers[2].remote_deps.len())
+                            .sum();
+                        let rows: usize = want.iter().map(|(_, _, deps)| deps.len()).sum();
+                        pruned[d] += full - rows;
+                    }
+                }
+            }
+            assert!(pruned.iter().all(|&p| p > 0), "both top-layer plans drop rows: {pruned:?}");
+        }
     }
 }

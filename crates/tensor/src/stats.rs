@@ -118,20 +118,28 @@ pub fn min_max(xs: &[f32]) -> (f32, f32) {
 fn min_max_lanes(xs: &[f32]) -> (f32, f32) {
     // `a < b` selects are NaN-skipping (a NaN never compares below or above
     // the running bound) and lower to a single min/max instruction.
-    let mut lo = [f32::INFINITY; MIN_MAX_LANES];
-    let mut hi = [f32::NEG_INFINITY; MIN_MAX_LANES];
-    let mut chunks = xs.chunks_exact(MIN_MAX_LANES);
-    for chunk in &mut chunks {
-        for u in 0..MIN_MAX_LANES {
-            lo[u] = if chunk[u] < lo[u] { chunk[u] } else { lo[u] };
-            hi[u] = if chunk[u] > hi[u] { chunk[u] } else { hi[u] };
+    let (mut min, mut max) = if xs.len() < MIN_MAX_LANES {
+        let (mut min, mut max) = (f32::INFINITY, f32::NEG_INFINITY);
+        for &x in xs {
+            min = if x < min { x } else { min };
+            max = if x > max { x } else { max };
         }
-    }
-    let (mut min, mut max) = fold_lanes(lo, hi);
-    for &x in chunks.remainder() {
-        min = if x < min { x } else { min };
-        max = if x > max { x } else { max };
-    }
+        (min, max)
+    } else {
+        let mut lo = [f32::INFINITY; MIN_MAX_LANES];
+        let mut hi = [f32::NEG_INFINITY; MIN_MAX_LANES];
+        let mut chunks = xs.chunks_exact(MIN_MAX_LANES);
+        for chunk in &mut chunks {
+            scan_chunk(&mut lo, &mut hi, chunk);
+        }
+        // The tail is scanned as the last sixteen entries, overlapping the
+        // chunks: min and max are idempotent, so an entry seen twice changes
+        // nothing, and no scalar loop runs.
+        if !chunks.remainder().is_empty() {
+            scan_chunk(&mut lo, &mut hi, &xs[xs.len() - MIN_MAX_LANES..]);
+        }
+        fold_lanes(lo, hi)
+    };
     if !(min.is_finite() && max.is_finite()) {
         // An infinity (or nothing finite at all) reached a bound: rescan,
         // skipping the infinities too. Cold — healthy messages are finite.
@@ -146,6 +154,15 @@ fn min_max_lanes(xs: &[f32]) -> (f32, f32) {
     }
     // `-0.0 + 0.0 == +0.0`; every other value is unchanged.
     (min + 0.0, max + 0.0)
+}
+
+/// One sixteen-entry step of the [`min_max`] scan.
+#[inline(always)]
+fn scan_chunk(lo: &mut [f32; MIN_MAX_LANES], hi: &mut [f32; MIN_MAX_LANES], chunk: &[f32]) {
+    for u in 0..MIN_MAX_LANES {
+        lo[u] = if chunk[u] < lo[u] { chunk[u] } else { lo[u] };
+        hi[u] = if chunk[u] > hi[u] { chunk[u] } else { hi[u] };
+    }
 }
 
 /// The least of `lo` and the greatest of `hi`, folded pairwise (a tree
@@ -317,6 +334,35 @@ mod tests {
             let long: Vec<f32> = xs.iter().cycle().take(xs.len() * 23).copied().collect();
             for (tier, got) in min_max_at_every_tier(&long) {
                 assert_eq!(bits(got), bits(want), "{xs:?} × 23 at {tier}");
+            }
+        }
+    }
+
+    /// Every length through five lane widths, at every tier, against the
+    /// left-to-right scan: each tail position — past the last full chunk,
+    /// where the overlapping chunk reads — holds in turn a NaN, an infinity,
+    /// a negative zero or the extreme, over finite data and over zeros.
+    #[test]
+    fn min_max_reads_every_tail_position_at_every_length_and_tier() {
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, -9.0, 9.0];
+        for len in 0..=80usize {
+            let finite: Vec<f32> = (0..len).map(|i| ((i * 7) % 13) as f32 * 0.5 - 3.0).collect();
+            for base in [finite, vec![0.0; len]] {
+                let mut cases = vec![base.clone()];
+                for p in len / MIN_MAX_LANES * MIN_MAX_LANES..len {
+                    for &x in &specials {
+                        let mut xs = base.clone();
+                        xs[p] = x;
+                        cases.push(xs);
+                    }
+                }
+                for xs in &cases {
+                    let want = bits(min_max_reference(xs));
+                    assert_eq!(bits(min_max(xs)), want, "{xs:?}");
+                    for (tier, got) in min_max_at_every_tier(xs) {
+                        assert_eq!(bits(got), want, "{tier} {xs:?}");
+                    }
+                }
             }
         }
     }

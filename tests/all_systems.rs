@@ -207,6 +207,52 @@ fn the_vertex_exchange_is_one_push_round_on_a_latency_only_network() {
     }
 }
 
+/// In exact mode a link's message is its rows uncompressed,
+/// `rows × width × 4 + 8` bytes, and the rows are the receptive field of the
+/// loss, derived here from the graph alone: below the top layer every
+/// remote neighbour of the requester's vertices, in both passes; at layer
+/// `L`, forward the remote neighbours of the requester's training vertices
+/// and backward the remote training vertices next to any of its vertices.
+#[test]
+fn exact_exchanges_ship_the_receptive_field_of_the_loss() {
+    use ec_graph_repro::ecgraph::config::{BpMode, FpMode};
+    use ec_graph_repro::partition::{hash::HashPartitioner, Partitioner};
+    use std::collections::BTreeSet;
+
+    let data = Arc::new(DatasetSpec::products().instantiate_with(300, 12, 5));
+    let (g, workers) = (&data.graph, 4);
+    let dims = vec![12, 16, 8, data.num_classes];
+    let part = HashPartitioner::default().partition(g, workers);
+    let train: BTreeSet<usize> = data.split.train.iter().copied().collect();
+    // Bytes of one exchange whose requester vertex `v` reads `u`'s row iff
+    // `reads(v, u)`: one message per non-empty (requester, owner) set.
+    let exchange = |width: usize, reads: &dyn Fn(usize, usize) -> bool| -> u64 {
+        let mut bytes = 0;
+        for (i, j) in (0..workers).flat_map(|i| (0..workers).map(move |j| (i, j))) {
+            let rows: BTreeSet<usize> = (0..g.num_vertices())
+                .filter(|&v| part.part_of(v) == i && i != j)
+                .flat_map(|v| g.neighbors(v).iter().map(move |&u| (v, u as usize)))
+                .filter(|&(v, u)| part.part_of(u) == j && reads(v, u))
+                .map(|(_, u)| u)
+                .collect();
+            if !rows.is_empty() {
+                bytes += (rows.len() * width * 4 + 8) as u64;
+            }
+        }
+        bytes
+    };
+    let all = |_: usize, _: usize| true;
+    let fp = exchange(dims[1], &all) + exchange(dims[2], &|v, _| train.contains(&v));
+    let bp = exchange(dims[2], &all) + exchange(dims[3], &|_, u| train.contains(&u));
+    let full = [
+        exchange(dims[1], &all) + exchange(dims[2], &all),
+        exchange(dims[2], &all) + exchange(dims[3], &all),
+    ];
+    assert!(fp < full[0] && bp < full[1], "the top layer's plans leave rows out");
+    let epoch = latency_only_epoch(&data, dims, workers, FpMode::Exact, BpMode::Exact);
+    assert_eq!((epoch.traffic.fp_bytes, epoch.traffic.bp_bytes), (fp, bp));
+}
+
 /// A shard that holds no row and no bias entry of any slot sends and
 /// receives nothing. With `W = 6` over the slots `4 × 3` and `3 × 3`,
 /// shards 4 and 5 are empty: the four other owners each pull-send 5

@@ -102,13 +102,6 @@ fn wider_tiers_are_not_slower_than_the_baseline_tier() {
     // Reddit's layer-1 product on one worker block, and a 64-wide message.
     let (a, b, message) = (wave(336, 602), wave(602, 16), wave(336, 64));
     let mut out = vec![0.0f32; a.rows() * b.cols()];
-    let best_of_20 = |run: &mut dyn FnMut()| {
-        (0..20).fold(f64::INFINITY, |best, _| {
-            let timer = HostTimer::start();
-            run();
-            best.min(timer.elapsed_s())
-        })
-    };
     // A trend group two boundaries old and the message of the step after:
     // rows drift at their own rate with row-dependent noise, so quiet rows
     // are predicted, noisy ones compress and the rest average.
@@ -126,38 +119,54 @@ fn wider_tiers_are_not_slower_than_the_baseline_tier() {
         fp::reqec_step(&mut trend, &at(3), 4, 4, 3);
         let mixed = fp::reqec_step(&mut trend.clone(), &at(4), 4, 4, 4).selected;
         assert!(mixed.iter().all(|&n| n >= 20), "a mixed selection, got {mixed:?}");
-        (trend, at(4))
+        let packed = Quantized::compress(&at(4), 4);
+        (trend, at(4), packed)
     };
     let cases = [reqec_case(64), reqec_case(16)];
-    let rows: Vec<(Tier, f64, f64, [f64; 2])> = Tier::supported()
-        .map(|tier| {
-            let product = best_of_20(&mut || {
+    let mut cps = cases.each_ref().map(|(_, h, _)| Matrix::zeros(h.rows(), h.cols()));
+    // Seconds of one sample of measurement `kind` at `tier`: the product,
+    // one 4-bit compress, and the ReqEC step at 64 and at 16 columns.
+    let mut sample = |kind: usize, tier: Tier| {
+        let timer = HostTimer::start();
+        match kind {
+            0 => {
                 out.fill(0.0);
                 isa::dispatch_on(tier, ops::matmul_kernel(black_box(&a), &b, 0, &mut out));
-            });
-            let codec = best_of_20(&mut || {
+            }
+            1 => {
                 for _ in 0..20 {
                     black_box(Quantized::compress_at(tier, black_box(&message), 4));
                 }
-            });
-            let reqec = cases.each_ref().map(|(trend, h)| {
+            }
+            _ => {
+                let ((trend, h, packed), cps) = (&cases[kind - 2], &mut cps[kind - 2]);
                 let (Some(base), Some(m_cr), _) = trend.to_parts() else {
                     unreachable!("two boundaries set the trend group")
                 };
-                let packed = Quantized::compress(h, 4);
-                let mut cps = Matrix::zeros(h.rows(), h.cols());
-                best_of_20(&mut || {
-                    for _ in 0..20 {
-                        packed.decompress_into_at(tier, cps.as_mut_slice());
-                        let out = cps.as_mut_slice();
-                        let sweep = SelectorSweep { base, m_cr, k: 1.0, h_rows: h, out };
-                        black_box(isa::dispatch_on(tier, sweep));
-                    }
-                }) / 20.0
-            });
-            (tier, product, codec / 20.0, reqec)
-        })
-        .collect();
+                for _ in 0..20 {
+                    packed.decompress_into_at(tier, cps.as_mut_slice());
+                    let out = cps.as_mut_slice();
+                    let sweep = SelectorSweep { base, m_cr, k: 1.0, h_rows: h, out };
+                    black_box(isa::dispatch_on(tier, sweep));
+                }
+            }
+        }
+        timer.elapsed_s() / if kind == 0 { 1.0 } else { 20.0 }
+    };
+    // Best of 20, sampled round-robin: each repetition takes every
+    // measurement at every tier in turn, so a burst from the host lands on
+    // all tiers alike rather than on one tier's whole series.
+    let tiers: Vec<Tier> = Tier::supported().collect();
+    let mut best = vec![[f64::INFINITY; 4]; tiers.len()];
+    for _ in 0..20 {
+        for kind in 0..4 {
+            for (best, &tier) in best.iter_mut().zip(&tiers) {
+                best[kind] = best[kind].min(sample(kind, tier));
+            }
+        }
+    }
+    let rows: Vec<(Tier, f64, f64, [f64; 2])> =
+        tiers.iter().zip(&best).map(|(&tier, b)| (tier, b[0], b[1], [b[2], b[3]])).collect();
 
     println!(
         "{:<8}{:>24}{:>22}{:>25}{:>25}",
