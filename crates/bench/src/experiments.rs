@@ -686,9 +686,9 @@ fn theorem1(run: &mut Run) {
 /// **Section IV-B design choice** — trend-group length. The paper: "We set
 /// T_tr = 10 empirically, which achieves a satisfactory performance for all
 /// datasets." Small `T_tr` refreshes exact embeddings often (accurate but
-/// bandwidth-hungry — the boundary message ships `H` *and* `M_cr`
-/// uncompressed), large `T_tr` amortizes the boundary cost but lets the
-/// linear trend drift.
+/// bandwidth-hungry — the boundary message ships `H` uncompressed; the
+/// requester derives `M_cr` from it and the `H_base` it holds), large
+/// `T_tr` amortizes the boundary cost but lets the linear trend drift.
 fn ttr_sweep(run: &mut Run, _spec: &DatasetSpec, data: &Data) {
     let bits: u8 = run.get("bits");
     for t_tr in [2usize, 4, 6, 10, 20, 40] {

@@ -76,6 +76,16 @@ pub fn get_matrix(buf: &mut &[u8]) -> Result<Matrix, String> {
     Ok(Matrix::from_entries(rows, cols, words(body, f32::from_le_bytes)))
 }
 
+/// `Err` unless a decoder has read all of its buffer: what is left after
+/// the last field is not part of any message.
+pub fn finish(rest: &[u8]) -> Result<(), String> {
+    if rest.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("{} trailing bytes after the message", rest.len()))
+    }
+}
+
 /// Appends a `u32` list to `buf`.
 pub fn put_u32s(buf: &mut Vec<u8>, v: &[u32]) {
     put_u32(buf, v.len() as u32);

@@ -4,10 +4,13 @@
 //! Each function prepares the embedding rows one responding worker ships to
 //! one requesting worker for one layer, returning the matrix the requester
 //! will reconstruct together with the bytes the message occupies on the
-//! simulated wire, as [`crate::wire`] prices its shape. Because both ends
-//! of ReqEC-FP maintain identical trend state by construction (the
-//! responder sends exactly what the requester stores), the simulation keeps
-//! a single [`TrendState`] per (responder → requester, layer) tuple.
+//! simulated wire, as [`crate::wire`] prices its shape. Both ends of
+//! ReqEC-FP maintain identical trend state by construction: a trend-boundary
+//! message carries the exact `H` alone, and responder and requester each run
+//! [`TrendState::absorb_boundary`] on it, which forms `M_cr` from the
+//! `H_base` both already hold; non-boundary messages leave the state alone.
+//! So the simulation keeps a single [`TrendState`] per (responder →
+//! requester, layer) tuple, and it stands for both ends.
 //!
 //! What a link keeps between exchanges, and which of the functions below
 //! answers on it, is [`FpLink`]: one variant per [`FpMode`], built when the
@@ -84,6 +87,34 @@ impl TrendState {
             *o = b + m * k;
         }
         true
+    }
+
+    /// The trend-boundary update, run by both ends on the exact `H` a
+    /// boundary message carries: `M_cr = (H − H_base) / elapsed` over the
+    /// iterations since the last boundary (`T_tr` between regular
+    /// boundaries, fewer for the bootstrap group; zeros at the bootstrap,
+    /// which has no `H_base`), then `H_base = H` and `base_t = t`. A
+    /// requester that absorbs every boundary's `H` holds the responder's
+    /// state bit for bit, so `M_cr` never crosses the wire.
+    pub fn absorb_boundary(&mut self, h: &Matrix, t: usize) {
+        let m_cr = match self.base.take() {
+            // Formed in one pass in the buffer the outgoing `H_base` leaves
+            // behind.
+            Some(mut base) => {
+                assert_eq!(base.shape(), h.shape(), "trend group shape changed");
+                let inv = 1.0 / (t - self.base_t).max(1) as f32;
+                for (b, &x) in base.as_mut_slice().iter_mut().zip(h.as_slice()) {
+                    *b = (x - *b) * inv;
+                }
+                base
+            }
+            None => Matrix::zeros(h.rows(), h.cols()),
+        };
+        // The new `H_base` takes the buffer the outgoing `M_cr` leaves behind.
+        let mut base = self.m_cr.replace(m_cr).unwrap_or_else(|| Matrix::zeros(0, 0));
+        base.clone_from(h);
+        self.base = Some(base);
+        self.base_t = t;
     }
 
     /// The state's parts, for inspection.
@@ -280,8 +311,9 @@ pub fn respond_compressed(h_rows: &Matrix, bits: u8) -> (Matrix, u64) {
 /// One ReqEC-FP exchange (Algorithms 3 and 4) at iteration `t`.
 ///
 /// * At trend boundaries (`(t+1) % t_tr == 0`) — and at `t = 0` to
-///   bootstrap — the responder ships exact embeddings plus the
-///   changing-rate matrix `M_cr = (H_now − H_base)/T_tr`.
+///   bootstrap — the responder ships the exact embeddings alone, and both
+///   ends derive the changing-rate matrix `M_cr = (H_now − H_base)/T_tr`
+///   from them and the `H_base` they hold ([`TrendState::absorb_boundary`]).
 /// * Otherwise the responder builds the three candidates
 ///   (`Ĥ_cps`, `Ĥ_pdt`, `Ĥ_avg`), selects per vertex by L1 distance
 ///   (Eq. 10), and ships the 2-bit selector array plus the compressed rows
@@ -332,9 +364,7 @@ fn reqec_step_into(
     codec: &mut Quantized,
     out: &mut [f32],
 ) -> ReqEcReport {
-    let rows = h_rows.rows();
-    let cols = h_rows.cols();
-    if rows == 0 {
+    if h_rows.rows() == 0 {
         return ReqEcReport::default();
     }
     // Non-boundary steps read the live trend group; when the group has not
@@ -350,30 +380,11 @@ fn reqec_step_into(
         }
     }
 
-    // Trend boundary (or bootstrap): ship the exact embeddings plus the
-    // changing-rate matrix and reset the group.
-    let m_cr = match state.base.take() {
-        // Per-step changing rate over the actual elapsed interval (equal
-        // to T_tr between regular boundaries; shorter only for the
-        // bootstrap group): `M_cr = (H_now − H_base) / elapsed`, formed in
-        // one pass in the buffer the outgoing `H_base` leaves behind.
-        Some(mut base) => {
-            assert_eq!(base.shape(), h_rows.shape(), "trend group shape changed");
-            let inv = 1.0 / (t - state.base_t).max(1) as f32;
-            for (b, &h) in base.as_mut_slice().iter_mut().zip(h_rows.as_slice()) {
-                *b = (h - *b) * inv;
-            }
-            base
-        }
-        None => Matrix::zeros(rows, cols),
-    };
-    let wire = FpMessage::boundary_size(h_rows.len()) as u64;
-    // The new `H_base` takes the buffer the outgoing `M_cr` leaves behind.
-    let mut base = state.m_cr.replace(m_cr).unwrap_or_else(|| Matrix::zeros(0, 0));
-    base.clone_from(h_rows);
-    state.base = Some(base);
-    state.base_t = t;
+    // Trend boundary (or bootstrap): ship the exact embeddings alone; both
+    // ends restart the group from them.
+    state.absorb_boundary(h_rows, t);
     out.copy_from_slice(h_rows.as_slice());
+    let wire = FpMessage::boundary_size(h_rows.len()) as u64;
     ReqEcReport { wire, exact_sent: true, ..ReqEcReport::default() }
 }
 

@@ -22,12 +22,16 @@ use ec_tensor::Matrix;
 /// A forward-pass response from a responding worker.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FpMessage {
-    /// Trend-boundary message: exact embeddings plus the changing-rate
-    /// matrix (`rm.buildMessage(H_res, M_cr)` in Alg. 4).
+    /// Trend-boundary message: the exact embeddings. Alg. 4 builds it as
+    /// `rm.buildMessage(H_res, M_cr)`; here the engine's boundary ships an
+    /// empty (`0 × 0`) `m_cr`, and the requester derives `M_cr` from `h` and
+    /// the `H_base` it holds (`fp::TrendState::absorb_boundary`) — priced
+    /// by [`Self::boundary_size`]. An `h`-shaped `m_cr`, Alg. 4's full
+    /// form, encodes and decodes too, and costs what it carries.
     Exact {
         /// The requested embedding rows, uncompressed.
         h: Matrix,
-        /// The changing-rate matrix `M_cr`.
+        /// The changing-rate matrix `M_cr`, or empty: derive it.
         m_cr: Matrix,
     },
     /// Plain quantized embeddings (`Cp-fp`).
@@ -59,10 +63,11 @@ fn payload_size(payload: Option<(usize, u8)>) -> usize {
 }
 
 impl FpMessage {
-    /// Charge of a trend-boundary message whose `H` and `M_cr` hold
-    /// `entries` entries each.
+    /// Charge of a trend-boundary message whose `H` holds `entries`
+    /// entries: `H` and the header of an empty `M_cr`, which the requester
+    /// derives rather than receives.
     pub fn boundary_size(entries: usize) -> usize {
-        2 * codec::matrix_wire_size_for(entries)
+        codec::matrix_wire_size_for(entries) + codec::matrix_wire_size_for(0)
     }
 
     /// Charge of a Selected message: `choices` Selector codes (one per
@@ -90,7 +95,9 @@ impl FpMessage {
     /// Serialized size in bytes (must equal `to_bytes().len()`).
     pub fn wire_size(&self) -> usize {
         1 + match self {
-            FpMessage::Exact { h, .. } => Self::boundary_size(h.len()),
+            FpMessage::Exact { h, m_cr } => {
+                codec::matrix_wire_size(h) + codec::matrix_wire_size(m_cr)
+            }
             FpMessage::Compressed(q) => q.wire_size(),
             FpMessage::Selected { selector, compressed, .. } => {
                 let payload = compressed.as_ref().map(|q| (q.shape().0 * q.shape().1, q.bits()));
@@ -133,8 +140,9 @@ impl FpMessage {
             TAG_EXACT => {
                 let h = codec::get_matrix(&mut rest)?;
                 let m_cr = codec::get_matrix(&mut rest)?;
-                if h.shape() != m_cr.shape() {
-                    return Err("H/M_cr shape mismatch".into());
+                codec::finish(rest)?;
+                if m_cr.shape() != (0, 0) && m_cr.shape() != h.shape() {
+                    return Err("M_cr is neither empty nor H-shaped".into());
                 }
                 Ok(FpMessage::Exact { h, m_cr })
             }
@@ -207,7 +215,11 @@ impl BpMessage {
     pub fn from_bytes(buf: &[u8]) -> Result<Self, String> {
         let (&tag, mut rest) = buf.split_first().ok_or("empty message")?;
         match tag {
-            TAG_EXACT => Ok(BpMessage::Exact(codec::get_matrix(&mut rest)?)),
+            TAG_EXACT => {
+                let g = codec::get_matrix(&mut rest)?;
+                codec::finish(rest)?;
+                Ok(BpMessage::Exact(g))
+            }
             TAG_COMPRESSED => Ok(BpMessage::Compressed(Quantized::from_bytes(rest)?)),
             other => Err(format!("unknown BP message tag {other}")),
         }
@@ -226,5 +238,23 @@ mod tests {
             let _ = BpMessage::from_bytes(&junk);
         }
         assert!(FpMessage::from_bytes(&[9, 0, 0]).is_err());
+    }
+
+    /// A boundary's `M_cr` is empty or `H`-shaped; any other shape is no
+    /// boundary message. Every form costs the `M_cr` it carries.
+    #[test]
+    fn boundary_m_cr_is_empty_or_h_shaped() {
+        let h = Matrix::from_fn(3, 2, |r, c| (r * 2 + c) as f32);
+        for (m_cr, decodes) in [
+            (Matrix::zeros(0, 0), true),
+            (h.clone(), true),
+            (Matrix::zeros(2, 3), false),
+            (Matrix::zeros(0, 2), false),
+        ] {
+            let msg = FpMessage::Exact { h: h.clone(), m_cr };
+            let bytes = msg.to_bytes();
+            assert_eq!(msg.wire_size(), bytes.len());
+            assert_eq!(FpMessage::from_bytes(&bytes).is_ok(), decodes, "{msg:?}");
+        }
     }
 }

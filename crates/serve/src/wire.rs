@@ -67,6 +67,7 @@ impl ServeRequest {
         let version = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
         rest = &rest[4..];
         let ids = codec::get_u32s(&mut rest)?;
+        codec::finish(rest)?;
         Ok(Self { version, ids })
     }
 }
@@ -157,7 +158,11 @@ impl ServeReply {
         let version = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
         let mut rest = &rest[4..];
         match tag {
-            TAG_EXACT => Ok(ServeReply::Exact { version, rows: codec::get_matrix(&mut rest)? }),
+            TAG_EXACT => {
+                let rows = codec::get_matrix(&mut rest)?;
+                codec::finish(rest)?;
+                Ok(ServeReply::Exact { version, rows })
+            }
             TAG_ROW_QUANTIZED => {
                 if rest.len() < 4 {
                     return Err("serve reply row count truncated".into());
@@ -183,6 +188,7 @@ impl ServeReply {
                     rows.push(Quantized::from_bytes(&rest[..len])?);
                     rest = &rest[len..];
                 }
+                codec::finish(rest)?;
                 Ok(ServeReply::RowQuantized { version, rows })
             }
             other => Err(format!("unknown serve reply tag {other}")),

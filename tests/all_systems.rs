@@ -155,6 +155,18 @@ fn latency_only_epoch(
     fp_mode: ec_graph_repro::ecgraph::config::FpMode,
     bp_mode: ec_graph_repro::ecgraph::config::BpMode,
 ) -> ec_graph_repro::ecgraph::engine::EpochStats {
+    latency_only_engine(data, dims, workers, fp_mode, bp_mode).run_epoch()
+}
+
+/// The engine [`latency_only_epoch`] runs, hash-partitioned, before its
+/// first epoch.
+fn latency_only_engine(
+    data: &Arc<ec_graph_repro::data::AttributedGraph>,
+    dims: Vec<usize>,
+    workers: usize,
+    fp_mode: ec_graph_repro::ecgraph::config::FpMode,
+    bp_mode: ec_graph_repro::ecgraph::config::BpMode,
+) -> ec_graph_repro::ecgraph::engine::DistributedEngine {
     use ec_graph_repro::data::normalize;
     use ec_graph_repro::ecgraph::engine::DistributedEngine;
     use ec_graph_repro::partition::{hash::HashPartitioner, Partitioner};
@@ -171,7 +183,7 @@ fn latency_only_epoch(
         ..TrainingConfig::defaults(d0, classes)
     };
     let partition = HashPartitioner::default().partition(&data.graph, workers);
-    DistributedEngine::new(Arc::clone(data), adjs, partition, config).run_epoch()
+    DistributedEngine::new(Arc::clone(data), adjs, partition, config)
 }
 
 /// The vertex exchange and the parameter pull are each one push round: on
@@ -207,6 +219,42 @@ fn the_vertex_exchange_is_one_push_round_on_a_latency_only_network() {
     }
 }
 
+/// The 300-vertex `products` replica both exchange-size tests run: its
+/// data, four hash-partitioned workers, three layers.
+fn receptive_field_fixture() -> (Arc<ec_graph_repro::data::AttributedGraph>, Vec<usize>) {
+    let data = Arc::new(DatasetSpec::products().instantiate_with(300, 12, 5));
+    let dims = vec![12, 16, 8, data.num_classes];
+    (data, dims)
+}
+
+/// The row count of every non-empty (requester, owner) link of one
+/// exchange over `data` hash-partitioned onto `workers`, whose requester
+/// vertex `v` reads `u`'s row iff `reads(v, u)`, derived from the graph.
+fn link_rows(
+    data: &ec_graph_repro::data::AttributedGraph,
+    workers: usize,
+    reads: &dyn Fn(usize, usize) -> bool,
+) -> Vec<usize> {
+    use ec_graph_repro::partition::{hash::HashPartitioner, Partitioner};
+    use std::collections::BTreeSet;
+
+    let g = &data.graph;
+    let part = HashPartitioner::default().partition(g, workers);
+    (0..workers)
+        .flat_map(|i| (0..workers).map(move |j| (i, j)))
+        .map(|(i, j)| {
+            let rows: BTreeSet<usize> = (0..g.num_vertices())
+                .filter(|&v| part.part_of(v) == i && i != j)
+                .flat_map(|v| g.neighbors(v).iter().map(move |&u| (v, u as usize)))
+                .filter(|&(v, u)| part.part_of(u) == j && reads(v, u))
+                .map(|(_, u)| u)
+                .collect();
+            rows.len()
+        })
+        .filter(|&rows| rows > 0)
+        .collect()
+}
+
 /// In exact mode a link's message is its rows uncompressed,
 /// `rows × width × 4 + 8` bytes, and the rows are the receptive field of the
 /// loss, derived here from the graph alone: below the top layer every
@@ -216,30 +264,14 @@ fn the_vertex_exchange_is_one_push_round_on_a_latency_only_network() {
 #[test]
 fn exact_exchanges_ship_the_receptive_field_of_the_loss() {
     use ec_graph_repro::ecgraph::config::{BpMode, FpMode};
-    use ec_graph_repro::partition::{hash::HashPartitioner, Partitioner};
     use std::collections::BTreeSet;
 
-    let data = Arc::new(DatasetSpec::products().instantiate_with(300, 12, 5));
-    let (g, workers) = (&data.graph, 4);
-    let dims = vec![12, 16, 8, data.num_classes];
-    let part = HashPartitioner::default().partition(g, workers);
+    let (data, dims) = receptive_field_fixture();
+    let workers = 4;
     let train: BTreeSet<usize> = data.split.train.iter().copied().collect();
-    // Bytes of one exchange whose requester vertex `v` reads `u`'s row iff
-    // `reads(v, u)`: one message per non-empty (requester, owner) set.
+    // One message of `rows × width` floats and an 8-byte header per link.
     let exchange = |width: usize, reads: &dyn Fn(usize, usize) -> bool| -> u64 {
-        let mut bytes = 0;
-        for (i, j) in (0..workers).flat_map(|i| (0..workers).map(move |j| (i, j))) {
-            let rows: BTreeSet<usize> = (0..g.num_vertices())
-                .filter(|&v| part.part_of(v) == i && i != j)
-                .flat_map(|v| g.neighbors(v).iter().map(move |&u| (v, u as usize)))
-                .filter(|&(v, u)| part.part_of(u) == j && reads(v, u))
-                .map(|(_, u)| u)
-                .collect();
-            if !rows.is_empty() {
-                bytes += (rows.len() * width * 4 + 8) as u64;
-            }
-        }
-        bytes
+        link_rows(&data, workers, reads).iter().map(|&rows| (rows * width * 4 + 8) as u64).sum()
     };
     let all = |_: usize, _: usize| true;
     let fp = exchange(dims[1], &all) + exchange(dims[2], &|v, _| train.contains(&v));
@@ -251,6 +283,36 @@ fn exact_exchanges_ship_the_receptive_field_of_the_loss() {
     assert!(fp < full[0] && bp < full[1], "the top layer's plans leave rows out");
     let epoch = latency_only_epoch(&data, dims, workers, FpMode::Exact, BpMode::Exact);
     assert_eq!((epoch.traffic.fp_bytes, epoch.traffic.bp_bytes), (fp, bp));
+}
+
+/// FP bytes of epoch 1 in [`a_reqec_trend_boundary_ships_h_and_an_empty_m_cr_header`].
+const NON_BOUNDARY_FP_BYTES: u64 = 546;
+
+/// What a ReqEC trend boundary costs: per link the exact rows and two
+/// matrix headers, the second that of the empty `M_cr` the requester
+/// derives from the `H_base` it holds — on the bootstrap epoch and on a
+/// regular boundary, rows from the graph as in the exact test above. A
+/// non-boundary epoch's Selected messages are priced as before the
+/// boundary stopped shipping `M_cr`: the literal is that epoch's count when
+/// it did.
+#[test]
+fn a_reqec_trend_boundary_ships_h_and_an_empty_m_cr_header() {
+    use ec_graph_repro::ecgraph::config::{BpMode, FpMode};
+    use std::collections::BTreeSet;
+
+    let (data, dims) = receptive_field_fixture();
+    let workers = 4;
+    let train: BTreeSet<usize> = data.split.train.iter().copied().collect();
+    let boundary = |width: usize, reads: &dyn Fn(usize, usize) -> bool| -> u64 {
+        link_rows(&data, workers, reads).iter().map(|&rows| (rows * width * 4 + 16) as u64).sum()
+    };
+    let fp = boundary(dims[1], &|_, _| true) + boundary(dims[2], &|v, _| train.contains(&v));
+    let reqec = FpMode::ReqEc { bits: 2, t_tr: 3, adaptive: false };
+    let mut engine = latency_only_engine(&data, dims, workers, reqec, BpMode::Exact);
+    // Epoch 0 bootstraps the trend group, epoch 2 ends it, epoch 1 predicts.
+    let fp_bytes: Vec<u64> = (0..3).map(|_| engine.run_epoch().traffic.fp_bytes).collect();
+    assert_eq!((fp_bytes[0], fp_bytes[2]), (fp, fp));
+    assert_eq!(fp_bytes[1], NON_BOUNDARY_FP_BYTES);
 }
 
 /// A shard that holds no row and no bias entry of any slot sends and

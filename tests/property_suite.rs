@@ -494,6 +494,84 @@ fn fused_exchange_steps_match_the_multi_pass_formulation() {
     assert!(decisions.iter().all(|&c| c > 0), "Selector coverage {decisions:?}");
 }
 
+/// Bit pattern with every NaN folded to one value: which NaN payload an
+/// operation on NaNs keeps is the compiler's choice, not part of the
+/// contract.
+fn canonical_bits(m: &Matrix) -> Vec<u32> {
+    let fold = |x: f32| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() };
+    m.as_slice().iter().map(|&x| fold(x)).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A requester rebuilds the trend group from the wire alone: fed only
+    /// the `H` of each boundary message — encoded, decoded — through
+    /// `absorb_boundary`, its state equals the responder's bit for bit
+    /// after every boundary, and between boundaries its `H_base + M_cr·k`
+    /// is the responder's predicted candidate. Trend groups of 1, 2, 3 and
+    /// 10 epochs, the shorter bootstrap group (`t = 0 → T_tr − 1`), and
+    /// NaN / ±Inf planted in the rows.
+    #[test]
+    fn a_requester_rebuilds_the_trend_group_from_boundary_h_alone(
+        rows in 1usize..9,
+        cols in 1usize..40,
+        bits in 1u8..=8,
+        t_tr in 0usize..4,
+        steps in 1usize..24,
+        seed in any::<u64>(),
+        planted in proptest::collection::vec((0usize..24, 0usize..320, 0usize..3), 0..5),
+    ) {
+        use ec_graph_repro::ecgraph::fp::{reqec_step, TrendState};
+        use ec_graph_repro::ecgraph::wire::FpMessage;
+        use ec_graph_repro::tensor::init;
+        let t_tr = [1usize, 2, 3, 10][t_tr];
+        let start = init::uniform(rows, cols, 0.0, 1.0, seed);
+        let rate = init::uniform(rows, cols, -0.05, 0.05, seed ^ 0x5A5A);
+        let (mut responder, mut requester) = (TrendState::default(), TrendState::default());
+        let mut boundaries = Vec::new();
+        for t in 0..steps {
+            let jitter = init::uniform(rows, cols, -0.02, 0.02, seed.wrapping_add(t as u64 + 1));
+            let mut h = Matrix::from_fn(rows, cols, |r, c| {
+                start.get(r, c) + rate.get(r, c) * t as f32 + jitter.get(r, c)
+            });
+            for &(at_t, at, value) in &planted {
+                if at_t == t {
+                    h.as_mut_slice()[at % (rows * cols)] =
+                        [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][value];
+                }
+            }
+            let out = reqec_step(&mut responder, &h, bits, t_tr, t);
+            if out.exact_sent {
+                boundaries.push(t);
+                let message = FpMessage::Exact { h: out.reconstructed, m_cr: Matrix::zeros(0, 0) };
+                let bytes = message.to_bytes();
+                prop_assert_eq!(bytes.len() as u64, 1 + out.wire);
+                let Ok(FpMessage::Exact { h: shipped, .. }) = FpMessage::from_bytes(&bytes) else {
+                    panic!("t={t}: a boundary message decodes");
+                };
+                requester.absorb_boundary(&shipped, t);
+                let (want, got) = (responder.to_parts(), requester.to_parts());
+                prop_assert_eq!(want.0.map(canonical_bits), got.0.map(canonical_bits), "t={}", t);
+                prop_assert_eq!(want.1.map(canonical_bits), got.1.map(canonical_bits), "t={}", t);
+                prop_assert_eq!(want.2, got.2, "t={}", t);
+            } else {
+                let (Some(base), Some(m_cr), base_t) = requester.to_parts() else {
+                    panic!("t={t}: a non-boundary step follows a boundary");
+                };
+                let k = (t - base_t) as f32;
+                let derived: Vec<f32> =
+                    base.as_slice().iter().zip(m_cr.as_slice()).map(|(&b, &m)| b + m * k).collect();
+                let derived = Matrix::from_vec(rows, cols, derived);
+                let pdt = responder.predict(t).expect("the responder's trend group");
+                prop_assert_eq!(canonical_bits(&derived), canonical_bits(&pdt), "t={}", t);
+            }
+        }
+        let want: Vec<usize> = (0..steps).filter(|&t| t == 0 || (t + 1) % t_tr == 0).collect();
+        prop_assert_eq!(boundaries, want);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

@@ -8,8 +8,9 @@
 //! committed byte string, so swapping two writes, renumbering a tag or
 //! widening a length prefix fails here — and checks on the same values that
 //! `from_bytes` inverts the encoding and that `wire_size()` is the encoded
-//! length. A second test holds every price the exchange charges by shape
-//! to the length of the message it stands for, over a grid of shapes.
+//! length, and that one byte more or one byte less is no message. A
+//! second test holds every price the exchange charges by shape to the
+//! length of the message it stands for, over a grid of shapes.
 //!
 //! A deliberate format change updates the strings below in the same commit;
 //! the spaces in them separate fields and are ignored.
@@ -31,6 +32,10 @@ macro_rules! pin {
         assert_eq!(hex(&bytes), $hex.replace(' ', ""), "encoding of {value:?}");
         assert_eq!(value.wire_size(), bytes.len(), "wire_size of {value:?}");
         assert_eq!(<$ty>::from_bytes(&bytes).as_ref(), Ok(&value), "round trip");
+        let longer = [&bytes[..], &[0x07]].concat();
+        assert!(<$ty>::from_bytes(&longer).is_err(), "a trailing byte after {value:?}");
+        let shorter = &bytes[..bytes.len() - 1];
+        assert!(<$ty>::from_bytes(shorter).is_err(), "{value:?} without its last byte");
     }};
 }
 
@@ -55,7 +60,14 @@ fn every_wire_type_serializes_to_its_committed_bytes() {
     // rows, cols (u32 LE) · bits · min, max (f32 LE) · packed codes
     pin!(Quantized, quantized(), "01000000 04000000 02 00000000 0000803f c6");
 
-    // tag 0 · H · M_cr, each rows, cols (u32 LE) · row-major f32 LE
+    // tag 0 · H · M_cr, each rows, cols (u32 LE) · row-major f32 LE; the
+    // engine's boundary ships an empty M_cr, the requester derives it
+    pin!(
+        FpMessage,
+        FpMessage::Exact { h: matrix(), m_cr: Matrix::zeros(0, 0) },
+        "00 02000000 02000000 0000803f 000000c0 0000003f 00000000 \
+            00000000 00000000"
+    );
     pin!(
         FpMessage,
         FpMessage::Exact { h: matrix(), m_cr: Matrix::zeros(2, 2) },
@@ -135,8 +147,10 @@ fn shape_prices_equal_the_serialized_messages() {
     for (rows, cols) in [(0usize, 16usize), (1, 1), (3, 16), (7, 47), (40, 64)] {
         let h = init::uniform(rows, cols, -2.0, 2.0, (rows + cols) as u64);
         let n = h.len();
-        let boundary = FpMessage::Exact { h: h.clone(), m_cr: h.clone() };
+        let boundary = FpMessage::Exact { h: h.clone(), m_cr: Matrix::zeros(0, 0) };
         assert_eq!(1 + FpMessage::boundary_size(n), len(boundary.to_bytes()), "{rows}x{cols}");
+        let full = FpMessage::Exact { h: h.clone(), m_cr: h.clone() };
+        assert_eq!(full.wire_size(), len(full.to_bytes()), "{rows}x{cols}");
         let exact = BpMessage::Exact(h.clone());
         assert_eq!(1 + codec::matrix_wire_size_for(n), len(exact.to_bytes()), "{rows}x{cols}");
         for bits in 1..=16u8 {
