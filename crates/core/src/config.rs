@@ -229,6 +229,21 @@ impl TrainingConfig {
         self.dims.windows(2).map(|w| (w[0], w[1])).collect()
     }
 
+    /// Whether the forward exchange of layer `l` ships `P = H^{l-1}·W^{l-1}`
+    /// (`dims[l]` wide) instead of `H^{l-1}` (`dims[l-1]` wide). Since
+    /// `Â·(H·W) = (Â·H)·W`, either gives the requester the same layer; the
+    /// strictly narrower one ships, and a tie keeps `H`. The adaptive
+    /// Bit-Tuner keeps one width per pair, tuned at the top layer and used
+    /// at every exchange layer, so under it `P` ships only where every
+    /// exchange layer ships `P`: a `P` layer never sets the width of an `H`
+    /// one. Layer 1 exchanges nothing.
+    pub fn fp_ships_projected(&self, l: usize) -> bool {
+        let exchanges = 2..=self.num_layers();
+        let narrows = |l: usize| self.dims[l] < self.dims[l - 1];
+        let adaptive = matches!(self.fp_mode, FpMode::ReqEc { adaptive: true, .. });
+        exchanges.contains(&l) && narrows(l) && (!adaptive || exchanges.clone().all(narrows))
+    }
+
     /// The parameter servers a run of this configuration starts from: one
     /// Xavier-initialized slot per layer, seeded from [`Self::seed`], and for
     /// GraphSAGE the second (root/self) transform of layer `l` at slot

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! FP  (l = 1):                pull all W | compute Z^1, H^1 from the cached P_w
-//! FP  (per layer l = 2..L):   exchange H^{l-1} | compute Z^l, H^l
+//! FP  (per layer l = 2..L):   exchange H^{l-1} or H^{l-1}·W^{l-1} | compute Z^l, H^l
 //! loss:                       local masked softmax-CE → G^L
 //! BP  (per layer l = L..2):   exchange G^l | compute Y^{l-1}, b-grad, G^{l-1}
 //! BP  (l = 1):                compute Y^0 = P_wᵀ·G¹, b-grad locally
@@ -18,6 +18,17 @@
 //! aggregate are epoch-invariant, so `P_w = Â_w·[X_local ; X_remote]` is
 //! computed once at build time from the first-hop feature cache (the raw
 //! remote features are not kept) and read by FP layer 1 and BP layer 1.
+//!
+//! **Narrow-side forward exchange.** `Â·(H·W) = (Â·H)·W`, so where the
+//! output of layer `l ≥ 2` is narrower than its input
+//! ([`TrainingConfig::fp_ships_projected`]) the compute block of layer
+//! `l − 1` also forms `P^l = H^{l-1}·W^{l-1}` for its own rows, into a
+//! per-worker buffer reused from epoch to epoch; the exchange of layer `l`
+//! ships `P^l` rows, and layer `l` computes `Z^l = Â_w·[P_local | P_remote]
+//! + b` with no product of its own (GraphSAGE adds its self term
+//! `H^{l-1}·W_s` as before). Every link's compensation state, Selector and
+//! codec then work on `P^l`. The backward pass is unchanged: it reads only
+//! local `H^{l-1}`.
 //!
 //! Each `|` above is a network barrier and each `compute` a compute
 //! superstep of the [`crate::exec`] cluster's `SuperstepDriver`, which owns
@@ -144,6 +155,11 @@ pub struct DistributedEngine {
 
     /// `h_local[w][l]` = local rows of `H^l` (`l = 0` is the features).
     h_local: Vec<Vec<Matrix>>,
+    /// `p_local[w][l]` = local rows of `P^l = H^{l-1}·W^{l-1}` where the
+    /// forward exchange of layer `l` ships it
+    /// ([`TrainingConfig::fp_ships_projected`]), else empty: worker `w`'s
+    /// buffers, overwritten in place every epoch.
+    p_local: Vec<Vec<Matrix>>,
     /// `P_w = Â_w·[X_local ; X_remote]` over the layer-1 topology — built
     /// once from the paper's first-hop feature cache, never mutated.
     p0: Vec<Matrix>,
@@ -266,6 +282,7 @@ impl DistributedEngine {
         let total_train = data.split.train.len();
         assert!(total_train > 0, "dataset has no training vertices");
 
+        let p_local = vec![vec![Matrix::zeros(0, 0); num_layers + 1]; num_workers];
         let comp = CompensationState::new(&contexts, &config);
         let alpha_probe = (config.telemetry.level > TelemetryLevel::Off)
             .then(|| bp::probe_alpha(config.bp_mode))
@@ -279,6 +296,7 @@ impl DistributedEngine {
             cluster,
             preprocessing,
             h_local,
+            p_local,
             p0,
             labels_local,
             train_local,
@@ -383,7 +401,8 @@ impl DistributedEngine {
     }
 
     /// Runs one full training epoch (Algorithms 1 + 2). Every compute
-    /// block below is pure: it returns its results, and the loop after it
+    /// block below is pure — it returns its results, and writes nothing but
+    /// its own worker's `P` buffers — and the loop after it
     /// stores or accumulates them in ascending worker order, so the epoch
     /// is bit-identical to the sequential engine at any thread count.
     pub fn run_epoch(&mut self) -> EpochStats {
@@ -398,35 +417,50 @@ impl DistributedEngine {
         // Every worker receives every slot in one round before layer 1.
         self.cluster.charge_pull();
         for l in 1..=num_layers {
-            // Exchange H^{l-1} (layer-0 features are cached).
+            // Exchange H^{l-1}, or P^l where it is narrower (layer-0 features
+            // are cached).
+            let projected = self.config.fp_ships_projected(l);
             let remotes: &[Matrix] = if l >= 2 {
-                let (comp, ws, h) = (&mut self.comp, &mut self.exchange_ws, &self.h_local);
-                let source = |j: usize| &h[j][l - 1];
+                let (comp, ws) = (&mut self.comp, &mut self.exchange_ws);
+                let (h, p) = (&self.h_local, &self.p_local);
+                let source = |j: usize| if projected { &p[j][l] } else { &h[j][l - 1] };
                 comp.exchange(ws, &mut self.cluster, &mut self.counters, Forward, l, source)
             } else {
                 &[]
             };
             self.cluster.barrier(Stage::new("fp:exchange", "fp").at_layer(l));
 
-            // Compute Z^l = (Â_w·[H_local | H_remote])·W^{l-1} + b and H^l.
+            // Compute Z^l = (Â_w·[H_local | H_remote])·W^{l-1} + b, or
+            // Â_w·[P_local | P_remote] + b, and H^l.
             let (w_l, b_l) = self.cluster.ps.pull(l - 1);
             let w_self = sage.then(|| self.cluster.ps.pull(num_layers + l - 1).0);
-            let results = self.cluster.steps.compute_superstep(
+            // The weights that make P^{l+1} from H^l, where layer l + 1 ships it.
+            let w_next = self.config.fp_ships_projected(l + 1).then(|| self.cluster.ps.pull(l).0);
+            let (h_local, contexts, p0) = (&self.h_local, &self.contexts, &self.p0);
+            let results = self.cluster.steps.compute_superstep_on(
                 Stage::new("fp:compute", "fp").at_layer(l),
-                |w| {
-                    // Layer 1 has no exchange: its aggregate is the cached P_w.
-                    let fresh = (l >= 2).then(|| {
-                        let topo = self.contexts[w].plan(Forward, l);
-                        topo.aggregate(&self.h_local[w][l - 1], &remotes[w], kt)
-                    });
-                    let mut z = parallel::matmul(fresh.as_ref().unwrap_or(&self.p0[w]), w_l, kt);
+                &mut self.p_local,
+                |w, p| {
+                    let topo = contexts[w].plan(Forward, l);
+                    let mut z = match (l, projected) {
+                        // Layer 1 has no exchange: its aggregate is the cached P_w.
+                        (1, _) => parallel::matmul(&p0[w], w_l, kt),
+                        (_, true) => topo.aggregate(&p[l], &remotes[w], kt),
+                        (_, false) => {
+                            let fresh = topo.aggregate(&h_local[w][l - 1], &remotes[w], kt);
+                            parallel::matmul(&fresh, w_l, kt)
+                        }
+                    };
                     if let Some(ws) = w_self {
-                        ops::add_assign(&mut z, &parallel::matmul(&self.h_local[w][l - 1], ws, kt));
+                        ops::add_assign(&mut z, &parallel::matmul(&h_local[w][l - 1], ws, kt));
                     }
                     ops::add_bias_assign(&mut z, b_l);
                     // The output layer has no activation: Z^L is H^L.
                     if l < num_layers {
                         activations::relu_assign(&mut z);
+                    }
+                    if let Some(w_next) = w_next {
+                        parallel::matmul_into(&z, w_next, kt, &mut p[l + 1]);
                     }
                     z
                 },

@@ -20,10 +20,12 @@
 //! What a stage may touch: between two barriers the simulated workers are
 //! independent by construction, so the block handed to
 //! `SuperstepDriver::compute_superstep` reads its own partition's state
-//! plus shared read-only weights and **returns** what it computed. Results
-//! come back in ascending worker order and the stage replays every
-//! order-sensitive effect — storing activations, gradient accumulation —
-//! on the engine thread, exactly as the sequential engine did. The block
+//! plus shared read-only weights and **returns** what it computed (through
+//! `compute_superstep_on` it may also overwrite buffers that belong to its
+//! own worker alone). Results come back in ascending worker order and the
+//! stage replays every order-sensitive effect — storing activations,
+//! gradient accumulation — on the engine thread, exactly as the sequential
+//! engine did. The block
 //! is `Fn + Sync` and the driver is `&mut`-borrowed for the whole call, so
 //! it cannot name the sink or the clock, and `SimNetwork::send` needs a
 //! `&mut` an `Fn` closure cannot hold: the ordered-replay rule is a
@@ -90,25 +92,40 @@ use ec_trace::{MetricId, SpanEvent, TelemetryLevel, TelemetryReport, TelemetrySi
 /// assert_eq!(grad_sum, [3.0]);
 /// ```
 pub fn run_workers<R: Send>(pool: &WorkerPool, n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    run_workers_on(pool, &mut vec![(); n], |w, ()| f(w))
+}
+
+/// [`run_workers`] where worker `w`'s call also gets `&mut states[w]`: a
+/// buffer only that worker reads and writes, reused from one call to the
+/// next. The states are split into the same disjoint bands as the results,
+/// so this needs no lock either, and a block still cannot reach another
+/// worker's state.
+pub(crate) fn run_workers_on<S: Send, R: Send>(
+    pool: &WorkerPool,
+    states: &mut [S],
+    f: impl Fn(usize, &mut S) -> R + Sync,
+) -> Vec<R> {
+    let n = states.len();
     let threads = pool.threads().clamp(1, n.max(1));
     if threads == 1 || n <= 1 {
-        return (0..n).map(f).collect();
+        return states.iter_mut().enumerate().map(|(w, s)| f(w, s)).collect();
     }
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let chunk = n.div_ceil(threads);
     {
         let f = &f;
         let mut tasks: Vec<Task<'_>> = Vec::with_capacity(threads);
-        let mut rest = slots.as_mut_slice();
+        let (mut rest, mut rest_states) = (slots.as_mut_slice(), states);
         let mut w0 = 0usize;
         while w0 < n {
             let here = chunk.min(n - w0);
             let (band, tail) = rest.split_at_mut(here);
-            rest = tail;
+            let (band_states, tail_states) = rest_states.split_at_mut(here);
+            (rest, rest_states) = (tail, tail_states);
             let start = w0;
             tasks.push(Box::new(move || {
-                for (i, slot) in band.iter_mut().enumerate() {
-                    *slot = Some(f(start + i));
+                for (i, (slot, state)) in band.iter_mut().zip(band_states).enumerate() {
+                    *slot = Some(f(start + i, state));
                 }
             }));
             w0 += here;
@@ -292,10 +309,23 @@ impl SuperstepDriver {
         stage: Stage,
         block: impl Fn(usize) -> R + Sync,
     ) -> Vec<R> {
+        self.compute_superstep_on(stage, &mut vec![(); self.factors.len()], |w, ()| block(w))
+    }
+
+    /// [`Self::compute_superstep`] whose block also gets `&mut states[w]`,
+    /// worker `w`'s own reusable buffers ([`run_workers_on`]); one per
+    /// worker.
+    pub(crate) fn compute_superstep_on<S: Send, R: Send>(
+        &mut self,
+        stage: Stage,
+        states: &mut [S],
+        block: impl Fn(usize, &mut S) -> R + Sync,
+    ) -> Vec<R> {
+        assert_eq!(states.len(), self.factors.len(), "one state per worker");
         let fanout = HostTimer::start();
-        let timed = run_workers(&self.pool, self.factors.len(), |w| {
+        let timed = run_workers_on(&self.pool, states, |w, state| {
             let timer = HostTimer::start();
-            let out = block(w);
+            let out = block(w, state);
             (out, timer.elapsed_s())
         });
         let fanout_s = fanout.elapsed_s();
@@ -497,6 +527,25 @@ mod tests {
             let pool = WorkerPool::new(threads);
             let out = run_workers(&pool, 9, |w| w * w);
             assert_eq!(out, (0..9).map(|w| w * w).collect::<Vec<_>>(), "threads={threads}");
+        }
+    }
+
+    /// Each call gets its own worker's state, and what it writes there is
+    /// what that worker reads on the next batch.
+    #[test]
+    fn each_worker_gets_its_own_state_across_batches() {
+        for threads in [1usize, 2, 3, 7] {
+            let pool = WorkerPool::new(threads);
+            let mut states: Vec<Vec<usize>> = vec![Vec::new(); 9];
+            for round in 0..3 {
+                let out = run_workers_on(&pool, &mut states, |w, seen| {
+                    seen.push(w + round);
+                    seen.len()
+                });
+                assert_eq!(out, [round + 1; 9], "threads={threads}");
+            }
+            let want: Vec<Vec<usize>> = (0..9).map(|w| vec![w, w + 1, w + 2]).collect();
+            assert_eq!(states, want, "threads={threads}");
         }
     }
 

@@ -16,6 +16,12 @@
 //! answers on it, is [`FpLink`]: one variant per [`FpMode`], built when the
 //! engine's link table is.
 //!
+//! "`H`" below is whatever the forward exchange of the link's layer ships:
+//! `H^{l-1}`, or `P = H^{l-1}·W^{l-1}` where that is narrower
+//! (`TrainingConfig::fp_ships_projected`). At a `P` layer the trend group,
+//! the Selector's candidates and the reconstruction error are all in `P`
+//! space; nothing here tells the two apart.
+//!
 //! **Reduction order.** Every L1 distance here — the Selector's three per
 //! row (Eq. 10), [`ReqEcOutcome::recon_l1`], [`rowwise_l1_total`] — is
 //! summed in the sixteen-lane order of [`stats::row_l1_distance`]: lane `j`

@@ -14,6 +14,13 @@
 //! the ledgers, Selector counts and the float sums behind the
 //! reconstruction-error and residual gauges accumulate per message — so a
 //! front-to-back walk of the table replays a run byte for byte.
+//!
+//! A link does not know which matrix it carries: the exchange hands it the
+//! owner's rows of whatever the engine sources, and a forward link of a
+//! layer whose output is narrower than its input carries
+//! `P = H^{l-1}·W^{l-1}` rather than `H^{l-1}`
+//! (`TrainingConfig::fp_ships_projected`). The side is fixed per layer for
+//! the whole run, so each link's state always has one width.
 
 use crate::bp::BpLink;
 use crate::config::{FpMode, TrainingConfig};

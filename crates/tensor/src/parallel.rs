@@ -56,9 +56,7 @@ fn band_count(threads: usize, rows: usize, work: usize) -> usize {
 }
 
 /// Band dispatch shared by every kernel below: allocates the zeroed
-/// `rows × cols` output and has `body(first_row, band)` fill it — inline
-/// when [`band_count`] grants `work` multiply-accumulates one band, else
-/// as contiguous row bands on the shared pool.
+/// `rows × cols` output and has [`banded_into`] fill it.
 fn banded(
     rows: usize,
     cols: usize,
@@ -66,15 +64,29 @@ fn banded(
     threads: usize,
     body: &(impl Fn(usize, &mut [f32]) + Sync),
 ) -> Matrix {
-    let bands = band_count(effective_threads(threads), rows, work);
     let mut c = Matrix::zeros(rows, cols);
+    banded_into(&mut c, work, threads, body);
+    c
+}
+
+/// Has `body(first_row, band)` fill the zeroed `out` — inline when
+/// [`band_count`] grants `work` multiply-accumulates one band, else as
+/// contiguous row bands on the shared pool.
+fn banded_into(
+    out: &mut Matrix,
+    work: usize,
+    threads: usize,
+    body: &(impl Fn(usize, &mut [f32]) + Sync),
+) {
+    let (rows, cols) = out.shape();
+    let bands = band_count(effective_threads(threads), rows, work);
     if bands <= 1 {
-        body(0, c.as_mut_slice());
-        return c;
+        body(0, out.as_mut_slice());
+        return;
     }
     let chunk = rows.div_ceil(bands);
     let mut tasks: Vec<Task<'_>> = Vec::with_capacity(bands);
-    let mut rest = c.as_mut_slice();
+    let mut rest = out.as_mut_slice();
     let mut row0 = 0usize;
     while row0 < rows {
         let here = chunk.min(rows - row0);
@@ -85,7 +97,6 @@ fn banded(
         row0 += here;
     }
     pool::shared().run(tasks);
-    c
 }
 
 /// Parallel `C = A · B` over row bands of `A`.
@@ -98,6 +109,23 @@ pub fn matmul(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
     let n = b.cols();
     let work = m.saturating_mul(k).saturating_mul(n);
     banded(m, n, work, threads, &|row0, band| ops::matmul_into(a, b, row0, band))
+}
+
+/// [`matmul`] into `out`, which is reshaped to `A.rows() × B.cols()` and
+/// zeroed in the storage it already has: once `out` has grown to the
+/// largest product, a repeated call allocates nothing. Bit-identical to
+/// [`matmul`].
+///
+/// # Panics
+/// Panics if `a.cols() != b.rows()`.
+pub fn matmul_into(a: &Matrix, b: &Matrix, threads: usize, out: &mut Matrix) {
+    assert_eq!(a.cols(), b.rows(), "matmul shape mismatch");
+    let (m, k) = a.shape();
+    let n = b.cols();
+    out.reshape_for_overwrite(m, n);
+    out.as_mut_slice().fill(0.0);
+    let work = m.saturating_mul(k).saturating_mul(n);
+    banded_into(out, work, threads, &|row0, band| ops::matmul_into(a, b, row0, band));
 }
 
 /// Parallel sparse × dense product over row bands of the sparse matrix.
@@ -181,6 +209,21 @@ mod tests {
         let seq = ops::matmul(&a, &b);
         for threads in [1usize, 2, 3, 8] {
             assert_eq!(matmul(&a, &b, threads), seq, "threads={threads}");
+        }
+    }
+
+    /// A reused output, shrunk, grown and left dirty in between, holds
+    /// the allocating product bit for bit.
+    #[test]
+    fn matmul_into_reuses_its_output() {
+        let mut out = Matrix::filled(5, 5, f32::NAN);
+        for (m, k, n) in [(67, 33, 29), (3, 33, 7), (90, 12, 29)] {
+            let a = init::uniform(m, k, -1.0, 1.0, 1);
+            let b = init::uniform(k, n, -1.0, 1.0, 2);
+            for threads in [1usize, 3] {
+                matmul_into(&a, &b, threads, &mut out);
+                assert_eq!(out, ops::matmul(&a, &b), "{m}×{k}·{k}×{n} threads={threads}");
+            }
         }
     }
 

@@ -255,12 +255,21 @@ fn link_rows(
         .collect()
 }
 
+/// The width of the rows the forward exchange of layer `l` ships outside
+/// the adaptive Bit-Tuner: `P = H^{l-1}·W^{l-1}`, `dims[l]` wide, where
+/// that is narrower than `H^{l-1}`, else `H^{l-1}` itself.
+fn fp_width(dims: &[usize], l: usize) -> usize {
+    dims[l - 1].min(dims[l])
+}
+
 /// In exact mode a link's message is its rows uncompressed,
 /// `rows × width × 4 + 8` bytes, and the rows are the receptive field of the
 /// loss, derived here from the graph alone: below the top layer every
 /// remote neighbour of the requester's vertices, in both passes; at layer
 /// `L`, forward the remote neighbours of the requester's training vertices
 /// and backward the remote training vertices next to any of its vertices.
+/// Forward rows are [`fp_width`] wide: the fixture's layer 2 narrows
+/// (16 → 8) and ships `P`, its layer 3 widens (8 → 47) and ships `H`.
 #[test]
 fn exact_exchanges_ship_the_receptive_field_of_the_loss() {
     use ec_graph_repro::ecgraph::config::{BpMode, FpMode};
@@ -274,10 +283,11 @@ fn exact_exchanges_ship_the_receptive_field_of_the_loss() {
         link_rows(&data, workers, reads).iter().map(|&rows| (rows * width * 4 + 8) as u64).sum()
     };
     let all = |_: usize, _: usize| true;
-    let fp = exchange(dims[1], &all) + exchange(dims[2], &|v, _| train.contains(&v));
+    let fp = exchange(fp_width(&dims, 2), &all)
+        + exchange(fp_width(&dims, 3), &|v, _| train.contains(&v));
     let bp = exchange(dims[2], &all) + exchange(dims[3], &|_, u| train.contains(&u));
     let full = [
-        exchange(dims[1], &all) + exchange(dims[2], &all),
+        exchange(fp_width(&dims, 2), &all) + exchange(fp_width(&dims, 3), &all),
         exchange(dims[2], &all) + exchange(dims[3], &all),
     ];
     assert!(fp < full[0] && bp < full[1], "the top layer's plans leave rows out");
@@ -291,10 +301,12 @@ const NON_BOUNDARY_FP_BYTES: u64 = 546;
 /// What a ReqEC trend boundary costs: per link the exact rows and two
 /// matrix headers, the second that of the empty `M_cr` the requester
 /// derives from the `H_base` it holds — on the bootstrap epoch and on a
-/// regular boundary, rows from the graph as in the exact test above. A
-/// non-boundary epoch's Selected messages are priced as before the
-/// boundary stopped shipping `M_cr`: the literal is that epoch's count when
-/// it did.
+/// regular boundary, rows from the graph and widths from [`fp_width`] as in
+/// the exact test above. A non-boundary epoch's Selected messages are
+/// priced as before the boundary stopped shipping `M_cr`: the literal is
+/// that epoch's count when it did, and it did not move when layer 2 began
+/// shipping `P`, since every row of that epoch is predicted and a
+/// predicted row ships its selector code only, whatever its width.
 #[test]
 fn a_reqec_trend_boundary_ships_h_and_an_empty_m_cr_header() {
     use ec_graph_repro::ecgraph::config::{BpMode, FpMode};
@@ -306,13 +318,57 @@ fn a_reqec_trend_boundary_ships_h_and_an_empty_m_cr_header() {
     let boundary = |width: usize, reads: &dyn Fn(usize, usize) -> bool| -> u64 {
         link_rows(&data, workers, reads).iter().map(|&rows| (rows * width * 4 + 16) as u64).sum()
     };
-    let fp = boundary(dims[1], &|_, _| true) + boundary(dims[2], &|v, _| train.contains(&v));
+    let fp = boundary(fp_width(&dims, 2), &|_, _| true)
+        + boundary(fp_width(&dims, 3), &|v, _| train.contains(&v));
     let reqec = FpMode::ReqEc { bits: 2, t_tr: 3, adaptive: false };
     let mut engine = latency_only_engine(&data, dims, workers, reqec, BpMode::Exact);
     // Epoch 0 bootstraps the trend group, epoch 2 ends it, epoch 1 predicts.
     let fp_bytes: Vec<u64> = (0..3).map(|_| engine.run_epoch().traffic.fp_bytes).collect();
     assert_eq!((fp_bytes[0], fp_bytes[2]), (fp, fp));
     assert_eq!(fp_bytes[1], NON_BOUNDARY_FP_BYTES);
+}
+
+/// Which side each forward exchange ships, priced from the graph on the
+/// [`receptive_field_fixture`] graph: on a 2-layer exact model `P` rows,
+/// `C` wide, when `C < k`, and `H` rows, `k` wide, when `C > k` or `C = k`;
+/// at a 3-layer ReqEC trend boundary (exact rows and two headers per
+/// link), `P` at a narrowing layer and `H` at a tie — except under the
+/// adaptive Bit-Tuner, whose one width per pair is tuned at the top layer:
+/// there a tie below the top keeps `H` at every layer, and `P` ships only
+/// where every layer narrows.
+#[test]
+fn the_forward_exchange_ships_the_narrower_side() {
+    use ec_graph_repro::ecgraph::config::{BpMode, FpMode};
+    use std::collections::BTreeSet;
+
+    let (data, _) = receptive_field_fixture();
+    let (workers, c) = (4, data.num_classes);
+    let train: BTreeSet<usize> = data.split.train.iter().copied().collect();
+    let (all, top) = (|_: usize, _: usize| true, |v: usize, _: usize| train.contains(&v));
+    // Per link: `rows × width` floats and `headers` 8-byte matrix headers.
+    let priced = |width: usize, headers: usize, reads: &dyn Fn(usize, usize) -> bool| -> u64 {
+        let rows = link_rows(&data, workers, reads);
+        rows.iter().map(|&rows| (rows * width * 4 + 8 * headers) as u64).sum()
+    };
+
+    for (k, shipped) in [(c + 17, c), (c - 31, c - 31), (c, c)] {
+        let epoch =
+            latency_only_epoch(&data, vec![12, k, c], workers, FpMode::Exact, BpMode::Exact);
+        assert_eq!(epoch.traffic.fp_bytes, priced(shipped, 1, &top), "k = {k}, C = {c}");
+    }
+
+    let fixed = FpMode::ReqEc { bits: 2, t_tr: 3, adaptive: false };
+    let adaptive = FpMode::ReqEc { bits: 2, t_tr: 3, adaptive: true };
+    for (dims, fp_mode, widths) in [
+        (vec![12, 64, 64, c], fixed, [64, c]),
+        (vec![12, 64, 64, c], adaptive, [64, 64]),
+        (vec![12, 64, 56, c], adaptive, [56, c]),
+    ] {
+        let case = format!("{dims:?} {fp_mode:?}");
+        let bootstrap = latency_only_epoch(&data, dims, workers, fp_mode, BpMode::Exact);
+        let want = priced(widths[0], 2, &all) + priced(widths[1], 2, &top);
+        assert_eq!(bootstrap.traffic.fp_bytes, want, "{case}");
+    }
 }
 
 /// A shard that holds no row and no bias entry of any slot sends and

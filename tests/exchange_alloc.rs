@@ -33,7 +33,10 @@ const LAYERS: usize = 3;
 /// plus one per layer (16). The epoch's link matrix, which grows to the
 /// highest node it has seen, now grows three times instead of once (+2):
 /// its first sends go from node 0 to nodes 1, 2 and 3, not to a fifth node.
-const EPOCH_ALLOCATIONS: u64 = 116;
+/// 4 fewer (116 → 112) since the top layer (24 → 7 wide) exchanges
+/// `P = H·W` rows: layer 2 forms each worker's `P` into a buffer it reuses,
+/// and layer 3's aggregate is its output, without one product per worker.
+const EPOCH_ALLOCATIONS: u64 = 112;
 
 /// What this same test body counted at the parent commit (`e9b4a17`, the
 /// exchange before it had a workspace).
