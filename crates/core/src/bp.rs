@@ -9,6 +9,14 @@
 //! What a link keeps between exchanges, and which of the functions below
 //! answers on it, is [`BpLink`]: one variant per [`BpMode`], built when the
 //! engine's link table is.
+//!
+//! "`G`" below is whatever the backward exchange of the link's layer ships:
+//! `G^l`, or `Q = G^l·(W^{l-1})ᵀ` where that is narrower, at a layer that
+//! widens (`TrainingConfig::ships_transformed`). At a `Q` layer the residual
+//! `δ` is a `Q`-space matrix, which moves with `W` as well as with `G`.
+//! Where the forward exchange of the same layer ships `H`, the engine takes
+//! the layer's weight gradient from its forward aggregate, so no message
+//! answered here reaches it; it still reaches `G^{l-1}`.
 
 use crate::config::BpMode;
 use crate::link::{copy_rows, round_trip, MessageBuffers, Policy, Reply};

@@ -1,5 +1,6 @@
 //! Training configuration for the distributed engine.
 
+use crate::context::Direction;
 use ec_comm::ps::AdamParams;
 use ec_comm::{NetworkModel, ParameterServerGroup};
 use ec_faults::FaultPlan;
@@ -229,19 +230,27 @@ impl TrainingConfig {
         self.dims.windows(2).map(|w| (w[0], w[1])).collect()
     }
 
-    /// Whether the forward exchange of layer `l` ships `P = H^{l-1}·W^{l-1}`
-    /// (`dims[l]` wide) instead of `H^{l-1}` (`dims[l-1]` wide). Since
-    /// `Â·(H·W) = (Â·H)·W`, either gives the requester the same layer; the
-    /// strictly narrower one ships, and a tie keeps `H`. The adaptive
-    /// Bit-Tuner keeps one width per pair, tuned at the top layer and used
-    /// at every exchange layer, so under it `P` ships only where every
-    /// exchange layer ships `P`: a `P` layer never sets the width of an `H`
-    /// one. Layer 1 exchanges nothing.
-    pub fn fp_ships_projected(&self, l: usize) -> bool {
+    /// Whether the exchange of layer `l` in direction `dir` ships the
+    /// transformed side of the layer: forward `P = H^{l-1}·W^{l-1}`
+    /// (`dims[l]` wide) instead of `H^{l-1}` (`dims[l-1]` wide), backward
+    /// `Q = G^l·(W^{l-1})ᵀ` (`dims[l-1]` wide) instead of `G^l` (`dims[l]`
+    /// wide). Since `Â·(H·W) = (Â·H)·W` and `Â·(G·Wᵀ) = (Â·G)·Wᵀ`, either
+    /// gives the requester the same result; the strictly narrower one ships,
+    /// and a tie keeps the untransformed side. So forward `P` ships where a
+    /// layer narrows and backward `Q` where it widens, never both. The
+    /// adaptive Bit-Tuner keeps one width per pair, tuned at the top layer
+    /// and used at every forward exchange layer, so under it `P` ships only
+    /// where every exchange layer ships `P`: a `P` layer never sets the
+    /// width of an `H` one. Layer 1 exchanges nothing.
+    pub fn ships_transformed(&self, dir: Direction, l: usize) -> bool {
         let exchanges = 2..=self.num_layers();
         let narrows = |l: usize| self.dims[l] < self.dims[l - 1];
         let adaptive = matches!(self.fp_mode, FpMode::ReqEc { adaptive: true, .. });
-        exchanges.contains(&l) && narrows(l) && (!adaptive || exchanges.clone().all(narrows))
+        exchanges.contains(&l)
+            && match dir {
+                Direction::Forward => narrows(l) && (!adaptive || exchanges.clone().all(narrows)),
+                Direction::Backward => self.dims[l - 1] < self.dims[l],
+            }
     }
 
     /// The parameter servers a run of this configuration starts from: one

@@ -62,6 +62,39 @@ impl LayerTopology {
     pub fn aggregate(&self, local: &Matrix, remote: &Matrix, threads: usize) -> Matrix {
         parallel::spmm_split(&self.adj_local, local, remote, &self.remote_row, threads)
     }
+
+    /// [`Self::aggregate`] into `out`, a buffer reused from call to call.
+    pub fn aggregate_into(
+        &self,
+        local: &Matrix,
+        remote: &Matrix,
+        threads: usize,
+        out: &mut Matrix,
+    ) {
+        parallel::spmm_split_into(&self.adj_local, local, remote, &self.remote_row, threads, out);
+    }
+}
+
+/// Per worker, the ascending local rows that the plans of layer `l` in
+/// direction `dir` read of its matrices: the local columns of its own plan
+/// and every requester's gather rows from it. A matrix that only this
+/// exchange and aggregation read needs no other row.
+pub(crate) fn rows_read(contexts: &[WorkerContext], dir: Direction, l: usize) -> Vec<Vec<usize>> {
+    let mut read: Vec<Vec<bool>> = contexts.iter().map(|c| vec![false; c.num_local()]).collect();
+    for ctx in contexts {
+        let (topo, n_local) = (ctx.plan(dir, l), ctx.num_local());
+        for r in 0..n_local {
+            for (c, _) in topo.adj_local.row_entries(r).filter(|&(c, _)| c < n_local) {
+                read[ctx.worker_id][c] = true;
+            }
+        }
+        for (owner, rows) in topo.gather_rows.iter().enumerate() {
+            for &r in rows {
+                read[owner][r] = true;
+            }
+        }
+    }
+    read.iter().map(|r| (0..r.len()).filter(|&i| r[i]).collect()).collect()
 }
 
 /// Which pass an exchange serves.
@@ -469,6 +502,52 @@ mod tests {
             let local = g_loss.gather_rows(&ctx.local_vertices);
             let out = bwd.aggregate(&local, &bwd.remote_operand(&g_loss), 1);
             assert!(out.approx_eq(&ag.gather_rows(&ctx.local_vertices), 1e-6), "backward");
+        }
+    }
+
+    /// `rows_read` names every row an aggregate reads: with every other row
+    /// of each owner's matrix zeroed, before its links gather from it and
+    /// in its own operand, every worker's aggregate of either plan is
+    /// bit-identical to the full one — and the top layer's plans do leave
+    /// rows out.
+    #[test]
+    fn an_aggregate_reads_only_the_rows_rows_read_names() {
+        let g = ec_graph_data::generators::erdos_renyi(90, 240, 5);
+        let adj = Arc::new(normalize::gcn_normalized_adjacency(&g));
+        let p = ec_partition::Partitioner::partition(
+            &ec_partition::hash::HashPartitioner::new(2),
+            &g,
+            3,
+        );
+        let loss: Vec<usize> = (0..90).step_by(3).collect();
+        let ctxs = build_training_contexts(&[Arc::clone(&adj), Arc::clone(&adj)], &p, &loss);
+        let h = Matrix::from_fn(90, 4, |r, c| ((r * 7 + c * 3) % 11) as f32 * 0.1 - 0.4);
+        let full: Vec<Matrix> = ctxs.iter().map(|c| h.gather_rows(&c.local_vertices)).collect();
+        for dir in [Direction::Forward, Direction::Backward] {
+            let reads = rows_read(&ctxs, dir, 2);
+            let kept: Vec<Matrix> = full
+                .iter()
+                .zip(&reads)
+                .map(|(m, rows)| {
+                    let mut kept = m.clone();
+                    for r in (0..m.rows()).filter(|r| !rows.contains(r)) {
+                        kept.row_mut(r).fill(0.0);
+                    }
+                    kept
+                })
+                .collect();
+            for (w, ctx) in ctxs.iter().enumerate() {
+                let topo = ctx.plan(dir, 2);
+                let aggregate = |mats: &[Matrix]| {
+                    let remote = (0..ctxs.len()).map(|j| mats[j].gather_rows(&topo.gather_rows[j]));
+                    let remote = remote.reduce(|a, b| a.vstack(&b)).unwrap();
+                    topo.aggregate(&mats[w], &remote, 1)
+                };
+                assert_eq!(aggregate(&kept), aggregate(&full), "{dir:?} worker {w}");
+            }
+            let left_out: usize =
+                ctxs.iter().zip(&reads).map(|(c, r)| c.num_local() - r.len()).sum();
+            assert!(left_out > 0, "{dir:?}: the top layer's plans read every row");
         }
     }
 

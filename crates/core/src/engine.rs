@@ -5,59 +5,53 @@
 //!
 //! ```text
 //! FP  (l = 1):                pull all W | compute Z^1, H^1 from the cached P_w
-//! FP  (per layer l = 2..L):   exchange H^{l-1} or H^{l-1}·W^{l-1} | compute Z^l, H^l
-//! loss:                       local masked softmax-CE → G^L
-//! BP  (per layer l = L..2):   exchange G^l | compute Y^{l-1}, b-grad, G^{l-1}
+//! FP  (per layer l = 2..L):   exchange H^{l-1} or P^l | compute Z^l, H^l
+//! loss:                       local masked softmax-CE → G^L (and Q^L)
+//! BP  (per layer l = L..2):   exchange G^l or Q^l | compute Y^{l-1}, b-grad, G^{l-1}
 //! BP  (l = 1):                compute Y^0 = P_wᵀ·G¹, b-grad locally
 //! update:                     push gradients | servers apply Adam
 //! ```
 //!
-//! The forward pass is aggregate-first on every layer:
-//! `Z^l = (Â_w·[H_local | H_remote])·W^{l-1} + b`, so a worker transforms
-//! only its `n_local` aggregated rows. For layer 1 both factors of the
-//! aggregate are epoch-invariant, so `P_w = Â_w·[X_local ; X_remote]` is
-//! computed once at build time from the first-hop feature cache (the raw
-//! remote features are not kept) and read by FP layer 1 and BP layer 1.
+//! The forward pass is aggregate-first: `Z^l = A_w·W^{l-1} + b` with
+//! `A_w = Â_w·[H_local | H_remote]`, so a worker transforms only its
+//! `n_local` aggregated rows. Layer 1's aggregate is epoch-invariant:
+//! `P_w = Â_w·[X_local ; X_remote]` is computed once at build time from the
+//! first-hop feature cache and read by FP layer 1 and BP layer 1.
 //!
-//! **Narrow-side forward exchange.** `Â·(H·W) = (Â·H)·W`, so where the
-//! output of layer `l ≥ 2` is narrower than its input
-//! ([`TrainingConfig::fp_ships_projected`]) the compute block of layer
-//! `l − 1` also forms `P^l = H^{l-1}·W^{l-1}` for its own rows, into a
-//! per-worker buffer reused from epoch to epoch; the exchange of layer `l`
-//! ships `P^l` rows, and layer `l` computes `Z^l = Â_w·[P_local | P_remote]
-//! + b` with no product of its own (GraphSAGE adds its self term
-//! `H^{l-1}·W_s` as before). Every link's compensation state, Selector and
-//! codec then work on `P^l`. The backward pass is unchanged: it reads only
-//! local `H^{l-1}`.
+//! **Narrow-side exchange.** Every exchange ships the narrower side of its
+//! layer ([`TrainingConfig::ships_transformed`]): forward
+//! `P^l = H^{l-1}·W^{l-1}` where layer `l ≥ 2` narrows, backward
+//! `Q^l = G^l·(W^{l-1})ᵀ` where it widens, else `H^{l-1}` / `G^l`. The
+//! compute superstep before the exchange forms `P^l` or `Q^l` from its own
+//! rows into a per-worker buffer reused every epoch (at the top layer, only
+//! the rows its plans read), and the requester aggregates what arrives:
+//! `Z^l = Â_w·[P_local | P_remote] + b`, `G^{l-1} = Â_w·[Q_local | Q_remote]
+//! ⊙ σ'` (GraphSAGE adds its local `H·W_s` / `G·W_sᵀ` term). A layer that
+//! ships `H` keeps `A_w` and takes `Y^{l-1} = Σ_w A_wᵀ·G^l`, the exact
+//! gradient of the forward pass that ran, which no BP message reaches; a
+//! `P` layer takes `Y^{l-1} = (H^{l-1})ᵀ·(Â·G^l)`.
 //!
 //! Each `|` above is a network barrier and each `compute` a compute
-//! superstep of the [`crate::exec`] cluster's `SuperstepDriver`, which owns
-//! the worker pool, the telemetry sink, the simulated clock and the epoch
-//! totals; pulls and pushes are charged by the same cluster every
-//! comparator system runs on:
-//! [`DistributedEngine::run_epoch`] states only what is exchanged, what each
-//! worker computes and how the results are stored or summed. A stage's
-//! worker block reads the engine's matrices and the pulled weights and
-//! returns its results; it cannot send, record telemetry or read the
-//! clock (see the [`crate::exec`] header), and it is timed by the driver.
-//!
-//! Every worker's compute block is wall-clock measured; every message is
-//! byte-counted through [`ec_comm::SimNetwork`]. The simulated epoch time
-//! is `Σ supersteps (max-worker compute + network time)` — the quantity the
-//! paper's Table IV reports per system.
+//! superstep of the [`crate::exec`] cluster's `SuperstepDriver` (worker
+//! pool, telemetry, simulated clock, pull and push charges, as for every
+//! comparator). [`DistributedEngine::run_epoch`] states only what is
+//! exchanged, what each worker computes and how the results are stored or
+//! summed; a worker block cannot send, record telemetry or read the clock.
+//! The simulated epoch time is `Σ supersteps (max-worker compute + network
+//! time)`, the paper's Table IV quantity.
 //!
 //! The top layer's exchanges carry only what reaches the masked loss: the
 //! forward one the remote neighbours of training vertices, the backward one
 //! the remote training vertices (`context::build_training_contexts`).
 //!
-//! All compression/compensation policy lives in [`crate::fp`] /
-//! [`crate::bp`], and what each (requester, owner, layer) link remembers —
-//! with the one loop both exchanges are — in `crate::link`: the configured
-//! modes are resolved into per-link state when [`DistributedEngine::new`]
-//! builds the table, so nothing below asks which mode is in force.
+//! Compression and compensation policy lives in [`crate::fp`] /
+//! [`crate::bp`], and each (requester, owner, layer) link's memory and the
+//! one loop both exchanges are in `crate::link`; [`DistributedEngine::new`]
+//! resolves the configured modes into per-link state, so nothing below asks
+//! which mode is in force.
 
 use crate::config::{ModelKind, TrainingConfig};
-use crate::context::{build_training_contexts, WorkerContext};
+use crate::context::{build_training_contexts, rows_read, WorkerContext};
 use crate::exec::{Cluster, ClusterSnapshot, EpochTotals, Stage};
 use crate::link::{
     CompensationState, Direction::Backward, Direction::Forward, EpochCounters, ExchangeWorkspace,
@@ -155,11 +149,9 @@ pub struct DistributedEngine {
 
     /// `h_local[w][l]` = local rows of `H^l` (`l = 0` is the features).
     h_local: Vec<Vec<Matrix>>,
-    /// `p_local[w][l]` = local rows of `P^l = H^{l-1}·W^{l-1}` where the
-    /// forward exchange of layer `l` ships it
-    /// ([`TrainingConfig::fp_ships_projected`]), else empty: worker `w`'s
-    /// buffers, overwritten in place every epoch.
-    p_local: Vec<Vec<Matrix>>,
+    bufs: Vec<WorkerBuffers>,
+    /// Per worker, the rows the top layer's plans read of its `P` or `Q`.
+    top_rows: Vec<Vec<usize>>,
     /// `P_w = Â_w·[X_local ; X_remote]` over the layer-1 topology — built
     /// once from the paper's first-hop feature cache, never mutated.
     p0: Vec<Matrix>,
@@ -177,6 +169,16 @@ pub struct DistributedEngine {
     /// Empirical compression error `α` of the configured BP codec, probed
     /// once on synthetic matrices at build time (Theorem 1 gauge).
     alpha_probe: Option<f64>,
+}
+
+/// Worker `w`'s buffers, overwritten in place every epoch; `[l]` serves
+/// layer `l`, and is empty where it does not apply.
+#[derive(Clone)]
+struct WorkerBuffers {
+    /// Forward `P^l` or backward `Q^l` ([`TrainingConfig::ships_transformed`]).
+    projected: Vec<Matrix>,
+    /// `A_w = Â_w·[H_local | Ĥ_remote]` where layer `l` ships `H`, for `Y^{l-1}`.
+    aggregate: Vec<Matrix>,
 }
 
 /// A complete in-memory image of the mutable training state: model
@@ -256,14 +258,9 @@ impl DistributedEngine {
             p0.push(topo0.aggregate(&feats, &remote_feats, kt));
             h_local.push(vec![feats]);
             labels_local.push(ctx.local_vertices.iter().map(|&v| data.labels[v]).collect());
-            train_local.push(
-                ctx.local_vertices
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, v)| train_set.contains(v))
-                    .map(|(i, _)| i)
-                    .collect(),
-            );
+            let rows = 0..ctx.num_local();
+            train_local
+                .push(rows.filter(|&i| train_set.contains(&ctx.local_vertices[i])).collect());
         }
         let (pre_traffic, feature_cache_s) = cluster.network.end_epoch();
         let preprocessing = PreprocessingStats {
@@ -274,15 +271,17 @@ impl DistributedEngine {
 
         // Allocate per-layer slots.
         for hl in &mut h_local {
-            for l in 0..num_layers {
-                let rows = hl[0].rows();
-                hl.push(Matrix::zeros(rows, config.dims[l + 1]));
-            }
+            let rows = hl[0].rows();
+            hl.extend(config.dims[1..].iter().map(|&k| Matrix::zeros(rows, k)));
         }
         let total_train = data.split.train.len();
         assert!(total_train > 0, "dataset has no training vertices");
 
-        let p_local = vec![vec![Matrix::zeros(0, 0); num_layers + 1]; num_workers];
+        let empty = vec![Matrix::zeros(0, 0); num_layers + 1];
+        let bufs = vec![WorkerBuffers { projected: empty.clone(), aggregate: empty }; num_workers];
+        let top =
+            [Forward, Backward].into_iter().find(|&d| config.ships_transformed(d, num_layers));
+        let top_rows = top.map_or_else(Vec::new, |dir| rows_read(&contexts, dir, num_layers));
         let comp = CompensationState::new(&contexts, &config);
         let alpha_probe = (config.telemetry.level > TelemetryLevel::Off)
             .then(|| bp::probe_alpha(config.bp_mode))
@@ -296,7 +295,8 @@ impl DistributedEngine {
             cluster,
             preprocessing,
             h_local,
-            p_local,
+            bufs,
+            top_rows,
             p0,
             labels_local,
             train_local,
@@ -402,7 +402,7 @@ impl DistributedEngine {
 
     /// Runs one full training epoch (Algorithms 1 + 2). Every compute
     /// block below is pure — it returns its results, and writes nothing but
-    /// its own worker's `P` buffers — and the loop after it
+    /// its own worker's buffers — and the loop after it
     /// stores or accumulates them in ascending worker order, so the epoch
     /// is bit-identical to the sequential engine at any thread count.
     pub fn run_epoch(&mut self) -> EpochStats {
@@ -419,36 +419,38 @@ impl DistributedEngine {
         for l in 1..=num_layers {
             // Exchange H^{l-1}, or P^l where it is narrower (layer-0 features
             // are cached).
-            let projected = self.config.fp_ships_projected(l);
+            let projected = self.config.ships_transformed(Forward, l);
             let remotes: &[Matrix] = if l >= 2 {
                 let (comp, ws) = (&mut self.comp, &mut self.exchange_ws);
-                let (h, p) = (&self.h_local, &self.p_local);
-                let source = |j: usize| if projected { &p[j][l] } else { &h[j][l - 1] };
+                let (h, b) = (&self.h_local, &self.bufs);
+                let source = |j: usize| if projected { &b[j].projected[l] } else { &h[j][l - 1] };
                 comp.exchange(ws, &mut self.cluster, &mut self.counters, Forward, l, source)
             } else {
                 &[]
             };
             self.cluster.barrier(Stage::new("fp:exchange", "fp").at_layer(l));
 
-            // Compute Z^l = (Â_w·[H_local | H_remote])·W^{l-1} + b, or
-            // Â_w·[P_local | P_remote] + b, and H^l.
+            // Compute Z^l = A_w·W^{l-1} + b, keeping A_w = Â_w·[H_local | H_remote]
+            // for BP, or Z^l = Â_w·[P_local | P_remote] + b, and H^l.
             let (w_l, b_l) = self.cluster.ps.pull(l - 1);
             let w_self = sage.then(|| self.cluster.ps.pull(num_layers + l - 1).0);
             // The weights that make P^{l+1} from H^l, where layer l + 1 ships it.
-            let w_next = self.config.fp_ships_projected(l + 1).then(|| self.cluster.ps.pull(l).0);
+            let w_next =
+                self.config.ships_transformed(Forward, l + 1).then(|| self.cluster.ps.pull(l).0);
             let (h_local, contexts, p0) = (&self.h_local, &self.contexts, &self.p0);
             let results = self.cluster.steps.compute_superstep_on(
                 Stage::new("fp:compute", "fp").at_layer(l),
-                &mut self.p_local,
-                |w, p| {
+                &mut self.bufs,
+                |w, buf| {
                     let topo = contexts[w].plan(Forward, l);
                     let mut z = match (l, projected) {
                         // Layer 1 has no exchange: its aggregate is the cached P_w.
                         (1, _) => parallel::matmul(&p0[w], w_l, kt),
-                        (_, true) => topo.aggregate(&p[l], &remotes[w], kt),
+                        (_, true) => topo.aggregate(&buf.projected[l], &remotes[w], kt),
                         (_, false) => {
-                            let fresh = topo.aggregate(&h_local[w][l - 1], &remotes[w], kt);
-                            parallel::matmul(&fresh, w_l, kt)
+                            let a = &mut buf.aggregate[l];
+                            topo.aggregate_into(&h_local[w][l - 1], &remotes[w], kt, a);
+                            parallel::matmul(a, w_l, kt)
                         }
                     };
                     if let Some(ws) = w_self {
@@ -459,8 +461,9 @@ impl DistributedEngine {
                     if l < num_layers {
                         activations::relu_assign(&mut z);
                     }
-                    if let Some(w_next) = w_next {
-                        parallel::matmul_into(&z, w_next, kt, &mut p[l + 1]);
+                    if let Some(wp) = w_next {
+                        let rows = (l + 1 == num_layers).then(|| &self.top_rows[w][..]);
+                        parallel::matmul_rows_into(&z, wp, rows, kt, &mut buf.projected[l + 1]);
                     }
                     z
                 },
@@ -470,18 +473,25 @@ impl DistributedEngine {
             }
         }
 
-        // ---------------- Loss and G^L ----------------
-        let results = self.cluster.steps.compute_superstep(
+        // ---------------- Loss, G^L and Q^L ----------------
+        let wt_top = self.q_weights(num_layers);
+        let results = self.cluster.steps.compute_superstep_on(
             Stage::new("loss:compute", "loss").unindexed(),
+            &mut self.bufs,
             // Each worker's share of the global mean: its own training rows,
             // divided by the global training count.
-            |w| {
-                masked_softmax_cross_entropy(
+            |w, buf| {
+                let (loss, g) = masked_softmax_cross_entropy(
                     &self.h_local[w][num_layers],
                     &self.labels_local[w],
                     &self.train_local[w],
                     self.total_train,
-                )
+                );
+                if let Some(wt) = &wt_top {
+                    let q = &mut buf.projected[num_layers];
+                    parallel::matmul_rows_into(&g, wt, Some(&self.top_rows[w]), kt, q);
+                }
+                (loss, g)
             },
         );
         let mut loss_sum = 0.0f32;
@@ -506,22 +516,25 @@ impl DistributedEngine {
         let num_slots = if sage { 2 * num_layers } else { num_layers };
         let mut grads: Vec<Option<(Matrix, Vec<f32>)>> = vec![None; num_slots];
         for l in (1..=num_layers).rev() {
-            // Exchange G^l. Layer 1 needs none: Y⁰ = (Â·H⁰)ᵀ·G¹ is local —
-            // Â·H⁰ is the cached P_w — and there is no G⁰ to produce.
-            let mut g_remote: &[Matrix] = &[];
+            // Exchange G^l, or Q^l where it is narrower. Layer 1 needs none:
+            // Y⁰ = P_wᵀ·G¹ is local, and there is no G⁰ to produce.
+            let (q_side, wt) = (self.config.ships_transformed(Backward, l), self.q_weights(l - 1));
+            let mut remotes: &[Matrix] = &[];
             if l >= 2 {
                 let (comp, ws, counters) =
                     (&mut self.comp, &mut self.exchange_ws, &mut self.counters);
-                g_remote =
-                    comp.exchange(ws, &mut self.cluster, counters, Backward, l, |j| &g_cur[j]);
+                let (g, b) = (&g_cur, &self.bufs);
+                let source = |j: usize| if q_side { &b[j].projected[l] } else { &g[j] };
+                remotes = comp.exchange(ws, &mut self.cluster, counters, Backward, l, source);
                 self.cluster.barrier(Stage::new("bp:exchange", "bp").at_layer(l));
             }
 
             let w_lm1 = self.cluster.ps.pull(l - 1).0;
             let ws_lm1 = sage.then(|| self.cluster.ps.pull(num_layers + l - 1).0);
-            let results = self.cluster.steps.compute_superstep(
+            let results = self.cluster.steps.compute_superstep_on(
                 Stage::new("bp:compute", "bp").at_layer(l),
-                |w| {
+                &mut self.bufs,
+                |w, buf| {
                     let (h_prev, g) = (&self.h_local[w][l - 1], &g_cur[w]);
                     let b_part = ops::column_sums(g);
                     // Self path: Y_s^{l-1} = (H^{l-1})ᵀ G^l — purely local.
@@ -530,17 +543,27 @@ impl DistributedEngine {
                         let y_part = parallel::matmul_at_b(&self.p0[w], g, kt);
                         return (y_part, ys_part, b_part, None);
                     }
-                    let ag = self.contexts[w].plan(Backward, l).aggregate(g, &g_remote[w], kt);
-                    // Y^{l-1} = (H^{l-1})ᵀ (Â G^l), summed over workers.
-                    let y_part = parallel::matmul_at_b(h_prev, &ag, kt);
-                    // G^{l-1} = [(Â G^l)(W^{l-1})ᵀ (+ G^l W_sᵀ)] ⊙ σ'(Z^{l-1});
+                    let local = if q_side { &buf.projected[l] } else { g };
+                    let agg = self.contexts[w].plan(Backward, l).aggregate(local, &remotes[w], kt);
+                    // Y^{l-1}, summed over workers: A_wᵀ G^l where layer l
+                    // ships H forward — the exact gradient of the forward pass
+                    // that ran, with no BP message in it — else (H^{l-1})ᵀ (Â G^l).
+                    let y_part = match self.config.ships_transformed(Forward, l) {
+                        true => parallel::matmul_at_b(h_prev, &agg, kt),
+                        false => parallel::matmul_at_b(&buf.aggregate[l], g, kt),
+                    };
+                    // G^{l-1} = [Â Q^l or (Â G^l)(W^{l-1})ᵀ (+ G^l W_sᵀ)] ⊙ σ'(Z^{l-1});
                     // `H^{l-1} = max(Z^{l-1}, 0)` is positive exactly where
                     // `Z^{l-1}` is, so it serves as the mask.
-                    let mut flow = parallel::matmul_a_bt(&ag, w_lm1, kt);
+                    let mut flow =
+                        if q_side { agg } else { parallel::matmul_a_bt(&agg, w_lm1, kt) };
                     if let Some(ws) = ws_lm1 {
                         ops::add_assign(&mut flow, &parallel::matmul_a_bt(g, ws, kt));
                     }
                     activations::relu_backward_assign(&mut flow, h_prev);
+                    if let Some(wt) = &wt {
+                        parallel::matmul_into(&flow, wt, kt, &mut buf.projected[l - 1]);
+                    }
                     (y_part, ys_part, b_part, Some(flow))
                 },
             );
@@ -593,6 +616,13 @@ impl DistributedEngine {
             degraded_drop: self.counters.fp_degraded_drop,
             degraded_corrupt: self.counters.fp_degraded_corrupt,
         }
+    }
+
+    /// `(W^{l-1})ᵀ`, which makes `Q^l = G^l·(W^{l-1})ᵀ`, where layer `l`
+    /// ships `Q^l` backward.
+    fn q_weights(&self, l: usize) -> Option<Matrix> {
+        let ships = self.config.ships_transformed(Backward, l);
+        ships.then(|| self.cluster.ps.pull(l - 1).0.transpose())
     }
 
     /// Flushes the per-epoch metric rows into the sink (Epoch level and
@@ -703,8 +733,14 @@ mod tests {
     }
 
     fn layered_engine(fp: FpMode, bp: BpMode, workers: usize, layers: usize) -> DistributedEngine {
+        cora_engine(config_with(fp, bp, workers, layers))
+    }
+
+    /// `config` at seed 2 over the hash-partitioned 150-vertex cora replica.
+    fn cora_engine(config: TrainingConfig) -> DistributedEngine {
         let data = Arc::new(DatasetSpec::cora().instantiate_with(150, 12, 5));
-        let config = TrainingConfig { seed: 2, ..config_with(fp, bp, workers, layers) };
+        let (layers, workers) = (config.num_layers(), config.num_workers);
+        let config = TrainingConfig { seed: 2, ..config };
         let adj = Arc::new(normalize::gcn_normalized_adjacency(&data.graph));
         let partition = HashPartitioner::default().partition(&data.graph, workers);
         DistributedEngine::new(data, vec![adj; layers], partition, config)
@@ -990,7 +1026,9 @@ mod tests {
 
     /// Every state variant goes through the one clone: a snapshot taken in
     /// the middle of a trend group (or refresh cycle) and restored after
-    /// two more epochs replays those epochs bit for bit.
+    /// two more epochs replays those epochs bit for bit — on 8-wide hidden
+    /// layers, and on `[12, 4, 6, 7]`, whose two widening layers ship
+    /// `Q = G·Wᵀ` backward and keep their residuals in `Q` space.
     #[test]
     fn snapshot_restore_replays_bit_identically_in_every_stateful_mode() {
         let modes = [
@@ -998,8 +1036,11 @@ mod tests {
             (FpMode::Delayed { r: 3 }, BpMode::TopkEc { ratio: 0.2 }),
             (FpMode::Compressed { bits: 4 }, BpMode::Compressed { bits: 4 }),
         ];
-        for (fp, bp) in modes {
-            let mut e = layered_engine(fp, bp, 3, 3);
+        let widening = [12, 4, 6, DatasetSpec::cora().num_classes];
+        for ((fp, bp), dims) in modes.into_iter().flat_map(|m| [(m, None), (m, Some(widening))]) {
+            let config = config_with(fp, bp, 3, 3);
+            let dims = dims.map_or(config.dims.clone(), Vec::from);
+            let mut e = cora_engine(TrainingConfig { dims, ..config });
             e.run_epoch();
             e.run_epoch();
             let snapshot = e.snapshot();
@@ -1011,7 +1052,30 @@ mod tests {
             let first = two_epochs(&mut e);
             e.restore(&snapshot).unwrap();
             assert_eq!(e.epochs_run(), 2);
-            assert_eq!(two_epochs(&mut e), first, "{fp:?} / {bp:?}");
+            assert_eq!(two_epochs(&mut e), first, "{fp:?} / {bp:?} {:?}", e.config.dims);
+        }
+    }
+
+    /// The weight gradient of a layer that ships `H` forward is
+    /// `Y^{l-1} = A_wᵀ·G^l`, the forward aggregate against the local
+    /// gradient, with no BP message in it. So after one exact-FP epoch the
+    /// top slot's weights are bit-identical under exact, 1-bit and ResEC BP
+    /// where the top layer ships `H` (widening 6 → 7, and a tie 7 → 7), and
+    /// differ where it ships `P` (narrowing 8 → 7), whose
+    /// `Y¹ = (H¹)ᵀ·(Â·G²)` reads the BP messages.
+    #[test]
+    fn the_weight_gradient_of_an_h_layer_carries_no_bp_error() {
+        let c = DatasetSpec::cora().num_classes;
+        let bp_modes = [BpMode::Exact, BpMode::Compressed { bits: 1 }, BpMode::ResEc { bits: 2 }];
+        for (hidden, ships_h) in [(6, true), (c, true), (8, false)] {
+            let top = bp_modes.map(|bp| {
+                let config = config_with(FpMode::Exact, bp, 3, 2);
+                let mut e = cora_engine(TrainingConfig { dims: vec![12, hidden, c], ..config });
+                e.run_epoch();
+                e.weights()[1].0.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            });
+            let equal = [(0, 1), (0, 2), (1, 2)].map(|(a, b)| top[a] == top[b]);
+            assert_eq!(equal, [ships_h; 3], "hidden {hidden}");
         }
     }
 

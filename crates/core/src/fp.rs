@@ -18,7 +18,7 @@
 //!
 //! "`H`" below is whatever the forward exchange of the link's layer ships:
 //! `H^{l-1}`, or `P = H^{l-1}·W^{l-1}` where that is narrower
-//! (`TrainingConfig::fp_ships_projected`). At a `P` layer the trend group,
+//! (`TrainingConfig::ships_transformed`). At a `P` layer the trend group,
 //! the Selector's candidates and the reconstruction error are all in `P`
 //! space; nothing here tells the two apart.
 //!

@@ -16,11 +16,13 @@
 //! front-to-back walk of the table replays a run byte for byte.
 //!
 //! A link does not know which matrix it carries: the exchange hands it the
-//! owner's rows of whatever the engine sources, and a forward link of a
-//! layer whose output is narrower than its input carries
-//! `P = H^{l-1}·W^{l-1}` rather than `H^{l-1}`
-//! (`TrainingConfig::fp_ships_projected`). The side is fixed per layer for
-//! the whole run, so each link's state always has one width.
+//! owner's rows of whatever the engine sources, the narrower side of the
+//! layer (`TrainingConfig::ships_transformed`). A forward link of a layer
+//! that narrows carries `P = H^{l-1}·W^{l-1}` rather than `H^{l-1}`, and a
+//! backward link of a layer that widens `Q = G^l·(W^{l-1})ᵀ` rather than
+//! `G^l`, so its ResEC residual `δ` lives in `Q` space. The side is fixed
+//! per layer and direction for the whole run, so each link's state always
+//! has one width.
 
 use crate::bp::BpLink;
 use crate::config::{FpMode, TrainingConfig};

@@ -128,6 +128,36 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, threads: usize, out: &mut Matrix) {
     banded_into(out, work, threads, &|row0, band| ops::matmul_into(a, b, row0, band));
 }
 
+/// [`matmul_into`] where `rows` is `None`; else only rows `rows`
+/// (ascending, distinct) of `C = A · B`, on the calling thread, for a
+/// product whose rows are a small share of `A`'s. `out` is reshaped to
+/// `A.rows() × B.cols()` and zeroed in the storage it already has, and every
+/// row not named stays zero. Each run of consecutive rows is one call of
+/// the kernel [`matmul`] runs, whose every element is pinned to the
+/// reference sum, so a row formed here is bit-identical to that row of
+/// [`matmul`].
+///
+/// # Panics
+/// Panics if `a.cols() != b.rows()` or a row is out of range.
+pub fn matmul_rows_into(
+    a: &Matrix,
+    b: &Matrix,
+    rows: Option<&[usize]>,
+    threads: usize,
+    out: &mut Matrix,
+) {
+    let Some(mut rest) = rows else { return matmul_into(a, b, threads, out) };
+    assert_eq!(a.cols(), b.rows(), "matmul shape mismatch");
+    let n = b.cols();
+    out.reshape_for_overwrite(a.rows(), n);
+    out.as_mut_slice().fill(0.0);
+    while let Some(&first) = rest.first() {
+        let run = 1 + rest.windows(2).take_while(|w| w[1] == w[0] + 1).count();
+        ops::matmul_into(a, b, first, &mut out.as_mut_slice()[first * n..(first + run) * n]);
+        rest = &rest[run..];
+    }
+}
+
 /// Parallel sparse × dense product over row bands of the sparse matrix.
 ///
 /// # Panics
@@ -157,6 +187,30 @@ pub fn spmm_split(
     assert_eq!(local.cols(), remote.cols(), "spmm_split operand width mismatch");
     let n = local.cols();
     banded(s.rows(), n, s.nnz().saturating_mul(n), threads, &|row0, band| {
+        s.spmm_split_into(local, remote, remote_row, row0, band)
+    })
+}
+
+/// [`spmm_split`] into `out`, reshaped and zeroed like [`matmul_into`]'s
+/// output: a repeated call allocates nothing once `out` has grown.
+/// Bit-identical to [`spmm_split`].
+///
+/// # Panics
+/// As [`spmm_split`].
+pub fn spmm_split_into(
+    s: &CsrMatrix,
+    local: &Matrix,
+    remote: &Matrix,
+    remote_row: &[u32],
+    threads: usize,
+    out: &mut Matrix,
+) {
+    assert_eq!(s.cols(), local.rows() + remote_row.len(), "spmm_split shape mismatch");
+    assert_eq!(local.cols(), remote.cols(), "spmm_split operand width mismatch");
+    let n = local.cols();
+    out.reshape_for_overwrite(s.rows(), n);
+    out.as_mut_slice().fill(0.0);
+    banded_into(out, s.nnz().saturating_mul(n), threads, &|row0, band| {
         s.spmm_split_into(local, remote, remote_row, row0, band)
     })
 }
@@ -227,6 +281,27 @@ mod tests {
         }
     }
 
+    /// The named rows, in runs and alone, at the ends and in the middle,
+    /// hold the full product's bits; the rest of the reused, dirty output
+    /// is zero; and `None` forms every row.
+    #[test]
+    fn matmul_rows_into_forms_only_the_named_rows() {
+        let a = init::uniform(41, 33, -1.0, 1.0, 1);
+        let b = init::uniform(33, 29, -1.0, 1.0, 2);
+        let full = ops::matmul(&a, &b);
+        let mut out = Matrix::filled(50, 50, f32::NAN);
+        for rows in [vec![], vec![0, 1, 2, 7, 20, 21, 40], (0..41).collect()] {
+            matmul_rows_into(&a, &b, Some(&rows), 3, &mut out);
+            assert_eq!(out.shape(), full.shape());
+            for r in 0..41 {
+                let want = if rows.contains(&r) { full.row(r).to_vec() } else { vec![0.0; 29] };
+                assert_eq!(out.row(r), want, "row {r} of {rows:?}");
+            }
+        }
+        matmul_rows_into(&a, &b, None, 3, &mut out);
+        assert_eq!(out, full, "every row");
+    }
+
     #[test]
     fn parallel_spmm_is_bit_identical() {
         let s = CsrMatrix::from_triples(
@@ -259,9 +334,12 @@ mod tests {
             let local = b.gather_rows(&(0..n_local).collect::<Vec<_>>());
             let remote = b.gather_rows(&(n_local..40).rev().collect::<Vec<_>>());
             let remote_row: Vec<u32> = (0..40 - n_local as u32).rev().collect();
+            let mut reused = Matrix::filled(3, 60, f32::NAN);
             for threads in [1usize, 2, 7] {
                 let got = spmm_split(&s, &local, &remote, &remote_row, threads);
                 assert_eq!(got, s.spmm(&b), "{n_local}");
+                spmm_split_into(&s, &local, &remote, &remote_row, threads, &mut reused);
+                assert_eq!(reused, got, "{n_local} into a reused output");
             }
         }
     }

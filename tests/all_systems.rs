@@ -255,10 +255,11 @@ fn link_rows(
         .collect()
 }
 
-/// The width of the rows the forward exchange of layer `l` ships outside
-/// the adaptive Bit-Tuner: `P = H^{l-1}·W^{l-1}`, `dims[l]` wide, where
-/// that is narrower than `H^{l-1}`, else `H^{l-1}` itself.
-fn fp_width(dims: &[usize], l: usize) -> usize {
+/// The width of the rows either exchange of layer `l` ships, the narrower
+/// side of the layer: forward `P = H^{l-1}·W^{l-1}` (`dims[l]` wide) or
+/// `H^{l-1}` (`dims[l-1]`), outside the adaptive Bit-Tuner; backward
+/// `Q = G^l·(W^{l-1})ᵀ` (`dims[l-1]` wide) or `G^l` (`dims[l]`).
+fn shipped_width(dims: &[usize], l: usize) -> usize {
     dims[l - 1].min(dims[l])
 }
 
@@ -268,8 +269,9 @@ fn fp_width(dims: &[usize], l: usize) -> usize {
 /// remote neighbour of the requester's vertices, in both passes; at layer
 /// `L`, forward the remote neighbours of the requester's training vertices
 /// and backward the remote training vertices next to any of its vertices.
-/// Forward rows are [`fp_width`] wide: the fixture's layer 2 narrows
-/// (16 → 8) and ships `P`, its layer 3 widens (8 → 47) and ships `H`.
+/// Rows are [`shipped_width`] wide: the fixture's layer 2 narrows (16 → 8)
+/// and ships `P` forward and `G` backward; its layer 3 widens (8 → 47) and
+/// ships `H` forward and `Q³ = G³·(W²)ᵀ` backward, 8 wide rather than 47.
 #[test]
 fn exact_exchanges_ship_the_receptive_field_of_the_loss() {
     use ec_graph_repro::ecgraph::config::{BpMode, FpMode};
@@ -282,15 +284,11 @@ fn exact_exchanges_ship_the_receptive_field_of_the_loss() {
     let exchange = |width: usize, reads: &dyn Fn(usize, usize) -> bool| -> u64 {
         link_rows(&data, workers, reads).iter().map(|&rows| (rows * width * 4 + 8) as u64).sum()
     };
-    let all = |_: usize, _: usize| true;
-    let fp = exchange(fp_width(&dims, 2), &all)
-        + exchange(fp_width(&dims, 3), &|v, _| train.contains(&v));
-    let bp = exchange(dims[2], &all) + exchange(dims[3], &|_, u| train.contains(&u));
-    let full = [
-        exchange(fp_width(&dims, 2), &all) + exchange(fp_width(&dims, 3), &all),
-        exchange(dims[2], &all) + exchange(dims[3], &all),
-    ];
-    assert!(fp < full[0] && bp < full[1], "the top layer's plans leave rows out");
+    let (all, widths) = (|_: usize, _: usize| true, [2, 3].map(|l| shipped_width(&dims, l)));
+    let fp = exchange(widths[0], &all) + exchange(widths[1], &|v, _| train.contains(&v));
+    let bp = exchange(widths[0], &all) + exchange(widths[1], &|_, u| train.contains(&u));
+    let full = exchange(widths[0], &all) + exchange(widths[1], &all);
+    assert!(fp < full && bp < full, "the top layer's plans leave rows out");
     let epoch = latency_only_epoch(&data, dims, workers, FpMode::Exact, BpMode::Exact);
     assert_eq!((epoch.traffic.fp_bytes, epoch.traffic.bp_bytes), (fp, bp));
 }
@@ -301,7 +299,7 @@ const NON_BOUNDARY_FP_BYTES: u64 = 546;
 /// What a ReqEC trend boundary costs: per link the exact rows and two
 /// matrix headers, the second that of the empty `M_cr` the requester
 /// derives from the `H_base` it holds — on the bootstrap epoch and on a
-/// regular boundary, rows from the graph and widths from [`fp_width`] as in
+/// regular boundary, rows from the graph and widths from [`shipped_width`] as in
 /// the exact test above. A non-boundary epoch's Selected messages are
 /// priced as before the boundary stopped shipping `M_cr`: the literal is
 /// that epoch's count when it did, and it did not move when layer 2 began
@@ -318,8 +316,8 @@ fn a_reqec_trend_boundary_ships_h_and_an_empty_m_cr_header() {
     let boundary = |width: usize, reads: &dyn Fn(usize, usize) -> bool| -> u64 {
         link_rows(&data, workers, reads).iter().map(|&rows| (rows * width * 4 + 16) as u64).sum()
     };
-    let fp = boundary(fp_width(&dims, 2), &|_, _| true)
-        + boundary(fp_width(&dims, 3), &|v, _| train.contains(&v));
+    let fp = boundary(shipped_width(&dims, 2), &|_, _| true)
+        + boundary(shipped_width(&dims, 3), &|v, _| train.contains(&v));
     let reqec = FpMode::ReqEc { bits: 2, t_tr: 3, adaptive: false };
     let mut engine = latency_only_engine(&data, dims, workers, reqec, BpMode::Exact);
     // Epoch 0 bootstraps the trend group, epoch 2 ends it, epoch 1 predicts.
@@ -368,6 +366,32 @@ fn the_forward_exchange_ships_the_narrower_side() {
         let bootstrap = latency_only_epoch(&data, dims, workers, fp_mode, BpMode::Exact);
         let want = priced(widths[0], 2, &all) + priced(widths[1], 2, &top);
         assert_eq!(bootstrap.traffic.fp_bytes, want, "{case}");
+    }
+}
+
+/// Which side each backward exchange ships, priced from the graph on the
+/// [`receptive_field_fixture`] graph, on a 2-layer exact model whose top
+/// layer ships the rows of the remote training vertices: `G²` rows, `C`
+/// wide, when `C < k`; `Q² = G²·(W¹)ᵀ` rows, `k` wide, when `C > k`; and
+/// `G²` at a tie `C = k`.
+#[test]
+fn the_backward_exchange_ships_the_narrower_side() {
+    use ec_graph_repro::ecgraph::config::{BpMode, FpMode};
+    use std::collections::BTreeSet;
+
+    let (data, _) = receptive_field_fixture();
+    let (workers, c) = (4, data.num_classes);
+    let train: BTreeSet<usize> = data.split.train.iter().copied().collect();
+    let top = |_: usize, u: usize| train.contains(&u);
+    let priced = |width: usize| -> u64 {
+        let rows = link_rows(&data, workers, &top);
+        rows.iter().map(|&rows| (rows * width * 4 + 8) as u64).sum()
+    };
+
+    for (k, shipped) in [(c + 17, c), (c - 31, c - 31), (c, c)] {
+        let epoch =
+            latency_only_epoch(&data, vec![12, k, c], workers, FpMode::Exact, BpMode::Exact);
+        assert_eq!(epoch.traffic.bp_bytes, priced(shipped), "k = {k}, C = {c}");
     }
 }
 

@@ -19,15 +19,21 @@ use ec_graph_repro::partition::ldg::LdgPartitioner;
 use ec_graph_repro::trace::{TelemetryConfig, TelemetryLevel};
 use std::sync::Arc;
 
+/// Hidden widths of the fixture: the top layer (to 7 classes) narrows at 8
+/// — `P` forward, `G` backward — and widens at 6 — `H` forward, `Q = G·Wᵀ`
+/// backward, with its residual in `Q` space.
+const HIDDEN: [usize; 2] = [8, 6];
+
 fn run_once(seed: u64) -> RunResult {
-    run_threaded(seed, ComputeConfig::sequential(), FaultPlan::none())
+    run_threaded(HIDDEN[0], seed, ComputeConfig::sequential(), FaultPlan::none())
 }
 
-fn run_threaded(seed: u64, compute: ComputeConfig, faults: FaultPlan) -> RunResult {
-    run_full(seed, compute, faults, TelemetryLevel::Off)
+fn run_threaded(hidden: usize, seed: u64, compute: ComputeConfig, faults: FaultPlan) -> RunResult {
+    run_full(hidden, seed, compute, faults, TelemetryLevel::Off)
 }
 
 fn run_full(
+    hidden: usize,
     seed: u64,
     compute: ComputeConfig,
     faults: FaultPlan,
@@ -36,7 +42,7 @@ fn run_full(
     ec_comm::set_deterministic_timing(true);
     let data = Arc::new(DatasetSpec::cora().instantiate_with(140, 12, 5));
     let config = TrainingConfig {
-        dims: vec![12, 8, data.num_classes],
+        dims: vec![12, hidden, data.num_classes],
         num_workers: 4,
         // The error-compensated modes exercise every piece of mutable
         // compensation state (trend groups, residuals, adaptive bits).
@@ -84,15 +90,19 @@ fn deterministic_timing_zeroes_compute_but_not_comm() {
 /// canonical report, byte for byte, as the sequential engine.
 #[test]
 fn thread_counts_never_change_the_report() {
-    let base = run_once(3).to_json().to_string();
-    for worker_threads in [1usize, 4] {
-        for kernel_threads in [1usize, 4] {
-            let compute = ComputeConfig { worker_threads, kernel_threads };
-            let mt = run_threaded(3, compute, FaultPlan::none()).to_json().to_string();
-            assert_eq!(
-                mt, base,
-                "report diverged at worker_threads={worker_threads} kernel_threads={kernel_threads}"
-            );
+    for hidden in HIDDEN {
+        let sequential = ComputeConfig::sequential();
+        let base = run_threaded(hidden, 3, sequential, FaultPlan::none()).to_json().to_string();
+        for worker_threads in [1usize, 4] {
+            for kernel_threads in [1usize, 4] {
+                let compute = ComputeConfig { worker_threads, kernel_threads };
+                let mt = run_threaded(hidden, 3, compute, FaultPlan::none()).to_json().to_string();
+                assert_eq!(
+                    mt, base,
+                    "hidden {hidden}: report diverged at worker_threads={worker_threads} \
+                     kernel_threads={kernel_threads}"
+                );
+            }
         }
     }
 }
@@ -107,23 +117,25 @@ fn thread_counts_never_change_the_report() {
 #[test]
 fn fault_injected_runs_are_thread_count_invariant() {
     let faults = FaultPlan::uniform_drop(13, 0.05).with_straggler(0, 2.0).with_crash(1, 7);
-    let seq = run_threaded(3, ComputeConfig::sequential(), faults.clone());
-    assert_eq!(seq.crashes_recovered, 1, "crash plan must actually fire");
-    let seq = seq.to_json().to_string();
-    for worker_threads in [1usize, 4] {
-        for kernel_threads in [1usize, 4] {
-            let compute = ComputeConfig { worker_threads, kernel_threads };
-            let mt = run_threaded(3, compute, faults.clone()).to_json().to_string();
-            assert_eq!(
-                mt, seq,
-                "fault-injected report diverged at worker_threads={worker_threads} \
-                 kernel_threads={kernel_threads}"
-            );
+    for hidden in HIDDEN {
+        let seq = run_threaded(hidden, 3, ComputeConfig::sequential(), faults.clone());
+        assert_eq!(seq.crashes_recovered, 1, "crash plan must actually fire");
+        let seq = seq.to_json().to_string();
+        for worker_threads in [1usize, 4] {
+            for kernel_threads in [1usize, 4] {
+                let compute = ComputeConfig { worker_threads, kernel_threads };
+                let mt = run_threaded(hidden, 3, compute, faults.clone()).to_json().to_string();
+                assert_eq!(
+                    mt, seq,
+                    "hidden {hidden}: fault-injected report diverged at \
+                     worker_threads={worker_threads} kernel_threads={kernel_threads}"
+                );
+            }
         }
+        // Not vacuous: the faults must actually change the run.
+        let clean = run_threaded(hidden, 3, ComputeConfig::sequential(), FaultPlan::none());
+        assert_ne!(seq, clean.to_json().to_string(), "fault plan had no observable effect");
     }
-    // Not vacuous: the faults must actually change the run.
-    let clean = run_once(3).to_json().to_string();
-    assert_ne!(seq, clean, "fault plan had no observable effect");
 }
 
 /// Every system of the evaluation runs on the engine's cluster, so the
@@ -181,11 +193,12 @@ fn comparators_replay_identically_after_a_crash() {
 /// simulated-time ledger would show up here as a diff.
 #[test]
 fn telemetry_levels_never_change_the_report() {
-    let off = run_full(3, ComputeConfig::sequential(), FaultPlan::none(), TelemetryLevel::Off);
+    let off =
+        run_full(HIDDEN[0], 3, ComputeConfig::sequential(), FaultPlan::none(), TelemetryLevel::Off);
     assert!(off.telemetry.is_none(), "Off must not attach a report");
     let base = off.to_json().to_string();
     for level in [TelemetryLevel::Epoch, TelemetryLevel::Superstep, TelemetryLevel::Trace] {
-        let r = run_full(3, ComputeConfig::sequential(), FaultPlan::none(), level);
+        let r = run_full(HIDDEN[0], 3, ComputeConfig::sequential(), FaultPlan::none(), level);
         let report = r
             .telemetry
             .as_ref()
@@ -210,9 +223,10 @@ fn telemetry_levels_never_change_the_report() {
 #[test]
 fn telemetry_is_inert_under_fault_injection() {
     let faults = FaultPlan::uniform_drop(13, 0.05).with_straggler(0, 2.0).with_crash(1, 7);
-    let off = run_full(3, ComputeConfig::sequential(), faults.clone(), TelemetryLevel::Off);
+    let off =
+        run_full(HIDDEN[0], 3, ComputeConfig::sequential(), faults.clone(), TelemetryLevel::Off);
     assert_eq!(off.crashes_recovered, 1, "crash plan must actually fire");
-    let traced = run_full(3, ComputeConfig::sequential(), faults, TelemetryLevel::Trace);
+    let traced = run_full(HIDDEN[0], 3, ComputeConfig::sequential(), faults, TelemetryLevel::Trace);
     assert_eq!(
         traced.to_json().to_string(),
         off.to_json().to_string(),

@@ -120,35 +120,46 @@ fn local_reference(
     reference.ps
 }
 
+/// On a narrowing top layer (8 → 7: `P` forward, `G` backward) and on a
+/// widening one (6 → 7: `H` forward, `Q = G·Wᵀ` backward, and the weight
+/// gradient taken from the kept forward aggregate).
 #[test]
 fn two_layer_engine_matches_autodiff_trajectory() {
     let data = Arc::new(DatasetSpec::cora().instantiate_with(100, 12, 7));
-    let dims = vec![12, 8, data.num_classes];
-    let mut engine = build_engine(&data, dims.clone(), 4, &HashPartitioner::default(), 42);
-    for _ in 0..5 {
-        engine.run_epoch();
-    }
-    let reference = local_reference(&data, &dims, 42, 5);
-    for (l, (w, b)) in engine.weights().iter().enumerate() {
-        let (rw, rb) = reference.pull(l);
-        assert!(w.approx_eq(rw, 2e-3), "layer {l} weights diverged after 5 epochs");
-        for (x, y) in b.iter().zip(rb) {
-            assert!((x - y).abs() < 2e-3, "layer {l} bias diverged");
+    for hidden in [8, 6] {
+        let dims = vec![12, hidden, data.num_classes];
+        let mut engine = build_engine(&data, dims.clone(), 4, &HashPartitioner::default(), 42);
+        for _ in 0..5 {
+            engine.run_epoch();
+        }
+        let reference = local_reference(&data, &dims, 42, 5);
+        for (l, (w, b)) in engine.weights().iter().enumerate() {
+            let (rw, rb) = reference.pull(l);
+            assert!(w.approx_eq(rw, 2e-3), "{dims:?}: layer {l} weights diverged after 5 epochs");
+            for (x, y) in b.iter().zip(rb) {
+                assert!((x - y).abs() < 2e-3, "{dims:?}: layer {l} bias diverged");
+            }
         }
     }
 }
 
+/// With layer 2 at a tie (8 → 8) and, in the second shape, widening
+/// (4 → 8), so that the backward pass of layer 3 forms the `Q²` that
+/// layer 2 ships.
 #[test]
 fn three_layer_engine_matches_autodiff_trajectory() {
     let data = Arc::new(DatasetSpec::pubmed().instantiate_with(90, 10, 9));
-    let dims = vec![10, 8, 8, data.num_classes];
-    let mut engine = build_engine(&data, dims.clone(), 3, &HashPartitioner::default(), 7);
-    for _ in 0..4 {
-        engine.run_epoch();
-    }
-    let reference = local_reference(&data, &dims, 7, 4);
-    for (l, (w, _)) in engine.weights().iter().enumerate() {
-        assert!(w.approx_eq(reference.pull(l).0, 3e-3), "3-layer engine diverged at layer {l}");
+    for hidden in [8, 4] {
+        let dims = vec![10, hidden, 8, data.num_classes];
+        let mut engine = build_engine(&data, dims.clone(), 3, &HashPartitioner::default(), 7);
+        for _ in 0..4 {
+            engine.run_epoch();
+        }
+        let reference = local_reference(&data, &dims, 7, 4);
+        for (l, (w, _)) in engine.weights().iter().enumerate() {
+            let want = reference.pull(l).0;
+            assert!(w.approx_eq(want, 3e-3), "{dims:?} engine diverged at layer {l}");
+        }
     }
 }
 
@@ -255,32 +266,38 @@ fn engine_loss_matches_local_loss_epoch_one() {
 
 /// Sage-mode cross-check: the engine's manual Sage gradients must follow
 /// the same trajectory as a tape-built reference of the same model
-/// (`H^l = σ(Â(H W_n) + H W_s + b)`).
+/// (`H^l = σ(Â(H W_n) + H W_s + b)`), on a narrowing and on a widening top
+/// layer (where `Q = G·W_nᵀ` ships and the local `G·W_sᵀ` term stays).
 #[test]
 fn sage_engine_matches_autodiff_trajectory() {
     let data = Arc::new(DatasetSpec::cora().instantiate_with(90, 10, 31));
-    let dims = vec![10usize, 8, data.num_classes];
-    let num_layers = dims.len() - 1;
-    let adj = Arc::new(normalize::gcn_normalized_adjacency(&data.graph));
-    let config = TrainingConfig { model: ModelKind::Sage, ..config_for(&data, dims, 3, 77) };
-    let adjs = vec![adj; num_layers];
+    for hidden in [8, 6] {
+        let dims = vec![10usize, hidden, data.num_classes];
+        let num_layers = dims.len() - 1;
+        let adj = Arc::new(normalize::gcn_normalized_adjacency(&data.graph));
+        let config = TrainingConfig { model: ModelKind::Sage, ..config_for(&data, dims, 3, 77) };
+        let adjs = vec![adj; num_layers];
 
-    let partition = HashPartitioner::default().partition(&data.graph, 3);
-    let mut engine =
-        DistributedEngine::new(Arc::clone(&data), adjs.clone(), partition, config.clone());
-    let mut reference = Reference::new(&config, adjs);
-    for _ in 0..4 {
-        engine.run_epoch();
-        reference.train_epoch(&data);
-    }
+        let partition = HashPartitioner::default().partition(&data.graph, 3);
+        let mut engine =
+            DistributedEngine::new(Arc::clone(&data), adjs.clone(), partition, config.clone());
+        let mut reference = Reference::new(&config, adjs);
+        for _ in 0..4 {
+            engine.run_epoch();
+            reference.train_epoch(&data);
+        }
 
-    let dist = engine.weights();
-    for l in 0..num_layers {
-        let ((w_n, bias), (w_s, _)) = (reference.ps.pull(l), reference.ps.pull(num_layers + l));
-        assert!(dist[l].0.approx_eq(w_n, 3e-3), "layer {l} W_n diverged");
-        assert!(dist[num_layers + l].0.approx_eq(w_s, 3e-3), "layer {l} W_s diverged");
-        for (a, b) in dist[l].1.iter().zip(bias) {
-            assert!((a - b).abs() < 3e-3, "layer {l} bias diverged");
+        let dist = engine.weights();
+        for l in 0..num_layers {
+            let ((w_n, bias), (w_s, _)) = (reference.ps.pull(l), reference.ps.pull(num_layers + l));
+            assert!(dist[l].0.approx_eq(w_n, 3e-3), "hidden {hidden}: layer {l} W_n diverged");
+            assert!(
+                dist[num_layers + l].0.approx_eq(w_s, 3e-3),
+                "hidden {hidden}: layer {l} W_s diverged"
+            );
+            for (a, b) in dist[l].1.iter().zip(bias) {
+                assert!((a - b).abs() < 3e-3, "hidden {hidden}: layer {l} bias diverged");
+            }
         }
     }
 }

@@ -36,7 +36,10 @@ const LAYERS: usize = 3;
 /// 4 fewer (116 → 112) since the top layer (24 → 7 wide) exchanges
 /// `P = H·W` rows: layer 2 forms each worker's `P` into a buffer it reuses,
 /// and layer 3's aggregate is its output, without one product per worker.
-const EPOCH_ALLOCATIONS: u64 = 112;
+/// 4 fewer (112 → 108) since layer 2, which ships `H`, aggregates into a
+/// buffer each worker keeps for its weight gradient `Y¹ = A_wᵀ·G²` instead
+/// of a fresh matrix per worker.
+const EPOCH_ALLOCATIONS: u64 = 108;
 
 /// What this same test body counted at the parent commit (`e9b4a17`, the
 /// exchange before it had a workspace).
