@@ -23,9 +23,10 @@
 //! the whole table is derivable from `(min, max, B)`, so this implementation
 //! transmits just those two floats — an equivalent reconstruction at
 //! strictly smaller size (the paper itself notes the table cost "will be
-//! amortized"; here it is 8 bytes regardless of `B`). For the forward pass
-//! the paper fixes the data domain to `[0, 1]`; for the backward pass it
-//! computes min/max per message (Alg. 6 line 4). Both modes are supported.
+//! amortized"; here it is 8 bytes regardless of `B`). The range is always
+//! the data's own, as the paper computes it per message (Alg. 6 line 4):
+//! one per message in the training exchange, one per row in a served reply
+//! ([`quantize::RangeBlock`]).
 
 #![forbid(unsafe_code)]
 #![deny(clippy::iter_over_hash_type)]
@@ -37,5 +38,5 @@ pub mod error;
 pub mod quantize;
 pub mod topk;
 
-pub use quantize::{Quantized, MAX_BITS};
+pub use quantize::{Quantized, RangeBlock, MAX_BITS};
 pub use topk::TopK;

@@ -33,7 +33,7 @@ use crate::fp::{self, FpLink};
 use ec_comm::codec;
 use ec_comm::stats::Channel;
 use ec_comm::{HostTimer, SendError};
-use ec_compress::Quantized;
+use ec_compress::{Quantized, RangeBlock};
 use ec_tensor::Matrix;
 use ec_trace::registry::labels;
 use ec_trace::{MetricId, TelemetryLevel, TelemetrySink};
@@ -54,7 +54,7 @@ pub(crate) struct MessageBuffers {
 impl MessageBuffers {
     /// Empty buffers; the first messages size them.
     pub(crate) fn new() -> Self {
-        Self { exact: Matrix::zeros(0, 0), codec: Quantized::compress_row(&[], 1) }
+        Self { exact: Matrix::zeros(0, 0), codec: Quantized::default() }
     }
 }
 
@@ -64,7 +64,7 @@ pub(crate) fn round_trip(m: &Matrix, bits: u8, codec: &mut Quantized, out: &mut 
     if m.rows() == 0 {
         return 0;
     }
-    codec.assign(m, bits);
+    codec.assign(m, bits, RangeBlock::Message);
     codec.decompress_into(out);
     codec.wire_size() as u64
 }

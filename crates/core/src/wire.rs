@@ -16,7 +16,7 @@
 //! and from whether epoch `t` is a trend boundary, which both ends know.
 
 use ec_comm::codec;
-use ec_compress::{bitpack, Quantized};
+use ec_compress::{bitpack, Quantized, RangeBlock};
 use ec_tensor::Matrix;
 
 /// A forward-pass response from a responding worker.
@@ -59,7 +59,7 @@ const SELECTOR_BITS: u8 = 2;
 
 /// Bytes of an optional `Quantized` payload of `(entries, bits)`.
 fn payload_size(payload: Option<(usize, u8)>) -> usize {
-    payload.map_or(0, |(entries, bits)| Quantized::wire_size_for(entries, bits))
+    payload.map_or(0, |(entries, bits)| Quantized::wire_size_for(1, entries, bits))
 }
 
 impl FpMessage {
@@ -146,7 +146,9 @@ impl FpMessage {
                 }
                 Ok(FpMessage::Exact { h, m_cr })
             }
-            TAG_COMPRESSED => Ok(FpMessage::Compressed(Quantized::from_bytes(rest)?)),
+            TAG_COMPRESSED => {
+                Ok(FpMessage::Compressed(Quantized::from_bytes(rest, RangeBlock::Message)?))
+            }
             TAG_SELECTED => {
                 let (count, rest) =
                     rest.split_first_chunk::<4>().ok_or("selector header truncated")?;
@@ -162,8 +164,11 @@ impl FpMessage {
                 if selector.iter().any(|&s| s > 2) {
                     return Err("invalid selector code".into());
                 }
-                let compressed =
-                    if middle.is_empty() { None } else { Some(Quantized::from_bytes(middle)?) };
+                let compressed = if middle.is_empty() {
+                    None
+                } else {
+                    Some(Quantized::from_bytes(middle, RangeBlock::Message)?)
+                };
                 Ok(FpMessage::Selected {
                     selector,
                     compressed,
@@ -220,7 +225,9 @@ impl BpMessage {
                 codec::finish(rest)?;
                 Ok(BpMessage::Exact(g))
             }
-            TAG_COMPRESSED => Ok(BpMessage::Compressed(Quantized::from_bytes(rest)?)),
+            TAG_COMPRESSED => {
+                Ok(BpMessage::Compressed(Quantized::from_bytes(rest, RangeBlock::Message)?))
+            }
             other => Err(format!("unknown BP message tag {other}")),
         }
     }

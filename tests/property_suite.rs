@@ -2,12 +2,13 @@
 //! inputs, not just the fixtures the unit tests use.
 
 use ec_graph_repro::comm::codec;
-use ec_graph_repro::compress::Quantized;
+use ec_graph_repro::compress::{Quantized, RangeBlock};
 use ec_graph_repro::data::{generators, normalize, Graph};
 use ec_graph_repro::partition::hash::HashPartitioner;
 use ec_graph_repro::partition::ldg::LdgPartitioner;
 use ec_graph_repro::partition::metis::MetisLikePartitioner;
 use ec_graph_repro::partition::{metrics, Partitioner};
+use ec_graph_repro::tensor::isa::Tier;
 use ec_graph_repro::tensor::{ops, CsrMatrix, Matrix};
 use proptest::prelude::*;
 
@@ -113,7 +114,8 @@ proptest! {
     fn quantized_from_bytes_survives_fuzzed_input(
         bytes in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
-        let _ = Quantized::from_bytes(&bytes);
+        let _ = Quantized::from_bytes(&bytes, RangeBlock::Message);
+        let _ = Quantized::from_bytes(&bytes, RangeBlock::Row);
     }
 
     /// SpMM against an arbitrary sparse matrix equals the dense reference.
@@ -377,7 +379,7 @@ fn codec_kernels_match_scalar_references_bit_for_bit() {
         for len in [1usize, 7, 63, 64, 65, 131, 200] {
             let m = Matrix::from_fn(1, len, |_, c| ((c * 37 + 11) as f32 * 0.37).sin() * 3.0);
             let q = Quantized::compress(&m, bits);
-            let (min, max) = q.range();
+            let (min, max) = q.range(0);
             let (scale, top) = ((1u32 << bits) as f32 / (max - min), (1i64 << bits) - 1);
             let codes: Vec<u32> = m
                 .as_slice()
@@ -397,7 +399,8 @@ fn codec_kernels_match_scalar_references_bit_for_bit() {
                 codes.iter().map(|&c| min + (c as f32 + 0.5) * width).collect();
             assert_eq!(bits_of(q.decompress().as_slice()), bits_of(&midpoints), "bits={bits}");
             let mut row = vec![0.0f32; len];
-            Quantized::compress_row(m.as_slice(), bits).decompress_into(&mut row);
+            let per_row = Quantized::compress_at(Tier::best(), &m, bits, RangeBlock::Row);
+            per_row.decompress_block_into(0, &mut row);
             assert_eq!(bits_of(&row), bits_of(&midpoints));
         }
     }

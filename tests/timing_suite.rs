@@ -90,7 +90,7 @@ fn superstep_gauges_spans_and_epoch_stats_agree_on_measured_time() {
 #[ignore = "timing guard; scripts/check.sh --perf-smoke runs it in release"]
 fn wider_tiers_are_not_slower_than_the_baseline_tier() {
     use ec_graph_repro::comm::clock::HostTimer;
-    use ec_graph_repro::compress::Quantized;
+    use ec_graph_repro::compress::{Quantized, RangeBlock};
     use ec_graph_repro::ecgraph::fp::{self, SelectorSweep, TrendState};
     use ec_graph_repro::tensor::isa::{self, Tier};
     use ec_graph_repro::tensor::{ops, Matrix};
@@ -135,7 +135,8 @@ fn wider_tiers_are_not_slower_than_the_baseline_tier() {
             }
             1 => {
                 for _ in 0..20 {
-                    black_box(Quantized::compress_at(tier, black_box(&message), 4));
+                    let message = black_box(&message);
+                    black_box(Quantized::compress_at(tier, message, 4, RangeBlock::Message));
                 }
             }
             _ => {

@@ -16,9 +16,10 @@
 //! the spaces in them separate fields and are ignored.
 
 use ec_graph_repro::comm::codec;
-use ec_graph_repro::compress::Quantized;
+use ec_graph_repro::compress::{Quantized, RangeBlock};
 use ec_graph_repro::ecgraph::wire::{BpMessage, FpMessage};
 use ec_graph_repro::serve::wire::{ServeReply, ServeRequest};
+use ec_graph_repro::tensor::isa::Tier;
 use ec_graph_repro::tensor::{init, Matrix};
 
 fn hex(bytes: &[u8]) -> String {
@@ -26,28 +27,30 @@ fn hex(bytes: &[u8]) -> String {
 }
 
 macro_rules! pin {
-    ($ty:ty, $value:expr, $hex:literal) => {{
+    ($ty:ty, $value:expr, $hex:literal) => {
+        pin!($ty, <$ty>::from_bytes, $value, $hex)
+    };
+    ($ty:ty, $decode:expr, $value:expr, $hex:literal) => {{
         let value: $ty = $value;
         let bytes = value.to_bytes();
         assert_eq!(hex(&bytes), $hex.replace(' ', ""), "encoding of {value:?}");
         assert_eq!(value.wire_size(), bytes.len(), "wire_size of {value:?}");
-        assert_eq!(<$ty>::from_bytes(&bytes).as_ref(), Ok(&value), "round trip");
+        assert_eq!($decode(&bytes).as_ref(), Ok(&value), "round trip");
         let longer = [&bytes[..], &[0x07]].concat();
-        assert!(<$ty>::from_bytes(&longer).is_err(), "a trailing byte after {value:?}");
+        assert!($decode(&longer).is_err(), "a trailing byte after {value:?}");
         let shorter = &bytes[..bytes.len() - 1];
-        assert!(<$ty>::from_bytes(shorter).is_err(), "{value:?} without its last byte");
+        assert!($decode(shorter).is_err(), "{value:?} without its last byte");
     }};
 }
 
-/// `1 × 4`, 2 bits over `[0, 1]`: codes 2, 1, 0, 3.
+/// `1 × 4`, 2 bits over its own range `[0, 1]`: codes 2, 1, 0, 3.
 fn quantized() -> Quantized {
-    let h = Matrix::from_vec(1, 4, vec![0.7, 0.3, 0.05, 0.95]);
-    Quantized::compress_with_range(&h, 2, 0.0, 1.0)
+    Quantized::compress(&Matrix::from_vec(1, 4, vec![0.7, 0.3, 0.0, 1.0]), 2)
 }
 
-/// `1 × 3`, 8 bits over `[-1, 1]`: codes 0, 128, 255.
-fn quantized_row() -> Quantized {
-    Quantized::compress_with_range(&Matrix::from_vec(1, 3, vec![-1.0, 0.0, 1.0]), 8, -1.0, 1.0)
+/// `rows`, 8 bits over each row's own range.
+fn per_row(rows: Matrix) -> Quantized {
+    Quantized::compress_at(Tier::best(), &rows, 8, RangeBlock::Row)
 }
 
 /// `2 × 2` holding 1, −2, 0.5, 0.
@@ -58,7 +61,16 @@ fn matrix() -> Matrix {
 #[test]
 fn every_wire_type_serializes_to_its_committed_bytes() {
     // rows, cols (u32 LE) · bits · min, max (f32 LE) · packed codes
-    pin!(Quantized, quantized(), "01000000 04000000 02 00000000 0000803f c6");
+    let message = |b: &[u8]| Quantized::from_bytes(b, RangeBlock::Message);
+    pin!(Quantized, message, quantized(), "01000000 04000000 02 00000000 0000803f c6");
+    // rows, cols · bits · per row: min, max · packed codes
+    let per_row_message = |b: &[u8]| Quantized::from_bytes(b, RangeBlock::Row);
+    pin!(
+        Quantized,
+        per_row_message,
+        per_row(Matrix::from_vec(2, 1, vec![0.5, -3.0])),
+        "02000000 01000000 08 0000003f 0000003f 00 000040c0 000040c0 00"
+    );
 
     // tag 0 · H · M_cr, each rows, cols (u32 LE) · row-major f32 LE; the
     // engine's boundary ships an empty M_cr, the requester derives it
@@ -121,18 +133,23 @@ fn every_wire_type_serializes_to_its_committed_bytes() {
         ServeReply::Exact { version: 7, rows: matrix() },
         "11 07000000 02000000 02000000 0000803f 000000c0 0000003f 00000000"
     );
-    // tag 0x12 · version · row count · (byte length · Quantized) per row
+    // tag 0x12 · version · rows, cols (u32 LE) · bits · per row: min, max
+    // (f32 LE) · packed codes. Row 0 spans [-1, 1]: codes 0, 128, 255; row 1
+    // is constant: range [2, 2], codes 0.
     pin!(
         ServeReply,
-        ServeReply::RowQuantized { version: 7, rows: vec![quantized(), quantized_row()] },
-        "12 07000000 02000000 \
-            12000000 01000000 04000000 02 00000000 0000803f c6 \
-            14000000 01000000 03000000 08 000080bf 0000803f 0080ff"
+        ServeReply::Quantized {
+            version: 7,
+            rows: per_row(Matrix::from_vec(2, 3, vec![-1.0, 0.0, 1.0, 2.0, 2.0, 2.0]))
+        },
+        "12 07000000 02000000 03000000 08 \
+            000080bf 0000803f 0080ff \
+            00000040 00000040 000000"
     );
     pin!(
         ServeReply,
-        ServeReply::RowQuantized { version: 0, rows: Vec::new() },
-        "12 00000000 00000000"
+        ServeReply::Quantized { version: 0, rows: per_row(Matrix::zeros(0, 3)) },
+        "12 00000000 00000000 03000000 08"
     );
 }
 
@@ -155,7 +172,7 @@ fn shape_prices_equal_the_serialized_messages() {
         assert_eq!(1 + codec::matrix_wire_size_for(n), len(exact.to_bytes()), "{rows}x{cols}");
         for bits in 1..=16u8 {
             let q = Quantized::compress(&h, bits);
-            let charged = 1 + Quantized::wire_size_for(n, bits);
+            let charged = 1 + Quantized::wire_size_for(1, n, bits);
             assert_eq!(charged, len(FpMessage::Compressed(q.clone()).to_bytes()), "B={bits}");
             assert_eq!(charged, len(BpMessage::Compressed(q).to_bytes()), "B={bits}");
             // Vertex-wise: a choice per row, payload rows `cols` wide;
@@ -182,6 +199,20 @@ fn shape_prices_equal_the_serialized_messages() {
                     assert_eq!(1 + priced, bytes.len(), "{choices} choices, {shipped} shipped");
                     assert_eq!(msg.wire_size(), bytes.len());
                 }
+            }
+        }
+    }
+    // A served reply: one range per row, zero rows to many, at the widths
+    // the benchmark's stores ship (16, 41, 47, 64) and around them.
+    for rows in [0usize, 1, 5, 40] {
+        for cols in [1usize, 16, 41, 47, 64] {
+            let h = init::uniform(rows, cols, -2.0, 2.0, (rows * cols) as u64);
+            for bits in [1u8, 3, 8, 16] {
+                let q = Quantized::compress_at(Tier::best(), &h, bits, RangeBlock::Row);
+                let reply = ServeReply::Quantized { version: 2, rows: q };
+                let charged = ServeReply::wire_size_for(rows, cols, Some(bits));
+                assert_eq!(charged, len(reply.to_bytes()), "{rows}x{cols} B={bits}");
+                assert_eq!(charged, reply.wire_size(), "{rows}x{cols} B={bits}");
             }
         }
     }
