@@ -486,6 +486,7 @@ fn fig11(run: &mut Run, _spec: &DatasetSpec, data: &Data) {
                 let partition = partitioner.partition(&data.graph, workers);
                 let partition_s = part_start.elapsed_s();
                 let g_rmt = metrics::avg_remote_degree(&data.graph, &partition);
+                let edge_cut = metrics::edge_cut_fraction(&data.graph, &partition);
                 let adjs = if system == "ec-graph-s" {
                     let fanouts = paper_fanouts(&data.name, 2).unwrap_or(vec![10, 10]);
                     sample_layer_graphs(&data.graph, &fanouts, 5).0
@@ -504,7 +505,8 @@ fn fig11(run: &mut Run, _spec: &DatasetSpec, data: &Data) {
                 run.emit(json!({
                     "system": system, "workers": workers, "partitioner": pname,
                     "epoch_s": r.avg_epoch_time(), "avg_remote_degree": g_rmt,
-                    "partition_s": partition_s,
+                    "edge_cut": edge_cut, "partition_s": partition_s,
+                    "test_acc": r.best_test_acc,
                 }));
             }
         }

@@ -691,14 +691,6 @@ pub fn add_assign(a: &mut Matrix, b: &Matrix) {
     }
 }
 
-/// In-place `a -= b`.
-pub fn sub_assign(a: &mut Matrix, b: &Matrix) {
-    assert_eq!(a.shape(), b.shape(), "sub_assign shape mismatch");
-    for (x, &y) in a.as_mut_slice().iter_mut().zip(b.as_slice()) {
-        *x -= y;
-    }
-}
-
 /// In-place `a += b * s` (AXPY).
 pub fn axpy(a: &mut Matrix, b: &Matrix, s: f32) {
     assert_eq!(a.shape(), b.shape(), "axpy shape mismatch");
@@ -848,10 +840,8 @@ mod tests {
         let b = Matrix::from_vec(1, 2, vec![10., 20.]);
         add_assign(&mut a, &b);
         assert_eq!(a.as_slice(), &[11., 22.]);
-        sub_assign(&mut a, &b);
-        assert_eq!(a.as_slice(), &[1., 2.]);
         axpy(&mut a, &b, 0.5);
-        assert_eq!(a.as_slice(), &[6., 12.]);
+        assert_eq!(a.as_slice(), &[16., 32.]);
     }
 
     #[test]
