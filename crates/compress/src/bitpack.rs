@@ -33,7 +33,7 @@ pub fn pack(codes: &[u32], bits: u8) -> Vec<u8> {
     }
     let mut out = vec![0u8; packed_len(codes.len(), bits)];
     for (block, dst) in codes.chunks(BLOCK).zip(out.chunks_mut(block_bytes(bits))) {
-        pack_block(block, bits, dst);
+        with_word_width!(bits, pack_block_at(block, bits, dst));
     }
     out
 }
@@ -52,7 +52,7 @@ pub fn unpack(bytes: &[u8], bits: u8, count: usize) -> Vec<u32> {
     );
     let mut codes = vec![0u32; count];
     for (block, src) in codes.chunks_mut(BLOCK).zip(bytes[..need].chunks(block_bytes(bits))) {
-        unpack_block(src, bits, block);
+        with_word_width!(bits, unpack_block_at(src, bits, block));
     }
     codes
 }
@@ -92,16 +92,10 @@ macro_rules! with_word_width {
 pub(crate) use with_word_width;
 
 /// Packs one block — at most [`BLOCK`] codes — into `out`, which must be
-/// exactly `packed_len(codes.len(), bits)` bytes. The caller guarantees
+/// exactly `packed_len(codes.len(), bits)` bytes, with the width chosen by
+/// [`with_word_width`] (`BITS == 0`: no word kernel). The caller guarantees
 /// every code fits in `bits` bits; an oversized code would bleed into its
 /// neighbours ([`pack`] is the checked entry point).
-pub(crate) fn pack_block(codes: &[u32], bits: u8, out: &mut [u8]) {
-    debug_assert_eq!(out.len(), packed_len(codes.len(), bits));
-    with_word_width!(bits, pack_block_at(codes, bits, out));
-}
-
-/// [`pack_block`] with the width chosen by [`with_word_width`] (`BITS == 0`:
-/// no word kernel).
 #[inline(always)]
 pub(crate) fn pack_block_at<const BITS: u32>(codes: &[u32], bits: u8, out: &mut [u8]) {
     if BITS != 0 {
@@ -148,14 +142,9 @@ fn pack_words<const BITS: u32>(codes: &[u32; BLOCK], out: &mut [u8]) {
     }
 }
 
-/// Mirror image of [`pack_block`]: fills `codes` (at most [`BLOCK`]) from
-/// `bytes`, which must hold at least `packed_len(codes.len(), bits)` bytes.
-pub(crate) fn unpack_block(bytes: &[u8], bits: u8, codes: &mut [u32]) {
-    debug_assert!(bytes.len() >= packed_len(codes.len(), bits));
-    with_word_width!(bits, unpack_block_at(bytes, bits, codes));
-}
-
-/// Mirror image of [`pack_block_at`].
+/// Mirror image of [`pack_block_at`]: fills `codes` (at most [`BLOCK`])
+/// from `bytes`, which must hold at least `packed_len(codes.len(), bits)`
+/// bytes.
 #[inline(always)]
 pub(crate) fn unpack_block_at<const BITS: u32>(bytes: &[u8], bits: u8, codes: &mut [u32]) {
     if BITS != 0 {
