@@ -12,8 +12,7 @@ use crate::systems::{
 };
 use crate::{bench_hidden, Bits, Body, Datasets, Experiment, Key, List, Run};
 use ec_comm::HostTimer;
-use ec_compress::error::{relative_error, theorem1_bound};
-use ec_compress::Quantized;
+use ec_compress::error::{probe_alpha, theorem1_bound};
 use ec_faults::FaultPlan;
 use ec_graph::baselines::ml_centered::redundancy_factor;
 use ec_graph::config::{BpMode, FpMode, ModelKind, ResiliencePolicy, TrainingConfig};
@@ -27,7 +26,7 @@ use ec_graph_data::{normalize, AttributedGraph, DatasetSpec};
 use ec_partition::hash::HashPartitioner;
 use ec_partition::metis::MetisLikePartitioner;
 use ec_partition::{metrics, Partitioner};
-use ec_tensor::{init, stats};
+use ec_tensor::stats;
 use serde_json::json;
 use std::num::{NonZeroU32, NonZeroUsize};
 use std::sync::Arc;
@@ -639,10 +638,7 @@ fn theorem1(run: &mut Run) {
         (run.get("epochs"), run.get("bits"), run.get("workers"));
     // Empirical α for the quantizer at this bit width over random
     // gradient-like matrices (Eq. 13 measured).
-    let alpha = (0..20u64).fold(0.0f32, |alpha, seed| {
-        let m = init::normal(32, 16, 1.0, seed);
-        alpha.max(relative_error(&m, &Quantized::compress(&m, bits)))
-    });
+    let alpha = probe_alpha(bits, 20);
 
     let data = Arc::new(DatasetSpec::cora().instantiate_with(run.get("n"), 32, 11));
     let layers = 3usize;

@@ -93,11 +93,6 @@ impl NetworkModel {
         Self { bandwidth: 1_170.0 * 1024.0 * 1024.0, latency: 50e-6 }
     }
 
-    /// An infinitely fast network (isolates compute time in ablations).
-    pub fn infinite() -> Self {
-        Self { bandwidth: f64::INFINITY, latency: 0.0 }
-    }
-
     /// Seconds to move `bytes` in `messages` discrete messages.
     pub fn transfer_time(&self, bytes: u64, messages: u64) -> f64 {
         messages as f64 * self.latency + bytes as f64 / self.bandwidth
@@ -136,20 +131,12 @@ mod tests {
     }
 
     #[test]
-    fn infinite_network_is_free() {
-        assert_eq!(NetworkModel::infinite().transfer_time(u64::MAX, 1000), 0.0);
-    }
-
-    #[test]
     fn network_model_round_trips_through_copy() {
         // `NetworkModel` is part of the config wire surface; assert the
         // value survives a copy/compare cycle for each preset.
-        for m in [
-            NetworkModel::gigabit_ethernet(),
-            NetworkModel::ten_gig(),
-            NetworkModel::hundred_gig(),
-            NetworkModel::infinite(),
-        ] {
+        for m in
+            [NetworkModel::gigabit_ethernet(), NetworkModel::ten_gig(), NetworkModel::hundred_gig()]
+        {
             let copy = m;
             assert_eq!(copy, m);
         }

@@ -16,23 +16,24 @@
 //! # Fault injection
 //!
 //! A network built with [`SimNetwork::with_faults`] consults a
-//! deterministic [`FaultInjector`] on every transmission. Failed attempts
-//! (drops, corruptions) and redundant duplicates charge their bytes to
+//! deterministic [`FaultInjector`] on every transmission, which delivers,
+//! drops or corrupts it. A failed attempt charges its bytes to
 //! [`Channel::Retry`] — so `latency · retries + resent bytes / bandwidth`
 //! lands in the simulated clock through the ordinary NIC accounting — and
-//! each failure additionally charges a timeout-detection delay to both
-//! endpoints, folded into the superstep time at the next
-//! [`SimNetwork::flush_superstep`]. Straggler nodes have their NIC time
-//! scaled by the configured factor. A network built with
-//! [`FaultPlan::none`] (or plain [`SimNetwork::new`]) takes none of these
-//! paths and its ledger and clock are bit-identical to the fault-free
-//! implementation.
+//! a timeout-detection delay to both endpoints, folded into the superstep
+//! time at the next [`SimNetwork::flush_superstep`]. [`SimNetwork::send`]
+//! retries until the message arrives; [`SimNetwork::send_within`] gives up
+//! after a given number of attempts and reports why the last one failed.
+//! Straggler nodes have their NIC time scaled by the configured factor. A
+//! network built with [`FaultPlan::none`] (or plain [`SimNetwork::new`])
+//! takes none of these paths and its ledger and clock are bit-identical to
+//! the fault-free implementation.
 
 use crate::clock::NetworkModel;
 use crate::stats::{Channel, TrafficStats};
 use ec_faults::{FaultDecision, FaultInjector, FaultPlan};
 
-/// Why a [`SimNetwork::try_send`] attempt failed to deliver.
+/// Why a [`SimNetwork::send_within`] attempt failed to deliver.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SendError {
     /// The message was lost in transit (timeout at the receiver).
@@ -55,7 +56,7 @@ impl std::error::Error for SendError {}
 /// Attempts a guaranteed [`SimNetwork::send`] makes before concluding the
 /// fault pattern cannot be out-waited within the superstep and delivering
 /// anyway (every failed attempt stays charged).
-const FORCED_SEND_ATTEMPTS: u64 = 16;
+const FORCED_SEND_ATTEMPTS: u32 = 16;
 
 /// Byte-accurate network simulation for a fixed set of nodes.
 #[derive(Clone, Debug)]
@@ -141,17 +142,6 @@ impl SimNetwork {
         self.epoch_stats.links.record(from, to, bytes);
     }
 
-    /// Counts one fault event on the ledger.
-    fn count_fault(&mut self, decision: FaultDecision) {
-        let stats = &mut self.epoch_stats;
-        match decision {
-            FaultDecision::Drop => stats.dropped_msgs += 1,
-            FaultDecision::Corrupt => stats.corrupted_msgs += 1,
-            FaultDecision::Duplicate => stats.duplicated_msgs += 1,
-            FaultDecision::Deliver => {}
-        }
-    }
-
     /// One transmission attempt under fault injection.
     fn attempt(
         &mut self,
@@ -168,37 +158,28 @@ impl SimNetwork {
         let decision = injector.decide(self.superstep, from, to, self.msg_seq);
         let timeout = injector.timeout_cost(self.model.latency);
         self.msg_seq += 1;
-        match decision {
+        let error = match decision {
             FaultDecision::Deliver => {
                 self.deliver(from, to, channel, bytes);
-                Ok(())
-            }
-            FaultDecision::Duplicate => {
-                self.deliver(from, to, channel, bytes);
-                // The redundant copy crosses the wire too; the receiver
-                // discards it after paying for its reception.
-                self.deliver(from, to, Channel::Retry, bytes);
-                self.count_fault(decision);
-                Ok(())
+                return Ok(());
             }
             FaultDecision::Drop => {
                 // The sender transmits into the void; the receiver learns
                 // nothing until its timeout fires.
                 self.send_out(from, to, Channel::Retry, bytes);
-                self.count_fault(decision);
-                self.pending_delay[from] += timeout;
-                self.pending_delay[to] += timeout;
-                Err(SendError::Dropped)
+                self.epoch_stats.dropped_msgs += 1;
+                SendError::Dropped
             }
             FaultDecision::Corrupt => {
                 // Full transfer on both NICs, then the checksum fails.
                 self.deliver(from, to, Channel::Retry, bytes);
-                self.count_fault(decision);
-                self.pending_delay[from] += timeout;
-                self.pending_delay[to] += timeout;
-                Err(SendError::Corrupted)
+                self.epoch_stats.corrupted_msgs += 1;
+                SendError::Corrupted
             }
-        }
+        };
+        self.pending_delay[from] += timeout;
+        self.pending_delay[to] += timeout;
+        Err(error)
     }
 
     /// Records one message of `bytes` from `from` to `to` on `channel`.
@@ -209,51 +190,20 @@ impl SimNetwork {
     /// the right primitive for traffic whose loss the engine cannot absorb
     /// (gradients, parameters, trend boundaries).
     pub fn send(&mut self, from: usize, to: usize, channel: Channel, bytes: u64) {
-        assert!(from < self.num_nodes() && to < self.num_nodes(), "node out of range");
-        if from == to {
-            return;
-        }
-        if self.faults.is_none() {
+        if self.transmit(FORCED_SEND_ATTEMPTS, from, to, channel, bytes).is_err() {
+            // The link is saturated with faults: the transfer completes
+            // once conditions clear; the wait is already charged.
             self.deliver(from, to, channel, bytes);
-            return;
         }
-        for _ in 0..FORCED_SEND_ATTEMPTS {
-            if self.attempt(from, to, channel, bytes).is_ok() {
-                return;
-            }
-        }
-        // The link is saturated with faults (e.g. an outage): the transfer
-        // completes once conditions clear; the wait is already charged.
-        self.deliver(from, to, channel, bytes);
-    }
-
-    /// Attempts to deliver one message, reporting a drop or corruption to
-    /// the caller instead of retrying. Failed attempts charge their bytes
-    /// to [`Channel::Retry`] plus a timeout-detection delay on both
-    /// endpoints. Without fault injection this is exactly [`Self::send`].
-    pub fn try_send(
-        &mut self,
-        from: usize,
-        to: usize,
-        channel: Channel,
-        bytes: u64,
-    ) -> Result<(), SendError> {
-        assert!(from < self.num_nodes() && to < self.num_nodes(), "node out of range");
-        if from == to {
-            return Ok(());
-        }
-        if self.faults.is_none() {
-            self.deliver(from, to, channel, bytes);
-            return Ok(());
-        }
-        self.attempt(from, to, channel, bytes)
     }
 
     /// Sends one message with at most `attempts` transmissions (`None`:
-    /// [`Self::send`], as many as it takes), stopping at the first delivery;
-    /// the error is that of the last [`Self::try_send`]. The bounded form is
-    /// the wait of the EC-degrade policy, whose caller then substitutes a
-    /// prediction instead of retrying further.
+    /// [`Self::send`], as many as it takes), stopping at the first delivery
+    /// and reporting why the last attempt failed; `Some(1)` is a single
+    /// attempt. Each failed attempt charges its bytes to [`Channel::Retry`]
+    /// plus a timeout-detection delay on both endpoints. The bounded form
+    /// is the wait of the EC-degrade policy, whose caller then substitutes
+    /// a prediction instead of retrying further.
     pub fn send_within(
         &mut self,
         attempts: Option<u32>,
@@ -266,9 +216,34 @@ impl SimNetwork {
             self.send(from, to, channel, bytes);
             return Ok(());
         };
+        self.transmit(attempts, from, to, channel, bytes)
+    }
+
+    /// Up to `attempts` transmissions, stopping at the first delivery;
+    /// same-node transfers are free, unrecorded and always succeed. Inlined
+    /// with its fault-free shortcut: every message of a fault-free run,
+    /// training's and serving's, takes this path.
+    #[inline(always)]
+    fn transmit(
+        &mut self,
+        attempts: u32,
+        from: usize,
+        to: usize,
+        channel: Channel,
+        bytes: u64,
+    ) -> Result<(), SendError> {
+        assert!(from < self.num_nodes() && to < self.num_nodes(), "node out of range");
+        if from == to {
+            return Ok(());
+        }
+        if self.faults.is_none() {
+            // Every attempt delivers; skip the loop.
+            self.deliver(from, to, channel, bytes);
+            return Ok(());
+        }
         let mut outcome = Err(SendError::Dropped);
         for _ in 0..attempts {
-            outcome = self.try_send(from, to, channel, bytes);
+            outcome = self.attempt(from, to, channel, bytes);
             if outcome.is_ok() {
                 break;
             }
@@ -321,7 +296,6 @@ impl SimNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ec_faults::LinkFaults;
 
     fn net(nodes: usize) -> SimNetwork {
         SimNetwork::new(nodes, NetworkModel { bandwidth: 1000.0, latency: 0.0 })
@@ -400,8 +374,8 @@ mod tests {
         rejects(|n| n.send(0, 5, Channel::Forward, 1));
         // A same-node transfer is free, but only between nodes that exist.
         rejects(|n| n.send(5, 5, Channel::Forward, 1));
-        rejects(|n| _ = n.try_send(5, 5, Channel::Forward, 1));
-        rejects(|n| _ = n.try_send(0, 5, Channel::Forward, 1));
+        rejects(|n| _ = n.send_within(Some(1), 5, 5, Channel::Forward, 1));
+        rejects(|n| _ = n.send_within(Some(1), 0, 5, Channel::Forward, 1));
     }
 
     #[test]
@@ -446,33 +420,35 @@ mod tests {
 
     #[test]
     fn fault_events_are_counted_per_kind() {
-        let plan = FaultPlan::uniform_drop(11, 1.0);
-        let mut n =
-            SimNetwork::with_faults(2, NetworkModel { bandwidth: 1000.0, latency: 0.01 }, plan);
-        assert!(n.try_send(0, 1, Channel::Forward, 100).is_err());
-        assert!(n.try_send(0, 1, Channel::Forward, 100).is_err());
+        let model = NetworkModel { bandwidth: 1000.0, latency: 0.01 };
+        let timeout = ec_faults::TIMEOUT_LATENCIES * model.latency;
+        let mut n = SimNetwork::with_faults(2, model, FaultPlan::uniform_drop(11, 1.0));
+        assert!(n.send_within(Some(1), 0, 1, Channel::Forward, 100).is_err());
+        assert!(n.send_within(Some(1), 0, 1, Channel::Forward, 100).is_err());
         let stats = n.total_stats();
         assert_eq!(stats.dropped_msgs, 2);
         assert_eq!(stats.corrupted_msgs, 0);
         // dropped bytes still land on the link matrix: the sender NIC spent them
         assert_eq!(stats.links.get(0, 1), 200);
 
-        let plan = FaultPlan {
-            link: LinkFaults { dup_p: 1.0, ..LinkFaults::none() },
-            ..FaultPlan::none()
-        };
-        let mut n =
-            SimNetwork::with_faults(2, NetworkModel { bandwidth: 1000.0, latency: 0.0 }, plan);
-        n.try_send(0, 1, Channel::Backward, 500).unwrap();
-        assert_eq!(n.total_stats().duplicated_msgs, 1);
+        let plan = FaultPlan { corrupt_p: 1.0, ..FaultPlan::none() };
+        let mut n = SimNetwork::with_faults(2, model, plan);
+        assert_eq!(n.send_within(Some(1), 0, 1, Channel::Backward, 500), Err(SendError::Corrupted));
+        let stats = n.total_stats();
+        assert_eq!((stats.corrupted_msgs, stats.dropped_msgs), (1, 0));
+        assert_eq!((stats.bp_bytes, stats.retry_bytes), (0, 500));
+        // A corrupted message crosses the wire: both NICs carry its bytes,
+        // and both endpoints wait out the timeout.
+        assert_eq!((n.out_bytes[0], n.in_bytes[1]), (500, 500));
+        assert_eq!(n.pending_delay, [timeout; 2]);
     }
 
     #[test]
-    fn try_send_reports_drops_and_charges_retry_bytes() {
+    fn a_single_attempt_reports_a_drop_and_charges_retry_bytes() {
         let plan = FaultPlan::uniform_drop(11, 1.0);
         let mut n =
             SimNetwork::with_faults(2, NetworkModel { bandwidth: 1000.0, latency: 0.01 }, plan);
-        assert_eq!(n.try_send(0, 1, Channel::Forward, 4000), Err(SendError::Dropped));
+        assert_eq!(n.send_within(Some(1), 0, 1, Channel::Forward, 4000), Err(SendError::Dropped));
         let stats = n.total_stats();
         assert_eq!(stats.fp_bytes, 0);
         assert_eq!(stats.retry_bytes, 4000);
@@ -498,40 +474,12 @@ mod tests {
 
     #[test]
     fn send_is_guaranteed_even_under_heavy_loss() {
-        let plan = FaultPlan { link: LinkFaults::dropping(0.9), ..FaultPlan::uniform_drop(5, 0.9) };
+        let plan = FaultPlan::uniform_drop(5, 0.9);
         let mut n = SimNetwork::with_faults(2, NetworkModel { bandwidth: 1e9, latency: 0.0 }, plan);
         n.send(0, 1, Channel::Forward, 1000);
         let stats = n.total_stats();
         assert_eq!(stats.fp_bytes, 1000, "payload must eventually deliver");
         assert!(stats.retry_bytes >= 1000, "failed attempts must be charged");
-    }
-
-    #[test]
-    fn duplicates_deliver_once_and_charge_the_copy() {
-        let plan = FaultPlan {
-            link: LinkFaults { dup_p: 1.0, ..LinkFaults::none() },
-            ..FaultPlan::none()
-        };
-        let plan = FaultPlan { seed: 1, ..plan };
-        let mut n =
-            SimNetwork::with_faults(2, NetworkModel { bandwidth: 1000.0, latency: 0.0 }, plan);
-        n.try_send(0, 1, Channel::Backward, 500).unwrap();
-        let stats = n.total_stats();
-        assert_eq!(stats.bp_bytes, 500);
-        assert_eq!(stats.retry_bytes, 500);
-        assert_eq!(stats.messages, 2);
-    }
-
-    #[test]
-    fn outage_blocks_try_send_until_window_ends() {
-        let plan = FaultPlan::none().with_outage(Some(0), Some(1), 0, 2);
-        let mut n = SimNetwork::with_faults(2, NetworkModel { bandwidth: 1e6, latency: 0.0 }, plan);
-        assert!(n.try_send(0, 1, Channel::Forward, 10).is_err());
-        assert!(n.try_send(1, 0, Channel::Forward, 10).is_ok(), "reverse link unaffected");
-        n.flush_superstep();
-        assert!(n.try_send(0, 1, Channel::Forward, 10).is_err(), "superstep 1 still out");
-        n.flush_superstep();
-        assert!(n.try_send(0, 1, Channel::Forward, 10).is_ok(), "outage over");
     }
 
     #[test]
@@ -558,7 +506,7 @@ mod tests {
                 for m in 0..40u64 {
                     let from = (m % 4) as usize;
                     let to = ((m + 1 + step) % 4) as usize;
-                    if n.try_send(from, to, Channel::Forward, 256).is_err() {
+                    if n.send_within(Some(1), from, to, Channel::Forward, 256).is_err() {
                         failures += 1;
                     }
                 }

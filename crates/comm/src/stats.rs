@@ -5,8 +5,8 @@
 //! speedups of Table IV. [`TrafficStats`] is the ledger those numbers are
 //! read from. Besides the per-channel totals it carries a [`LinkMatrix`] —
 //! the per-`(src, dst)` byte breakdown the telemetry layer exports as the
-//! link traffic matrix — and counters for the fault events (drops,
-//! corruptions, duplicates) that produced the `retry_bytes`.
+//! link traffic matrix — and counters for the fault events (drops and
+//! corruptions) that produced the `retry_bytes`.
 
 /// Which logical channel a transfer belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -23,7 +23,7 @@ pub enum Channel {
     /// forward messages they describe.
     Control,
     /// Wasted transmissions under fault injection: dropped or corrupted
-    /// attempts and redundant duplicate deliveries.
+    /// attempts.
     Retry,
 }
 
@@ -110,7 +110,7 @@ pub struct TrafficStats {
     pub param_bytes: u64,
     /// Request bytes ([`Channel::Control`]).
     pub control_bytes: u64,
-    /// Bytes wasted on failed or duplicated transmissions (fault injection).
+    /// Bytes wasted on failed transmissions (fault injection).
     pub retry_bytes: u64,
     /// Total number of messages.
     pub messages: u64,
@@ -120,8 +120,6 @@ pub struct TrafficStats {
     pub dropped_msgs: u64,
     /// Messages that arrived but failed their checksum (fault injection).
     pub corrupted_msgs: u64,
-    /// Redundant duplicate deliveries (fault injection).
-    pub duplicated_msgs: u64,
 }
 
 impl TrafficStats {
@@ -153,7 +151,6 @@ impl TrafficStats {
         self.links.merge(&other.links);
         self.dropped_msgs += other.dropped_msgs;
         self.corrupted_msgs += other.corrupted_msgs;
-        self.duplicated_msgs += other.duplicated_msgs;
     }
 
     /// Resets all counters to zero, returning the previous values.
@@ -256,10 +253,9 @@ mod tests {
     #[test]
     fn fault_counters_merge() {
         let mut a = TrafficStats { dropped_msgs: 1, corrupted_msgs: 2, ..TrafficStats::default() };
-        let b = TrafficStats { dropped_msgs: 3, duplicated_msgs: 4, ..TrafficStats::default() };
+        let b = TrafficStats { dropped_msgs: 3, corrupted_msgs: 4, ..TrafficStats::default() };
         a.merge(&b);
         assert_eq!(a.dropped_msgs, 4);
-        assert_eq!(a.corrupted_msgs, 2);
-        assert_eq!(a.duplicated_msgs, 4);
+        assert_eq!(a.corrupted_msgs, 6);
     }
 }

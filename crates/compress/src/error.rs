@@ -9,7 +9,7 @@
 //!   (Eqs. 11–12), whose squared L2 norm Theorem 1 bounds.
 
 use crate::quantize::Quantized;
-use ec_tensor::{ops, stats, Matrix};
+use ec_tensor::{init, ops, stats, Matrix};
 
 /// `X - decompress(compress(X))`, the residual a single compression step
 /// leaves behind.
@@ -26,6 +26,16 @@ pub fn relative_error(original: &Matrix, q: &Quantized) -> f32 {
     } else {
         stats::l2_norm(&residual(original, q)) / denom
     }
+}
+
+/// The empirical `α` of a `bits`-wide quantizer: the worst
+/// [`relative_error`] over `seeds` standard-normal 32×16 matrices (seeds
+/// `0..seeds`).
+pub fn probe_alpha(bits: u8, seeds: u64) -> f32 {
+    (0..seeds).fold(0.0f32, |alpha, seed| {
+        let m = init::normal(32, 16, 1.0, seed);
+        alpha.max(relative_error(&m, &Quantized::compress(&m, bits)))
+    })
 }
 
 /// The Theorem-1 upper bound on `E‖δ_{t,l}‖²`:

@@ -125,13 +125,7 @@ pub(crate) fn probe_alpha(mode: BpMode) -> Option<f64> {
     let BpMode::ResEc { bits } = mode else {
         return None;
     };
-    let mut alpha = 0.0f32;
-    for seed in 0..8u64 {
-        let m = ec_tensor::init::normal(32, 16, 1.0, seed);
-        let q = Quantized::compress(&m, bits);
-        alpha = alpha.max(ec_compress::error::relative_error(&m, &q));
-    }
-    Some(alpha as f64)
+    Some(ec_compress::error::probe_alpha(bits, 8) as f64)
 }
 
 /// Uncompressed gradient response. (A link owns the rows it has just

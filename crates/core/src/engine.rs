@@ -651,7 +651,6 @@ impl DistributedEngine {
         for (id, v) in [
             (MetricId::FaultDropped, traffic.dropped_msgs),
             (MetricId::FaultCorrupted, traffic.corrupted_msgs),
-            (MetricId::FaultDuplicated, traffic.duplicated_msgs),
             (MetricId::FaultDegradedDrop, self.counters.fp_degraded_drop),
             (MetricId::FaultDegradedCorrupt, self.counters.fp_degraded_corrupt),
         ] {

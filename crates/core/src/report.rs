@@ -30,7 +30,7 @@ pub struct EpochRecord {
     pub bp_bytes: u64,
     /// Bytes of parameter traffic.
     pub param_bytes: u64,
-    /// Bytes wasted on failed/duplicated transmissions (fault injection).
+    /// Bytes wasted on failed transmissions (fault injection).
     pub retry_bytes: u64,
     /// Total bytes (all channels).
     pub total_bytes: u64,

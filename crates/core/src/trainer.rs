@@ -155,10 +155,7 @@ pub fn run_epoch_loop<S: EpochSystem>(
     config: &TrainingConfig,
     result: &mut RunResult,
 ) -> Result<(), CheckpointError> {
-    let mut best_val = f64::MIN;
-    let mut since_best = 0usize;
-    let mut last_val = 0.0f64;
-    let mut last_test = 0.0f64;
+    let mut stopping = EarlyStopping::default();
 
     let mut crash_epochs: Vec<usize> = config.faults.crashes.iter().map(|c| c.epoch).collect();
     crash_epochs.sort_unstable();
@@ -185,21 +182,13 @@ pub fn run_epoch_loop<S: EpochSystem>(
             result.recovery_s += result.epochs.drain(keep..).map(|e| e.sim_time()).sum::<f64>();
             result.crashes_recovered += 1;
             system.recover(t, ckpt)?;
-            // Rebuild the early-stopping trackers from the surviving
-            // history so the replay is indistinguishable from a run that
-            // never went past the checkpoint.
-            best_val = f64::MIN;
-            since_best = 0;
-            last_val = 0.0;
-            last_test = 0.0;
+            // Rebuild the early-stopping tracker from the surviving
+            // evaluations so the replay is indistinguishable from a run
+            // that never went past the checkpoint.
+            stopping = EarlyStopping::default();
             for e in &result.epochs[base_records..] {
-                last_val = e.val_acc;
-                last_test = e.test_acc;
-                if e.val_acc > best_val {
-                    best_val = e.val_acc;
-                    since_best = 0;
-                } else {
-                    since_best += 1;
+                if e.epoch.is_multiple_of(config.eval_every) {
+                    stopping.observe(e.val_acc, e.test_acc);
                 }
             }
             continue;
@@ -211,20 +200,13 @@ pub fn run_epoch_loop<S: EpochSystem>(
         let stats = system.run_epoch();
         if stats.epoch.is_multiple_of(config.eval_every) {
             let eval = system.evaluate();
-            last_val = eval.val;
-            last_test = eval.test;
-            if eval.val > best_val {
-                best_val = eval.val;
-                since_best = 0;
-            } else {
-                since_best += 1;
-            }
+            stopping.observe(eval.val, eval.test);
         }
         result.epochs.push(EpochRecord {
             epoch: stats.epoch,
             loss: stats.loss,
-            val_acc: last_val,
-            test_acc: last_test,
+            val_acc: stopping.last_val,
+            test_acc: stopping.last_test,
             compute_s: stats.compute_s,
             comm_s: stats.comm_s,
             fp_bytes: stats.traffic.fp_bytes,
@@ -237,13 +219,43 @@ pub fn run_epoch_loop<S: EpochSystem>(
             degraded_corrupt: stats.degraded_corrupt,
         });
         if let Some(patience) = config.patience {
-            if since_best >= patience {
+            if stopping.since_best >= patience {
                 break;
             }
         }
     }
     result.finalize();
     Ok(())
+}
+
+/// Early-stopping state over the evaluated epochs: the best validation
+/// accuracy, the evaluations since it, and the latest evaluation (which
+/// the epochs up to the next one report).
+struct EarlyStopping {
+    best_val: f64,
+    since_best: usize,
+    last_val: f64,
+    last_test: f64,
+}
+
+impl Default for EarlyStopping {
+    fn default() -> Self {
+        Self { best_val: f64::MIN, since_best: 0, last_val: 0.0, last_test: 0.0 }
+    }
+}
+
+impl EarlyStopping {
+    /// Takes one evaluation into account.
+    fn observe(&mut self, val: f64, test: f64) {
+        self.last_val = val;
+        self.last_test = test;
+        if val > self.best_val {
+            self.best_val = val;
+            self.since_best = 0;
+        } else {
+            self.since_best += 1;
+        }
+    }
 }
 
 #[cfg(test)]

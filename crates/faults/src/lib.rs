@@ -1,10 +1,9 @@
 //! Deterministic fault injection for the simulated cluster.
 //!
-//! A [`FaultPlan`] declares *what can go wrong* — per-link message drop,
-//! duplication and corruption probabilities, per-node straggler slowdowns,
-//! transient link outages over superstep windows, and whole-worker crashes
-//! at given epochs. A [`FaultInjector`] turns the plan into per-message
-//! decisions.
+//! A [`FaultPlan`] declares *what can go wrong* — message drop and
+//! corruption probabilities on every link, per-node straggler slowdowns and
+//! whole-worker crashes at given epochs. A [`FaultInjector`] turns the plan
+//! into per-message decisions.
 //!
 //! Decisions are **stateless hashes** of `(seed, superstep, from, to,
 //! message index)`: the same plan over the same traffic always produces the
@@ -29,76 +28,9 @@ pub enum FaultDecision {
     Deliver,
     /// The message is lost in transit (sender pays, receiver times out).
     Drop,
-    /// The message arrives twice (one redundant copy of the payload).
-    Duplicate,
     /// The message arrives but fails its checksum — observable garbage,
     /// handled like a drop by the receiver but paid for on both NICs.
     Corrupt,
-}
-
-/// Per-link fault probabilities. All default to `0.0` (a perfect link).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct LinkFaults {
-    /// Probability a message is silently lost.
-    pub drop_p: f64,
-    /// Probability a message is delivered twice.
-    pub dup_p: f64,
-    /// Probability a message arrives corrupted (checksum failure).
-    pub corrupt_p: f64,
-}
-
-impl LinkFaults {
-    /// A perfect link.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// A link dropping messages with probability `p`.
-    pub fn dropping(p: f64) -> Self {
-        Self { drop_p: p, ..Self::default() }
-    }
-
-    /// True when every probability is zero.
-    pub fn is_none(&self) -> bool {
-        self.drop_p == 0.0 && self.dup_p == 0.0 && self.corrupt_p == 0.0
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        for (name, p) in
-            [("drop_p", self.drop_p), ("dup_p", self.dup_p), ("corrupt_p", self.corrupt_p)]
-        {
-            if !(0.0..=1.0).contains(&p) || p.is_nan() {
-                return Err(format!("{name} = {p} out of [0, 1]"));
-            }
-        }
-        if self.drop_p + self.dup_p + self.corrupt_p > 1.0 {
-            return Err("fault probabilities sum above 1".into());
-        }
-        Ok(())
-    }
-}
-
-/// A transient link outage: every message on the matching links is dropped
-/// while `start <= superstep < end`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Outage {
-    /// Sending node, or `None` for "any sender".
-    pub from: Option<usize>,
-    /// Receiving node, or `None` for "any receiver".
-    pub to: Option<usize>,
-    /// First affected superstep (inclusive).
-    pub start: u64,
-    /// First superstep after the outage (exclusive).
-    pub end: u64,
-}
-
-impl Outage {
-    /// True when the outage covers `(superstep, from, to)`.
-    pub fn covers(&self, superstep: u64, from: usize, to: usize) -> bool {
-        (self.start..self.end).contains(&superstep)
-            && self.from.is_none_or(|f| f == from)
-            && self.to.is_none_or(|t| t == to)
-    }
 }
 
 /// A whole-worker crash: the worker dies while executing epoch `epoch`,
@@ -112,20 +44,20 @@ pub struct CrashEvent {
     pub epoch: usize,
 }
 
-/// The complete fault schedule of one simulated run.
-#[derive(Clone, Debug, PartialEq)]
+/// The complete fault schedule of one simulated run. The default is
+/// [`FaultPlan::none`].
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the stateless per-message hashes.
     pub seed: u64,
-    /// Fault probabilities applied to every link without an override.
-    pub link: LinkFaults,
-    /// Per-link `(from, to)` overrides of [`FaultPlan::link`].
-    pub link_overrides: Vec<((usize, usize), LinkFaults)>,
+    /// Probability a message is lost in transit, on every link.
+    pub drop_p: f64,
+    /// Probability a message arrives corrupted (checksum failure), on
+    /// every link.
+    pub corrupt_p: f64,
     /// `(node, factor)` slowdowns: the node's compute and NIC time are
     /// multiplied by `factor` (≥ 1).
     pub stragglers: Vec<(usize, f64)>,
-    /// Transient link outages.
-    pub outages: Vec<Outage>,
     /// Worker crashes, handled by the trainer via checkpoint/restore.
     pub crashes: Vec<CrashEvent>,
 }
@@ -134,48 +66,22 @@ pub struct FaultPlan {
 /// model's latency (charged to both endpoints).
 pub const TIMEOUT_LATENCIES: f64 = 4.0;
 
-impl Default for FaultPlan {
-    fn default() -> Self {
-        Self::none()
-    }
-}
-
 impl FaultPlan {
     /// The empty plan: no faults of any kind. A network built with this
     /// plan behaves bit-identically to one built without fault support.
     pub fn none() -> Self {
-        Self {
-            seed: 0,
-            link: LinkFaults::none(),
-            link_overrides: Vec::new(),
-            stragglers: Vec::new(),
-            outages: Vec::new(),
-            crashes: Vec::new(),
-        }
+        Self::default()
     }
 
     /// A plan dropping every message with probability `p` on every link.
     pub fn uniform_drop(seed: u64, p: f64) -> Self {
-        Self { seed, link: LinkFaults::dropping(p), ..Self::none() }
+        Self { seed, drop_p: p, ..Self::none() }
     }
 
     /// Adds a straggler: `node`'s compute and NIC times are scaled by
     /// `factor`.
     pub fn with_straggler(mut self, node: usize, factor: f64) -> Self {
         self.stragglers.push((node, factor));
-        self
-    }
-
-    /// Adds a link outage over `[start, end)` supersteps; `None` endpoints
-    /// are wildcards.
-    pub fn with_outage(
-        mut self,
-        from: Option<usize>,
-        to: Option<usize>,
-        start: u64,
-        end: u64,
-    ) -> Self {
-        self.outages.push(Outage { from, to, start, end });
         self
     }
 
@@ -188,18 +94,21 @@ impl FaultPlan {
     /// True when the plan can never produce a fault (stragglers at factor 1
     /// included), so fault machinery can be skipped entirely.
     pub fn is_none(&self) -> bool {
-        self.link.is_none()
-            && self.link_overrides.iter().all(|(_, l)| l.is_none())
+        self.drop_p == 0.0
+            && self.corrupt_p == 0.0
             && self.stragglers.iter().all(|&(_, f)| f == 1.0)
-            && self.outages.iter().all(|o| o.start >= o.end)
             && self.crashes.is_empty()
     }
 
     /// Checks internal consistency (probability ranges, straggler factors).
     pub fn validate(&self) -> Result<(), String> {
-        self.link.validate()?;
-        for ((from, to), link) in &self.link_overrides {
-            link.validate().map_err(|e| format!("link ({from}, {to}): {e}"))?;
+        for (name, p) in [("drop_p", self.drop_p), ("corrupt_p", self.corrupt_p)] {
+            if !(0.0..=1.0).contains(&p) || p.is_nan() {
+                return Err(format!("{name} = {p} out of [0, 1]"));
+            }
+        }
+        if self.drop_p + self.corrupt_p > 1.0 {
+            return Err("fault probabilities sum above 1".into());
         }
         for &(node, factor) in &self.stragglers {
             if !factor.is_finite() || factor < 1.0 {
@@ -230,39 +139,16 @@ impl FaultInjector {
         Self { plan }
     }
 
-    /// The fault probabilities for the link `from → to`.
-    pub fn link_faults(&self, from: usize, to: usize) -> LinkFaults {
-        self.plan
-            .link_overrides
-            .iter()
-            .find(|((f, t), _)| *f == from && *t == to)
-            .map(|&(_, l)| l)
-            .unwrap_or(self.plan.link)
-    }
-
-    /// True when an outage covers `(superstep, from, to)`.
-    pub fn link_out(&self, superstep: u64, from: usize, to: usize) -> bool {
-        self.plan.outages.iter().any(|o| o.covers(superstep, from, to))
-    }
-
     /// The fate of message number `msg_index` (within the superstep) on
     /// link `from → to`. Pure: identical arguments always yield identical
     /// decisions.
     pub fn decide(&self, superstep: u64, from: usize, to: usize, msg_index: u64) -> FaultDecision {
-        if self.link_out(superstep, from, to) {
-            return FaultDecision::Drop;
-        }
-        let faults = self.link_faults(from, to);
-        if faults.is_none() {
-            return FaultDecision::Deliver;
-        }
-        let u = unit_f64(mix(self.plan.seed, superstep, from as u64, to as u64, msg_index));
-        if u < faults.drop_p {
+        let FaultPlan { seed, drop_p, corrupt_p, .. } = self.plan;
+        let u = unit_f64(mix(seed, superstep, from as u64, to as u64, msg_index));
+        if u < drop_p {
             FaultDecision::Drop
-        } else if u < faults.drop_p + faults.corrupt_p {
+        } else if u < drop_p + corrupt_p {
             FaultDecision::Corrupt
-        } else if u < faults.drop_p + faults.corrupt_p + faults.dup_p {
-            FaultDecision::Duplicate
         } else {
             FaultDecision::Deliver
         }
@@ -334,61 +220,22 @@ mod tests {
 
     #[test]
     fn mixed_faults_partition_the_unit_interval() {
-        let plan = FaultPlan {
-            seed: 3,
-            link: LinkFaults { drop_p: 0.1, dup_p: 0.1, corrupt_p: 0.1 },
-            ..FaultPlan::none()
-        };
+        let plan = FaultPlan { corrupt_p: 0.1, ..FaultPlan::uniform_drop(3, 0.1) };
         let inj = FaultInjector::new(plan);
         let n = 30_000u64;
-        let mut counts = [0usize; 4];
+        let mut counts = [0usize; 3];
         for m in 0..n {
             match inj.decide(1, 2, 3, m) {
                 FaultDecision::Deliver => counts[0] += 1,
                 FaultDecision::Drop => counts[1] += 1,
-                FaultDecision::Duplicate => counts[2] += 1,
-                FaultDecision::Corrupt => counts[3] += 1,
+                FaultDecision::Corrupt => counts[2] += 1,
             }
         }
         for &faulty in &counts[1..] {
             let rate = faulty as f64 / n as f64;
             assert!((rate - 0.1).abs() < 0.02, "rate {rate}");
         }
-        assert!(counts[0] as f64 / n as f64 > 0.65);
-    }
-
-    #[test]
-    fn link_overrides_take_precedence() {
-        let plan = FaultPlan {
-            seed: 1,
-            link: LinkFaults::dropping(1.0),
-            link_overrides: vec![((0, 1), LinkFaults::none())],
-            ..FaultPlan::none()
-        };
-        let inj = FaultInjector::new(plan);
-        assert_eq!(inj.decide(0, 0, 1, 0), FaultDecision::Deliver);
-        assert_eq!(inj.decide(0, 1, 0, 0), FaultDecision::Drop);
-    }
-
-    #[test]
-    fn outage_drops_everything_in_window() {
-        let plan = FaultPlan::none().with_outage(Some(0), Some(1), 5, 8);
-        let inj = FaultInjector::new(plan);
-        for s in 5..8 {
-            assert_eq!(inj.decide(s, 0, 1, 0), FaultDecision::Drop);
-        }
-        assert_eq!(inj.decide(4, 0, 1, 0), FaultDecision::Deliver);
-        assert_eq!(inj.decide(8, 0, 1, 0), FaultDecision::Deliver);
-        // Other links are unaffected.
-        assert_eq!(inj.decide(6, 1, 0, 0), FaultDecision::Deliver);
-    }
-
-    #[test]
-    fn wildcard_outage_covers_all_links() {
-        let plan = FaultPlan::none().with_outage(None, None, 2, 3);
-        let inj = FaultInjector::new(plan);
-        assert_eq!(inj.decide(2, 3, 4, 9), FaultDecision::Drop);
-        assert_eq!(inj.decide(3, 3, 4, 9), FaultDecision::Deliver);
+        assert!(counts[0] as f64 / n as f64 > 0.75);
     }
 
     #[test]
@@ -410,10 +257,7 @@ mod tests {
     fn validate_rejects_bad_plans() {
         assert!(FaultPlan::uniform_drop(0, 1.5).validate().is_err());
         assert!(FaultPlan::uniform_drop(0, -0.1).validate().is_err());
-        let sum_over = FaultPlan {
-            link: LinkFaults { drop_p: 0.6, dup_p: 0.3, corrupt_p: 0.3 },
-            ..FaultPlan::none()
-        };
+        let sum_over = FaultPlan { corrupt_p: 0.6, ..FaultPlan::uniform_drop(0, 0.6) };
         assert!(sum_over.validate().is_err());
         assert!(FaultPlan::none().with_straggler(0, 0.5).validate().is_err());
         assert!(FaultPlan::none().validate().is_ok());

@@ -75,7 +75,9 @@ pub struct ServeConfig {
     /// with a per-row range. Every shipped row is encoded once per
     /// checkpoint install, so a fetch only decodes.
     pub fetch_bits: Option<u8>,
-    /// Fault plan injected into the serving network (stragglers, outages).
+    /// Fault plan injected into the serving network: a straggler scales its
+    /// node's compute and NIC time; drops and corruptions are retried until
+    /// delivered, each failed attempt charged. Crashes do not apply.
     pub faults: FaultPlan,
     /// Kernel threads for store (re)materialization; 0 = auto.
     pub kernel_threads: usize,

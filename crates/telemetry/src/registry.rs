@@ -141,8 +141,6 @@ metric_catalog! {
         "Messages lost in transit under fault injection" },
     FaultCorrupted => { "faults.corrupted", Counter, "messages", ["epoch"],
         "Messages that arrived but failed their checksum" },
-    FaultDuplicated => { "faults.duplicated", Counter, "messages", ["epoch"],
-        "Redundant duplicate deliveries" },
     FaultDegradedDrop => { "faults.degraded_drop", Counter, "messages", ["epoch"],
         "EC-degrade substitutions whose final failed attempt was a drop (timeout-detected)" },
     FaultDegradedCorrupt => { "faults.degraded_corrupt", Counter, "messages", ["epoch"],

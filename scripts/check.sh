@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, lints (warnings are errors), the whole
 # workspace test suite, the kernel, network and serving crates' tests and
-# the serving suite again in release, a
+# the serving and resilience suites again in release, a
 # one-experiment drive of scripts/reproduce.sh, an exit-code probe of the
 # `ecgraph` CLI's strict key=value parsing (zero-width layers, a zero-epoch
 # run, out-of-range bit widths, a zero delay, an empty serving workload and a
@@ -52,7 +52,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test --workspace -q
 
-echo "== cargo test --release (codec, reduction, exchange, network, loss and serving kernels) =="
+echo "== cargo test --release (codec, reduction, exchange, network, loss and serving kernels; resilience) =="
 # The dev profile builds these crates at opt-level 1-2, where the casts and
 # lane reductions of the codec kernels are not vectorised; their
 # bit-identity tests must also hold on the code the benchmark runs. Serving
@@ -61,9 +61,13 @@ echo "== cargo test --release (codec, reduction, exchange, network, loss and ser
 # loss's pin to the all-rows softmax. Exact serving answers equal the forward
 # pass only while the store's projected rows and the per-batch product agree,
 # so the serving suite runs here too. The network's node-range check must
-# hold where debug assertions are off.
+# hold where debug assertions are off. The resilience suite's claims — a
+# retry-only run under drops or corruption trains the clean run's losses,
+# and a run recovered from a crash trains the uninterrupted one's — must
+# hold in the optimized build that perfbench and `resilience_sweep` run.
 cargo test --release -q -p ec-compress -p ec-tensor -p ec-graph -p ec-nn -p ec-serve -p ec-comm
 cargo test --release -q --test serving_suite
+cargo test --release -q --test resilience_suite
 
 echo "== reproduce smoke (scripts/reproduce.sh writes a revision header) =="
 # Table II is analytic and instant; the script writes under the cwd.

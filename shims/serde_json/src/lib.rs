@@ -42,24 +42,6 @@ impl Value {
         }
     }
 
-    /// The value as a `u64`, when it is a non-negative integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Int(i) => u64::try_from(*i).ok(),
-            Value::UInt(u) => Some(*u),
-            _ => None,
-        }
-    }
-
-    /// The value as an `i64`, when it is an integer in range.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            Value::UInt(u) => i64::try_from(*u).ok(),
-            _ => None,
-        }
-    }
-
     /// The value as an `f64` (integers widen).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -92,11 +74,6 @@ impl Value {
             Value::Array(items) => Some(items),
             _ => None,
         }
-    }
-
-    /// Whether the value is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
     }
 }
 
@@ -607,11 +584,11 @@ mod tests {
     #[test]
     fn accessors_read_members() {
         let v = crate::from_str(r#"{"n": 42, "s": "hi", "b": false, "arr": [1, 2]}"#).unwrap();
-        assert_eq!(v.get("n").and_then(crate::Value::as_u64), Some(42));
+        assert_eq!(v.get("n").and_then(crate::Value::as_f64), Some(42.0));
         assert_eq!(v["s"].as_str(), Some("hi"));
         assert_eq!(v["b"].as_bool(), Some(false));
         assert_eq!(v["arr"].as_array().map(Vec::len), Some(2));
-        assert!(v["missing"].is_null());
+        assert_eq!(v["missing"], crate::Value::Null);
         assert!(v.get("missing").is_none());
     }
 

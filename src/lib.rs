@@ -11,8 +11,8 @@
 //! * [`partition`] — Hash / METIS-like / streaming partitioners,
 //! * [`compress`] — B-bit bucket quantization with bit-packing,
 //! * [`comm`] — the simulated cluster (network model, parameter servers),
-//! * [`faults`] — deterministic fault injection (drops, stragglers,
-//!   outages, crashes) for the simulated cluster,
+//! * [`faults`] — deterministic fault injection (drops, corruption,
+//!   stragglers, crashes) for the simulated cluster,
 //! * [`nn`] — hand-rolled autodiff, softmax cross-entropy, accuracy,
 //! * [`ecgraph`] — the EC-Graph distributed engine, ReqEC-FP, ResEC-BP and
 //!   every baseline system from the paper's evaluation,

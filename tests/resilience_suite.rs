@@ -120,7 +120,36 @@ fn crash_recovery_matches_uninterrupted_curve() {
 
     assert_eq!(crashed.crashes_recovered, 1);
     assert!(crashed.recovery_s > 0.0, "rolled-back epochs must be charged");
-    assert_eq!(crashed.epochs.len(), baseline.epochs.len());
+    assert_same_curve(&baseline, &crashed);
+
+    // Early stopping with evaluation every third epoch: the replay must
+    // count only the evaluated epochs towards the patience, as the
+    // uninterrupted run does, or the recovered run stops early.
+    for (seed, patience, crash_epoch) in [(2, 3, 7), (4, 4, 10)] {
+        let config = TrainingConfig {
+            seed,
+            patience: Some(patience),
+            eval_every: 3,
+            ..reqec_config(&data, 60)
+        };
+        let baseline =
+            train(Arc::clone(&data), &HashPartitioner::default(), config.clone(), "no-crash");
+        let mut config = config;
+        config.faults = FaultPlan::none().with_crash(1, crash_epoch);
+        config.resilience.checkpoint_every = 3;
+        let crashed = train(Arc::clone(&data), &HashPartitioner::default(), config, "crash");
+        assert_eq!(crashed.crashes_recovered, 1, "seed {seed}");
+        assert!(baseline.epochs.len() < 60, "seed {seed}: patience must stop the run");
+        assert_same_curve(&baseline, &crashed);
+    }
+}
+
+/// Same epochs, losses within 1e-4.
+fn assert_same_curve(
+    baseline: &ec_graph_repro::ecgraph::RunResult,
+    crashed: &ec_graph_repro::ecgraph::RunResult,
+) {
+    assert_eq!(crashed.epochs.len(), baseline.epochs.len(), "epochs trained after recovery");
     for (a, b) in baseline.epochs.iter().zip(&crashed.epochs) {
         assert_eq!(a.epoch, b.epoch);
         assert!(
@@ -154,45 +183,60 @@ fn crash_without_periodic_checkpoints_replays_from_scratch() {
 
 /// Under message loss plus a straggler, the EC-degrade policy must train in
 /// strictly less simulated communication time than retry-until-delivered,
-/// at final accuracy no worse than the retry baseline.
+/// at final accuracy no worse than the retry baseline — whether the
+/// messages are dropped or corrupted, and each substitution is counted
+/// under the fault that caused it.
 #[test]
 fn ec_degrade_beats_retry_only_under_loss() {
     let data = tiny_data();
-    let run = |policy: ResiliencePolicy| {
-        let mut config = reqec_config(&data, 30);
-        config.faults = FaultPlan::uniform_drop(13, 0.05).with_straggler(0, 2.0);
-        config.resilience.policy = policy;
-        config.resilience.max_attempts = 1;
-        train(Arc::clone(&data), &HashPartitioner::default(), config, "policy")
-    };
-    let retry = run(ResiliencePolicy::RetryOnly);
-    let degrade = run(ResiliencePolicy::EcDegrade);
+    let dropping = FaultPlan::uniform_drop(13, 0.05).with_straggler(0, 2.0);
+    let corrupting = FaultPlan { corrupt_p: 0.05, ..FaultPlan::none() }.with_straggler(0, 2.0);
+    for (faults, corrupt) in [(dropping, false), (corrupting, true)] {
+        let run = |policy: ResiliencePolicy| {
+            let mut config = reqec_config(&data, 30);
+            config.faults = faults.clone();
+            config.resilience.policy = policy;
+            config.resilience.max_attempts = 1;
+            train(Arc::clone(&data), &HashPartitioner::default(), config, "policy")
+        };
+        let retry = run(ResiliencePolicy::RetryOnly);
+        let degrade = run(ResiliencePolicy::EcDegrade);
 
-    let comm =
-        |r: &ec_graph_repro::ecgraph::RunResult| -> f64 { r.epochs.iter().map(|e| e.comm_s).sum() };
-    let degraded_msgs: u64 = degrade.epochs.iter().map(|e| e.degraded).sum();
-    assert!(degraded_msgs > 0, "5% drop over 30 epochs must trigger degradation");
-    assert_eq!(
-        retry.epochs.iter().map(|e| e.degraded).sum::<u64>(),
-        0,
-        "retry-only must never substitute predictions"
-    );
-    assert!(
-        comm(&degrade) < comm(&retry),
-        "EC-degrade comm {} not below retry-only {}",
-        comm(&degrade),
-        comm(&retry)
-    );
-    assert!(
-        degrade.best_test_acc >= retry.best_test_acc - 1e-9,
-        "EC-degrade accuracy {} fell below retry-only {}",
-        degrade.best_test_acc,
-        retry.best_test_acc
-    );
+        let comm = |r: &ec_graph_repro::ecgraph::RunResult| -> f64 {
+            r.epochs.iter().map(|e| e.comm_s).sum()
+        };
+        let degraded_msgs: u64 = degrade.epochs.iter().map(|e| e.degraded).sum();
+        assert!(degraded_msgs > 0, "5% loss over 30 epochs must trigger degradation");
+        let by_drop: u64 = degrade.epochs.iter().map(|e| e.degraded_drop).sum();
+        let by_corrupt: u64 = degrade.epochs.iter().map(|e| e.degraded_corrupt).sum();
+        if corrupt {
+            assert!(by_corrupt > 0, "corruption-only plan must degrade on checksum failures");
+            assert_eq!(by_drop, 0, "a corruption-only plan drops nothing");
+        }
+        assert_eq!(by_drop + by_corrupt, degraded_msgs);
+        assert_eq!(
+            retry.epochs.iter().map(|e| e.degraded).sum::<u64>(),
+            0,
+            "retry-only must never substitute predictions"
+        );
+        assert!(
+            comm(&degrade) < comm(&retry),
+            "EC-degrade comm {} not below retry-only {}",
+            comm(&degrade),
+            comm(&retry)
+        );
+        assert!(
+            degrade.best_test_acc >= retry.best_test_acc - 1e-9,
+            "EC-degrade accuracy {} fell below retry-only {}",
+            degrade.best_test_acc,
+            retry.best_test_acc
+        );
+    }
 }
 
-/// Drops make training slower, never less accurate, under retry-only: the
-/// ledger charges wasted bytes and timeouts but every payload arrives.
+/// Drops and corruptions make training slower, never less accurate, under
+/// retry-only: the ledger charges wasted bytes and timeouts but every
+/// payload arrives.
 #[test]
 fn retry_only_losses_cost_time_not_accuracy() {
     let data = tiny_data();
@@ -202,15 +246,19 @@ fn retry_only_losses_cost_time_not_accuracy() {
         train(Arc::clone(&data), &HashPartitioner::default(), config, "x")
     };
     let clean = run(FaultPlan::none());
-    let lossy = run(FaultPlan::uniform_drop(5, 0.2));
     let losses = |r: &ec_graph_repro::ecgraph::RunResult| {
         r.epochs.iter().map(|e| e.loss).collect::<Vec<_>>()
     };
-    assert_eq!(losses(&clean), losses(&lossy), "guaranteed delivery ⇒ identical training");
     let comm =
         |r: &ec_graph_repro::ecgraph::RunResult| -> f64 { r.epochs.iter().map(|e| e.comm_s).sum() };
-    assert!(comm(&lossy) > comm(&clean), "drops must cost simulated time");
-    assert!(lossy.epochs.iter().map(|e| e.retry_bytes).sum::<u64>() > 0);
+    for faults in
+        [FaultPlan::uniform_drop(5, 0.2), FaultPlan { corrupt_p: 0.2, ..FaultPlan::none() }]
+    {
+        let lossy = run(faults);
+        assert_eq!(losses(&clean), losses(&lossy), "guaranteed delivery ⇒ identical training");
+        assert!(comm(&lossy) > comm(&clean), "failed attempts must cost simulated time");
+        assert!(lossy.epochs.iter().map(|e| e.retry_bytes).sum::<u64>() > 0);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -276,7 +324,7 @@ proptest! {
             }
             net.flush_superstep();
             for &(from, to, bytes) in &sends {
-                let _ = net.try_send(to % nodes, from % nodes, Channel::Backward, bytes);
+                let _ = net.send_within(Some(1), to % nodes, from % nodes, Channel::Backward, bytes);
             }
             let (stats, time) = net.end_epoch();
             (stats, time.to_bits())
@@ -295,7 +343,7 @@ proptest! {
         prop_assert_eq!(&a, &b);
         if a.0.retry_bytes > 0 {
             // Failures can only add wasted bytes (guaranteed sends retry on
-            // top; try_send drops shift payload bytes into the retry
+            // top; single-attempt drops shift payload bytes into the retry
             // ledger) — never shrink the wire total.
             prop_assert!(a.0.total_bytes() >= bare.0.total_bytes());
             prop_assert!(a.0 != bare.0, "faulty ledger must differ from the clean one");
